@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <memory>
@@ -471,34 +472,139 @@ TEST(FarmFailover, RecoveryDelayExtendsUnavailability)
 
 TEST(DegradedMode, StarvedServerFallsBackToSafePolicy)
 {
-    // Server 1 is down for four full epochs: its decision log starves,
-    // and its autonomous controller must fall back to the safe fixed
-    // policy instead of searching an empty log.
+    // Server 1 is down from 310 s to 1500 s: the decisions at 900,
+    // 1200 and 1500 s see only downtime since the previous decision and
+    // no new jobs, so its decision log (or local load measurement) is
+    // starved, and its autonomous decider must fall back to the safe
+    // fixed policy instead of deciding on stale data — whichever
+    // decision rule the server runs.
     const UtilizationTrace trace("flat", std::vector<double>(40, 0.3));
-    FarmRuntimeConfig config = faultRuntimeConfig(2, "per-server");
+    const struct
+    {
+        const char *control;
+        const char *strategy;
+        /** The feedback controller can saturate on the healthy server,
+         * which carries the whole load during the outage; under faults
+         * that infeasible decision degrades too. */
+        bool healthyNeverDegrades;
+    } modes[] = {
+        {"per-server", "SS", true},
+        {"per-server", "poet", false},
+        {"distributed", "SS", true},
+    };
+    for (const auto &mode : modes) {
+        FarmRuntimeConfig config = faultRuntimeConfig(2, mode.control);
+        StrategyKnobs knobs;
+        knobs.epochMinutes = config.perServer.epochMinutes;
+        config.perServer = strategyConfigByName(mode.strategy, knobs);
+        config.faults = "scripted";
+        config.faultScript = {{310.0, 1, true}, {1500.0, 1, false}};
+        // A fallback no decider would pick, so it is recognizable.
+        config.degradedPolicy = Policy{
+            0.95, SleepPlan::immediate(LowPowerState::C3S0Idle)};
+        const std::string label =
+            std::string(mode.control) + "/" + mode.strategy;
+
+        const FarmRuntimeResult result = runFaultScenario(config, trace);
+        expectConservation(result);
+        EXPECT_GT(result.faults.degradedSeconds, 0.0) << label;
+
+        // Degraded epochs run the fallback policy unboosted and are
+        // flagged in their server's stream; the starved ones are on the
+        // crashed server.
+        ASSERT_EQ(result.servers.size(), 2u);
+        std::uint64_t degraded_epochs = 0;
+        for (const FarmServerReport &server : result.servers) {
+            for (const EpochReport &epoch : server.epochs) {
+                const bool starved = server.server == 1 &&
+                                     epoch.startTime >= 900.0 &&
+                                     epoch.startTime <= 1500.0;
+                if (starved) {
+                    EXPECT_TRUE(epoch.degraded)
+                        << label << " epoch " << epoch.index;
+                }
+                if (!epoch.degraded)
+                    continue;
+                ++degraded_epochs;
+                EXPECT_TRUE(epoch.decided) << label;
+                EXPECT_FALSE(epoch.feasible) << label;
+                EXPECT_FALSE(epoch.boosted) << label;
+                EXPECT_EQ(epoch.policy.frequency,
+                          config.degradedPolicy.frequency)
+                    << label;
+                EXPECT_EQ(epoch.policy.plan.deepest(),
+                          config.degradedPolicy.plan.deepest())
+                    << label;
+                if (mode.healthyNeverDegrades) {
+                    EXPECT_EQ(server.server, 1u) << label;
+                }
+            }
+        }
+        EXPECT_EQ(degraded_epochs, result.faults.degradedEpochs) << label;
+    }
+}
+
+// A saturated server under faults: λ̂ of the distributed rule sits
+// above ρ_b even at f = 1, so every decision is infeasible and the
+// farm loop degrades it onto the fallback.
+FarmRuntimeConfig
+saturatedDistributedConfig()
+{
+    FarmRuntimeConfig config = faultRuntimeConfig(2, "distributed");
+    config.degradedPolicy =
+        Policy{0.95, SleepPlan::immediate(LowPowerState::C3S0Idle)};
+    return config;
+}
+
+TEST(DegradedMode, InfeasibleDecisionUnderFaultsDegrades)
+{
+    const UtilizationTrace trace("flat", std::vector<double>(20, 0.95));
+    FarmRuntimeConfig config = saturatedDistributedConfig();
+    // Faults on, but no outage ever happens: infeasibility alone must
+    // trigger the fallback.
     config.faults = "scripted";
-    config.faultScript = {{310.0, 1, true}, {1500.0, 1, false}};
 
     const FarmRuntimeResult result = runFaultScenario(config, trace);
     expectConservation(result);
-    EXPECT_GT(result.faults.degradedEpochs, 0u);
-    EXPECT_GT(result.faults.degradedSeconds, 0.0);
-
-    // The degraded epochs are on the crashed server, run the fallback
-    // policy (default: full frequency), and are flagged in its stream.
-    ASSERT_EQ(result.servers.size(), 2u);
-    std::size_t degraded_epochs = 0;
-    for (const EpochReport &epoch : result.servers[1].epochs) {
-        if (!epoch.degraded)
-            continue;
-        ++degraded_epochs;
-        EXPECT_FALSE(epoch.feasible);
-        EXPECT_DOUBLE_EQ(epoch.policy.frequency,
-                         config.degradedPolicy.frequency);
+    std::uint64_t degraded = 0;
+    for (const FarmServerReport &server : result.servers) {
+        for (const EpochReport &epoch : server.epochs) {
+            if (!epoch.decided)
+                continue;
+            ++degraded;
+            EXPECT_TRUE(epoch.degraded) << "server " << server.server;
+            EXPECT_FALSE(epoch.feasible) << "server " << server.server;
+            EXPECT_FALSE(epoch.boosted) << "server " << server.server;
+            EXPECT_EQ(epoch.policy.frequency,
+                      config.degradedPolicy.frequency);
+        }
     }
-    EXPECT_EQ(degraded_epochs, result.faults.degradedEpochs);
-    for (const EpochReport &epoch : result.servers[0].epochs)
-        EXPECT_FALSE(epoch.degraded); // The healthy server never does.
+    EXPECT_GT(degraded, 0u);
+    EXPECT_EQ(result.faults.degradedEpochs, degraded);
+}
+
+TEST(DegradedMode, InfeasibleFaultFreeDecisionKeepsTheDecidedPolicy)
+{
+    // The fault-free twin of the case above: with faults off there is
+    // no fallback, so the infeasible decision (full speed) stands,
+    // reported infeasible but not degraded.
+    const UtilizationTrace trace("flat", std::vector<double>(20, 0.95));
+    const FarmRuntimeConfig config = saturatedDistributedConfig();
+
+    const FarmRuntimeResult result = runFaultScenario(config, trace);
+    std::size_t decided = 0;
+    for (const FarmServerReport &server : result.servers) {
+        for (const EpochReport &epoch : server.epochs) {
+            if (!epoch.decided)
+                continue;
+            ++decided;
+            EXPECT_FALSE(epoch.feasible) << "server " << server.server;
+            EXPECT_FALSE(epoch.degraded) << "server " << server.server;
+            EXPECT_EQ(epoch.policy.frequency, 1.0);
+        }
+    }
+    EXPECT_GT(decided, 0u);
+    EXPECT_EQ(result.faults.degradedEpochs, 0u);
 }
 
 TEST(DegradedMode, FarmWideControllerDegradesWhenRepresentativeDies)
@@ -555,14 +661,16 @@ constexpr TotalsPin totalsPins[] = {
 };
 
 ScenarioSpec
-pinSpec(const std::string &workload, const std::string &control)
+pinSpec(const std::string &workload, const std::string &control,
+        const std::string &strategy = "SS")
 {
-    return ScenarioBuilder(workload + "/" + control)
+    return ScenarioBuilder(workload + "/" + control + "/" + strategy)
         .engine(EngineKind::Farm)
         .workload(workload)
         .flatTrace(0.3, 60)
         .farmSize(3)
         .farmControl(control)
+        .strategy(strategy)
         .epochMinutes(5)
         .seed(1)
         .build();
@@ -616,65 +724,91 @@ hashEpochStream(std::uint64_t &hash, const std::vector<EpochReport> &epochs)
     }
 }
 
+/** The farm configuration a pin scenario describes (the runner does
+ * not expose per-server epoch streams, so pins drive FarmRuntime
+ * directly). */
+FarmRuntimeConfig
+pinConfig(const ScenarioSpec &spec)
+{
+    FarmRuntimeConfig config;
+    config.farmSize = spec.farmSize;
+    config.dispatcher = spec.dispatcher;
+    config.packingSpillBacklog = spec.packingSpillBacklog;
+    config.dispatchSeed = mixSeed(spec.seed);
+    config.control = spec.farmControl;
+    config.platforms = spec.farmPlatforms;
+    config.decisionThreads = spec.decisionThreads;
+    StrategyKnobs knobs;
+    knobs.epochMinutes = spec.epochMinutes;
+    knobs.overProvision = spec.overProvision;
+    knobs.rhoB = spec.rhoB;
+    knobs.qosMetric = spec.qosMetric;
+    knobs.searchThreads = spec.searchThreads;
+    knobs.prunedSearch = spec.prunedSearch;
+    config.perServer = strategyConfigByName(spec.strategy, knobs);
+    return config;
+}
+
+FarmRuntimeResult
+runPin(const ScenarioSpec &spec, const FarmRuntimeConfig &config)
+{
+    const WorkloadSpec workload = workloadByName(spec.workload);
+    const PlatformModel platform = platformByName(spec.platform);
+    const UtilizationTrace trace = spec.trace.realize();
+    FarmRuntime runtime(platform, workload, config);
+    const auto source =
+        makeFarmSource(workload, trace, spec.farmSize, spec.seed);
+    const auto predictor = makePredictor(
+        spec.predictor, spec.predictorHistory, trace.values());
+    return runtime.run(*source, trace, *predictor);
+}
+
+/** FNV hash of every decision stream (farm-level and per-server),
+ * per-server energy and routing, and the farm energy. */
+std::uint64_t
+decisionHash(const FarmRuntimeResult &result)
+{
+    std::uint64_t hash = 1469598103934665603ull;
+    hashEpochStream(hash, result.epochs);
+    for (const FarmServerReport &server : result.servers) {
+        hashEpochStream(hash, server.epochs);
+        fnvMix(hash, doubleBits(server.total.energy));
+        fnvMix(hash, server.jobsRouted);
+    }
+    fnvMix(hash, doubleBits(result.total.energy));
+    return hash;
+}
+
 TEST(NoFaultPin, DecisionStreamsMatchTheFaultFreeRuntimeBitForBit)
 {
     // Whole-run totals can mask compensating decision changes; this
     // pin hashes every epoch's (frequency, sleep plan, flags) across
-    // both control modes and all three Table 5 workloads.
+    // both control modes and all three Table 5 workloads, plus the
+    // feedback controller under both modes and the distributed mode.
     const struct
     {
         const char *workload;
         const char *control;
+        const char *strategy;
         std::uint64_t hash;
     } decisionPins[] = {
-        {"dns", "farm-wide", 16696251915500299262ull},
-        {"dns", "per-server", 4471223357707459165ull},
-        {"mail", "farm-wide", 5281247639333244743ull},
-        {"mail", "per-server", 18245108240386715353ull},
-        {"google", "farm-wide", 1303420475129017184ull},
-        {"google", "per-server", 6077832704634492465ull},
+        {"dns", "farm-wide", "SS", 16696251915500299262ull},
+        {"dns", "per-server", "SS", 4471223357707459165ull},
+        {"mail", "farm-wide", "SS", 5281247639333244743ull},
+        {"mail", "per-server", "SS", 18245108240386715353ull},
+        {"google", "farm-wide", "SS", 1303420475129017184ull},
+        {"google", "per-server", "SS", 6077832704634492465ull},
+        {"dns", "farm-wide", "poet", 3906190904782045078ull},
+        {"dns", "per-server", "poet", 12570029525244672124ull},
+        {"dns", "distributed", "SS", 9664272469862191165ull},
     };
 
     for (const auto &pin : decisionPins) {
-        const ScenarioSpec spec = pinSpec(pin.workload, pin.control);
-        const WorkloadSpec workload = workloadByName(spec.workload);
-        const PlatformModel platform = platformByName(spec.platform);
-        FarmRuntimeConfig config;
-        config.farmSize = spec.farmSize;
-        config.dispatcher = spec.dispatcher;
-        config.packingSpillBacklog = spec.packingSpillBacklog;
-        config.dispatchSeed = mixSeed(spec.seed);
-        config.control = spec.farmControl;
-        config.platforms = spec.farmPlatforms;
-        config.decisionThreads = spec.decisionThreads;
-        StrategyKnobs knobs;
-        knobs.epochMinutes = spec.epochMinutes;
-        knobs.overProvision = spec.overProvision;
-        knobs.rhoB = spec.rhoB;
-        knobs.qosMetric = spec.qosMetric;
-        knobs.searchThreads = spec.searchThreads;
-        knobs.prunedSearch = spec.prunedSearch;
-        config.perServer = strategyConfigByName(spec.strategy, knobs);
-
-        const UtilizationTrace trace = spec.trace.realize();
-        FarmRuntime runtime(platform, workload, config);
-        const auto source =
-            makeFarmSource(workload, trace, spec.farmSize, spec.seed);
-        const auto predictor = makePredictor(
-            spec.predictor, spec.predictorHistory, trace.values());
-        const FarmRuntimeResult result =
-            runtime.run(*source, trace, *predictor);
-
-        std::uint64_t hash = 1469598103934665603ull;
-        hashEpochStream(hash, result.epochs);
-        for (const FarmServerReport &server : result.servers) {
-            hashEpochStream(hash, server.epochs);
-            fnvMix(hash, doubleBits(server.total.energy));
-            fnvMix(hash, server.jobsRouted);
-        }
-        fnvMix(hash, doubleBits(result.total.energy));
-        EXPECT_EQ(hash, pin.hash)
-            << pin.workload << "/" << pin.control;
+        const ScenarioSpec spec =
+            pinSpec(pin.workload, pin.control, pin.strategy);
+        const FarmRuntimeResult result = runPin(spec, pinConfig(spec));
+        EXPECT_EQ(decisionHash(result), pin.hash)
+            << pin.workload << "/" << pin.control << "/" << pin.strategy;
 
         // A fault-free run reports a clean availability plane.
         EXPECT_EQ(result.faults.dropped, 0u);
@@ -683,6 +817,48 @@ TEST(NoFaultPin, DecisionStreamsMatchTheFaultFreeRuntimeBitForBit)
         EXPECT_DOUBLE_EQ(result.faults.downSeconds, 0.0);
         EXPECT_DOUBLE_EQ(result.faults.availability(spec.farmSize), 1.0);
         EXPECT_DOUBLE_EQ(result.faults.goodput(), 1.0);
+        expectConservation(result);
+    }
+}
+
+TEST(FaultPin, MtbfDecisionStreamsAreStable)
+{
+    // The guarded decision path under a seeded MTBF schedule: outages
+    // starve logs and degrade epochs, and this pin hashes the decision
+    // streams together with the degraded server-epoch count, so any
+    // change to where and how the fallback applies shows up here.
+    // (Degraded seconds are left out: they are charged by span.)
+    const struct
+    {
+        const char *control;
+        std::uint64_t hash;
+    } faultPins[] = {
+        {"farm-wide", 10502912043878931212ull},
+        {"per-server", 14030120386808085743ull},
+        {"distributed", 779005951786392717ull},
+    };
+
+    // JSQ packs an 8-server farm toward low indices, so high-index
+    // servers log few jobs and an outage can starve a whole epoch. The
+    // opening 0.9 plateau is above rho_b, so early decisions are
+    // infeasible and degrade in every mode.
+    std::vector<double> load(60, 0.3);
+    std::fill(load.begin(), load.begin() + 15, 0.9);
+    const UtilizationTrace trace("step", load);
+
+    for (const auto &pin : faultPins) {
+        FarmRuntimeConfig config = faultRuntimeConfig(8, pin.control);
+        config.dispatcher = "JSQ";
+        config.perServer.overProvision = 0.35;
+        config.faults = "mtbf";
+        config.mtbf = 600.0;
+        config.mttr = 60.0;
+        const FarmRuntimeResult result = runFaultScenario(config, trace);
+
+        std::uint64_t hash = decisionHash(result);
+        fnvMix(hash, result.faults.degradedEpochs);
+        EXPECT_EQ(hash, pin.hash) << pin.control;
+        EXPECT_GT(result.faults.degradedEpochs, 0u) << pin.control;
         expectConservation(result);
     }
 }
