@@ -130,31 +130,6 @@ ControllerManager::decide(const EpochObservation &observation,
     return decision;
 }
 
-GuardedDecision
-ControllerManager::decideGuarded(const EpochObservation &observation,
-                                 const std::vector<Job> &log,
-                                 const Policy &fallback)
-{
-    GuardedDecision guarded;
-    if (observation.faultStarved || !observation.hasMeasurement) {
-        // Measurement window starved (e.g. the server spent the epoch
-        // down): steering on stale state is the feedback analogue of
-        // searching garbage, so run the safe fixed policy instead —
-        // the same contract as PolicyManager::selectFromLogGuarded.
-        guarded.decision.policy = fallback;
-        guarded.decision.feasible = false;
-        guarded.degraded = true;
-        return guarded;
-    }
-    guarded.decision = decide(observation, log);
-    if (!guarded.decision.feasible) {
-        guarded.decision.policy = fallback;
-        guarded.degraded = true;
-        _current = fallback;
-    }
-    return guarded;
-}
-
 void
 ControllerManager::reset()
 {

@@ -61,10 +61,6 @@ class ControllerManager : public EpochDecider
     PolicyDecision decide(const EpochObservation &observation,
                           const std::vector<Job> &log) override;
 
-    GuardedDecision decideGuarded(const EpochObservation &observation,
-                                  const std::vector<Job> &log,
-                                  const Policy &fallback) override;
-
     void reset() override;
 
     /** The QoS constraint the loop regulates toward. */

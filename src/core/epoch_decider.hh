@@ -60,23 +60,9 @@ struct EpochObservation
      * exists). False on the first boundary and across idle epochs. */
     bool hasMeasurement = false;
 
-    /** Fault plane starved this decider's measurement window (the
-     * server spent the epoch down; see docs/FAULTS.md). */
-    bool faultStarved = false;
-
     /** The policy actually in force during the closed epoch (includes
      * any over-provisioning boost). */
     Policy applied;
-};
-
-/** Outcome of a degraded-mode-aware decision (docs/FAULTS.md). */
-struct GuardedDecision
-{
-    /** The decision, or the fallback dressed as one. */
-    PolicyDecision decision;
-
-    /** The decider fell back to the safe fixed policy. */
-    bool degraded = false;
 };
 
 /**
@@ -107,20 +93,6 @@ class EpochDecider
      */
     virtual PolicyDecision decide(const EpochObservation &observation,
                                   const std::vector<Job> &log) = 0;
-
-    /**
-     * Degraded-mode decision (docs/FAULTS.md): decide as decide()
-     * does, but fall back to the caller's safe fixed policy when the
-     * measurement window is starved or the decision is infeasible.
-     *
-     * @param observation Scalar measurements of the closed epoch.
-     * @param log Rescaled job log (empty when needsLog() is false).
-     * @param fallback Safe fixed policy used when degraded.
-     */
-    virtual GuardedDecision
-    decideGuarded(const EpochObservation &observation,
-                  const std::vector<Job> &log,
-                  const Policy &fallback) = 0;
 
     /** Restore the freshly constructed decision state. */
     virtual void reset() = 0;

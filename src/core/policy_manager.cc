@@ -36,26 +36,6 @@ PolicyManager::selectFromLog(const std::vector<Job> &log) const
     return _engine->selectFromLog(log);
 }
 
-PolicyManager::GuardedDecision
-PolicyManager::selectFromLogGuarded(const std::vector<Job> &log,
-                                    const Policy &fallback) const
-{
-    GuardedDecision guarded;
-    if (log.size() >= 2) {
-        guarded.decision = _engine->selectFromLog(log);
-        if (guarded.decision.feasible)
-            return guarded;
-    }
-    // Starved log or infeasible search: run the safe fixed policy
-    // instead of a garbage decision. Reported not-feasible — the
-    // fallback is a refuge, not a QoS-vetted selection.
-    guarded.decision = PolicyDecision{};
-    guarded.decision.policy = fallback;
-    guarded.decision.feasible = false;
-    guarded.degraded = true;
-    return guarded;
-}
-
 bool
 PolicyManager::needsLog() const
 {
@@ -66,14 +46,6 @@ PolicyDecision
 PolicyManager::decide(const EpochObservation &, const std::vector<Job> &log)
 {
     return selectFromLog(log);
-}
-
-PolicyManager::GuardedDecision
-PolicyManager::decideGuarded(const EpochObservation &,
-                             const std::vector<Job> &log,
-                             const Policy &fallback)
-{
-    return selectFromLogGuarded(log, fallback);
 }
 
 void

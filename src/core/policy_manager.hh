@@ -79,37 +79,10 @@ class PolicyManager : public EpochDecider
      */
     PolicyDecision selectAnalytic(double lambda, double mu) const;
 
-    /** Outcome of a degraded-mode-aware selection — the shared
-     * decider type (core/epoch_decider.hh), re-exported under its
-     * historical nested name. */
-    using GuardedDecision = sleepscale::GuardedDecision;
-
-    /**
-     * Degraded-mode selection contract (docs/FAULTS.md): search the log
-     * as selectFromLog() does, but instead of searching garbage, fall
-     * back to the caller's safe fixed policy when the log is starved
-     * (fewer than two jobs — e.g. the server spent the epoch down) or
-     * when no candidate meets the QoS budget (the search exceeded what
-     * the budget allows). The fallback is reported as degraded and not
-     * feasible, so callers can surface it per epoch.
-     *
-     * Same thread-safety contract as selectFromLog(): one manager per
-     * concurrent controller.
-     *
-     * @param log Arrival-ordered jobs (may be thin or empty).
-     * @param fallback Safe fixed policy used when degraded.
-     */
-    GuardedDecision selectFromLogGuarded(const std::vector<Job> &log,
-                                         const Policy &fallback) const;
-
     bool needsLog() const override;
 
     PolicyDecision decide(const EpochObservation &observation,
                           const std::vector<Job> &log) override;
-
-    GuardedDecision decideGuarded(const EpochObservation &observation,
-                                  const std::vector<Job> &log,
-                                  const Policy &fallback) override;
 
     void reset() override;
 

@@ -27,9 +27,18 @@
  *    predictor input. The cheapest mode per epoch and the only one
  *    with no farm-global state at all.
  *
- * In the symmetric homogeneous case the two modes make statistically
- * identical decisions (pinned by tests/farm_per_server_test.cc), which
- * is the paper's Section 7 scale-out argument made executable.
+ * All three modes run one epoch loop. Farm-wide control is per-server
+ * control with one shared decider: it is fed by server 0's routed jobs
+ * and observes the farm-merged window, and its policy goes to every
+ * server. The loop also applies the degraded-mode fallback
+ * (docs/FAULTS.md) for every decider: a decider starved by an outage
+ * is not asked, and under faults an infeasible decision is replaced
+ * by the safe fixed policy.
+ *
+ * In the symmetric homogeneous case farm-wide and per-server control
+ * make statistically identical decisions (pinned by
+ * tests/farm_per_server_test.cc), which is the paper's Section 7
+ * scale-out argument made executable.
  */
 
 #ifndef SLEEPSCALE_FARM_FARM_RUNTIME_HH
@@ -76,11 +85,12 @@ struct FarmRuntimeConfig
      * farmSize and heterogeneous mixes require per-server control. */
     std::vector<std::string> platforms;
 
-    /** Fan-out width of the per-server epoch decision loop: 1 decides
-     * serially, N > 1 uses an N-lane pool, 0 picks one lane per server
-     * up to the hardware concurrency. Any width yields bit-identical
-     * decisions: each server's decision lands in a server-indexed slot
-     * and is applied in server-index order after the fan-out joins
+    /** Fan-out width of the epoch decision step: 1 decides serially,
+     * N > 1 uses an N-lane pool, 0 picks one lane per decider up to
+     * the hardware concurrency (farm-wide control has one decider, so
+     * it always decides serially). Any width yields bit-identical
+     * decisions: each decider's decision lands in an indexed slot and
+     * is applied in index order after the fan-out joins
      * (docs/CONCURRENCY.md, invariant 1; this suite runs under TSan in
      * CI via the "concurrency" ctest label). */
     std::size_t decisionThreads = 0;
@@ -185,8 +195,10 @@ struct FarmFaultStats
     /** Seconds of server unavailability summed across the farm. */
     double downSeconds = 0.0;
 
-    /** Seconds of degraded-mode (safe fixed policy) operation summed
-     * across the farm's controllers. */
+    /** Server-seconds of degraded-mode (safe fixed policy) operation,
+     * charged at each epoch close by the epoch's actual span (the
+     * last epoch ends at the drained horizon). Never exceeds
+     * elapsedSeconds × farm size. */
     double degradedSeconds = 0.0;
 
     /** Server-epochs that ran the degraded fallback policy. */
@@ -331,26 +343,17 @@ class FarmRuntime
     /** The QoS constraint derived from the configuration. */
     const QosConstraint &qos() const { return _qos; }
 
-    /** The farm-wide search policy manager (null for fixed-policy,
-     * per-server, or controller configurations). Persistent across
-     * epochs and runs so the evaluation engine's plan cache and
-     * arenas are reused. */
-    const PolicyManager *manager() const { return _searchManager; }
-
-    /** The farm-wide per-epoch decider — search manager or feedback
-     * controller (null for fixed-policy or per-server
-     * configurations). */
-    const EpochDecider *decider() const { return _manager.get(); }
+    /** The shared farm-wide search policy manager (null for
+     * fixed-policy, per-server, or controller configurations).
+     * Persistent across epochs and runs so the evaluation engine's
+     * plan cache and arenas are reused. */
+    const PolicyManager *manager() const;
 
     /** One server's autonomous search policy manager (per-server
      * search control only; fatal() otherwise or when the index is out
      * of range). Persistent across epochs and runs, so each server's
      * eval-engine cache survives the whole farm lifetime. */
     const PolicyManager &serverManager(std::size_t server) const;
-
-    /** One server's autonomous per-epoch decider (per-server control
-     * only; fatal() otherwise or when the index is out of range). */
-    const EpochDecider &serverDecider(std::size_t server) const;
 
     /** Resolved power model of one server. */
     const PlatformModel &serverPlatform(std::size_t server) const;
@@ -370,36 +373,21 @@ class FarmRuntime
      * to the constructor platform), fixed at construction. */
     std::vector<const PlatformModel *> _serverPlatforms;
 
-    /** Farm-wide persistent decider (search manager + evaluation
-     * engine, or feedback controller); its state mutates during
+    /** Persistent deciders (empty for fixed-policy configurations):
+     * one shared decider under farm-wide control, else one per
+     * back-end, so each keeps its own eval-engine cache or controller
+     * state across epochs and runs. Their state mutates during
      * decisions, so concurrent run() calls on one instance are not
-     * safe. */
-    std::unique_ptr<EpochDecider> _manager;
-
-    /** Per-server persistent deciders (per-server control; one per
-     * back-end so each keeps its own eval-engine cache or controller
-     * state — autonomous per-server control is the point of the O(1)
-     * path). The decision pool that fans decisions out over them is
+     * safe. The decision pool that fans decisions out over them is
      * created per run(), so an idle runtime holds no worker threads. */
-    std::vector<std::unique_ptr<EpochDecider>> _managers;
+    std::vector<std::unique_ptr<EpochDecider>> _deciders;
 
-    /** _manager, when it is the search path (see manager()). */
-    PolicyManager *_searchManager = nullptr;
-
-    /** _managers entries, when they are the search path (see
-     * serverManager()). */
+    /** _deciders entries, when they are the search path (see
+     * manager() and serverManager()). */
     std::vector<PolicyManager *> _searchManagers;
 
     /** Whether config.control selects autonomous per-server control. */
     bool perServerControl() const;
-
-    FarmRuntimeResult runFarmWide(JobSource &source,
-                                  const UtilizationTrace &trace,
-                                  UtilizationPredictor &predictor) const;
-
-    FarmRuntimeResult runPerServer(JobSource &source,
-                                   const UtilizationTrace &trace,
-                                   UtilizationPredictor &predictor) const;
 };
 
 /**

@@ -65,30 +65,6 @@ DistributedRateScaler::decide(const EpochObservation &observation,
     return decision;
 }
 
-GuardedDecision
-DistributedRateScaler::decideGuarded(
-    const EpochObservation &observation, const std::vector<Job> &log,
-    const Policy &fallback)
-{
-    GuardedDecision guarded;
-    if (observation.faultStarved) {
-        // The server spent the window down: its local estimate saw no
-        // arrivals that were really offered, so steering on it would
-        // under-provision the recovery burst. Same contract as the
-        // other deciders: run the safe fixed policy for the epoch.
-        guarded.decision.policy = fallback;
-        guarded.decision.feasible = false;
-        guarded.degraded = true;
-        return guarded;
-    }
-    guarded.decision = decide(observation, log);
-    if (!guarded.decision.feasible) {
-        guarded.decision.policy = fallback;
-        guarded.degraded = true;
-    }
-    return guarded;
-}
-
 void
 DistributedRateScaler::reset()
 {

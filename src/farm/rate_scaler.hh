@@ -10,7 +10,7 @@
  * rule packaged as an EpochDecider: each server keeps a Robbins–Monro
  * estimate of its local offered load and picks the lowest frequency
  * whose scaled utilization stays under a target, leaving the sleep
- * plan fixed. Plugged into FarmRuntime's per-server loop it gives the
+ * plan fixed. Plugged into FarmRuntime, one per server, it gives the
  * farm a third control mode beside "farm-wide" and "per-server":
  * cheaper than the log-replay search (O(grid) per epoch, no job log)
  * and more decentralized than both (it ignores the shared utilization
@@ -74,11 +74,6 @@ class DistributedRateScaler final : public EpochDecider
 
     PolicyDecision decide(const EpochObservation &observation,
                           const std::vector<Job> &log) override;
-
-    GuardedDecision
-    decideGuarded(const EpochObservation &observation,
-                  const std::vector<Job> &log,
-                  const Policy &fallback) override;
 
     void reset() override;
 

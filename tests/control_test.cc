@@ -219,20 +219,6 @@ TEST_F(ControllerManagerTest, RelaxesWhenComfortablyWithinBudget)
     EXPECT_LT(last.frequency, 1.0);
 }
 
-TEST_F(ControllerManagerTest, GuardedFallsBackWhenStarved)
-{
-    ControllerManager manager = makeManager();
-    const Policy fallback{0.77,
-                          SleepPlan::immediate(LowPowerState::C3S0Idle)};
-    EpochObservation observation = observationAt(0.3, 1.0);
-    observation.faultStarved = true;
-    const GuardedDecision guarded =
-        manager.decideGuarded(observation, {}, fallback);
-    EXPECT_TRUE(guarded.degraded);
-    EXPECT_FALSE(guarded.decision.feasible);
-    EXPECT_EQ(guarded.decision.policy.frequency, fallback.frequency);
-}
-
 // ------------------------------------------- closed-loop convergence
 
 /** First epoch index at/after `from` whose harvested stats meet the

@@ -2,10 +2,11 @@
  * @file
  * Tests for the zero-communication "distributed" farm control mode
  * (src/farm/rate_scaler.hh, docs/FARM_SCALE.md): the Robbins–Monro
- * load estimator, slowest-feasible frequency selection, guarded
- * degradation under faults, configuration validation, and the
- * end-to-end farm plumbing (grid-pinned frequencies, pinned sleep
- * plan, heterogeneous platforms).
+ * load estimator, slowest-feasible frequency selection, configuration
+ * validation, and the end-to-end farm plumbing (grid-pinned
+ * frequencies, pinned sleep plan, heterogeneous platforms). Its
+ * degraded-mode fallback under faults is applied by the farm loop and
+ * tested there (tests/farm_fault_test.cc, DegradedMode).
  */
 
 #include <gtest/gtest.h>
@@ -110,40 +111,6 @@ TEST(DistributedRateScaler, SaturatedLoadIsInfeasibleAtFullSpeed)
     EXPECT_DOUBLE_EQ(decision.policy.frequency, 1.0);
 }
 
-// An epoch spent down saw no arrivals that were really offered:
-// decideGuarded must run the fallback, flag degradation, and leave
-// the estimator untouched so recovery is not steered by outage noise.
-TEST(DistributedRateScaler, GuardedFaultStarvedRunsFallbackUntouched)
-{
-    DistributedRateScaler scaler = makeScaler(0.8);
-    scaler.decide(observing(0.4), {});
-
-    EpochObservation starved = observing(0.0);
-    starved.faultStarved = true;
-    const Policy fallback{1.0,
-                          SleepPlan::immediate(LowPowerState::C0IdleS0Idle)};
-    const GuardedDecision guarded =
-        scaler.decideGuarded(starved, {}, fallback);
-    EXPECT_TRUE(guarded.degraded);
-    EXPECT_FALSE(guarded.decision.feasible);
-    EXPECT_DOUBLE_EQ(guarded.decision.policy.frequency, 1.0);
-    EXPECT_DOUBLE_EQ(scaler.estimatedLoad(), 0.4);
-    EXPECT_EQ(scaler.observations(), 1u);
-}
-
-// An infeasible (saturated) decision degrades onto the fallback too —
-// the same contract as the other guarded deciders.
-TEST(DistributedRateScaler, GuardedInfeasibleDegradesToFallback)
-{
-    DistributedRateScaler scaler = makeScaler(0.5);
-    const Policy fallback{0.75,
-                          SleepPlan::immediate(LowPowerState::C0IdleS0Idle)};
-    const GuardedDecision guarded =
-        scaler.decideGuarded(observing(0.95), {}, fallback);
-    EXPECT_TRUE(guarded.degraded);
-    EXPECT_DOUBLE_EQ(guarded.decision.policy.frequency, 0.75);
-}
-
 TEST(DistributedRateScaler, ResetClearsEstimatorState)
 {
     DistributedRateScaler scaler = makeScaler(0.8);
@@ -203,7 +170,7 @@ runFarm(const PlatformModel &platform, const WorkloadSpec &workload,
     return runtime.run(jobs, trace, predictor);
 }
 
-// End to end: the distributed farm runs the per-server loop, every
+// End to end: the distributed farm decides per server, every
 // decided frequency is a member of the candidate grid, and the sleep
 // plan never moves off the initial policy's (rate scaling only moves
 // frequency).

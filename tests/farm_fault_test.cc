@@ -544,6 +544,37 @@ TEST(DegradedMode, StarvedServerFallsBackToSafePolicy)
     }
 }
 
+TEST(DegradedMode, FinalEpochIsChargedItsActualSpan)
+{
+    // Server 0 dies at 1494 s and never returns, so the decision at
+    // 1800 s is starved and degraded. That last epoch runs from 1800 s
+    // to the drained horizon — not a full 300 s epoch — and degraded
+    // server-seconds must be charged by that span: once per server the
+    // shared farm-wide decider covers, once for the lone starved
+    // server under per-server control.
+    const UtilizationTrace trace("flat", std::vector<double>(32, 0.3));
+    for (const char *control : {"farm-wide", "per-server"}) {
+        FarmRuntimeConfig config = faultRuntimeConfig(2, control);
+        config.faults = "scripted";
+        config.faultScript = {{1494.0, 0, true}};
+
+        const FarmRuntimeResult result = runFaultScenario(config, trace);
+        expectConservation(result);
+        const bool shared = std::string(control) == "farm-wide";
+        const double covered = shared ? 2.0 : 1.0;
+        const double horizon = result.faults.elapsedSeconds;
+        EXPECT_GE(horizon, trace.duration()) << control;
+        EXPECT_LT(horizon, 1800.0 + 300.0) << control;
+        EXPECT_EQ(result.faults.degradedEpochs, shared ? 2u : 1u)
+            << control;
+        EXPECT_DOUBLE_EQ(result.faults.degradedSeconds,
+                         covered * (horizon - 1800.0))
+            << control;
+        ASSERT_FALSE(result.epochs.empty());
+        EXPECT_TRUE(result.epochs.back().degraded) << control;
+    }
+}
+
 // A saturated server under faults: λ̂ of the distributed rule sits
 // above ρ_b even at f = 1, so every decision is infeasible and the
 // farm loop degrades it onto the fallback.
@@ -823,11 +854,12 @@ TEST(NoFaultPin, DecisionStreamsMatchTheFaultFreeRuntimeBitForBit)
 
 TEST(FaultPin, MtbfDecisionStreamsAreStable)
 {
-    // The guarded decision path under a seeded MTBF schedule: outages
+    // Degraded-mode decisions under a seeded MTBF schedule: outages
     // starve logs and degrade epochs, and this pin hashes the decision
     // streams together with the degraded server-epoch count, so any
     // change to where and how the fallback applies shows up here.
-    // (Degraded seconds are left out: they are charged by span.)
+    // (Degraded seconds stay out of the hash;
+    // DegradedMode.FinalEpochIsChargedItsActualSpan pins them.)
     const struct
     {
         const char *control;

@@ -572,6 +572,11 @@ TEST_P(FaultFuzz, ConservationHoldsAtEveryEpochClose)
                 result.jobsPerServer.size());
             EXPECT_GE(availability, 0.0) << faults;
             EXPECT_LE(availability, 1.0) << faults;
+            // Degraded time is charged by the span actually run.
+            EXPECT_LE(snap.degradedSeconds,
+                      snap.elapsedSeconds *
+                          static_cast<double>(result.jobsPerServer.size()))
+                << faults << " at " << snap.elapsedSeconds;
             previous = snap;
         }
 
@@ -651,7 +656,6 @@ randomObservation(Rng &rng, const WorkloadSpec &workload)
         rng.uniform(0.1, 10.0) * workload.serviceMean;
     observation.meanJobSize =
         rng.uniform(0.2, 5.0) * workload.serviceMean;
-    observation.faultStarved = rng.uniform(0.0, 1.0) > 0.9;
     observation.applied =
         Policy{rng.uniform(0.3, 1.0),
                SleepPlan::immediate(LowPowerState::C6S0Idle)};
@@ -680,8 +684,6 @@ TEST_P(ControllerFuzz, ResetAndCloneAreDeterministic)
         QosConstraint::fromBaselineMean(0.8, dns.serviceMean);
     const Policy initial{
         1.0, SleepPlan::immediate(LowPowerState::C0IdleS0Idle)};
-    const Policy fallback{
-        1.0, SleepPlan::immediate(LowPowerState::C3S0Idle)};
 
     Rng rng(GetParam() * 2654435761ULL + 17);
     for (int round = 0; round < 6; ++round) {
@@ -701,7 +703,7 @@ TEST_P(ControllerFuzz, ResetAndCloneAreDeterministic)
         std::vector<EpochObservation> stream;
         for (std::size_t i = 0; i < prefix; ++i) {
             stream.push_back(randomObservation(rng, dns));
-            manager.decideGuarded(stream.back(), {}, fallback);
+            manager.decide(stream.back(), {});
         }
 
         // A clone must continue bit-identically...
@@ -710,21 +712,16 @@ TEST_P(ControllerFuzz, ResetAndCloneAreDeterministic)
         ControllerManager replayed = manager;
         replayed.reset();
         for (const EpochObservation &observation : stream)
-            replayed.decideGuarded(observation, {}, fallback);
+            replayed.decide(observation, {});
 
         for (int i = 0; i < 20; ++i) {
             const EpochObservation observation =
                 randomObservation(rng, dns);
-            const GuardedDecision a =
-                manager.decideGuarded(observation, {}, fallback);
-            const GuardedDecision b =
-                clone.decideGuarded(observation, {}, fallback);
-            const GuardedDecision c =
-                replayed.decideGuarded(observation, {}, fallback);
-            EXPECT_TRUE(samePolicyDecision(a.decision, b.decision));
-            EXPECT_TRUE(samePolicyDecision(a.decision, c.decision));
-            EXPECT_EQ(a.degraded, b.degraded);
-            EXPECT_EQ(a.degraded, c.degraded);
+            const PolicyDecision a = manager.decide(observation, {});
+            const PolicyDecision b = clone.decide(observation, {});
+            const PolicyDecision c = replayed.decide(observation, {});
+            EXPECT_TRUE(samePolicyDecision(a, b));
+            EXPECT_TRUE(samePolicyDecision(a, c));
         }
     }
 }

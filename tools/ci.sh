@@ -42,6 +42,11 @@ fi
 "$build_dir/bench_farm_scale" > "$build_dir/bench_farm_scale_smoke.txt"
 echo "scale smoke OK: $build_dir/bench_farm_scale_smoke.txt"
 
+# Benchmark self-checks: a short traced run of each BENCHMARK.json
+# workload must report "correct": true (conservation, wrapper
+# transparency, and the ServerFarm / bare-ServerSim routing probes).
+sh "$repo_root/tools/bench_selfcheck.sh"
+
 # Determinism lint: no wall clocks, ambient entropy, machine topology,
 # or hash-iteration-order reductions in src/ (rules and rationale:
 # docs/CONCURRENCY.md; exemptions: tools/determinism_allowlist.txt).
