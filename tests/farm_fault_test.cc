@@ -11,9 +11,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/predictor.hh"
@@ -295,6 +298,213 @@ TEST_F(FaultFarmTest, TryOfferSignalsWhenNoServerAccepts)
     EXPECT_THROW(farm.failServer(2, 0.0), ConfigError);
     EXPECT_THROW(farm.restoreServer(2, 0.0), ConfigError);
     EXPECT_THROW(farm.setRecoverySeconds(-1.0), ConfigError);
+}
+
+// ------------------------------------- failover routing, pick by pick
+
+/**
+ * Reference for the failover pin, computed from ServerFarm's public
+ * accessors only. The dispatcher sees the servers accepting work at
+ * the arrival instant, in index order, and its pick is a position in
+ * that eligible list: random draws uniformInt(eligible count), the
+ * round-robin cursor advances only when some server accepts, JSQ and
+ * packing scan backlogs with a strict < (ties to the lowest index),
+ * and a server is idle exactly when its backlog is 0.
+ */
+class EligibleListRouter
+{
+  public:
+    EligibleListRouter(std::string dispatcher, std::uint64_t seed,
+                       double spill_backlog)
+        : _dispatcher(std::move(dispatcher)), _rng(seed),
+          _spillBacklog(spill_backlog)
+    {
+    }
+
+    /** Servers accepting work at the last route() instant. */
+    std::size_t eligibleCount() const { return _eligible.size(); }
+
+    /** Server the farm should pick for an arrival at `now`, or
+     * ServerFarm::noServer when no server accepts work. */
+    std::size_t route(const ServerFarm &farm, double now)
+    {
+        _eligible.clear();
+        _backlog.clear();
+        for (std::size_t i = 0; i < farm.size(); ++i) {
+            if (farm.accepting(i, now)) {
+                _eligible.push_back(i);
+                _backlog.push_back(farm.backlog(i, now));
+            }
+        }
+        if (_eligible.empty())
+            return ServerFarm::noServer;
+        return _eligible[choose(_backlog)];
+    }
+
+  private:
+    std::size_t choose(const std::vector<double> &backlog)
+    {
+        const std::size_t count = backlog.size();
+        if (_dispatcher == "random")
+            return _rng.uniformInt(count);
+        if (_dispatcher == "round-robin")
+            return _next++ % count;
+        // Least-backlogged entry (JSQ), or least-backlogged busy entry
+        // (packing), first minimum wins.
+        const bool busy_only = _dispatcher == "packing";
+        std::size_t best = count;
+        double best_backlog = std::numeric_limits<double>::infinity();
+        for (std::size_t k = 0; k < count; ++k) {
+            if (busy_only && backlog[k] == 0.0)
+                continue;
+            if (backlog[k] < best_backlog) {
+                best_backlog = backlog[k];
+                best = k;
+            }
+        }
+        if (!busy_only)
+            return best;
+        if (best < count && best_backlog < _spillBacklog)
+            return best;
+        for (std::size_t k = 0; k < count; ++k) {
+            if (backlog[k] == 0.0)
+                return k;
+        }
+        return best < count ? best : 0;
+    }
+
+    std::string _dispatcher;
+    Rng _rng;
+    double _spillBacklog;
+    std::size_t _next = 0;
+    std::vector<std::size_t> _eligible; ///< Reused per arrival.
+    std::vector<double> _backlog;       ///< Backlog per eligible entry.
+};
+
+/** Jobs arriving in one tick: `mean` on average, often zero when the
+ * mean is below one. */
+std::size_t
+arrivalsInTick(Rng &rng, double mean)
+{
+    const auto whole = static_cast<std::uint64_t>(mean);
+    std::size_t count = rng.uniformInt(2 * whole + 1);
+    if (rng.uniform() < mean - static_cast<double>(whole))
+        ++count;
+    return count;
+}
+
+/** Arrivals checked by checkFailoverPicks(), by what the farm saw. */
+struct PickCoverage
+{
+    std::size_t allUp = 0;    ///< Every server accepting.
+    std::size_t failover = 0; ///< Some, not all, servers accepting.
+    std::size_t rejected = 0; ///< No server accepting (noServer).
+};
+
+/**
+ * Drive one farm through a seeded script of arrivals and crash/restore
+ * events and check every tryOfferJob() pick against the reference.
+ * Time runs on a 1/8 s grid and job sizes are multiples of 1/4 s with
+ * a no-wake-latency policy, so backlogs tie exactly and often. The
+ * script has an all-up stretch, churn at ~25% and ~80% of servers
+ * down, a window with every server down, and a full restore.
+ *
+ * @return Arrivals checked, by what the farm saw; counting stops at
+ *         the first mismatch.
+ */
+PickCoverage
+checkFailoverPicks(const std::string &dispatcher, std::size_t size,
+                   double recovery_seconds)
+{
+    constexpr std::uint64_t dispatchSeed = 11;
+    constexpr double spillBacklog = 1.0;
+    constexpr double tick = 0.125;
+    const PlatformModel xeon = PlatformModel::xeon();
+    const Policy busyIdle{1.0,
+                          SleepPlan::immediate(LowPowerState::C0IdleS0Idle)};
+    ServerFarm farm(xeon, ServiceScaling::cpuBound(), busyIdle, size,
+                    makeDispatcher(dispatcher, dispatchSeed, spillBacklog));
+    farm.setRecoverySeconds(recovery_seconds);
+    farm.setRecordTail(false); // Routing reads no histogram.
+    EligibleListRouter reference(dispatcher, dispatchSeed, spillBacklog);
+    Rng script(mixSeed(size) ^ static_cast<std::uint64_t>(
+                                   recovery_seconds * 8.0));
+
+    PickCoverage coverage;
+    for (std::size_t step = 0; step < 1600; ++step) {
+        const double now = static_cast<double>(step) * tick;
+        // Phases: all up [0, 150); churn at ~25% down [150, 600); every
+        // server crashed [600, 680); restored, then churn [680, 1000);
+        // all restored [1000, 1200); churn at ~80% down [1200, 1600).
+        if (step == 600 || step == 680 || step == 1000) {
+            for (std::size_t i = 0; i < size; ++i) {
+                if (step == 600)
+                    farm.failServer(i, now);
+                else
+                    farm.restoreServer(i, now);
+            }
+        }
+        const bool churn = (step >= 150 && step < 600) ||
+                           (step >= 680 && step < 1000) || step >= 1200;
+        if (churn) {
+            const double down_share = step >= 1200 ? 0.8 : 0.25;
+            const std::size_t events = script.uniformInt(2 + size / 32);
+            for (std::size_t e = 0; e < events; ++e) {
+                const std::size_t server = script.uniformInt(size);
+                if (script.uniform() < down_share)
+                    farm.failServer(server, now);
+                else
+                    farm.restoreServer(server, now);
+            }
+        }
+        if (step % 8 == 0)
+            farm.advanceTo(now);
+
+        // Load alternates between ~0.4 and ~1.2 every 100 ticks; mean
+        // job size is 2.25 s.
+        const double load = (step / 100) % 2 == 0 ? 0.4 : 1.2;
+        const double mean_jobs =
+            load * static_cast<double>(size) * tick / 2.25;
+        const std::size_t jobs = arrivalsInTick(script, mean_jobs);
+        for (std::size_t j = 0; j < jobs; ++j) {
+            const Job job{now, 0.25 * static_cast<double>(
+                                          2 + script.uniformInt(15))};
+            const std::size_t expected = reference.route(farm, now);
+            const std::size_t accepting = reference.eligibleCount();
+            const std::size_t pick = farm.tryOfferJob(job);
+            if (pick != expected) {
+                ADD_FAILURE() << dispatcher << ", " << size
+                              << " servers, recovery " << recovery_seconds
+                              << " s: arrival at t=" << now << " with "
+                              << accepting << " servers accepting went to "
+                              << pick << ", reference picks " << expected;
+                return coverage;
+            }
+            if (accepting == size)
+                ++coverage.allUp;
+            else if (accepting > 0)
+                ++coverage.failover;
+            else
+                ++coverage.rejected;
+        }
+    }
+    return coverage;
+}
+
+TEST(FailoverRouting, EveryPickMatchesTheEligibleListReference)
+{
+    for (const std::string dispatcher :
+         {"random", "round-robin", "JSQ", "packing"}) {
+        for (const std::size_t size : {3u, 64u, 65u, 130u}) {
+            for (const double recovery : {0.0, 7.5}) {
+                const PickCoverage coverage =
+                    checkFailoverPicks(dispatcher, size, recovery);
+                EXPECT_GT(coverage.allUp, size);
+                EXPECT_GT(coverage.failover, 4 * size);
+                EXPECT_GT(coverage.rejected, 0u);
+            }
+        }
+    }
 }
 
 // ------------------------------------------- FarmRuntime failover path
