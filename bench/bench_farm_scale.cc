@@ -8,12 +8,16 @@
  * count and the bench stays seconds-long end to end. The 10k row runs
  * the large-farm configuration (auto sharding, no per-server tail
  * histograms) — the same shape the farm_scale_test smoke run pins.
+ * Each size also runs a fault row: the same scenario with MTBF 600 s /
+ * MTTR 60 s crashes (about 9% of servers down in steady state), so
+ * arrivals route around down servers (docs/FAULTS.md).
  *
  * The headline column is jobs/s of wall time (generation + routing +
  * service simulation + accounting). Before the event wheel the
  * per-arrival dispatcher scan was O(N), so the 10k row ran ~100x
  * slower per job than the 100-server row; with the O(log N) core the
- * rows should stay within the same order of magnitude.
+ * rows should stay within the same order of magnitude, and a fault
+ * row should stay within 2x of its fault-free twin.
  *
  * `--json` emits the same rows as a JSON document;
  * tools/bench_snapshot.sh captures that as BENCH_farm_scale.json so
@@ -26,6 +30,7 @@
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "experiment/runner.hh"
@@ -40,6 +45,7 @@ namespace {
 struct ScaleRow
 {
     std::size_t servers;    ///< Farm size.
+    std::string faults;     ///< Fault source ("none" or "mtbf").
     std::size_t shards;     ///< Shard lanes requested (0 = auto).
     std::uint64_t jobs;     ///< Jobs offered over the run.
     double sim_minutes;     ///< Simulated trace span, minutes.
@@ -50,7 +56,7 @@ struct ScaleRow
 };
 
 ScaleRow
-runScale(std::size_t servers, std::size_t trace_minutes)
+runScale(std::size_t servers, std::size_t trace_minutes, bool faults)
 {
     std::ostringstream label;
     label << "farm-" << servers;
@@ -70,6 +76,8 @@ runScale(std::size_t servers, std::size_t trace_minutes)
     // runs without them exactly like a production-scale sweep would.
     if (servers >= 10000)
         builder.tailHistograms(false);
+    if (faults)
+        builder.faults("mtbf").faultRates(600.0, 60.0);
     const ScenarioSpec spec = builder.build();
 
     const double start = monotonicMicros();
@@ -78,6 +86,7 @@ runScale(std::size_t servers, std::size_t trace_minutes)
 
     ScaleRow row;
     row.servers = servers;
+    row.faults = spec.faults;
     row.shards = spec.farmShards;
     row.jobs = result.jobs;
     row.sim_minutes = static_cast<double>(trace_minutes);
@@ -110,6 +119,7 @@ printJson(std::ostream &out, const std::vector<ScaleRow> &rows)
     for (std::size_t i = 0; i < rows.size(); ++i) {
         const ScaleRow &row = rows[i];
         out << "    {\"servers\": " << row.servers
+            << ", \"faults\": \"" << row.faults << "\""
             << ", \"shards\": " << row.shards
             << ", \"sim_minutes\": " << fmt(row.sim_minutes, 0)
             << ", \"jobs\": " << row.jobs
@@ -128,18 +138,19 @@ printTable(std::ostream &out, const std::vector<ScaleRow> &rows)
     printBanner(out,
                 "Farm scale bench: streaming throughput of the "
                 "event-driven core (DNS, load 0.25, JSQ)");
-    TablePrinter table({"servers", "jobs", "sim [min]", "wall [ms]",
-                        "jobs/s", "E[R] [s]", "farm [kW]"});
+    TablePrinter table({"servers", "faults", "jobs", "sim [min]",
+                        "wall [ms]", "jobs/s", "E[R] [s]", "farm [kW]"});
     for (const ScaleRow &row : rows)
-        table.addRow({std::to_string(row.servers),
+        table.addRow({std::to_string(row.servers), row.faults,
                       std::to_string(row.jobs), fmt(row.sim_minutes, 0),
                       fmt(row.wall_ms, 1), fmt(row.jobs_per_sec, 0),
                       fmt(row.mean_response_s, 4), fmt(row.farm_kw, 2)});
     table.print(out);
     out << "\nExpected: jobs/s stays within one order of magnitude "
            "from 100 to 10k servers\n(the event wheel makes routing "
-           "O(log N)); a collapse on the 10k row means a\nper-arrival "
-           "or per-epoch O(N) scan crept back into the farm path.\n";
+           "O(log N)), and each mtbf row within 2x of its\nfault-free "
+           "twin; a collapse on a 10k row means a per-arrival or "
+           "per-epoch\nO(N) scan crept back into the farm path.\n";
 }
 
 } // namespace
@@ -153,10 +164,14 @@ main(int argc, char **argv)
             json = true;
     }
 
+    // (farm size, trace minutes); each size runs fault-free, then mtbf.
+    const std::pair<std::size_t, std::size_t> sizes[] = {
+        {100, 20}, {1000, 10}, {10000, 2}};
     std::vector<ScaleRow> rows;
-    rows.push_back(runScale(100, 20));
-    rows.push_back(runScale(1000, 10));
-    rows.push_back(runScale(10000, 2));
+    for (const auto &[servers, minutes] : sizes) {
+        for (const bool faults : {false, true})
+            rows.push_back(runScale(servers, minutes, faults));
+    }
 
     if (json)
         printJson(std::cout, rows);

@@ -9,31 +9,61 @@ namespace sleepscale {
 namespace {
 
 void
-requireServers(const std::vector<ServerSnapshot> &servers)
-{
-    fatalIf(servers.empty(), "Dispatcher: farm has no servers");
-}
-
-void
 requireServers(const FarmView &farm)
 {
     fatalIf(farm.count() == 0, "Dispatcher: farm has no servers");
 }
 
+/** FarmView over a hand-built snapshot; every query is a linear scan.
+ * An entry is idle when its backlog is 0 and busy when it is above. */
+class SnapshotView final : public FarmView
+{
+  public:
+    explicit SnapshotView(const std::vector<ServerSnapshot> &servers)
+        : _servers(servers)
+    {
+    }
+
+    std::size_t count() const override { return _servers.size(); }
+
+    double backlog(std::size_t position) const override
+    {
+        return _servers[position].backlog;
+    }
+
+    std::size_t lowestIdle() const override
+    {
+        for (std::size_t k = 0; k < _servers.size(); ++k) {
+            if (_servers[k].backlog == 0.0)
+                return k;
+        }
+        return _servers.size();
+    }
+
+    std::size_t leastBacklogBusy() const override
+    {
+        std::size_t best = _servers.size();
+        double best_backlog = std::numeric_limits<double>::infinity();
+        for (std::size_t k = 0; k < _servers.size(); ++k) {
+            const double backlog = _servers[k].backlog;
+            if (backlog > 0.0 && backlog < best_backlog) {
+                best_backlog = backlog;
+                best = k;
+            }
+        }
+        return best;
+    }
+
+  private:
+    const std::vector<ServerSnapshot> &_servers;
+};
+
 } // namespace
 
 std::size_t
-Dispatcher::route(const Job &job, const FarmView &farm)
+Dispatcher::route(const Job &job, const std::vector<ServerSnapshot> &servers)
 {
-    // Compatibility shim for dispatchers that predate FarmView: build
-    // the full snapshot vector and defer to the legacy overload. The
-    // built-ins override this with O(log N) routing.
-    std::vector<ServerSnapshot> view(farm.count());
-    for (std::size_t i = 0; i < view.size(); ++i) {
-        view[i].backlog = farm.backlog(i);
-        view[i].idle = farm.idle(i);
-    }
-    return route(job, view);
+    return route(job, SnapshotView(servers));
 }
 
 RandomDispatcher::RandomDispatcher(std::uint64_t seed)
@@ -42,33 +72,11 @@ RandomDispatcher::RandomDispatcher(std::uint64_t seed)
 }
 
 std::size_t
-RandomDispatcher::route(const Job &job,
-                        const std::vector<ServerSnapshot> &servers)
-{
-    (void)job;
-    requireServers(servers);
-    return _rng.uniformInt(servers.size());
-}
-
-std::size_t
 RandomDispatcher::route(const Job &job, const FarmView &farm)
 {
     (void)job;
     requireServers(farm);
-    // Same single draw as the snapshot overload, so RNG consumption —
-    // and therefore every downstream decision — is path-independent.
     return _rng.uniformInt(farm.count());
-}
-
-std::size_t
-RoundRobinDispatcher::route(const Job &job,
-                            const std::vector<ServerSnapshot> &servers)
-{
-    (void)job;
-    requireServers(servers);
-    const std::size_t pick = _next % servers.size();
-    ++_next;
-    return pick;
 }
 
 std::size_t
@@ -82,31 +90,14 @@ RoundRobinDispatcher::route(const Job &job, const FarmView &farm)
 }
 
 std::size_t
-JsqDispatcher::route(const Job &job,
-                     const std::vector<ServerSnapshot> &servers)
-{
-    (void)job;
-    requireServers(servers);
-    std::size_t best = 0;
-    double best_backlog = std::numeric_limits<double>::infinity();
-    for (std::size_t i = 0; i < servers.size(); ++i) {
-        if (servers[i].backlog < best_backlog) {
-            best_backlog = servers[i].backlog;
-            best = i;
-        }
-    }
-    return best;
-}
-
-std::size_t
 JsqDispatcher::route(const Job &job, const FarmView &farm)
 {
     (void)job;
     requireServers(farm);
     // An idle server has backlog exactly 0.0 and every busy server's
-    // backlog is > 0, so the legacy strict-< scan always lands on the
-    // lowest-index idle server when one exists, and otherwise on the
-    // busy server whose queue empties first.
+    // backlog is > 0, so a strict-< scan over the backlogs lands on the
+    // lowest idle position when one exists, and otherwise on the busy
+    // position whose queue empties first.
     const std::size_t idle = farm.lowestIdle();
     if (idle < farm.count())
         return idle;
@@ -122,41 +113,10 @@ PackingDispatcher::PackingDispatcher(double spill_backlog)
 }
 
 std::size_t
-PackingDispatcher::route(const Job &job,
-                         const std::vector<ServerSnapshot> &servers)
-{
-    (void)job;
-    requireServers(servers);
-
-    // Least-backlogged busy server below the spill threshold...
-    std::size_t best_busy = servers.size();
-    double best_backlog = std::numeric_limits<double>::infinity();
-    for (std::size_t i = 0; i < servers.size(); ++i) {
-        if (!servers[i].idle && servers[i].backlog < best_backlog) {
-            best_backlog = servers[i].backlog;
-            best_busy = i;
-        }
-    }
-    if (best_busy < servers.size() && best_backlog < _spillBacklog)
-        return best_busy;
-
-    // ...otherwise wake the first idle server...
-    for (std::size_t i = 0; i < servers.size(); ++i) {
-        if (servers[i].idle)
-            return i;
-    }
-    // ...and if none is idle, fall back to JSQ.
-    return best_busy < servers.size() ? best_busy : 0;
-}
-
-std::size_t
 PackingDispatcher::route(const Job &job, const FarmView &farm)
 {
     (void)job;
     requireServers(farm);
-    // Mirrors the snapshot overload: least-backlogged busy server below
-    // the spill threshold, else the lowest-index idle server, else the
-    // least-backlogged busy server regardless of threshold.
     const std::size_t busy = farm.leastBacklogBusy();
     if (busy < farm.count() && farm.backlog(busy) < _spillBacklog)
         return busy;

@@ -7,6 +7,11 @@
  * decides which server each arrival joins; the choice shapes both the
  * response-time distribution and — because it determines idle-period
  * lengths — how much sleep-state headroom each server sees.
+ *
+ * A dispatcher implements one method, route(job, FarmView), and the
+ * farm calls it for every arrival, with or without servers down: the
+ * view lists only the servers accepting work. The ServerSnapshot
+ * overload adapts hand-built snapshots to the same method.
  */
 
 #ifndef SLEEPSCALE_FARM_DISPATCHER_HH
@@ -24,47 +29,47 @@
 
 namespace sleepscale {
 
-/** Read-only per-server signals a dispatcher may consult. */
+/** One entry of a hand-built farm snapshot (Dispatcher::route() over a
+ * vector). An entry is idle exactly when its backlog is 0. */
 struct ServerSnapshot
 {
     double backlog = 0.0;   ///< Committed seconds of work remaining.
-    bool idle = true;       ///< Whether the queue is currently empty.
 };
 
 /**
- * Indexed view of the farm at one arrival instant.
+ * The servers accepting work at one arrival instant, in server-index
+ * order. A dispatcher addresses them by position in [0, count()): with
+ * every server up a position is the server index, and with servers
+ * down (docs/FAULTS.md) the positions skip them. A server is idle
+ * exactly when its backlog is 0.
  *
- * Unlike the materialized ServerSnapshot vector, a FarmView answers
- * point queries lazily and exposes the two aggregate lookups the
- * built-in dispatchers need — lowest idle server, least-backlogged
- * busy server — in O(log N) against the farm's event-time indexes
- * (farm/farm_calendar.hh), so routing never scans the whole farm.
- * Both aggregates break ties to the lowest server index, matching the
- * legacy full-scan dispatchers bit for bit.
+ * Point queries are answered lazily, and the two aggregate lookups the
+ * built-in dispatchers need — lowest idle position, least-backlogged
+ * busy position — run in O(log N) against the farm's event-time
+ * indexes (farm/farm_calendar.hh), so routing never scans the farm.
+ * Both aggregates break ties to the lowest position, exactly like a
+ * strict-< scan over the positions.
  */
 class FarmView
 {
   public:
     virtual ~FarmView() = default;
 
-    /** Number of servers in the view. */
+    /** Number of positions: the servers accepting work. */
     virtual std::size_t count() const = 0;
 
-    /** Committed seconds of work remaining on one server. */
-    virtual double backlog(std::size_t server) const = 0;
+    /** Committed seconds of work remaining at one position. */
+    virtual double backlog(std::size_t position) const = 0;
 
-    /** Whether one server's queue is currently empty. */
-    virtual bool idle(std::size_t server) const = 0;
-
-    /** Lowest idle server index, or count() when none is idle. */
+    /** Lowest idle position, or count() when none is idle. */
     virtual std::size_t lowestIdle() const = 0;
 
-    /** Busy server whose queue empties first (lowest index on ties),
-     * or count() when no server is busy. */
+    /** Busy position whose queue empties first (lowest position on
+     * ties), or count() when no position is busy. */
     virtual std::size_t leastBacklogBusy() const = 0;
 };
 
-/** Strategy interface: pick a server index for each arrival. */
+/** Strategy interface: pick a server position for each arrival. */
 class Dispatcher
 {
   public:
@@ -74,25 +79,23 @@ class Dispatcher
      * Route one job.
      *
      * @param job The arriving job.
-     * @param servers Current per-server state, one entry per server.
-     * @return Index of the chosen server (< servers.size()).
+     * @param farm The servers accepting work at the arrival instant.
+     * @return Position of the chosen server (< farm.count()).
      */
-    virtual std::size_t route(const Job &job,
-                              const std::vector<ServerSnapshot> &servers)
-        = 0;
+    virtual std::size_t route(const Job &job, const FarmView &farm) = 0;
 
     /**
-     * Route one job against an indexed farm view (the fault-free fast
-     * path). The base implementation materializes a ServerSnapshot
-     * vector and defers to the legacy overload, so third-party
-     * dispatchers registered against dispatcherRegistry() keep working
-     * unchanged; the built-ins override this with O(log N) routing.
+     * Route one job against a hand-built snapshot, one entry per
+     * position: wraps the entries in a linear-scan FarmView and calls
+     * the overload above. Kept for callers that build snapshots by hand
+     * (tests, instrumenting wrappers); the farm never calls it.
      *
      * @param job The arriving job.
-     * @param farm Indexed view of the farm at the arrival instant.
-     * @return Index of the chosen server (< farm.count()).
+     * @param servers One entry per position.
+     * @return Position of the chosen server (< servers.size()).
      */
-    virtual std::size_t route(const Job &job, const FarmView &farm);
+    virtual std::size_t route(const Job &job,
+                              const std::vector<ServerSnapshot> &servers);
 
     /** Name for reports. */
     virtual std::string name() const = 0;
@@ -105,9 +108,7 @@ class RandomDispatcher final : public Dispatcher
   public:
     /** @param seed Seed of the routing RNG. */
     explicit RandomDispatcher(std::uint64_t seed = 1);
-    std::size_t route(const Job &job,
-                      const std::vector<ServerSnapshot> &servers)
-        override;
+    using Dispatcher::route; ///< Keeps the snapshot overload visible.
     std::size_t route(const Job &job, const FarmView &farm) override;
     std::string name() const override { return "random"; }
 
@@ -119,9 +120,7 @@ class RandomDispatcher final : public Dispatcher
 class RoundRobinDispatcher final : public Dispatcher
 {
   public:
-    std::size_t route(const Job &job,
-                      const std::vector<ServerSnapshot> &servers)
-        override;
+    using Dispatcher::route; ///< Keeps the snapshot overload visible.
     std::size_t route(const Job &job, const FarmView &farm) override;
     std::string name() const override { return "round-robin"; }
 
@@ -133,9 +132,7 @@ class RoundRobinDispatcher final : public Dispatcher
 class JsqDispatcher final : public Dispatcher
 {
   public:
-    std::size_t route(const Job &job,
-                      const std::vector<ServerSnapshot> &servers)
-        override;
+    using Dispatcher::route; ///< Keeps the snapshot overload visible.
     std::size_t route(const Job &job, const FarmView &farm) override;
     std::string name() const override { return "JSQ"; }
 };
@@ -154,9 +151,7 @@ class PackingDispatcher final : public Dispatcher
      *        server is woken instead of queueing deeper.
      */
     explicit PackingDispatcher(double spill_backlog);
-    std::size_t route(const Job &job,
-                      const std::vector<ServerSnapshot> &servers)
-        override;
+    using Dispatcher::route; ///< Keeps the snapshot overload visible.
     std::size_t route(const Job &job, const FarmView &farm) override;
     std::string name() const override { return "packing"; }
 

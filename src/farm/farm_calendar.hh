@@ -1,20 +1,21 @@
 /**
  * @file
- * Event-time index structures for the O(1)-dispatch farm core.
+ * Event-time index structures for the O(log N)-dispatch farm core.
  *
- * The farm's routing fast path must answer two queries per arrival
- * without scanning every server: "lowest-index idle server" and
- * "busy server whose queue empties first (lowest index on ties)".
- * IdleSet answers the first with a hierarchical 64-ary bitmap;
- * BusyCalendar answers the second with a lazy min-heap of
+ * Farm routing must answer two queries per arrival without scanning
+ * every server: "lowest-index idle server" and "busy server whose
+ * queue empties first (lowest index on ties)", both over the servers
+ * accepting work. IdleSet answers the first with a hierarchical 64-ary
+ * bitmap; BusyCalendar answers the second with a lazy min-heap of
  * (queue-empties time, server) entries keyed against the farm's
- * next-free mirror. Together they replace the per-arrival O(N)
- * snapshot scan with O(log N) work, which is what makes 10k–100k
- * server farms tractable (docs/FARM_SCALE.md).
+ * next-free mirror. A server that stops accepting work leaves both
+ * until it is readmitted. Together they make routing O(log N) with or
+ * without servers down, which is what makes 10k–100k server farms
+ * tractable (docs/FARM_SCALE.md).
  *
  * Both structures are bookkeeping only: they never touch simulation
  * state, so routing decisions made through them are bit-identical to
- * the legacy full-scan path.
+ * a strict-< scan over the accepting servers' backlogs.
  */
 
 #ifndef SLEEPSCALE_FARM_FARM_CALENDAR_HH
@@ -88,16 +89,16 @@ struct CalendarEntry
 
 /**
  * Lazy min-heap of queue-empties events, ordered by (time, server) so
- * ties break to the lowest server index exactly like the legacy
- * lowest-index dispatcher scans.
+ * ties break to the lowest server index exactly like a lowest-index
+ * scan.
  *
  * Every admission pushes a fresh entry with the server's new next-free
  * time; earlier entries for the same server are not removed but become
  * *stale* (their time no longer matches the caller's next-free mirror,
- * which only ever moves forward). Stale entries sort before the valid
- * one and are discarded when they surface, so each admission costs
- * amortized O(log H) with H bounded by the number of admissions since
- * the last drain.
+ * which only ever moves forward, or is NaN while the server is out of
+ * routing). Stale entries sort before the valid one and are discarded
+ * when they surface, so each admission costs amortized O(log H) with H
+ * bounded by the number of admissions since the last drain.
  */
 class BusyCalendar
 {

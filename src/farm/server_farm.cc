@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <ranges>
 
 #include "util/error.hh"
 #include "util/thread_pool.hh"
@@ -11,51 +12,6 @@ namespace sleepscale {
 namespace {
 
 constexpr double never = std::numeric_limits<double>::infinity();
-
-/** FarmView over the whole farm (the fault-free fast path): point
- * queries hit the servers directly, aggregate queries hit the
- * event-time indexes. */
-class FullFarmView final : public FarmView
-{
-  public:
-    FullFarmView(const std::vector<ServerSim> &servers,
-                 const IdleSet &idle_set, BusyCalendar &calendar,
-                 const std::vector<double> &next_free, double now)
-        : _servers(servers), _idleSet(idle_set), _calendar(calendar),
-          _nextFree(next_free), _now(now)
-    {
-    }
-
-    std::size_t count() const override { return _servers.size(); }
-
-    double backlog(std::size_t server) const override
-    {
-        return _servers[server].backlog(_now);
-    }
-
-    bool idle(std::size_t server) const override
-    {
-        return _servers[server].idleAt(_now);
-    }
-
-    std::size_t lowestIdle() const override
-    {
-        return _idleSet.empty() ? _servers.size() : _idleSet.lowest();
-    }
-
-    std::size_t leastBacklogBusy() const override
-    {
-        const std::size_t server = _calendar.earliestBusy(_nextFree);
-        return server == BusyCalendar::none ? _servers.size() : server;
-    }
-
-  private:
-    const std::vector<ServerSim> &_servers;
-    const IdleSet &_idleSet;
-    BusyCalendar &_calendar; ///< Non-const: lookups prune stale entries.
-    const std::vector<double> &_nextFree;
-    double _now;
-};
 
 } // namespace
 
@@ -74,6 +30,64 @@ toString(ServerLifecycle state)
     }
     panic("toString: unknown ServerLifecycle");
 }
+
+/**
+ * FarmView over the servers accepting work. Positions skip the sorted
+ * unavailable list, so with an empty list a position is the server
+ * index. Point queries hit the servers; aggregate queries hit the
+ * event-time indexes, which hold accepting servers only.
+ */
+class ServerFarm::AcceptingView final : public FarmView
+{
+  public:
+    AcceptingView(ServerFarm &farm, double now) : _farm(farm), _now(now) {}
+
+    std::size_t count() const override
+    {
+        return _farm.size() - _farm._unavailable.size();
+    }
+
+    double backlog(std::size_t position) const override
+    {
+        return _farm._servers[server(position)].backlog(_now);
+    }
+
+    std::size_t lowestIdle() const override
+    {
+        const IdleSet &idle = _farm._idleSet;
+        return idle.empty() ? count() : position(idle.lowest());
+    }
+
+    std::size_t leastBacklogBusy() const override
+    {
+        const std::size_t busy = _farm._calendar.earliestBusy(_farm._nextFree);
+        return busy == BusyCalendar::none ? count() : position(busy);
+    }
+
+    /** Server at a position: the position plus the listed servers below
+     * it. The j-th listed server has list[j] - j accepting servers below
+     * it, a count non-decreasing in j. */
+    std::size_t server(std::size_t position) const
+    {
+        const std::vector<std::size_t> &list = _farm._unavailable;
+        const auto ranks = std::views::iota(std::size_t{0}, list.size());
+        const auto below = std::ranges::partition_point(
+            ranks, [&](std::size_t j) { return list[j] - j <= position; });
+        return position + static_cast<std::size_t>(below - ranks.begin());
+    }
+
+  private:
+    /** Position of an accepting server. */
+    std::size_t position(std::size_t server) const
+    {
+        const std::vector<std::size_t> &list = _farm._unavailable;
+        const auto below = std::lower_bound(list.begin(), list.end(), server);
+        return server - static_cast<std::size_t>(below - list.begin());
+    }
+
+    ServerFarm &_farm; ///< Non-const: calendar lookups prune stale entries.
+    double _now;
+};
 
 ServerFarm::ServerFarm(const PlatformModel &platform,
                        ServiceScaling scaling, const Policy &initial,
@@ -188,46 +202,15 @@ ServerFarm::tryOfferJob(const Job &job)
             "ServerFarm::offerJob: arrivals must be non-decreasing");
     _lastArrival = job.arrival;
 
-    std::size_t pick = noServer;
-    if (!_anyUnavailable) {
-        // Fault-free fast path: O(log N) routing through the idle set
-        // and busy calendar, with routing decisions (and dispatcher
-        // RNG consumption) identical to the legacy full-scan path.
-        processCalendarUpTo(job.arrival);
-        FullFarmView view(_servers, _idleSet, _calendar, _nextFree,
-                          job.arrival);
-        pick = _dispatcher->route(job, view);
-        fatalIf(pick >= _servers.size(),
-                "ServerFarm: dispatcher chose a server out of range");
-    } else {
-        // Failover path: the dispatcher only sees the servers
-        // accepting work at this instant, in index order, and its
-        // choice maps back through the eligibility list.
-        std::vector<std::size_t> eligible;
-        eligible.reserve(_servers.size());
-        for (std::size_t i = 0; i < _servers.size(); ++i) {
-            if (accepting(i, job.arrival))
-                eligible.push_back(i);
-        }
-        if (eligible.size() == _servers.size()) {
-            // Everyone recovered: drop back to the fast path for good
-            // (until the next failServer()).
-            _anyUnavailable = false;
-            return tryOfferJob(job);
-        }
-        if (eligible.empty())
-            return noServer;
-        std::vector<ServerSnapshot> view(eligible.size());
-        for (std::size_t k = 0; k < eligible.size(); ++k) {
-            view[k].backlog =
-                _servers[eligible[k]].backlog(job.arrival);
-            view[k].idle = _servers[eligible[k]].idleAt(job.arrival);
-        }
-        const std::size_t choice = _dispatcher->route(job, view);
-        fatalIf(choice >= eligible.size(),
-                "ServerFarm: dispatcher chose a server out of range");
-        pick = eligible[choice];
-    }
+    readmitUpTo(job.arrival);
+    processCalendarUpTo(job.arrival);
+    const AcceptingView view(*this, job.arrival);
+    if (view.count() == 0)
+        return noServer;
+    const std::size_t position = _dispatcher->route(job, view);
+    fatalIf(position >= view.count(),
+            "ServerFarm: dispatcher chose a server out of range");
+    const std::size_t pick = view.server(position);
     _servers[pick].offerJob(job);
     noteAdmission(pick);
     ++_jobsRouted[pick];
@@ -239,13 +222,8 @@ ServerFarm::advanceTo(double t)
 {
     processCalendarUpTo(t);
     forEachServer([&](std::size_t i) { _servers[i].advanceTo(t); });
-    // Unavailability accrual is a no-op on a server that never crashed
-    // (acceptFrom stays 0), so fault-free farms skip the loop outright.
-    if (_everFailed && (_anyUnavailable || t > _lastAdvance)) {
-        for (std::size_t i = 0; i < _servers.size(); ++i)
-            accrueDown(i, t);
-    }
-    _lastAdvance = std::max(_lastAdvance, t);
+    for (const std::size_t server : _unavailable)
+        accrueDown(server, t);
 }
 
 void
@@ -261,6 +239,24 @@ ServerFarm::accrueDown(std::size_t server, double t)
 }
 
 void
+ServerFarm::readmitUpTo(double t)
+{
+    if (t < _readmitDue)
+        return;
+    _readmitDue = never;
+    std::erase_if(_unavailable, [&](std::size_t server) {
+        if (_acceptFrom[server] > t) {
+            _readmitDue = std::min(_readmitDue, _acceptFrom[server]);
+            return false;
+        }
+        accrueDown(server, t);
+        _nextFree[server] = _servers[server].nextFreeTime();
+        _calendar.push(_nextFree[server], server);
+        return true;
+    });
+}
+
+void
 ServerFarm::failServer(std::size_t server, double t)
 {
     fatalIf(server >= _servers.size(),
@@ -272,8 +268,16 @@ ServerFarm::failServer(std::size_t server, double t)
     accrueDown(server, t);
     _acceptFrom[server] = never;
     _downMark[server] = std::max(t, _downMark[server]);
-    _anyUnavailable = true;
-    _everFailed = true;
+    // Take it out of routing (a recovering server already is): off the
+    // idle set, and a NaN next-free key makes its calendar entries
+    // stale.
+    const auto slot =
+        std::lower_bound(_unavailable.begin(), _unavailable.end(), server);
+    if (slot == _unavailable.end() || *slot != server) {
+        _unavailable.insert(slot, server);
+        _idleSet.erase(server);
+        _nextFree[server] = std::numeric_limits<double>::quiet_NaN();
+    }
 }
 
 void
@@ -286,6 +290,7 @@ ServerFarm::restoreServer(std::size_t server, double t)
     accrueDown(server, t);
     _acceptFrom[server] = t + _recoverySeconds;
     _downMark[server] = std::max(_downMark[server], t);
+    _readmitDue = std::min(_readmitDue, _acceptFrom[server]);
 }
 
 void

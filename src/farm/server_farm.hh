@@ -9,11 +9,18 @@
  * and per-server statistics. Back-ends may run heterogeneous platform
  * models (a big/little mix), in which case each server's power and
  * wake-latency accounting uses its own model.
+ *
+ * Every arrival takes one routing path: the dispatcher sees a FarmView
+ * over the servers accepting work, backed by an idle-server bitmap and
+ * a queue-empties calendar (farm/farm_calendar.hh) that hold accepting
+ * servers only, so routing costs O(log N) with or without servers
+ * down.
  */
 
 #ifndef SLEEPSCALE_FARM_SERVER_FARM_HH
 #define SLEEPSCALE_FARM_SERVER_FARM_HH
 
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -96,9 +103,8 @@ class ServerFarm
      * Fault-tolerant variant of offerJob(): routes among the servers
      * accepting work at the arrival instant and returns noServer —
      * instead of fatal() — when there are none, so the caller can
-     * back off and retry (FarmRuntime's failover path). With every
-     * server up this is byte-identical to offerJob(), including the
-     * dispatcher's RNG consumption.
+     * back off and retry (FarmRuntime's failover path). The dispatcher
+     * is not called when no server accepts work.
      *
      * @return Index of the admitting server, or noServer.
      */
@@ -136,7 +142,8 @@ class ServerFarm
     ServerLifecycle lifecycle(std::size_t server, double now) const;
 
     /** Cumulative seconds this server has been unavailable (crashed or
-     * recovering), accrued by advanceTo()/restoreServer(). */
+     * recovering), accrued by advanceTo(), the crash/restore calls, and
+     * the arrival that readmits the server. */
     double downSeconds(std::size_t server) const;
 
     /** Sum of downSeconds() across the farm. */
@@ -212,6 +219,8 @@ class ServerFarm
     }
 
   private:
+    class AcceptingView; ///< The routing view (server_farm.cc).
+
     std::vector<ServerSim> _servers;
     std::unique_ptr<Dispatcher> _dispatcher;
     std::vector<std::uint64_t> _jobsRouted;
@@ -232,26 +241,26 @@ class ServerFarm
     /** Recovery delay applied by restoreServer(), seconds. */
     double _recoverySeconds = 0.0;
 
-    /** Latest advanceTo() time (drives unavailability accrual). */
-    double _lastAdvance = 0.0;
+    /** Servers out of routing, ascending: crashed, or restored but not
+     * yet readmitted by an arrival. They hold no idle-set bit and no
+     * valid calendar entry. Positions in the routing view skip them. */
+    std::vector<std::size_t> _unavailable;
 
-    /** Whether any server is currently crashed or recovering (fast
-     * path: fault-free runs skip the eligibility filter entirely). */
-    bool _anyUnavailable = false;
-
-    /** Whether any server has ever crashed (fault-free farms skip the
-     * per-server unavailability accrual loop entirely). */
-    bool _everFailed = false;
+    /** Earliest time a listed server may be readmitted (+inf when none
+     * is recovering); may run early after a crash during recovery. */
+    double _readmitDue = std::numeric_limits<double>::infinity();
 
     /** Mirror of each server's nextFreeTime(), updated on admission
-     * only (ServerSim moves it nowhere else). Keys the calendar's
-     * stale-entry detection and the idle set. */
+     * and readmission only (ServerSim moves it nowhere else); NaN while
+     * the server is listed unavailable. Keys the calendar's stale-entry
+     * detection and the idle set. */
     std::vector<double> _nextFree;
 
-    /** Idle servers (lowest-index lookup for the dispatch fast path). */
+    /** Idle accepting servers (lowest-index lookup for routing). */
     IdleSet _idleSet;
 
-    /** Queue-empties events for busy servers (lazy min-heap). */
+    /** Queue-empties events for busy accepting servers (lazy
+     * min-heap). */
     BusyCalendar _calendar;
 
     /** Worker pool for sharded accounting (not owned; may be null). */
@@ -259,6 +268,11 @@ class ServerFarm
 
     /** Accrue one server's unavailability up to time t. */
     void accrueDown(std::size_t server, double t);
+
+    /** Return every listed server whose recovery has ended by time t to
+     * routing: accrue the rest of its downtime and schedule its
+     * queue-empties event (the next drain marks an empty server idle). */
+    void readmitUpTo(double t);
 
     /** Retire queue-empties events due by time t into the idle set. */
     void processCalendarUpTo(double t);

@@ -56,10 +56,7 @@ TEST(Dispatchers, PackingPrefersBusyBelowSpill)
 {
     PackingDispatcher packing(1.0);
     std::vector<ServerSnapshot> servers(3);
-    servers[0].idle = true;
-    servers[1].idle = false;
     servers[1].backlog = 0.4;
-    servers[2].idle = true;
     // Busy server under the threshold keeps receiving work...
     EXPECT_EQ(packing.route({0.0, 1.0}, servers), 1u);
     // ...until it saturates, then an idle server is woken.
@@ -71,9 +68,7 @@ TEST(Dispatchers, PackingFallsBackToJsqWhenAllBusy)
 {
     PackingDispatcher packing(0.5);
     std::vector<ServerSnapshot> servers(2);
-    servers[0].idle = false;
     servers[0].backlog = 3.0;
-    servers[1].idle = false;
     servers[1].backlog = 2.0;
     EXPECT_EQ(packing.route({0.0, 1.0}, servers), 1u);
 }
@@ -93,7 +88,6 @@ TEST(Dispatchers, JsqTieBreaksToLowestIndex)
     EXPECT_EQ(jsq.route({0.0, 1.0}, servers), 0u);
     // An exact busy tie (same committed seconds) also goes low.
     for (auto &server : servers) {
-        server.idle = false;
         server.backlog = 1.5;
     }
     EXPECT_EQ(jsq.route({0.0, 1.0}, servers), 0u);
@@ -107,12 +101,10 @@ TEST(Dispatchers, PackingTieBreaksToLowestIndex)
     PackingDispatcher packing(1.0);
     std::vector<ServerSnapshot> servers(4);
     // Several idle servers: the first idle index wins the spill.
-    servers[0].idle = false;
     servers[0].backlog = 2.0;
     EXPECT_EQ(packing.route({0.0, 1.0}, servers), 1u);
     // Exact busy tie below the spill threshold: lowest index.
     for (auto &server : servers) {
-        server.idle = false;
         server.backlog = 0.25;
     }
     EXPECT_EQ(packing.route({0.0, 1.0}, servers), 0u);

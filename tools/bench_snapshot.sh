@@ -27,9 +27,9 @@
 #
 # Also runs bench_farm_scale --json into BENCH_farm_scale.json: the
 # streaming throughput (jobs per wall second) of the event-driven farm
-# core at farm sizes {100, 1k, 10k} (docs/FARM_SCALE.md). A collapse
-# on the 10k row means a per-arrival or per-epoch O(N) scan crept back
-# into the farm path.
+# core at farm sizes {100, 1k, 10k}, each fault-free and with MTBF
+# faults (docs/FARM_SCALE.md). A collapse on a 10k row means a
+# per-arrival or per-epoch O(N) scan crept back into the farm path.
 set -eu
 
 repo_root=$(cd "$(dirname "$0")/.." && pwd)
