@@ -248,8 +248,9 @@ rescaleHistoryToPrediction(const std::vector<Job> &history,
     const double target = std::clamp(predicted, 0.01, 0.99);
     const double gap_scale = measured / target;
     log.reserve(history.size());
+    // The first job is re-anchored one mean (rescaled) gap in.
     double clock =
-        span / static_cast<double>(history.size()) * gap_scale;
+        span / static_cast<double>(history.size() - 1) * gap_scale;
     log.push_back({clock, history.front().size});
     for (std::size_t i = 1; i < history.size(); ++i) {
         clock += (history[i].arrival - history[i - 1].arrival) *
@@ -259,14 +260,41 @@ rescaleHistoryToPrediction(const std::vector<Job> &history,
     return log;
 }
 
-/** Drop all but the most recent `cap` jobs of a rolling history. */
+/**
+ * Close one epoch of a rolling decision log: the jobs logged since the
+ * previous close become the newest epoch, whole epochs beyond the last
+ * `epochs` are dropped, and then the oldest jobs beyond `cap` (Section
+ * 5.2.1 logs the previous epochs; the cap bounds the decision cost).
+ * `counts` holds the jobs each kept epoch contributes, oldest first.
+ */
 void
-trimHistory(std::vector<Job> &history, std::size_t cap)
+closeLogEpoch(std::vector<Job> &history, std::deque<std::size_t> &counts,
+              std::size_t epochs, std::size_t cap)
 {
-    if (history.size() > cap) {
-        history.erase(history.begin(),
-                      history.end() - static_cast<std::ptrdiff_t>(cap));
+    std::size_t kept = 0;
+    for (std::size_t count : counts)
+        kept += count;
+    counts.push_back(history.size() - kept);
+    std::size_t drop = 0;
+    while (counts.size() > epochs) {
+        drop += counts.front();
+        counts.pop_front();
     }
+    if (history.size() - drop > cap) {
+        // Deduct the capped jobs from the oldest epochs' counts so the
+        // counts keep describing the log.
+        std::size_t excess = history.size() - drop - cap;
+        drop += excess;
+        while (excess > 0) {
+            const std::size_t take = std::min(excess, counts.front());
+            counts.front() -= take;
+            excess -= take;
+            if (counts.front() == 0)
+                counts.pop_front();
+        }
+    }
+    history.erase(history.begin(),
+                  history.begin() + static_cast<std::ptrdiff_t>(drop));
 }
 
 /** Whether a harvested window (an epoch's, or a server's whole-run
@@ -300,6 +328,7 @@ applyOverProvision(Policy &policy, double alpha, bool last_within)
 struct DecisionGroup
 {
     std::vector<Job> history;     ///< Rolling log (log-based deciders).
+    std::deque<std::size_t> historyCounts; ///< Its jobs per kept epoch.
     std::uint64_t logged = 0;     ///< Jobs admitted to the feeding server.
     std::uint64_t loggedMark = 0; ///< `logged` at the last decision.
     double downMark = 0.0;        ///< Its downtime at the last decision.
@@ -649,6 +678,10 @@ FarmRuntime::run(JobSource &source, const UtilizationTrace &trace,
             DecisionGroup &group = groups[g];
             const SimStats &window = shared ? farm_epoch.stats : windows[g];
             group.lastWithin = windowWithinBudget(_qos, window);
+            if (needs_log)
+                closeLogEpoch(group.history, group.historyCounts,
+                              _config.perServer.historyEpochs,
+                              _config.perServer.evalLogCap);
             if (group.report.degraded) {
                 farm_epoch.degraded = true;
                 degraded_epochs += shared ? size : 1;
@@ -796,7 +829,6 @@ FarmRuntime::run(JobSource &source, const UtilizationTrace &trace,
                         policy, _config.perServer.overProvision,
                         group.lastWithin);
                 }
-                trimHistory(group.history, _config.perServer.evalLogCap);
                 epoch.policy = policy;
                 if (shared)
                     farm.setPolicy(policy, t);

@@ -7,12 +7,16 @@
 
 #include <cmath>
 
+#include "core/predictor.hh"
 #include "core/runtime.hh"
 #include "core/strategies.hh"
+#include "farm/farm_runtime.hh"
 #include "power/platform_model.hh"
 #include "util/error.hh"
 #include "util/rng.hh"
+#include "workload/job_source.hh"
 #include "workload/job_stream.hh"
+#include "workload/workload_spec.hh"
 
 namespace sleepscale {
 namespace {
@@ -219,6 +223,71 @@ TEST_F(RuntimeTest, BacklogCarriesAcrossEpochs)
     NaivePreviousPredictor predictor(0.05);
     const RuntimeResult result = runtime.run(jobs, trace, predictor);
     EXPECT_EQ(result.total.completions, jobs.size());
+}
+
+TEST_F(RuntimeTest, OneServerFarmMatchesSingleServerRuntime)
+{
+    // The paper runtime is one server's epoch loop; a farm of one server
+    // must run that loop exactly. The farm here deliberately uses
+    // per-server control and JSQ, so the check covers the general
+    // decision-group path, not only the configuration a single-server
+    // run would pick.
+    const UtilizationTrace trace =
+        synthEmailStoreTrace(1, 20140614).dailyWindow(2, 5);
+    StrategyKnobs knobs;
+    knobs.overProvision = 0.35;
+    for (const std::string workload_name : {"dns", "mail", "google"}) {
+        const WorkloadSpec workload = workloadByName(workload_name);
+        for (const std::string strategy :
+             {"SS", "DVFS", "R2H(C6)", "poet"}) {
+            const std::string label = workload_name + "/" + strategy;
+            const RuntimeConfig config =
+                strategyConfigByName(strategy, knobs);
+
+            const SleepScaleRuntime single(xeon, workload, config);
+            TraceDrivenSource single_source(workload, trace, 20140614);
+            const auto single_predictor =
+                makePredictor("LC", 10, trace.values());
+            const RuntimeResult expected =
+                single.run(single_source, trace, *single_predictor);
+
+            FarmRuntimeConfig farm_config;
+            farm_config.farmSize = 1;
+            farm_config.dispatcher = "JSQ";
+            farm_config.control = "per-server";
+            farm_config.perServer = config;
+            const FarmRuntime farm(xeon, workload, farm_config);
+            const auto farm_source =
+                makeFarmSource(workload, trace, 1, 20140614);
+            const auto farm_predictor =
+                makePredictor("LC", 10, trace.values());
+            const FarmRuntimeResult actual =
+                farm.run(*farm_source, trace, *farm_predictor);
+
+            ASSERT_EQ(actual.epochs.size(), expected.epochs.size())
+                << label;
+            for (std::size_t e = 0; e < expected.epochs.size(); ++e) {
+                const EpochReport &want = expected.epochs[e];
+                const EpochReport &got = actual.epochs[e];
+                EXPECT_EQ(got.policy.frequency, want.policy.frequency)
+                    << label << " epoch " << e;
+                EXPECT_EQ(got.policy.plan.deepest(),
+                          want.policy.plan.deepest())
+                    << label << " epoch " << e;
+                EXPECT_EQ(got.policy.plan.size(), want.policy.plan.size())
+                    << label << " epoch " << e;
+                EXPECT_EQ(got.decided, want.decided)
+                    << label << " epoch " << e;
+                EXPECT_EQ(got.feasible, want.feasible)
+                    << label << " epoch " << e;
+                EXPECT_EQ(got.boosted, want.boosted)
+                    << label << " epoch " << e;
+            }
+            // Bit-for-bit on purpose: the two must run one loop.
+            EXPECT_EQ(actual.total.energy, expected.total.energy)
+                << label;
+        }
+    }
 }
 
 // -------------------------------------------------------- strategy kinds
