@@ -325,8 +325,10 @@ SleepScaleRuntime::run(JobSource &source, const UtilizationTrace &trace,
         std::max(trace.duration(), sim.nextFreeTime());
     sim.advanceTo(horizon);
     epoch.stats = sim.harvestWindow();
-    epoch.measuredUtilization = windowLoad(
-        epoch_jobs, static_cast<double>(epoch_len) * secondsPerMinute);
+    // Arrivals stop at the trace end: the last epoch's load is taken
+    // over its arrival span, not the nominal epoch length.
+    epoch.measuredUtilization =
+        windowLoad(epoch_jobs, trace.duration() - epoch.startTime);
     result.epochs.push_back(epoch);
 
     for (const EpochReport &report : result.epochs)

@@ -422,6 +422,12 @@ FarmRuntime::FarmRuntime(const PlatformModel &platform,
             "FarmRuntime: farm size must be >= 1");
     fatalIf(_config.perServer.epochMinutes == 0,
             "FarmRuntime: epochMinutes must be positive");
+    fatalIf(_config.perServer.overProvision < 0.0,
+            "FarmRuntime: overProvision must be >= 0");
+    fatalIf(_config.perServer.evalLogCap < 2,
+            "FarmRuntime: evalLogCap must be at least 2");
+    fatalIf(_config.perServer.historyEpochs == 0,
+            "FarmRuntime: historyEpochs must be positive");
     fatalIf(_config.control != "farm-wide" &&
                 _config.control != "per-server" &&
                 _config.control != "distributed",
@@ -583,8 +589,6 @@ FarmRuntime::run(JobSource &source, const UtilizationTrace &trace,
     fatalIf(trace.empty(), "FarmRuntime::run: empty trace");
     const std::size_t minutes = trace.size();
     const unsigned epoch_len = _config.perServer.epochMinutes;
-    const double window_seconds =
-        static_cast<double>(epoch_len) * secondsPerMinute;
     const std::size_t size = _config.farmSize;
     const double farm_size = static_cast<double>(size);
     const bool fixed = static_cast<bool>(_config.perServer.fixedPolicy);
@@ -664,6 +668,10 @@ FarmRuntime::run(JobSource &source, const UtilizationTrace &trace,
     std::uint64_t cum_completed = 0;
     std::uint64_t degraded_epochs = 0;
     double degraded_seconds = 0.0;
+    // The open epoch's offered demand (s) and jobs, folded per minute.
+    // A shared decider observes these farm aggregates.
+    double offered_demand = 0.0;
+    std::uint64_t offered_jobs = 0;
 
     // Close the open epoch: attribute per-server windows, record each
     // group's outcome and observation, charge degraded server-seconds
@@ -672,8 +680,14 @@ FarmRuntime::run(JobSource &source, const UtilizationTrace &trace,
     auto closeEpoch = [&](std::vector<SimStats> windows, double now) {
         for (std::size_t i = 0; i < size; ++i)
             result.servers[i].total.merge(windows[i]);
+        // Arrivals stop at the trace end, so the last epoch's measured
+        // load is taken over its arrival span, not the drained horizon.
+        const double arrival_span =
+            std::min(now, trace.duration()) - groups.front().report.startTime;
         EpochReport farm_epoch = groups.front().report;
         farm_epoch.stats = ServerFarm::mergeWindows(windows);
+        farm_epoch.measuredUtilization =
+            offered_demand / (arrival_span * farm_size);
         for (std::size_t g = 0; g < groups.size(); ++g) {
             DecisionGroup &group = groups[g];
             const SimStats &window = shared ? farm_epoch.stats : windows[g];
@@ -689,18 +703,20 @@ FarmRuntime::run(JobSource &source, const UtilizationTrace &trace,
                     (now - group.report.startTime) * covered;
             }
 
+            const double demand = shared ? offered_demand : group.demand;
+            const std::uint64_t jobs = shared ? offered_jobs : group.jobs;
             EpochObservation &observation = group.observation;
             observation.measuredUtilization =
-                group.demand / (window_seconds * covered);
+                demand / (arrival_span * covered);
             observation.hasMeasurement = window.completions > 0;
             observation.measuredQos = observation.hasMeasurement
                                           ? _qos.measuredValue(window)
                                           : 0.0;
             observation.meanJobSize =
-                group.jobs > 0
-                    ? group.demand / static_cast<double>(group.jobs)
-                    : 0.0;
+                jobs > 0 ? demand / static_cast<double>(jobs) : 0.0;
             observation.applied = group.report.policy;
+            group.report.measuredUtilization =
+                observation.measuredUtilization;
             group.demand = 0.0;
             group.jobs = 0;
 
@@ -713,6 +729,8 @@ FarmRuntime::run(JobSource &source, const UtilizationTrace &trace,
             }
         }
         result.epochs.push_back(std::move(farm_epoch));
+        offered_demand = 0.0;
+        offered_jobs = 0;
 
         cum_completed += result.epochs.back().stats.completions;
         FarmFaultStats snap = faults.stats();
@@ -849,12 +867,8 @@ FarmRuntime::run(JobSource &source, const UtilizationTrace &trace,
             ++minute_jobs;
             has_pending = source.next(pending);
         }
-        // A shared decider observes the farm's aggregate offered
-        // demand, folded per minute.
-        if (shared) {
-            groups.front().demand += minute_demand;
-            groups.front().jobs += minute_jobs;
-        }
+        offered_demand += minute_demand;
+        offered_jobs += minute_jobs;
         faults.catchUp(minute_end);
         farm.advanceTo(minute_end);
 

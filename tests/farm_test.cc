@@ -6,7 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
+#include <string>
 
 #include "farm/dispatcher.hh"
 #include "farm/farm_runtime.hh"
@@ -386,6 +388,89 @@ TEST(FarmRuntime, ValidationGuards)
     EXPECT_THROW(makeFarmSource(dnsWorkload(),
                                 UtilizationTrace("t", {0.1}), 0, 1),
                  ConfigError);
+
+    // The policy-management knobs shared with the single-server runtime.
+    FarmRuntimeConfig negative_alpha;
+    negative_alpha.perServer.overProvision = -0.1;
+    EXPECT_THROW(FarmRuntime(xeon, dnsWorkload(), negative_alpha),
+                 ConfigError);
+    FarmRuntimeConfig tiny_log;
+    tiny_log.perServer.evalLogCap = 1;
+    EXPECT_THROW(FarmRuntime(xeon, dnsWorkload(), tiny_log), ConfigError);
+    FarmRuntimeConfig no_history;
+    no_history.perServer.historyEpochs = 0;
+    EXPECT_THROW(FarmRuntime(xeon, dnsWorkload(), no_history),
+                 ConfigError);
+}
+
+TEST(FarmRuntime, EpochReportsCarryTheMeasuredLoad)
+{
+    // 32 minutes at T = 5: the last epoch spans only the final two
+    // minutes of arrivals, so it must be divided by 120 s, not 300 s.
+    const PlatformModel xeon = PlatformModel::xeon();
+    const WorkloadSpec dns = dnsWorkload();
+    const UtilizationTrace trace("flat", std::vector<double>(32, 0.3));
+    constexpr std::size_t farm_size = 2;
+
+    // Offered demand arriving in each report's span over that span.
+    const auto expectMeasured = [&](const std::vector<EpochReport> &epochs,
+                                    const std::vector<Job> &jobs,
+                                    double servers, const char *what) {
+        ASSERT_EQ(epochs.size(), 7u) << what;
+        for (const EpochReport &epoch : epochs) {
+            const double end =
+                std::min(epoch.startTime + 300.0, trace.duration());
+            double demand = 0.0;
+            for (const Job &job : jobs) {
+                if (job.arrival >= epoch.startTime && job.arrival < end)
+                    demand += job.size;
+            }
+            const double expected =
+                demand / ((end - epoch.startTime) * servers);
+            EXPECT_GT(expected, 0.2) << what << " epoch " << epoch.index;
+            EXPECT_NEAR(epoch.measuredUtilization, expected,
+                        1e-12 * expected)
+                << what << " epoch " << epoch.index;
+        }
+    };
+
+    Rng single_rng(3);
+    const auto single_jobs = generateTraceDrivenJobs(single_rng, dns, trace);
+    RuntimeConfig config;
+    config.epochMinutes = 5;
+    NaivePreviousPredictor single_predictor(0.3);
+    const RuntimeResult single = SleepScaleRuntime(xeon, dns, config)
+                                     .run(single_jobs, trace,
+                                          single_predictor);
+    expectMeasured(single.epochs, single_jobs, 1.0, "single-server");
+
+    Rng farm_rng(3);
+    const auto farm_jobs = generateFarmJobs(farm_rng, dns, trace, farm_size);
+    FarmRuntimeConfig farm_config;
+    farm_config.farmSize = farm_size;
+    farm_config.perServer = config;
+    for (const std::string control : {"farm-wide", "per-server"}) {
+        farm_config.control = control;
+        NaivePreviousPredictor predictor(0.3);
+        const FarmRuntimeResult result = FarmRuntime(xeon, dns, farm_config)
+                                             .run(farm_jobs, trace,
+                                                  predictor);
+        expectMeasured(result.epochs, farm_jobs,
+                       static_cast<double>(farm_size), control.c_str());
+        if (control != "per-server")
+            continue;
+        // Each server reports the load it was routed; together they
+        // carry the farm's aggregate offered load.
+        for (std::size_t e = 0; e < result.epochs.size(); ++e) {
+            double sum = 0.0;
+            for (const FarmServerReport &server : result.servers)
+                sum += server.epochs.at(e).measuredUtilization;
+            const double aggregate = result.epochs[e].measuredUtilization *
+                                     static_cast<double>(farm_size);
+            EXPECT_NEAR(sum, aggregate, 1e-12 * aggregate)
+                << "epoch " << e;
+        }
+    }
 }
 
 TEST(FarmRuntime, MillionJobDayStreamsInBoundedMemory)

@@ -289,8 +289,8 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(RegretGoldenCase{"dns", 1.0},
                       RegretGoldenCase{"mail", 0.3},
                       RegretGoldenCase{"google", 0.05}),
-    [](const ::testing::TestParamInfo<RegretGoldenCase> &info) {
-        return std::string(info.param.workload);
+    [](const ::testing::TestParamInfo<RegretGoldenCase> &param_info) {
+        return std::string(param_info.param.workload);
     });
 
 } // namespace

@@ -306,10 +306,10 @@ INSTANTIATE_TEST_SUITE_P(
                       RegretCase{"google", "SS", false, 0.05},
                       RegretCase{"google", "SS", true, 0.05},
                       RegretCase{"google", "poet", false, 0.05}),
-    [](const ::testing::TestParamInfo<RegretCase> &info) {
-        return std::string(info.param.workload) + "_" +
-               info.param.strategy +
-               (info.param.pruned ? "_pruned" : "");
+    [](const ::testing::TestParamInfo<RegretCase> &param_info) {
+        return std::string(param_info.param.workload) + "_" +
+               param_info.param.strategy +
+               (param_info.param.pruned ? "_pruned" : "");
     });
 
 } // namespace
