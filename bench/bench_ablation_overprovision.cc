@@ -12,6 +12,7 @@
 #include <iostream>
 
 #include "core/strategies.hh"
+#include "farm/farm_runtime.hh"
 #include "util/rng.hh"
 #include "util/table_printer.hh"
 #include "workload/job_stream.hh"

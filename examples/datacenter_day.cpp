@@ -25,6 +25,7 @@
 #include "core/predictor.hh"
 #include "core/runtime.hh"
 #include "experiment/runner.hh"
+#include "farm/farm_runtime.hh"
 #include "power/platform_model.hh"
 #include "util/error.hh"
 #include "workload/job_source.hh"

@@ -3,10 +3,10 @@
  * The per-epoch decision interface shared by the search-based policy
  * manager and the O(1) feedback controller.
  *
- * SleepScaleRuntime and FarmRuntime make exactly one policy decision
- * per epoch. PR 8 splits the *decision mechanism* from the *decision
- * site*: the runtimes talk to an EpochDecider, and two implementations
- * plug in —
+ * FarmRuntime's epoch loop (which SleepScaleRuntime runs on a one-server
+ * farm) makes exactly one policy decision per decider per epoch. The
+ * *decision mechanism* is split from the *decision site*: the loop
+ * talks to an EpochDecider, and two implementations plug in —
  *
  *  - PolicyManager (core/policy_manager.hh): simulate every candidate
  *    (plan, frequency) pair against a rescaled job log and pick the

@@ -1,45 +1,30 @@
 /**
  * @file
- * The SleepScale runtime (paper Sections 5.2 and 6).
+ * The types of a SleepScale runtime run (paper Sections 5.2 and 6):
+ * the knobs of one configuration (RuntimeConfig), the per-epoch record
+ * of what was decided and what happened (EpochReport), and the outcome
+ * of a single-server run (RuntimeResult).
  *
- * Drives a server through a trace-driven job stream epoch by epoch:
- *
- *  1. At each epoch boundary, forecast the utilization of the upcoming
- *     epoch's first minute with a pluggable predictor.
- *  2. Rescale the previous epoch's logged job events to the forecast
- *     offered load and hand them to the policy manager, which simulates
- *     every candidate policy and picks the cheapest QoS-feasible one.
- *  3. Apply the over-provisioning guard band: if the epoch just past met
- *     its delay budget, raise the chosen frequency by a factor (1 + α) —
- *     headroom against unpredicted surges (Section 5.2.3).
- *  4. Run the epoch under the chosen policy; backlog carries across
- *     epoch boundaries.
- *
- * Fixed-policy strategies (race-to-halt) run through the same loop with
- * the decision step pinned, so every comparison in the Figure 8-10
- * benches shares identical accounting.
+ * The epoch loop itself lives in farm/farm_runtime.hh: FarmRuntime runs
+ * it, and SleepScaleRuntime, the paper's single-server runtime, is a
+ * one-server farm.
  */
 
 #ifndef SLEEPSCALE_CORE_RUNTIME_HH
 #define SLEEPSCALE_CORE_RUNTIME_HH
 
-#include <memory>
+#include <array>
+#include <cstddef>
 #include <optional>
 #include <vector>
 
 #include "control/controller_config.hh"
-#include "core/epoch_decider.hh"
-#include "core/policy_manager.hh"
+#include "core/eval_engine.hh"
 #include "core/policy_space.hh"
-#include "core/predictor.hh"
 #include "core/qos.hh"
-#include "power/platform_model.hh"
-#include "sim/server_sim.hh"
+#include "sim/policy.hh"
+#include "sim/sim_stats.hh"
 #include "util/csv.hh"
-#include "workload/job.hh"
-#include "workload/job_source.hh"
-#include "workload/utilization_trace.hh"
-#include "workload/workload_spec.hh"
 
 namespace sleepscale {
 
@@ -102,7 +87,9 @@ struct EpochReport
     std::size_t index = 0;          ///< Epoch number.
     double startTime = 0.0;         ///< Seconds since trace start.
     double predictedUtilization = 0.0;
-    double measuredUtilization = 0.0; ///< Mean offered load over the epoch.
+    /** Offered load over the epoch's arrival span (the trace end cuts
+     * the last epoch short); per-server view in farms. */
+    double measuredUtilization = 0.0;
     Policy policy;                  ///< Policy run during the epoch.
     bool feasible = false;          ///< Manager found a QoS-feasible policy.
     bool boosted = false;           ///< Over-provisioning raised f.
@@ -116,7 +103,7 @@ struct EpochReport
     SimStats stats;                 ///< Epoch-windowed metrics.
 };
 
-/** Aggregate outcome of one runtime run. */
+/** Aggregate outcome of one single-server run (SleepScaleRuntime). */
 struct RuntimeResult
 {
     std::vector<EpochReport> epochs;
@@ -151,82 +138,6 @@ struct RuntimeResult
  * responses, power) for offline plotting.
  */
 CsvTable epochsToCsv(const RuntimeResult &result);
-
-/** Epoch-driven SleepScale controller over a simulated server. */
-class SleepScaleRuntime
-{
-  public:
-    /**
-     * @param platform Power model (not owned; must outlive the runtime).
-     * @param spec Workload characterization (service mean anchors the
-     *             QoS budget; scaling law shapes service times).
-     * @param config Runtime knobs.
-     */
-    SleepScaleRuntime(const PlatformModel &platform,
-                      const WorkloadSpec &spec, RuntimeConfig config);
-
-    /**
-     * Run the full trace, pulling arrivals from a streaming source.
-     *
-     * Jobs are consumed epoch by epoch with one-job lookahead, so the
-     * run's job-buffer memory is bounded by the epoch and history
-     * windows regardless of the trace length — a million-job day never
-     * materializes. Jobs the source produces past the trace horizon
-     * are not consumed.
-     *
-     * @param source Arrival stream (consumed; non-decreasing times).
-     * @param trace The utilization trace (defines the time horizon; the
-     *              offline predictor reads it directly).
-     * @param predictor Utilization predictor, observed every minute.
-     */
-    RuntimeResult run(JobSource &source, const UtilizationTrace &trace,
-                      UtilizationPredictor &predictor) const;
-
-    /**
-     * Run a materialized job list — a thin adapter that streams `jobs`
-     * through the JobSource overload; results are identical.
-     */
-    RuntimeResult run(const std::vector<Job> &jobs,
-                      const UtilizationTrace &trace,
-                      UtilizationPredictor &predictor) const;
-
-    /** The QoS constraint derived from the configuration. */
-    const QosConstraint &qos() const { return _qos; }
-
-    /** The search-based policy manager driving per-epoch decisions
-     * (null for fixed-policy and controller configurations).
-     * Persistent across epochs and runs, so the engine's
-     * materialized-plan cache and arenas are built once per runtime,
-     * not once per decision. */
-    const PolicyManager *manager() const { return _searchManager; }
-
-    /** The per-epoch decider — the search manager or the feedback
-     * controller (null for fixed-policy configurations). */
-    const EpochDecider *decider() const { return _manager.get(); }
-
-  private:
-    const PlatformModel &_platform;
-    WorkloadSpec _spec;
-    RuntimeConfig _config;
-    QosConstraint _qos;
-
-    /** Persistent decider (see manager()/decider()). Its internal
-     * state mutates during decisions, so concurrent run() calls on
-     * one runtime instance are not safe. */
-    std::unique_ptr<EpochDecider> _manager;
-
-    /** _manager, when it is the search path (see manager()). */
-    PolicyManager *_searchManager = nullptr;
-
-    /**
-     * Rebuild recently logged job events as an evaluation log with the
-     * offered load rescaled to the predicted utilization. Gaps between
-     * consecutive logged arrivals are preserved in shape and scaled so
-     * the log's offered load matches the prediction.
-     */
-    std::vector<Job> buildEvalLog(const std::vector<Job> &history,
-                                  double predicted) const;
-};
 
 } // namespace sleepscale
 

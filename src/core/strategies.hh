@@ -2,8 +2,9 @@
  * @file
  * The named power-management strategies compared in the paper's Figure 9.
  *
- * Every strategy is a RuntimeConfig for the shared SleepScaleRuntime, so
- * comparisons use identical workload feeds, accounting, and predictors:
+ * Every strategy is a RuntimeConfig for the one epoch loop (FarmRuntime,
+ * which SleepScaleRuntime runs on one server), so comparisons use
+ * identical workload feeds, accounting, and predictors:
  *
  *  - SS:       full SleepScale (all five states x frequency grid).
  *  - SS(C3):   SleepScale restricted to the single state C3S0(i).

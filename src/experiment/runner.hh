@@ -3,9 +3,10 @@
  * Scenario execution and sweep-grid expansion.
  *
  * ExperimentRunner is the single entry point over the three engines
- * (SleepScaleRuntime, FarmRuntime, MulticoreSim). It executes
- * ScenarioSpecs — one or a whole parameter grid — on a worker pool and
- * returns uniform ScenarioResults for table/CSV export:
+ * (SleepScaleRuntime, a one-server FarmRuntime; FarmRuntime; and
+ * MulticoreSim). It executes ScenarioSpecs — one or a whole parameter
+ * grid — on a worker pool and returns uniform ScenarioResults for
+ * table/CSV export:
  *
  *   ExperimentRunner runner;
  *   runner.addGrid(base, {sweepEpochMinutes({1, 5, 10, 15}),

@@ -39,7 +39,7 @@ namespace sleepscale {
 /** Which engine executes a scenario. */
 enum class EngineKind
 {
-    SingleServer, ///< SleepScaleRuntime: one epoch-controlled server.
+    SingleServer, ///< SleepScaleRuntime: a one-server FarmRuntime.
     Farm,         ///< FarmRuntime: dispatched multi-server farm.
     Multicore,    ///< MulticoreSim: package-gated multi-core part.
 };

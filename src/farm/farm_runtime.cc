@@ -297,6 +297,20 @@ closeLogEpoch(std::vector<Job> &history, std::deque<std::size_t> &counts,
                   history.begin() + static_cast<std::ptrdiff_t>(drop));
 }
 
+/** The farm a single-server runtime runs on: one server under
+ * farm-wide control, so the farm-level report stream is its own. */
+FarmRuntimeConfig
+singleServerFarm(RuntimeConfig config)
+{
+    FarmRuntimeConfig farm;
+    farm.farmSize = 1;
+    farm.dispatcher = "round-robin";
+    farm.control = "farm-wide";
+    farm.decisionThreads = 1;
+    farm.perServer = std::move(config);
+    return farm;
+}
+
 /** Whether a harvested window (an epoch's, or a server's whole-run
  * total) met the QoS budget. An empty window never qualifies: it has
  * no response statistic, so it neither arms the over-provisioning
@@ -789,11 +803,10 @@ FarmRuntime::run(JobSource &source, const UtilizationTrace &trace,
                         group.decided = false;
                         if (group.starved)
                             return;
-                        // Rescale the log to the predicted per-server
-                        // load (shape-preserving gap scaling, as in the
-                        // single-server runtime's buildEvalLog, over a
-                        // rolling history rather than epoch buckets).
-                        // The O(1) deciders need only a closed epoch.
+                        // Rescale the log (the last historyEpochs
+                        // epochs, trimmed at close) to the predicted
+                        // per-server load. The O(1) deciders need only
+                        // a closed epoch.
                         std::vector<Job> log;
                         if (needs_log) {
                             log = rescaleHistoryToPrediction(
@@ -899,6 +912,34 @@ FarmRuntime::run(JobSource &source, const UtilizationTrace &trace,
             windowWithinBudget(_qos, result.servers[i].total);
     }
     return result;
+}
+
+SleepScaleRuntime::SleepScaleRuntime(const PlatformModel &platform,
+                                     const WorkloadSpec &spec,
+                                     RuntimeConfig config)
+    : _farm(platform, spec, singleServerFarm(std::move(config)))
+{
+}
+
+RuntimeResult
+SleepScaleRuntime::run(JobSource &source, const UtilizationTrace &trace,
+                       UtilizationPredictor &predictor) const
+{
+    FarmRuntimeResult farm = _farm.run(source, trace, predictor);
+    RuntimeResult result;
+    result.epochs = std::move(farm.epochs);
+    result.total = std::move(farm.total);
+    result.qos = farm.qos;
+    return result;
+}
+
+RuntimeResult
+SleepScaleRuntime::run(const std::vector<Job> &jobs,
+                       const UtilizationTrace &trace,
+                       UtilizationPredictor &predictor) const
+{
+    VectorSource source = VectorSource::view(jobs);
+    return run(source, trace, predictor);
 }
 
 } // namespace sleepscale

@@ -27,13 +27,16 @@
  *    predictor input. The cheapest mode per epoch and the only one
  *    with no farm-global state at all.
  *
- * All three modes run one epoch loop. Farm-wide control is per-server
- * control with one shared decider: it is fed by server 0's routed jobs
- * and observes the farm-merged window, and its policy goes to every
- * server. The loop also applies the degraded-mode fallback
- * (docs/FAULTS.md) for every decider: a decider starved by an outage
- * is not asked, and under faults an infeasible decision is replaced
- * by the safe fixed policy.
+ * All three modes run one epoch loop, the only one in the library.
+ * Farm-wide control is per-server control with one shared decider: it
+ * is fed by server 0's routed jobs and observes the farm-merged window,
+ * and its policy goes to every server. The loop also applies the
+ * degraded-mode fallback (docs/FAULTS.md) for every decider: a decider
+ * starved by an outage is not asked, and under faults an infeasible
+ * decision is replaced by the safe fixed policy.
+ *
+ * The paper's single-server runtime (SleepScaleRuntime, below) is this
+ * loop on a one-server farm under farm-wide control.
  *
  * In the symmetric homogeneous case farm-wide and per-server control
  * make statistically identical decisions (pinned by
@@ -48,11 +51,15 @@
 #include <string>
 #include <vector>
 
+#include "core/policy_manager.hh"
+#include "core/predictor.hh"
 #include "core/runtime.hh"
 #include "farm/server_farm.hh"
 #include "fault/fault_source.hh"
+#include "power/platform_model.hh"
 #include "workload/job_source.hh"
 #include "workload/utilization_trace.hh"
+#include "workload/workload_spec.hh"
 
 namespace sleepscale {
 
@@ -388,6 +395,50 @@ class FarmRuntime
 
     /** Whether config.control selects autonomous per-server control. */
     bool perServerControl() const;
+};
+
+/**
+ * The paper's single-server runtime (Sections 5.2 and 6): a one-server
+ * farm under farm-wide control. At each epoch boundary it forecasts the
+ * upcoming load, rescales the logged jobs of the last historyEpochs
+ * epochs to that forecast, lets the decider pick the cheapest
+ * QoS-feasible policy, raises its frequency by (1 + α) when the epoch
+ * just past met its budget (Section 5.2.3), and runs the epoch under it
+ * with the backlog carried over. Fixed-policy strategies (race-to-halt)
+ * run through the same loop with the decision pinned.
+ */
+class SleepScaleRuntime
+{
+  public:
+    /**
+     * @param platform Power model (not owned; must outlive the runtime).
+     * @param spec Workload characterization.
+     * @param config Runtime knobs, validated as FarmRuntime validates
+     *        its per-server knobs.
+     */
+    SleepScaleRuntime(const PlatformModel &platform,
+                      const WorkloadSpec &spec, RuntimeConfig config);
+
+    /**
+     * Run the full trace, pulling arrivals from a streaming source in
+     * O(epoch + history) job memory (see FarmRuntime::run).
+     */
+    RuntimeResult run(JobSource &source, const UtilizationTrace &trace,
+                      UtilizationPredictor &predictor) const;
+
+    /** Run a materialized job list; results are identical. */
+    RuntimeResult run(const std::vector<Job> &jobs,
+                      const UtilizationTrace &trace,
+                      UtilizationPredictor &predictor) const;
+
+    /** The QoS constraint derived from the configuration. */
+    const QosConstraint &qos() const { return _farm.qos(); }
+
+    /** The search policy manager (see FarmRuntime::manager()). */
+    const PolicyManager *manager() const { return _farm.manager(); }
+
+  private:
+    FarmRuntime _farm;
 };
 
 /**

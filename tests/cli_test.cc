@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "core/runtime.hh"
+#include "farm/farm_runtime.hh"
 #include "power/platform_model.hh"
 #include "util/cli_args.hh"
 #include "util/error.hh"

@@ -21,6 +21,7 @@
 #include "core/strategies.hh"
 #include "experiment/runner.hh"
 #include "experiment/scenario.hh"
+#include "farm/farm_runtime.hh"
 #include "power/platform_model.hh"
 #include "util/rng.hh"
 #include "workload/job_stream.hh"

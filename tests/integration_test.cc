@@ -14,6 +14,7 @@
 #include "analytic/mm1_sleep.hh"
 #include "core/runtime.hh"
 #include "core/strategies.hh"
+#include "farm/farm_runtime.hh"
 #include "power/platform_model.hh"
 #include "util/rng.hh"
 #include "workload/job_stream.hh"
