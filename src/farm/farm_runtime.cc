@@ -268,7 +268,7 @@ rescaleHistoryToPrediction(const std::vector<Job> &history,
  * `counts` holds the jobs each kept epoch contributes, oldest first.
  */
 void
-closeLogEpoch(std::vector<Job> &history, std::deque<std::size_t> &counts,
+closeLogEpoch(std::vector<Job> &history, std::vector<std::size_t> &counts,
               std::size_t epochs, std::size_t cap)
 {
     std::size_t kept = 0;
@@ -278,7 +278,7 @@ closeLogEpoch(std::vector<Job> &history, std::deque<std::size_t> &counts,
     std::size_t drop = 0;
     while (counts.size() > epochs) {
         drop += counts.front();
-        counts.pop_front();
+        counts.erase(counts.begin());
     }
     if (history.size() - drop > cap) {
         // Deduct the capped jobs from the oldest epochs' counts so the
@@ -290,7 +290,7 @@ closeLogEpoch(std::vector<Job> &history, std::deque<std::size_t> &counts,
             counts.front() -= take;
             excess -= take;
             if (counts.front() == 0)
-                counts.pop_front();
+                counts.erase(counts.begin());
         }
     }
     history.erase(history.begin(),
@@ -342,7 +342,7 @@ applyOverProvision(Policy &policy, double alpha, bool last_within)
 struct DecisionGroup
 {
     std::vector<Job> history;     ///< Rolling log (log-based deciders).
-    std::deque<std::size_t> historyCounts; ///< Its jobs per kept epoch.
+    std::vector<std::size_t> historyCounts; ///< Its jobs per kept epoch.
     std::uint64_t logged = 0;     ///< Jobs admitted to the feeding server.
     std::uint64_t loggedMark = 0; ///< `logged` at the last decision.
     double downMark = 0.0;        ///< Its downtime at the last decision.

@@ -321,9 +321,10 @@ class FarmRuntime
      *
      * Jobs are pulled epoch by epoch with one-job lookahead; the only
      * job buffers are the decision logs (the thinned farm-wide log, or
-     * one log per server under per-server control, each capped at
-     * evalLogCap) and the lookahead itself, so a million-job day
-     * streams in O(history) memory with no full-trace materialization.
+     * one log per server under per-server control, each holding the
+     * last historyEpochs epochs and at most evalLogCap jobs) and the
+     * lookahead itself, so a million-job day streams in O(history)
+     * memory with no full-trace materialization.
      *
      * @param source Aggregate arrivals (consumed); the trace's
      *             utilization is the *per-server* offered load (total
