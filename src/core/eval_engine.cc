@@ -1,5 +1,7 @@
 #include "core/eval_engine.hh"
 
+#include <algorithm>
+#include <array>
 #include <cmath>
 #include <limits>
 
@@ -39,11 +41,7 @@ PolicyEvalEngine::PolicyEvalEngine(const PlatformModel &platform,
     if (_options.threads != 1)
         _pool = std::make_unique<ThreadPool>(_options.threads);
     const std::size_t lanes = _pool ? _pool->size() : 1;
-    _arenas.reserve(lanes);
-    for (std::size_t lane = 0; lane < lanes; ++lane) {
-        _arenas.push_back(
-            std::make_unique<ServerSim>(_platform, _scaling, Policy{}));
-    }
+    _tails.assign(lanes * replayWidth, SimStats{}.responseHistogram);
     _outcomes.resize(_space.size());
 }
 
@@ -70,24 +68,57 @@ PolicyEvalEngine::minStableFrequency(double rho) const
 }
 
 void
-PolicyEvalEngine::evaluateCandidate(std::size_t index,
-                                    const PreparedLog &log,
-                                    std::size_t lane, bool record_tail)
+PolicyEvalEngine::evaluateBlock(std::span<const std::uint32_t> block,
+                                const PreparedLog &log, std::size_t lane)
 {
-    Outcome &outcome = _outcomes[index];
-    if (outcome.evaluated)
-        return;
-    const std::size_t freq_idx = index % _space.frequencies.size();
-    ServerSim &arena = *_arenas[lane];
-    arena.reset(_space.frequencies[freq_idx], _materialized[index]);
-    const SimStats &stats = arena.replay(log, record_tail);
-    outcome.power = stats.avgPower();
-    outcome.metric = _qos.measuredValue(stats);
-    outcome.evaluated = true;
+    const std::size_t freqs = _space.frequencies.size();
+    const std::size_t width = block.size();
+    std::array<ReplayCandidate, replayWidth> lanes;
+    for (std::size_t j = 0; j < width; ++j) {
+        const double f = _space.frequencies[block[j] % freqs];
+        lanes[j] = ReplayCandidate::of(_materialized[block[j]], _platform,
+                                       _scaling, f);
+    }
+    const bool tail = _qos.metric() == QosMetric::TailResponse;
+    const std::span<QuantileHistogram> tails =
+        tail ? std::span(_tails).subspan(lane * replayWidth, width)
+             : std::span<QuantileHistogram>{};
+    std::array<ReplayOutcome, replayWidth> replayed;
+    replayBlock(log, std::span(lanes).first(width),
+                std::span(replayed).first(width), tails);
+
+    for (std::size_t j = 0; j < width; ++j) {
+        Outcome &outcome = _outcomes[block[j]];
+        outcome.power = replayed[j].avgPower;
+        outcome.metric = tail ? tails[j].percentile(_qos.quantile())
+                              : replayed[j].meanResponse;
+        outcome.evaluated = true;
+    }
+}
+
+void
+PolicyEvalEngine::evaluateCandidates(const PreparedLog &log)
+{
+    // Consecutive candidates share a block; blocks, not candidates, fan
+    // out across the pool.
+    const std::size_t count = _candidates.size();
+    const std::size_t blocks = (count + replayWidth - 1) / replayWidth;
+    auto evaluate = [&](std::size_t b, std::size_t lane) {
+        const std::size_t first = b * replayWidth;
+        evaluateBlock(std::span(_candidates)
+                          .subspan(first, std::min(replayWidth,
+                                                   count - first)),
+                      log, lane);
+    };
+    if (_pool)
+        _pool->parallelFor(blocks, evaluate);
+    else
+        for (std::size_t b = 0; b < blocks; ++b)
+            evaluate(b, 0);
 }
 
 PolicyDecision
-PolicyEvalEngine::reduce(std::uint64_t evaluated) const
+PolicyEvalEngine::reduce() const
 {
     // Scan outcomes in candidate-index order — the same plan-major,
     // grid-order walk the serial nested loop performs — with strict
@@ -100,11 +131,13 @@ PolicyEvalEngine::reduce(std::uint64_t evaluated) const
     double fallback_metric = std::numeric_limits<double>::infinity();
     std::size_t best_index = 0;
     std::size_t fallback_index = 0;
+    std::uint64_t evaluated = 0;
 
     for (std::size_t index = 0; index < _outcomes.size(); ++index) {
         const Outcome &outcome = _outcomes[index];
         if (!outcome.evaluated)
             continue;
+        ++evaluated;
         if (outcome.metric <= _qos.budget() &&
             outcome.power < best_power) {
             best_power = outcome.power;
@@ -121,6 +154,10 @@ PolicyEvalEngine::reduce(std::uint64_t evaluated) const
         }
     }
 
+    fatalIf(evaluated == 0,
+            "PolicyEvalEngine::selectFromLog: no stable candidate; "
+            "offered load too high for the frequency grid");
+
     PolicyDecision decision = best.feasible ? best : fallback;
     const std::size_t winner = best.feasible ? best_index : fallback_index;
     decision.policy = Policy{_space.frequencies[winner % freqs],
@@ -130,8 +167,7 @@ PolicyEvalEngine::reduce(std::uint64_t evaluated) const
 }
 
 PolicyDecision
-PolicyEvalEngine::exhaustiveSearch(const PreparedLog &log, double f_floor,
-                                   bool record_tail)
+PolicyEvalEngine::exhaustiveSearch(const PreparedLog &log, double f_floor)
 {
     const std::size_t freqs = _space.frequencies.size();
     _candidates.clear();
@@ -140,28 +176,12 @@ PolicyEvalEngine::exhaustiveSearch(const PreparedLog &log, double f_floor,
             !_outcomes[index].evaluated)
             _candidates.push_back(static_cast<std::uint32_t>(index));
     }
-
-    auto evaluate = [&](std::size_t i, std::size_t lane) {
-        evaluateCandidate(_candidates[i], log, lane, record_tail);
-    };
-    if (_pool)
-        _pool->parallelFor(_candidates.size(), evaluate);
-    else
-        for (std::size_t i = 0; i < _candidates.size(); ++i)
-            evaluate(i, 0);
-
-    std::uint64_t evaluated = 0;
-    for (const Outcome &outcome : _outcomes)
-        evaluated += outcome.evaluated ? 1 : 0;
-    fatalIf(evaluated == 0,
-            "PolicyEvalEngine::selectFromLog: no stable candidate; "
-            "offered load too high for the frequency grid");
-    return reduce(evaluated);
+    evaluateCandidates(log);
+    return reduce();
 }
 
 PolicyDecision
-PolicyEvalEngine::prunedSearch(const PreparedLog &log, double f_floor,
-                               bool record_tail)
+PolicyEvalEngine::prunedSearch(const PreparedLog &log, double f_floor)
 {
     const std::size_t freqs = _space.frequencies.size();
     const std::size_t plans = _space.plans.size();
@@ -181,18 +201,22 @@ PolicyEvalEngine::prunedSearch(const PreparedLog &log, double f_floor,
 
     // Phase A: per plan, binary-search the first feasible frequency
     // (the QoS metric is assumed nonincreasing in f within a plan).
+    // Each probe depends on the last, so probes run as one-candidate
+    // blocks.
     std::vector<std::size_t> boundary(plans, freqs); // freqs = none.
     auto search_plan = [&](std::size_t p, std::size_t lane) {
-        const std::size_t base = p * freqs;
+        auto feasible = [&](std::size_t k) {
+            const auto index = static_cast<std::uint32_t>(p * freqs + k);
+            evaluateBlock({&index, 1}, log, lane);
+            return _outcomes[index].metric <= _qos.budget();
+        };
         std::size_t lo = first_stable;
         std::size_t hi = freqs - 1;
-        evaluateCandidate(base + hi, log, lane, record_tail);
-        if (_outcomes[base + hi].metric > _qos.budget())
+        if (!feasible(hi))
             return; // Even f_max misses the budget: nothing feasible.
         while (lo < hi) {
             const std::size_t mid = lo + (hi - lo) / 2;
-            evaluateCandidate(base + mid, log, lane, record_tail);
-            if (_outcomes[base + mid].metric <= _qos.budget())
+            if (feasible(mid))
                 hi = mid;
             else
                 lo = mid + 1;
@@ -224,22 +248,10 @@ PolicyEvalEngine::prunedSearch(const PreparedLog &log, double f_floor,
     if (!any_feasible) {
         // Best-effort fallback must match exhaustive search exactly, so
         // characterize the whole stable set.
-        return exhaustiveSearch(log, f_floor, record_tail);
+        return exhaustiveSearch(log, f_floor);
     }
-
-    auto evaluate = [&](std::size_t i, std::size_t lane) {
-        evaluateCandidate(_candidates[i], log, lane, record_tail);
-    };
-    if (_pool)
-        _pool->parallelFor(_candidates.size(), evaluate);
-    else
-        for (std::size_t i = 0; i < _candidates.size(); ++i)
-            evaluate(i, 0);
-
-    std::uint64_t evaluated = 0;
-    for (const Outcome &outcome : _outcomes)
-        evaluated += outcome.evaluated ? 1 : 0;
-    return reduce(evaluated);
+    evaluateCandidates(log);
+    return reduce();
 }
 
 PolicyDecision
@@ -247,15 +259,13 @@ PolicyEvalEngine::selectFromPrepared(const PreparedLog &log)
 {
     const double rho = log.offeredLoad();
     const double f_floor = minStableFrequency(rho);
-    const bool record_tail =
-        _qos.metric() == QosMetric::TailResponse;
 
     for (Outcome &outcome : _outcomes)
         outcome = Outcome{};
 
-    const PolicyDecision decision =
-        _options.pruned ? prunedSearch(log, f_floor, record_tail)
-                        : exhaustiveSearch(log, f_floor, record_tail);
+    const PolicyDecision decision = _options.pruned
+                                        ? prunedSearch(log, f_floor)
+                                        : exhaustiveSearch(log, f_floor);
     _lifetimeEvaluations += decision.evaluated;
     return decision;
 }

@@ -10,10 +10,12 @@
  *     materialized against the platform once at construction — the
  *     policy space is static, so per-epoch selections reuse it instead
  *     of re-binding every candidate every epoch.
- *  2. Reusable simulation arenas: one ServerSim per pool lane, driven
- *     through the reset-and-replay path over a PreparedLog, so a
- *     candidate evaluation performs zero heap allocation.
- *  3. Parallel candidate fan-out on a shared ThreadPool with outcomes
+ *  2. Block replay: candidates are packed into blocks of replayWidth
+ *     and each block is characterized by one replayBlock() pass over a
+ *     PreparedLog, so the candidates' independent dependency chains
+ *     overlap in the pipeline. A lane's outcome does not depend on its
+ *     block or lane position, and the kernel allocates nothing.
+ *  3. Parallel block fan-out on a shared ThreadPool with outcomes
  *     stored by candidate index and reduced in index order, so a
  *     parallel selection bit-matches the serial one.
  *  4. An opt-in pruned mode that exploits the QoS metric's (typical)
@@ -26,11 +28,11 @@
  * An engine instance is NOT thread-safe: it owns per-call scratch state.
  * Use one engine per concurrently running controller. Internally the
  * fan-out shares state without locks by construction — each lane owns
- * one simulation arena exclusively for the whole parallelFor, and
- * outcomes land in a candidate-indexed table that is only reduced (in
- * index order) after the fan-out joins. docs/CONCURRENCY.md documents
- * the discipline; the TSan CI job and tools/lint_determinism.py
- * enforce it.
+ * its replayWidth tail histograms exclusively for the whole
+ * parallelFor, and outcomes land in a candidate-indexed table that is
+ * only reduced (in index order) after the fan-out joins.
+ * docs/CONCURRENCY.md documents the discipline; the TSan CI job and
+ * tools/lint_determinism.py enforce it.
  */
 
 #ifndef SLEEPSCALE_CORE_EVAL_ENGINE_HH
@@ -38,12 +40,14 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "core/policy_space.hh"
 #include "core/qos.hh"
 #include "power/platform_model.hh"
 #include "sim/server_sim.hh"
+#include "util/quantile_histogram.hh"
 #include "util/thread_pool.hh"
 #include "workload/job.hh"
 #include "workload/workload_spec.hh"
@@ -160,13 +164,14 @@ class PolicyEvalEngine
      * whole policy space, built once at construction. */
     std::vector<MaterializedPlan> _materialized;
 
-    /** One reusable simulation arena per pool lane. During a fan-out,
-     * arena `i` is touched exclusively by lane `i` (ThreadPool's lane
-     * index is stable for the whole parallelFor), so arenas need no
-     * locks — the machine-checked analogue is the pool's own
-     * GUARDED_BY discipline; the arena discipline is covered by the
-     * TSan CI job. */
-    std::vector<std::unique_ptr<ServerSim>> _arenas;
+    /** Response-tail histograms, replayWidth per pool lane (lane `i`
+     * owns [i * replayWidth, (i + 1) * replayWidth)), configured like
+     * SimStats::responseHistogram. Only tail-QoS searches feed them, so
+     * mean-QoS engines never allocate their buckets. During a fan-out
+     * lane `i`'s histograms are touched exclusively by lane `i`
+     * (ThreadPool's lane index is stable for the whole parallelFor), so
+     * they need no locks; the TSan CI job covers the discipline. */
+    std::vector<QuantileHistogram> _tails;
 
     /** Shared fan-out pool (absent when options.threads == 1). */
     std::unique_ptr<ThreadPool> _pool;
@@ -183,13 +188,13 @@ class PolicyEvalEngine
 
     std::uint64_t _lifetimeEvaluations = 0;
 
-    void evaluateCandidate(std::size_t index, const PreparedLog &log,
-                           std::size_t lane, bool record_tail);
-    PolicyDecision exhaustiveSearch(const PreparedLog &log, double f_floor,
-                                    bool record_tail);
-    PolicyDecision prunedSearch(const PreparedLog &log, double f_floor,
-                                bool record_tail);
-    PolicyDecision reduce(std::uint64_t evaluated) const;
+    void evaluateBlock(std::span<const std::uint32_t> block,
+                       const PreparedLog &log, std::size_t lane);
+    void evaluateCandidates(const PreparedLog &log);
+    PolicyDecision exhaustiveSearch(const PreparedLog &log,
+                                    double f_floor);
+    PolicyDecision prunedSearch(const PreparedLog &log, double f_floor);
+    PolicyDecision reduce() const;
 };
 
 } // namespace sleepscale

@@ -8,9 +8,9 @@
  * return the one that minimizes average power subject to the QoS
  * constraint. Log-driven selection is delegated to the batched
  * PolicyEvalEngine (eval_engine.hh), which caches the materialized policy
- * space and evaluates candidates on reusable, optionally parallel
- * simulation arenas; closed-form selection evaluates the M/M/1 model
- * directly.
+ * space and characterizes candidates in blocks through the block-replay
+ * kernel, optionally in parallel; closed-form selection evaluates the
+ * M/M/1 model directly.
  */
 
 #ifndef SLEEPSCALE_CORE_POLICY_MANAGER_HH
@@ -63,8 +63,8 @@ class PolicyManager : public EpochDecider
      *
      * const in the logical sense: the decision depends only on the log
      * and the construction-time configuration. The engine's internal
-     * caches and arenas do mutate, so concurrent calls on one manager
-     * are not safe — use one manager per concurrent controller.
+     * caches and scratch state do mutate, so concurrent calls on one
+     * manager are not safe — use one manager per concurrent controller.
      *
      * @param log Arrival-ordered jobs; needs at least two jobs.
      */

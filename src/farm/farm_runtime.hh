@@ -13,7 +13,7 @@
  *    symmetric dispatchers over identical servers, and cheap: the
  *    queueing characterization runs once per epoch.
  *  - "per-server": every back-end owns its own PolicyManager (whose
- *    eval-engine plan cache and arenas persist across epochs) fed by
+ *    eval-engine plan cache persists across epochs) fed by
  *    the jobs the dispatcher actually routed to it. Decisions fan out
  *    across a thread pool each epoch and are applied in deterministic
  *    server-index order, so any pool width reproduces the serial run.
@@ -354,7 +354,7 @@ class FarmRuntime
     /** The shared farm-wide search policy manager (null for
      * fixed-policy, per-server, or controller configurations).
      * Persistent across epochs and runs so the evaluation engine's
-     * plan cache and arenas are reused. */
+     * plan cache is reused. */
     const PolicyManager *manager() const;
 
     /** One server's autonomous search policy manager (per-server

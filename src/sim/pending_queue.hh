@@ -7,9 +7,8 @@
  * (at admission, thanks to FCFS) and the window boundary that absorbs
  * it. A std::deque pays a heap allocation every few hundred entries and
  * scatters the pairs across map blocks; this ring keeps them in one
- * contiguous power-of-two slab that survives reset(), so steady-state
- * simulation — and in particular the policy-evaluation engine's
- * reset-and-replay arenas — pushes and pops with zero heap traffic.
+ * contiguous power-of-two slab that only grows, so steady-state
+ * simulation pushes and pops with zero heap traffic.
  */
 
 #ifndef SLEEPSCALE_SIM_PENDING_QUEUE_HH
@@ -27,7 +26,7 @@ struct PendingDeparture
     double response = 0.0; ///< Response time of the departing job.
 };
 
-/** FIFO ring of PendingDepartures; capacity persists across reset(). */
+/** FIFO ring of PendingDepartures; capacity only grows. */
 class PendingQueue
 {
   public:
@@ -52,14 +51,6 @@ class PendingQueue
     {
         _head = (_head + 1) & _mask;
         --_count;
-    }
-
-    /** Forget all entries but keep the allocated slab. */
-    void
-    reset()
-    {
-        _head = 0;
-        _count = 0;
     }
 
   private:

@@ -8,20 +8,24 @@
  * charged at active power. Instead of a general event calendar it exploits
  * the FCFS structure: the entire server state is the time the queue next
  * empties, so each arrival is processed in O(plan stages) and energy is
- * integrated piecewise-analytically between events. That makes candidate-
- * policy evaluation cheap enough to run hundreds of times per epoch, which
- * is the premise of SleepScale's runtime policy manager.
+ * integrated piecewise-analytically between events.
  *
- * Beyond the paper's one-shot evaluator, ServerSim supports continuous
- * operation: windowed statistics harvesting (for per-epoch reporting) and
- * mid-run policy switches with queue backlog carried across the switch
- * (needed by the runtime, where a mispredicted epoch leaves a backlog that
- * must propagate into the next one).
+ * ServerSim itself is the continuous form: windowed statistics
+ * harvesting (for per-epoch reporting) and mid-run policy switches with
+ * queue backlog carried across the switch (needed by the runtime, where a
+ * mispredicted epoch leaves a backlog that must propagate into the next
+ * one). The policy search instead scores candidates with replayBlock(),
+ * the same FCFS accounting reduced to what a decision reads (average
+ * power, mean or tail response) and run for replayWidth candidates side
+ * by side in one pass over a PreparedLog. That makes candidate-policy
+ * evaluation cheap enough to run hundreds of times per epoch, which is
+ * the premise of SleepScale's runtime policy manager.
  */
 
 #ifndef SLEEPSCALE_SIM_SERVER_SIM_HH
 #define SLEEPSCALE_SIM_SERVER_SIM_HH
 
+#include <span>
 #include <vector>
 
 #include "power/platform_model.hh"
@@ -29,6 +33,7 @@
 #include "sim/policy.hh"
 #include "sim/sim_stats.hh"
 #include "sim/sleep_plan.hh"
+#include "util/quantile_histogram.hh"
 #include "workload/job.hh"
 #include "workload/workload_spec.hh"
 
@@ -37,26 +42,27 @@ namespace sleepscale {
 /**
  * A job log preprocessed for repeated candidate evaluation.
  *
- * Splits the jobs into structure-of-arrays form (better locality for the
- * replay loop, which never needs both fields of a Job at once) and keeps
- * prefix sums of the job sizes so aggregate demand over any suffix or
- * prefix of the log — offered load, mean size — is O(1). Validated once
- * at construction so the per-candidate replay runs check-free.
+ * Splits the jobs into structure-of-arrays form (replayBlock() streams
+ * both arrays once per block of candidates) and keeps the total demand,
+ * so offered load and mean size are O(1). Validated once at construction
+ * — finite, non-negative, arrival-ordered — so the replay kernel runs
+ * check-free.
  */
 struct PreparedLog
 {
     std::vector<double> arrival; ///< Arrival times, non-decreasing.
     std::vector<double> size;    ///< Job sizes (seconds at f = 1).
-    std::vector<double> cumSize; ///< cumSize[i] = size[0] + ... + size[i].
+    double demand = 0.0; ///< size[0] + ... + size[n-1], summed in order.
 
-    /** Preprocess an arrival-ordered job list (needs >= 1 job). */
+    /** Preprocess an arrival-ordered job list (needs >= 1 job, every
+     * arrival and size finite and >= 0; ConfigError otherwise). */
     static PreparedLog fromJobs(const std::vector<Job> &jobs);
 
     /** Number of jobs. */
     std::size_t count() const { return arrival.size(); }
 
     /** Total service demand, seconds at f = 1. */
-    double totalDemand() const { return cumSize.back(); }
+    double totalDemand() const { return demand; }
 
     /** Mean job size, seconds at f = 1. */
     double meanSize() const
@@ -68,6 +74,65 @@ struct PreparedLog
      * jobs and a positive span; fatal() otherwise). */
     double offeredLoad() const;
 };
+
+/** Candidates one replayBlock() pass characterizes side by side. */
+inline constexpr std::size_t replayWidth = 4;
+
+/** One candidate policy of a replay block, bound to its frequency. */
+struct ReplayCandidate
+{
+    /** The candidate's plan materialized at its frequency (not owned). */
+    const MaterializedPlan *plan = nullptr;
+
+    /** Service-time multiplier at the frequency (ServiceScaling). */
+    double serviceFactor = 1.0;
+
+    /** Busy power at the frequency, watts. */
+    double activePower = 0.0;
+
+    /** Bind `plan` (materialized at `frequency`) to its frequency's
+     * service factor and busy power. */
+    static ReplayCandidate of(const MaterializedPlan &plan,
+                              const PlatformModel &platform,
+                              ServiceScaling scaling, double frequency);
+};
+
+/** What replayBlock() reports for one candidate. */
+struct ReplayOutcome
+{
+    /** Energy over [0, last departure], divided by that span; 0 when
+     * the span is not positive. Equals SimStats::avgPower(). */
+    double avgPower = 0.0;
+
+    /** Exact streaming mean response time, seconds. */
+    double meanResponse = 0.0;
+};
+
+/**
+ * Characterize up to replayWidth candidates in one pass over a log.
+ *
+ * Each lane runs the paper's Algorithm 1 from an idle server at t = 0
+ * through the last departure — evaluatePolicy()'s accounting, bit for
+ * bit in mean response and tail, to rounding in power — but keeps only
+ * what a policy decision reads. The lanes are independent dependency
+ * chains updated with branch-free selects, so they overlap in the
+ * pipeline and vectorize; a lane's outcome does not depend on the other
+ * lanes or on its position in the block. Short blocks are padded
+ * internally; padding lanes are computed but never reported. Lanes may
+ * mix plans with different stage counts. Allocates nothing beyond the
+ * first sample of each tail histogram.
+ *
+ * @param log Preprocessed job log (at least one job).
+ * @param lanes 1 to replayWidth candidates.
+ * @param outcomes One slot per lane, overwritten.
+ * @param tails Empty to skip tail recording, else one histogram per lane
+ *        (configured like SimStats::responseHistogram), each reset and
+ *        then fed that lane's response times in job order.
+ */
+void replayBlock(const PreparedLog &log,
+                 std::span<const ReplayCandidate> lanes,
+                 std::span<ReplayOutcome> outcomes,
+                 std::span<QuantileHistogram> tails = {});
 
 /** Continuous FCFS single-server simulator with DVFS and sleep states. */
 class ServerSim
@@ -153,41 +218,6 @@ class ServerSim
 
     /** Whether per-completion tail histograms are being recorded. */
     bool recordTail() const { return _recordTail; }
-
-    /**
-     * Return to the t = 0 empty-queue state under the current policy,
-     * keeping every allocation (pending ring, histogram buckets), so
-     * the simulator can serve as a reusable evaluation arena.
-     */
-    void reset();
-
-    /**
-     * reset() and swap the operating point without re-materializing the
-     * plan: `plan` must be `policy.plan` materialized against this
-     * simulator's platform at `frequency`. Only the frequency of the
-     * stored Policy is updated — the abstract plan of policy() is NOT
-     * kept in sync (the materialized plan is authoritative here). This
-     * is the policy-evaluation engine's entry point; it performs zero
-     * heap allocation.
-     */
-    void reset(double frequency, const MaterializedPlan &plan);
-
-    /**
-     * Evaluate the current policy over a preprocessed log in one tight
-     * pass: the replay equivalent of offerJob()-per-job plus a closing
-     * advanceTo(nextFreeTime()), with identical accounting semantics
-     * but no per-job pending buffering, window flushing, or input
-     * re-validation. Requires a freshly reset() (or newly constructed)
-     * simulator; allocates nothing.
-     *
-     * @param log Preprocessed job log (at least one job).
-     * @param record_tail When false, skip the percentile histogram
-     *        (mean-only QoS searches don't need it); streaming moments
-     *        are always recorded.
-     * @return The accumulated window (valid until the next mutation).
-     */
-    const SimStats &replay(const PreparedLog &log,
-                           bool record_tail = true);
 
   private:
     const PlatformModel &_platform;

@@ -49,20 +49,4 @@ SimStats::merge(const SimStats &later)
     responseHistogram.merge(later.responseHistogram);
 }
 
-void
-SimStats::reset()
-{
-    windowStart = 0.0;
-    windowEnd = 0.0;
-    energy = 0.0;
-    busyTime = 0.0;
-    wakeTime = 0.0;
-    idleResidency.fill(0.0);
-    wakeups.fill(0);
-    arrivals = 0;
-    completions = 0;
-    response.reset();
-    responseHistogram.reset();
-}
-
 } // namespace sleepscale

@@ -72,12 +72,6 @@ struct SimStats
 
     /** Merge a later, adjacent window into this one. */
     void merge(const SimStats &later);
-
-    /**
-     * Forget everything but keep the histogram's bucket allocation, so
-     * a SimStats can serve as a reusable accumulation arena.
-     */
-    void reset();
 };
 
 } // namespace sleepscale

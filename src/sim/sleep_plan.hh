@@ -88,9 +88,10 @@ class SleepPlan
  *
  * Storage is fixed-capacity inline arrays (a plan has at most one stage
  * per low-power state), so a MaterializedPlan is trivially copyable and
- * copying one into a simulation arena allocates nothing. Stage lookup is
- * a binary search over the entry delays, and idle-energy integration is
- * O(log S) through cumulative-energy prefix sums.
+ * copying one allocates nothing. Stage lookup is a binary search over
+ * the entry delays, and idle-energy integration is O(log S) through
+ * cumulative-energy prefix sums; replayBlock() instead reads the stage
+ * arrays through the accessors and selects stages branch-free.
  */
 class MaterializedPlan
 {

@@ -59,7 +59,8 @@ class ThreadPool
      * items finish; the first exception recorded by any item is rethrown
      * after the loop completes (remaining items still run). The lane
      * index identifies the executing thread, so callers can maintain
-     * per-lane scratch state (e.g. simulation arenas) without locking.
+     * per-lane scratch state (e.g. the evaluation engine's tail
+     * histograms) without locking.
      *
      * Not reentrant: one parallelFor() at a time per pool, and the body
      * must not call back into the same pool.

@@ -7,8 +7,9 @@
 # are baked into CMakeLists.txt), builds everything (library, tests,
 # benches, examples), runs the full ctest suite, and — when Google
 # Benchmark was found — smoke-runs the policy-evaluation micro-bench
-# suite so a perf regression that breaks the bench binary (or tanks it
-# outright) fails CI rather than lingering until someone profiles.
+# suite and gates the search's speed-up over the naive per-candidate
+# loop, so a perf regression that breaks the bench binary (or tanks the
+# search) fails CI rather than lingering until someone profiles.
 # Then the static/dynamic analysis gates: the determinism lint, the
 # format conformance check, the doc lint, an ASan/UBSan pass over the
 # fast test labels, a TSan pass over the "concurrency" label, and —
@@ -24,13 +25,20 @@ cmake --build "$build_dir" -j "$(nproc 2>/dev/null || echo 4)"
 ctest --test-dir "$build_dir" --output-on-failure -j \
       "$(nproc 2>/dev/null || echo 4)"
 
-# Bench smoke: short measurement, machine-readable output. Skipped when
-# the benchmark library is absent (the target is then not built).
+# Bench smoke: short measurement, machine-readable output. Then the
+# search speed gate: the engine's full policy-space search must beat
+# the naive per-candidate loop (same process, same host) by at least
+# 15x. Both skipped when the benchmark library is absent (the target is
+# then not built).
 bench="$build_dir/bench_perf_policy_eval"
 if [ -x "$bench" ]; then
     "$bench" --benchmark_min_time=0.1 --benchmark_format=json \
              > "$build_dir/bench_policy_eval_smoke.json"
     echo "bench smoke OK: $build_dir/bench_policy_eval_smoke.json"
+    "$bench" --benchmark_filter='^BM_SelectFromLog(Naive)?$' \
+             --benchmark_format=json > "$build_dir/search_ratio.json"
+    python3 "$repo_root/tools/search_ratio_gate.py" \
+            "$build_dir/search_ratio.json" --min-ratio 15
 else
     echo "bench smoke skipped: $bench not built (no Google Benchmark)"
 fi
