@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Fail unless the batched policy search beats the naive loop by a floor.
 
-    bench_perf_policy_eval --benchmark_filter='^BM_SelectFromLog(Naive)?$' \\
+    bench_perf_policy_eval \\
+        --benchmark_filter='^BM_SelectFromLog(Naive)?$' \\
         --benchmark_format=json > search.json
     python3 tools/search_ratio_gate.py search.json [--min-ratio 15]
 
