@@ -4,21 +4,22 @@
     bench_perf_policy_eval \\
         --benchmark_filter='^BM_SelectFromLog(Naive)?$' \\
         --benchmark_format=json > search.json
-    python3 tools/search_ratio_gate.py search.json [--min-ratio 15]
+    python3 tools/search_ratio_gate.py search.json
 
 BM_SelectFromLog is the PolicyEvalEngine search over a 10k-job log;
 BM_SelectFromLogNaive is the pre-engine search, one fresh streaming
 ServerSim per candidate. Both run in one process on the same host, so
 their ratio carries across machines where absolute times do not. The
 gate fails (exit 1) unless Naive real time / engine real time is at
-least --min-ratio, or when either benchmark is missing. Standard
-library only.
+least MIN_RATIO, or when either benchmark is missing. Standard library
+only.
 """
 
 import argparse
 import json
 import sys
 
+MIN_RATIO = 15.0
 UNIT_NS = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
 
 
@@ -35,7 +36,6 @@ def real_time_ns(results, name):
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("results", help="Google Benchmark JSON output")
-    parser.add_argument("--min-ratio", type=float, default=15.0)
     args = parser.parse_args()
 
     with open(args.results, encoding="utf-8") as handle:
@@ -49,10 +49,10 @@ def main():
         return 1
 
     ratio = naive / engine
-    passed = ratio >= args.min_ratio
+    passed = ratio >= MIN_RATIO
     print("search ratio gate %s: naive %.2f ms / engine %.3f ms = %.1fx "
           "(floor %.1fx)" % ("OK" if passed else "FAILED", naive / 1e6,
-                             engine / 1e6, ratio, args.min_ratio))
+                             engine / 1e6, ratio, MIN_RATIO))
     return 0 if passed else 1
 
 
