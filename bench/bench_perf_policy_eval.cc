@@ -90,8 +90,8 @@ BENCHMARK(BM_PolicyManagerDecision);
 
 /** The engine's inner kernel: one replayBlock() pass over a prepared
  * 10k-job log with range(0) candidates — 1 (a lone candidate, e.g. a
- * pruned-search probe) or replayWidth (a full block). Items are
- * candidate-jobs, so the two rates compare per candidate. */
+ * one-plan pruned search's probe) or replayWidth (a full block). Items
+ * are candidate-jobs, so the two rates compare per candidate. */
 void
 BM_PreparedReplay10k(benchmark::State &state)
 {

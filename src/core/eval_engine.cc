@@ -90,8 +90,8 @@ PolicyEvalEngine::evaluateBlock(std::span<const std::uint32_t> block,
     for (std::size_t j = 0; j < width; ++j) {
         Outcome &outcome = _outcomes[block[j]];
         outcome.power = replayed[j].avgPower;
-        outcome.metric = tail ? tails[j].percentile(_qos.quantile())
-                              : replayed[j].meanResponse;
+        outcome.metric = _qos.measuredValue(
+            replayed[j].meanResponse, _tails[lane * replayWidth + j]);
         outcome.evaluated = true;
     }
 }
@@ -199,45 +199,46 @@ PolicyEvalEngine::prunedSearch(const PreparedLog &log, double f_floor)
             "PolicyEvalEngine::selectFromLog: no stable candidate; "
             "offered load too high for the frequency grid");
 
-    // Phase A: per plan, binary-search the first feasible frequency
-    // (the QoS metric is assumed nonincreasing in f within a plan).
-    // Each probe depends on the last, so probes run as one-candidate
-    // blocks.
-    std::vector<std::size_t> boundary(plans, freqs); // freqs = none.
-    auto search_plan = [&](std::size_t p, std::size_t lane) {
-        auto feasible = [&](std::size_t k) {
-            const auto index = static_cast<std::uint32_t>(p * freqs + k);
-            evaluateBlock({&index, 1}, log, lane);
-            return _outcomes[index].metric <= _qos.budget();
-        };
-        std::size_t lo = first_stable;
-        std::size_t hi = freqs - 1;
-        if (!feasible(hi))
-            return; // Even f_max misses the budget: nothing feasible.
-        while (lo < hi) {
-            const std::size_t mid = lo + (hi - lo) / 2;
-            if (feasible(mid))
-                hi = mid;
-            else
-                lo = mid + 1;
+    // Phase A: per plan, probe the top frequency, then binary-search
+    // the first feasible one (the QoS metric is assumed nonincreasing in
+    // f within a plan). A plan's probes depend on each other but the
+    // plans' searches do not, so they run in lockstep: each round packs
+    // one probe per unfinished plan into blocks. hi == freqs marks a
+    // plan whose top frequency is not probed yet; when a plan finishes,
+    // lo is its first feasible frequency, or freqs if there is none.
+    std::vector<std::size_t> lo(plans, first_stable);
+    std::vector<std::size_t> hi(plans, freqs);
+    for (;;) {
+        _candidates.clear();
+        for (std::size_t p = 0; p < plans; ++p) {
+            if (lo[p] >= hi[p])
+                continue;
+            const std::size_t k =
+                hi[p] == freqs ? freqs - 1 : lo[p] + (hi[p] - lo[p]) / 2;
+            _candidates.push_back(static_cast<std::uint32_t>(p * freqs + k));
         }
-        boundary[p] = lo;
-    };
-    if (_pool)
-        _pool->parallelFor(plans, search_plan);
-    else
-        for (std::size_t p = 0; p < plans; ++p)
-            search_plan(p, 0);
+        if (_candidates.empty())
+            break;
+        evaluateCandidates(log);
+        for (const std::uint32_t index : _candidates) {
+            const std::size_t p = index / freqs;
+            const std::size_t k = index % freqs;
+            if (_outcomes[index].metric <= _qos.budget())
+                hi[p] = k;
+            else
+                lo[p] = k + 1;
+        }
+    }
 
     // Phase B: characterize every feasible candidate (the suffix above
     // each plan's boundary) for the power reduction.
     _candidates.clear();
     bool any_feasible = false;
     for (std::size_t p = 0; p < plans; ++p) {
-        if (boundary[p] == freqs)
+        if (lo[p] == freqs)
             continue;
         any_feasible = true;
-        for (std::size_t k = boundary[p]; k < freqs; ++k) {
+        for (std::size_t k = lo[p]; k < freqs; ++k) {
             const std::size_t index = p * freqs + k;
             if (!_outcomes[index].evaluated)
                 _candidates.push_back(

@@ -21,9 +21,10 @@
  *  4. An opt-in pruned mode that exploits the QoS metric's (typical)
  *     monotonicity in frequency: per plan, the cheapest feasible
  *     frequency boundary is binary-searched and only the feasible
- *     suffix is characterized for power. When nothing is feasible the
- *     engine falls back to the exhaustive scan so the best-effort
- *     decision is still identical to exhaustive search.
+ *     suffix is characterized for power. The plans' searches advance
+ *     in lockstep, so each round's probes share blocks. When nothing
+ *     is feasible the engine falls back to the exhaustive scan so the
+ *     best-effort decision is still identical to exhaustive search.
  *
  * An engine instance is NOT thread-safe: it owns per-call scratch state.
  * Use one engine per concurrently running controller. Internally the

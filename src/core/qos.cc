@@ -68,11 +68,18 @@ QosConstraint::fromBaselineTail(double rho_b, double service_mean,
 double
 QosConstraint::measuredValue(const SimStats &stats) const
 {
+    return measuredValue(stats.meanResponse(), stats.responseHistogram);
+}
+
+double
+QosConstraint::measuredValue(double mean_response,
+                             const QuantileHistogram &responses) const
+{
     switch (_metric) {
       case QosMetric::MeanResponse:
-        return stats.meanResponse();
+        return mean_response;
       case QosMetric::TailResponse:
-        return stats.responsePercentile(_quantile);
+        return responses.percentile(_quantile);
     }
     panic("QosConstraint::measuredValue: unknown metric");
 }

@@ -17,6 +17,7 @@
 
 #include "analytic/mm1_sleep.hh"
 #include "sim/sim_stats.hh"
+#include "util/quantile_histogram.hh"
 
 namespace sleepscale {
 
@@ -72,6 +73,11 @@ class QosConstraint
 
     /** The measured statistic a simulation compares against the budget. */
     double measuredValue(const SimStats &stats) const;
+
+    /** The measured statistic from a mean response time and a response
+     * histogram; only the one the metric reads is used. */
+    double measuredValue(double mean_response,
+                         const QuantileHistogram &responses) const;
 
     /** Whether measured statistics meet the constraint. */
     bool satisfiedBy(const SimStats &stats) const;

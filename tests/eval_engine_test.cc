@@ -11,6 +11,7 @@
 #include <array>
 #include <cmath>
 #include <limits>
+#include <set>
 #include <span>
 #include <string>
 
@@ -364,6 +365,53 @@ TEST_F(EvalEngineTest, ParallelSelectionBitMatchesSerial)
 
 // ------------------------------------- pruned-vs-exhaustive equivalence
 
+/**
+ * How many candidates a plan-by-plan pruned search characterizes: per
+ * plan, a probe at the top frequency, then a binary search for the
+ * first feasible one, then its feasible suffix; the whole stable set
+ * when no plan is feasible. Metrics come from the streaming simulator.
+ */
+std::uint64_t
+serialPrunedEvaluations(const PlatformModel &platform,
+                        ServiceScaling scaling, const PolicySpace &space,
+                        const QosConstraint &constraint, double f_floor,
+                        const std::vector<Job> &log)
+{
+    const std::size_t freqs = space.frequencies.size();
+    std::size_t first_stable = 0;
+    while (space.frequencies[first_stable] < f_floor)
+        ++first_stable;
+    std::uint64_t evaluated = 0;
+    bool any_feasible = false;
+    for (const SleepPlan &plan : space.plans) {
+        std::set<std::size_t> characterized;
+        auto feasible = [&](std::size_t k) {
+            characterized.insert(k);
+            const PolicyEvaluation eval = evaluatePolicy(
+                platform, scaling, {space.frequencies[k], plan}, log);
+            return constraint.measuredValue(eval.stats) <=
+                   constraint.budget();
+        };
+        std::size_t lo = first_stable;
+        std::size_t hi = freqs - 1;
+        if (feasible(hi)) {
+            any_feasible = true;
+            while (lo < hi) {
+                const std::size_t mid = lo + (hi - lo) / 2;
+                if (feasible(mid))
+                    hi = mid;
+                else
+                    lo = mid + 1;
+            }
+            for (std::size_t k = lo; k < freqs; ++k)
+                characterized.insert(k);
+        }
+        evaluated += characterized.size();
+    }
+    return any_feasible ? evaluated
+                        : space.plans.size() * (freqs - first_stable);
+}
+
 TEST_F(EvalEngineTest, PrunedMatchesExhaustiveAcrossTable5Workloads)
 {
     const WorkloadSpec workloads[] = {dnsWorkload(), mailWorkload(),
@@ -387,8 +435,17 @@ TEST_F(EvalEngineTest, PrunedMatchesExhaustiveAcrossTable5Workloads)
                 const PolicyDecision a = exhaustive.selectFromLog(log);
                 const PolicyDecision b = pruned.selectFromLog(log);
                 expectIdenticalDecisions(a, b);
-                // Pruning must not characterize more than exhaustive.
+                // Pruning must not characterize more than exhaustive,
+                // and probing the plans in lockstep characterizes
+                // exactly what searching them one by one would.
                 EXPECT_LE(b.evaluated, a.evaluated)
+                    << spec.name << " rho=" << rho;
+                const double f_floor = pruned.minStableFrequency(
+                    PreparedLog::fromJobs(log).offeredLoad());
+                EXPECT_EQ(b.evaluated,
+                          serialPrunedEvaluations(
+                              xeon, spec.scaling, PolicySpace::standard(),
+                              constraint, f_floor, log))
                     << spec.name << " rho=" << rho;
             }
         }
@@ -438,8 +495,16 @@ TEST_F(EvalEngineTest, PrunedParallelCombinationMatchesSerial)
             const PolicyDecision serial_pruned = pruned.selectFromLog(log);
             const PolicyDecision decision = combined.selectFromLog(log);
             expectIdenticalDecisions(reference, decision);
-            // Pruning evaluates the same candidates at any width.
+            // Pruning evaluates the same candidates at any width, and
+            // as many as searching the plans one by one.
             EXPECT_EQ(serial_pruned.evaluated, decision.evaluated);
+            EXPECT_EQ(serial_pruned.evaluated,
+                      serialPrunedEvaluations(
+                          xeon, ServiceScaling::cpuBound(), space,
+                          constraint,
+                          pruned.minStableFrequency(
+                              PreparedLog::fromJobs(log).offeredLoad()),
+                          log));
             EXPECT_EQ(pruned.lifetimeEvaluations(),
                       combined.lifetimeEvaluations());
         }
