@@ -54,20 +54,18 @@ fmt(double value, int precision)
 }
 
 /** The shared single-server DNS-day scenario all sections start from. */
-ScenarioBuilder
+ScenarioSpec
 dayScenario(const std::string &label, const std::string &strategy,
             const std::string &workload)
 {
-    ScenarioBuilder builder(label);
-    builder.workload(workload)
-        .strategy(strategy)
-        .trace("es")
-        .traceDays(1)
-        .window(2, 20)
-        .epochMinutes(5)
-        .predictor("LC")
-        .seed(5);
-    return builder;
+    ScenarioSpec spec;
+    spec.label = label;
+    spec.workload = workload;
+    spec.trace = {.kind = "es", .windowStartHour = 2, .windowEndHour = 20};
+    spec.strategy = strategy;
+    spec.predictor = "LC";
+    spec.seed = 5;
+    return spec;
 }
 
 // --------------------------------------------------- 1. decision cost
@@ -83,11 +81,10 @@ CostRow
 decisionCost(const std::string &label, const std::string &strategy,
              bool pruned)
 {
-    ScenarioSpec spec = dayScenario("cost " + label, strategy, "dns")
-                            .prunedSearch(pruned)
-                            .recordDecisionTime()
-                            .replications(kReplications)
-                            .build();
+    ScenarioSpec spec = dayScenario("cost " + label, strategy, "dns");
+    spec.prunedSearch = pruned;
+    spec.recordDecisionTime = true;
+    spec.replications = kReplications;
     const ReplicatedResult result = ReplicationPlan(kReplications).run(spec);
     return {label, result.metric("decision_us_mean"),
             result.metric("decision_us_p99")};
@@ -108,13 +105,13 @@ struct BurstOutcome
 BurstOutcome
 burstConvergence()
 {
-    ScenarioSpec spec =
-        dayScenario("burst", "poet", "dns")
-            .source("bursty")
-            .sourceUtilization(0.2)
-            .burstiness(4.0, 120.0, 1800.0)
-            .captureEpochs()
-            .build();
+    ScenarioSpec spec = dayScenario("burst", "poet", "dns");
+    spec.source = "bursty";
+    spec.sourceUtilization = 0.2;
+    spec.burstRateFactor = 4.0;
+    spec.burstMeanLength = 120.0;
+    spec.burstMeanGap = 1800.0;
+    spec.captureEpochs = true;
     const ScenarioResult result = ExperimentRunner::runScenario(spec);
 
     BurstOutcome outcome;
@@ -176,15 +173,12 @@ PairedRow
 pairedDelta(const std::string &workload, bool pruned)
 {
     const std::string baseline = pruned ? "SS-pruned" : "SS";
-    ScenarioSpec poet =
-        dayScenario("poet " + workload, "poet", workload)
-            .replications(kReplications)
-            .build();
+    ScenarioSpec poet = dayScenario("poet " + workload, "poet", workload);
+    poet.replications = kReplications;
     ScenarioSpec search =
-        dayScenario(baseline + " " + workload, "SS", workload)
-            .prunedSearch(pruned)
-            .replications(kReplications)
-            .build();
+        dayScenario(baseline + " " + workload, "SS", workload);
+    search.prunedSearch = pruned;
+    search.replications = kReplications;
     const PairedComparison comparison =
         ReplicationPlan(kReplications).comparePaired(poet, search);
     return {workload,
@@ -210,19 +204,17 @@ farmScale(std::size_t servers)
 {
     // A short, lightly loaded window: the section measures decision
     // fan-out cost, which is independent of the job stream's length.
-    ScenarioSpec spec = ScenarioBuilder("farm scale")
-                            .engine(EngineKind::Farm)
-                            .workload("dns")
-                            .strategy("poet")
-                            .farmSize(servers)
-                            .farmControl("per-server")
-                            .source("stationary")
-                            .sourceUtilization(0.02)
-                            .flatTrace(0.02, 15)
-                            .epochMinutes(5)
-                            .recordDecisionTime()
-                            .seed(4)
-                            .build();
+    ScenarioSpec spec;
+    spec.label = "farm scale";
+    spec.engine = EngineKind::Farm;
+    spec.trace = {.kind = "flat", .flatLevel = 0.02, .flatMinutes = 15};
+    spec.source = "stationary";
+    spec.sourceUtilization = 0.02;
+    spec.strategy = "poet";
+    spec.recordDecisionTime = true;
+    spec.farmSize = servers;
+    spec.farmControl = "per-server";
+    spec.seed = 4;
     const ScenarioResult result = ExperimentRunner::runScenario(spec);
     return {servers, result.extra("decision_us_mean"),
             result.extra("decision_us_p99"), result.avgPower};

@@ -54,22 +54,22 @@ churnSpec(double churn)
 {
     std::ostringstream label;
     label << "churn=" << churn;
-    ScenarioBuilder builder(label.str());
-    builder.engine(EngineKind::Farm)
-        .workload("dns")
-        .flatTrace(0.3, 240)
-        .farmSize(4)
-        .farmControl("per-server")
-        .epochMinutes(5)
-        .predictor("LC")
-        .seed(2);
+    ScenarioSpec spec;
+    spec.label = label.str();
+    spec.engine = EngineKind::Farm;
+    spec.trace = {.kind = "flat", .flatLevel = 0.3, .flatMinutes = 240};
+    spec.predictor = "LC";
+    spec.farmSize = 4;
+    spec.farmControl = "per-server";
+    spec.seed = 2;
     if (churn > 0.0) {
-        builder.faults("mtbf")
-            .faultRates(kMttr * (1.0 - churn) / churn, kMttr)
-            .retryBackoff(0.5)
-            .dropTimeout(240.0);
+        spec.faults = "mtbf";
+        spec.mtbf = kMttr * (1.0 - churn) / churn;
+        spec.mttr = kMttr;
+        spec.retryBackoff = 0.5;
+        spec.dropTimeout = 240.0;
     }
-    return builder.build();
+    return spec;
 }
 
 ChurnRow

@@ -24,21 +24,22 @@ using namespace sleepscale;
 
 namespace {
 
-ScenarioBuilder
+/** A four-server farm over the email-store day, 2AM-8PM. */
+ScenarioSpec
 farmBase(const std::string &label)
 {
-    return ScenarioBuilder(label)
-        .engine(EngineKind::Farm)
-        .workload("dns")
-        .trace("es")
-        .traceSeed(20140614)
-        .window(2, 20)
-        .dispatcher("random")
-        .epochMinutes(5)
-        .overProvision(0.35)
-        .rhoB(0.8)
-        .predictor("LC")
-        .seed(4040);
+    ScenarioSpec spec;
+    spec.label = label;
+    spec.engine = EngineKind::Farm;
+    spec.trace = {.kind = "es", .seed = 20140614,
+                  .windowStartHour = 2, .windowEndHour = 20};
+    spec.overProvision = 0.35;
+    spec.rhoB = 0.8;
+    spec.predictor = "LC";
+    spec.farmSize = 4;
+    spec.dispatcher = "random";
+    spec.seed = 4040;
+    return spec;
 }
 
 } // namespace
@@ -53,7 +54,7 @@ main()
 
     ExperimentRunner mode_runner;
     mode_runner.addGrid(
-        farmBase("modes").farmSize(4).build(),
+        farmBase("modes"),
         {sweepFarmControls({"farm-wide", "per-server"})});
     const auto mode_results = mode_runner.run();
     resultsTable(mode_results).print(std::cout);
@@ -68,11 +69,10 @@ main()
                 "Heterogeneous farm (b): 2x xeon + 2x atom under "
                 "per-server control");
 
-    const ScenarioResult mixed = ExperimentRunner::runScenario(
-        farmBase("big.LITTLE")
-            .farmControl("per-server")
-            .farmPlatforms({"xeon", "xeon", "atom", "atom"})
-            .build());
+    ScenarioSpec mixed_spec = farmBase("big.LITTLE");
+    mixed_spec.farmControl = "per-server";
+    mixed_spec.farmPlatforms = {"xeon", "xeon", "atom", "atom"};
+    const ScenarioResult mixed = ExperimentRunner::runScenario(mixed_spec);
     resultsTable({mixed}).print(std::cout);
     std::cout << '\n';
     serversTable(mixed).print(std::cout);
@@ -85,13 +85,12 @@ main()
                 "Heterogeneous farm (c): packing dispatcher skews "
                 "load; autonomous controllers diverge");
 
-    const ScenarioResult packed = ExperimentRunner::runScenario(
-        farmBase("packed")
-            .farmSize(4)
-            .dispatcher("packing")
-            .packingSpillBacklog(2.0)
-            .farmControl("per-server")
-            .build());
+    ScenarioSpec packed_spec = farmBase("packed");
+    packed_spec.dispatcher = "packing";
+    packed_spec.packingSpillBacklog = 2.0;
+    packed_spec.farmControl = "per-server";
+    const ScenarioResult packed =
+        ExperimentRunner::runScenario(packed_spec);
     resultsTable({packed}).print(std::cout);
     std::cout << '\n';
     serversTable(packed).print(std::cout);

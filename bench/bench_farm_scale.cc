@@ -60,25 +60,26 @@ runScale(std::size_t servers, std::size_t trace_minutes, bool faults)
 {
     std::ostringstream label;
     label << "farm-" << servers;
-    ScenarioBuilder builder(label.str());
-    builder.engine(EngineKind::Farm)
-        .workload("dns")
-        .flatTrace(0.25, trace_minutes)
-        .farmSize(servers)
-        .dispatcher("JSQ")
-        .farmControl("farm-wide")
-        .farmShards(0) // Auto: lanes scale with the farm size.
-        .epochMinutes(5)
-        .predictor("LC")
-        .seed(7);
+    ScenarioSpec spec;
+    spec.label = label.str();
+    spec.engine = EngineKind::Farm;
+    spec.trace = {.kind = "flat", .flatLevel = 0.25,
+                  .flatMinutes = trace_minutes};
+    spec.predictor = "LC";
+    spec.farmSize = servers;
+    spec.dispatcher = "JSQ";
+    spec.farmControl = "farm-wide";
+    spec.farmShards = 0; // Auto: lanes scale with the farm size.
     // The large-farm configuration: per-server percentile histograms
     // are the one per-server cost that is not O(1), so the 10k row
     // runs without them exactly like a production-scale sweep would.
-    if (servers >= 10000)
-        builder.tailHistograms(false);
-    if (faults)
-        builder.faults("mtbf").faultRates(600.0, 60.0);
-    const ScenarioSpec spec = builder.build();
+    spec.tailHistograms = servers < 10000;
+    spec.seed = 7;
+    if (faults) {
+        spec.faults = "mtbf";
+        spec.mtbf = 600.0;
+        spec.mttr = 60.0;
+    }
 
     const double start = monotonicMicros();
     const ScenarioResult result = ExperimentRunner::runScenario(spec);

@@ -30,20 +30,17 @@ main()
                 "Farm extension (a): dispatcher study, 4 servers, "
                 "email-store 2AM-8PM, DNS-like");
 
-    const ScenarioSpec dispatch_base = ScenarioBuilder("farm")
-                                           .engine(EngineKind::Farm)
-                                           .workload("dns")
-                                           .trace("es")
-                                           .traceSeed(20140614)
-                                           .window(2, 20)
-                                           .farmSize(4)
-                                           .packingSpillBacklog(2.0)
-                                           .epochMinutes(5)
-                                           .overProvision(0.35)
-                                           .rhoB(0.8)
-                                           .predictor("LC")
-                                           .seed(2020)
-                                           .build();
+    ScenarioSpec dispatch_base;
+    dispatch_base.label = "farm";
+    dispatch_base.engine = EngineKind::Farm;
+    dispatch_base.trace = {.kind = "es", .seed = 20140614,
+                           .windowStartHour = 2, .windowEndHour = 20};
+    dispatch_base.overProvision = 0.35;
+    dispatch_base.rhoB = 0.8;
+    dispatch_base.predictor = "LC";
+    dispatch_base.farmSize = 4;
+    dispatch_base.packingSpillBacklog = 2.0;
+    dispatch_base.seed = 2020;
 
     ExperimentRunner dispatch_runner;
     dispatch_runner.addGrid(
@@ -69,16 +66,14 @@ main()
                 "Farm extension (b): SleepScale vs race-to-halt across "
                 "farm sizes (flat rho = 0.2)");
 
-    const ScenarioSpec scale_base = ScenarioBuilder("scaleout")
-                                        .engine(EngineKind::Farm)
-                                        .workload("dns")
-                                        .flatTrace(0.2, 120)
-                                        .dispatcher("random")
-                                        .epochMinutes(5)
-                                        .overProvision(0.35)
-                                        .rhoB(0.8)
-                                        .predictor("LC")
-                                        .build();
+    ScenarioSpec scale_base;
+    scale_base.label = "scaleout";
+    scale_base.engine = EngineKind::Farm;
+    scale_base.trace = {.kind = "flat", .flatLevel = 0.2, .flatMinutes = 120};
+    scale_base.overProvision = 0.35;
+    scale_base.rhoB = 0.8;
+    scale_base.predictor = "LC";
+    scale_base.dispatcher = "random";
 
     // Each farm size draws its own job stream (seed tied to the size),
     // while SS and R2H at the same size share it for a fair comparison.

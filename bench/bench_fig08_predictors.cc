@@ -35,17 +35,15 @@ try {
     // CliArgs rejects typos and non-numeric values loudly.
     const CliArgs args(argc, argv, {"replications"});
     const std::size_t replications = args.getUnsigned("replications", 1);
-    const ScenarioSpec base = ScenarioBuilder("fig8")
-                                  .workload("dns")
-                                  .trace("es")
-                                  .traceSeed(20140614)
-                                  .window(2, 20)
-                                  .strategy("SS")
-                                  .overProvision(0.0)
-                                  .rhoB(0.8)
-                                  .seed(88)
-                                  .replications(replications)
-                                  .build();
+    ScenarioSpec base;
+    base.label = "fig8";
+    base.trace = {.kind = "es", .seed = 20140614, .windowStartHour = 2,
+                  .windowEndHour = 20};
+    base.strategy = "SS";
+    base.overProvision = 0.0;
+    base.rhoB = 0.8;
+    base.seed = 88;
+    base.replications = replications;
 
     ExperimentRunner runner;
     runner.addGrid(base,

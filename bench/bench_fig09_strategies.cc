@@ -42,18 +42,16 @@ try {
     // CliArgs rejects typos and non-numeric values loudly.
     const CliArgs args(argc, argv, {"replications"});
     const std::size_t replications = args.getUnsigned("replications", 1);
-    const ScenarioSpec base = ScenarioBuilder("fig9")
-                                  .workload("dns")
-                                  .trace("es")
-                                  .traceSeed(20140614)
-                                  .window(2, 20)
-                                  .epochMinutes(5)
-                                  .overProvision(0.35)
-                                  .rhoB(0.8)
-                                  .predictor("LC")
-                                  .seed(99)
-                                  .replications(replications)
-                                  .build();
+    ScenarioSpec base;
+    base.label = "fig9";
+    base.trace = {.kind = "es", .seed = 20140614, .windowStartHour = 2,
+                  .windowEndHour = 20};
+    base.epochMinutes = 5;
+    base.overProvision = 0.35;
+    base.rhoB = 0.8;
+    base.predictor = "LC";
+    base.seed = 99;
+    base.replications = replications;
 
     std::vector<std::string> strategies;
     for (StrategyKind kind : allStrategies)

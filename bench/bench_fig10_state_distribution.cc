@@ -62,7 +62,7 @@ main()
                     runtime.run(jobs, trace_case.window, predictor);
 
                 const auto fractions =
-                    result.stateSelectionFractions();
+                    stateSelectionFractions(result.epochs);
                 std::vector<std::string> row = {
                     trace_case.label + "/" + spec.name + "/rho_b=" +
                     std::to_string(rho_b).substr(0, 3)};

@@ -30,18 +30,16 @@ main()
                 "Multicore (a): package S3 delay sweep (4 cores, "
                 "DNS-like, per-core rho = 0.1)");
 
-    const ScenarioSpec delay_base =
-        ScenarioBuilder("mc")
-            .engine(EngineKind::Multicore)
-            .workload("dns")
-            .idealizedWorkload()
-            .cores(4)
-            .rho(0.1)
-            .jobCount(60000)
-            .frequency(1.0)
-            .coreState(LowPowerState::C6S0Idle)
-            .seed(60001)
-            .build();
+    ScenarioSpec delay_base;
+    delay_base.label = "mc";
+    delay_base.engine = EngineKind::Multicore;
+    delay_base.idealizedWorkload = true;
+    delay_base.cores = 4;
+    delay_base.frequency = 1.0;
+    delay_base.coreState = LowPowerState::C6S0Idle;
+    delay_base.rho = 0.1;
+    delay_base.jobCount = 60000;
+    delay_base.seed = 60001;
 
     ExperimentRunner delay_runner;
     delay_runner.addGrid(
@@ -77,17 +75,15 @@ main()
                 "Multicore (b): cores vs joint idleness (total load = "
                 "0.8 of one core)");
 
-    const ScenarioSpec core_base = ScenarioBuilder("mc")
-                                       .engine(EngineKind::Multicore)
-                                       .workload("dns")
-                                       .idealizedWorkload()
-                                       .jobCount(60000)
-                                       .frequency(1.0)
-                                       .coreState(
-                                           LowPowerState::C6S0Idle)
-                                       .packageSleepDelay(1.0)
-                                       .seed(60002)
-                                       .build();
+    ScenarioSpec core_base;
+    core_base.label = "mc";
+    core_base.engine = EngineKind::Multicore;
+    core_base.idealizedWorkload = true;
+    core_base.frequency = 1.0;
+    core_base.coreState = LowPowerState::C6S0Idle;
+    core_base.packageSleepDelay = 1.0;
+    core_base.jobCount = 60000;
+    core_base.seed = 60002;
 
     // Total load pinned to 0.8 of one core: per-core rho shrinks as
     // the core count grows, so the same job stream spreads thinner.

@@ -74,23 +74,20 @@ RegretRow
 regretOf(const std::string &workload, const std::string &label,
          const std::string &strategy, bool pruned, double rate_scale)
 {
-    const ScenarioSpec spec =
-        ScenarioBuilder("regret " + workload + " " + label)
-            .workload(workload)
-            .strategy(strategy)
-            .prunedSearch(pruned)
-            .trace("es")
-            .traceDays(1)
-            .traceSeed(20140614)
-            .window(2, 6)
-            .epochMinutes(5)
-            .predictor("LC")
-            .sourceRateScale(rate_scale)
-            .reportRegret()
-            .optEpsilon(0.05)
-            .replications(kReplications)
-            .seed(20140614)
-            .build();
+    ScenarioSpec spec;
+    spec.label = "regret " + workload + " " + label;
+    spec.workload = workload;
+    spec.trace = {.kind = "es", .days = 1, .seed = 20140614,
+                  .windowStartHour = 2, .windowEndHour = 6};
+    spec.sourceRateScale = rate_scale;
+    spec.strategy = strategy;
+    spec.epochMinutes = 5;
+    spec.predictor = "LC";
+    spec.prunedSearch = pruned;
+    spec.seed = 20140614;
+    spec.replications = kReplications;
+    spec.reportRegret = true;
+    spec.optEpsilon = 0.05;
     const ReplicatedResult result = ReplicationPlan(kReplications).run(spec);
     return {workload, label, result.metric("regret_pct"),
             result.metric("offline_opt_energy"),

@@ -245,10 +245,9 @@ BENCHMARK(BM_AnalyticSingleEvaluation);
 void
 BM_ExperimentGridExpansion(benchmark::State &state)
 {
-    const ScenarioSpec base = ScenarioBuilder("grid")
-                                  .workload("dns")
-                                  .flatTrace(0.1, 30)
-                                  .build();
+    ScenarioSpec base;
+    base.label = "grid";
+    base.trace = {.kind = "flat", .flatLevel = 0.1, .flatMinutes = 30};
     std::vector<unsigned> epochs;
     std::vector<double> alphas;
     SweepAxis seeds = customAxis("seed", {});
@@ -275,13 +274,12 @@ BENCHMARK(BM_ExperimentGridExpansion);
 void
 BM_ExperimentScenarioFixedPolicy(benchmark::State &state)
 {
-    const ScenarioSpec spec = ScenarioBuilder("r2h day")
-                                  .workload("dns")
-                                  .flatTrace(0.1, 20)
-                                  .strategy("R2H(C6)")
-                                  .predictor("NP")
-                                  .seed(4242)
-                                  .build();
+    ScenarioSpec spec;
+    spec.label = "r2h day";
+    spec.trace = {.kind = "flat", .flatLevel = 0.1, .flatMinutes = 20};
+    spec.strategy = "R2H(C6)";
+    spec.predictor = "NP";
+    spec.seed = 4242;
     for (auto _ : state) {
         benchmark::DoNotOptimize(
             ExperimentRunner::runScenario(spec));

@@ -34,22 +34,20 @@ main(int argc, char **argv)
     }
 
     try {
-        const ScenarioSpec spec =
-            ScenarioBuilder("cluster " + dispatcher)
-                .engine(EngineKind::Farm)
-                .workload("dns")
-                .trace("es")
-                .traceSeed(99)
-                .window(2, 14)
-                .farmSize(servers)
-                .dispatcher(dispatcher)
-                .packingSpillBacklog(2.0)
-                .epochMinutes(5)
-                .overProvision(0.35)
-                .rhoB(0.8)
-                .predictor("LC")
-                .seed(17)
-                .build();
+        ScenarioSpec spec;
+        spec.label = "cluster " + dispatcher;
+        spec.engine = EngineKind::Farm;
+        spec.workload = "dns";
+        spec.trace = {.kind = "es", .seed = 99, .windowStartHour = 2,
+                      .windowEndHour = 14};
+        spec.epochMinutes = 5;
+        spec.overProvision = 0.35;
+        spec.rhoB = 0.8;
+        spec.predictor = "LC";
+        spec.farmSize = servers;
+        spec.dispatcher = dispatcher;
+        spec.packingSpillBacklog = 2.0;
+        spec.seed = 17;
 
         const ScenarioResult result =
             ExperimentRunner::runScenario(spec);

@@ -36,18 +36,17 @@ int
 main()
 {
     try {
-        const ScenarioSpec base = ScenarioBuilder("day")
-                                      .workload("dns")
-                                      .trace("es")
-                                      .traceSeed(424242)
-                                      .window(2, 20)
-                                      .epochMinutes(5)
-                                      .overProvision(0.35)
-                                      .rhoB(0.8)
-                                      .predictor("LC")
-                                      .seed(5)
-                                      .captureEpochs()
-                                      .build();
+        ScenarioSpec base;
+        base.label = "day";
+        base.workload = "dns";
+        base.trace = {.kind = "es", .seed = 424242, .windowStartHour = 2,
+                      .windowEndHour = 20};
+        base.epochMinutes = 5;
+        base.overProvision = 0.35;
+        base.rhoB = 0.8;
+        base.predictor = "LC";
+        base.seed = 5;
+        base.captureEpochs = true;
 
         ExperimentRunner runner;
         runner.addGrid(base, {sweepStrategies({"SS", "R2H(C6)"})});

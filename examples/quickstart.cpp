@@ -32,16 +32,17 @@ main()
         // One declarative scenario: a DNS-like server at a flat 10%
         // offered load on the paper's Xeon-class platform, managed
         // every 5 minutes against the rho_b = 0.8 QoS budget.
-        const ScenarioSpec base = ScenarioBuilder("quickstart")
-                                      .workload("dns")
-                                      .platform("xeon")
-                                      .flatTrace(0.1, 60)
-                                      .epochMinutes(5)
-                                      .overProvision(0.0)
-                                      .rhoB(0.8)
-                                      .predictor("LC")
-                                      .seed(1)
-                                      .build();
+        // Every field left unset keeps its default.
+        ScenarioSpec base;
+        base.label = "quickstart";
+        base.workload = "dns";
+        base.platform = "xeon";
+        base.trace = {.kind = "flat", .flatLevel = 0.1, .flatMinutes = 60};
+        base.epochMinutes = 5;
+        base.overProvision = 0.0;
+        base.rhoB = 0.8;
+        base.predictor = "LC";
+        base.seed = 1;
 
         // Sweep the registered strategies over it, in parallel.
         ExperimentRunner runner;

@@ -3,7 +3,7 @@
 namespace sleepscale {
 
 std::array<double, numLowPowerStates>
-RuntimeResult::stateSelectionFractions() const
+stateSelectionFractions(std::span<const EpochReport> epochs)
 {
     std::array<double, numLowPowerStates> fractions{};
     std::size_t decided = 0;
@@ -21,7 +21,7 @@ RuntimeResult::stateSelectionFractions() const
 }
 
 CsvTable
-epochsToCsv(const RuntimeResult &result)
+epochsToCsv(std::span<const EpochReport> epochs)
 {
     CsvTable table;
     table.headers = {"epoch",     "start_s",    "predicted_util",
@@ -29,7 +29,7 @@ epochsToCsv(const RuntimeResult &result)
                      "boosted",   "feasible",   "degraded",
                      "mean_response_s", "p95_response_s",
                      "avg_power_w", "completions"};
-    for (const EpochReport &epoch : result.epochs) {
+    for (const EpochReport &epoch : epochs) {
         table.addRow({static_cast<double>(epoch.index), epoch.startTime,
                       epoch.predictedUtilization,
                       epoch.measuredUtilization, epoch.policy.frequency,

@@ -16,6 +16,7 @@
 #include <array>
 #include <cstddef>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "control/controller_config.hh"
@@ -124,20 +125,21 @@ struct RuntimeResult
 
     /** Whether the whole-run QoS statistic met its budget. */
     bool withinBudget() const { return qos.satisfiedBy(total); }
-
-    /**
-     * Fraction of decided epochs whose selected plan bottoms out in each
-     * low-power state (paper Figure 10).
-     */
-    std::array<double, numLowPowerStates> stateSelectionFractions() const;
 };
 
 /**
- * Flatten a runtime result into a per-epoch CSV table (start time,
+ * Fraction of decided epochs whose selected plan bottoms out in each
+ * low-power state (paper Figure 10); all zeros when none decided.
+ */
+std::array<double, numLowPowerStates>
+stateSelectionFractions(std::span<const EpochReport> epochs);
+
+/**
+ * Flatten epoch reports into a per-epoch CSV table (start time,
  * predicted/measured utilization, chosen frequency and state depth,
  * responses, power) for offline plotting.
  */
-CsvTable epochsToCsv(const RuntimeResult &result);
+CsvTable epochsToCsv(std::span<const EpochReport> epochs);
 
 } // namespace sleepscale
 

@@ -48,7 +48,7 @@ knobsOf(const ScenarioSpec &spec)
 }
 
 /**
- * Per-epoch decision-cost extras (recordDecisionTime() scenarios
+ * Per-epoch decision-cost extras (recordDecisionTime scenarios
  * only, so timing-free runs keep their schema). The mean and p99 are
  * taken over decided epochs; an all-undecided run reports zeros.
  */
@@ -128,82 +128,20 @@ sourceOf(const ScenarioSpec &spec, const WorkloadSpec &workload,
     return makeJobSource(spec.source, config);
 }
 
-ScenarioResult
-runSingleServer(const ScenarioSpec &spec)
+/**
+ * The FarmRuntime configuration of a loop-driven scenario: the
+ * one-server farm the paper's runtime runs on, widened to the spec's
+ * farm for the farm engine.
+ */
+FarmRuntimeConfig
+farmConfigOf(const ScenarioSpec &spec)
 {
-    const PlatformModel platform = platformByName(spec.platform);
-    const WorkloadSpec workload = workloadOf(spec);
-    const UtilizationTrace trace = spec.trace.realize();
-
-    RuntimeConfig config =
+    RuntimeConfig per_server =
         strategyConfigByName(spec.strategy, knobsOf(spec));
-    config.recordDecisionTime = spec.recordDecisionTime;
-    const SleepScaleRuntime runtime(platform, workload, config);
-
-    const auto source = sourceOf(spec, workload, trace, 1.0);
-    const auto predictor = makePredictor(spec.predictor,
-                                         spec.predictorHistory,
-                                         trace.values());
-    const RuntimeResult run = runtime.run(*source, trace, *predictor);
-
-    ScenarioResult result;
-    result.spec = spec;
-    result.meanResponse = run.meanResponse();
-    result.normalizedMean = run.meanResponse() / workload.serviceMean;
-    result.p95Response = run.p95Response();
-    result.p99Response = run.total.responsePercentile(99.0);
-    result.avgPower = run.avgPower();
-    result.energy = run.total.energy;
-    result.elapsed = run.total.elapsed();
-    result.jobs = run.total.arrivals;
-    result.withinBudget = run.withinBudget();
-    result.extras.emplace_back("epochs",
-                               static_cast<double>(run.epochs.size()));
-    addResidencyExtras(result, run.total);
-    const auto fractions = run.stateSelectionFractions();
-    for (std::size_t i = 0; i < fractions.size(); ++i) {
-        if (fractions[i] > 0.0)
-            result.extras.emplace_back(
-                "state_" + toString(allLowPowerStates[i]), fractions[i]);
-    }
-    if (spec.recordDecisionTime)
-        addDecisionExtras(result, run.epochs);
-    if (spec.reportRegret) {
-        // Re-materialize the exact job log the runtime consumed (same
-        // source, same seed, same arrival cutoff) and hand it to the
-        // offline oracle with the run's accounting horizon, so the
-        // regret compares identical books (docs/OFFLINE_OPT.md).
-        const auto replay = sourceOf(spec, workload, trace, 1.0);
-        std::vector<Job> log;
-        Job job;
-        while (replay->next(job) && job.arrival < trace.duration())
-            log.push_back(job);
-        OfflineOptOptions options;
-        options.epsilon = spec.optEpsilon;
-        const OfflineOptimal oracle(platform, workload.scaling, options);
-        const OfflineOptResult opt = oracle.solve(
-            OfflineOptInstance::fromJobs(std::move(log),
-                                         run.total.elapsed()));
-        result.extras.emplace_back("offline_opt_energy", opt.energy);
-        result.extras.emplace_back(
-            "regret_pct",
-            opt.energy > 0.0
-                ? 100.0 * (run.total.energy / opt.energy - 1.0)
-                : 0.0);
-    }
-    if (spec.captureEpochs)
-        result.epochs = epochsToCsv(run);
-    return result;
-}
-
-ScenarioResult
-runFarm(const ScenarioSpec &spec)
-{
-    const PlatformModel platform = platformByName(spec.platform);
-    const WorkloadSpec workload = workloadOf(spec);
-    const UtilizationTrace trace = spec.trace.realize();
-
-    FarmRuntimeConfig config;
+    per_server.recordDecisionTime = spec.recordDecisionTime;
+    FarmRuntimeConfig config = singleServerFarm(std::move(per_server));
+    if (spec.engine != EngineKind::Farm)
+        return config;
     config.farmSize = spec.farmSize;
     config.dispatcher = spec.dispatcher;
     config.packingSpillBacklog = spec.packingSpillBacklog;
@@ -225,8 +163,21 @@ runFarm(const ScenarioSpec &spec)
     // through spec.seed, so paired fault/no-fault comparisons share
     // schedules per replication).
     config.faultSeed = mixSeed(config.dispatchSeed);
-    config.perServer = strategyConfigByName(spec.strategy, knobsOf(spec));
-    config.perServer.recordDecisionTime = spec.recordDecisionTime;
+    return config;
+}
+
+/**
+ * Run a single-server or farm scenario through FarmRuntime::run, the
+ * one epoch loop. Both engines report one extras list; only the
+ * per-server breakdown is farm-only.
+ */
+ScenarioResult
+runFarm(const ScenarioSpec &spec)
+{
+    const PlatformModel platform = platformByName(spec.platform);
+    const WorkloadSpec workload = workloadOf(spec);
+    const UtilizationTrace trace = spec.trace.realize();
+    const FarmRuntimeConfig config = farmConfigOf(spec);
     const FarmRuntime runtime(platform, workload, config);
 
     // The farm sees farm-size times the per-server trace load; replay
@@ -234,7 +185,7 @@ runFarm(const ScenarioSpec &spec)
     const double aggregate_scale =
         spec.source == "replay"
             ? 1.0
-            : static_cast<double>(spec.farmSize);
+            : static_cast<double>(config.farmSize);
     const auto source = sourceOf(spec, workload, trace, aggregate_scale);
     const auto predictor = makePredictor(spec.predictor,
                                          spec.predictorHistory,
@@ -253,14 +204,16 @@ runFarm(const ScenarioSpec &spec)
     result.elapsed = run.total.elapsed();
     result.jobs = run.total.arrivals;
     result.withinBudget = run.withinBudget();
+    result.extras.emplace_back("epochs",
+                               static_cast<double>(run.epochs.size()));
     result.extras.emplace_back(
         "per_server_w",
-        run.avgPower() / static_cast<double>(spec.farmSize));
+        run.avgPower() / static_cast<double>(config.farmSize));
     // Availability-plane metrics, emitted unconditionally (zeros and
     // all) so fault and no-fault result rows share one schema and
     // replication can compute per-metric CIs and paired deltas.
     result.extras.emplace_back("availability",
-                               run.faults.availability(spec.farmSize));
+                               run.faults.availability(config.farmSize));
     result.extras.emplace_back("goodput", run.faults.goodput());
     result.extras.emplace_back(
         "dropped_jobs", static_cast<double>(run.faults.dropped));
@@ -270,11 +223,44 @@ runFarm(const ScenarioSpec &spec)
                                run.faults.degradedSeconds);
     result.extras.emplace_back("down_s", run.faults.downSeconds);
     addResidencyExtras(result, run.total);
+    // The selected-state mix, zeros included for the same reason.
+    const auto fractions = stateSelectionFractions(run.epochs);
+    for (std::size_t i = 0; i < fractions.size(); ++i)
+        result.extras.emplace_back(
+            "state_" + toString(allLowPowerStates[i]), fractions[i]);
     // In every control mode the farm-level epochs' decisionMicros times
     // the whole decision fan-out — the farm-scale decision cost, not
     // one server's.
     if (spec.recordDecisionTime)
         addDecisionExtras(result, run.epochs);
+    if (spec.reportRegret) {
+        // Re-materialize the exact job log the runtime consumed (same
+        // source, same seed, same arrival cutoff) and hand it to the
+        // offline oracle with the run's accounting horizon, so the
+        // regret compares identical books (docs/OFFLINE_OPT.md).
+        const auto replay =
+            sourceOf(spec, workload, trace, aggregate_scale);
+        std::vector<Job> log;
+        Job job;
+        while (replay->next(job) && job.arrival < trace.duration())
+            log.push_back(job);
+        OfflineOptOptions options;
+        options.epsilon = spec.optEpsilon;
+        const OfflineOptimal oracle(platform, workload.scaling, options);
+        const OfflineOptResult opt = oracle.solve(
+            OfflineOptInstance::fromJobs(std::move(log),
+                                         run.total.elapsed()));
+        result.extras.emplace_back("offline_opt_energy", opt.energy);
+        result.extras.emplace_back(
+            "regret_pct",
+            opt.energy > 0.0
+                ? 100.0 * (run.total.energy / opt.energy - 1.0)
+                : 0.0);
+    }
+    if (spec.captureEpochs)
+        result.epochs = epochsToCsv(run.epochs);
+    if (spec.engine != EngineKind::Farm)
+        return result;
     result.jobsPerServer = run.jobsPerServer;
     result.servers.reserve(run.servers.size());
     for (const FarmServerReport &server : run.servers) {
@@ -546,7 +532,6 @@ ExperimentRunner::runScenario(const ScenarioSpec &spec)
     spec.validate();
     switch (spec.engine) {
       case EngineKind::SingleServer:
-        return runSingleServer(spec);
       case EngineKind::Farm:
         return runFarm(spec);
       case EngineKind::Multicore:

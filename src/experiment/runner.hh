@@ -2,11 +2,12 @@
  * @file
  * Scenario execution and sweep-grid expansion.
  *
- * ExperimentRunner is the single entry point over the three engines
- * (SleepScaleRuntime, a one-server FarmRuntime; FarmRuntime; and
- * MulticoreSim). It executes ScenarioSpecs — one or a whole parameter
- * grid — on a worker pool and returns uniform ScenarioResults for
- * table/CSV export:
+ * ExperimentRunner is the single entry point over the engines. It
+ * executes ScenarioSpecs — one or a whole parameter grid — on a worker
+ * pool and returns uniform ScenarioResults for table/CSV export.
+ * Single-server and farm scenarios run through FarmRuntime, the one
+ * epoch loop (a single-server scenario is the one-server farm of
+ * singleServerFarm()); multicore scenarios run through MulticoreSim.
  *
  *   ExperimentRunner runner;
  *   runner.addGrid(base, {sweepEpochMinutes({1, 5, 10, 15}),
@@ -63,9 +64,12 @@ struct ScenarioResult
     std::uint64_t jobs = 0;        ///< Jobs offered to the engine.
     bool withinBudget = false;     ///< QoS statistic met its budget.
 
-    /** Engine-specific metrics (e.g. farm "per_server_w", multicore
-     * "s3_residency", single-server "state_<name>" selection
-     * fractions), uniform-schema exported. */
+    /** Engine-specific metrics, uniform-schema exported. Single-server
+     * and farm rows share one list: "epochs", "per_server_w", the
+     * availability plane, "residency_<state>", "state_<state>"
+     * selection fractions, then "decision_us_*" and the regret pair
+     * when the spec asks for them. Multicore rows report
+     * "s3_residency" and "package_wakes". */
     std::vector<std::pair<std::string, double>> extras;
 
     /** Jobs routed to each back-end (farm engine only). */

@@ -79,7 +79,11 @@ ScenarioSpec::validate() const
         jobSourceRegistry().get(source);
         fatalIf(source == "replay" && replayPath.empty(),
                 "ScenarioSpec '" + label +
-                    "': the replay source needs replayPath()");
+                    "': the replay source needs a replayPath");
+        fatalIf(!replayPath.empty() && source != "replay",
+                "ScenarioSpec '" + label + "': replayPath '" +
+                    replayPath + "' is set but the source is '" +
+                    source + "' (set source to \"replay\")");
         fatalIf(sourceRateScale <= 0.0,
                 "ScenarioSpec '" + label +
                     "': sourceRateScale must be positive");
@@ -137,8 +141,7 @@ ScenarioSpec::validate() const
         fatalIf(heterogeneous && farmControl == "farm-wide",
                 "ScenarioSpec '" + label +
                     "': a heterogeneous farmPlatforms mix needs "
-                    "farmControl(\"per-server\") or "
-                    "farmControl(\"distributed\")");
+                    "farmControl \"per-server\" or \"distributed\"");
         faultSourceRegistry().get(faults);
         if (faults != "none") {
             fatalIf(mtbf <= 0.0 || mttr <= 0.0,
@@ -160,398 +163,8 @@ ScenarioSpec::validate() const
             "ScenarioSpec '" + label + "': optEpsilon must be > 0");
     fatalIf(reportRegret && engine != EngineKind::SingleServer,
             "ScenarioSpec '" + label +
-                "': reportRegret() needs the single-server engine "
+                "': reportRegret needs the single-server engine "
                 "(the offline oracle replays one server's job log)");
-}
-
-ScenarioBuilder::ScenarioBuilder(std::string label)
-{
-    _spec.label = std::move(label);
-}
-
-ScenarioBuilder
-ScenarioBuilder::from(const ScenarioSpec &spec)
-{
-    ScenarioBuilder builder(spec.label);
-    builder._spec = spec;
-    return builder;
-}
-
-ScenarioBuilder &
-ScenarioBuilder::engine(EngineKind kind)
-{
-    _spec.engine = kind;
-    return *this;
-}
-
-ScenarioBuilder &
-ScenarioBuilder::workload(const std::string &name)
-{
-    _spec.workload = name;
-    return *this;
-}
-
-ScenarioBuilder &
-ScenarioBuilder::idealizedWorkload(bool on)
-{
-    _spec.idealizedWorkload = on;
-    return *this;
-}
-
-ScenarioBuilder &
-ScenarioBuilder::platform(const std::string &name)
-{
-    _spec.platform = name;
-    return *this;
-}
-
-ScenarioBuilder &
-ScenarioBuilder::trace(const std::string &kind)
-{
-    _spec.trace.kind = kind;
-    return *this;
-}
-
-ScenarioBuilder &
-ScenarioBuilder::traceDays(unsigned days)
-{
-    _spec.trace.days = days;
-    return *this;
-}
-
-ScenarioBuilder &
-ScenarioBuilder::traceSeed(std::uint64_t seed)
-{
-    _spec.trace.seed = seed;
-    return *this;
-}
-
-ScenarioBuilder &
-ScenarioBuilder::window(unsigned start_hour, unsigned end_hour)
-{
-    _spec.trace.windowStartHour = start_hour;
-    _spec.trace.windowEndHour = end_hour;
-    return *this;
-}
-
-ScenarioBuilder &
-ScenarioBuilder::flatTrace(double level, std::size_t minutes)
-{
-    _spec.trace.kind = "flat";
-    _spec.trace.flatLevel = level;
-    _spec.trace.flatMinutes = minutes;
-    _spec.trace.windowStartHour = 0;
-    _spec.trace.windowEndHour = 24;
-    return *this;
-}
-
-ScenarioBuilder &
-ScenarioBuilder::source(const std::string &name)
-{
-    _spec.source = name;
-    return *this;
-}
-
-ScenarioBuilder &
-ScenarioBuilder::sourceUtilization(double level)
-{
-    _spec.sourceUtilization = level;
-    return *this;
-}
-
-ScenarioBuilder &
-ScenarioBuilder::sourceRateScale(double factor)
-{
-    _spec.sourceRateScale = factor;
-    return *this;
-}
-
-ScenarioBuilder &
-ScenarioBuilder::burstiness(double rate_factor, double mean_length,
-                            double mean_gap)
-{
-    _spec.burstRateFactor = rate_factor;
-    _spec.burstMeanLength = mean_length;
-    _spec.burstMeanGap = mean_gap;
-    return *this;
-}
-
-ScenarioBuilder &
-ScenarioBuilder::replayPath(const std::string &path)
-{
-    _spec.source = "replay";
-    _spec.replayPath = path;
-    return *this;
-}
-
-ScenarioBuilder &
-ScenarioBuilder::strategy(const std::string &name)
-{
-    _spec.strategy = name;
-    return *this;
-}
-
-ScenarioBuilder &
-ScenarioBuilder::epochMinutes(unsigned minutes)
-{
-    _spec.epochMinutes = minutes;
-    return *this;
-}
-
-ScenarioBuilder &
-ScenarioBuilder::overProvision(double alpha)
-{
-    _spec.overProvision = alpha;
-    return *this;
-}
-
-ScenarioBuilder &
-ScenarioBuilder::rhoB(double rho_b)
-{
-    _spec.rhoB = rho_b;
-    return *this;
-}
-
-ScenarioBuilder &
-ScenarioBuilder::qosMetric(QosMetric metric)
-{
-    _spec.qosMetric = metric;
-    return *this;
-}
-
-ScenarioBuilder &
-ScenarioBuilder::predictor(const std::string &name)
-{
-    _spec.predictor = name;
-    return *this;
-}
-
-ScenarioBuilder &
-ScenarioBuilder::predictorHistory(std::size_t taps)
-{
-    _spec.predictorHistory = taps;
-    return *this;
-}
-
-ScenarioBuilder &
-ScenarioBuilder::searchThreads(std::size_t threads)
-{
-    _spec.searchThreads = threads;
-    return *this;
-}
-
-ScenarioBuilder &
-ScenarioBuilder::prunedSearch(bool on)
-{
-    _spec.prunedSearch = on;
-    return *this;
-}
-
-ScenarioBuilder &
-ScenarioBuilder::controllerNoise(double process, double measurement)
-{
-    _spec.controllerProcessNoise = process;
-    _spec.controllerMeasurementNoise = measurement;
-    return *this;
-}
-
-ScenarioBuilder &
-ScenarioBuilder::controllerPole(double pole)
-{
-    _spec.controllerPole = pole;
-    return *this;
-}
-
-ScenarioBuilder &
-ScenarioBuilder::controllerPeriod(unsigned epochs)
-{
-    _spec.controllerPeriod = epochs;
-    return *this;
-}
-
-ScenarioBuilder &
-ScenarioBuilder::recordDecisionTime(bool on)
-{
-    _spec.recordDecisionTime = on;
-    return *this;
-}
-
-ScenarioBuilder &
-ScenarioBuilder::farmSize(std::size_t servers)
-{
-    _spec.farmSize = servers;
-    return *this;
-}
-
-ScenarioBuilder &
-ScenarioBuilder::dispatcher(const std::string &name)
-{
-    _spec.dispatcher = name;
-    return *this;
-}
-
-ScenarioBuilder &
-ScenarioBuilder::packingSpillBacklog(double seconds)
-{
-    _spec.packingSpillBacklog = seconds;
-    return *this;
-}
-
-ScenarioBuilder &
-ScenarioBuilder::farmControl(const std::string &mode)
-{
-    _spec.farmControl = mode;
-    return *this;
-}
-
-ScenarioBuilder &
-ScenarioBuilder::farmShards(std::size_t shards)
-{
-    _spec.farmShards = shards;
-    return *this;
-}
-
-ScenarioBuilder &
-ScenarioBuilder::tailHistograms(bool on)
-{
-    _spec.tailHistograms = on;
-    return *this;
-}
-
-ScenarioBuilder &
-ScenarioBuilder::farmPlatforms(std::vector<std::string> names)
-{
-    _spec.farmPlatforms = std::move(names);
-    if (!_spec.farmPlatforms.empty())
-        _spec.farmSize = _spec.farmPlatforms.size();
-    return *this;
-}
-
-ScenarioBuilder &
-ScenarioBuilder::decisionThreads(std::size_t threads)
-{
-    _spec.decisionThreads = threads;
-    return *this;
-}
-
-ScenarioBuilder &
-ScenarioBuilder::faults(const std::string &name)
-{
-    _spec.faults = name;
-    return *this;
-}
-
-ScenarioBuilder &
-ScenarioBuilder::faultRates(double mtbf_s, double mttr_s)
-{
-    _spec.mtbf = mtbf_s;
-    _spec.mttr = mttr_s;
-    return *this;
-}
-
-ScenarioBuilder &
-ScenarioBuilder::retryBackoff(double seconds)
-{
-    _spec.retryBackoff = seconds;
-    return *this;
-}
-
-ScenarioBuilder &
-ScenarioBuilder::dropTimeout(double seconds)
-{
-    _spec.dropTimeout = seconds;
-    return *this;
-}
-
-ScenarioBuilder &
-ScenarioBuilder::cores(std::size_t count)
-{
-    _spec.cores = count;
-    return *this;
-}
-
-ScenarioBuilder &
-ScenarioBuilder::frequency(double f)
-{
-    _spec.frequency = f;
-    return *this;
-}
-
-ScenarioBuilder &
-ScenarioBuilder::coreState(LowPowerState state)
-{
-    _spec.coreState = state;
-    return *this;
-}
-
-ScenarioBuilder &
-ScenarioBuilder::packageSleepDelay(double seconds)
-{
-    _spec.packageSleepDelay = seconds;
-    return *this;
-}
-
-ScenarioBuilder &
-ScenarioBuilder::rho(double per_core_load)
-{
-    _spec.rho = per_core_load;
-    return *this;
-}
-
-ScenarioBuilder &
-ScenarioBuilder::jobCount(std::size_t count)
-{
-    _spec.jobCount = count;
-    return *this;
-}
-
-ScenarioBuilder &
-ScenarioBuilder::seed(std::uint64_t master_seed)
-{
-    _spec.seed = master_seed;
-    return *this;
-}
-
-ScenarioBuilder &
-ScenarioBuilder::replications(std::size_t count)
-{
-    _spec.replications = count;
-    return *this;
-}
-
-ScenarioBuilder &
-ScenarioBuilder::captureEpochs(bool on)
-{
-    _spec.captureEpochs = on;
-    return *this;
-}
-
-ScenarioBuilder &
-ScenarioBuilder::reportRegret(bool on)
-{
-    _spec.reportRegret = on;
-    return *this;
-}
-
-ScenarioBuilder &
-ScenarioBuilder::optEpsilon(double epsilon)
-{
-    _spec.optEpsilon = epsilon;
-    return *this;
-}
-
-ScenarioBuilder &
-ScenarioBuilder::label(const std::string &text)
-{
-    _spec.label = text;
-    return *this;
-}
-
-ScenarioSpec
-ScenarioBuilder::build() const
-{
-    _spec.validate();
-    return _spec;
 }
 
 } // namespace sleepscale

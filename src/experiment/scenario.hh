@@ -10,17 +10,19 @@
  * so specs serialize naturally into sweep grids, tables, and CSV rows,
  * and misspelled names fail fast listing the registered alternatives.
  *
- * ScenarioBuilder is the fluent front door:
+ * Specs are plain structs: start from the defaults and set the fields
+ * that differ.
  *
- *   const ScenarioSpec spec = ScenarioBuilder("fig9")
- *       .workload("dns")
- *       .trace("es").traceDays(1).traceSeed(20140614).window(2, 20)
- *       .strategy("SS").epochMinutes(5).overProvision(0.35)
- *       .predictor("LC")
- *       .seed(99)
- *       .build();
+ *   ScenarioSpec spec;
+ *   spec.label = "fig9";
+ *   spec.workload = "dns";
+ *   spec.trace = {.kind = "es", .windowStartHour = 2, .windowEndHour = 20};
+ *   spec.strategy = "SS";
+ *   spec.overProvision = 0.35;
+ *   spec.seed = 99;
  *
- * ExperimentRunner (runner.hh) executes specs and expands sweep grids.
+ * ExperimentRunner (runner.hh) validates and executes specs and expands
+ * sweep grids.
  */
 
 #ifndef SLEEPSCALE_EXPERIMENT_SCENARIO_HH
@@ -39,7 +41,7 @@ namespace sleepscale {
 /** Which engine executes a scenario. */
 enum class EngineKind
 {
-    SingleServer, ///< SleepScaleRuntime: a one-server FarmRuntime.
+    SingleServer, ///< The paper's runtime: a one-server FarmRuntime.
     Farm,         ///< FarmRuntime: dispatched multi-server farm.
     Multicore,    ///< MulticoreSim: package-gated multi-core part.
 };
@@ -72,8 +74,9 @@ struct TraceSpec
 };
 
 /**
- * One fully specified experiment. Construct through ScenarioBuilder;
- * validate() cross-checks every component name against its registry.
+ * One fully specified experiment. validate(), which ExperimentRunner
+ * calls before it runs a spec, cross-checks every component name
+ * against its registry and every knob against its range.
  */
 struct ScenarioSpec
 {
@@ -93,7 +96,7 @@ struct ScenarioSpec
     double burstRateFactor = 4.0;       ///< "bursty": in-burst factor.
     double burstMeanLength = 120.0;     ///< "bursty": episode mean, s.
     double burstMeanGap = 1800.0;       ///< "bursty": inter-episode, s.
-    std::string replayPath;             ///< "replay": CSV job log.
+    std::string replayPath;             ///< CSV job log ("replay" only).
 
     // Policy management (single-server and farm engines).
     std::string strategy = "SS";        ///< Strategy registry name.
@@ -124,9 +127,9 @@ struct ScenarioSpec
     double packingSpillBacklog = 1.0;   ///< Packing spill threshold, s.
     /** "farm-wide" | "per-server" | "distributed". */
     std::string farmControl = "farm-wide";
-    /** Per-server platform names (empty = homogeneous `platform`; a
-     * heterogeneous mix needs farmControl "per-server" or
-     * "distributed"). */
+    /** Per-server platform names: empty = homogeneous `platform`,
+     * else one name per server (farmSize entries). A heterogeneous mix
+     * needs farmControl "per-server" or "distributed". */
     std::vector<std::string> farmPlatforms;
     std::size_t decisionThreads = 0;    ///< Per-server decision fan-out.
     std::size_t farmShards = 1;         ///< Accounting shard width (0 = auto).
@@ -163,15 +166,16 @@ struct ScenarioSpec
      */
     std::size_t replications = 1;
 
-    /** Capture the per-epoch CSV in the result (single-server only). */
+    /** Capture the per-epoch CSV in the result (single-server and farm
+     * engines; a farm reports its farm-level epochs). */
     bool captureEpochs = false;
 
     /**
      * Solve the offline-optimal oracle over the run's completed job
      * log and report `offline_opt_energy` and `regret_pct` result
      * extras (single-server engine only; docs/OFFLINE_OPT.md). Under
-     * replications the regret inherits the PR 5 CI machinery like any
-     * other metric.
+     * replications the regret gets confidence intervals like any other
+     * metric.
      */
     bool reportRegret = false;
 
@@ -183,139 +187,6 @@ struct ScenarioSpec
      * with the registered alternatives on the first mismatch.
      */
     void validate() const;
-};
-
-/** Fluent construction of ScenarioSpecs. */
-class ScenarioBuilder
-{
-  public:
-    /** @param label Row label of the scenario under construction. */
-    explicit ScenarioBuilder(std::string label);
-
-    /** Resume building from an existing spec (sweep expansion). */
-    static ScenarioBuilder from(const ScenarioSpec &spec);
-
-    /** Executing engine (single server, farm, or multicore). */
-    ScenarioBuilder &engine(EngineKind kind);
-    /** Workload by registry name ("dns", "mail", "google"). */
-    ScenarioBuilder &workload(const std::string &name);
-    /** Replace the workload with its idealized (M/M/1) variant. */
-    ScenarioBuilder &idealizedWorkload(bool on = true);
-    /** Platform model by registry name ("xeon", "atom"). */
-    ScenarioBuilder &platform(const std::string &name);
-
-    /** Trace kind: "es", "fs", "flat", or a CSV path. */
-    ScenarioBuilder &trace(const std::string &kind);
-    /** Days of synthetic trace to generate (es/fs kinds). */
-    ScenarioBuilder &traceDays(unsigned days);
-    /** Synthesis seed of the es/fs trace generators. */
-    ScenarioBuilder &traceSeed(std::uint64_t seed);
-    /** Daily evaluation window [start, end) in hours. */
-    ScenarioBuilder &window(unsigned start_hour, unsigned end_hour);
-    /** Shortcut: a flat trace at `level` for `minutes` minutes. */
-    ScenarioBuilder &flatTrace(double level, std::size_t minutes);
-
-    /** Job source: "trace", "stationary", "bursty", "replay", or any
-     * name registered in jobSourceRegistry(). */
-    ScenarioBuilder &source(const std::string &name);
-    /** Offered load of the stationary/bursty sources. */
-    ScenarioBuilder &sourceUtilization(double level);
-    /** Extra arrival-rate multiplier on top of the source. */
-    ScenarioBuilder &sourceRateScale(double factor);
-    /** Bursty-source episode shape (factor >= 1; seconds). */
-    ScenarioBuilder &burstiness(double rate_factor, double mean_length,
-                                double mean_gap);
-    /** CSV job log for the replay source (implies source("replay")). */
-    ScenarioBuilder &replayPath(const std::string &path);
-
-    /** Strategy by registry name ("SS", "DVFS", "R2H(C6)", ...). */
-    ScenarioBuilder &strategy(const std::string &name);
-    /** Policy update interval T, minutes. */
-    ScenarioBuilder &epochMinutes(unsigned minutes);
-    /** Over-provisioning factor α (Section 5.2.3 guard band). */
-    ScenarioBuilder &overProvision(double alpha);
-    /** Peak design utilization ρ_b anchoring the QoS budget. */
-    ScenarioBuilder &rhoB(double rho_b);
-    /** Which response-time statistic the QoS budget bounds. */
-    ScenarioBuilder &qosMetric(QosMetric metric);
-    /** Predictor by registry name ("NP", "LMS", "LC", "Offline"). */
-    ScenarioBuilder &predictor(const std::string &name);
-    /** Predictor tap/history count p. */
-    ScenarioBuilder &predictorHistory(std::size_t taps);
-    /** Candidate-search fan-out width (1 = serial, 0 = hardware). */
-    ScenarioBuilder &searchThreads(std::size_t threads);
-    /** Binary-search the QoS feasibility boundary per plan. */
-    ScenarioBuilder &prunedSearch(bool on = true);
-    /** "poet" Kalman noise variances Q and R (both > 0). */
-    ScenarioBuilder &controllerNoise(double process, double measurement);
-    /** "poet" xup integrator pole, in [0, 1). */
-    ScenarioBuilder &controllerPole(double pole);
-    /** "poet" control period as a multiple of the epoch (>= 1). */
-    ScenarioBuilder &controllerPeriod(unsigned epochs);
-    /** Time each epoch decision (decision_us_* result extras). */
-    ScenarioBuilder &recordDecisionTime(bool on = true);
-
-    /** Number of back-end servers in the farm. */
-    ScenarioBuilder &farmSize(std::size_t servers);
-    /** Dispatcher by registry name ("random", "JSQ", "packing", ...). */
-    ScenarioBuilder &dispatcher(const std::string &name);
-    /** Packing-dispatcher spill threshold, seconds of backlog. */
-    ScenarioBuilder &packingSpillBacklog(double seconds);
-    /** Farm control mode: "farm-wide", "per-server", or
-     * "distributed". */
-    ScenarioBuilder &farmControl(const std::string &mode);
-    /** One platform name per server (implies farmSize; a mixed list
-     * needs farmControl("per-server") or "distributed"). */
-    ScenarioBuilder &farmPlatforms(std::vector<std::string> names);
-    /** Per-server epoch-decision fan-out width (0 = auto). */
-    ScenarioBuilder &decisionThreads(std::size_t threads);
-    /** Farm accounting shard width (1 = serial, 0 = auto-size). */
-    ScenarioBuilder &farmShards(std::size_t shards);
-    /** Toggle per-completion response-tail histograms (off for
-     * 10k+-server scale runs; percentile outputs then read 0). */
-    ScenarioBuilder &tailHistograms(bool on);
-
-    /** Fault source by registry name ("none", "mtbf", "correlated",
-     * "scripted"); see docs/FAULTS.md. */
-    ScenarioBuilder &faults(const std::string &name);
-    /** Mean time between failures / to repair per server, seconds. */
-    ScenarioBuilder &faultRates(double mtbf_s, double mttr_s);
-    /** Failover retry backoff base, seconds (doubles per attempt). */
-    ScenarioBuilder &retryBackoff(double seconds);
-    /** Failover drop deadline past the original arrival, seconds. */
-    ScenarioBuilder &dropTimeout(double seconds);
-
-    /** Cores in the multicore package. */
-    ScenarioBuilder &cores(std::size_t count);
-    /** Shared DVFS frequency factor of the package. */
-    ScenarioBuilder &frequency(double f);
-    /** Per-core idle descent state of the package policy. */
-    ScenarioBuilder &coreState(LowPowerState state);
-    /** Joint-idle delay before the package drops to S3, seconds. */
-    ScenarioBuilder &packageSleepDelay(double seconds);
-    /** Per-core offered load of the multicore scenario. */
-    ScenarioBuilder &rho(double per_core_load);
-    /** Stationary job count the multicore scenario runs. */
-    ScenarioBuilder &jobCount(std::size_t count);
-
-    /** Master seed every engine-drawn RNG derives from. */
-    ScenarioBuilder &seed(std::uint64_t master_seed);
-    /** Monte-Carlo replications of the scenario (>= 1). */
-    ScenarioBuilder &replications(std::size_t count);
-    /** Capture the per-epoch CSV in the result (single-server). */
-    ScenarioBuilder &captureEpochs(bool on = true);
-    /** Report regret vs the offline-optimal oracle (single-server). */
-    ScenarioBuilder &reportRegret(bool on = true);
-    /** FPTAS accuracy of the regret oracle (> 0). */
-    ScenarioBuilder &optEpsilon(double epsilon);
-    /** Replace the scenario's row label. */
-    ScenarioBuilder &label(const std::string &text);
-
-    /** Validate and return the finished spec. */
-    ScenarioSpec build() const;
-
-  private:
-    ScenarioSpec _spec;
 };
 
 } // namespace sleepscale

@@ -297,20 +297,6 @@ closeLogEpoch(std::vector<Job> &history, std::vector<std::size_t> &counts,
                   history.begin() + static_cast<std::ptrdiff_t>(drop));
 }
 
-/** The farm a single-server runtime runs on: one server under
- * farm-wide control, so the farm-level report stream is its own. */
-FarmRuntimeConfig
-singleServerFarm(RuntimeConfig config)
-{
-    FarmRuntimeConfig farm;
-    farm.farmSize = 1;
-    farm.dispatcher = "round-robin";
-    farm.control = "farm-wide";
-    farm.decisionThreads = 1;
-    farm.perServer = std::move(config);
-    return farm;
-}
-
 /** Whether a harvested window (an epoch's, or a server's whole-run
  * total) met the QoS budget. An empty window never qualifies: it has
  * no response statistic, so it neither arms the over-provisioning
@@ -912,6 +898,18 @@ FarmRuntime::run(JobSource &source, const UtilizationTrace &trace,
             windowWithinBudget(_qos, result.servers[i].total);
     }
     return result;
+}
+
+FarmRuntimeConfig
+singleServerFarm(RuntimeConfig config)
+{
+    FarmRuntimeConfig farm;
+    farm.farmSize = 1;
+    farm.dispatcher = "round-robin";
+    farm.control = "farm-wide";
+    farm.decisionThreads = 1;
+    farm.perServer = std::move(config);
+    return farm;
 }
 
 SleepScaleRuntime::SleepScaleRuntime(const PlatformModel &platform,

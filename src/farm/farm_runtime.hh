@@ -399,6 +399,14 @@ class FarmRuntime
 };
 
 /**
+ * The farm the paper's single-server runtime runs on: one server,
+ * round-robin dispatch, farm-wide control and one decision thread, so
+ * the farm-level report stream is the server's own. Every other farm
+ * knob keeps its default.
+ */
+FarmRuntimeConfig singleServerFarm(RuntimeConfig config);
+
+/**
  * The paper's single-server runtime (Sections 5.2 and 6): a one-server
  * farm under farm-wide control. At each epoch boundary it forecasts the
  * upcoming load, rescales the logged jobs of the last historyEpochs

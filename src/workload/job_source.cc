@@ -758,7 +758,7 @@ jobSourceRegistry()
         r.add("replay", [](const JobSourceConfig &config) {
             fatalIf(config.replayPath.empty(),
                     "job source 'replay': needs a CSV path "
-                    "(ScenarioBuilder::replayPath / --replay)");
+                    "(ScenarioSpec::replayPath / --replay)");
             return std::make_unique<ReplaySource>(config.replayPath);
         });
         return r;

@@ -114,7 +114,7 @@ TEST(EpochCsv, ExportsOneRowPerEpoch)
     NaivePreviousPredictor predictor(0.2);
     const RuntimeResult result = runtime.run(jobs, trace, predictor);
 
-    const CsvTable table = epochsToCsv(result);
+    const CsvTable table = epochsToCsv(result.epochs);
     EXPECT_EQ(table.rows.size(), result.epochs.size());
     const auto power = table.column("avg_power_w");
     for (double watts : power) {

@@ -276,15 +276,15 @@ TEST(ControlLoop, ReconvergesWithinBoundedEpochsAfterLoadStep)
 ScenarioSpec
 stationarySpec(const std::string &strategy, double util)
 {
-    return ScenarioBuilder("band " + strategy)
-        .workload("dns")
-        .idealizedWorkload()
-        .strategy(strategy)
-        .source("stationary")
-        .sourceUtilization(util)
-        .flatTrace(util, 720)
-        .seed(7)
-        .build();
+    ScenarioSpec spec;
+    spec.label = "band " + strategy;
+    spec.idealizedWorkload = true;
+    spec.trace = {.kind = "flat", .flatLevel = util, .flatMinutes = 720};
+    spec.source = "stationary";
+    spec.sourceUtilization = util;
+    spec.strategy = strategy;
+    spec.seed = 7;
+    return spec;
 }
 
 TEST(ControlLoop, TracksSearchOnStationaryPoints)
@@ -342,17 +342,16 @@ TEST(ControlDeterminism, PerServerFarmIsThreadWidthInvariant)
 {
     // One controller per back-end; the decision fan-out must
     // bit-reproduce the serial run at any pool width.
-    ScenarioSpec base = ScenarioBuilder("farm poet")
-                            .engine(EngineKind::Farm)
-                            .workload("dns")
-                            .strategy("poet")
-                            .farmSize(8)
-                            .farmControl("per-server")
-                            .flatTrace(0.25, 240)
-                            .source("stationary")
-                            .sourceUtilization(0.25)
-                            .seed(3)
-                            .build();
+    ScenarioSpec base;
+    base.label = "farm poet";
+    base.engine = EngineKind::Farm;
+    base.trace = {.kind = "flat", .flatLevel = 0.25, .flatMinutes = 240};
+    base.source = "stationary";
+    base.sourceUtilization = 0.25;
+    base.strategy = "poet";
+    base.farmSize = 8;
+    base.farmControl = "per-server";
+    base.seed = 3;
     ScenarioSpec serial = base;
     serial.decisionThreads = 1;
     ScenarioSpec wide = base;

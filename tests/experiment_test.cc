@@ -1,13 +1,15 @@
 /**
  * @file
  * Tests for the unified experiment layer: component registries,
- * scenario building and validation, sweep-grid expansion, and the
- * determinism of the parallel runner.
+ * scenario validation, sweep-grid expansion, the single run path of
+ * the single-server and farm engines, and the determinism of the
+ * parallel runner.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <set>
 #include <sstream>
 
@@ -89,124 +91,115 @@ TEST(Registry, FarmRuntimeRejectsUnknownDispatcherAtConstruction)
     }
 }
 
-// ------------------------------------------------- builder / validation
+// ------------------------------------------------------ spec validation
 
-TEST(ScenarioBuilder, BuildsValidatedSpec)
+TEST(ScenarioSpec, ValidatesAndRealizesFlatTrace)
 {
-    const ScenarioSpec spec = ScenarioBuilder("s")
-                                  .workload("mail")
-                                  .platform("atom")
-                                  .flatTrace(0.25, 45)
-                                  .strategy("DVFS")
-                                  .epochMinutes(3)
-                                  .predictor("NP")
-                                  .seed(7)
-                                  .build();
-    EXPECT_EQ(spec.workload, "mail");
-    EXPECT_EQ(spec.platform, "atom");
-    EXPECT_EQ(spec.trace.kind, "flat");
-    EXPECT_EQ(spec.strategy, "DVFS");
-    EXPECT_EQ(spec.epochMinutes, 3u);
-    EXPECT_EQ(spec.seed, 7u);
+    ScenarioSpec spec;
+    spec.workload = "mail";
+    spec.platform = "atom";
+    spec.trace = {.kind = "flat", .flatLevel = 0.25, .flatMinutes = 45};
+    spec.strategy = "DVFS";
+    spec.epochMinutes = 3;
+    spec.predictor = "NP";
+    EXPECT_NO_THROW(spec.validate());
 
     const UtilizationTrace trace = spec.trace.realize();
     EXPECT_EQ(trace.size(), 45u);
     EXPECT_DOUBLE_EQ(trace.at(0), 0.25);
 }
 
-TEST(ScenarioBuilder, RejectsUnknownComponentNames)
+/** Whether validate() rejects a default spec after `edit`. */
+bool
+rejects(const std::function<void(ScenarioSpec &)> &edit)
 {
-    EXPECT_THROW(ScenarioBuilder("s").workload("smtp").build(),
-                 ConfigError);
-    EXPECT_THROW(ScenarioBuilder("s").strategy("YOLO").build(),
-                 ConfigError);
-    EXPECT_THROW(ScenarioBuilder("s").predictor("ARIMA").build(),
-                 ConfigError);
-    EXPECT_THROW(ScenarioBuilder("s")
-                     .engine(EngineKind::Farm)
-                     .dispatcher("least-loaded")
-                     .build(),
-                 ConfigError);
-    EXPECT_THROW(ScenarioBuilder("s").platform("epyc").build(),
-                 ConfigError);
-    EXPECT_THROW(ScenarioBuilder("s").source("psychic").build(),
-                 ConfigError);
-    // Replay needs a path; the builder shortcut sets both fields.
-    EXPECT_THROW(ScenarioBuilder("s").source("replay").build(),
-                 ConfigError);
+    ScenarioSpec spec;
+    spec.label = "s";
+    edit(spec);
+    try {
+        spec.validate();
+    } catch (const ConfigError &) {
+        return true;
+    }
+    return false;
 }
 
-TEST(ScenarioBuilder, JobSourceKnobsRoundTrip)
+TEST(ScenarioSpec, RejectsUnknownComponentNames)
 {
-    const ScenarioSpec spec = ScenarioBuilder("s")
-                                  .flatTrace(0.2, 30)
-                                  .source("bursty")
-                                  .sourceUtilization(0.15)
-                                  .burstiness(6.0, 90.0, 900.0)
-                                  .build();
-    EXPECT_EQ(spec.source, "bursty");
-    EXPECT_DOUBLE_EQ(spec.sourceUtilization, 0.15);
-    EXPECT_DOUBLE_EQ(spec.burstRateFactor, 6.0);
-    EXPECT_DOUBLE_EQ(spec.burstMeanLength, 90.0);
-    EXPECT_DOUBLE_EQ(spec.burstMeanGap, 900.0);
+    EXPECT_TRUE(rejects([](ScenarioSpec &s) { s.workload = "smtp"; }));
+    EXPECT_TRUE(rejects([](ScenarioSpec &s) { s.strategy = "YOLO"; }));
+    EXPECT_TRUE(rejects([](ScenarioSpec &s) { s.predictor = "ARIMA"; }));
+    EXPECT_TRUE(rejects([](ScenarioSpec &s) {
+        s.engine = EngineKind::Farm;
+        s.dispatcher = "least-loaded";
+    }));
+    EXPECT_TRUE(rejects([](ScenarioSpec &s) { s.platform = "epyc"; }));
+    EXPECT_TRUE(rejects([](ScenarioSpec &s) { s.source = "psychic"; }));
+    // The replay source needs a path.
+    EXPECT_TRUE(rejects([](ScenarioSpec &s) { s.source = "replay"; }));
 }
 
-TEST(ScenarioBuilder, FarmControlAndPlatformMixValidation)
+TEST(ScenarioSpec, ReplayPathNeedsTheReplaySource)
 {
-    // farmPlatforms pins the farm size to the list length.
-    const ScenarioSpec spec =
-        ScenarioBuilder("het")
-            .engine(EngineKind::Farm)
-            .flatTrace(0.2, 20)
-            .farmControl("per-server")
-            .farmPlatforms({"xeon", "xeon", "atom", "atom"})
-            .decisionThreads(2)
-            .build();
-    EXPECT_EQ(spec.farmSize, 4u);
-    EXPECT_EQ(spec.farmControl, "per-server");
-    EXPECT_EQ(spec.decisionThreads, 2u);
+    // A path under another source would be silently ignored.
+    EXPECT_TRUE(rejects([](ScenarioSpec &s) {
+        s.source = "stationary";
+        s.replayPath = "jobs.csv";
+    }));
+    EXPECT_TRUE(rejects([](ScenarioSpec &s) { s.replayPath = "jobs.csv"; }));
+    EXPECT_FALSE(rejects([](ScenarioSpec &s) {
+        s.source = "replay";
+        s.replayPath = "jobs.csv";
+    }));
+}
 
-    EXPECT_THROW(ScenarioBuilder("s")
-                     .engine(EngineKind::Farm)
-                     .farmControl("per-rack")
-                     .build(),
-                 ConfigError);
-    EXPECT_THROW(ScenarioBuilder("s")
-                     .engine(EngineKind::Farm)
-                     .farmSize(3)
-                     .farmPlatforms({"xeon", "atom", "xeon"})
-                     .farmSize(2) // Length no longer matches.
-                     .build(),
-                 ConfigError);
-    EXPECT_THROW(ScenarioBuilder("s")
-                     .engine(EngineKind::Farm)
-                     .farmPlatforms({"xeon", "epyc"})
-                     .farmControl("per-server")
-                     .build(),
-                 ConfigError);
+TEST(ScenarioSpec, FarmControlAndPlatformMixValidation)
+{
+    EXPECT_FALSE(rejects([](ScenarioSpec &s) {
+        s.engine = EngineKind::Farm;
+        s.farmSize = 4;
+        s.farmControl = "per-server";
+        s.farmPlatforms = {"xeon", "xeon", "atom", "atom"};
+        s.decisionThreads = 2;
+    }));
+
+    EXPECT_TRUE(rejects([](ScenarioSpec &s) {
+        s.engine = EngineKind::Farm;
+        s.farmControl = "per-rack";
+    }));
+    // One platform name per server, or none.
+    EXPECT_TRUE(rejects([](ScenarioSpec &s) {
+        s.engine = EngineKind::Farm;
+        s.farmSize = 2;
+        s.farmPlatforms = {"xeon", "atom", "xeon"};
+    }));
+    EXPECT_TRUE(rejects([](ScenarioSpec &s) {
+        s.engine = EngineKind::Farm;
+        s.farmSize = 2;
+        s.farmControl = "per-server";
+        s.farmPlatforms = {"xeon", "epyc"};
+    }));
     // A heterogeneous mix requires autonomous per-server control.
-    EXPECT_THROW(ScenarioBuilder("s")
-                     .engine(EngineKind::Farm)
-                     .farmPlatforms({"xeon", "atom"})
-                     .farmControl("farm-wide")
-                     .build(),
-                 ConfigError);
+    EXPECT_TRUE(rejects([](ScenarioSpec &s) {
+        s.engine = EngineKind::Farm;
+        s.farmSize = 2;
+        s.farmControl = "farm-wide";
+        s.farmPlatforms = {"xeon", "atom"};
+    }));
 }
 
 TEST(ExperimentRunner, HeterogeneousFarmScenarioReportsPerServer)
 {
-    const ScenarioSpec spec =
-        ScenarioBuilder("big.LITTLE")
-            .engine(EngineKind::Farm)
-            .workload("dns")
-            .flatTrace(0.25, 20)
-            .farmControl("per-server")
-            .farmPlatforms({"xeon", "atom"})
-            .dispatcher("random")
-            .epochMinutes(5)
-            .predictor("NP")
-            .seed(33)
-            .build();
+    ScenarioSpec spec;
+    spec.label = "big.LITTLE";
+    spec.engine = EngineKind::Farm;
+    spec.trace = {.kind = "flat", .flatLevel = 0.25, .flatMinutes = 20};
+    spec.predictor = "NP";
+    spec.farmSize = 2;
+    spec.dispatcher = "random";
+    spec.farmControl = "per-server";
+    spec.farmPlatforms = {"xeon", "atom"};
+    spec.seed = 33;
     const ScenarioResult result = ExperimentRunner::runScenario(spec);
 
     ASSERT_EQ(result.servers.size(), 2u);
@@ -222,22 +215,23 @@ TEST(ExperimentRunner, HeterogeneousFarmScenarioReportsPerServer)
     EXPECT_NE(out.str().find("Atom"), std::string::npos);
 
     // Non-farm engines carry no per-server rows.
-    const ScenarioResult single = ExperimentRunner::runScenario(
-        ScenarioBuilder("single")
-            .workload("dns")
-            .flatTrace(0.2, 10)
-            .predictor("NP")
-            .build());
+    ScenarioSpec single_spec;
+    single_spec.label = "single";
+    single_spec.trace = {.kind = "flat", .flatLevel = 0.2,
+                         .flatMinutes = 10};
+    single_spec.predictor = "NP";
+    const ScenarioResult single =
+        ExperimentRunner::runScenario(single_spec);
     EXPECT_TRUE(single.servers.empty());
     EXPECT_THROW(serversTable(single), ConfigError);
 }
 
 TEST(ExpandGrid, FarmControlAxisExpands)
 {
-    const ScenarioSpec base = ScenarioBuilder("farm")
-                                  .engine(EngineKind::Farm)
-                                  .flatTrace(0.2, 20)
-                                  .build();
+    ScenarioSpec base;
+    base.label = "farm";
+    base.engine = EngineKind::Farm;
+    base.trace = {.kind = "flat", .flatLevel = 0.2, .flatMinutes = 20};
     const auto grid = expandGrid(
         base, {sweepFarmControls({"farm-wide", "per-server"})});
     ASSERT_EQ(grid.size(), 2u);
@@ -249,41 +243,37 @@ TEST(ExpandGrid, FarmControlAxisExpands)
 
 TEST(ExperimentRunner, BurstySourceScenarioSmoke)
 {
-    const ScenarioSpec spec = ScenarioBuilder("bursty smoke")
-                                  .workload("dns")
-                                  .flatTrace(0.2, 20)
-                                  .source("bursty")
-                                  .sourceUtilization(0.1)
-                                  .burstiness(5.0, 60.0, 300.0)
-                                  .epochMinutes(5)
-                                  .predictor("NP")
-                                  .seed(19)
-                                  .build();
+    ScenarioSpec spec;
+    spec.label = "bursty smoke";
+    spec.trace = {.kind = "flat", .flatLevel = 0.2, .flatMinutes = 20};
+    spec.source = "bursty";
+    spec.sourceUtilization = 0.1;
+    spec.burstRateFactor = 5.0;
+    spec.burstMeanLength = 60.0;
+    spec.burstMeanGap = 300.0;
+    spec.predictor = "NP";
+    spec.seed = 19;
     const ScenarioResult result = ExperimentRunner::runScenario(spec);
     EXPECT_GT(result.jobs, 100u);
     EXPECT_GT(result.avgPower, 0.0);
 }
 
-TEST(ScenarioBuilder, RejectsOutOfRangeKnobs)
+TEST(ScenarioSpec, RejectsOutOfRangeKnobs)
 {
-    EXPECT_THROW(ScenarioBuilder("s").epochMinutes(0).build(),
-                 ConfigError);
-    EXPECT_THROW(ScenarioBuilder("s").rhoB(1.5).build(), ConfigError);
-    EXPECT_THROW(ScenarioBuilder("s")
-                     .engine(EngineKind::Multicore)
-                     .rho(1.2)
-                     .build(),
-                 ConfigError);
-    EXPECT_THROW(ScenarioBuilder("s")
-                     .engine(EngineKind::Multicore)
-                     .cores(0)
-                     .build(),
-                 ConfigError);
-    EXPECT_THROW(ScenarioBuilder("s")
-                     .engine(EngineKind::Farm)
-                     .farmSize(0)
-                     .build(),
-                 ConfigError);
+    EXPECT_TRUE(rejects([](ScenarioSpec &s) { s.epochMinutes = 0; }));
+    EXPECT_TRUE(rejects([](ScenarioSpec &s) { s.rhoB = 1.5; }));
+    EXPECT_TRUE(rejects([](ScenarioSpec &s) {
+        s.engine = EngineKind::Multicore;
+        s.rho = 1.2;
+    }));
+    EXPECT_TRUE(rejects([](ScenarioSpec &s) {
+        s.engine = EngineKind::Multicore;
+        s.cores = 0;
+    }));
+    EXPECT_TRUE(rejects([](ScenarioSpec &s) {
+        s.engine = EngineKind::Farm;
+        s.farmSize = 0;
+    }));
 }
 
 // --------------------------------------------------------- sweep grids
@@ -291,14 +281,13 @@ TEST(ScenarioBuilder, RejectsOutOfRangeKnobs)
 ScenarioSpec
 flatBase()
 {
-    return ScenarioBuilder("base")
-        .workload("dns")
-        .flatTrace(0.15, 30)
-        .epochMinutes(5)
-        .overProvision(0.0)
-        .predictor("NP")
-        .seed(11)
-        .build();
+    ScenarioSpec spec;
+    spec.label = "base";
+    spec.trace = {.kind = "flat", .flatLevel = 0.15, .flatMinutes = 30};
+    spec.overProvision = 0.0;
+    spec.predictor = "NP";
+    spec.seed = 11;
+    return spec;
 }
 
 TEST(ExpandGrid, CrossProductCountsAndLabels)
@@ -349,15 +338,14 @@ TEST(ExpandGrid, EmptyAxisThrows)
 
 TEST(ExperimentRunner, MulticoreScenarioSmoke)
 {
-    const ScenarioSpec spec = ScenarioBuilder("mc")
-                                  .engine(EngineKind::Multicore)
-                                  .workload("dns")
-                                  .idealizedWorkload()
-                                  .cores(2)
-                                  .rho(0.2)
-                                  .jobCount(2000)
-                                  .seed(3)
-                                  .build();
+    ScenarioSpec spec;
+    spec.label = "mc";
+    spec.engine = EngineKind::Multicore;
+    spec.idealizedWorkload = true;
+    spec.cores = 2;
+    spec.rho = 0.2;
+    spec.jobCount = 2000;
+    spec.seed = 3;
     const ScenarioResult result =
         ExperimentRunner::runScenario(spec);
     EXPECT_EQ(result.jobs, 2000u);
@@ -406,22 +394,22 @@ TEST(ExperimentRunner, ParallelRunBitMatchesSequential)
 TEST(ExperimentRunner, ResultsExportUniformSchema)
 {
     ExperimentRunner runner(2);
-    runner.add(ScenarioBuilder("single one")
-                   .workload("dns")
-                   .flatTrace(0.15, 20)
-                   .strategy("R2H(C6)")
-                   .predictor("NP")
-                   .seed(5)
-                   .build());
-    runner.add(ScenarioBuilder("mc one")
-                   .engine(EngineKind::Multicore)
-                   .workload("dns")
-                   .idealizedWorkload()
-                   .cores(2)
-                   .rho(0.2)
-                   .jobCount(1000)
-                   .seed(5)
-                   .build());
+    ScenarioSpec single;
+    single.label = "single one";
+    single.trace = {.kind = "flat", .flatLevel = 0.15, .flatMinutes = 20};
+    single.strategy = "R2H(C6)";
+    single.predictor = "NP";
+    single.seed = 5;
+    runner.add(single);
+    ScenarioSpec multicore;
+    multicore.label = "mc one";
+    multicore.engine = EngineKind::Multicore;
+    multicore.idealizedWorkload = true;
+    multicore.cores = 2;
+    multicore.rho = 0.2;
+    multicore.jobCount = 1000;
+    multicore.seed = 5;
+    runner.add(multicore);
     const auto results = runner.run();
 
     const std::string csv = resultsToCsvString(results);
@@ -465,19 +453,83 @@ TEST(ExperimentRunner, ReplicatedRunSmoke)
 
 TEST(ExperimentRunner, CaptureEpochsProducesPerEpochTable)
 {
-    const ScenarioSpec spec = ScenarioBuilder("epochs")
-                                  .workload("dns")
-                                  .flatTrace(0.15, 20)
-                                  .strategy("R2H(C6)")
-                                  .predictor("NP")
-                                  .epochMinutes(5)
-                                  .seed(5)
-                                  .captureEpochs()
-                                  .build();
+    ScenarioSpec spec;
+    spec.label = "epochs";
+    spec.trace = {.kind = "flat", .flatLevel = 0.15, .flatMinutes = 20};
+    spec.strategy = "R2H(C6)";
+    spec.predictor = "NP";
+    spec.seed = 5;
+    spec.captureEpochs = true;
     const ScenarioResult result =
         ExperimentRunner::runScenario(spec);
     EXPECT_EQ(result.epochs.rows.size(), result.extra("epochs"));
     EXPECT_NO_THROW(result.epochs.column("avg_power_w"));
+
+    // A farm captures its farm-level epochs the same way.
+    spec.engine = EngineKind::Farm;
+    spec.farmSize = 2;
+    const ScenarioResult farm = ExperimentRunner::runScenario(spec);
+    EXPECT_EQ(farm.epochs.rows.size(), farm.extra("epochs"));
+    EXPECT_GT(farm.epochs.rows.size(), 0u);
+    EXPECT_EQ(farm.epochs.headers, result.epochs.headers);
+}
+
+TEST(ExperimentRunner, EveryRunListsAllFiveSelectedStates)
+{
+    // R2H(C6) always selects C6, so four of the five fractions are
+    // zero; each must still be listed, or replicated summaries drop
+    // the states some replications never select.
+    ScenarioSpec spec = flatBase();
+    spec.strategy = "R2H(C6)";
+    for (const EngineKind engine :
+         {EngineKind::SingleServer, EngineKind::Farm}) {
+        spec.engine = engine;
+        const ScenarioResult result = ExperimentRunner::runScenario(spec);
+        double total = 0.0;
+        for (LowPowerState state : allLowPowerStates)
+            total += result.extra("state_" + toString(state));
+        EXPECT_DOUBLE_EQ(total, 1.0) << toString(engine);
+        EXPECT_EQ(result.extra("state_C6S0(i)"), 1.0) << toString(engine);
+    }
+}
+
+TEST(ExperimentRunner, SingleServerScenarioIsAOneServerFarm)
+{
+    // The single-server engine is the paper's runtime on a one-server
+    // farm: the same spec run as an explicit one-server farm
+    // (round-robin, farm-wide, one decision thread) must agree in every
+    // core field and every extra, key order included.
+    ScenarioSpec single;
+    single.label = "one";
+    single.workload = "mail";
+    single.trace = {.kind = "flat", .flatLevel = 0.3, .flatMinutes = 40};
+    single.seed = 7;
+    single.captureEpochs = true;
+    ScenarioSpec farm = single;
+    farm.engine = EngineKind::Farm;
+    farm.farmSize = 1;
+    farm.dispatcher = "round-robin";
+    farm.farmControl = "farm-wide";
+    farm.decisionThreads = 1;
+
+    const ScenarioResult a = ExperimentRunner::runScenario(single);
+    const ScenarioResult b = ExperimentRunner::runScenario(farm);
+    EXPECT_EQ(a.meanResponse, b.meanResponse);
+    EXPECT_EQ(a.normalizedMean, b.normalizedMean);
+    EXPECT_EQ(a.p95Response, b.p95Response);
+    EXPECT_EQ(a.p99Response, b.p99Response);
+    EXPECT_EQ(a.avgPower, b.avgPower);
+    EXPECT_EQ(a.energy, b.energy);
+    EXPECT_EQ(a.elapsed, b.elapsed);
+    EXPECT_EQ(a.jobs, b.jobs);
+    EXPECT_EQ(a.withinBudget, b.withinBudget);
+    EXPECT_EQ(a.extras, b.extras);
+    EXPECT_EQ(toCsv(a.epochs), toCsv(b.epochs));
+    // The per-server breakdown stays farm-only.
+    EXPECT_TRUE(a.servers.empty());
+    EXPECT_TRUE(a.jobsPerServer.empty());
+    ASSERT_EQ(b.servers.size(), 1u);
+    EXPECT_EQ(b.servers[0].jobs, b.jobs);
 }
 
 } // namespace

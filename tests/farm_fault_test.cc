@@ -906,16 +906,16 @@ ScenarioSpec
 pinSpec(const std::string &workload, const std::string &control,
         const std::string &strategy = "SS")
 {
-    return ScenarioBuilder(workload + "/" + control + "/" + strategy)
-        .engine(EngineKind::Farm)
-        .workload(workload)
-        .flatTrace(0.3, 60)
-        .farmSize(3)
-        .farmControl(control)
-        .strategy(strategy)
-        .epochMinutes(5)
-        .seed(1)
-        .build();
+    ScenarioSpec spec;
+    spec.label = workload + "/" + control + "/" + strategy;
+    spec.engine = EngineKind::Farm;
+    spec.workload = workload;
+    spec.trace = {.kind = "flat", .flatLevel = 0.3, .flatMinutes = 60};
+    spec.strategy = strategy;
+    spec.farmSize = 3;
+    spec.farmControl = control;
+    spec.seed = 1;
+    return spec;
 }
 
 TEST(NoFaultPin, TotalsMatchTheFaultFreeRuntimeBitForBit)
@@ -1114,18 +1114,17 @@ TEST(FaultReplication, PairedComparisonQuantifiesOutageCost)
     // correlated-outage farm against its no-fault twin under common
     // random numbers. correlatedGroup defaults to 2, so a 2-server
     // farm sees full-farm outages and must exercise the retry path.
-    ScenarioSpec faulty = ScenarioBuilder("faults(correlated)")
-                              .engine(EngineKind::Farm)
-                              .workload("dns")
-                              .flatTrace(0.3, 45)
-                              .farmSize(2)
-                              .epochMinutes(5)
-                              .seed(7)
-                              .faults("correlated")
-                              .faultRates(900.0, 120.0)
-                              .retryBackoff(0.5)
-                              .dropTimeout(240.0)
-                              .build();
+    ScenarioSpec faulty;
+    faulty.label = "faults(correlated)";
+    faulty.engine = EngineKind::Farm;
+    faulty.trace = {.kind = "flat", .flatLevel = 0.3, .flatMinutes = 45};
+    faulty.farmSize = 2;
+    faulty.faults = "correlated";
+    faulty.mtbf = 900.0;
+    faulty.mttr = 120.0;
+    faulty.retryBackoff = 0.5;
+    faulty.dropTimeout = 240.0;
+    faulty.seed = 7;
     ScenarioSpec clean = faulty;
     clean.label = "no-fault";
     clean.faults = "none";

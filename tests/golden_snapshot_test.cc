@@ -49,20 +49,19 @@ goldenPath(const std::string &workload)
 ScenarioSpec
 goldenScenario(const std::string &workload)
 {
-    return ScenarioBuilder("golden " + workload)
-        .workload(workload)
-        .trace("es")
-        .traceDays(1)
-        .traceSeed(20140614)
-        .window(2, 8)
-        .epochMinutes(5)
-        .strategy("SS")
-        .overProvision(0.35)
-        .rhoB(0.8)
-        .predictor("LC")
-        .seed(20140614)
-        .captureEpochs()
-        .build();
+    ScenarioSpec spec;
+    spec.label = "golden " + workload;
+    spec.workload = workload;
+    spec.trace = {.kind = "es", .days = 1, .seed = 20140614,
+                  .windowStartHour = 2, .windowEndHour = 8};
+    spec.strategy = "SS";
+    spec.epochMinutes = 5;
+    spec.overProvision = 0.35;
+    spec.rhoB = 0.8;
+    spec.predictor = "LC";
+    spec.seed = 20140614;
+    spec.captureEpochs = true;
+    return spec;
 }
 
 /** Decisions + total energy as a CSV table (constant energy column). */
@@ -170,22 +169,11 @@ struct RegretGoldenCase
 ScenarioSpec
 regretScenario(const RegretGoldenCase &c)
 {
-    return ScenarioBuilder(std::string("golden regret ") + c.workload)
-        .workload(c.workload)
-        .trace("es")
-        .traceDays(1)
-        .traceSeed(20140614)
-        .window(2, 8)
-        .epochMinutes(5)
-        .strategy("SS")
-        .overProvision(0.35)
-        .rhoB(0.8)
-        .predictor("LC")
-        .sourceRateScale(c.rate_scale)
-        .reportRegret()
-        .seed(20140614)
-        .captureEpochs()
-        .build();
+    ScenarioSpec spec = goldenScenario(c.workload);
+    spec.label = std::string("golden regret ") + c.workload;
+    spec.sourceRateScale = c.rate_scale;
+    spec.reportRegret = true;
+    return spec;
 }
 
 /** Decisions + oracle scalars, one row per epoch (the energy, oracle,

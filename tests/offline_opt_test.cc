@@ -9,7 +9,7 @@
  * and against the simulator itself — no simulated strategy may ever
  * spend less energy than the oracle's lower bound on the same job log,
  * swept over the Table 5 workloads and the SS / pruned / poet
- * strategies through the end-to-end `reportRegret()` path.
+ * strategies through the end-to-end `reportRegret` path.
  */
 
 #include <gtest/gtest.h>
@@ -272,23 +272,19 @@ class OfflineOptRegret : public ::testing::TestWithParam<RegretCase>
 TEST_P(OfflineOptRegret, SimulatedEnergyNeverBeatsTheOracle)
 {
     const RegretCase c = GetParam();
-    const ScenarioSpec spec =
-        ScenarioBuilder(std::string("regret ") + c.workload + " " +
-                        c.strategy + (c.pruned ? "-pruned" : ""))
-            .workload(c.workload)
-            .strategy(c.strategy)
-            .prunedSearch(c.pruned)
-            .trace("es")
-            .traceDays(1)
-            .traceSeed(20140614)
-            .window(2, 4)
-            .epochMinutes(5)
-            .predictor("LC")
-            .sourceRateScale(c.rate_scale)
-            .reportRegret()
-            .optEpsilon(0.1)
-            .seed(20140614)
-            .build();
+    ScenarioSpec spec;
+    spec.label = std::string("regret ") + c.workload + " " + c.strategy +
+                 (c.pruned ? "-pruned" : "");
+    spec.workload = c.workload;
+    spec.trace = {.kind = "es", .days = 1, .seed = 20140614,
+                  .windowStartHour = 2, .windowEndHour = 4};
+    spec.sourceRateScale = c.rate_scale;
+    spec.strategy = c.strategy;
+    spec.predictor = "LC";
+    spec.prunedSearch = c.pruned;
+    spec.seed = 20140614;
+    spec.reportRegret = true;
+    spec.optEpsilon = 0.1;
     const ScenarioResult result = ExperimentRunner::runScenario(spec);
     EXPECT_GT(result.extra("offline_opt_energy"), 0.0);
     EXPECT_GE(result.extra("regret_pct"), 0.0)

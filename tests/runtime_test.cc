@@ -127,7 +127,7 @@ TEST_F(RuntimeTest, StateSelectionFractionsSumToOne)
     const SleepScaleRuntime runtime(xeon, dns, RuntimeConfig{});
     NaivePreviousPredictor predictor(0.2);
     const RuntimeResult result = runtime.run(jobs, trace, predictor);
-    const auto fractions = result.stateSelectionFractions();
+    const auto fractions = stateSelectionFractions(result.epochs);
     double sum = 0.0;
     for (double f : fractions)
         sum += f;
@@ -143,7 +143,7 @@ TEST_F(RuntimeTest, DvfsOnlyNeverSleepsDeep)
     const SleepScaleRuntime runtime(xeon, dns, config);
     NaivePreviousPredictor predictor(0.3);
     const RuntimeResult result = runtime.run(jobs, trace, predictor);
-    const auto fractions = result.stateSelectionFractions();
+    const auto fractions = stateSelectionFractions(result.epochs);
     EXPECT_DOUBLE_EQ(
         fractions[depthIndex(LowPowerState::C0IdleS0Idle)], 1.0);
 }

@@ -136,15 +136,14 @@ TEST(MetricSummary, ConfidenceLevelWidensInterval)
 ScenarioSpec
 shortScenario(const std::string &strategy = "SS")
 {
-    return ScenarioBuilder("stat " + strategy)
-        .workload("dns")
-        .flatTrace(0.2, 25)
-        .strategy(strategy)
-        .epochMinutes(5)
-        .overProvision(0.35)
-        .predictor("NP")
-        .seed(42)
-        .build();
+    ScenarioSpec spec;
+    spec.label = "stat " + strategy;
+    spec.trace = {.kind = "flat", .flatLevel = 0.2, .flatMinutes = 25};
+    spec.strategy = strategy;
+    spec.overProvision = 0.35;
+    spec.predictor = "NP";
+    spec.seed = 42;
+    return spec;
 }
 
 TEST(ReplicationPlan, SeedsAreDerivedAndDistinct)
@@ -166,8 +165,9 @@ TEST(ReplicationPlan, RejectsInvalidConfiguration)
 {
     EXPECT_THROW(ReplicationPlan(0), ConfigError);
     EXPECT_THROW(ReplicationPlan(5, 1, 1.5), ConfigError);
-    EXPECT_THROW(ScenarioBuilder("r").replications(0).build(),
-                 ConfigError);
+    ScenarioSpec spec;
+    spec.replications = 0;
+    EXPECT_THROW(spec.validate(), ConfigError);
 }
 
 TEST(ReplicationPlan, SummarizesCoreMetricsAndResidencies)
@@ -191,6 +191,14 @@ TEST(ReplicationPlan, SummarizesCoreMetricsAndResidencies)
     }
     EXPECT_GT(residency, 0.0);
     EXPECT_LE(residency, 1.0 + 1e-9);
+    // So are the selected-state fractions, zeros included.
+    double selected = 0.0;
+    for (LowPowerState state : allLowPowerStates) {
+        const std::string key = "state_" + toString(state);
+        ASSERT_TRUE(result.hasMetric(key)) << key;
+        selected += result.metric(key).mean();
+    }
+    EXPECT_NEAR(selected, 1.0, 1e-9);
 
     // The violation rate is a mean of 0/1 outcomes.
     const MetricSummary &violation = result.metric("qos_violation");
@@ -320,15 +328,14 @@ TEST(PairedComparison, Fig9PolicyPairIsSignificantAtN20)
     // strategies' own CIs must not overlap: the ordering is
     // statistically qualified, not anecdotal.
     auto scenario = [](const std::string &strategy) {
-        return ScenarioBuilder("fig9 pair " + strategy)
-            .workload("dns")
-            .flatTrace(0.08, 25)
-            .strategy(strategy)
-            .epochMinutes(5)
-            .overProvision(0.35)
-            .predictor("NP")
-            .seed(42)
-            .build();
+        ScenarioSpec spec;
+        spec.label = "fig9 pair " + strategy;
+        spec.trace = {.kind = "flat", .flatLevel = 0.08, .flatMinutes = 25};
+        spec.strategy = strategy;
+        spec.overProvision = 0.35;
+        spec.predictor = "NP";
+        spec.seed = 42;
+        return spec;
     };
     const ReplicationPlan plan(20, 1);
     const PairedComparison comparison =

@@ -28,6 +28,7 @@
  *                     [--faults none|mtbf|correlated] [--mtbf 14400]
  *                     [--mttr 300] [--retry-backoff 1]
  *                     [--drop-timeout 300] [--fault-compare]
+ *                     [--epochs-csv out.csv]
  *   sleepscale grid   [--engine single|farm] [--sweep-T 1,5,10]
  *                     [--sweep-predictor LC,NP] [--sweep-strategy ...]
  *                     [--sweep-dispatcher ...] [--sweep-servers ...]
@@ -146,70 +147,85 @@ splitCsv(const std::string &text)
 }
 
 /** The scenario described by the shared base options of run/farm/grid. */
-ScenarioBuilder
+ScenarioSpec
 scenarioFromArgs(const CliArgs &args, EngineKind engine)
 {
-    ScenarioBuilder builder(toString(engine));
-    builder.engine(engine)
-        .workload(args.get("workload", "dns"))
-        .platform(args.get("platform", "xeon"))
-        .strategy(args.get("strategy", "SS"))
-        .epochMinutes(
-            static_cast<unsigned>(args.getUnsigned("T", 5)))
-        .overProvision(args.getDouble("alpha", 0.35))
-        .rhoB(args.getDouble("rho-b", 0.8))
-        .qosMetric(metricByName(args.get("metric", "mean")))
-        .predictor(args.get("predictor", "LC"))
-        .farmSize(args.getUnsigned("servers", 4))
-        .dispatcher(args.get("dispatcher", "packing"))
-        .farmControl(args.get("control", "farm-wide"))
-        .farmShards(args.getUnsigned("shards", 1))
-        .tailHistograms(!args.has("no-tail-histograms"))
-        .decisionThreads(args.getUnsigned("decision-threads", 0))
-        .faults(args.get("faults", "none"))
-        .faultRates(args.getDouble("mtbf", 4.0 * 3600.0),
-                    args.getDouble("mttr", 300.0))
-        .retryBackoff(args.getDouble("retry-backoff", 1.0))
-        .dropTimeout(args.getDouble("drop-timeout", 300.0))
-        .controllerNoise(args.getDouble("controller-q", 1e-4),
-                         args.getDouble("controller-r", 1e-2))
-        .controllerPole(args.getDouble("controller-pole", 0.0))
-        .controllerPeriod(static_cast<unsigned>(
-            args.getUnsigned("controller-period", 1)))
-        .recordDecisionTime(args.has("decision-time"))
-        .replications(args.getUnsigned("replications", 1))
-        .seed(args.getUnsigned("seed", 1));
+    ScenarioSpec spec;
+    spec.label = toString(engine);
+    spec.engine = engine;
+    spec.workload = args.get("workload", "dns");
+    spec.platform = args.get("platform", "xeon");
+    spec.trace.kind = args.get("trace", "es");
+    spec.trace.days = static_cast<unsigned>(args.getUnsigned("days", 1));
+    spec.trace.seed = 20140614;
+    // Job source: which stream feeds the engine. --replay implies the
+    // replay source; otherwise --source names a registered shape.
+    spec.source =
+        args.has("replay") ? "replay" : args.get("source", "trace");
+    spec.sourceUtilization = args.getDouble("util", 0.3);
+    spec.burstRateFactor = args.getDouble("burst-factor", 4.0);
+    spec.burstMeanLength = args.getDouble("burst-len", 120.0);
+    spec.burstMeanGap = args.getDouble("burst-gap", 1800.0);
+    spec.replayPath = args.get("replay", "");
+    spec.strategy = args.get("strategy", "SS");
+    spec.epochMinutes = static_cast<unsigned>(args.getUnsigned("T", 5));
+    spec.overProvision = args.getDouble("alpha", 0.35);
+    spec.rhoB = args.getDouble("rho-b", 0.8);
+    spec.qosMetric = metricByName(args.get("metric", "mean"));
+    spec.predictor = args.get("predictor", "LC");
+    spec.controllerProcessNoise = args.getDouble("controller-q", 1e-4);
+    spec.controllerMeasurementNoise = args.getDouble("controller-r", 1e-2);
+    spec.controllerPole = args.getDouble("controller-pole", 0.0);
+    spec.controllerPeriod =
+        static_cast<unsigned>(args.getUnsigned("controller-period", 1));
+    spec.recordDecisionTime = args.has("decision-time");
+    spec.farmSize = args.getUnsigned("servers", 4);
+    spec.dispatcher = args.get("dispatcher", "packing");
+    spec.farmControl = args.get("control", "farm-wide");
+    spec.decisionThreads = args.getUnsigned("decision-threads", 0);
+    spec.farmShards = args.getUnsigned("shards", 1);
+    spec.tailHistograms = !args.has("no-tail-histograms");
+    spec.faults = args.get("faults", "none");
+    spec.mtbf = args.getDouble("mtbf", 4.0 * 3600.0);
+    spec.mttr = args.getDouble("mttr", 300.0);
+    spec.retryBackoff = args.getDouble("retry-backoff", 1.0);
+    spec.dropTimeout = args.getDouble("drop-timeout", 300.0);
+    spec.seed = args.getUnsigned("seed", 1);
+    spec.replications = args.getUnsigned("replications", 1);
+    spec.captureEpochs = args.has("epochs-csv");
+    spec.reportRegret = args.has("regret");
+    spec.optEpsilon = args.getDouble("opt-epsilon", 0.05);
+    if (spec.trace.kind == "es" || spec.trace.kind == "fs") {
+        // The paper's evaluation window.
+        spec.trace.windowStartHour = 2;
+        spec.trace.windowEndHour = 20;
+    }
     // --platforms xeon,xeon,atom,atom names one platform per server
     // (and pins the farm size to the list length); an explicit
     // --servers must agree rather than be silently overridden.
     if (args.has("platforms")) {
-        const auto platforms = splitCsv(args.get("platforms", ""));
+        spec.farmPlatforms = splitCsv(args.get("platforms", ""));
         fatalIf(args.has("servers") &&
-                    args.getUnsigned("servers", 0) != platforms.size(),
-                "--platforms lists " + std::to_string(platforms.size()) +
+                    spec.farmSize != spec.farmPlatforms.size(),
+                "--platforms lists " +
+                    std::to_string(spec.farmPlatforms.size()) +
                     " platforms but --servers asks for " +
                     args.get("servers", "") +
                     " (drop --servers or make them agree)");
-        builder.farmPlatforms(platforms);
+        spec.farmSize = spec.farmPlatforms.size();
     }
+    fatalIf(spec.captureEpochs && spec.replications > 1,
+            "--epochs-csv needs a single run (drop --replications)");
+    return spec;
+}
 
-    const std::string trace = args.get("trace", "es");
-    builder.trace(trace)
-        .traceDays(static_cast<unsigned>(args.getUnsigned("days", 1)))
-        .traceSeed(20140614);
-    if (trace == "es" || trace == "fs")
-        builder.window(2, 20); // The paper's evaluation window.
-
-    // Job source: which stream feeds the engine. --replay implies the
-    // replay source; otherwise --source names a registered shape.
-    builder.source(args.get("source", "trace"))
-        .sourceUtilization(args.getDouble("util", 0.3))
-        .burstiness(args.getDouble("burst-factor", 4.0),
-                    args.getDouble("burst-len", 120.0),
-                    args.getDouble("burst-gap", 1800.0));
-    if (args.has("replay"))
-        builder.replayPath(args.get("replay", ""));
-    return builder;
+/** Write the per-epoch CSV a --epochs-csv run captured. */
+void
+writeEpochsCsv(const CliArgs &args, const ScenarioResult &result)
+{
+    const std::string path = args.get("epochs-csv", "epochs.csv");
+    writeCsvFile(path, result.epochs);
+    std::cout << "per-epoch CSV written to " << path << '\n';
 }
 
 int
@@ -322,24 +338,14 @@ printReplicatedSummary(const ReplicatedResult &result)
 int
 cmdRun(const CliArgs &args)
 {
-    ScenarioBuilder builder =
+    const ScenarioSpec spec =
         scenarioFromArgs(args, EngineKind::SingleServer);
-    if (args.has("epochs-csv"))
-        builder.captureEpochs();
-    if (args.has("regret"))
-        builder.reportRegret().optEpsilon(
-            args.getDouble("opt-epsilon", 0.05));
-    if (args.getUnsigned("replications", 1) > 1) {
-        fatalIf(args.has("epochs-csv"),
-                "run: --epochs-csv needs a single run (drop "
-                "--replications)");
-        const ScenarioSpec spec = builder.build();
+    if (spec.replications > 1) {
         printReplicatedSummary(ExperimentRunner::runReplicated(
             spec, args.getUnsigned("threads", 0)));
         return 0;
     }
-    const ScenarioResult result =
-        ExperimentRunner::runScenario(builder.build());
+    const ScenarioResult result = ExperimentRunner::runScenario(spec);
 
     std::cout << "jobs:          " << result.jobs << '\n'
               << "mean response: " << result.meanResponse << " s  ("
@@ -356,22 +362,19 @@ cmdRun(const CliArgs &args)
     }
     std::cout << '\n';
 
-    if (args.has("decision-time"))
+    if (spec.recordDecisionTime)
         std::cout << "decision cost: "
                   << result.extra("decision_us_mean") << " µs mean, "
                   << result.extra("decision_us_p99") << " µs p99\n";
 
-    if (args.has("regret"))
+    if (spec.reportRegret)
         std::cout << "oracle energy: "
                   << result.extra("offline_opt_energy")
                   << " J  (regret "
                   << result.extra("regret_pct") << "%)\n";
 
-    if (args.has("epochs-csv")) {
-        const std::string path = args.get("epochs-csv", "epochs.csv");
-        writeCsvFile(path, result.epochs);
-        std::cout << "per-epoch CSV written to " << path << '\n';
-    }
+    if (spec.captureEpochs)
+        writeEpochsCsv(args, result);
     return 0;
 }
 
@@ -443,8 +446,7 @@ cmdFaultCompare(const ScenarioSpec &spec, const CliArgs &args)
 int
 cmdFarm(const CliArgs &args)
 {
-    const ScenarioSpec spec =
-        scenarioFromArgs(args, EngineKind::Farm).build();
+    const ScenarioSpec spec = scenarioFromArgs(args, EngineKind::Farm);
     if (args.has("fault-compare"))
         return cmdFaultCompare(spec, args);
     if (spec.replications > 1) {
@@ -482,10 +484,12 @@ cmdFarm(const CliArgs &args)
                   << "degraded time: " << result.extra("degraded_s")
                   << " s\n";
     }
-    if (args.has("decision-time"))
+    if (spec.recordDecisionTime)
         std::cout << "decision cost: "
                   << result.extra("decision_us_mean") << " µs mean, "
                   << result.extra("decision_us_p99") << " µs p99\n";
+    if (spec.captureEpochs)
+        writeEpochsCsv(args, result);
     std::cout << '\n';
     serversTable(result).print(std::cout);
     return 0;
@@ -502,7 +506,9 @@ cmdGrid(const CliArgs &args)
         fatal("grid: unknown engine '" + engine_name +
               "' (single | farm)");
 
-    const ScenarioSpec base = scenarioFromArgs(args, engine).build();
+    const ScenarioSpec base = scenarioFromArgs(args, engine);
+    fatalIf(base.captureEpochs,
+            "grid: --epochs-csv needs a single run (use run or farm)");
 
     std::vector<SweepAxis> axes;
     if (args.has("sweep-T")) {
@@ -622,12 +628,15 @@ printUsage()
         "--decision-time reports per-epoch decision cost in µs\n"
         "(decision_us_mean / decision_us_p99)\n"
         "\n"
-        "run takes --regret to score the run against the offline-\n"
-        "optimal oracle (docs/OFFLINE_OPT.md): reports the oracle's\n"
-        "energy and regret_pct = 100*(energy/optimal - 1); with\n"
-        "--replications N the regret prints as mean ± 95% CI.\n"
-        "--opt-epsilon tightens/loosens the FPTAS bracket (default\n"
-        "0.05).\n"
+        "run and single-engine grids take --regret to score the run\n"
+        "against the offline-optimal oracle (docs/OFFLINE_OPT.md):\n"
+        "reports the oracle's energy and regret_pct =\n"
+        "100*(energy/optimal - 1); with --replications N the regret\n"
+        "prints as mean ± 95% CI. --opt-epsilon tightens/loosens the\n"
+        "FPTAS bracket (default 0.05).\n"
+        "\n"
+        "run and farm take --epochs-csv out.csv to write the per-epoch\n"
+        "decisions (farm: the farm-level epochs) of a single run.\n"
         "\n"
         "run `sleepscale <command> --help` semantics are documented at\n"
         "the top of tools/sleepscale_cli.cc and in the README.\n";
