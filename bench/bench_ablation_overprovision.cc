@@ -37,8 +37,8 @@ main()
     TablePrinter table({"alpha", "mu*E[R]", "E[P] [W]",
                         "within budget?", "epochs boosted"});
     for (double alpha : {0.0, 0.1, 0.2, 0.35, 0.5, 0.75}) {
-        const RuntimeConfig config = makeStrategyConfig(
-            StrategyKind::SleepScale, 5, alpha, 0.8);
+        const RuntimeConfig config = strategyConfigByName(
+            "SS", {.epochMinutes = 5, .overProvision = alpha, .rhoB = 0.8});
         const SleepScaleRuntime runtime(xeon, dns, config);
         LmsCusumPredictor predictor(10);
         const RuntimeResult result = runtime.run(jobs, window, predictor);

@@ -85,7 +85,7 @@ decisionCost(const std::string &label, const std::string &strategy,
     spec.prunedSearch = pruned;
     spec.recordDecisionTime = true;
     spec.replications = kReplications;
-    const ReplicatedResult result = ReplicationPlan(kReplications).run(spec);
+    const ReplicatedResult result = ExperimentRunner::runReplicated(spec);
     return {label, result.metric("decision_us_mean"),
             result.metric("decision_us_p99")};
 }
@@ -179,8 +179,7 @@ pairedDelta(const std::string &workload, bool pruned)
         dayScenario(baseline + " " + workload, "SS", workload);
     search.prunedSearch = pruned;
     search.replications = kReplications;
-    const PairedComparison comparison =
-        ReplicationPlan(kReplications).comparePaired(poet, search);
+    const PairedComparison comparison = comparePaired(poet, search);
     return {workload,
             baseline,
             comparison.delta("energy_savings_pct"),

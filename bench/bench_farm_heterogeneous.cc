@@ -55,7 +55,8 @@ main()
     ExperimentRunner mode_runner;
     mode_runner.addGrid(
         farmBase("modes"),
-        {sweepFarmControls({"farm-wide", "per-server"})});
+        {sweep("control", &ScenarioSpec::farmControl,
+               {"farm-wide", "per-server"})});
     const auto mode_results = mode_runner.run();
     resultsTable(mode_results).print(std::cout);
     std::cout << "\nExpected: the rows agree to within sampling noise "

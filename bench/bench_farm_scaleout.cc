@@ -45,7 +45,8 @@ main()
     ExperimentRunner dispatch_runner;
     dispatch_runner.addGrid(
         dispatch_base,
-        {sweepDispatchers(dispatcherRegistry().names())});
+        {sweep("dispatcher", &ScenarioSpec::dispatcher,
+               dispatcherRegistry().names())});
     const auto dispatch_results = dispatch_runner.run();
 
     TablePrinter dispatch_table({"dispatcher", "mu*E[R]",
@@ -89,7 +90,8 @@ main()
     ExperimentRunner scale_runner;
     scale_runner.addGrid(scale_base,
                          {size_axis,
-                          sweepStrategies({"SS", "R2H(C6)"})});
+                          sweep("strategy", &ScenarioSpec::strategy,
+                                {"SS", "R2H(C6)"})});
     const auto scale_results = scale_runner.run();
 
     TablePrinter scale_table({"servers", "SS per-server [W]",

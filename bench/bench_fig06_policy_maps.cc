@@ -40,10 +40,7 @@ panel(const PlatformModel &xeon, const WorkloadSpec &spec,
 
     for (double rho_b : {0.6, 0.8}) {
         const QosConstraint qos =
-            metric == QosMetric::MeanResponse
-                ? QosConstraint::fromBaselineMean(rho_b, spec.serviceMean)
-                : QosConstraint::fromBaselineTail(rho_b,
-                                                  spec.serviceMean);
+            QosConstraint::fromBaseline(metric, rho_b, spec.serviceMean);
         const PolicySpace space = PolicySpace::allStates(
             PolicySpace::frequencyGrid(0.12, 1.0, 0.02));
         const PolicyManager manager(xeon, spec.scaling, space, qos);

@@ -47,8 +47,9 @@ try {
 
     ExperimentRunner runner;
     runner.addGrid(base,
-                   {sweepEpochMinutes({1, 5, 10, 15}),
-                    sweepPredictors({"LC", "LMS", "NP", "Offline"})});
+                   {sweep("T", &ScenarioSpec::epochMinutes, {1, 5, 10, 15}),
+                    sweep("predictor", &ScenarioSpec::predictor,
+                          {"LC", "LMS", "NP", "Offline"})});
 
     printBanner(std::cout,
                 "Figure 8: mean response vs predictor and update "

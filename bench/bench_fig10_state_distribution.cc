@@ -53,8 +53,9 @@ main()
             const auto jobs = generateTraceDrivenJobs(rng, spec,
                                                       trace_case.window);
             for (double rho_b : {0.6, 0.8}) {
-                RuntimeConfig config = makeStrategyConfig(
-                    StrategyKind::SleepScale, 5, 0.35, rho_b);
+                RuntimeConfig config = strategyConfigByName(
+                    "SS", {.epochMinutes = 5, .overProvision = 0.35,
+                           .rhoB = rho_b});
                 config.evalLogCap = 3000;
                 const SleepScaleRuntime runtime(xeon, spec, config);
                 LmsCusumPredictor predictor(10);

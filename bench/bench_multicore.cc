@@ -44,7 +44,8 @@ main()
     ExperimentRunner delay_runner;
     delay_runner.addGrid(
         delay_base,
-        {sweepPackageSleepDelays({0.0, 0.5, 2.0, 10.0, inf})});
+        {sweep("pkg_delay", &ScenarioSpec::packageSleepDelay,
+               {0.0, 0.5, 2.0, 10.0, inf})});
     const auto delay_results = delay_runner.run();
 
     TablePrinter delay_table({"package delay [s]", "mu*E[R]",

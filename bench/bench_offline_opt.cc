@@ -88,7 +88,7 @@ regretOf(const std::string &workload, const std::string &label,
     spec.replications = kReplications;
     spec.reportRegret = true;
     spec.optEpsilon = 0.05;
-    const ReplicatedResult result = ReplicationPlan(kReplications).run(spec);
+    const ReplicatedResult result = ExperimentRunner::runReplicated(spec);
     return {workload, label, result.metric("regret_pct"),
             result.metric("offline_opt_energy"),
             result.metric("energy_j")};

@@ -250,18 +250,18 @@ BM_ExperimentGridExpansion(benchmark::State &state)
     base.trace = {.kind = "flat", .flatLevel = 0.1, .flatMinutes = 30};
     std::vector<unsigned> epochs;
     std::vector<double> alphas;
-    SweepAxis seeds = customAxis("seed", {});
+    std::vector<std::uint64_t> seed_values;
     for (unsigned i = 1; i <= 10; ++i) {
         epochs.push_back(i);
         alphas.push_back(0.05 * i);
-        seeds.points.emplace_back(
-            std::to_string(i),
-            [i](ScenarioSpec &spec) { spec.seed = i; });
+        seed_values.push_back(i);
     }
+    const SweepAxis seeds = sweep("seed", &ScenarioSpec::seed, seed_values);
     for (auto _ : state) {
-        benchmark::DoNotOptimize(
-            expandGrid(base, {sweepEpochMinutes(epochs),
-                              sweepOverProvision(alphas), seeds}));
+        benchmark::DoNotOptimize(expandGrid(
+            base, {sweep("T", &ScenarioSpec::epochMinutes, epochs),
+                   sweep("alpha", &ScenarioSpec::overProvision, alphas),
+                   seeds}));
     }
     state.SetItemsProcessed(
         static_cast<std::int64_t>(state.iterations()) * 1000);

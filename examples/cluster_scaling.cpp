@@ -69,8 +69,8 @@ main(int argc, char **argv)
         table.print(std::cout);
 
         std::cout << "\nJobs per server:";
-        for (std::uint64_t count : result.jobsPerServer)
-            std::cout << ' ' << count;
+        for (const ServerResultSummary &server : result.servers)
+            std::cout << ' ' << server.jobs;
         std::cout << '\n';
         std::cout << "(packing concentrates work so lightly used "
                      "servers sleep; JSQ balances for\nresponse time — "

@@ -49,7 +49,8 @@ main()
         base.captureEpochs = true;
 
         ExperimentRunner runner;
-        runner.addGrid(base, {sweepStrategies({"SS", "R2H(C6)"})});
+        runner.addGrid(base, {sweep("strategy", &ScenarioSpec::strategy,
+                                    {"SS", "R2H(C6)"})});
         const auto results = runner.run();
         const ScenarioResult &ss = results[0];
         const ScenarioResult &r2h = results[1];

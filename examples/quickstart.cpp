@@ -48,7 +48,8 @@ main()
         ExperimentRunner runner;
         runner.addGrid(
             base,
-            {sweepStrategies({"SS", "DVFS", "R2H(C6)"})});
+            {sweep("strategy", &ScenarioSpec::strategy,
+                   {"SS", "DVFS", "R2H(C6)"})});
         const auto results = runner.run();
 
         resultsTable(results).print(std::cout);

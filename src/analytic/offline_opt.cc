@@ -68,8 +68,8 @@ OfflineOptimal::OfflineOptimal(const PlatformModel &platform,
                                OfflineOptOptions options)
     : _platform(platform), _scaling(scaling), _options(std::move(options))
 {
-    fatalIf(!(_options.epsilon > 0.0),
-            "OfflineOptimal: epsilon must be positive");
+    fatalIf(!(_options.epsilon > 0.0) || !std::isfinite(_options.epsilon),
+            "OfflineOptimal: epsilon must be positive and finite");
     fatalIf(_options.maxStates < 2,
             "OfflineOptimal: maxStates must be >= 2");
     _freqs = _options.frequencies.empty()

@@ -9,6 +9,8 @@
 #ifndef SLEEPSCALE_CONTROL_CONTROLLER_CONFIG_HH
 #define SLEEPSCALE_CONTROL_CONTROLLER_CONFIG_HH
 
+#include "util/error.hh"
+
 namespace sleepscale {
 
 /**
@@ -36,6 +38,21 @@ struct ControllerConfig
      * filters update every epoch; the xup integrator steps only every
      * periodEpochs-th epoch. */
     unsigned periodEpochs = 1;
+
+    /** fatal() on the first knob out of range (NaN fails every check):
+     * the one check of these knobs, run by PowerPerfController and by
+     * validateFarmConfig(). */
+    void validate() const
+    {
+        fatalIf(!(processNoise > 0.0),
+                "ControllerConfig: process noise must be > 0");
+        fatalIf(!(measurementNoise > 0.0),
+                "ControllerConfig: measurement noise must be > 0");
+        fatalIf(!(pole >= 0.0 && pole < 1.0),
+                "ControllerConfig: pole must be in [0, 1)");
+        fatalIf(periodEpochs == 0,
+                "ControllerConfig: control period must be >= 1 epoch");
+    }
 };
 
 } // namespace sleepscale

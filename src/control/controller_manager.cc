@@ -52,14 +52,8 @@ ControllerManager::ControllerManager(const PlatformModel &platform,
                   loadPriorVariance),
       _perfFilter(config.processNoise, config.measurementNoise, 1.0,
                   perfPriorVariance),
-      _xup(platform, scaling, space, config)
+      _xup(platform, scaling, space, config) // validates the config
 {
-    fatalIf(!(_config.processNoise > 0.0),
-            "ControllerManager: process noise must be > 0");
-    fatalIf(!(_config.measurementNoise > 0.0),
-            "ControllerManager: measurement noise must be > 0");
-    fatalIf(_config.periodEpochs == 0,
-            "ControllerManager: control period must be >= 1 epoch");
 }
 
 bool

@@ -47,7 +47,8 @@ class ControllerManager : public EpochDecider
      * @param space Candidate plans and frequencies the controller's
      *        output is clamped to.
      * @param qos Constraint the feedback loop regulates toward.
-     * @param config Filter and controller knobs.
+     * @param config Filter and controller knobs
+     *        (ControllerConfig::validate()).
      * @param initial Policy in force before the first decision.
      */
     ControllerManager(const PlatformModel &platform,

@@ -30,8 +30,7 @@ PowerPerfController::PowerPerfController(const PlatformModel &platform,
             "PowerPerfController: empty frequency grid");
     fatalIf(space.plans.empty(),
             "PowerPerfController: no candidate sleep plans");
-    fatalIf(_pole < 0.0 || _pole >= 1.0,
-            "PowerPerfController: pole must be in [0, 1)");
+    config.validate();
 
     _grid = space.frequencies;
     std::sort(_grid.begin(), _grid.end());

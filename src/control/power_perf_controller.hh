@@ -42,7 +42,7 @@ class PowerPerfController
      * @param space Candidate plans and the frequency grid the
      *        translation clamps to.
      * @param config Pole placement (the other knobs live in the
-     *        Kalman filters).
+     *        Kalman filters); the whole config is validated here.
      */
     PowerPerfController(const PlatformModel &platform,
                         ServiceScaling scaling, const PolicySpace &space,

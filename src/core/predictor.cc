@@ -31,77 +31,71 @@ NaivePreviousPredictor::observe(std::size_t minute, double utilization)
     _last = std::clamp(utilization, 0.0, 1.0);
 }
 
-// -------------------------------------------------------------------- LMS
+// ------------------------------------------------------------------- NLMS
 
-LmsPredictor::LmsPredictor(std::size_t history, double initial, double step)
-    : _maxHistory(history), _initial(initial), _step(step)
+NlmsFilter::NlmsFilter(std::size_t taps, double initial_forecast,
+                       double step_size)
+    : initial(initial_forecast), step(step_size)
 {
-    fatalIf(history == 0, "LmsPredictor: history must be positive");
-    fatalIf(step <= 0.0 || step >= 2.0,
-            "LmsPredictor: NLMS step must be in (0, 2)");
-    _weights.assign(history, 1.0 / static_cast<double>(history));
+    fatalIf(taps == 0, "NlmsFilter: tap count must be positive");
+    fatalIf(!(step > 0.0 && step < 2.0),
+            "NlmsFilter: NLMS step must be in (0, 2)");
+    weights.assign(taps, 1.0 / static_cast<double>(taps));
 }
 
-namespace {
-
-/** Plain average used while the history is shorter than the filter. */
 double
-partialHistoryAverage(const std::vector<double> &history)
+NlmsFilter::forecast(std::size_t taps) const
 {
-    double sum = 0.0;
-    for (double h : history)
-        sum += h;
-    return sum / static_cast<double>(history.size());
-}
-
-} // namespace
-
-double
-LmsPredictor::forecast() const
-{
-    if (_history.empty())
-        return _initial;
-    // Until the delay line fills, a weighted sum over missing samples
-    // would be biased low; average what exists instead.
-    if (_history.size() < _weights.size())
-        return std::clamp(partialHistoryAverage(_history), 0.0, 1.0);
+    if (history.empty())
+        return initial;
+    if (history.size() < taps) {
+        double sum = 0.0;
+        for (double h : history)
+            sum += h;
+        return std::clamp(sum / static_cast<double>(history.size()), 0.0,
+                          1.0);
+    }
     double estimate = 0.0;
-    for (std::size_t i = 0; i < _weights.size(); ++i)
-        estimate += _weights[i] * _history[i];
+    for (std::size_t i = 0; i < taps; ++i)
+        estimate += weights[i] * history[i];
     // The paper's Algorithm 2 clamps the forecast at 1; negative
     // transients are clamped symmetrically.
     return std::clamp(estimate, 0.0, 1.0);
 }
 
 void
-LmsPredictor::adapt(double error)
+NlmsFilter::adapt(double error, std::size_t taps)
 {
     // Normalized LMS: v <- v + step * e * x / (||x||^2 + eps); the
     // normalization keeps adaptation stable for any input scale.
-    const std::size_t taps = std::min(_weights.size(), _history.size());
-    if (taps == 0)
-        return;
+    const std::size_t active = std::min(taps, history.size());
     double norm = 1e-6;
-    for (std::size_t i = 0; i < taps; ++i)
-        norm += _history[i] * _history[i];
-    for (std::size_t i = 0; i < taps; ++i)
-        _weights[i] += _step * error * _history[i] / norm;
+    for (std::size_t i = 0; i < active; ++i)
+        norm += history[i] * history[i];
+    for (std::size_t i = 0; i < active; ++i)
+        weights[i] += step * error * history[i] / norm;
 }
 
 void
-LmsPredictor::pushHistory(double utilization)
+NlmsFilter::push(double utilization)
 {
-    _history.insert(_history.begin(),
-                    std::clamp(utilization, 0.0, 1.0));
-    if (_history.size() > _maxHistory)
-        _history.pop_back();
+    history.insert(history.begin(), std::clamp(utilization, 0.0, 1.0));
+    if (history.size() > weights.size())
+        history.pop_back();
+}
+
+// -------------------------------------------------------------------- LMS
+
+LmsPredictor::LmsPredictor(std::size_t history, double initial, double step)
+    : _filter(history, initial, step)
+{
 }
 
 double
 LmsPredictor::predict(std::size_t minute)
 {
     (void)minute;
-    return forecast();
+    return _filter.forecast(taps());
 }
 
 void
@@ -109,35 +103,17 @@ LmsPredictor::observe(std::size_t minute, double utilization)
 {
     (void)minute;
     const double error =
-        std::clamp(utilization, 0.0, 1.0) - forecast();
-    adapt(error);
-    pushHistory(utilization);
+        std::clamp(utilization, 0.0, 1.0) - _filter.forecast(taps());
+    _filter.adapt(error, taps());
+    _filter.push(utilization);
 }
 
 // -------------------------------------------------------------- LMS+CUSUM
 
 LmsCusumPredictor::LmsCusumPredictor(std::size_t history, double initial,
                                      double step)
-    : _maxHistory(history), _step(step), _initial(initial),
-      _currentTaps(history)
+    : _filter(history, initial, step), _currentTaps(history)
 {
-    fatalIf(history == 0, "LmsCusumPredictor: history must be positive");
-    fatalIf(step <= 0.0 || step >= 2.0,
-            "LmsCusumPredictor: NLMS step must be in (0, 2)");
-    _weights.assign(history, 1.0 / static_cast<double>(history));
-}
-
-double
-LmsCusumPredictor::forecast() const
-{
-    if (_history.empty())
-        return _initial;
-    if (_history.size() < _currentTaps)
-        return std::clamp(partialHistoryAverage(_history), 0.0, 1.0);
-    double estimate = 0.0;
-    for (std::size_t i = 0; i < _currentTaps; ++i)
-        estimate += _weights[i] * _history[i];
-    return std::clamp(estimate, 0.0, 1.0);
 }
 
 void
@@ -145,22 +121,21 @@ LmsCusumPredictor::resizeTaps(std::size_t taps)
 {
     // Algorithm 2 lines 10 and 12: redistribute the accumulated gain
     // sum(v) uniformly over the new tap count.
-    const double gain =
-        std::accumulate(_weights.begin(),
-                        _weights.begin() +
-                            static_cast<std::ptrdiff_t>(_currentTaps),
-                        0.0);
+    std::vector<double> &weights = _filter.weights;
+    const double gain = std::accumulate(
+        weights.begin(),
+        weights.begin() + static_cast<std::ptrdiff_t>(_currentTaps), 0.0);
     _currentTaps = taps;
-    _weights.assign(_maxHistory, 0.0);
+    weights.assign(weights.size(), 0.0);
     for (std::size_t i = 0; i < taps; ++i)
-        _weights[i] = gain / static_cast<double>(taps);
+        weights[i] = gain / static_cast<double>(taps);
 }
 
 double
 LmsCusumPredictor::predict(std::size_t minute)
 {
     (void)minute;
-    return forecast();
+    return _filter.forecast(_currentTaps);
 }
 
 void
@@ -168,26 +143,16 @@ LmsCusumPredictor::observe(std::size_t minute, double utilization)
 {
     (void)minute;
     const double actual = std::clamp(utilization, 0.0, 1.0);
-    const double error = actual - forecast();
+    const double error = actual - _filter.forecast(_currentTaps);
     const double abs_error = std::abs(error);
 
     // NLMS update over the active taps (Algorithm 2 line 7).
-    {
-        const std::size_t taps = std::min(
-            _currentTaps, std::min(_weights.size(), _history.size()));
-        if (taps > 0) {
-            double norm = 1e-6;
-            for (std::size_t i = 0; i < taps; ++i)
-                norm += _history[i] * _history[i];
-            for (std::size_t i = 0; i < taps; ++i)
-                _weights[i] += _step * error * _history[i] / norm;
-        }
-    }
+    _filter.adapt(error, _currentTaps);
 
     // One-sided CUSUM on |error| with EWMA-adaptive drift/threshold
     // (Algorithm 2 lines 8-13; the paper leaves the test parameters
-    // open, see DESIGN.md). The drift and threshold are derived from the
-    // error statistics *before* absorbing the current error — otherwise a
+    // open). The drift and threshold are derived from the error
+    // statistics *before* absorbing the current error — otherwise a
     // genuine change point inflates its own detection threshold.
     ++_observations;
     const double error_std = std::sqrt(_errorVarEwma);
@@ -197,11 +162,11 @@ LmsCusumPredictor::observe(std::size_t minute, double utilization)
 
     const bool warmed_up = _observations > 3;
     if (warmed_up && _cusum > threshold) {
-        resizeTaps(1);          // Track: drop all smoothing.
-        _history.clear();       // The old regime's samples are invalid.
+        resizeTaps(1);            // Track: drop all smoothing.
+        _filter.history.clear();  // The old regime's samples are invalid.
         _cusum = 0.0;
         ++_changes;
-    } else if (_currentTaps < _maxHistory) {
+    } else if (_currentTaps < _filter.weights.size()) {
         resizeTaps(_currentTaps + 1); // Re-grow toward stationarity.
     }
 
@@ -211,9 +176,7 @@ LmsCusumPredictor::observe(std::size_t minute, double utilization)
     _errorVarEwma =
         beta * _errorVarEwma + (1.0 - beta) * deviation * deviation;
 
-    _history.insert(_history.begin(), actual);
-    if (_history.size() > _maxHistory)
-        _history.pop_back();
+    _filter.push(actual);
 }
 
 // ---------------------------------------------------------------- Offline

@@ -62,6 +62,39 @@ class NaivePreviousPredictor final : public UtilizationPredictor
 };
 
 /**
+ * The normalized-LMS core the LMS and LC predictors share: p
+ * newest-first taps over a newest-first ring of the last p
+ * observations. Each call names the active tap count: LMS passes p, LC
+ * its adaptive count.
+ */
+struct NlmsFilter
+{
+    /**
+     * @param taps Tap count p.
+     * @param initial_forecast Forecast before observations exist.
+     * @param step_size NLMS adaptation step size in (0, 2).
+     */
+    NlmsFilter(std::size_t taps, double initial_forecast, double step_size);
+
+    /** Forecast from the first `taps` taps, clamped to [0, 1]: the plain
+     * average of the history until `taps` observations exist (a
+     * weighted sum over missing samples would be biased low), and
+     * `initial` before any. */
+    double forecast(std::size_t taps) const;
+
+    /** NLMS update of the first `taps` weights for a prediction error. */
+    void adapt(double error, std::size_t taps);
+
+    /** Push an observation (clamped to [0, 1]), keeping the last p. */
+    void push(double utilization);
+
+    double initial;              ///< Forecast before observations.
+    double step;                 ///< NLMS step size.
+    std::vector<double> weights; ///< Newest-first taps (p of them).
+    std::vector<double> history; ///< Newest-first observations.
+};
+
+/**
  * Least-mean-square adaptive filter (paper's LMS-only predictor): a
  * p-tap linear predictor over the last p minutes whose weights adapt by
  * normalized LMS. Smooths noise well but lags abrupt changes.
@@ -70,7 +103,7 @@ class LmsPredictor final : public UtilizationPredictor
 {
   public:
     /**
-     * @param history Maximum tap count p (the paper uses p = 10).
+     * @param history Tap count p (the paper uses p = 10).
      * @param initial Forecast before observations exist.
      * @param step NLMS adaptation step size in (0, 2).
      */
@@ -81,25 +114,10 @@ class LmsPredictor final : public UtilizationPredictor
     std::string name() const override { return "LMS"; }
 
     /** Current tap count (fixed at `history` for plain LMS). */
-    std::size_t taps() const { return _weights.size(); }
+    std::size_t taps() const { return _filter.weights.size(); }
 
-  protected:
-    /** Weighted forecast from the current history, clamped to [0, 1]. */
-    double forecast() const;
-
-    /** NLMS weight update for the given prediction error. */
-    void adapt(double error);
-
-    /** Push a new observation into the history ring. */
-    void pushHistory(double utilization);
-
-    std::size_t _maxHistory;
-    double _initial;
-    double _step;
-    std::vector<double> _weights; ///< Newest-first taps.
-    std::vector<double> _history; ///< Newest-first observations.
-
-    friend class LmsCusumPredictor;
+  private:
+    NlmsFilter _filter;
 };
 
 /**
@@ -132,11 +150,7 @@ class LmsCusumPredictor final : public UtilizationPredictor
     std::size_t changesDetected() const { return _changes; }
 
   private:
-    std::size_t _maxHistory;
-    double _step;
-    std::vector<double> _weights;
-    std::vector<double> _history;
-    double _initial;
+    NlmsFilter _filter;
     std::size_t _currentTaps;
 
     // One-sided CUSUM on absolute prediction error with an EWMA-adaptive
@@ -147,7 +161,6 @@ class LmsCusumPredictor final : public UtilizationPredictor
     std::size_t _observations = 0;
     std::size_t _changes = 0;
 
-    double forecast() const;
     void resizeTaps(std::size_t taps);
 };
 

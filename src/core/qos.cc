@@ -22,8 +22,8 @@ QosConstraint::QosConstraint(QosMetric metric, double budget,
                              double quantile)
     : _metric(metric), _budget(budget), _quantile(quantile)
 {
-    fatalIf(budget <= 0.0, "QosConstraint: budget must be positive");
-    fatalIf(quantile <= 0.0 || quantile >= 100.0,
+    fatalIf(!(budget > 0.0), "QosConstraint: budget must be positive");
+    fatalIf(!(quantile > 0.0 && quantile < 100.0),
             "QosConstraint: quantile must be in (0, 100)");
 }
 
@@ -43,9 +43,9 @@ QosConstraint::tailBudget(double deadline_seconds, double quantile)
 QosConstraint
 QosConstraint::fromBaselineMean(double rho_b, double service_mean)
 {
-    fatalIf(rho_b <= 0.0 || rho_b >= 1.0,
+    fatalIf(!(rho_b > 0.0 && rho_b < 1.0),
             "QosConstraint: rho_b must be in (0, 1)");
-    fatalIf(service_mean <= 0.0,
+    fatalIf(!(service_mean > 0.0),
             "QosConstraint: service_mean must be positive");
     return meanBudget(service_mean / (1.0 - rho_b));
 }
@@ -54,15 +54,24 @@ QosConstraint
 QosConstraint::fromBaselineTail(double rho_b, double service_mean,
                                 double violation)
 {
-    fatalIf(rho_b <= 0.0 || rho_b >= 1.0,
+    fatalIf(!(rho_b > 0.0 && rho_b < 1.0),
             "QosConstraint: rho_b must be in (0, 1)");
-    fatalIf(service_mean <= 0.0,
+    fatalIf(!(service_mean > 0.0),
             "QosConstraint: service_mean must be positive");
-    fatalIf(violation <= 0.0 || violation >= 1.0,
+    fatalIf(!(violation > 0.0 && violation < 1.0),
             "QosConstraint: violation probability must be in (0, 1)");
     const double deadline =
         std::log(1.0 / violation) * service_mean / (1.0 - rho_b);
     return tailBudget(deadline, 100.0 * (1.0 - violation));
+}
+
+QosConstraint
+QosConstraint::fromBaseline(QosMetric metric, double rho_b,
+                            double service_mean)
+{
+    return metric == QosMetric::MeanResponse
+               ? fromBaselineMean(rho_b, service_mean)
+               : fromBaselineTail(rho_b, service_mean);
 }
 
 double

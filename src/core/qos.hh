@@ -62,6 +62,13 @@ class QosConstraint
     static QosConstraint fromBaselineTail(double rho_b, double service_mean,
                                           double violation = 0.05);
 
+    /**
+     * The baseline-derived constraint on `metric`: fromBaselineMean, or
+     * fromBaselineTail at its default violation probability.
+     */
+    static QosConstraint fromBaseline(QosMetric metric, double rho_b,
+                                      double service_mean);
+
     /** The bounded metric. */
     QosMetric metric() const { return _metric; }
 

@@ -1,81 +1,64 @@
 #include "core/strategies.hh"
 
-#include "util/error.hh"
-
 namespace sleepscale {
 
-std::string
-toString(StrategyKind kind)
-{
-    switch (kind) {
-      case StrategyKind::SleepScale:
-        return "SS";
-      case StrategyKind::SleepScaleC3:
-        return "SS(C3)";
-      case StrategyKind::DvfsOnly:
-        return "DVFS";
-      case StrategyKind::RaceToHaltC3:
-        return "R2H(C3)";
-      case StrategyKind::RaceToHaltC6:
-        return "R2H(C6)";
-    }
-    panic("toString: unknown StrategyKind");
-}
+namespace {
 
+/** The knobs every strategy copies; the policy space is the full
+ * SleepScale one (all five states x the frequency grid). */
 RuntimeConfig
-makeStrategyConfig(StrategyKind kind, unsigned epoch_minutes,
-                   double over_provision, double rho_b,
-                   QosMetric qos_metric)
+sharedConfig(const StrategyKnobs &knobs)
 {
     RuntimeConfig config;
-    config.epochMinutes = epoch_minutes;
-    config.overProvision = over_provision;
-    config.rhoB = rho_b;
-    config.qosMetric = qos_metric;
-
-    switch (kind) {
-      case StrategyKind::SleepScale:
-        config.space = PolicySpace::standard();
-        break;
-      case StrategyKind::SleepScaleC3:
-        config.space = PolicySpace::singlePlan(
-            SleepPlan::immediate(LowPowerState::C3S0Idle));
-        break;
-      case StrategyKind::DvfsOnly:
-        config.space = PolicySpace::singlePlan(
-            SleepPlan::immediate(LowPowerState::C0IdleS0Idle));
-        break;
-      case StrategyKind::RaceToHaltC3:
-        config.fixedPolicy = raceToHalt(LowPowerState::C3S0Idle);
-        break;
-      case StrategyKind::RaceToHaltC6:
-        config.fixedPolicy = raceToHalt(LowPowerState::C6S0Idle);
-        break;
-    }
+    config.epochMinutes = knobs.epochMinutes;
+    config.overProvision = knobs.overProvision;
+    config.rhoB = knobs.rhoB;
+    config.qosMetric = knobs.qosMetric;
+    config.search.threads = knobs.searchThreads;
+    config.search.pruned = knobs.prunedSearch;
     return config;
 }
+
+/** SleepScale's search restricted to one immediate sleep state. */
+StrategyFactory
+searchWithin(LowPowerState state)
+{
+    return [state](const StrategyKnobs &knobs) {
+        RuntimeConfig config = sharedConfig(knobs);
+        config.space = PolicySpace::singlePlan(SleepPlan::immediate(state));
+        return config;
+    };
+}
+
+/** Race-to-halt at f = 1 into `state`: no decisions at all. */
+StrategyFactory
+raceToHaltInto(LowPowerState state)
+{
+    return [state](const StrategyKnobs &knobs) {
+        RuntimeConfig config = sharedConfig(knobs);
+        config.fixedPolicy = raceToHalt(state);
+        return config;
+    };
+}
+
+} // namespace
 
 Registry<StrategyFactory> &
 strategyRegistry()
 {
     static Registry<StrategyFactory> registry = [] {
         Registry<StrategyFactory> r("strategy");
-        for (StrategyKind kind : allStrategies) {
-            r.add(toString(kind), [kind](const StrategyKnobs &knobs) {
-                RuntimeConfig config = makeStrategyConfig(
-                    kind, knobs.epochMinutes, knobs.overProvision,
-                    knobs.rhoB, knobs.qosMetric);
-                config.search.threads = knobs.searchThreads;
-                config.search.pruned = knobs.prunedSearch;
-                return config;
-            });
-        }
+        r.add("SS", sharedConfig);
+        r.add("SS(C3)", searchWithin(LowPowerState::C3S0Idle));
+        // The state a frequency governor gets with no C-state
+        // management.
+        r.add("DVFS", searchWithin(LowPowerState::C0IdleS0Idle));
+        r.add("R2H(C3)", raceToHaltInto(LowPowerState::C3S0Idle));
+        r.add("R2H(C6)", raceToHaltInto(LowPowerState::C6S0Idle));
         // The O(1) feedback controller over the full SleepScale
         // policy space (docs/CONTROL.md).
         r.add("poet", [](const StrategyKnobs &knobs) {
-            RuntimeConfig config = makeStrategyConfig(
-                StrategyKind::SleepScale, knobs.epochMinutes,
-                knobs.overProvision, knobs.rhoB, knobs.qosMetric);
+            RuntimeConfig config = sharedConfig(knobs);
             ControllerConfig controller;
             controller.processNoise = knobs.controllerProcessNoise;
             controller.measurementNoise =

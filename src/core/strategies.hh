@@ -18,7 +18,6 @@
 #ifndef SLEEPSCALE_CORE_STRATEGIES_HH
 #define SLEEPSCALE_CORE_STRATEGIES_HH
 
-#include <array>
 #include <functional>
 #include <string>
 
@@ -26,41 +25,6 @@
 #include "util/registry.hh"
 
 namespace sleepscale {
-
-/** Identifier of a named strategy. */
-enum class StrategyKind
-{
-    SleepScale,     ///< "SS"
-    SleepScaleC3,   ///< "SS(C3)"
-    DvfsOnly,       ///< "DVFS"
-    RaceToHaltC3,   ///< "R2H(C3)"
-    RaceToHaltC6,   ///< "R2H(C6)"
-};
-
-/** All strategies in the paper's Figure 9 order. */
-inline constexpr std::array<StrategyKind, 5> allStrategies = {
-    StrategyKind::SleepScale,   StrategyKind::SleepScaleC3,
-    StrategyKind::DvfsOnly,     StrategyKind::RaceToHaltC3,
-    StrategyKind::RaceToHaltC6,
-};
-
-/** Paper-style label, e.g. "R2H(C6)". */
-std::string toString(StrategyKind kind);
-
-/**
- * Build the RuntimeConfig of a named strategy.
- *
- * @param kind Which strategy.
- * @param epoch_minutes Policy update interval T.
- * @param over_provision Over-provisioning factor α (applies to the
- *        policy-managed strategies; race-to-halt is already at f = 1).
- * @param rho_b Peak design utilization anchoring the QoS budget.
- * @param qos_metric Which response-time statistic the QoS bounds.
- */
-RuntimeConfig makeStrategyConfig(StrategyKind kind, unsigned epoch_minutes,
-                                 double over_provision, double rho_b,
-                                 QosMetric qos_metric =
-                                     QosMetric::MeanResponse);
 
 /** Policy-management knobs a strategy factory specializes. */
 struct StrategyKnobs
@@ -98,11 +62,14 @@ struct StrategyKnobs
 using StrategyFactory = std::function<RuntimeConfig(const StrategyKnobs &)>;
 
 /**
- * The strategy registry. Ships with the paper's Figure 9 lineup — "SS",
- * "SS(C3)", "DVFS", "R2H(C3)", "R2H(C6)" — keyed by their toString()
- * labels, plus "poet", the O(1) Kalman-filtered feedback controller
- * over the same policy space (docs/CONTROL.md); extensions register
- * additional configurations under new names.
+ * The strategy registry, the one way to build a strategy's
+ * RuntimeConfig. Ships with the paper's Figure 9 lineup — "SS",
+ * "SS(C3)", "DVFS", "R2H(C3)", "R2H(C6)" — keyed by the paper's labels,
+ * plus "poet", the O(1) Kalman-filtered feedback controller over the
+ * same policy space (docs/CONTROL.md); extensions register additional
+ * configurations under new names. Every factory copies the epoch, α,
+ * ρ_b, QoS metric and search knobs (α does not move race-to-halt,
+ * which already runs at f = 1).
  */
 Registry<StrategyFactory> &strategyRegistry();
 

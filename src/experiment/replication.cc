@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <fstream>
 #include <sstream>
 
 #include "util/error.hh"
@@ -38,14 +37,15 @@ metricValues(const ScenarioResult &result)
     return values;
 }
 
-/** Look up a metric by name in one replication's schema. */
-const double *
-findValue(const std::vector<std::pair<std::string, double>> &values,
-          const std::string &name)
+/** The entry named `name` in a list of named values, or null. */
+template <typename Entry>
+const Entry *
+findNamed(const std::vector<Entry> &entries, const std::string &name,
+          std::string Entry::*key)
 {
-    for (const auto &entry : values) {
-        if (entry.first == name)
-            return &entry.second;
+    for (const Entry &entry : entries) {
+        if (entry.*key == name)
+            return &entry;
     }
     return nullptr;
 }
@@ -140,10 +140,9 @@ summarizeSamples(std::string name, std::vector<double> samples,
 const MetricSummary &
 ReplicatedResult::metric(const std::string &name) const
 {
-    for (const MetricSummary &summary : metrics) {
-        if (summary.name == name)
-            return summary;
-    }
+    if (const MetricSummary *summary =
+            findNamed(metrics, name, &MetricSummary::name))
+        return *summary;
     std::string known;
     for (const MetricSummary &summary : metrics)
         known += (known.empty() ? "" : ", ") + summary.name;
@@ -154,11 +153,7 @@ ReplicatedResult::metric(const std::string &name) const
 bool
 ReplicatedResult::hasMetric(const std::string &name) const
 {
-    for (const MetricSummary &summary : metrics) {
-        if (summary.name == name)
-            return true;
-    }
-    return false;
+    return findNamed(metrics, name, &MetricSummary::name) != nullptr;
 }
 
 ReplicatedResult
@@ -188,11 +183,12 @@ summarizeReplications(const ScenarioSpec &spec,
         samples.reserve(schemas.size());
         bool shared = true;
         for (std::size_t i = 1; i < schemas.size() && shared; ++i) {
-            const double *value = findValue(schemas[i], name);
-            if (value == nullptr)
+            const auto *entry = findNamed(
+                schemas[i], name, &std::pair<std::string, double>::first);
+            if (entry == nullptr)
                 shared = false;
             else
-                samples.push_back(*value);
+                samples.push_back(entry->second);
         }
         if (shared)
             result.metrics.push_back(summarizeSamples(
@@ -208,31 +204,17 @@ summarizeReplications(const ScenarioSpec &spec,
 const MetricSummary &
 PairedComparison::delta(const std::string &name) const
 {
-    for (const MetricSummary &summary : deltas) {
-        if (summary.name == name)
-            return summary;
-    }
+    if (const MetricSummary *summary =
+            findNamed(deltas, name, &MetricSummary::name))
+        return *summary;
     fatal("PairedComparison '" + a.spec.label + "' vs '" + b.spec.label +
           "': no delta metric '" + name + "'");
 }
 
-// -------------------------------------------------------- ReplicationPlan
-
-ReplicationPlan::ReplicationPlan(std::size_t replications,
-                                 std::size_t threads, double confidence)
-    : _replications(replications), _threads(threads),
-      _confidence(confidence)
-{
-    fatalIf(_replications == 0,
-            "ReplicationPlan: replications must be >= 1");
-    fatalIf(_confidence <= 0.0 || _confidence >= 1.0,
-            "ReplicationPlan: confidence must be in (0, 1)");
-    if (_threads == 0)
-        _threads = ThreadPool::hardwareLanes();
-}
+// ----------------------------------------------------- replication runs
 
 std::uint64_t
-ReplicationPlan::replicationSeed(std::uint64_t base, std::size_t index)
+replicationSeed(std::uint64_t base, std::size_t index)
 {
     // One splitmix64 step along the golden-ratio sequence: the same
     // derivation the generator's own seeding uses, so replication
@@ -242,30 +224,9 @@ ReplicationPlan::replicationSeed(std::uint64_t base, std::size_t index)
                    goldenGamma * (static_cast<std::uint64_t>(index) + 1));
 }
 
-ReplicatedResult
-ReplicationPlan::run(const ScenarioSpec &spec) const
-{
-    spec.validate();
-    std::vector<ScenarioResult> replications(_replications);
-
-    // Results land in disjoint replication-indexed slots, so any pool
-    // width bit-matches a sequential run: each replication derives all
-    // randomness from its own derived seed, and the buffer is only
-    // read after parallelFor joins every lane.
-    ThreadPool pool(std::min(_threads, _replications));
-    pool.parallelFor(_replications, [&](std::size_t i, std::size_t) {
-        ScenarioSpec replication = spec;
-        replication.seed = replicationSeed(spec.seed, i);
-        replication.replications = 1;
-        replications[i] = ExperimentRunner::runScenario(replication);
-    });
-    return summarizeReplications(spec, std::move(replications),
-                                 _confidence);
-}
-
 PairedComparison
-ReplicationPlan::comparePaired(const ScenarioSpec &a,
-                               const ScenarioSpec &b) const
+comparePaired(const ScenarioSpec &a, const ScenarioSpec &b,
+              std::size_t threads, double confidence)
 {
     // Common random numbers: both scenarios replicate under the seed
     // stream derived from a.seed, so replication i of each sees the
@@ -273,61 +234,65 @@ ReplicationPlan::comparePaired(const ScenarioSpec &a,
     // stream-to-stream Monte-Carlo noise.
     ScenarioSpec b_crn = b;
     b_crn.seed = a.seed;
+    b_crn.replications = a.replications;
+
+    ExperimentRunner runner(threads);
+    runner.add(a).add(b_crn);
+    std::vector<ReplicatedResult> arms = runner.runReplicated(confidence);
 
     PairedComparison comparison;
-    comparison.a = run(a);
-    comparison.b = run(b_crn);
-
+    comparison.a = std::move(arms[0]);
+    comparison.b = std::move(arms[1]);
+    const std::size_t n = a.replications;
     for (const MetricSummary &metric_a : comparison.a.metrics) {
         if (!comparison.b.hasMetric(metric_a.name))
             continue;
         const MetricSummary &metric_b =
             comparison.b.metric(metric_a.name);
-        std::vector<double> deltas(_replications);
-        for (std::size_t i = 0; i < _replications; ++i)
+        std::vector<double> deltas(n);
+        for (std::size_t i = 0; i < n; ++i)
             deltas[i] = metric_a.samples[i] - metric_b.samples[i];
         comparison.deltas.push_back(summarizeSamples(
-            metric_a.name, std::move(deltas), _confidence));
+            metric_a.name, std::move(deltas), confidence));
     }
 
-    // Relative savings of A over B, in percent (positive = A cheaper).
-    for (const char *name : {"energy_j", "avg_power_w"}) {
-        if (!comparison.a.hasMetric(name) ||
-            !comparison.b.hasMetric(name))
-            continue;
+    // Relative savings of A over B, in percent (positive = A cheaper),
+    // over two core metrics every replication reports.
+    for (const auto &[name, savings_name] :
+         {std::pair{"energy_j", "energy_savings_pct"},
+          std::pair{"avg_power_w", "power_savings_pct"}}) {
         const MetricSummary &metric_a = comparison.a.metric(name);
         const MetricSummary &metric_b = comparison.b.metric(name);
-        std::vector<double> savings(_replications);
+        std::vector<double> savings(n);
         bool defined = true;
-        for (std::size_t i = 0; i < _replications && defined; ++i) {
-            if (metric_b.samples[i] == 0.0)
-                defined = false;
-            else
+        for (std::size_t i = 0; i < n && defined; ++i) {
+            defined = metric_b.samples[i] != 0.0;
+            if (defined)
                 savings[i] = 100.0 * (1.0 - metric_a.samples[i] /
                                                 metric_b.samples[i]);
         }
         if (defined)
-            comparison.deltas.push_back(summarizeSamples(
-                std::string(name) == "energy_j" ? "energy_savings_pct"
-                                                : "power_savings_pct",
-                std::move(savings), _confidence));
+            comparison.deltas.push_back(
+                summarizeSamples(savings_name, std::move(savings), confidence));
     }
     return comparison;
 }
-
-// ------------------------------------------------- ExperimentRunner glue
 
 ReplicatedResult
 ExperimentRunner::runReplicated(const ScenarioSpec &spec,
                                 std::size_t threads, double confidence)
 {
-    return ReplicationPlan(spec.replications, threads, confidence)
-        .run(spec);
+    ExperimentRunner runner(threads);
+    runner.add(spec);
+    return std::move(runner.runReplicated(confidence).front());
 }
 
 std::vector<ReplicatedResult>
 ExperimentRunner::runReplicated(double confidence) const
 {
+    fatalIf(!(confidence > 0.0 && confidence < 1.0),
+            "ExperimentRunner::runReplicated: confidence must be in "
+            "(0, 1)");
     const std::vector<ScenarioSpec> &specs = scenarios();
     std::vector<ReplicatedResult> results;
     if (specs.empty())
@@ -350,8 +315,8 @@ ExperimentRunner::runReplicated(double confidence) const
             offsets.begin() - 1);
         const ScenarioSpec &base = specs[scenario_index];
         ScenarioSpec replication = base;
-        replication.seed = ReplicationPlan::replicationSeed(
-            base.seed, item - offsets[scenario_index]);
+        replication.seed =
+            replicationSeed(base.seed, item - offsets[scenario_index]);
         replication.replications = 1;
         flat[item] = runScenario(replication);
     });
@@ -465,11 +430,7 @@ void
 writeReplicatedCsv(const std::string &path,
                    const std::vector<ReplicatedResult> &results)
 {
-    std::ofstream file(path);
-    fatalIf(!file, "writeReplicatedCsv: cannot open '" + path + "'");
-    file << replicatedToCsvString(results);
-    fatalIf(!file.good(),
-            "writeReplicatedCsv: write to '" + path + "' failed");
+    writeTextFile(path, replicatedToCsvString(results));
 }
 
 } // namespace sleepscale

@@ -10,8 +10,8 @@
  * extra) with a mean, standard deviation, and Student-t confidence
  * interval:
  *
- *   ReplicationPlan plan(20);
- *   const ReplicatedResult r = plan.run(spec);
+ *   spec.replications = 20;
+ *   const ReplicatedResult r = ExperimentRunner::runReplicated(spec);
  *   r.metric("avg_power_w").mean();         // E[P] across replications
  *   r.metric("avg_power_w").ciHalfWidth();  // 95% CI half width
  *
@@ -22,12 +22,13 @@
  * predictor or strategy ordering is "statistically qualified" when the
  * paired CI on its delta excludes zero.
  *
- * Replication fans out on util/thread_pool with results stored by
- * replication index and reduced in index order, so — like the
- * policy-evaluation engine and ExperimentRunner — any pool width is
- * bit-identical to a sequential run. Lanes write disjoint slots of the
- * replication-indexed result buffer and never share a mutable scenario
- * (each replication copies the spec); docs/CONCURRENCY.md documents the
+ * Replications fan out through one path, ExperimentRunner's
+ * runReplicated(): every (scenario, replication) pair of its queue is
+ * one item of a util/thread_pool fan-out, stored by index and reduced
+ * in index order, so — like the policy-evaluation engine — any pool
+ * width is bit-identical to a sequential run. Lanes write disjoint
+ * slots of the result buffer and never share a mutable scenario (each
+ * replication copies the spec); docs/CONCURRENCY.md documents the
  * discipline and the TSan CI job enforces it. Methodology,
  * seed-derivation and Student-t assumptions are documented in
  * docs/STATISTICS.md.
@@ -110,7 +111,7 @@ struct ReplicatedResult
     double confidence = 0.95; ///< CI coverage level of every metric.
 
     /** Per-replication results, replication-index order; replication i
-     * ran with seed ReplicationPlan::replicationSeed(spec.seed, i). */
+     * ran with seed replicationSeed(spec.seed, i). */
     std::vector<ScenarioResult> replications;
 
     /** Per-metric summaries: the core metrics (mean_response_s,
@@ -130,8 +131,18 @@ struct ReplicatedResult
 };
 
 /**
+ * The seed replication `index` of a scenario seeded `base` runs with:
+ * one splitmix64 step of base + (index + 1) · golden-ratio increment.
+ * Deterministic, decorrelated across replications, and shared across
+ * scenarios — the foundation of common random numbers (replication i
+ * of spec A and of spec B see identical job streams when both derive
+ * from the same base seed).
+ */
+std::uint64_t replicationSeed(std::uint64_t base, std::size_t index);
+
+/**
  * Summarize already-run replications of one scenario — the reduction
- * ReplicationPlan::run applies after the fan-out.
+ * ExperimentRunner::runReplicated() applies after the fan-out.
  *
  * @param spec The base scenario the replications ran.
  * @param replications Per-replication results in index order.
@@ -168,61 +179,19 @@ struct PairedComparison
 };
 
 /**
- * Runs a scenario N times under derived seeds and reduces the results
- * into per-metric confidence intervals.
+ * Run two scenarios under common random numbers and report paired
+ * deltas. Both run a.replications replications under the seeds derived
+ * from a.seed (b's own seed and replication count are ignored), so
+ * replication i of each sees the identical job stream. Both arms are
+ * queued on one ExperimentRunner and share its worker pool; any width
+ * is bit-identical to a sequential run.
+ *
+ * @param threads Fan-out width (0 = hardware, 1 = sequential).
+ * @param confidence Two-sided CI coverage level in (0, 1).
  */
-class ReplicationPlan
-{
-  public:
-    /**
-     * @param replications Replication count N (>= 1; CIs need >= 2).
-     * @param threads Fan-out width; 0 uses the hardware concurrency,
-     *        1 runs sequentially. Results are bit-identical at any
-     *        width (index-order reduction).
-     * @param confidence Two-sided CI coverage level in (0, 1).
-     */
-    explicit ReplicationPlan(std::size_t replications,
-                             std::size_t threads = 1,
-                             double confidence = 0.95);
-
-    /**
-     * The seed replication `index` of a scenario seeded `base` runs
-     * with: one splitmix64 step of base + (index + 1) · golden-ratio
-     * increment. Deterministic, decorrelated across replications, and
-     * shared across scenarios — the foundation of common random
-     * numbers (replication i of spec A and of spec B see identical
-     * job streams when both derive from the same base seed).
-     */
-    static std::uint64_t replicationSeed(std::uint64_t base,
-                                         std::size_t index);
-
-    /** Replication count N. */
-    std::size_t replications() const { return _replications; }
-
-    /** CI coverage level. */
-    double confidence() const { return _confidence; }
-
-    /**
-     * Run `spec` N times (spec.replications is ignored in favour of
-     * the plan's N) and summarize. Fan-out is deterministic: any
-     * thread count yields bit-identical results.
-     */
-    ReplicatedResult run(const ScenarioSpec &spec) const;
-
-    /**
-     * Run two scenarios under common random numbers and report paired
-     * deltas. Both scenarios derive their replication seeds from
-     * `a.seed`, so replication i of each sees the identical job
-     * stream regardless of `b.seed`.
-     */
-    PairedComparison comparePaired(const ScenarioSpec &a,
-                                   const ScenarioSpec &b) const;
-
-  private:
-    std::size_t _replications;
-    std::size_t _threads;
-    double _confidence;
-};
+PairedComparison comparePaired(const ScenarioSpec &a, const ScenarioSpec &b,
+                               std::size_t threads = 1,
+                               double confidence = 0.95);
 
 /**
  * Standard replicated-results table: label, engine, n, and mean ± CI

@@ -2,13 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <fstream>
 #include <sstream>
 
 #include "analytic/offline_opt.hh"
 #include "core/predictor.hh"
 #include "core/runtime.hh"
-#include "core/strategies.hh"
 #include "farm/farm_runtime.hh"
 #include "multicore/multicore_sim.hh"
 #include "power/platform_model.hh"
@@ -21,31 +19,6 @@
 namespace sleepscale {
 
 namespace {
-
-std::string
-formatDouble(double value)
-{
-    std::ostringstream out;
-    out << value;
-    return out.str();
-}
-
-StrategyKnobs
-knobsOf(const ScenarioSpec &spec)
-{
-    StrategyKnobs knobs;
-    knobs.epochMinutes = spec.epochMinutes;
-    knobs.overProvision = spec.overProvision;
-    knobs.rhoB = spec.rhoB;
-    knobs.qosMetric = spec.qosMetric;
-    knobs.searchThreads = spec.searchThreads;
-    knobs.prunedSearch = spec.prunedSearch;
-    knobs.controllerProcessNoise = spec.controllerProcessNoise;
-    knobs.controllerMeasurementNoise = spec.controllerMeasurementNoise;
-    knobs.controllerPole = spec.controllerPole;
-    knobs.controllerPeriodEpochs = spec.controllerPeriod;
-    return knobs;
-}
 
 /**
  * Per-epoch decision-cost extras (recordDecisionTime scenarios
@@ -86,25 +59,6 @@ workloadOf(const ScenarioSpec &spec)
 }
 
 /**
- * Per-state idle-residency fractions as extras (single-server and
- * farm engines; the multicore engine reports package-level
- * s3_residency instead). Every state is emitted (zeros included) so
- * the metric schema is identical across replications — the
- * replication layer summarizes the extras shared by every
- * replication.
- */
-void
-addResidencyExtras(ScenarioResult &result, const SimStats &total)
-{
-    const double elapsed = total.elapsed();
-    for (std::size_t i = 0; i < numLowPowerStates; ++i) {
-        result.extras.emplace_back(
-            "residency_" + toString(allLowPowerStates[i]),
-            elapsed > 0.0 ? total.idleResidency[i] / elapsed : 0.0);
-    }
-}
-
-/**
  * Build the scenario's job source. Engines pull from it epoch by
  * epoch — the stream is never materialized.
  *
@@ -126,44 +80,6 @@ sourceOf(const ScenarioSpec &spec, const WorkloadSpec &workload,
     config.replayPath = spec.replayPath;
     config.seed = spec.seed;
     return makeJobSource(spec.source, config);
-}
-
-/**
- * The FarmRuntime configuration of a loop-driven scenario: the
- * one-server farm the paper's runtime runs on, widened to the spec's
- * farm for the farm engine.
- */
-FarmRuntimeConfig
-farmConfigOf(const ScenarioSpec &spec)
-{
-    RuntimeConfig per_server =
-        strategyConfigByName(spec.strategy, knobsOf(spec));
-    per_server.recordDecisionTime = spec.recordDecisionTime;
-    FarmRuntimeConfig config = singleServerFarm(std::move(per_server));
-    if (spec.engine != EngineKind::Farm)
-        return config;
-    config.farmSize = spec.farmSize;
-    config.dispatcher = spec.dispatcher;
-    config.packingSpillBacklog = spec.packingSpillBacklog;
-    config.control = spec.farmControl;
-    config.platforms = spec.farmPlatforms;
-    config.decisionThreads = spec.decisionThreads;
-    config.shards = spec.farmShards;
-    config.tailHistograms = spec.tailHistograms;
-    // Decorrelated from the job-generation stream, which uses the raw
-    // seed: identical seeds would put both generators in lock-step.
-    config.dispatchSeed = mixSeed(spec.seed);
-    config.faults = spec.faults;
-    config.mtbf = spec.mtbf;
-    config.mttr = spec.mttr;
-    config.retryBackoff = spec.retryBackoff;
-    config.dropTimeout = spec.dropTimeout;
-    // A third decorrelated stream: the fault schedule must not move
-    // when job or dispatch randomness does (and replication seeds flow
-    // through spec.seed, so paired fault/no-fault comparisons share
-    // schedules per replication).
-    config.faultSeed = mixSeed(config.dispatchSeed);
-    return config;
 }
 
 /**
@@ -222,10 +138,15 @@ runFarm(const ScenarioSpec &spec)
     result.extras.emplace_back("degraded_s",
                                run.faults.degradedSeconds);
     result.extras.emplace_back("down_s", run.faults.downSeconds);
-    addResidencyExtras(result, run.total);
-    // The selected-state mix, zeros included for the same reason.
+    // Per-state idle residencies and the selected-state mix, every
+    // state listed (zeros included) for the same reason.
+    const double elapsed = run.total.elapsed();
     const auto fractions = stateSelectionFractions(run.epochs);
-    for (std::size_t i = 0; i < fractions.size(); ++i)
+    for (std::size_t i = 0; i < numLowPowerStates; ++i)
+        result.extras.emplace_back(
+            "residency_" + toString(allLowPowerStates[i]),
+            elapsed > 0.0 ? run.total.idleResidency[i] / elapsed : 0.0);
+    for (std::size_t i = 0; i < numLowPowerStates; ++i)
         result.extras.emplace_back(
             "state_" + toString(allLowPowerStates[i]), fractions[i]);
     // In every control mode the farm-level epochs' decisionMicros times
@@ -261,7 +182,6 @@ runFarm(const ScenarioSpec &spec)
         result.epochs = epochsToCsv(run.epochs);
     if (spec.engine != EngineKind::Farm)
         return result;
-    result.jobsPerServer = run.jobsPerServer;
     result.servers.reserve(run.servers.size());
     for (const FarmServerReport &server : run.servers) {
         ServerResultSummary summary;
@@ -312,12 +232,8 @@ runMulticore(const ScenarioSpec &spec)
     result.elapsed = stats.elapsed;
     result.jobs = stats.completions;
 
-    const QosConstraint qos =
-        spec.qosMetric == QosMetric::MeanResponse
-            ? QosConstraint::fromBaselineMean(spec.rhoB,
-                                              workload.serviceMean)
-            : QosConstraint::fromBaselineTail(spec.rhoB,
-                                              workload.serviceMean);
+    const QosConstraint qos = QosConstraint::fromBaseline(
+        spec.qosMetric, spec.rhoB, workload.serviceMean);
     result.withinBudget =
         (spec.qosMetric == QosMetric::MeanResponse
              ? result.meanResponse
@@ -342,124 +258,6 @@ ScenarioResult::extra(const std::string &key) const
     }
     fatal("ScenarioResult '" + spec.label + "': no extra metric '" + key +
           "'");
-}
-
-SweepAxis
-sweepEpochMinutes(const std::vector<unsigned> &values)
-{
-    SweepAxis axis{"T", {}};
-    for (unsigned value : values) {
-        axis.points.emplace_back(
-            std::to_string(value),
-            [value](ScenarioSpec &spec) { spec.epochMinutes = value; });
-    }
-    return axis;
-}
-
-SweepAxis
-sweepPredictors(const std::vector<std::string> &names)
-{
-    SweepAxis axis{"predictor", {}};
-    for (const std::string &name : names) {
-        axis.points.emplace_back(
-            name, [name](ScenarioSpec &spec) { spec.predictor = name; });
-    }
-    return axis;
-}
-
-SweepAxis
-sweepStrategies(const std::vector<std::string> &names)
-{
-    SweepAxis axis{"strategy", {}};
-    for (const std::string &name : names) {
-        axis.points.emplace_back(
-            name, [name](ScenarioSpec &spec) { spec.strategy = name; });
-    }
-    return axis;
-}
-
-SweepAxis
-sweepDispatchers(const std::vector<std::string> &names)
-{
-    SweepAxis axis{"dispatcher", {}};
-    for (const std::string &name : names) {
-        axis.points.emplace_back(
-            name, [name](ScenarioSpec &spec) { spec.dispatcher = name; });
-    }
-    return axis;
-}
-
-SweepAxis
-sweepFarmSizes(const std::vector<std::size_t> &sizes)
-{
-    SweepAxis axis{"servers", {}};
-    for (std::size_t size : sizes) {
-        axis.points.emplace_back(
-            std::to_string(size),
-            [size](ScenarioSpec &spec) { spec.farmSize = size; });
-    }
-    return axis;
-}
-
-SweepAxis
-sweepFarmControls(const std::vector<std::string> &modes)
-{
-    SweepAxis axis{"control", {}};
-    for (const std::string &mode : modes) {
-        axis.points.emplace_back(
-            mode, [mode](ScenarioSpec &spec) { spec.farmControl = mode; });
-    }
-    return axis;
-}
-
-SweepAxis
-sweepOverProvision(const std::vector<double> &alphas)
-{
-    SweepAxis axis{"alpha", {}};
-    for (double alpha : alphas) {
-        axis.points.emplace_back(
-            formatDouble(alpha),
-            [alpha](ScenarioSpec &spec) { spec.overProvision = alpha; });
-    }
-    return axis;
-}
-
-SweepAxis
-sweepQosMetrics(const std::vector<QosMetric> &metrics)
-{
-    SweepAxis axis{"metric", {}};
-    for (QosMetric metric : metrics) {
-        axis.points.emplace_back(
-            toString(metric),
-            [metric](ScenarioSpec &spec) { spec.qosMetric = metric; });
-    }
-    return axis;
-}
-
-SweepAxis
-sweepPackageSleepDelays(const std::vector<double> &delays)
-{
-    SweepAxis axis{"pkg_delay", {}};
-    for (double delay : delays) {
-        axis.points.emplace_back(
-            std::isfinite(delay) ? formatDouble(delay) : "inf",
-            [delay](ScenarioSpec &spec) {
-                spec.packageSleepDelay = delay;
-            });
-    }
-    return axis;
-}
-
-SweepAxis
-sweepCores(const std::vector<std::size_t> &counts)
-{
-    SweepAxis axis{"cores", {}};
-    for (std::size_t count : counts) {
-        axis.points.emplace_back(
-            std::to_string(count),
-            [count](ScenarioSpec &spec) { spec.cores = count; });
-    }
-    return axis;
 }
 
 SweepAxis
@@ -607,10 +405,8 @@ resultsToCsvString(const std::vector<ScenarioResult> &results)
     std::vector<std::string> extra_keys;
     for (const ScenarioResult &result : results) {
         for (const auto &entry : result.extras) {
-            bool known = false;
-            for (const std::string &key : extra_keys)
-                known = known || key == entry.first;
-            if (!known)
+            if (std::find(extra_keys.begin(), extra_keys.end(),
+                          entry.first) == extra_keys.end())
                 extra_keys.push_back(entry.first);
         }
     }
@@ -654,11 +450,7 @@ void
 writeResultsCsv(const std::string &path,
                 const std::vector<ScenarioResult> &results)
 {
-    std::ofstream file(path);
-    fatalIf(!file, "writeResultsCsv: cannot open '" + path + "'");
-    file << resultsToCsvString(results);
-    fatalIf(!file.good(), "writeResultsCsv: write to '" + path +
-                              "' failed");
+    writeTextFile(path, resultsToCsvString(results));
 }
 
 } // namespace sleepscale

@@ -10,8 +10,10 @@
  * singleServerFarm()); multicore scenarios run through MulticoreSim.
  *
  *   ExperimentRunner runner;
- *   runner.addGrid(base, {sweepEpochMinutes({1, 5, 10, 15}),
- *                         sweepPredictors({"LC", "LMS", "NP"})});
+ *   runner.addGrid(base,
+ *                  {sweep("T", &ScenarioSpec::epochMinutes, {1, 5, 10, 15}),
+ *                   sweep("predictor", &ScenarioSpec::predictor,
+ *                         {"LC", "LMS", "NP"})});
  *   const auto results = runner.run();      // parallel by default
  *   resultsTable(results).print(std::cout);
  *
@@ -25,7 +27,9 @@
 
 #include <functional>
 #include <ostream>
+#include <sstream>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -72,9 +76,6 @@ struct ScenarioResult
      * "s3_residency" and "package_wakes". */
     std::vector<std::pair<std::string, double>> extras;
 
-    /** Jobs routed to each back-end (farm engine only). */
-    std::vector<std::uint64_t> jobsPerServer;
-
     /** Per-server breakdown (farm engine only; one row per back-end,
      * see serversTable()). */
     std::vector<ServerResultSummary> servers;
@@ -101,37 +102,30 @@ struct SweepAxis
         points;
 };
 
-/** Sweep the policy update interval T (minutes). */
-SweepAxis sweepEpochMinutes(const std::vector<unsigned> &values);
+/**
+ * Sweep one ScenarioSpec field over `values`. Each point's printable
+ * value is the value streamed through an std::ostringstream ("5",
+ * "0.35", "R2H(C6)", "inf"), which the grid label and CSV row carry.
+ *
+ *   sweep("alpha", &ScenarioSpec::overProvision, {0.0, 0.35})
+ */
+template <typename Field>
+SweepAxis
+sweep(std::string name, Field ScenarioSpec::*field,
+      const std::vector<std::type_identity_t<Field>> &values)
+{
+    SweepAxis axis{std::move(name), {}};
+    for (const Field &value : values) {
+        std::ostringstream printed;
+        printed << value;
+        axis.points.emplace_back(
+            printed.str(),
+            [field, value](ScenarioSpec &spec) { spec.*field = value; });
+    }
+    return axis;
+}
 
-/** Sweep registered predictors by name. */
-SweepAxis sweepPredictors(const std::vector<std::string> &names);
-
-/** Sweep registered strategies by name. */
-SweepAxis sweepStrategies(const std::vector<std::string> &names);
-
-/** Sweep registered dispatchers by name. */
-SweepAxis sweepDispatchers(const std::vector<std::string> &names);
-
-/** Sweep the farm size. */
-SweepAxis sweepFarmSizes(const std::vector<std::size_t> &sizes);
-
-/** Sweep the farm control mode ("farm-wide" / "per-server"). */
-SweepAxis sweepFarmControls(const std::vector<std::string> &modes);
-
-/** Sweep the over-provisioning factor α. */
-SweepAxis sweepOverProvision(const std::vector<double> &alphas);
-
-/** Sweep the QoS metric (mean / tail). */
-SweepAxis sweepQosMetrics(const std::vector<QosMetric> &metrics);
-
-/** Sweep the multicore package-S3 delay (seconds; inf disables). */
-SweepAxis sweepPackageSleepDelays(const std::vector<double> &delays);
-
-/** Sweep the multicore core count. */
-SweepAxis sweepCores(const std::vector<std::size_t> &counts);
-
-/** Arbitrary custom dimension. */
+/** Arbitrary custom dimension, for axes that set several fields. */
 SweepAxis customAxis(
     std::string name,
     std::vector<std::pair<std::string, std::function<void(ScenarioSpec &)>>>
@@ -190,12 +184,14 @@ class ExperimentRunner
     /**
      * Run every queued scenario spec.replications times under derived
      * per-replication seeds and reduce each into per-metric Student-t
-     * confidence intervals (experiment/replication.hh). The whole
-     * (scenario × replication) space shares one worker pool; results
-     * are reduced in queue/replication index order, so any pool width
-     * is bit-identical to a sequential run.
+     * confidence intervals (experiment/replication.hh). This is the
+     * library's one replication fan-out: the whole (scenario ×
+     * replication) space shares one worker pool, and results are
+     * reduced in queue/replication index order, so any pool width is
+     * bit-identical to a sequential run.
      *
-     * @param confidence Two-sided CI coverage level in (0, 1).
+     * @param confidence Two-sided CI coverage level in (0, 1), checked
+     *        before anything runs.
      */
     std::vector<ReplicatedResult>
     runReplicated(double confidence = 0.95) const;
@@ -204,8 +200,9 @@ class ExperimentRunner
     static ScenarioResult runScenario(const ScenarioSpec &spec);
 
     /**
-     * Execute one scenario spec.replications times (ReplicationPlan)
-     * and summarize with confidence intervals.
+     * Execute one scenario spec.replications times and summarize with
+     * confidence intervals: runReplicated() on a runner holding only
+     * `spec`.
      *
      * @param spec The scenario; spec.replications sets N.
      * @param threads Fan-out width (0 = hardware, 1 = sequential).

@@ -1,13 +1,14 @@
 #include "experiment/scenario.hh"
 
+#include <cmath>
 #include <sstream>
 
 #include "core/predictor.hh"
 #include "core/strategies.hh"
-#include "farm/dispatcher.hh"
-#include "fault/fault_source.hh"
+#include "farm/farm_runtime.hh"
 #include "power/platform_model.hh"
 #include "util/error.hh"
+#include "util/rng.hh"
 #include "workload/job_source.hh"
 #include "workload/workload_spec.hh"
 
@@ -62,109 +63,112 @@ TraceSpec::label() const
     return out.str();
 }
 
+namespace {
+
+StrategyKnobs
+knobsOf(const ScenarioSpec &spec)
+{
+    StrategyKnobs knobs;
+    knobs.epochMinutes = spec.epochMinutes;
+    knobs.overProvision = spec.overProvision;
+    knobs.rhoB = spec.rhoB;
+    knobs.qosMetric = spec.qosMetric;
+    knobs.searchThreads = spec.searchThreads;
+    knobs.prunedSearch = spec.prunedSearch;
+    knobs.controllerProcessNoise = spec.controllerProcessNoise;
+    knobs.controllerMeasurementNoise = spec.controllerMeasurementNoise;
+    knobs.controllerPole = spec.controllerPole;
+    knobs.controllerPeriodEpochs = spec.controllerPeriod;
+    return knobs;
+}
+
+/**
+ * The checks of validate(), without the scenario label. The loop
+ * engines' knobs are left to validateFarmConfig(); only what that
+ * validator cannot see is checked here.
+ */
+void
+checkSpec(const ScenarioSpec &spec)
+{
+    const WorkloadSpec workload = workloadByName(spec.workload);
+    platformRegistry().get(spec.platform);
+    fatalIf(spec.trace.kind != "flat" && spec.trace.days == 0,
+            "trace days must be >= 1");
+    fatalIf(spec.replications == 0, "replications must be >= 1");
+    fatalIf(!(spec.optEpsilon > 0.0) || !std::isfinite(spec.optEpsilon),
+            "optEpsilon must be positive and finite");
+    fatalIf(spec.faults != "none" && spec.engine != EngineKind::Farm,
+            "fault injection needs the farm engine");
+    fatalIf(spec.reportRegret && spec.engine != EngineKind::SingleServer,
+            "reportRegret needs the single-server engine (the offline "
+            "oracle replays one server's job log)");
+    if (spec.engine == EngineKind::Multicore) {
+        fatalIf(spec.cores == 0, "cores must be >= 1");
+        fatalIf(!(spec.frequency > 0.0 && spec.frequency <= 1.0),
+                "frequency must be in (0, 1]");
+        fatalIf(!(spec.rho > 0.0 && spec.rho < 1.0),
+                "rho must be in (0, 1)");
+        fatalIf(spec.jobCount == 0, "jobCount must be >= 1");
+        return;
+    }
+    predictorRegistry().get(spec.predictor);
+    jobSourceRegistry().get(spec.source);
+    fatalIf(spec.source == "replay" && spec.replayPath.empty(),
+            "the replay source needs a replayPath");
+    fatalIf(!spec.replayPath.empty() && spec.source != "replay",
+            "replayPath '" + spec.replayPath +
+                "' is set but the source is '" + spec.source +
+                "' (set source to \"replay\")");
+    fatalIf(!(spec.sourceRateScale > 0.0),
+            "sourceRateScale must be positive");
+    validateFarmConfig(farmConfigOf(spec), workload);
+}
+
+} // namespace
+
 void
 ScenarioSpec::validate() const
 {
-    workloadRegistry().get(workload);
-    platformRegistry().get(platform);
-    fatalIf(trace.kind != "flat" && trace.days == 0,
-            "ScenarioSpec '" + label + "': trace days must be >= 1");
-    fatalIf(replications == 0,
-            "ScenarioSpec '" + label + "': replications must be >= 1");
-    switch (engine) {
-      case EngineKind::SingleServer:
-      case EngineKind::Farm:
-        strategyRegistry().get(strategy);
-        predictorRegistry().get(predictor);
-        jobSourceRegistry().get(source);
-        fatalIf(source == "replay" && replayPath.empty(),
-                "ScenarioSpec '" + label +
-                    "': the replay source needs a replayPath");
-        fatalIf(!replayPath.empty() && source != "replay",
-                "ScenarioSpec '" + label + "': replayPath '" +
-                    replayPath + "' is set but the source is '" +
-                    source + "' (set source to \"replay\")");
-        fatalIf(sourceRateScale <= 0.0,
-                "ScenarioSpec '" + label +
-                    "': sourceRateScale must be positive");
-        fatalIf(epochMinutes == 0,
-                "ScenarioSpec '" + label + "': epochMinutes must be >= 1");
-        fatalIf(rhoB <= 0.0 || rhoB >= 1.0,
-                "ScenarioSpec '" + label + "': rhoB must be in (0, 1)");
-        fatalIf(controllerProcessNoise <= 0.0 ||
-                    controllerMeasurementNoise <= 0.0,
-                "ScenarioSpec '" + label +
-                    "': controller noise variances must be positive");
-        fatalIf(controllerPole < 0.0 || controllerPole >= 1.0,
-                "ScenarioSpec '" + label +
-                    "': controllerPole must be in [0, 1)");
-        fatalIf(controllerPeriod == 0,
-                "ScenarioSpec '" + label +
-                    "': controllerPeriod must be >= 1");
-        break;
-      case EngineKind::Multicore:
-        fatalIf(cores == 0,
-                "ScenarioSpec '" + label + "': cores must be >= 1");
-        fatalIf(frequency <= 0.0 || frequency > 1.0,
-                "ScenarioSpec '" + label +
-                    "': frequency must be in (0, 1]");
-        fatalIf(rho <= 0.0 || rho >= 1.0,
-                "ScenarioSpec '" + label + "': rho must be in (0, 1)");
-        fatalIf(jobCount == 0,
-                "ScenarioSpec '" + label + "': jobCount must be >= 1");
-        break;
+    // One wrapper names the scenario in every rejection, whichever
+    // layer raised it.
+    try {
+        checkSpec(*this);
+    } catch (const ConfigError &error) {
+        fatalIn("ScenarioSpec '" + label + "'", error);
     }
-    if (engine == EngineKind::Farm) {
-        dispatcherRegistry().get(dispatcher);
-        fatalIf(farmSize == 0,
-                "ScenarioSpec '" + label + "': farmSize must be >= 1");
-        fatalIf(farmControl != "farm-wide" &&
-                    farmControl != "per-server" &&
-                    farmControl != "distributed",
-                "ScenarioSpec '" + label + "': unknown farmControl '" +
-                    farmControl +
-                    "' (use \"farm-wide\", \"per-server\", or "
-                    "\"distributed\")");
-        fatalIf(!farmPlatforms.empty() &&
-                    farmPlatforms.size() != farmSize,
-                "ScenarioSpec '" + label + "': farmPlatforms lists " +
-                    std::to_string(farmPlatforms.size()) +
-                    " entries for a farm of " +
-                    std::to_string(farmSize) +
-                    " servers (one name per server, or none)");
-        bool heterogeneous = false;
-        for (const std::string &name : farmPlatforms) {
-            platformRegistry().get(name);
-            heterogeneous =
-                heterogeneous || name != farmPlatforms.front();
-        }
-        fatalIf(heterogeneous && farmControl == "farm-wide",
-                "ScenarioSpec '" + label +
-                    "': a heterogeneous farmPlatforms mix needs "
-                    "farmControl \"per-server\" or \"distributed\"");
-        faultSourceRegistry().get(faults);
-        if (faults != "none") {
-            fatalIf(mtbf <= 0.0 || mttr <= 0.0,
-                    "ScenarioSpec '" + label +
-                        "': mtbf and mttr must be positive seconds");
-            fatalIf(retryBackoff <= 0.0,
-                    "ScenarioSpec '" + label +
-                        "': retryBackoff must be positive seconds");
-            fatalIf(dropTimeout <= 0.0,
-                    "ScenarioSpec '" + label +
-                        "': dropTimeout must be positive seconds");
-        }
-    } else {
-        fatalIf(faults != "none",
-                "ScenarioSpec '" + label +
-                    "': fault injection needs the farm engine");
-    }
-    fatalIf(!(optEpsilon > 0.0),
-            "ScenarioSpec '" + label + "': optEpsilon must be > 0");
-    fatalIf(reportRegret && engine != EngineKind::SingleServer,
-            "ScenarioSpec '" + label +
-                "': reportRegret needs the single-server engine "
-                "(the offline oracle replays one server's job log)");
+}
+
+FarmRuntimeConfig
+farmConfigOf(const ScenarioSpec &spec)
+{
+    RuntimeConfig per_server =
+        strategyConfigByName(spec.strategy, knobsOf(spec));
+    per_server.recordDecisionTime = spec.recordDecisionTime;
+    FarmRuntimeConfig config = singleServerFarm(std::move(per_server));
+    if (spec.engine != EngineKind::Farm)
+        return config;
+    config.farmSize = spec.farmSize;
+    config.dispatcher = spec.dispatcher;
+    config.packingSpillBacklog = spec.packingSpillBacklog;
+    config.control = spec.farmControl;
+    config.platforms = spec.farmPlatforms;
+    config.decisionThreads = spec.decisionThreads;
+    config.shards = spec.farmShards;
+    config.tailHistograms = spec.tailHistograms;
+    // Decorrelated from the job-generation stream, which uses the raw
+    // seed: identical seeds would put both generators in lock-step.
+    config.dispatchSeed = mixSeed(spec.seed);
+    config.faults = spec.faults;
+    config.mtbf = spec.mtbf;
+    config.mttr = spec.mttr;
+    config.retryBackoff = spec.retryBackoff;
+    config.dropTimeout = spec.dropTimeout;
+    // A third decorrelated stream: the fault schedule must not move
+    // when job or dispatch randomness does (and replication seeds flow
+    // through spec.seed, so paired fault/no-fault comparisons share
+    // schedules per replication).
+    config.faultSeed = mixSeed(config.dispatchSeed);
+    return config;
 }
 
 } // namespace sleepscale

@@ -21,8 +21,11 @@
  *   spec.overProvision = 0.35;
  *   spec.seed = 99;
  *
- * ExperimentRunner (runner.hh) validates and executes specs and expands
- * sweep grids.
+ * validate() checks what only a scenario knows (component names, the
+ * source, replications, the multicore fields) and hands every
+ * loop-engine knob to the engine's own validator, validateFarmConfig()
+ * on farmConfigOf(), so each knob has one range check. ExperimentRunner
+ * (runner.hh) validates and executes specs and expands sweep grids.
  */
 
 #ifndef SLEEPSCALE_EXPERIMENT_SCENARIO_HH
@@ -37,6 +40,9 @@
 #include "workload/utilization_trace.hh"
 
 namespace sleepscale {
+
+/** The loop engines' configuration (farm/farm_runtime.hh). */
+struct FarmRuntimeConfig;
 
 /** Which engine executes a scenario. */
 enum class EngineKind
@@ -157,7 +163,7 @@ struct ScenarioSpec
     /**
      * Monte-Carlo replications of this scenario (>= 1). A replicated
      * run executes the scenario `replications` times under derived
-     * per-replication seeds (ReplicationPlan::replicationSeed) and
+     * per-replication seeds (replicationSeed(), replication.hh) and
      * reports mean / stddev / Student-t confidence intervals per
      * metric instead of a single-seed point estimate. The utilization
      * trace (TraceSpec.seed) is shared by all replications — the "day
@@ -184,10 +190,19 @@ struct ScenarioSpec
 
     /**
      * Cross-check every registry-keyed name and numeric range; fatal()
-     * with the registered alternatives on the first mismatch.
+     * on the first mismatch, naming this scenario's label (and the
+     * registered alternatives for an unknown name).
      */
     void validate() const;
 };
+
+/**
+ * The FarmRuntime configuration of a single-server or farm scenario:
+ * the one-server farm the paper's runtime runs on (singleServerFarm()),
+ * widened to the spec's farm for the farm engine. fatal() on an
+ * unknown strategy.
+ */
+FarmRuntimeConfig farmConfigOf(const ScenarioSpec &spec);
 
 } // namespace sleepscale
 

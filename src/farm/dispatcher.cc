@@ -108,7 +108,7 @@ JsqDispatcher::route(const Job &job, const FarmView &farm)
 PackingDispatcher::PackingDispatcher(double spill_backlog)
     : _spillBacklog(spill_backlog)
 {
-    fatalIf(spill_backlog <= 0.0,
+    fatalIf(!(spill_backlog > 0.0),
             "PackingDispatcher: spill backlog must be positive");
 }
 

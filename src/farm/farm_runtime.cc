@@ -408,85 +408,92 @@ generateFarmJobs(Rng &rng, const WorkloadSpec &spec,
     return jobs;
 }
 
+void
+validateFarmConfig(const FarmRuntimeConfig &config, const WorkloadSpec &spec)
+{
+    const RuntimeConfig &per_server = config.perServer;
+    fatalIf(config.farmSize == 0, "FarmRuntime: farm size must be >= 1");
+    fatalIf(per_server.epochMinutes == 0,
+            "FarmRuntime: epochMinutes must be positive");
+    fatalIf(!(per_server.overProvision >= 0.0),
+            "FarmRuntime: overProvision must be >= 0");
+    fatalIf(per_server.evalLogCap < 2,
+            "FarmRuntime: evalLogCap must be at least 2");
+    fatalIf(per_server.historyEpochs == 0,
+            "FarmRuntime: historyEpochs must be positive");
+    // ρ_b and the metric: the factory that builds the run's budget.
+    QosConstraint::fromBaseline(per_server.qosMetric, per_server.rhoB,
+                                spec.serviceMean);
+    if (per_server.controller)
+        per_server.controller->validate();
+    fatalIf(config.control != "farm-wide" &&
+                config.control != "per-server" &&
+                config.control != "distributed",
+            "FarmRuntime: unknown control mode '" + config.control +
+                "' (use \"farm-wide\", \"per-server\", or "
+                "\"distributed\")");
+    // Throwaway components check their own knobs: the dispatcher its
+    // name (the registry lists the alternatives) and packing spill
+    // threshold; the fault source its name, MTBF/MTTR ranges and every
+    // scripted event. "none" skips the fault plane, so fault-free
+    // configs never pay for — or trip over — fault validation.
+    makeDispatcher(config.dispatcher, config.dispatchSeed,
+                   config.packingSpillBacklog);
+    if (config.faults != "none") {
+        makeFaultSource(config.faults, faultConfigOf(config));
+        fatalIf(!(config.retryBackoff > 0.0) ||
+                    !std::isfinite(config.retryBackoff),
+                "FarmRuntime: retryBackoff must be positive and "
+                "finite seconds");
+        fatalIf(!(config.retryBackoffCap > 0.0) ||
+                    !std::isfinite(config.retryBackoffCap),
+                "FarmRuntime: retryBackoffCap must be positive and "
+                "finite seconds");
+        fatalIf(!(config.dropTimeout > 0.0) ||
+                    !std::isfinite(config.dropTimeout),
+                "FarmRuntime: dropTimeout must be positive and finite "
+                "seconds");
+        fatalIf(!(config.recoverySeconds >= 0.0) ||
+                    !std::isfinite(config.recoverySeconds),
+                "FarmRuntime: recoverySeconds must be finite and >= 0");
+    }
+    if (config.platforms.empty())
+        return;
+    fatalIf(config.platforms.size() != config.farmSize,
+            "FarmRuntime: platforms lists " +
+                std::to_string(config.platforms.size()) +
+                " entries for a farm of " +
+                std::to_string(config.farmSize) +
+                " servers (give one platform name per server, or "
+                "none for a homogeneous farm)");
+    bool heterogeneous = false;
+    for (const std::string &name : config.platforms) {
+        platformRegistry().get(name);
+        heterogeneous = heterogeneous || name != config.platforms.front();
+    }
+    fatalIf(heterogeneous && config.control == "farm-wide",
+            "FarmRuntime: a heterogeneous platform mix needs "
+            "control = \"per-server\" or \"distributed\" (one "
+            "farm-wide decision cannot bind to multiple power "
+            "models)");
+}
+
 FarmRuntime::FarmRuntime(const PlatformModel &platform,
                          const WorkloadSpec &spec,
                          FarmRuntimeConfig config)
     : _platform(platform), _spec(spec), _config(std::move(config)),
-      _qos(_config.perServer.qosMetric == QosMetric::MeanResponse
-               ? QosConstraint::fromBaselineMean(_config.perServer.rhoB,
-                                                 spec.serviceMean)
-               : QosConstraint::fromBaselineTail(_config.perServer.rhoB,
-                                                 spec.serviceMean))
+      _qos(QosConstraint::fromBaseline(_config.perServer.qosMetric,
+                                       _config.perServer.rhoB,
+                                       spec.serviceMean))
 {
-    fatalIf(_config.farmSize == 0,
-            "FarmRuntime: farm size must be >= 1");
-    fatalIf(_config.perServer.epochMinutes == 0,
-            "FarmRuntime: epochMinutes must be positive");
-    fatalIf(_config.perServer.overProvision < 0.0,
-            "FarmRuntime: overProvision must be >= 0");
-    fatalIf(_config.perServer.evalLogCap < 2,
-            "FarmRuntime: evalLogCap must be at least 2");
-    fatalIf(_config.perServer.historyEpochs == 0,
-            "FarmRuntime: historyEpochs must be positive");
-    fatalIf(_config.control != "farm-wide" &&
-                _config.control != "per-server" &&
-                _config.control != "distributed",
-            "FarmRuntime: unknown control mode '" + _config.control +
-                "' (use \"farm-wide\", \"per-server\", or "
-                "\"distributed\")");
-    // Fail fast on misspelled dispatcher names: get() lists the
-    // registered alternatives, and catching it here (instead of inside
-    // run()) surfaces the mistake while the configuration site is still
-    // on the stack.
-    dispatcherRegistry().get(_config.dispatcher);
-
-    // Fault plane: building a throwaway source validates the name (the
-    // registry lists alternatives), the MTBF/MTTR ranges, and every
-    // scripted event. "none" skips it all, so fault-free configs never
-    // pay for — or trip over — fault validation.
-    if (_config.faults != "none") {
-        makeFaultSource(_config.faults, faultConfigOf(_config));
-        fatalIf(!(_config.retryBackoff > 0.0) ||
-                    !std::isfinite(_config.retryBackoff),
-                "FarmRuntime: retryBackoff must be positive and "
-                "finite seconds");
-        fatalIf(!(_config.retryBackoffCap > 0.0) ||
-                    !std::isfinite(_config.retryBackoffCap),
-                "FarmRuntime: retryBackoffCap must be positive and "
-                "finite seconds");
-        fatalIf(!(_config.dropTimeout > 0.0) ||
-                    !std::isfinite(_config.dropTimeout),
-                "FarmRuntime: dropTimeout must be positive and finite "
-                "seconds");
-        fatalIf(_config.recoverySeconds < 0.0 ||
-                    !std::isfinite(_config.recoverySeconds),
-                "FarmRuntime: recoverySeconds must be finite and >= 0");
-    }
+    validateFarmConfig(_config, spec);
 
     // Resolve the per-server platform mix. The resolved vector is sized
     // here once and never mutated again: the per-server managers hold
     // references into it.
-    if (!_config.platforms.empty()) {
-        fatalIf(_config.platforms.size() != _config.farmSize,
-                "FarmRuntime: platforms lists " +
-                    std::to_string(_config.platforms.size()) +
-                    " entries for a farm of " +
-                    std::to_string(_config.farmSize) +
-                    " servers (give one platform name per server, or "
-                    "none for a homogeneous farm)");
-        _resolvedPlatforms.reserve(_config.platforms.size());
-        for (const std::string &name : _config.platforms)
-            _resolvedPlatforms.push_back(platformByName(name));
-        bool heterogeneous = false;
-        for (const std::string &name : _config.platforms)
-            heterogeneous =
-                heterogeneous || name != _config.platforms.front();
-        fatalIf(heterogeneous && !perServerControl(),
-                "FarmRuntime: a heterogeneous platform mix needs "
-                "control = \"per-server\" or \"distributed\" (one "
-                "farm-wide decision cannot bind to multiple power "
-                "models)");
-    }
+    _resolvedPlatforms.reserve(_config.platforms.size());
+    for (const std::string &name : _config.platforms)
+        _resolvedPlatforms.push_back(platformByName(name));
     _serverPlatforms.reserve(_config.farmSize);
     for (std::size_t i = 0; i < _config.farmSize; ++i)
         _serverPlatforms.push_back(_resolvedPlatforms.empty()
@@ -587,6 +594,10 @@ FarmRuntime::run(JobSource &source, const UtilizationTrace &trace,
                  UtilizationPredictor &predictor) const
 {
     fatalIf(trace.empty(), "FarmRuntime::run: empty trace");
+    // Decision state starts fresh, so a second run() repeats the first;
+    // only the eval engines' plan caches carry over.
+    for (const auto &decider : _deciders)
+        decider->reset();
     const std::size_t minutes = trace.size();
     const unsigned epoch_len = _config.perServer.epochMinutes;
     const std::size_t size = _config.farmSize;

@@ -308,16 +308,17 @@ class FarmRuntime
      *        when config.platforms is empty; otherwise only the
      *        fallback for unspecified entries.
      * @param spec Workload characterization.
-     * @param config Farm and per-server knobs; validated up front
-     *        (farm size, dispatcher and platform names, control mode,
-     *        platform-list length) so misconfigurations fail at the
+     * @param config Farm and per-server knobs; validated up front by
+     *        validateFarmConfig() so misconfigurations fail at the
      *        construction site with actionable messages.
      */
     FarmRuntime(const PlatformModel &platform, const WorkloadSpec &spec,
                 FarmRuntimeConfig config);
 
     /**
-     * Run a streaming aggregate job source through the farm.
+     * Run a streaming aggregate job source through the farm. Every
+     * run starts from freshly reset deciders, so two runs of one
+     * runtime on equal inputs are bit-identical.
      *
      * Jobs are pulled epoch by epoch with one-job lookahead; the only
      * job buffers are the decision logs (the thinned farm-wide log, or
@@ -383,11 +384,12 @@ class FarmRuntime
 
     /** Persistent deciders (empty for fixed-policy configurations):
      * one shared decider under farm-wide control, else one per
-     * back-end, so each keeps its own eval-engine cache or controller
-     * state across epochs and runs. Their state mutates during
-     * decisions, so concurrent run() calls on one instance are not
-     * safe. The decision pool that fans decisions out over them is
-     * created per run(), so an idle runtime holds no worker threads. */
+     * back-end. Eval-engine plan caches persist across runs; decision
+     * state (controller filters, load estimates) is reset by every
+     * run(). Their state mutates during decisions, so concurrent run()
+     * calls on one instance are not safe. The decision pool that fans
+     * decisions out over them is created per run(), so an idle runtime
+     * holds no worker threads. */
     std::vector<std::unique_ptr<EpochDecider>> _deciders;
 
     /** _deciders entries, when they are the search path (see
@@ -397,6 +399,17 @@ class FarmRuntime
     /** Whether config.control selects autonomous per-server control. */
     bool perServerControl() const;
 };
+
+/**
+ * The one range check of every loop-engine knob (ρ_b through the QoS
+ * factory, the poet ControllerConfig included; NaN fails every check),
+ * run by the FarmRuntime constructor and, before any runtime exists, by
+ * ScenarioSpec::validate(). fatal() on the first bad knob.
+ *
+ * @param spec Workload whose service mean anchors the QoS budget.
+ */
+void validateFarmConfig(const FarmRuntimeConfig &config,
+                        const WorkloadSpec &spec);
 
 /**
  * The farm the paper's single-server runtime runs on: one server,

@@ -119,12 +119,18 @@ csvQuote(const std::string &cell)
 }
 
 void
-writeCsvFile(const std::string &path, const CsvTable &table)
+writeTextFile(const std::string &path, const std::string &text)
 {
     std::ofstream out(path);
-    fatalIf(!out, "writeCsvFile: cannot open '" + path + "' for writing");
-    out << toCsv(table);
-    fatalIf(!out, "writeCsvFile: write to '" + path + "' failed");
+    fatalIf(!out, "cannot open '" + path + "' for writing");
+    out << text;
+    fatalIf(!out, "write to '" + path + "' failed");
+}
+
+void
+writeCsvFile(const std::string &path, const CsvTable &table)
+{
+    writeTextFile(path, toCsv(table));
 }
 
 CsvTable

@@ -56,6 +56,9 @@ bool tryParseCsvDouble(const std::string &cell, double &out);
  */
 std::string csvQuote(const std::string &cell);
 
+/** Write text to a file, fatal() on I/O failure. */
+void writeTextFile(const std::string &path, const std::string &text);
+
 /** Write a table to a file, fatal() on I/O failure. */
 void writeCsvFile(const std::string &path, const CsvTable &table);
 

@@ -42,6 +42,13 @@ class InternalError : public std::logic_error
 [[noreturn]] void fatal(const std::string &msg);
 
 /**
+ * Re-raise a caught user-caused error with the context it arose in
+ * (e.g. "ScenarioSpec 'fig9'") in front of its message. Never returns.
+ */
+[[noreturn]] void fatalIn(const std::string &context,
+                          const ConfigError &error);
+
+/**
  * Report a violated internal invariant (a sleepscale bug). Never returns.
  *
  * @param msg Description of the broken invariant.

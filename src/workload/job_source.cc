@@ -46,7 +46,7 @@ StationarySource::StationarySource(const WorkloadSpec &spec,
                                    double rate_scale)
     : _service(spec.makeService()), _rng(seed)
 {
-    fatalIf(rate_scale <= 0.0,
+    fatalIf(!(rate_scale > 0.0),
             "StationarySource: rate_scale must be positive");
     _interArrival = fitDistribution(
         spec.interArrivalMeanAt(utilization) / rate_scale,
@@ -106,7 +106,7 @@ TraceDrivenSource::TraceDrivenSource(const WorkloadSpec &spec,
       _service(spec.makeService()), _rateScale(rate_scale), _rng(rng)
 {
     fatalIf(_trace.empty(), "TraceDrivenSource: empty trace");
-    fatalIf(rate_scale <= 0.0,
+    fatalIf(!(rate_scale > 0.0),
             "TraceDrivenSource: rate_scale must be positive");
     fatalIf(_serviceMean <= 0.0,
             "TraceDrivenSource: serviceMean must be positive");
@@ -169,11 +169,11 @@ BurstySource::BurstySource(const WorkloadSpec &spec, double utilization,
       _burstMeanLength(burst_mean_length), _burstMeanGap(burst_mean_gap),
       _rng(seed)
 {
-    fatalIf(burst_factor < 1.0,
+    fatalIf(!(burst_factor >= 1.0),
             "BurstySource: burst_factor must be >= 1");
-    fatalIf(burst_mean_length <= 0.0 || burst_mean_gap <= 0.0,
+    fatalIf(!(burst_mean_length > 0.0 && burst_mean_gap > 0.0),
             "BurstySource: episode means must be positive");
-    fatalIf(rate_scale <= 0.0,
+    fatalIf(!(rate_scale > 0.0),
             "BurstySource: rate_scale must be positive");
     _gap = fitDistribution(
         spec.interArrivalMeanAt(utilization) / rate_scale,

@@ -25,7 +25,7 @@ UtilizationTrace::UtilizationTrace(std::string name,
     : _name(std::move(name)), _perMinute(std::move(per_minute))
 {
     for (double u : _perMinute) {
-        fatalIf(u < 0.0 || u >= 1.0,
+        fatalIf(!(u >= 0.0 && u < 1.0),
                 "UtilizationTrace: utilization must be in [0, 1)");
     }
 }

@@ -30,7 +30,7 @@ WorkloadSpec::nativeUtilization() const
 double
 WorkloadSpec::interArrivalMeanAt(double utilization) const
 {
-    fatalIf(utilization <= 0.0 || utilization >= 1.0,
+    fatalIf(!(utilization > 0.0 && utilization < 1.0),
             "WorkloadSpec: utilization must be in (0, 1)");
     return serviceMean / utilization;
 }

@@ -10,8 +10,10 @@
 
 #include <algorithm>
 #include <functional>
+#include <limits>
 #include <set>
 #include <sstream>
+#include <vector>
 
 #include "core/predictor.hh"
 #include "core/strategies.hh"
@@ -109,7 +111,8 @@ TEST(ScenarioSpec, ValidatesAndRealizesFlatTrace)
     EXPECT_DOUBLE_EQ(trace.at(0), 0.25);
 }
 
-/** Whether validate() rejects a default spec after `edit`. */
+/** Whether validate() rejects a default spec after `edit`; every
+ * rejection must name the scenario label. */
 bool
 rejects(const std::function<void(ScenarioSpec &)> &edit)
 {
@@ -118,7 +121,10 @@ rejects(const std::function<void(ScenarioSpec &)> &edit)
     edit(spec);
     try {
         spec.validate();
-    } catch (const ConfigError &) {
+    } catch (const ConfigError &error) {
+        const std::string what = error.what();
+        EXPECT_EQ(what.rfind("sleepscale: fatal: ScenarioSpec 's': ", 0), 0u)
+            << what;
         return true;
     }
     return false;
@@ -233,7 +239,8 @@ TEST(ExpandGrid, FarmControlAxisExpands)
     base.engine = EngineKind::Farm;
     base.trace = {.kind = "flat", .flatLevel = 0.2, .flatMinutes = 20};
     const auto grid = expandGrid(
-        base, {sweepFarmControls({"farm-wide", "per-server"})});
+        base, {sweep("control", &ScenarioSpec::farmControl,
+                     {"farm-wide", "per-server"})});
     ASSERT_EQ(grid.size(), 2u);
     EXPECT_EQ(grid[0].farmControl, "farm-wide");
     EXPECT_EQ(grid[1].farmControl, "per-server");
@@ -276,6 +283,46 @@ TEST(ScenarioSpec, RejectsOutOfRangeKnobs)
     }));
 }
 
+TEST(ScenarioSpec, LeavesLoopKnobsToTheEngineValidator)
+{
+    // Each loop-engine knob has one range check, the engine's: validate()
+    // runs validateFarmConfig() on farmConfigOf(), so a bad knob fails
+    // here exactly when the FarmRuntime constructor would fail, NaN
+    // included.
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const std::vector<std::function<void(ScenarioSpec &)>> edits = {
+        [](ScenarioSpec &s) { s.overProvision = -1.0; },
+        [nan](ScenarioSpec &s) { s.rhoB = nan; },
+        [nan](ScenarioSpec &s) {
+            s.strategy = "poet";
+            s.controllerProcessNoise = nan;
+        },
+        [nan](ScenarioSpec &s) {
+            s.strategy = "poet";
+            s.controllerPole = nan;
+        },
+        [nan](ScenarioSpec &s) {
+            s.engine = EngineKind::Farm;
+            s.faults = "mtbf";
+            s.mtbf = nan;
+        },
+        [nan](ScenarioSpec &s) {
+            s.engine = EngineKind::Farm;
+            s.faults = "mtbf";
+            s.dropTimeout = nan;
+        },
+    };
+    const PlatformModel xeon = PlatformModel::xeon();
+    for (std::size_t i = 0; i < edits.size(); ++i) {
+        EXPECT_TRUE(rejects(edits[i])) << "edit " << i;
+        ScenarioSpec spec;
+        edits[i](spec);
+        EXPECT_THROW(FarmRuntime(xeon, dnsWorkload(), farmConfigOf(spec)),
+                     ConfigError)
+            << "edit " << i;
+    }
+}
+
 // --------------------------------------------------------- sweep grids
 
 ScenarioSpec
@@ -292,10 +339,10 @@ flatBase()
 
 TEST(ExpandGrid, CrossProductCountsAndLabels)
 {
-    const auto grid =
-        expandGrid(flatBase(),
-                   {sweepEpochMinutes({1, 5, 10, 15}),
-                    sweepPredictors({"LC", "LMS", "NP"})});
+    const auto grid = expandGrid(
+        flatBase(),
+        {sweep("T", &ScenarioSpec::epochMinutes, {1, 5, 10, 15}),
+         sweep("predictor", &ScenarioSpec::predictor, {"LC", "LMS", "NP"})});
     ASSERT_EQ(grid.size(), 12u);
 
     std::set<std::string> labels;
@@ -315,26 +362,105 @@ TEST(ExpandGrid, CrossProductCountsAndLabels)
 
 TEST(ExpandGrid, SharedSeedByDefaultDistinctWhenReseeding)
 {
-    const auto shared =
-        expandGrid(flatBase(), {sweepEpochMinutes({1, 5, 10})});
+    const SweepAxis epochs =
+        sweep("T", &ScenarioSpec::epochMinutes, {1, 5, 10});
+    const auto shared = expandGrid(flatBase(), {epochs});
     for (const ScenarioSpec &spec : shared)
         EXPECT_EQ(spec.seed, 11u);
 
-    const auto reseeded = expandGrid(
-        flatBase(), {sweepEpochMinutes({1, 5, 10})}, true);
+    const auto reseeded = expandGrid(flatBase(), {epochs}, true);
     std::set<std::uint64_t> seeds;
     for (const ScenarioSpec &spec : reseeded)
         seeds.insert(spec.seed);
     EXPECT_EQ(seeds.size(), reseeded.size());
 }
 
+TEST(ExpandGrid, SweepLabelsPrintTheValue)
+{
+    // A point's label is its value streamed through an ostringstream,
+    // so grid labels and result CSVs keep their established spelling.
+    const auto labels = [](const SweepAxis &axis) {
+        std::vector<std::string> printed;
+        for (const auto &point : axis.points)
+            printed.push_back(point.first);
+        return printed;
+    };
+    EXPECT_EQ(labels(sweep("T", &ScenarioSpec::epochMinutes, {5, 15})),
+              (std::vector<std::string>{"5", "15"}));
+    EXPECT_EQ(labels(sweep("alpha", &ScenarioSpec::overProvision,
+                           {0.0, 0.35})),
+              (std::vector<std::string>{"0", "0.35"}));
+    EXPECT_EQ(labels(sweep("pkg_delay", &ScenarioSpec::packageSleepDelay,
+                           {0.5, std::numeric_limits<double>::infinity()})),
+              (std::vector<std::string>{"0.5", "inf"}));
+    EXPECT_EQ(labels(sweep("strategy", &ScenarioSpec::strategy,
+                           {"R2H(C6)"})),
+              (std::vector<std::string>{"R2H(C6)"}));
+
+    // The mutator sets the swept field.
+    const auto grid = expandGrid(
+        flatBase(), {sweep("servers", &ScenarioSpec::farmSize, {2, 8})});
+    ASSERT_EQ(grid.size(), 2u);
+    EXPECT_EQ(grid[1].farmSize, 8u);
+    EXPECT_EQ(grid[1].label, "base servers=8");
+}
+
 TEST(ExpandGrid, EmptyAxisThrows)
 {
-    EXPECT_THROW(expandGrid(flatBase(), {sweepPredictors({})}),
-                 ConfigError);
+    EXPECT_THROW(
+        expandGrid(flatBase(), {sweep("predictor", &ScenarioSpec::predictor,
+                                      {})}),
+        ConfigError);
 }
 
 // ------------------------------------------------------------- running
+
+TEST(ExperimentRunner, RejectsNonFiniteInputs)
+{
+    // Each edit once passed every check, ran, and reported a
+    // meaningless result (no jobs offered and "within budget", or a
+    // knob silently ignored); each is now rejected where its value is
+    // checked.
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const std::vector<
+        std::pair<std::string, std::function<void(ScenarioSpec &)>>>
+        rows = {
+            {"trace.flatLevel NaN",
+             [nan](ScenarioSpec &s) { s.trace.flatLevel = nan; }},
+            {"sourceRateScale NaN",
+             [nan](ScenarioSpec &s) { s.sourceRateScale = nan; }},
+            {"sourceUtilization NaN (stationary)",
+             [nan](ScenarioSpec &s) {
+                 s.source = "stationary";
+                 s.sourceUtilization = nan;
+             }},
+            {"burstRateFactor NaN (bursty)",
+             [nan](ScenarioSpec &s) {
+                 s.source = "bursty";
+                 s.burstRateFactor = nan;
+             }},
+            {"packingSpillBacklog NaN (farm, packing)",
+             [nan](ScenarioSpec &s) {
+                 s.engine = EngineKind::Farm;
+                 s.dispatcher = "packing";
+                 s.packingSpillBacklog = nan;
+             }},
+            {"optEpsilon +inf",
+             [](ScenarioSpec &s) {
+                 s.reportRegret = true;
+                 s.optEpsilon = std::numeric_limits<double>::infinity();
+             }},
+        };
+    for (const auto &[name, edit] : rows) {
+        ScenarioSpec spec;
+        spec.label = name;
+        spec.trace = {.kind = "flat", .flatLevel = 0.2, .flatMinutes = 20};
+        spec.predictor = "NP";
+        edit(spec);
+        EXPECT_THROW(ExperimentRunner::runScenario(spec), ConfigError)
+            << name;
+    }
+}
 
 TEST(ExperimentRunner, MulticoreScenarioSmoke)
 {
@@ -363,8 +489,8 @@ TEST(ExperimentRunner, ParallelRunBitMatchesSequential)
     // the same specs must agree bit for bit, because every random
     // stream is derived from the scenario's own seed.
     const std::vector<SweepAxis> axes = {
-        sweepStrategies({"SS", "R2H(C6)"}),
-        sweepEpochMinutes({5, 10}),
+        sweep("strategy", &ScenarioSpec::strategy, {"SS", "R2H(C6)"}),
+        sweep("T", &ScenarioSpec::epochMinutes, {5, 10}),
     };
 
     ExperimentRunner sequential(1);
@@ -433,7 +559,8 @@ TEST(ExperimentRunner, ReplicatedRunSmoke)
     ScenarioSpec base = flatBase();
     base.replications = 3;
     ExperimentRunner runner(2);
-    runner.addGrid(base, {sweepPredictors({"NP", "LC"})});
+    runner.addGrid(
+        base, {sweep("predictor", &ScenarioSpec::predictor, {"NP", "LC"})});
 
     const std::vector<ReplicatedResult> results =
         runner.runReplicated();
@@ -446,8 +573,7 @@ TEST(ExperimentRunner, ReplicatedRunSmoke)
     }
     // Paired comparison under common random numbers, pooled.
     const PairedComparison comparison =
-        ReplicationPlan(3, 2).comparePaired(runner.scenarios()[0],
-                                            runner.scenarios()[1]);
+        comparePaired(runner.scenarios()[0], runner.scenarios()[1], 2);
     EXPECT_EQ(comparison.delta("energy_j").count(), 3u);
 }
 
@@ -527,7 +653,6 @@ TEST(ExperimentRunner, SingleServerScenarioIsAOneServerFarm)
     EXPECT_EQ(toCsv(a.epochs), toCsv(b.epochs));
     // The per-server breakdown stays farm-only.
     EXPECT_TRUE(a.servers.empty());
-    EXPECT_TRUE(a.jobsPerServer.empty());
     ASSERT_EQ(b.servers.size(), 1u);
     EXPECT_EQ(b.servers[0].jobs, b.jobs);
 }

@@ -1125,12 +1125,12 @@ TEST(FaultReplication, PairedComparisonQuantifiesOutageCost)
     faulty.retryBackoff = 0.5;
     faulty.dropTimeout = 240.0;
     faulty.seed = 7;
+    faulty.replications = 5;
     ScenarioSpec clean = faulty;
     clean.label = "no-fault";
     clean.faults = "none";
 
-    const ReplicationPlan plan(5, 0);
-    const PairedComparison comparison = plan.comparePaired(faulty, clean);
+    const PairedComparison comparison = comparePaired(faulty, clean, 0);
 
     EXPECT_LT(comparison.a.metric("availability").mean(), 1.0);
     EXPECT_GT(comparison.a.metric("availability").mean(), 0.5);

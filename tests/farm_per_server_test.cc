@@ -12,6 +12,7 @@
 #include <numeric>
 
 #include "core/predictor.hh"
+#include "core/strategies.hh"
 #include "farm/farm_runtime.hh"
 #include "power/platform_model.hh"
 #include "util/error.hh"
@@ -258,6 +259,41 @@ TEST(PerServerControl, ManagersPersistAcrossRuns)
     const FarmRuntimeResult b = runtime.run(jobs, trace, p2);
     EXPECT_EQ(first, &runtime.serverManager(0));
     EXPECT_DOUBLE_EQ(a.total.energy, b.total.energy);
+}
+
+// Decision state (controller filters, load estimates) resets at the
+// top of every run(), so a runtime's second run repeats its first bit
+// for bit; only the eval engines' plan caches carry over. Checked for
+// the two stateful per-server deciders.
+TEST(PerServerControl, SecondRunRepeatsTheFirst)
+{
+    const PlatformModel xeon = PlatformModel::xeon();
+    const WorkloadSpec mail = mailWorkload();
+    const UtilizationTrace trace =
+        synthEmailStoreTrace(1, 20140614).dailyWindow(2, 6);
+    Rng rng(7);
+    const auto jobs = generateFarmJobs(rng, mail, trace, 4);
+
+    for (const auto &[strategy, control] :
+         {std::pair<std::string, std::string>{"poet", "per-server"},
+          {"SS", "distributed"}}) {
+        FarmRuntimeConfig config;
+        config.farmSize = 4;
+        config.dispatcher = "JSQ";
+        config.control = control;
+        config.perServer = strategyConfigByName(
+            strategy, {.epochMinutes = 5, .overProvision = 0.35});
+        const FarmRuntime runtime(xeon, mail, config);
+
+        LmsCusumPredictor p1(10), p2(10);
+        const FarmRuntimeResult a = runtime.run(jobs, trace, p1);
+        const FarmRuntimeResult b = runtime.run(jobs, trace, p2);
+        EXPECT_EQ(a.total.energy, b.total.energy) << control;
+        EXPECT_EQ(a.total.completions, b.total.completions) << control;
+        for (std::size_t i = 0; i < a.servers.size(); ++i)
+            expectSameDecisions(b.servers[i].epochs, a.servers[i].epochs,
+                                control + " server " + std::to_string(i));
+    }
 }
 
 TEST(PerServerControl, IdleServerIsNotVacuouslyWithinBudget)

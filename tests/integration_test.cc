@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <string>
 
 #include "analytic/mm1_sleep.hh"
 #include "core/runtime.hh"
@@ -30,11 +31,12 @@ class EndToEnd : public ::testing::Test
     WorkloadSpec dns = dnsWorkload();
 
     RuntimeResult
-    runStrategy(StrategyKind kind, const std::vector<Job> &jobs,
+    runStrategy(const std::string &strategy, const std::vector<Job> &jobs,
                 const UtilizationTrace &trace) const
     {
-        const RuntimeConfig config =
-            makeStrategyConfig(kind, 5, 0.35, 0.8);
+        const RuntimeConfig config = strategyConfigByName(
+            strategy,
+            {.epochMinutes = 5, .overProvision = 0.35, .rhoB = 0.8});
         const SleepScaleRuntime runtime(xeon, dns, config);
         LmsCusumPredictor predictor(10);
         return runtime.run(jobs, trace, predictor);
@@ -50,32 +52,29 @@ TEST_F(EndToEnd, SleepScaleBeatsConventionalStrategiesOnPower)
     Rng rng(77);
     const auto jobs = generateTraceDrivenJobs(rng, dns, window);
 
-    std::map<StrategyKind, RuntimeResult> results;
-    for (StrategyKind kind : allStrategies)
-        results.emplace(kind, runStrategy(kind, jobs, window));
+    std::map<std::string, RuntimeResult> results;
+    for (const char *strategy :
+         {"SS", "SS(C3)", "DVFS", "R2H(C3)", "R2H(C6)"})
+        results.emplace(strategy, runStrategy(strategy, jobs, window));
 
-    const double ss_power =
-        results.at(StrategyKind::SleepScale).avgPower();
-    EXPECT_LT(ss_power,
-              results.at(StrategyKind::RaceToHaltC3).avgPower());
-    EXPECT_LT(ss_power,
-              results.at(StrategyKind::RaceToHaltC6).avgPower());
+    const double ss_power = results.at("SS").avgPower();
+    EXPECT_LT(ss_power, results.at("R2H(C3)").avgPower());
+    EXPECT_LT(ss_power, results.at("R2H(C6)").avgPower());
     // SS may legitimately tie DVFS-only when C0(i)S0(i) is the optimal
     // state for the whole window (cf. Figure 6 at moderate load).
-    EXPECT_LE(ss_power, results.at(StrategyKind::DvfsOnly).avgPower());
-    EXPECT_LE(ss_power,
-              results.at(StrategyKind::SleepScaleC3).avgPower() * 1.02);
+    EXPECT_LE(ss_power, results.at("DVFS").avgPower());
+    EXPECT_LE(ss_power, results.at("SS(C3)").avgPower() * 1.02);
 
     // Under the causal predictor the response stays in the budget's
     // neighbourhood (exact compliance depends on how the trace's bursts
     // land, as in the paper's Figure 8/9 discussion)...
-    const RuntimeResult &ss = results.at(StrategyKind::SleepScale);
+    const RuntimeResult &ss = results.at("SS");
     EXPECT_LE(ss.meanResponse(), ss.qos.budget() * 2.0);
 
     // ...and with perfect utilization knowledge (offline predictor,
     // 1-minute epochs) the budget itself is met.
-    RuntimeConfig genie =
-        makeStrategyConfig(StrategyKind::SleepScale, 1, 0.35, 0.8);
+    RuntimeConfig genie = strategyConfigByName(
+        "SS", {.epochMinutes = 1, .overProvision = 0.35, .rhoB = 0.8});
     const SleepScaleRuntime genie_runtime(xeon, dns, genie);
     OfflinePredictor offline(window.values());
     const RuntimeResult genie_result =

@@ -138,8 +138,8 @@ TEST_F(RuntimeTest, DvfsOnlyNeverSleepsDeep)
 {
     const UtilizationTrace trace = flatTrace(30, 0.3);
     const auto jobs = jobsFor(trace);
-    const RuntimeConfig config =
-        makeStrategyConfig(StrategyKind::DvfsOnly, 5, 0.0, 0.8);
+    const RuntimeConfig config = strategyConfigByName(
+        "DVFS", {.epochMinutes = 5, .overProvision = 0.0, .rhoB = 0.8});
     const SleepScaleRuntime runtime(xeon, dns, config);
     NaivePreviousPredictor predictor(0.3);
     const RuntimeResult result = runtime.run(jobs, trace, predictor);
@@ -290,33 +290,31 @@ TEST_F(RuntimeTest, OneServerFarmMatchesSingleServerRuntime)
     }
 }
 
-// -------------------------------------------------------- strategy kinds
-
-TEST(Strategies, LabelsMatchPaper)
-{
-    EXPECT_EQ(toString(StrategyKind::SleepScale), "SS");
-    EXPECT_EQ(toString(StrategyKind::SleepScaleC3), "SS(C3)");
-    EXPECT_EQ(toString(StrategyKind::DvfsOnly), "DVFS");
-    EXPECT_EQ(toString(StrategyKind::RaceToHaltC3), "R2H(C3)");
-    EXPECT_EQ(toString(StrategyKind::RaceToHaltC6), "R2H(C6)");
-}
+// ------------------------------------------------------------ strategies
 
 TEST(Strategies, ConfigsEncodeTheRightRestrictions)
 {
-    const RuntimeConfig ss =
-        makeStrategyConfig(StrategyKind::SleepScale, 5, 0.35, 0.8);
+    const StrategyKnobs knobs{
+        .epochMinutes = 5, .overProvision = 0.35, .rhoB = 0.8};
+    const RuntimeConfig ss = strategyConfigByName("SS", knobs);
     EXPECT_EQ(ss.space.plans.size(), 5u);
     EXPECT_FALSE(ss.fixedPolicy.has_value());
+    EXPECT_EQ(ss.epochMinutes, 5u);
+    EXPECT_DOUBLE_EQ(ss.overProvision, 0.35);
+    EXPECT_DOUBLE_EQ(ss.rhoB, 0.8);
 
-    const RuntimeConfig ss_c3 =
-        makeStrategyConfig(StrategyKind::SleepScaleC3, 5, 0.35, 0.8);
+    const RuntimeConfig ss_c3 = strategyConfigByName("SS(C3)", knobs);
     ASSERT_EQ(ss_c3.space.plans.size(), 1u);
     EXPECT_EQ(ss_c3.space.plans[0].deepest(), LowPowerState::C3S0Idle);
 
-    const RuntimeConfig r2h =
-        makeStrategyConfig(StrategyKind::RaceToHaltC6, 5, 0.35, 0.8);
+    const RuntimeConfig dvfs = strategyConfigByName("DVFS", knobs);
+    ASSERT_EQ(dvfs.space.plans.size(), 1u);
+    EXPECT_EQ(dvfs.space.plans[0].deepest(), LowPowerState::C0IdleS0Idle);
+
+    const RuntimeConfig r2h = strategyConfigByName("R2H(C6)", knobs);
     ASSERT_TRUE(r2h.fixedPolicy.has_value());
     EXPECT_DOUBLE_EQ(r2h.fixedPolicy->frequency, 1.0);
+    EXPECT_EQ(r2h.fixedPolicy->plan.deepest(), LowPowerState::C6S0Idle);
 }
 
 } // namespace

@@ -131,7 +131,7 @@ TEST(MetricSummary, ConfidenceLevelWidensInterval)
     EXPECT_THROW(summarizeSamples("m", samples, 1.0), ConfigError);
 }
 
-// ------------------------------------------------------ ReplicationPlan
+// --------------------------------------------------------- replications
 
 ScenarioSpec
 shortScenario(const std::string &strategy = "SS")
@@ -146,34 +146,37 @@ shortScenario(const std::string &strategy = "SS")
     return spec;
 }
 
-TEST(ReplicationPlan, SeedsAreDerivedAndDistinct)
+TEST(Replication, SeedsAreDerivedAndDistinct)
 {
     std::set<std::uint64_t> seeds;
     for (std::size_t i = 0; i < 100; ++i) {
-        const std::uint64_t seed =
-            ReplicationPlan::replicationSeed(42, i);
-        EXPECT_EQ(seed, ReplicationPlan::replicationSeed(42, i));
+        const std::uint64_t seed = replicationSeed(42, i);
+        EXPECT_EQ(seed, replicationSeed(42, i));
         EXPECT_NE(seed, 42u); // decorrelated from the base run
         seeds.insert(seed);
     }
     EXPECT_EQ(seeds.size(), 100u);
-    EXPECT_NE(ReplicationPlan::replicationSeed(42, 0),
-              ReplicationPlan::replicationSeed(43, 0));
+    EXPECT_NE(replicationSeed(42, 0), replicationSeed(43, 0));
 }
 
-TEST(ReplicationPlan, RejectsInvalidConfiguration)
+TEST(Replication, RejectsInvalidConfiguration)
 {
-    EXPECT_THROW(ReplicationPlan(0), ConfigError);
-    EXPECT_THROW(ReplicationPlan(5, 1, 1.5), ConfigError);
-    ScenarioSpec spec;
+    ScenarioSpec spec = shortScenario();
     spec.replications = 0;
     EXPECT_THROW(spec.validate(), ConfigError);
+    EXPECT_THROW(ExperimentRunner::runReplicated(spec), ConfigError);
+    spec.replications = 5;
+    EXPECT_THROW(ExperimentRunner::runReplicated(spec, 1, 1.5),
+                 ConfigError);
+    EXPECT_THROW(ExperimentRunner::runReplicated(spec, 1, 0.0),
+                 ConfigError);
 }
 
-TEST(ReplicationPlan, SummarizesCoreMetricsAndResidencies)
+TEST(Replication, SummarizesCoreMetricsAndResidencies)
 {
-    const ReplicatedResult result =
-        ReplicationPlan(4).run(shortScenario());
+    ScenarioSpec spec = shortScenario();
+    spec.replications = 4;
+    const ReplicatedResult result = ExperimentRunner::runReplicated(spec);
     ASSERT_EQ(result.replications.size(), 4u);
 
     for (const char *name :
@@ -207,18 +210,18 @@ TEST(ReplicationPlan, SummarizesCoreMetricsAndResidencies)
 
     // Replication i really ran the derived seed.
     for (std::size_t i = 0; i < 4; ++i)
-        EXPECT_EQ(result.replications[i].spec.seed,
-                  ReplicationPlan::replicationSeed(42, i));
+        EXPECT_EQ(result.replications[i].spec.seed, replicationSeed(42, i));
 
     EXPECT_THROW(result.metric("no_such_metric"), ConfigError);
 }
 
-TEST(ReplicationPlan, ParallelBitIdenticalToSequential)
+TEST(Replication, ParallelBitIdenticalToSequential)
 {
-    const ScenarioSpec spec = shortScenario();
-    const ReplicatedResult serial = ReplicationPlan(6, 1).run(spec);
-    const ReplicatedResult two = ReplicationPlan(6, 2).run(spec);
-    const ReplicatedResult eight = ReplicationPlan(6, 8).run(spec);
+    ScenarioSpec spec = shortScenario();
+    spec.replications = 6;
+    const ReplicatedResult serial = ExperimentRunner::runReplicated(spec, 1);
+    const ReplicatedResult two = ExperimentRunner::runReplicated(spec, 2);
+    const ReplicatedResult eight = ExperimentRunner::runReplicated(spec, 8);
 
     ASSERT_EQ(serial.metrics.size(), two.metrics.size());
     ASSERT_EQ(serial.metrics.size(), eight.metrics.size());
@@ -238,22 +241,22 @@ TEST(ReplicationPlan, ParallelBitIdenticalToSequential)
     }
 }
 
-TEST(ExperimentRunner, RunReplicatedMatchesPerScenarioPlans)
+TEST(ExperimentRunner, RunReplicatedMatchesPerScenarioRuns)
 {
     // The flattened (scenario × replication) pool reduction must equal
-    // running each scenario's plan independently, whatever the width.
+    // replicating each scenario on its own, whatever the width.
     ScenarioSpec base = shortScenario();
     base.replications = 3;
 
     ExperimentRunner runner(2);
-    runner.addGrid(base, {sweepStrategies({"SS", "R2H(C6)"})});
+    runner.addGrid(base, {sweep("strategy", &ScenarioSpec::strategy,
+                                {"SS", "R2H(C6)"})});
     const auto replicated = runner.runReplicated();
     ASSERT_EQ(replicated.size(), 2u);
 
-    const ReplicationPlan plan(3, 1);
     for (std::size_t s = 0; s < replicated.size(); ++s) {
         const ReplicatedResult direct =
-            plan.run(runner.scenarios()[s]);
+            ExperimentRunner::runReplicated(runner.scenarios()[s]);
         ASSERT_EQ(replicated[s].metrics.size(), direct.metrics.size());
         for (std::size_t m = 0; m < direct.metrics.size(); ++m) {
             ASSERT_EQ(replicated[s].metrics[m].samples,
@@ -282,17 +285,18 @@ TEST(ExperimentRunner, RunReplicatedMatchesPerScenarioPlans)
 
 TEST(PairedComparison, SharesSeedsAndCancelsStreamNoise)
 {
-    const ScenarioSpec ss = shortScenario("SS");
+    ScenarioSpec ss = shortScenario("SS");
+    ss.replications = 5;
     ScenarioSpec r2h = shortScenario("R2H(C6)");
-    r2h.seed = 777; // deliberately different: CRN must override it
+    r2h.seed = 777;       // deliberately different: CRN must override it
+    r2h.replications = 2; // and so must the pairing: both arms run 5
 
-    const ReplicationPlan plan(5, 1);
-    const PairedComparison comparison = plan.comparePaired(ss, r2h);
+    const PairedComparison comparison = comparePaired(ss, r2h);
+    ASSERT_EQ(comparison.b.replications.size(), 5u);
 
     // Both sides replicated under ss.seed's derived stream.
     for (std::size_t i = 0; i < 5; ++i) {
-        const std::uint64_t seed =
-            ReplicationPlan::replicationSeed(ss.seed, i);
+        const std::uint64_t seed = replicationSeed(ss.seed, i);
         EXPECT_EQ(comparison.a.replications[i].spec.seed, seed);
         EXPECT_EQ(comparison.b.replications[i].spec.seed, seed);
         // Identical arrival streams: same job count offered.
@@ -335,11 +339,11 @@ TEST(PairedComparison, Fig9PolicyPairIsSignificantAtN20)
         spec.overProvision = 0.35;
         spec.predictor = "NP";
         spec.seed = 42;
+        spec.replications = 20;
         return spec;
     };
-    const ReplicationPlan plan(20, 1);
     const PairedComparison comparison =
-        plan.comparePaired(scenario("SS"), scenario("SS(C3)"));
+        comparePaired(scenario("SS"), scenario("SS(C3)"));
 
     EXPECT_TRUE(comparison.significant("avg_power_w"));
     EXPECT_TRUE(comparison.significant("energy_j"));
@@ -383,7 +387,7 @@ coveragePoint(const PlatformModel &platform, const MM1SleepModel &model,
     responses.reserve(replications);
     powers.reserve(replications);
     for (std::size_t i = 0; i < replications; ++i) {
-        Rng rng(ReplicationPlan::replicationSeed(point_seed, i));
+        Rng rng(replicationSeed(point_seed, i));
         ExponentialDist gaps(1.0 / lambda);
         ExponentialDist sizes(service_mean);
         const auto jobs =

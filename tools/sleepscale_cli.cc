@@ -271,11 +271,7 @@ cmdSelect(const CliArgs &args)
     const PlatformModel platform = PlatformModel::xeon();
 
     const QosConstraint qos =
-        metric == QosMetric::MeanResponse
-            ? QosConstraint::fromBaselineMean(rho_b,
-                                              workload.serviceMean)
-            : QosConstraint::fromBaselineTail(rho_b,
-                                              workload.serviceMean);
+        QosConstraint::fromBaseline(metric, rho_b, workload.serviceMean);
     const PolicyManager manager(
         platform, workload.scaling,
         PolicySpace::allStates(PolicySpace::frequencyGrid(0.12, 1.0,
@@ -419,10 +415,8 @@ cmdFaultCompare(const ScenarioSpec &spec, const CliArgs &args)
     clean.faults = "none";
     clean.label = "no-fault";
 
-    const ReplicationPlan plan(spec.replications,
-                               args.getUnsigned("threads", 0));
     const PairedComparison comparison =
-        plan.comparePaired(faulty, clean);
+        comparePaired(faulty, clean, args.getUnsigned("threads", 0));
 
     std::cout << "paired fault vs no-fault ("
               << comparison.a.replications.size()
@@ -517,34 +511,35 @@ cmdGrid(const CliArgs &args)
              splitCsv(args.get("sweep-T", "")))
             values.push_back(static_cast<unsigned>(
                 positiveIntOrFatal(item, "sweep-T")));
-        axes.push_back(sweepEpochMinutes(values));
+        axes.push_back(sweep("T", &ScenarioSpec::epochMinutes, values));
     }
     if (args.has("sweep-alpha")) {
         std::vector<double> values;
         for (const std::string &item :
              splitCsv(args.get("sweep-alpha", "")))
             values.push_back(numberOrFatal(item, "sweep-alpha"));
-        axes.push_back(sweepOverProvision(values));
+        axes.push_back(
+            sweep("alpha", &ScenarioSpec::overProvision, values));
     }
     if (args.has("sweep-predictor"))
-        axes.push_back(
-            sweepPredictors(splitCsv(args.get("sweep-predictor", ""))));
+        axes.push_back(sweep("predictor", &ScenarioSpec::predictor,
+                             splitCsv(args.get("sweep-predictor", ""))));
     if (args.has("sweep-strategy"))
-        axes.push_back(
-            sweepStrategies(splitCsv(args.get("sweep-strategy", ""))));
+        axes.push_back(sweep("strategy", &ScenarioSpec::strategy,
+                             splitCsv(args.get("sweep-strategy", ""))));
     if (args.has("sweep-dispatcher"))
-        axes.push_back(sweepDispatchers(
-            splitCsv(args.get("sweep-dispatcher", ""))));
+        axes.push_back(sweep("dispatcher", &ScenarioSpec::dispatcher,
+                             splitCsv(args.get("sweep-dispatcher", ""))));
     if (args.has("sweep-control"))
-        axes.push_back(sweepFarmControls(
-            splitCsv(args.get("sweep-control", ""))));
+        axes.push_back(sweep("control", &ScenarioSpec::farmControl,
+                             splitCsv(args.get("sweep-control", ""))));
     if (args.has("sweep-servers")) {
         std::vector<std::size_t> values;
         for (const std::string &item :
              splitCsv(args.get("sweep-servers", "")))
             values.push_back(static_cast<std::size_t>(
                 positiveIntOrFatal(item, "sweep-servers")));
-        axes.push_back(sweepFarmSizes(values));
+        axes.push_back(sweep("servers", &ScenarioSpec::farmSize, values));
     }
     fatalIf(axes.empty(),
             "grid: give at least one --sweep-* axis "
