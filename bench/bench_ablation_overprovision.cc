@@ -13,9 +13,8 @@
 
 #include "core/strategies.hh"
 #include "farm/farm_runtime.hh"
-#include "util/rng.hh"
 #include "util/table_printer.hh"
-#include "workload/job_stream.hh"
+#include "workload/job_source.hh"
 
 using namespace sleepscale;
 
@@ -27,8 +26,8 @@ main()
 
     const UtilizationTrace day = synthEmailStoreTrace(1, 20140614);
     const UtilizationTrace window = day.dailyWindow(2, 20);
-    Rng rng(111);
-    const auto jobs = generateTraceDrivenJobs(rng, dns, window);
+    TraceDrivenSource source(dns, window, 111);
+    const auto jobs = materialize(source);
 
     printBanner(std::cout,
                 "Ablation: over-provisioning factor alpha (SS, DNS-like, "

@@ -14,9 +14,8 @@
 
 #include "core/strategies.hh"
 #include "farm/farm_runtime.hh"
-#include "util/rng.hh"
 #include "util/table_printer.hh"
-#include "workload/job_stream.hh"
+#include "workload/job_source.hh"
 
 using namespace sleepscale;
 
@@ -49,9 +48,8 @@ main()
     for (const TraceCase &trace_case : traces) {
         for (const WorkloadSpec &spec :
              {dnsWorkload(), googleWorkload()}) {
-            Rng rng(seed++);
-            const auto jobs = generateTraceDrivenJobs(rng, spec,
-                                                      trace_case.window);
+            TraceDrivenSource source(spec, trace_case.window, seed++);
+            const auto jobs = materialize(source);
             for (double rho_b : {0.6, 0.8}) {
                 RuntimeConfig config = strategyConfigByName(
                     "SS", {.epochMinutes = 5, .overProvision = 0.35,

@@ -36,7 +36,7 @@
 #include "experiment/replication.hh"
 #include "experiment/runner.hh"
 #include "util/table_printer.hh"
-#include "workload/job_stream.hh"
+#include "workload/job_source.hh"
 #include "workload/workload_spec.hh"
 
 using namespace sleepscale;
@@ -144,12 +144,12 @@ epsilonSection()
     // One hour of stationary Poisson/exponential dns-like load at
     // rho = 0.3 — the regime the 2AM-8AM slices live in.
     const WorkloadSpec dns = workloadByName("dns");
-    Rng rng(20140614);
-    ExponentialDist gaps(dns.serviceMean / 0.3);
-    ExponentialDist sizes(dns.serviceMean);
+    StationarySource source(
+        std::make_unique<ExponentialDist>(dns.serviceMean / 0.3),
+        std::make_unique<ExponentialDist>(dns.serviceMean), 20140614);
     std::vector<Job> jobs;
     double last = 0.0;
-    for (const Job &job : generateJobs(rng, gaps, sizes, 20000)) {
+    for (const Job &job : materialize(source, 20000)) {
         if (job.arrival > 3600.0)
             break;
         jobs.push_back(job);

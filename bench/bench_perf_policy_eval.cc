@@ -17,8 +17,7 @@
 #include "experiment/runner.hh"
 #include "power/platform_model.hh"
 #include "sim/server_sim.hh"
-#include "util/rng.hh"
-#include "workload/job_stream.hh"
+#include "workload/job_source.hh"
 
 namespace {
 
@@ -27,10 +26,9 @@ using namespace sleepscale;
 std::vector<Job>
 benchJobs(std::size_t count)
 {
-    Rng rng(4242);
-    ExponentialDist gaps(0.194 / 0.3);
-    ExponentialDist sizes(0.194);
-    return generateJobs(rng, gaps, sizes, count);
+    StationarySource source(std::make_unique<ExponentialDist>(0.194 / 0.3),
+                            std::make_unique<ExponentialDist>(0.194), 4242);
+    return materialize(source, count);
 }
 
 QosConstraint
@@ -152,7 +150,7 @@ BM_SelectFromLogNaive(benchmark::State &state)
     const auto jobs = benchJobs(10000);
     const PolicySpace space = PolicySpace::standard();
     const QosConstraint qos = benchQos();
-    const double rho = PolicyManager::logOfferedLoad(jobs);
+    const double rho = PreparedLog::fromJobs(jobs).offeredLoad();
     // The paper's stability floor, as the old serial loop applied it.
     const double f_floor = std::min(rho + 0.01, 0.999);
 

@@ -17,8 +17,7 @@
 
 #include "power/platform_model.hh"
 #include "sim/server_sim.hh"
-#include "util/rng.hh"
-#include "workload/job_stream.hh"
+#include "workload/job_source.hh"
 #include "workload/workload_spec.hh"
 
 namespace sleepscale {
@@ -29,10 +28,10 @@ inline std::vector<Job>
 idealJobs(const WorkloadSpec &spec, double rho, std::size_t count,
           std::uint64_t seed)
 {
-    Rng rng(seed);
-    ExponentialDist gaps(spec.serviceMean / rho);
-    ExponentialDist sizes(spec.serviceMean);
-    return generateJobs(rng, gaps, sizes, count);
+    StationarySource source(
+        std::make_unique<ExponentialDist>(spec.serviceMean / rho),
+        std::make_unique<ExponentialDist>(spec.serviceMean), seed);
+    return materialize(source, count);
 }
 
 /** Jobs matching the workload's empirical (mean, Cv) statistics. */
@@ -40,8 +39,8 @@ inline std::vector<Job>
 empiricalJobs(const WorkloadSpec &spec, double rho, std::size_t count,
               std::uint64_t seed)
 {
-    Rng rng(seed);
-    return generateWorkloadJobs(rng, spec, rho, count);
+    StationarySource source(spec, rho, seed);
+    return materialize(source, count);
 }
 
 /** One point of a frequency sweep. */

@@ -12,9 +12,8 @@
 
 #include "core/policy_manager.hh"
 #include "power/platform_model.hh"
-#include "util/rng.hh"
 #include "util/table_printer.hh"
-#include "workload/job_stream.hh"
+#include "workload/job_source.hh"
 
 using namespace sleepscale;
 
@@ -52,8 +51,8 @@ main()
     // load, mildly memory-bound (service rate ~ f^0.5).
     WorkloadSpec workload = mailWorkload();
     workload.scaling = ServiceScaling::mixed();
-    Rng rng(11);
-    const auto jobs = generateWorkloadJobs(rng, workload, 0.25, 30000);
+    StationarySource source(workload, 0.25, 11);
+    const auto jobs = materialize(source, 30000);
 
     // Candidate plans: the five single states plus a guarded descent
     // that parks in C3S0(i) and only commits to C6S3 after two seconds

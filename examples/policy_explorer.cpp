@@ -23,9 +23,8 @@
 #include "core/policy_manager.hh"
 #include "power/platform_model.hh"
 #include "util/error.hh"
-#include "util/rng.hh"
 #include "util/table_printer.hh"
-#include "workload/job_stream.hh"
+#include "workload/job_source.hh"
 
 using namespace sleepscale;
 
@@ -50,8 +49,8 @@ try {
               << ", rho_b = " << rho_b << " (budget mu*E[R] = "
               << qos.budget() / workload.serviceMean << ")\n\n";
 
-    Rng rng(7);
-    const auto jobs = generateWorkloadJobs(rng, workload, rho, 20000);
+    StationarySource source(workload, rho, 7);
+    const auto jobs = materialize(source, 20000);
 
     // Per-state optima, with and without the QoS cut.
     TablePrinter table({"state", "f* (unconstrained)", "E[P] [W]",

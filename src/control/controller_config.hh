@@ -9,6 +9,8 @@
 #ifndef SLEEPSCALE_CONTROL_CONTROLLER_CONFIG_HH
 #define SLEEPSCALE_CONTROL_CONTROLLER_CONFIG_HH
 
+#include <cmath>
+
 #include "util/error.hh"
 
 namespace sleepscale {
@@ -21,12 +23,12 @@ namespace sleepscale {
  */
 struct ControllerConfig
 {
-    /** Kalman process-noise variance Q (> 0) of both filters. Larger
-     * values track load shifts faster at the cost of noise. */
+    /** Kalman process-noise variance Q (finite, > 0) of both filters.
+     * Larger values track load shifts faster at the cost of noise. */
     double processNoise = 1e-4;
 
-    /** Kalman measurement-noise variance R (> 0). Larger values trust
-     * each epoch's sample less and smooth harder. */
+    /** Kalman measurement-noise variance R (finite, > 0). Larger values
+     * trust each epoch's sample less and smooth harder. */
     double measurementNoise = 1e-2;
 
     /** Z-plane pole of the integral xup controller, in [0, 1). 0 is
@@ -39,15 +41,17 @@ struct ControllerConfig
      * periodEpochs-th epoch. */
     unsigned periodEpochs = 1;
 
-    /** fatal() on the first knob out of range (NaN fails every check):
+    /** fatal() on the first knob out of range (NaN and infinities fail):
      * the one check of these knobs, run by PowerPerfController and by
      * validateFarmConfig(). */
     void validate() const
     {
-        fatalIf(!(processNoise > 0.0),
-                "ControllerConfig: process noise must be > 0");
-        fatalIf(!(measurementNoise > 0.0),
-                "ControllerConfig: measurement noise must be > 0");
+        fatalIf(!(processNoise > 0.0) || !std::isfinite(processNoise),
+                "ControllerConfig: process noise must be finite and > 0");
+        fatalIf(!(measurementNoise > 0.0) ||
+                    !std::isfinite(measurementNoise),
+                "ControllerConfig: measurement noise must be finite and "
+                "> 0");
         fatalIf(!(pole >= 0.0 && pole < 1.0),
                 "ControllerConfig: pole must be in [0, 1)");
         fatalIf(periodEpochs == 0,

@@ -17,19 +17,6 @@ PolicyManager::PolicyManager(const PlatformModel &platform,
 {
 }
 
-double
-PolicyManager::logOfferedLoad(const std::vector<Job> &log)
-{
-    // Delegate so the span-from-zero convention lives in one place.
-    return PreparedLog::fromJobs(log).offeredLoad();
-}
-
-double
-PolicyManager::logMeanSize(const std::vector<Job> &log)
-{
-    return PreparedLog::fromJobs(log).meanSize();
-}
-
 PolicyDecision
 PolicyManager::selectFromLog(const std::vector<Job> &log) const
 {

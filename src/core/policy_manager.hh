@@ -97,12 +97,6 @@ class PolicyManager : public EpochDecider
      * the runtimes expose). */
     const PolicyEvalEngine &engine() const { return *_engine; }
 
-    /** Offered load of a job log: total demand / spanned time. */
-    static double logOfferedLoad(const std::vector<Job> &log);
-
-    /** Mean job size of a log, seconds at f = 1. */
-    static double logMeanSize(const std::vector<Job> &log);
-
   private:
     const PlatformModel &_platform;
     ServiceScaling _scaling;

@@ -35,7 +35,7 @@ struct RuntimeConfig
     /** Policy update interval T, minutes (paper: 1-15). */
     unsigned epochMinutes = 5;
 
-    /** Over-provisioning factor α (paper: 0 or 0.35). */
+    /** Over-provisioning factor α, finite and >= 0 (paper: 0 or 0.35). */
     double overProvision = 0.0;
 
     /** Peak design utilization ρ_b anchoring the QoS budget. */

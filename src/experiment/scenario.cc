@@ -119,8 +119,9 @@ checkSpec(const ScenarioSpec &spec)
             "replayPath '" + spec.replayPath +
                 "' is set but the source is '" + spec.source +
                 "' (set source to \"replay\")");
-    fatalIf(!(spec.sourceRateScale > 0.0),
-            "sourceRateScale must be positive");
+    fatalIf(!(spec.sourceRateScale > 0.0) ||
+                !std::isfinite(spec.sourceRateScale),
+            "sourceRateScale must be positive and finite");
     validateFarmConfig(farmConfigOf(spec), workload);
 }
 

@@ -117,8 +117,8 @@ struct ScenarioSpec
 
     // "poet" controller knobs (docs/CONTROL.md); ignored by the
     // search strategies.
-    double controllerProcessNoise = 1e-4;   ///< Kalman Q (> 0).
-    double controllerMeasurementNoise = 1e-2; ///< Kalman R (> 0).
+    double controllerProcessNoise = 1e-4;   ///< Kalman Q (finite, > 0).
+    double controllerMeasurementNoise = 1e-2; ///< Kalman R (finite, > 0).
     double controllerPole = 0.0;        ///< Xup integrator pole, [0, 1).
     unsigned controllerPeriod = 1;      ///< Control period, epochs (>= 1).
 

@@ -383,31 +383,6 @@ FarmFaultStats::goodput() const
            static_cast<double>(offered);
 }
 
-std::unique_ptr<JobSource>
-makeFarmSource(const WorkloadSpec &spec, const UtilizationTrace &trace,
-               std::size_t farm_size, std::uint64_t seed)
-{
-    fatalIf(farm_size == 0, "makeFarmSource: farm size must be >= 1");
-    // A farm at per-server load rho sees rho * size aggregate demand:
-    // the rate multiplier shrinks the mean inter-arrival by the farm
-    // size while keeping the gap distribution's shape and the true
-    // service demands.
-    return std::make_unique<TraceDrivenSource>(
-        spec, trace, seed, static_cast<double>(farm_size));
-}
-
-std::vector<Job>
-generateFarmJobs(Rng &rng, const WorkloadSpec &spec,
-                 const UtilizationTrace &trace, std::size_t farm_size)
-{
-    fatalIf(farm_size == 0, "generateFarmJobs: farm size must be >= 1");
-    TraceDrivenSource source(spec, trace, rng,
-                             static_cast<double>(farm_size));
-    std::vector<Job> jobs = materialize(source);
-    rng = source.rng();
-    return jobs;
-}
-
 void
 validateFarmConfig(const FarmRuntimeConfig &config, const WorkloadSpec &spec)
 {
@@ -415,8 +390,9 @@ validateFarmConfig(const FarmRuntimeConfig &config, const WorkloadSpec &spec)
     fatalIf(config.farmSize == 0, "FarmRuntime: farm size must be >= 1");
     fatalIf(per_server.epochMinutes == 0,
             "FarmRuntime: epochMinutes must be positive");
-    fatalIf(!(per_server.overProvision >= 0.0),
-            "FarmRuntime: overProvision must be >= 0");
+    fatalIf(!(per_server.overProvision >= 0.0) ||
+                !std::isfinite(per_server.overProvision),
+            "FarmRuntime: overProvision must be finite and >= 0");
     fatalIf(per_server.evalLogCap < 2,
             "FarmRuntime: evalLogCap must be at least 2");
     fatalIf(per_server.historyEpochs == 0,

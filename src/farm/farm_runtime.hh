@@ -402,7 +402,8 @@ class FarmRuntime
 
 /**
  * The one range check of every loop-engine knob (ρ_b through the QoS
- * factory, the poet ControllerConfig included; NaN fails every check),
+ * factory, the poet ControllerConfig included; NaN and infinities fail
+ * every check that needs a finite value),
  * run by the FarmRuntime constructor and, before any runtime exists, by
  * ScenarioSpec::validate(). fatal() on the first bad knob.
  *
@@ -480,25 +481,6 @@ class SleepScaleRuntime
  */
 double failoverBackoffDelay(double backoff, unsigned attempts,
                             double cap);
-
-/**
- * Streaming aggregate trace-driven source for a farm: the trace is the
- * per-server load, so the farm sees farm-size times the arrival rate
- * with the same service distribution. Equivalent to
- * TraceDrivenSource(spec, trace, seed, farm_size).
- */
-std::unique_ptr<JobSource> makeFarmSource(const WorkloadSpec &spec,
-                                          const UtilizationTrace &trace,
-                                          std::size_t farm_size,
-                                          std::uint64_t seed);
-
-/**
- * Materialized adapter over makeFarmSource() — drains the aggregate
- * stream into a vector for callers that need the whole list.
- */
-std::vector<Job> generateFarmJobs(Rng &rng, const WorkloadSpec &spec,
-                                  const UtilizationTrace &trace,
-                                  std::size_t farm_size);
 
 } // namespace sleepscale
 

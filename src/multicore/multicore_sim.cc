@@ -201,12 +201,9 @@ evaluateMulticorePolicy(const PlatformModel &platform,
                         const MulticorePolicy &policy,
                         const std::vector<Job> &jobs)
 {
-    fatalIf(jobs.empty(), "evaluateMulticorePolicy: need jobs");
-    MulticoreSim sim(platform, scaling, cores, policy);
-    for (const Job &job : jobs)
-        sim.offerJob(job);
-    sim.advanceTo(sim.allFreeTime());
-    return sim.stats();
+    VectorSource source = VectorSource::view(jobs);
+    return evaluateMulticorePolicy(platform, scaling, cores, policy,
+                                   source, jobs.size());
 }
 
 MulticoreStats

@@ -143,6 +143,7 @@ class MulticoreSim
 /**
  * Evaluate a multicore policy over a job list (fresh package, run to
  * the last departure) — the multicore analogue of evaluatePolicy().
+ * A view adapter over the streaming overload.
  */
 MulticoreStats evaluateMulticorePolicy(const PlatformModel &platform,
                                        ServiceScaling scaling,

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstdlib>
+#include <sstream>
 
 #include "util/error.hh"
 
@@ -44,54 +45,88 @@ CliArgs::get(const std::string &key, const std::string &fallback) const
     return it == _values.end() ? fallback : it->second;
 }
 
+namespace {
+
+/** `text` as one finite number; fatal() naming --key. */
 double
-CliArgs::getDouble(const std::string &key, double fallback) const
+parseDouble(const std::string &key, const std::string &text)
 {
-    const auto it = _values.find(key);
-    if (it == _values.end())
-        return fallback;
     try {
         std::size_t used = 0;
-        const double value = std::stod(it->second, &used);
+        const double value = std::stod(text, &used);
         // The whole cell must parse: "0.5x" is a typo, not 0.5. And
         // "nan"/"inf" parse cleanly but sail through every downstream
         // range check (NaN compares false against any bound), so
         // non-finite values are rejected here, at the boundary.
-        fatalIf(used != it->second.size() || !std::isfinite(value),
+        fatalIf(used != text.size() || !std::isfinite(value),
                 "CliArgs: option '--" + key +
-                    "' expects a finite number, got '" + it->second +
-                    "'");
+                    "' expects a finite number, got '" + text + "'");
         return value;
     } catch (const ConfigError &) {
         throw;
     } catch (const std::exception &) {
         fatal("CliArgs: option '--" + key + "' expects a number, got '" +
-              it->second + "'");
+              text + "'");
     }
 }
 
-unsigned long
-CliArgs::getUnsigned(const std::string &key, unsigned long fallback) const
+} // namespace
+
+double
+CliArgs::getDouble(const std::string &key, double fallback) const
 {
     const auto it = _values.find(key);
-    if (it == _values.end())
-        return fallback;
+    return it == _values.end() ? fallback : parseDouble(key, it->second);
+}
+
+unsigned long
+CliArgs::parseUnsigned(const std::string &key, const std::string &text,
+                       unsigned long max)
+{
     try {
         std::size_t used = 0;
-        const long value = std::stol(it->second, &used, 10);
+        const unsigned long value = std::stoul(text, &used, 10);
         // The whole cell must parse: "5x" is a typo, not 5.
-        fatalIf(used != it->second.size(),
+        fatalIf(used != text.size(),
                 "CliArgs: option '--" + key +
-                    "' expects an integer, got '" + it->second + "'");
-        fatalIf(value < 0, "CliArgs: option '--" + key +
-                               "' expects a non-negative integer");
-        return static_cast<unsigned long>(value);
+                    "' expects an integer, got '" + text + "'");
+        // stoul negates a leading '-' instead of refusing it.
+        fatalIf(text.find('-') != std::string::npos,
+                "CliArgs: option '--" + key +
+                    "' expects a non-negative integer");
+        fatalIf(value > max, "CliArgs: option '--" + key +
+                                 "' expects an integer at most " +
+                                 std::to_string(max) + ", got '" + text +
+                                 "'");
+        return value;
     } catch (const ConfigError &) {
         throw;
     } catch (const std::exception &) {
         fatal("CliArgs: option '--" + key +
-              "' expects an integer, got '" + it->second + "'");
+              "' expects an integer, got '" + text + "'");
     }
+}
+
+std::vector<std::string>
+CliArgs::getList(const std::string &key) const
+{
+    std::vector<std::string> items;
+    std::istringstream in(get(key, ""));
+    std::string item;
+    while (std::getline(in, item, ',')) {
+        if (!item.empty())
+            items.push_back(item);
+    }
+    return items;
+}
+
+std::vector<double>
+CliArgs::getDoubleList(const std::string &key) const
+{
+    std::vector<double> values;
+    for (const std::string &item : getList(key))
+        values.push_back(parseDouble(key, item));
+    return values;
 }
 
 } // namespace sleepscale

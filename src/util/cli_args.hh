@@ -10,9 +10,11 @@
 #ifndef SLEEPSCALE_UTIL_CLI_ARGS_HH
 #define SLEEPSCALE_UTIL_CLI_ARGS_HH
 
+#include <limits>
 #include <map>
 #include <set>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 namespace sleepscale {
@@ -42,16 +44,52 @@ class CliArgs
     std::string get(const std::string &key,
                     const std::string &fallback) const;
 
-    /** Double option with default; fatal() on non-numeric values. */
+    /** Double option with default; fatal() unless the whole value is
+     * one finite number. */
     double getDouble(const std::string &key, double fallback) const;
 
-    /** Unsigned option with default; fatal() on bad values. */
-    unsigned long getUnsigned(const std::string &key,
-                              unsigned long fallback) const;
+    /**
+     * Unsigned option with default, as T; fatal() unless the whole
+     * value is a non-negative integer that fits in T (so `--T
+     * 4294967301` fails instead of wrapping to 5).
+     */
+    template <class T = unsigned long>
+    T getUnsigned(const std::string &key,
+                  std::type_identity_t<T> fallback) const
+    {
+        const auto it = _values.find(key);
+        return it == _values.end()
+                   ? fallback
+                   : static_cast<T>(parseUnsigned(
+                         key, it->second, std::numeric_limits<T>::max()));
+    }
+
+    /** Comma-separated list option; empty items are skipped, and an
+     * absent option is an empty list. */
+    std::vector<std::string> getList(const std::string &key) const;
+
+    /** getList() with getDouble()'s rules applied to every item. */
+    std::vector<double> getDoubleList(const std::string &key) const;
+
+    /** getList() with getUnsigned<T>()'s rules applied to every item. */
+    template <class T = unsigned long>
+    std::vector<T> getUnsignedList(const std::string &key) const
+    {
+        std::vector<T> values;
+        for (const std::string &item : getList(key))
+            values.push_back(static_cast<T>(
+                parseUnsigned(key, item, std::numeric_limits<T>::max())));
+        return values;
+    }
 
   private:
     std::string _command;
     std::map<std::string, std::string> _values;
+
+    /** `text` as an integer in [0, max]; fatal() naming --key. */
+    static unsigned long parseUnsigned(const std::string &key,
+                                       const std::string &text,
+                                       unsigned long max);
 };
 
 } // namespace sleepscale

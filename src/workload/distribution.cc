@@ -1,10 +1,8 @@
 #include "workload/distribution.hh"
 
-#include <algorithm>
 #include <cmath>
 
 #include "util/error.hh"
-#include "util/online_stats.hh"
 
 namespace sleepscale {
 
@@ -127,51 +125,6 @@ ExponentialDist::clone() const
     return std::make_unique<ExponentialDist>(*this);
 }
 
-// ---------------------------------------------------------------- Uniform
-
-UniformDist::UniformDist(double lo, double hi)
-    : _lo(lo), _hi(hi)
-{
-    fatalIf(lo < 0.0 || hi <= lo,
-            "UniformDist: require 0 <= lo < hi");
-}
-
-double
-UniformDist::sample(Rng &rng) const
-{
-    return rng.uniform(_lo, _hi);
-}
-
-double
-UniformDist::mean() const
-{
-    return 0.5 * (_lo + _hi);
-}
-
-double
-UniformDist::cv() const
-{
-    const double m = mean();
-    const double sd = (_hi - _lo) / std::sqrt(12.0);
-    return m > 0.0 ? sd / m : 0.0;
-}
-
-double
-UniformDist::cdf(double x) const
-{
-    if (x <= _lo)
-        return 0.0;
-    if (x >= _hi)
-        return 1.0;
-    return (x - _lo) / (_hi - _lo);
-}
-
-std::unique_ptr<Distribution>
-UniformDist::clone() const
-{
-    return std::make_unique<UniformDist>(*this);
-}
-
 // ------------------------------------------------------------------ Gamma
 
 GammaDist::GammaDist(double mean, double cv)
@@ -227,91 +180,6 @@ GammaDist::clone() const
     return std::make_unique<GammaDist>(*this);
 }
 
-// -------------------------------------------------------------- LogNormal
-
-LogNormalDist::LogNormalDist(double mean, double cv)
-    : _mean(mean), _cv(cv)
-{
-    requirePositiveMean(mean, "LogNormalDist");
-    fatalIf(cv <= 0.0, "LogNormalDist: cv must be positive");
-    _sigma = std::sqrt(std::log(1.0 + cv * cv));
-    _mu = std::log(mean) - 0.5 * _sigma * _sigma;
-}
-
-double
-LogNormalDist::sample(Rng &rng) const
-{
-    return std::exp(rng.normal(_mu, _sigma));
-}
-
-double
-LogNormalDist::cdf(double x) const
-{
-    if (x <= 0.0)
-        return 0.0;
-    return 0.5 * std::erfc(-(std::log(x) - _mu) /
-                           (_sigma * std::sqrt(2.0)));
-}
-
-std::unique_ptr<Distribution>
-LogNormalDist::clone() const
-{
-    return std::make_unique<LogNormalDist>(*this);
-}
-
-// ---------------------------------------------------------------- Weibull
-
-WeibullDist::WeibullDist(double mean, double cv)
-    : _mean(mean), _cv(cv)
-{
-    requirePositiveMean(mean, "WeibullDist");
-    fatalIf(cv <= 0.0, "WeibullDist: cv must be positive");
-
-    // Cv^2 + 1 = Gamma(1 + 2/k) / Gamma(1 + 1/k)^2 is monotone in k;
-    // bisect on k in [0.05, 100].
-    const double target = std::log(cv * cv + 1.0);
-    auto log_ratio = [](double k) {
-        return std::lgamma(1.0 + 2.0 / k) -
-               2.0 * std::lgamma(1.0 + 1.0 / k);
-    };
-    double lo = 0.05, hi = 100.0;
-    fatalIf(log_ratio(lo) < target || log_ratio(hi) > target,
-            "WeibullDist: cv out of the fittable range");
-    for (int iter = 0; iter < 200; ++iter) {
-        const double mid = 0.5 * (lo + hi);
-        if (log_ratio(mid) > target)
-            lo = mid;
-        else
-            hi = mid;
-    }
-    _shape = 0.5 * (lo + hi);
-    _scale = mean / std::exp(std::lgamma(1.0 + 1.0 / _shape));
-}
-
-double
-WeibullDist::sample(Rng &rng) const
-{
-    double u;
-    do {
-        u = rng.uniform();
-    } while (u <= 0.0);
-    return _scale * std::pow(-std::log(u), 1.0 / _shape);
-}
-
-double
-WeibullDist::cdf(double x) const
-{
-    return x <= 0.0
-               ? 0.0
-               : 1.0 - std::exp(-std::pow(x / _scale, _shape));
-}
-
-std::unique_ptr<Distribution>
-WeibullDist::clone() const
-{
-    return std::make_unique<WeibullDist>(*this);
-}
-
 // ------------------------------------------------------- HyperExponential
 
 HyperExponentialDist::HyperExponentialDist(double mean, double cv)
@@ -348,103 +216,6 @@ std::unique_ptr<Distribution>
 HyperExponentialDist::clone() const
 {
     return std::make_unique<HyperExponentialDist>(*this);
-}
-
-// ---------------------------------------------------------- BoundedPareto
-
-BoundedParetoDist::BoundedParetoDist(double lo, double hi, double alpha)
-    : _lo(lo), _hi(hi), _alpha(alpha)
-{
-    fatalIf(lo <= 0.0 || hi <= lo,
-            "BoundedParetoDist: require 0 < lo < hi");
-    fatalIf(alpha <= 0.0, "BoundedParetoDist: alpha must be positive");
-    _mean = rawMoment(1.0);
-    const double second = rawMoment(2.0);
-    const double var = std::max(0.0, second - _mean * _mean);
-    _cv = std::sqrt(var) / _mean;
-}
-
-double
-BoundedParetoDist::rawMoment(double order) const
-{
-    // E[X^n] for the bounded Pareto; handles the alpha == n singularity.
-    const double a = _alpha;
-    if (std::abs(a - order) < 1e-12) {
-        const double l_a = std::pow(_lo, a);
-        const double h_a = std::pow(_hi, a);
-        return a * l_a / (1.0 - l_a / h_a) * std::log(_hi / _lo) *
-               std::pow(_lo, order - a);
-    }
-    const double num = a * std::pow(_lo, a) *
-        (std::pow(_hi, order - a) - std::pow(_lo, order - a));
-    const double den = (order - a) * (1.0 - std::pow(_lo / _hi, a));
-    return num / den;
-}
-
-double
-BoundedParetoDist::sample(Rng &rng) const
-{
-    const double u = rng.uniform();
-    const double l_a = std::pow(_lo, _alpha);
-    const double h_a = std::pow(_hi, _alpha);
-    const double x =
-        std::pow(-(u * h_a - u * l_a - h_a) / (h_a * l_a), -1.0 / _alpha);
-    return std::clamp(x, _lo, _hi);
-}
-
-double
-BoundedParetoDist::cdf(double x) const
-{
-    if (x <= _lo)
-        return 0.0;
-    if (x >= _hi)
-        return 1.0;
-    const double l_a = std::pow(_lo, _alpha);
-    return (1.0 - l_a * std::pow(x, -_alpha)) /
-           (1.0 - std::pow(_lo / _hi, _alpha));
-}
-
-std::unique_ptr<Distribution>
-BoundedParetoDist::clone() const
-{
-    return std::make_unique<BoundedParetoDist>(*this);
-}
-
-// -------------------------------------------------------------- Empirical
-
-EmpiricalDist::EmpiricalDist(std::vector<double> samples)
-    : _samples(std::move(samples))
-{
-    fatalIf(_samples.empty(), "EmpiricalDist: need at least one sample");
-    std::sort(_samples.begin(), _samples.end());
-    OnlineStats stats;
-    for (double s : _samples) {
-        fatalIf(s < 0.0, "EmpiricalDist: samples must be >= 0");
-        stats.add(s);
-    }
-    _mean = stats.mean();
-    _cv = stats.cv();
-}
-
-double
-EmpiricalDist::sample(Rng &rng) const
-{
-    return _samples[rng.uniformInt(_samples.size())];
-}
-
-double
-EmpiricalDist::cdf(double x) const
-{
-    const auto it =
-        std::upper_bound(_samples.begin(), _samples.end(), x);
-    return static_cast<double>(it - _samples.begin()) /
-           static_cast<double>(_samples.size());
-}
-
-std::unique_ptr<Distribution>
-EmpiricalDist::clone() const
-{
-    return std::make_unique<EmpiricalDist>(*this);
 }
 
 // -------------------------------------------------------------------- fit

@@ -3,10 +3,14 @@
  * Probability distributions for inter-arrival and service times.
  *
  * SleepScale's policy manager consumes *empirical* job logs, so it is
- * distribution-agnostic; these analytic families are used to (a) drive the
- * Section 4 idealized studies (exponential), and (b) synthesize
- * BigHouse-like workloads matching the paper's Table 5 (mean, Cv) pairs —
- * our stand-in for the BigHouse trace archive (see DESIGN.md).
+ * distribution-agnostic; the job sources need only the four families
+ * fitDistribution() picks for a (mean, Cv) target: deterministic
+ * (Cv = 0), gamma (Cv < 1), exponential (Cv = 1, the Section 4
+ * idealized model) and balanced-means hyperexponential (Cv > 1).
+ * Together they synthesize BigHouse-like workloads matching the paper's
+ * Table 5 (mean, Cv) pairs, our stand-in for the BigHouse trace archive.
+ * Each family's closed-form cdf() is the oracle its sampler is tested
+ * against.
  */
 
 #ifndef SLEEPSCALE_WORKLOAD_DISTRIBUTION_HH
@@ -14,7 +18,6 @@
 
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "util/rng.hh"
 
@@ -82,23 +85,6 @@ class ExponentialDist final : public Distribution
     double _mean;
 };
 
-/** Continuous uniform on [lo, hi]. */
-class UniformDist final : public Distribution
-{
-  public:
-    UniformDist(double lo, double hi);
-    double sample(Rng &rng) const override;
-    double cdf(double x) const override;
-    double mean() const override;
-    double cv() const override;
-    std::string name() const override { return "uniform"; }
-    std::unique_ptr<Distribution> clone() const override;
-
-  private:
-    double _lo;
-    double _hi;
-};
-
 /**
  * Gamma distribution parameterized by (mean, Cv); Cv < 1 yields Erlang-like
  * low-variance shapes. Sampling uses Marsaglia & Tsang's method.
@@ -115,48 +101,6 @@ class GammaDist final : public Distribution
     std::unique_ptr<Distribution> clone() const override;
 
     /** Shape parameter k = 1 / Cv^2. */
-    double shape() const { return _shape; }
-
-  private:
-    double _mean;
-    double _cv;
-    double _shape;
-    double _scale;
-};
-
-/** Log-normal distribution parameterized by (mean, Cv). */
-class LogNormalDist final : public Distribution
-{
-  public:
-    LogNormalDist(double mean, double cv);
-    double sample(Rng &rng) const override;
-    double cdf(double x) const override;
-    double mean() const override { return _mean; }
-    double cv() const override { return _cv; }
-    std::string name() const override { return "lognormal"; }
-    std::unique_ptr<Distribution> clone() const override;
-
-  private:
-    double _mean;
-    double _cv;
-    double _mu;    ///< Mean of the underlying normal.
-    double _sigma; ///< Stddev of the underlying normal.
-};
-
-/** Weibull distribution parameterized by (mean, Cv); shape solved
- * numerically from the Cv. */
-class WeibullDist final : public Distribution
-{
-  public:
-    WeibullDist(double mean, double cv);
-    double sample(Rng &rng) const override;
-    double cdf(double x) const override;
-    double mean() const override { return _mean; }
-    double cv() const override { return _cv; }
-    std::string name() const override { return "weibull"; }
-    std::unique_ptr<Distribution> clone() const override;
-
-    /** Shape parameter k. */
     double shape() const { return _shape; }
 
   private:
@@ -192,56 +136,6 @@ class HyperExponentialDist final : public Distribution
     double _p1;
     double _mean1;
     double _mean2;
-};
-
-/**
- * Bounded Pareto on [lo, hi] with tail exponent alpha; mean and Cv are
- * derived. Used in heavy-tail stress tests.
- */
-class BoundedParetoDist final : public Distribution
-{
-  public:
-    BoundedParetoDist(double lo, double hi, double alpha);
-    double sample(Rng &rng) const override;
-    double cdf(double x) const override;
-    double mean() const override { return _mean; }
-    double cv() const override { return _cv; }
-    std::string name() const override { return "bounded_pareto"; }
-    std::unique_ptr<Distribution> clone() const override;
-
-  private:
-    double _lo;
-    double _hi;
-    double _alpha;
-    double _mean;
-    double _cv;
-
-    double rawMoment(double order) const;
-};
-
-/**
- * Empirical distribution resampling a fixed set of observations with
- * replacement — how SleepScale's policy manager treats logged job events.
- */
-class EmpiricalDist final : public Distribution
-{
-  public:
-    /** @param samples Observations; must be non-empty and non-negative. */
-    explicit EmpiricalDist(std::vector<double> samples);
-    double sample(Rng &rng) const override;
-    double cdf(double x) const override;
-    double mean() const override { return _mean; }
-    double cv() const override { return _cv; }
-    std::string name() const override { return "empirical"; }
-    std::unique_ptr<Distribution> clone() const override;
-
-    /** Number of stored observations. */
-    std::size_t size() const { return _samples.size(); }
-
-  private:
-    std::vector<double> _samples;
-    double _mean;
-    double _cv;
 };
 
 /**

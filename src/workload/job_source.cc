@@ -46,21 +46,11 @@ StationarySource::StationarySource(const WorkloadSpec &spec,
                                    double rate_scale)
     : _service(spec.makeService()), _rng(seed)
 {
-    fatalIf(!(rate_scale > 0.0),
-            "StationarySource: rate_scale must be positive");
+    fatalIf(!(rate_scale > 0.0) || !std::isfinite(rate_scale),
+            "StationarySource: rate_scale must be positive and finite");
     _interArrival = fitDistribution(
         spec.interArrivalMeanAt(utilization) / rate_scale,
         spec.interArrivalCv);
-}
-
-StationarySource::StationarySource(
-    std::unique_ptr<Distribution> inter_arrival,
-    std::unique_ptr<Distribution> service, Rng rng)
-    : _interArrival(std::move(inter_arrival)),
-      _service(std::move(service)), _rng(rng)
-{
-    fatalIf(!_interArrival || !_service,
-            "StationarySource: needs both distributions");
 }
 
 bool
@@ -80,13 +70,16 @@ StationarySource::reset(std::uint64_t seed)
     _clock = 0.0;
 }
 
+StationarySource::StationarySource(const StationarySource &other)
+    : _interArrival(other._interArrival->clone()),
+      _service(other._service->clone()), _rng(other._rng),
+      _clock(other._clock)
+{}
+
 std::unique_ptr<JobSource>
 StationarySource::clone() const
 {
-    auto copy = std::make_unique<StationarySource>(
-        _interArrival->clone(), _service->clone(), _rng);
-    copy->_clock = _clock;
-    return copy;
+    return std::unique_ptr<StationarySource>(new StationarySource(*this));
 }
 
 // ----------------------------------------------------- TraceDrivenSource
@@ -95,19 +88,13 @@ TraceDrivenSource::TraceDrivenSource(const WorkloadSpec &spec,
                                      UtilizationTrace trace,
                                      std::uint64_t seed,
                                      double rate_scale)
-    : TraceDrivenSource(spec, std::move(trace), Rng(seed), rate_scale)
-{}
-
-TraceDrivenSource::TraceDrivenSource(const WorkloadSpec &spec,
-                                     UtilizationTrace trace, Rng rng,
-                                     double rate_scale)
     : _serviceMean(spec.serviceMean), _trace(std::move(trace)),
       _unitGap(fitDistribution(1.0, spec.interArrivalCv)),
-      _service(spec.makeService()), _rateScale(rate_scale), _rng(rng)
+      _service(spec.makeService()), _rateScale(rate_scale), _rng(seed)
 {
     fatalIf(_trace.empty(), "TraceDrivenSource: empty trace");
-    fatalIf(!(rate_scale > 0.0),
-            "TraceDrivenSource: rate_scale must be positive");
+    fatalIf(!(rate_scale > 0.0) || !std::isfinite(rate_scale),
+            "TraceDrivenSource: rate_scale must be positive and finite");
     fatalIf(_serviceMean <= 0.0,
             "TraceDrivenSource: serviceMean must be positive");
 }
@@ -169,12 +156,14 @@ BurstySource::BurstySource(const WorkloadSpec &spec, double utilization,
       _burstMeanLength(burst_mean_length), _burstMeanGap(burst_mean_gap),
       _rng(seed)
 {
-    fatalIf(!(burst_factor >= 1.0),
-            "BurstySource: burst_factor must be >= 1");
-    fatalIf(!(burst_mean_length > 0.0 && burst_mean_gap > 0.0),
-            "BurstySource: episode means must be positive");
-    fatalIf(!(rate_scale > 0.0),
-            "BurstySource: rate_scale must be positive");
+    fatalIf(!(burst_factor >= 1.0) || !std::isfinite(burst_factor),
+            "BurstySource: burst_factor must be finite and >= 1");
+    fatalIf(!(burst_mean_length > 0.0 && burst_mean_gap > 0.0) ||
+                !std::isfinite(burst_mean_length) ||
+                !std::isfinite(burst_mean_gap),
+            "BurstySource: episode means must be positive and finite");
+    fatalIf(!(rate_scale > 0.0) || !std::isfinite(rate_scale),
+            "BurstySource: rate_scale must be positive and finite");
     _gap = fitDistribution(
         spec.interArrivalMeanAt(utilization) / rate_scale,
         spec.interArrivalCv);

@@ -1,11 +1,15 @@
 /**
  * @file
- * Streaming job sources: pull-based workload generation.
+ * Streaming job sources: the one way to generate a workload.
  *
  * Every engine consumes arrivals through the JobSource interface
  * instead of a materialized std::vector<Job>, so a million-job farm day
  * streams in O(epoch) memory and new scenario shapes compose from
  * existing pieces instead of growing new ad-hoc generator functions.
+ * Code that needs the whole list at once (tests, offline tools,
+ * frequency sweeps over one job list) drains a source with
+ * materialize(): the paper's Section 4.1 list of n jobs at load rho is
+ * `StationarySource source(spec, rho, seed); materialize(source, n)`.
  *
  * The primitive sources mirror the paper's workload constructions:
  *
@@ -116,24 +120,20 @@ class StationarySource final : public JobSource
     /**
      * Workload at a target utilization.
      *
-     * @param rate_scale Extra arrival-rate multiplier (a farm of N
-     *        servers at per-server load u uses rate_scale = N).
+     * @param rate_scale Extra arrival-rate multiplier, positive and
+     *        finite (a farm of N servers at per-server load u uses
+     *        rate_scale = N).
      */
     StationarySource(const WorkloadSpec &spec, double utilization,
                      std::uint64_t seed, double rate_scale = 1.0);
-
-    /** Continue from an explicit RNG state (materialized adapters). */
-    StationarySource(std::unique_ptr<Distribution> inter_arrival,
-                     std::unique_ptr<Distribution> service, Rng rng);
 
     bool next(Job &out) override;
     void reset(std::uint64_t seed) override;
     std::unique_ptr<JobSource> clone() const override;
 
-    /** Current RNG state (for adapters that hand it back). */
-    const Rng &rng() const { return _rng; }
-
   private:
+    StationarySource(const StationarySource &other); // deep copy
+
     std::unique_ptr<Distribution> _interArrival;
     std::unique_ptr<Distribution> _service;
     Rng _rng;
@@ -153,22 +153,16 @@ class TraceDrivenSource final : public JobSource
      * @param spec Workload characterization.
      * @param trace Per-minute utilization targets.
      * @param seed RNG seed.
-     * @param rate_scale Arrival-rate multiplier on top of the trace
-     *        (farm aggregation: the trace is per-server load).
+     * @param rate_scale Arrival-rate multiplier on top of the trace,
+     *        positive and finite (farm aggregation: the trace is
+     *        per-server load, so a farm of N servers uses N).
      */
     TraceDrivenSource(const WorkloadSpec &spec, UtilizationTrace trace,
                       std::uint64_t seed, double rate_scale = 1.0);
 
-    /** Continue from an explicit RNG state (materialized adapters). */
-    TraceDrivenSource(const WorkloadSpec &spec, UtilizationTrace trace,
-                      Rng rng, double rate_scale = 1.0);
-
     bool next(Job &out) override;
     void reset(std::uint64_t seed) override;
     std::unique_ptr<JobSource> clone() const override;
-
-    /** Current RNG state (for adapters that hand it back). */
-    const Rng &rng() const { return _rng; }
 
   private:
     TraceDrivenSource(const TraceDrivenSource &other); // deep copy
@@ -197,11 +191,14 @@ class BurstySource final : public JobSource
     /**
      * @param spec Workload characterization.
      * @param utilization Baseline offered load in (0, 1).
-     * @param burst_factor Rate multiplier inside bursts (>= 1).
-     * @param burst_mean_length Mean episode length, seconds (> 0).
-     * @param burst_mean_gap Mean time between episodes, seconds (> 0).
+     * @param burst_factor Rate multiplier inside bursts (>= 1, finite).
+     * @param burst_mean_length Mean episode length, seconds (finite,
+     *        > 0).
+     * @param burst_mean_gap Mean time between episodes, seconds
+     *        (finite, > 0).
      * @param seed RNG seed.
-     * @param rate_scale Extra arrival-rate multiplier (farm use).
+     * @param rate_scale Extra arrival-rate multiplier (farm use;
+     *        positive and finite).
      */
     BurstySource(const WorkloadSpec &spec, double utilization,
                  double burst_factor, double burst_mean_length,

@@ -20,7 +20,7 @@
 #include "sim/server_sim.hh"
 #include "util/rng.hh"
 #include "util/sample_stats.hh"
-#include "workload/job_stream.hh"
+#include "workload/job_source.hh"
 
 namespace sleepscale {
 namespace {
@@ -59,10 +59,11 @@ TEST_P(AnalyticVsSim, PowerResponseAndTailAgree)
     const double lambda = c.rho * mu;
     const Policy policy{c.frequency, SleepPlan::immediate(c.state)};
 
-    Rng rng(20140614 + depthIndex(c.state));
-    ExponentialDist gaps(1.0 / lambda);
-    ExponentialDist sizes(c.service_mean);
-    const auto jobs = generateJobs(rng, gaps, sizes, jobCount);
+    StationarySource source(
+        std::make_unique<ExponentialDist>(1.0 / lambda),
+        std::make_unique<ExponentialDist>(c.service_mean),
+        20140614 + depthIndex(c.state));
+    const auto jobs = materialize(source, jobCount);
     const PolicyEvaluation eval =
         evaluatePolicy(xeon, ServiceScaling::cpuBound(), policy, jobs);
 
@@ -176,10 +177,11 @@ TEST(AnalyticVsSimOracleRegret, ClosedFormEnergyDominatesTheOracle)
         const double lambda = c.rho * mu;
         const Policy policy{c.frequency, SleepPlan::immediate(c.state)};
 
-        Rng rng(20140614 + depthIndex(c.state));
-        ExponentialDist gaps(1.0 / lambda);
-        ExponentialDist sizes(c.service_mean);
-        const auto jobs = generateJobs(rng, gaps, sizes, 20000);
+        StationarySource source(
+            std::make_unique<ExponentialDist>(1.0 / lambda),
+            std::make_unique<ExponentialDist>(c.service_mean),
+            20140614 + depthIndex(c.state));
+        const auto jobs = materialize(source, 20000);
         const PolicyEvaluation eval = evaluatePolicy(
             xeon, ServiceScaling::cpuBound(), policy, jobs);
 
@@ -216,10 +218,9 @@ TEST(AnalyticVsSimMultiStage, DelayedDeepSleepAgrees)
     const Policy policy{
         0.6, SleepPlan::delayed(LowPowerState::C6S3, 30.0 / mu)};
 
-    Rng rng(777);
-    ExponentialDist gaps(1.0 / lambda);
-    ExponentialDist sizes(4.2e-3);
-    const auto jobs = generateJobs(rng, gaps, sizes, 400000);
+    StationarySource source(std::make_unique<ExponentialDist>(1.0 / lambda),
+                            std::make_unique<ExponentialDist>(4.2e-3), 777);
+    const auto jobs = materialize(source, 400000);
     const PolicyEvaluation eval =
         evaluatePolicy(xeon, ServiceScaling::cpuBound(), policy, jobs);
 
@@ -239,10 +240,9 @@ TEST(AnalyticVsSimMultiStage, FullThrottleBackAgrees)
     const Policy policy{
         0.8, SleepPlan::throttleBack({0.05, 0.2, 1.0, 10.0})};
 
-    Rng rng(888);
-    ExponentialDist gaps(1.0 / lambda);
-    ExponentialDist sizes(0.194);
-    const auto jobs = generateJobs(rng, gaps, sizes, 300000);
+    StationarySource source(std::make_unique<ExponentialDist>(1.0 / lambda),
+                            std::make_unique<ExponentialDist>(0.194), 888);
+    const auto jobs = materialize(source, 300000);
     const PolicyEvaluation eval =
         evaluatePolicy(xeon, ServiceScaling::cpuBound(), policy, jobs);
 
@@ -266,10 +266,10 @@ TEST(AnalyticVsSimMG1, GammaServiceMeanResponseAgrees)
     const Policy policy{1.0,
                         SleepPlan::immediate(LowPowerState::C6S0Idle)};
 
-    Rng rng(999);
-    ExponentialDist gaps(1.0 / lambda);
-    GammaDist sizes(service_mean, service_cv);
-    const auto jobs = generateJobs(rng, gaps, sizes, 300000);
+    StationarySource source(
+        std::make_unique<ExponentialDist>(1.0 / lambda),
+        std::make_unique<GammaDist>(service_mean, service_cv), 999);
+    const auto jobs = materialize(source, 300000);
     const PolicyEvaluation eval =
         evaluatePolicy(xeon, ServiceScaling::cpuBound(), policy, jobs);
 
@@ -292,10 +292,10 @@ TEST(AnalyticVsSimMG1, HyperExponentialServiceMeanResponseAgrees)
     const Policy policy{1.0,
                         SleepPlan::immediate(LowPowerState::C3S0Idle)};
 
-    Rng rng(1001);
-    ExponentialDist gaps(1.0 / lambda);
-    HyperExponentialDist sizes(service_mean, service_cv);
-    const auto jobs = generateJobs(rng, gaps, sizes, 2000000);
+    StationarySource source(
+        std::make_unique<ExponentialDist>(1.0 / lambda),
+        std::make_unique<HyperExponentialDist>(service_mean, service_cv), 1001);
+    const auto jobs = materialize(source, 2000000);
     const PolicyEvaluation eval =
         evaluatePolicy(xeon, ServiceScaling::cpuBound(), policy, jobs);
 

@@ -5,13 +5,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+
 #include "core/runtime.hh"
 #include "farm/farm_runtime.hh"
 #include "power/platform_model.hh"
 #include "util/cli_args.hh"
 #include "util/error.hh"
-#include "util/rng.hh"
-#include "workload/job_stream.hh"
+#include "workload/job_source.hh"
 
 namespace sleepscale {
 namespace {
@@ -97,6 +99,53 @@ TEST(CliArgs, BareWordsAfterOptionsRejected)
     EXPECT_THROW(parse({"run", "extra"}), ConfigError);
 }
 
+TEST(CliArgs, UnsignedMustFitTheDestination)
+{
+    // A value the field cannot hold fails rather than wrapping
+    // (4294967301 would become an unsigned 5); every value it can hold,
+    // up to a 64-bit seed's largest, parses.
+    const CliArgs args = parse({"run", "--rho", "4294967301"});
+    EXPECT_THROW(args.getUnsigned<unsigned>("rho", 5), ConfigError);
+    EXPECT_EQ(args.getUnsigned("rho", 5), 4294967301ul);
+    const CliArgs largest = parse({"run", "--rho", "4294967295"});
+    EXPECT_EQ(largest.getUnsigned<unsigned>("rho", 5), 4294967295u);
+    const CliArgs seed = parse({"run", "--rho", "18446744073709551615"});
+    EXPECT_EQ(seed.getUnsigned<std::uint64_t>("rho", 1),
+              std::numeric_limits<std::uint64_t>::max());
+    const CliArgs beyond = parse({"run", "--rho", "18446744073709551616"});
+    EXPECT_THROW(beyond.getUnsigned("rho", 1), ConfigError);
+}
+
+TEST(CliArgs, ListsFollowTheScalarRules)
+{
+    const std::set<std::string> known = {"alpha", "T", "names"};
+    const CliArgs args = parse({"grid", "--alpha", "0,0.35", "--T",
+                                "1,5,10", "--names", "SS,,DVFS"},
+                               known);
+    EXPECT_EQ(args.getDoubleList("alpha"),
+              (std::vector<double>{0.0, 0.35}));
+    EXPECT_EQ(args.getUnsignedList<unsigned>("T"),
+              (std::vector<unsigned>{1, 5, 10}));
+    EXPECT_EQ(args.getList("names"),
+              (std::vector<std::string>{"SS", "DVFS"}));
+    EXPECT_TRUE(args.getList("absent").empty());
+
+    // Every item must be one whole finite number, as for getDouble(),
+    // or a non-finite α runs a meaningless grid row ...
+    for (const char *bad : {"0.25,inf", "nan,0.25", "0.25,0.5x", "0.25,x"})
+        EXPECT_THROW(
+            parse({"grid", "--alpha", bad}, known).getDoubleList("alpha"),
+            ConfigError)
+            << bad;
+    // ... and one whole integer that fits the field, as for
+    // getUnsigned<T>().
+    for (const char *bad : {"5,4294967301", "5,5x", "5,-3", "5.0"})
+        EXPECT_THROW(parse({"grid", "--T", bad}, known)
+                         .getUnsignedList<unsigned>("T"),
+                     ConfigError)
+            << bad;
+}
+
 // ------------------------------------------------------------ CSV export
 
 TEST(EpochCsv, ExportsOneRowPerEpoch)
@@ -105,8 +154,8 @@ TEST(EpochCsv, ExportsOneRowPerEpoch)
     const WorkloadSpec dns = dnsWorkload();
     const UtilizationTrace trace("flat",
                                  std::vector<double>(20, 0.2));
-    Rng rng(5);
-    const auto jobs = generateTraceDrivenJobs(rng, dns, trace);
+    TraceDrivenSource source(dns, trace, 5);
+    const auto jobs = materialize(source);
 
     RuntimeConfig config;
     config.epochMinutes = 5;

@@ -23,8 +23,7 @@
 #include "experiment/scenario.hh"
 #include "farm/farm_runtime.hh"
 #include "power/platform_model.hh"
-#include "util/rng.hh"
-#include "workload/job_stream.hh"
+#include "workload/job_source.hh"
 
 namespace sleepscale {
 namespace {
@@ -246,8 +245,8 @@ TEST(ControlLoop, ReconvergesWithinBoundedEpochsAfterLoadStep)
     std::vector<double> levels(100, 0.15);
     levels.insert(levels.end(), 200, 0.30);
     const UtilizationTrace trace("step", levels);
-    Rng rng(11);
-    const auto jobs = generateTraceDrivenJobs(rng, dns, trace);
+    TraceDrivenSource source(dns, trace, 11);
+    const auto jobs = materialize(source);
 
     StrategyKnobs knobs;
     const RuntimeConfig config = strategyConfigByName("poet", knobs);

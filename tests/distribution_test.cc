@@ -56,15 +56,6 @@ TEST(Exponential, RejectsNonPositiveMean)
     EXPECT_THROW(ExponentialDist(0.0), ConfigError);
 }
 
-TEST(Uniform, MomentsMatch)
-{
-    UniformDist dist(1.0, 3.0);
-    const OnlineStats stats = sampleMoments(dist);
-    EXPECT_NEAR(stats.mean(), 2.0, 0.01);
-    EXPECT_NEAR(stats.cv(), (2.0 / std::sqrt(12.0)) / 2.0, 0.01);
-    EXPECT_DOUBLE_EQ(dist.mean(), 2.0);
-}
-
 TEST(Gamma, LowCvMomentsMatch)
 {
     GammaDist dist(5.0, 0.4);
@@ -80,34 +71,6 @@ TEST(Gamma, ShapeBelowOneStillMatches)
     const OnlineStats stats = sampleMoments(dist);
     EXPECT_NEAR(stats.mean(), 2.0, 0.03);
     EXPECT_NEAR(stats.cv(), 1.5, 0.03);
-}
-
-TEST(LogNormal, MomentsMatch)
-{
-    LogNormalDist dist(0.092, 2.0);
-    const OnlineStats stats = sampleMoments(dist, 2000000);
-    EXPECT_NEAR(stats.mean(), 0.092, 0.002);
-    EXPECT_NEAR(stats.cv(), 2.0, 0.1);
-}
-
-TEST(Weibull, ShapeRecoveredFromCv)
-{
-    // Cv = 1 corresponds exactly to shape 1 (exponential).
-    WeibullDist unit(1.0, 1.0);
-    EXPECT_NEAR(unit.shape(), 1.0, 1e-6);
-
-    WeibullDist heavy(1.0, 2.0);
-    EXPECT_LT(heavy.shape(), 1.0);
-    WeibullDist light(1.0, 0.5);
-    EXPECT_GT(light.shape(), 1.0);
-}
-
-TEST(Weibull, MomentsMatch)
-{
-    WeibullDist dist(3.0, 0.7);
-    const OnlineStats stats = sampleMoments(dist);
-    EXPECT_NEAR(stats.mean(), 3.0, 0.03);
-    EXPECT_NEAR(stats.cv(), 0.7, 0.02);
 }
 
 TEST(HyperExponential, MomentsMatch)
@@ -129,42 +92,6 @@ TEST(HyperExponential, BalancedMeansStructure)
 TEST(HyperExponential, RejectsCvBelowOne)
 {
     EXPECT_THROW(HyperExponentialDist(1.0, 0.5), ConfigError);
-}
-
-TEST(BoundedPareto, MomentsMatchDerived)
-{
-    BoundedParetoDist dist(0.001, 10.0, 1.3);
-    const OnlineStats stats = sampleMoments(dist, 2000000);
-    EXPECT_NEAR(stats.mean() / dist.mean(), 1.0, 0.03);
-    EXPECT_NEAR(stats.cv() / dist.cv(), 1.0, 0.08);
-}
-
-TEST(BoundedPareto, SamplesStayInRange)
-{
-    BoundedParetoDist dist(0.5, 2.0, 2.0);
-    Rng rng(5);
-    for (int i = 0; i < 10000; ++i) {
-        const double x = dist.sample(rng);
-        ASSERT_GE(x, 0.5);
-        ASSERT_LE(x, 2.0);
-    }
-}
-
-TEST(Empirical, ResamplesObservations)
-{
-    EmpiricalDist dist({1.0, 2.0, 3.0});
-    EXPECT_DOUBLE_EQ(dist.mean(), 2.0);
-    Rng rng(3);
-    for (int i = 0; i < 100; ++i) {
-        const double x = dist.sample(rng);
-        EXPECT_TRUE(x == 1.0 || x == 2.0 || x == 3.0);
-    }
-}
-
-TEST(Empirical, RejectsEmptyAndNegative)
-{
-    EXPECT_THROW(EmpiricalDist({}), ConfigError);
-    EXPECT_THROW(EmpiricalDist({1.0, -2.0}), ConfigError);
 }
 
 TEST(Clone, ProducesIndependentEquivalents)
@@ -267,20 +194,11 @@ class KsTest : public ::testing::TestWithParam<int>
           case 0:
             return std::make_unique<ExponentialDist>(0.194);
           case 1:
-            return std::make_unique<UniformDist>(0.5, 2.5);
-          case 2:
             return std::make_unique<GammaDist>(5.0, 0.4);
-          case 3:
+          case 2:
             return std::make_unique<GammaDist>(2.0, 1.5);
-          case 4:
-            return std::make_unique<LogNormalDist>(0.092, 2.0);
-          case 5:
-            return std::make_unique<WeibullDist>(3.0, 0.7);
-          case 6:
+          case 3:
             return std::make_unique<HyperExponentialDist>(0.092, 3.6);
-          case 7:
-            return std::make_unique<BoundedParetoDist>(0.001, 10.0,
-                                                       1.3);
           default:
             return nullptr;
         }
@@ -297,7 +215,7 @@ TEST_P(KsTest, SamplesFollowTheAnalyticCdf)
     EXPECT_LT(d, 0.010) << dist->name();
 }
 
-INSTANTIATE_TEST_SUITE_P(AllFamilies, KsTest, ::testing::Range(0, 8));
+INSTANTIATE_TEST_SUITE_P(AllFamilies, KsTest, ::testing::Range(0, 4));
 
 TEST(Cdf, BoundaryValues)
 {
@@ -323,15 +241,6 @@ TEST(Cdf, GammaMatchesErlangClosedForm)
             1.0 - std::exp(-x / scale) * (1.0 + x / scale);
         EXPECT_NEAR(gamma.cdf(x), expected, 1e-10) << x;
     }
-}
-
-TEST(Cdf, EmpiricalIsStepFunction)
-{
-    const EmpiricalDist dist({3.0, 1.0, 2.0});
-    EXPECT_DOUBLE_EQ(dist.cdf(0.5), 0.0);
-    EXPECT_NEAR(dist.cdf(1.0), 1.0 / 3.0, 1e-15);
-    EXPECT_NEAR(dist.cdf(2.5), 2.0 / 3.0, 1e-15);
-    EXPECT_DOUBLE_EQ(dist.cdf(3.0), 1.0);
 }
 
 TEST(Cdf, MonotoneNonDecreasingEverywhere)

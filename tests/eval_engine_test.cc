@@ -21,8 +21,7 @@
 #include "sim/pending_queue.hh"
 #include "sim/server_sim.hh"
 #include "util/error.hh"
-#include "util/rng.hh"
-#include "workload/job_stream.hh"
+#include "workload/job_source.hh"
 #include "workload/workload_spec.hh"
 
 namespace sleepscale {
@@ -32,10 +31,10 @@ std::vector<Job>
 poissonLog(double rho, double service_mean, std::size_t n,
            std::uint64_t seed = 42)
 {
-    Rng rng(seed);
-    ExponentialDist gaps(service_mean / rho);
-    ExponentialDist sizes(service_mean);
-    return generateJobs(rng, gaps, sizes, n);
+    StationarySource source(
+        std::make_unique<ExponentialDist>(service_mean / rho),
+        std::make_unique<ExponentialDist>(service_mean), seed);
+    return materialize(source, n);
 }
 
 /** A workload's moment-matched log at a target utilization. */
@@ -43,10 +42,8 @@ std::vector<Job>
 workloadLog(const WorkloadSpec &spec, double rho, std::size_t n,
             std::uint64_t seed)
 {
-    Rng rng(seed);
-    const auto gaps = spec.makeInterArrival(rho);
-    const auto sizes = spec.makeService();
-    return generateJobs(rng, *gaps, *sizes, n);
+    StationarySource source(spec, rho, seed);
+    return materialize(source, n);
 }
 
 void
@@ -299,7 +296,7 @@ TEST_F(EvalEngineTest, EngineMatchesNaivePerCandidateLoop)
 
     // Reproduce the pre-engine selection: a fresh streaming simulation
     // per candidate.
-    const double rho = PolicyManager::logOfferedLoad(jobs);
+    const double rho = PreparedLog::fromJobs(jobs).offeredLoad();
     const double f_floor = engine.minStableFrequency(rho);
     double best_power = std::numeric_limits<double>::infinity();
     Policy best;
@@ -549,6 +546,9 @@ TEST_F(EvalEngineTest, PreparedLogTotalsAndValidation)
     EXPECT_EQ(log.totalDemand(), demand);
     EXPECT_EQ(log.meanSize(), demand / 3.0);
     EXPECT_EQ(log.offeredLoad(), demand / 4.0);
+    // One job spans no interval, so it has no offered load.
+    EXPECT_THROW(PreparedLog::fromJobs({{1.0, 0.1}}).offeredLoad(),
+                 ConfigError);
 
     const double nan = std::numeric_limits<double>::quiet_NaN();
     const double inf = std::numeric_limits<double>::infinity();
@@ -572,14 +572,6 @@ TEST_F(EvalEngineTest, PreparedLogTotalsAndValidation)
     PolicyEvalEngine engine(xeon, ServiceScaling::cpuBound(),
                             PolicySpace::standard(), qos);
     EXPECT_THROW(engine.selectFromLog(poisoned), ConfigError);
-}
-
-TEST_F(EvalEngineTest, PreparedOfferedLoadMatchesPolicyManagerHelper)
-{
-    const auto jobs = poissonLog(0.4, 0.194, 1000, 9);
-    const PreparedLog log = PreparedLog::fromJobs(jobs);
-    EXPECT_EQ(log.offeredLoad(), PolicyManager::logOfferedLoad(jobs));
-    EXPECT_EQ(log.meanSize(), PolicyManager::logMeanSize(jobs));
 }
 
 // ------------------------------------------------- pending-queue ring

@@ -24,6 +24,7 @@
 #include "power/platform_model.hh"
 #include "util/error.hh"
 #include "util/registry.hh"
+#include "workload/job_source.hh"
 #include "workload/workload_spec.hh"
 
 namespace sleepscale {
@@ -288,8 +289,9 @@ TEST(ScenarioSpec, LeavesLoopKnobsToTheEngineValidator)
     // Each loop-engine knob has one range check, the engine's: validate()
     // runs validateFarmConfig() on farmConfigOf(), so a bad knob fails
     // here exactly when the FarmRuntime constructor would fail, NaN
-    // included.
+    // and +inf included.
     const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double inf = std::numeric_limits<double>::infinity();
     const std::vector<std::function<void(ScenarioSpec &)>> edits = {
         [](ScenarioSpec &s) { s.overProvision = -1.0; },
         [nan](ScenarioSpec &s) { s.rhoB = nan; },
@@ -310,6 +312,17 @@ TEST(ScenarioSpec, LeavesLoopKnobsToTheEngineValidator)
             s.engine = EngineKind::Farm;
             s.faults = "mtbf";
             s.dropTimeout = nan;
+        },
+        // +inf must fail as well: α = +inf runs with a meaningless
+        // budget, and poet aborts mid-run on an infinite process noise.
+        [inf](ScenarioSpec &s) { s.overProvision = inf; },
+        [inf](ScenarioSpec &s) {
+            s.strategy = "poet";
+            s.controllerProcessNoise = inf;
+        },
+        [inf](ScenarioSpec &s) {
+            s.strategy = "poet";
+            s.controllerMeasurementNoise = inf;
         },
     };
     const PlatformModel xeon = PlatformModel::xeon();
@@ -460,6 +473,28 @@ TEST(ExperimentRunner, RejectsNonFiniteInputs)
         EXPECT_THROW(ExperimentRunner::runScenario(spec), ConfigError)
             << name;
     }
+}
+
+TEST(ScenarioSpec, RejectsInfiniteSourceKnobs)
+{
+    // An infinite rate scale or burst factor makes a source emit
+    // endless jobs at one instant, so a run would exhaust memory, and
+    // an infinite burst length turns the first burst into a permanent
+    // load step. Each is rejected where it is checked, without running
+    // a scenario.
+    const double inf = std::numeric_limits<double>::infinity();
+    EXPECT_TRUE(
+        rejects([inf](ScenarioSpec &s) { s.sourceRateScale = inf; }));
+    const WorkloadSpec dns = dnsWorkload();
+    const UtilizationTrace trace("flat", std::vector<double>(10, 0.2));
+    EXPECT_THROW(StationarySource(dns, 0.2, 1, inf), ConfigError);
+    EXPECT_THROW(TraceDrivenSource(dns, trace, 1, inf), ConfigError);
+    EXPECT_THROW(BurstySource(dns, 0.2, 4.0, 120.0, 1800.0, 1, inf),
+                 ConfigError);
+    EXPECT_THROW(BurstySource(dns, 0.2, inf, 120.0, 1800.0, 1),
+                 ConfigError);
+    EXPECT_THROW(BurstySource(dns, 0.2, 4.0, inf, 1800.0, 1), ConfigError);
+    EXPECT_THROW(BurstySource(dns, 0.2, 4.0, 120.0, inf, 1), ConfigError);
 }
 
 TEST(ExperimentRunner, MulticoreScenarioSmoke)

@@ -20,7 +20,7 @@
 #include "farm/rate_scaler.hh"
 #include "power/platform_model.hh"
 #include "util/error.hh"
-#include "util/rng.hh"
+#include "workload/job_source.hh"
 #include "workload/workload_spec.hh"
 
 namespace sleepscale {
@@ -180,8 +180,8 @@ TEST(DistributedFarm, DecidesOnGridWithPinnedSleepPlan)
     const WorkloadSpec dns = dnsWorkload();
     const UtilizationTrace trace("flat",
                                  std::vector<double>(30, 0.25));
-    Rng rng(91);
-    const auto jobs = generateFarmJobs(rng, dns, trace, 4);
+    TraceDrivenSource source(dns, trace, 91, 4);
+    const auto jobs = materialize(source);
 
     const FarmRuntimeConfig config = distributedConfig(4);
     const FarmRuntimeResult result =
@@ -222,8 +222,8 @@ TEST(DistributedFarm, BusierServersRunAtLeastAsFast)
     const WorkloadSpec dns = dnsWorkload();
     const UtilizationTrace trace("flat",
                                  std::vector<double>(30, 0.3));
-    Rng rng(7);
-    const auto jobs = generateFarmJobs(rng, dns, trace, 4);
+    TraceDrivenSource source(dns, trace, 7, 4);
+    const auto jobs = materialize(source);
 
     FarmRuntimeConfig config = distributedConfig(4);
     config.dispatcher = "packing";
@@ -256,8 +256,8 @@ TEST(DistributedFarm, HeterogeneousPlatformsAreAccepted)
     const WorkloadSpec dns = dnsWorkload();
     const UtilizationTrace trace("flat",
                                  std::vector<double>(20, 0.25));
-    Rng rng(17);
-    const auto jobs = generateFarmJobs(rng, dns, trace, 4);
+    TraceDrivenSource source(dns, trace, 17, 4);
+    const auto jobs = materialize(source);
 
     FarmRuntimeConfig config = distributedConfig(4);
     config.platforms = {"xeon", "xeon", "atom", "atom"};

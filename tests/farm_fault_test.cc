@@ -30,6 +30,7 @@
 #include "power/platform_model.hh"
 #include "util/error.hh"
 #include "util/rng.hh"
+#include "workload/job_source.hh"
 #include "workload/workload_spec.hh"
 
 namespace sleepscale {
@@ -528,10 +529,9 @@ runFaultScenario(const FarmRuntimeConfig &config,
     const PlatformModel platform = platformByName("xeon");
     const WorkloadSpec workload = workloadByName("dns");
     FarmRuntime runtime(platform, workload, config);
-    const auto source =
-        makeFarmSource(workload, trace, config.farmSize, 1);
+    TraceDrivenSource source(workload, trace, 1, config.farmSize);
     const auto predictor = makePredictor("LC", 10, trace.values());
-    return runtime.run(*source, trace, *predictor);
+    return runtime.run(source, trace, *predictor);
 }
 
 void
@@ -998,11 +998,10 @@ runPin(const ScenarioSpec &spec, const FarmRuntimeConfig &config)
     const PlatformModel platform = platformByName(spec.platform);
     const UtilizationTrace trace = spec.trace.realize();
     FarmRuntime runtime(platform, workload, config);
-    const auto source =
-        makeFarmSource(workload, trace, spec.farmSize, spec.seed);
+    TraceDrivenSource source(workload, trace, spec.seed, spec.farmSize);
     const auto predictor = makePredictor(
         spec.predictor, spec.predictorHistory, trace.values());
-    return runtime.run(*source, trace, *predictor);
+    return runtime.run(source, trace, *predictor);
 }
 
 /** FNV hash of every decision stream (farm-level and per-server),

@@ -16,7 +16,7 @@
 #include "farm/farm_runtime.hh"
 #include "power/platform_model.hh"
 #include "util/error.hh"
-#include "util/rng.hh"
+#include "workload/job_source.hh"
 #include "workload/workload_spec.hh"
 
 namespace sleepscale {
@@ -76,8 +76,8 @@ TEST(PerServerControl, Server0MatchesFarmWideOnTable5Workloads)
 
     for (const std::string name : {"dns", "mail", "google"}) {
         const WorkloadSpec workload = workloadByName(name);
-        Rng rng(91);
-        const auto jobs = generateFarmJobs(rng, workload, trace, 4);
+        TraceDrivenSource source(workload, trace, 91, 4);
+        const auto jobs = materialize(source);
 
         const FarmRuntimeResult wide = runFarm(
             xeon, workload, baseConfig(4, "farm-wide"), jobs, trace);
@@ -101,8 +101,8 @@ TEST(PerServerControl, AllServersMatchFarmWideOnSymmetricDnsFarm)
     const WorkloadSpec dns = dnsWorkload();
     const UtilizationTrace trace("flat",
                                  std::vector<double>(30, 0.2));
-    Rng rng(91);
-    const auto jobs = generateFarmJobs(rng, dns, trace, 4);
+    TraceDrivenSource source(dns, trace, 91, 4);
+    const auto jobs = materialize(source);
 
     const FarmRuntimeResult wide = runFarm(
         xeon, dns, baseConfig(4, "farm-wide"), jobs, trace);
@@ -122,8 +122,8 @@ TEST(PerServerControl, HeterogeneousBigLittleFarmDiverges)
     const WorkloadSpec dns = dnsWorkload();
     const UtilizationTrace trace("flat",
                                  std::vector<double>(30, 0.3));
-    Rng rng(17);
-    const auto jobs = generateFarmJobs(rng, dns, trace, 4);
+    TraceDrivenSource source(dns, trace, 17, 4);
+    const auto jobs = materialize(source);
 
     FarmRuntimeConfig config = baseConfig(4, "per-server");
     config.platforms = {"xeon", "xeon", "atom", "atom"};
@@ -156,8 +156,8 @@ TEST(PerServerControl, PerServerStatsSumToFarmTotals)
     const WorkloadSpec dns = dnsWorkload();
     const UtilizationTrace trace("flat",
                                  std::vector<double>(20, 0.25));
-    Rng rng(23);
-    const auto jobs = generateFarmJobs(rng, dns, trace, 4);
+    TraceDrivenSource source(dns, trace, 23, 4);
+    const auto jobs = materialize(source);
 
     FarmRuntimeConfig config = baseConfig(4, "per-server");
     config.platforms = {"xeon", "atom", "xeon", "atom"};
@@ -189,8 +189,8 @@ TEST(PerServerControl, DecisionPoolWidthDoesNotChangeDecisions)
     const WorkloadSpec dns = dnsWorkload();
     const UtilizationTrace trace("flat",
                                  std::vector<double>(20, 0.3));
-    Rng rng(41);
-    const auto jobs = generateFarmJobs(rng, dns, trace, 4);
+    TraceDrivenSource source(dns, trace, 41, 4);
+    const auto jobs = materialize(source);
 
     FarmRuntimeConfig serial = baseConfig(4, "per-server");
     serial.decisionThreads = 1;
@@ -219,8 +219,8 @@ TEST(PerServerControl, FixedPolicyMatchesFarmWideExactly)
     const WorkloadSpec dns = dnsWorkload();
     const UtilizationTrace trace("flat",
                                  std::vector<double>(15, 0.2));
-    Rng rng(53);
-    const auto jobs = generateFarmJobs(rng, dns, trace, 3);
+    TraceDrivenSource source(dns, trace, 53, 3);
+    const auto jobs = materialize(source);
 
     FarmRuntimeConfig wide = baseConfig(3, "farm-wide");
     wide.perServer.fixedPolicy = raceToHalt(LowPowerState::C6S0Idle);
@@ -243,8 +243,8 @@ TEST(PerServerControl, ManagersPersistAcrossRuns)
     const WorkloadSpec dns = dnsWorkload();
     const UtilizationTrace trace("flat",
                                  std::vector<double>(15, 0.3));
-    Rng rng(61);
-    const auto jobs = generateFarmJobs(rng, dns, trace, 2);
+    TraceDrivenSource source(dns, trace, 61, 2);
+    const auto jobs = materialize(source);
 
     const FarmRuntime runtime(xeon, dns,
                               baseConfig(2, "per-server"));
@@ -271,8 +271,8 @@ TEST(PerServerControl, SecondRunRepeatsTheFirst)
     const WorkloadSpec mail = mailWorkload();
     const UtilizationTrace trace =
         synthEmailStoreTrace(1, 20140614).dailyWindow(2, 6);
-    Rng rng(7);
-    const auto jobs = generateFarmJobs(rng, mail, trace, 4);
+    TraceDrivenSource source(mail, trace, 7, 4);
+    const auto jobs = materialize(source);
 
     for (const auto &[strategy, control] :
          {std::pair<std::string, std::string>{"poet", "per-server"},
@@ -302,8 +302,8 @@ TEST(PerServerControl, IdleServerIsNotVacuouslyWithinBudget)
     const WorkloadSpec dns = dnsWorkload();
     const UtilizationTrace trace("flat",
                                  std::vector<double>(15, 0.1));
-    Rng rng(71);
-    const auto jobs = generateFarmJobs(rng, dns, trace, 3);
+    TraceDrivenSource source(dns, trace, 71, 3);
+    const auto jobs = materialize(source);
 
     // A packing dispatcher with an unreachable spill threshold funnels
     // every job to server 0; the starved tail must not claim budget

@@ -22,6 +22,7 @@
 #include "farm/server_farm.hh"
 #include "power/platform_model.hh"
 #include "util/rng.hh"
+#include "workload/job_source.hh"
 #include "workload/workload_spec.hh"
 
 namespace sleepscale {
@@ -187,9 +188,8 @@ expectBitIdentical(const FarmRuntimeResult &got,
 TEST(FarmScale, ShardCountIsBitIdentical)
 {
     const UtilizationTrace trace("flat", std::vector<double>(20, 0.3));
-    Rng rng(23);
-    const auto jobs =
-        generateFarmJobs(rng, dnsWorkload(), trace, 96);
+    TraceDrivenSource source(dnsWorkload(), trace, 23, 96);
+    const auto jobs = materialize(source);
 
     for (const std::string control : {"farm-wide", "per-server"}) {
         FarmRuntimeConfig serial = scaleConfig(96, control);
@@ -212,9 +212,8 @@ TEST(FarmScale, ShardCountIsBitIdentical)
 TEST(FarmScale, TailHistogramOptOutKeepsScalarStatsBitIdentical)
 {
     const UtilizationTrace trace("flat", std::vector<double>(10, 0.3));
-    Rng rng(29);
-    const auto jobs =
-        generateFarmJobs(rng, dnsWorkload(), trace, 16);
+    TraceDrivenSource source(dnsWorkload(), trace, 29, 16);
+    const auto jobs = materialize(source);
 
     FarmRuntimeConfig with = scaleConfig(16, "farm-wide");
     FarmRuntimeConfig without = scaleConfig(16, "farm-wide");
@@ -281,8 +280,8 @@ TEST(FarmScale, TenThousandServerMillionJobRunConserves)
 {
     const std::size_t size = 10000;
     const UtilizationTrace trace("flat", std::vector<double>(2, 0.17));
-    Rng rng(42);
-    const auto jobs = generateFarmJobs(rng, dnsWorkload(), trace, size);
+    TraceDrivenSource source(dnsWorkload(), trace, 42, size);
+    const auto jobs = materialize(source);
     ASSERT_GT(jobs.size(), 1000000u);
 
     FarmRuntimeConfig config = scaleConfig(size, "farm-wide");

@@ -15,8 +15,7 @@
 #include "farm/server_farm.hh"
 #include "power/platform_model.hh"
 #include "util/error.hh"
-#include "util/rng.hh"
-#include "workload/job_stream.hh"
+#include "workload/job_source.hh"
 
 namespace sleepscale {
 namespace {
@@ -150,9 +149,9 @@ class FarmTest : public ::testing::Test
 TEST_F(FarmTest, JobsConservedAcrossServers)
 {
     ServerFarm farm = makeFarm(4, "random");
-    Rng rng(3);
-    ExponentialDist gaps(0.05), sizes(0.194);
-    const auto jobs = generateJobs(rng, gaps, sizes, 5000);
+    StationarySource source(std::make_unique<ExponentialDist>(0.05),
+                            std::make_unique<ExponentialDist>(0.194), 3);
+    const auto jobs = materialize(source, 5000);
     for (const Job &job : jobs)
         farm.offerJob(job);
     farm.advanceTo(farm.nextFreeTime());
@@ -218,9 +217,10 @@ TEST_F(FarmTest, FarmEnergyIsSumOfServers)
 
 TEST_F(FarmTest, JsqBeatsRandomOnResponse)
 {
-    Rng rng(11);
-    ExponentialDist gaps(0.194 / (0.6 * 4)), sizes(0.194);
-    const auto jobs = generateJobs(rng, gaps, sizes, 40000);
+    StationarySource source(
+        std::make_unique<ExponentialDist>(0.194 / (0.6 * 4)),
+        std::make_unique<ExponentialDist>(0.194), 11);
+    const auto jobs = materialize(source, 40000);
 
     auto run = [&](const std::string &dispatcher) {
         ServerFarm farm = makeFarm(4, dispatcher);
@@ -238,9 +238,10 @@ TEST_F(FarmTest, PackingConcentratesLoad)
 {
     // At low load the packing dispatcher should leave some servers
     // nearly untouched while random spreads work everywhere.
-    Rng rng(13);
-    ExponentialDist gaps(0.194 / (0.1 * 4)), sizes(0.194);
-    const auto jobs = generateJobs(rng, gaps, sizes, 20000);
+    StationarySource source(
+        std::make_unique<ExponentialDist>(0.194 / (0.1 * 4)),
+        std::make_unique<ExponentialDist>(0.194), 13);
+    const auto jobs = materialize(source, 20000);
 
     ServerFarm packed = makeFarm(4, "packing");
     for (const Job &job : jobs)
@@ -254,9 +255,10 @@ TEST_F(FarmTest, PackingConcentratesLoad)
 
 TEST_F(FarmTest, PackingSavesIdlePowerAtLowLoad)
 {
-    Rng rng(17);
-    ExponentialDist gaps(0.194 / (0.1 * 4)), sizes(0.194);
-    const auto jobs = generateJobs(rng, gaps, sizes, 20000);
+    StationarySource source(
+        std::make_unique<ExponentialDist>(0.194 / (0.1 * 4)),
+        std::make_unique<ExponentialDist>(0.194), 17);
+    const auto jobs = materialize(source, 20000);
 
     auto power = [&](const std::string &dispatcher) {
         ServerFarm farm = makeFarm(4, dispatcher);
@@ -302,8 +304,8 @@ TEST(FarmRuntime, ConservesJobsAndMeetsSanityBounds)
     const WorkloadSpec dns = dnsWorkload();
     const UtilizationTrace trace("flat",
                                  std::vector<double>(30, 0.3));
-    Rng rng(21);
-    const auto jobs = generateFarmJobs(rng, dns, trace, 4);
+    TraceDrivenSource source(dns, trace, 21, 4);
+    const auto jobs = materialize(source);
 
     FarmRuntimeConfig config;
     config.farmSize = 4;
@@ -326,10 +328,11 @@ TEST(FarmRuntime, AggregateLoadMatchesTraceTimesSize)
     const WorkloadSpec dns = dnsWorkload();
     const UtilizationTrace trace("flat",
                                  std::vector<double>(20, 0.25));
-    Rng rng(23);
-    const auto jobs = generateFarmJobs(rng, dns, trace, 8);
-    const double load = offeredLoad(jobs, trace.duration());
-    EXPECT_NEAR(load, 0.25 * 8.0, 0.25);
+    TraceDrivenSource source(dns, trace, 23, 8);
+    double demand = 0.0;
+    for (const Job &job : materialize(source))
+        demand += job.size;
+    EXPECT_NEAR(demand / trace.duration(), 0.25 * 8.0, 0.25);
 }
 
 TEST(FarmRuntime, FixedPolicyFarmRunsRaceToHalt)
@@ -338,8 +341,8 @@ TEST(FarmRuntime, FixedPolicyFarmRunsRaceToHalt)
     const WorkloadSpec dns = dnsWorkload();
     const UtilizationTrace trace("flat",
                                  std::vector<double>(20, 0.2));
-    Rng rng(29);
-    const auto jobs = generateFarmJobs(rng, dns, trace, 2);
+    TraceDrivenSource source(dns, trace, 29, 2);
+    const auto jobs = materialize(source);
 
     FarmRuntimeConfig config;
     config.farmSize = 2;
@@ -358,8 +361,8 @@ TEST(FarmRuntime, SleepScaleFarmBeatsRaceToHaltFarm)
     const WorkloadSpec dns = dnsWorkload();
     const UtilizationTrace trace("flat",
                                  std::vector<double>(60, 0.15));
-    Rng rng(31);
-    const auto jobs = generateFarmJobs(rng, dns, trace, 4);
+    TraceDrivenSource source(dns, trace, 31, 4);
+    const auto jobs = materialize(source);
 
     FarmRuntimeConfig ss;
     ss.farmSize = 4;
@@ -381,12 +384,8 @@ TEST(FarmRuntime, ValidationGuards)
     FarmRuntimeConfig zero;
     zero.farmSize = 0;
     EXPECT_THROW(FarmRuntime(xeon, dnsWorkload(), zero), ConfigError);
-    Rng rng(1);
-    EXPECT_THROW(generateFarmJobs(rng, dnsWorkload(),
-                                  UtilizationTrace("t", {0.1}), 0),
-                 ConfigError);
-    EXPECT_THROW(makeFarmSource(dnsWorkload(),
-                                UtilizationTrace("t", {0.1}), 0, 1),
+    EXPECT_THROW(TraceDrivenSource(dnsWorkload(),
+                                   UtilizationTrace("t", {0.1}), 1, 0.0),
                  ConfigError);
 
     // The policy-management knobs shared with the single-server runtime.
@@ -434,8 +433,8 @@ TEST(FarmRuntime, EpochReportsCarryTheMeasuredLoad)
         }
     };
 
-    Rng single_rng(3);
-    const auto single_jobs = generateTraceDrivenJobs(single_rng, dns, trace);
+    TraceDrivenSource single_source(dns, trace, 3);
+    const auto single_jobs = materialize(single_source);
     RuntimeConfig config;
     config.epochMinutes = 5;
     NaivePreviousPredictor single_predictor(0.3);
@@ -444,8 +443,8 @@ TEST(FarmRuntime, EpochReportsCarryTheMeasuredLoad)
                                           single_predictor);
     expectMeasured(single.epochs, single_jobs, 1.0, "single-server");
 
-    Rng farm_rng(3);
-    const auto farm_jobs = generateFarmJobs(farm_rng, dns, trace, farm_size);
+    TraceDrivenSource farm_source(dns, trace, 3, farm_size);
+    const auto farm_jobs = materialize(farm_source);
     FarmRuntimeConfig farm_config;
     farm_config.farmSize = farm_size;
     farm_config.perServer = config;
@@ -487,7 +486,7 @@ TEST(FarmRuntime, MillionJobDayStreamsInBoundedMemory)
     // 4.2 ms mean service: ~1.2 million aggregate arrivals.
     const UtilizationTrace trace("flat",
                                  std::vector<double>(60, 0.35));
-    const auto source = makeFarmSource(google, trace, 4, 47);
+    TraceDrivenSource source(google, trace, 47, 4);
 
     FarmRuntimeConfig config;
     config.farmSize = 4;
@@ -498,7 +497,7 @@ TEST(FarmRuntime, MillionJobDayStreamsInBoundedMemory)
     const FarmRuntime runtime(xeon, google, config);
     NaivePreviousPredictor predictor(0.35);
     const FarmRuntimeResult result =
-        runtime.run(*source, trace, predictor);
+        runtime.run(source, trace, predictor);
 
     EXPECT_GE(result.total.arrivals, 1000000u);
     EXPECT_EQ(result.total.completions, result.total.arrivals);

@@ -13,8 +13,7 @@
 #include "analytic/mm1_sleep.hh"
 #include "core/policy_manager.hh"
 #include "power/platform_model.hh"
-#include "util/rng.hh"
-#include "workload/job_stream.hh"
+#include "workload/job_source.hh"
 
 namespace sleepscale {
 namespace {
@@ -28,8 +27,8 @@ class HeavyTail : public ::testing::Test
     std::vector<Job>
     mailJobs(double rho, std::size_t n, std::uint64_t seed) const
     {
-        Rng rng(seed);
-        return generateWorkloadJobs(rng, mail, rho, n);
+        StationarySource source(mail, rho, seed);
+        return materialize(source, n);
     }
 };
 
@@ -40,10 +39,10 @@ TEST_F(HeavyTail, TailToMeanRatioGrowsWithServiceCv)
     const double rho = 0.4;
     double previous_ratio = 0.0;
     for (double cv : {1.0, 2.0, 3.6}) {
-        Rng rng(42);
-        const auto gaps = fitDistribution(mail.serviceMean / rho, 1.0);
-        const auto sizes = fitDistribution(mail.serviceMean, cv);
-        const auto jobs = generateJobs(rng, *gaps, *sizes, 200000);
+        StationarySource source(
+            fitDistribution(mail.serviceMean / rho, 1.0),
+            fitDistribution(mail.serviceMean, cv), 42);
+        const auto jobs = materialize(source, 200000);
         const PolicyEvaluation eval = evaluatePolicy(
             xeon, mail.scaling,
             Policy{1.0, SleepPlan::immediate(LowPowerState::C6S0Idle)},

@@ -17,8 +17,7 @@
 #include "core/strategies.hh"
 #include "farm/farm_runtime.hh"
 #include "power/platform_model.hh"
-#include "util/rng.hh"
-#include "workload/job_stream.hh"
+#include "workload/job_source.hh"
 #include "workload/utilization_trace.hh"
 
 namespace sleepscale {
@@ -49,8 +48,8 @@ TEST_F(EndToEnd, SleepScaleBeatsConventionalStrategiesOnPower)
     // evaluated over the 2AM-8PM window.
     const UtilizationTrace day = synthEmailStoreTrace(1, 2014);
     const UtilizationTrace window = day.dailyWindow(2, 20);
-    Rng rng(77);
-    const auto jobs = generateTraceDrivenJobs(rng, dns, window);
+    TraceDrivenSource source(dns, window, 77);
+    const auto jobs = materialize(source);
 
     std::map<std::string, RuntimeResult> results;
     for (const char *strategy :

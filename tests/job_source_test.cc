@@ -18,7 +18,6 @@
 #include "power/platform_model.hh"
 #include "util/error.hh"
 #include "workload/job_source.hh"
-#include "workload/job_stream.hh"
 
 namespace sleepscale {
 namespace {
@@ -97,18 +96,6 @@ TEST(JobSourceDeterminism, CloneAtStartMatchesWholeStream)
     TraceDrivenSource source(mailWorkload(), trace, 3);
     const auto copy = source.clone();
     expectSameJobs(drain(source), drain(*copy));
-}
-
-TEST(JobSourceDeterminism, TraceSourceMatchesMaterializedGenerator)
-{
-    // The legacy generator is now an adapter over the source; pin the
-    // bit-equality so existing seeds keep their published results.
-    const UtilizationTrace trace("flat", std::vector<double>(15, 0.25));
-    Rng rng(21);
-    const auto generated =
-        generateTraceDrivenJobs(rng, dnsWorkload(), trace);
-    TraceDrivenSource source(dnsWorkload(), trace, 21);
-    expectSameJobs(generated, drain(source));
 }
 
 TEST(JobSourceDeterminism, ArrivalsAreNonDecreasing)
@@ -526,8 +513,8 @@ TEST(StreamingEquivalence, FarmMatchesVectorRun)
     const WorkloadSpec dns = dnsWorkload();
     const UtilizationTrace trace("flat", std::vector<double>(20, 0.2));
 
-    const auto source = makeFarmSource(dns, trace, 4, 31);
-    const auto jobs = materialize(*source->clone());
+    TraceDrivenSource source(dns, trace, 31, 4);
+    const auto jobs = materialize(*source.clone());
 
     FarmRuntimeConfig config;
     config.farmSize = 4;
@@ -535,8 +522,7 @@ TEST(StreamingEquivalence, FarmMatchesVectorRun)
     config.perServer.epochMinutes = 5;
     const FarmRuntime runtime(xeon, dns, config);
     NaivePreviousPredictor p1(0.2), p2(0.2);
-    const FarmRuntimeResult streamed =
-        runtime.run(*source, trace, p1);
+    const FarmRuntimeResult streamed = runtime.run(source, trace, p1);
     const FarmRuntimeResult materialized =
         runtime.run(jobs, trace, p2);
 

@@ -17,8 +17,7 @@
 #include "power/platform_model.hh"
 #include "sim/server_sim.hh"
 #include "util/error.hh"
-#include "util/rng.hh"
-#include "workload/job_stream.hh"
+#include "workload/job_source.hh"
 
 namespace sleepscale {
 namespace {
@@ -34,10 +33,10 @@ class Multicore : public ::testing::Test
     poissonJobs(double rho, double service_mean, std::size_t n,
                 std::uint64_t seed, double capacity = 1.0) const
     {
-        Rng rng(seed);
-        ExponentialDist gaps(service_mean / (rho * capacity));
-        ExponentialDist sizes(service_mean);
-        return generateJobs(rng, gaps, sizes, n);
+        StationarySource source(
+            std::make_unique<ExponentialDist>(service_mean / (rho * capacity)),
+            std::make_unique<ExponentialDist>(service_mean), seed);
+        return materialize(source, n);
     }
 };
 

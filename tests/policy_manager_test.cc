@@ -11,8 +11,7 @@
 #include "core/policy_space.hh"
 #include "power/platform_model.hh"
 #include "util/error.hh"
-#include "util/rng.hh"
-#include "workload/job_stream.hh"
+#include "workload/job_source.hh"
 
 namespace sleepscale {
 namespace {
@@ -63,10 +62,10 @@ class ManagerTest : public ::testing::Test
     poissonLog(double rho, double service_mean, std::size_t n,
                std::uint64_t seed = 42) const
     {
-        Rng rng(seed);
-        ExponentialDist gaps(service_mean / rho);
-        ExponentialDist sizes(service_mean);
-        return generateJobs(rng, gaps, sizes, n);
+        StationarySource source(
+            std::make_unique<ExponentialDist>(service_mean / rho),
+            std::make_unique<ExponentialDist>(service_mean), seed);
+        return materialize(source, n);
     }
 };
 
@@ -177,15 +176,6 @@ TEST_F(ManagerTest, AnalyticAndSimulatedSelectionAgree)
     EXPECT_NEAR(sim.policy.frequency, ana.policy.frequency, 0.08);
     EXPECT_NEAR(sim.predictedPower, ana.predictedPower,
                 0.05 * ana.predictedPower);
-}
-
-TEST_F(ManagerTest, LogHelpersComputeLoadAndSize)
-{
-    const std::vector<Job> log = {{1.0, 0.2}, {2.0, 0.4}};
-    EXPECT_NEAR(PolicyManager::logOfferedLoad(log), 0.6 / 2.0, 1e-12);
-    EXPECT_NEAR(PolicyManager::logMeanSize(log), 0.3, 1e-12);
-    EXPECT_THROW(PolicyManager::logOfferedLoad({{1.0, 0.1}}),
-                 ConfigError);
 }
 
 TEST_F(ManagerTest, ValidationRejectsBadSpace)

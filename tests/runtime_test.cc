@@ -13,9 +13,7 @@
 #include "farm/farm_runtime.hh"
 #include "power/platform_model.hh"
 #include "util/error.hh"
-#include "util/rng.hh"
 #include "workload/job_source.hh"
-#include "workload/job_stream.hh"
 #include "workload/workload_spec.hh"
 
 namespace sleepscale {
@@ -37,8 +35,8 @@ class RuntimeTest : public ::testing::Test
     std::vector<Job>
     jobsFor(const UtilizationTrace &trace, std::uint64_t seed = 9) const
     {
-        Rng rng(seed);
-        return generateTraceDrivenJobs(rng, dns, trace);
+        TraceDrivenSource source(dns, trace, seed);
+        return materialize(source);
     }
 };
 
@@ -257,12 +255,11 @@ TEST_F(RuntimeTest, OneServerFarmMatchesSingleServerRuntime)
             farm_config.control = "per-server";
             farm_config.perServer = config;
             const FarmRuntime farm(xeon, workload, farm_config);
-            const auto farm_source =
-                makeFarmSource(workload, trace, 1, 20140614);
+            TraceDrivenSource farm_source(workload, trace, 20140614);
             const auto farm_predictor =
                 makePredictor("LC", 10, trace.values());
             const FarmRuntimeResult actual =
-                farm.run(*farm_source, trace, *farm_predictor);
+                farm.run(farm_source, trace, *farm_predictor);
 
             ASSERT_EQ(actual.epochs.size(), expected.epochs.size())
                 << label;

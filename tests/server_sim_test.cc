@@ -13,8 +13,7 @@
 #include "power/platform_model.hh"
 #include "sim/server_sim.hh"
 #include "util/error.hh"
-#include "util/rng.hh"
-#include "workload/job_stream.hh"
+#include "workload/job_source.hh"
 
 namespace sleepscale {
 namespace {
@@ -234,9 +233,9 @@ TEST_F(XeonSim, BacklogReportsRemainingWork)
 TEST_F(XeonSim, BusyFractionTracksOfferedLoad)
 {
     // M/M/1 at rho = 0.5, f = 1, no wake latency: busy fraction ~ 0.5.
-    Rng rng(123);
-    ExponentialDist gaps(2.0), sizes(1.0);
-    const auto jobs = generateJobs(rng, gaps, sizes, 100000);
+    StationarySource source(std::make_unique<ExponentialDist>(2.0),
+                            std::make_unique<ExponentialDist>(1.0), 123);
+    const auto jobs = materialize(source, 100000);
     const PolicyEvaluation eval = evaluatePolicy(
         xeon, ServiceScaling::cpuBound(),
         immediatePolicy(LowPowerState::C0IdleS0Idle), jobs);
@@ -249,9 +248,9 @@ TEST_F(XeonSim, BusyFractionTracksOfferedLoad)
 
 TEST_F(XeonSim, LoweringFrequencyRaisesResponse)
 {
-    Rng rng(321);
-    ExponentialDist gaps(10.0), sizes(1.0);
-    const auto jobs = generateJobs(rng, gaps, sizes, 20000);
+    StationarySource source(std::make_unique<ExponentialDist>(10.0),
+                            std::make_unique<ExponentialDist>(1.0), 321);
+    const auto jobs = materialize(source, 20000);
 
     double previous = 0.0;
     for (double f : {1.0, 0.8, 0.6, 0.4}) {
@@ -274,9 +273,9 @@ TEST_F(XeonSim, EvaluatePolicyRejectsEmptyJobList)
 
 TEST_F(XeonSim, AveragePowerBoundedByModelExtremes)
 {
-    Rng rng(55);
-    ExponentialDist gaps(1.0), sizes(0.194);
-    const auto jobs = generateJobs(rng, gaps, sizes, 50000);
+    StationarySource source(std::make_unique<ExponentialDist>(1.0),
+                            std::make_unique<ExponentialDist>(0.194), 55);
+    const auto jobs = materialize(source, 50000);
     for (LowPowerState state : allLowPowerStates) {
         const PolicyEvaluation eval =
             evaluatePolicy(xeon, ServiceScaling::cpuBound(),

@@ -39,7 +39,6 @@
 #include "sim/server_sim.hh"
 #include "util/rng.hh"
 #include "workload/job_source.hh"
-#include "workload/job_stream.hh"
 
 namespace sleepscale {
 namespace {
@@ -84,9 +83,10 @@ runScenario(std::uint64_t seed, const PlatformModel &platform)
     Rng rng(seed);
     const double service_mean = rng.uniform(0.001, 0.3);
     const double rho = rng.uniform(0.05, 0.6);
-    ExponentialDist gaps(service_mean / rho);
-    ExponentialDist sizes(service_mean);
-    const auto jobs = generateJobs(rng, gaps, sizes, 4000);
+    StationarySource source(
+        std::make_unique<ExponentialDist>(service_mean / rho),
+        std::make_unique<ExponentialDist>(service_mean), rng.next());
+    const auto jobs = materialize(source, 4000);
 
     ServerSim sim(platform, ServiceScaling::cpuBound(),
                   randomPolicy(rng));
@@ -163,9 +163,9 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SimFuzz,
 TEST(SimFuzzWindows, WindowedRunMatchesOneShotRun)
 {
     const PlatformModel xeon = PlatformModel::xeon();
-    Rng rng(404);
-    ExponentialDist gaps(0.4), sizes(0.194);
-    const auto jobs = generateJobs(rng, gaps, sizes, 20000);
+    StationarySource source(std::make_unique<ExponentialDist>(0.4),
+                            std::make_unique<ExponentialDist>(0.194), 404);
+    const auto jobs = materialize(source, 20000);
     const Policy policy{0.7, SleepPlan::immediate(LowPowerState::C6S3)};
 
     // One shot.
@@ -216,9 +216,10 @@ TEST_P(PlanFuzz, AnalyticMatchesSimulationForRandomPlans)
     const double f = rng.uniform(rho + 0.1, 1.0);
     const Policy policy{f, randomPlan(rng)};
 
-    ExponentialDist gaps(service_mean / rho);
-    ExponentialDist sizes(service_mean);
-    const auto jobs = generateJobs(rng, gaps, sizes, 250000);
+    StationarySource source(
+        std::make_unique<ExponentialDist>(service_mean / rho),
+        std::make_unique<ExponentialDist>(service_mean), rng.next());
+    const auto jobs = materialize(source, 250000);
     const PolicyEvaluation eval =
         evaluatePolicy(xeon, ServiceScaling::cpuBound(), policy, jobs);
 
@@ -536,10 +537,9 @@ runFuzzFarm(Rng &rng, const std::string &faults, std::uint64_t seed,
     config.recoverySeconds = knobs.uniform(0.0, 30.0);
 
     FarmRuntime runtime(xeon, workload, config);
-    const auto source =
-        makeFarmSource(workload, trace, config.farmSize, seed);
+    TraceDrivenSource source(workload, trace, seed, config.farmSize);
     const auto predictor = makePredictor("NP", 10, trace.values());
-    return runtime.run(*source, trace, *predictor);
+    return runtime.run(source, trace, *predictor);
 }
 
 TEST_P(FaultFuzz, ConservationHoldsAtEveryEpochClose)

@@ -22,9 +22,8 @@
 #include "power/platform_model.hh"
 #include "sim/server_sim.hh"
 #include "util/error.hh"
-#include "util/rng.hh"
 #include "util/student_t.hh"
-#include "workload/job_stream.hh"
+#include "workload/job_source.hh"
 
 namespace sleepscale {
 namespace {
@@ -387,11 +386,11 @@ coveragePoint(const PlatformModel &platform, const MM1SleepModel &model,
     responses.reserve(replications);
     powers.reserve(replications);
     for (std::size_t i = 0; i < replications; ++i) {
-        Rng rng(replicationSeed(point_seed, i));
-        ExponentialDist gaps(1.0 / lambda);
-        ExponentialDist sizes(service_mean);
-        const auto jobs =
-            generateJobs(rng, gaps, sizes, jobs_per_replication);
+        StationarySource source(
+            std::make_unique<ExponentialDist>(1.0 / lambda),
+            std::make_unique<ExponentialDist>(service_mean),
+            replicationSeed(point_seed, i));
+        const auto jobs = materialize(source, jobs_per_replication);
         const PolicyEvaluation eval = evaluatePolicy(
             platform, ServiceScaling::cpuBound(), policy, jobs);
         responses.push_back(eval.meanResponse());

@@ -9,8 +9,7 @@
 
 #include "util/error.hh"
 #include "util/online_stats.hh"
-#include "util/rng.hh"
-#include "workload/job_stream.hh"
+#include "workload/job_source.hh"
 #include "workload/workload_spec.hh"
 
 namespace sleepscale {
@@ -107,33 +106,23 @@ TEST(WorkloadSpec, IdealizedForcesPoissonExponential)
 
 TEST(JobStream, GeneratesRequestedCountInOrder)
 {
-    Rng rng(1);
-    ExponentialDist gaps(1.0), sizes(0.2);
-    const auto jobs = generateJobs(rng, gaps, sizes, 500);
+    StationarySource source(std::make_unique<ExponentialDist>(1.0),
+                            std::make_unique<ExponentialDist>(0.2), 1);
+    const auto jobs = materialize(source, 500);
     ASSERT_EQ(jobs.size(), 500u);
     for (std::size_t i = 1; i < jobs.size(); ++i)
         ASSERT_GE(jobs[i].arrival, jobs[i - 1].arrival);
     EXPECT_GT(jobs.front().arrival, 0.0);
 }
 
-TEST(JobStream, DurationBoundsArrivals)
-{
-    Rng rng(2);
-    ExponentialDist gaps(0.1), sizes(0.02);
-    const auto jobs = generateJobsForDuration(rng, gaps, sizes, 50.0);
-    ASSERT_FALSE(jobs.empty());
-    EXPECT_LT(jobs.back().arrival, 50.0);
-    // ~500 expected arrivals.
-    EXPECT_NEAR(static_cast<double>(jobs.size()), 500.0, 100.0);
-}
-
 TEST(JobStream, WorkloadJobsHitTargetUtilization)
 {
-    Rng rng(3);
-    const auto jobs =
-        generateWorkloadJobs(rng, dnsWorkload(), 0.3, 20000);
-    const double load = offeredLoad(jobs, jobs.back().arrival);
-    EXPECT_NEAR(load, 0.3, 0.02);
+    StationarySource source(dnsWorkload(), 0.3, 3);
+    const auto jobs = materialize(source, 20000);
+    double demand = 0.0;
+    for (const Job &job : jobs)
+        demand += job.size;
+    EXPECT_NEAR(demand / jobs.back().arrival, 0.3, 0.02);
 }
 
 TEST(JobStream, TraceDrivenFollowsUtilization)
@@ -144,8 +133,8 @@ TEST(JobStream, TraceDrivenFollowsUtilization)
         levels[i] = 0.5;
     const UtilizationTrace trace("steps", levels);
 
-    Rng rng(4);
-    const auto jobs = generateTraceDrivenJobs(rng, dnsWorkload(), trace);
+    TraceDrivenSource source(dnsWorkload(), trace, 4);
+    const auto jobs = materialize(source);
 
     double low_demand = 0.0, high_demand = 0.0;
     for (const Job &job : jobs) {
@@ -158,16 +147,11 @@ TEST(JobStream, TraceDrivenFollowsUtilization)
 TEST(JobStream, TraceDrivenCoversWholeTrace)
 {
     const UtilizationTrace trace("flat", std::vector<double>(10, 0.2));
-    Rng rng(5);
-    const auto jobs = generateTraceDrivenJobs(rng, dnsWorkload(), trace);
+    TraceDrivenSource source(dnsWorkload(), trace, 5);
+    const auto jobs = materialize(source);
     ASSERT_FALSE(jobs.empty());
     EXPECT_LT(jobs.back().arrival, trace.duration());
     EXPECT_GT(jobs.back().arrival, trace.duration() * 0.8);
-}
-
-TEST(JobStream, OfferedLoadValidatesWindow)
-{
-    EXPECT_THROW(offeredLoad({}, 0.0), ConfigError);
 }
 
 TEST(JobStream, ServiceSizesAreStationaryAcrossTrace)
@@ -178,8 +162,8 @@ TEST(JobStream, ServiceSizesAreStationaryAcrossTrace)
     for (std::size_t i = 20; i < 40; ++i)
         levels[i] = 0.6;
     const UtilizationTrace trace("steps", levels);
-    Rng rng(6);
-    const auto jobs = generateTraceDrivenJobs(rng, dnsWorkload(), trace);
+    TraceDrivenSource source(dnsWorkload(), trace, 6);
+    const auto jobs = materialize(source);
 
     OnlineStats low, high;
     for (const Job &job : jobs)

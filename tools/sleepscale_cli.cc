@@ -55,7 +55,6 @@
 
 #include <cmath>
 #include <iostream>
-#include <sstream>
 
 #include "analytic/mm1_sleep.hh"
 #include "core/policy_manager.hh"
@@ -69,7 +68,6 @@
 #include "util/error.hh"
 #include "util/table_printer.hh"
 #include "workload/job_source.hh"
-#include "workload/job_stream.hh"
 
 using namespace sleepscale;
 
@@ -105,47 +103,6 @@ metricByName(const std::string &name)
     fatal("unknown metric '" + name + "' (mean | tail)");
 }
 
-double
-numberOrFatal(const std::string &item, const std::string &option)
-{
-    try {
-        std::size_t used = 0;
-        const double value = std::stod(item, &used);
-        fatalIf(used != item.size(),
-                "--" + option + ": bad number '" + item + "'");
-        return value;
-    } catch (const ConfigError &) {
-        throw;
-    } catch (const std::exception &) {
-        fatal("--" + option + ": bad number '" + item + "'");
-    }
-}
-
-unsigned long
-positiveIntOrFatal(const std::string &item, const std::string &option)
-{
-    const double value = numberOrFatal(item, option);
-    fatalIf(value < 1.0 || value > 1e9 ||
-                value != static_cast<double>(
-                             static_cast<unsigned long>(value)),
-            "--" + option + ": '" + item +
-                "' must be a positive integer");
-    return static_cast<unsigned long>(value);
-}
-
-std::vector<std::string>
-splitCsv(const std::string &text)
-{
-    std::vector<std::string> items;
-    std::istringstream in(text);
-    std::string item;
-    while (std::getline(in, item, ',')) {
-        if (!item.empty())
-            items.push_back(item);
-    }
-    return items;
-}
-
 /** The scenario described by the shared base options of run/farm/grid. */
 ScenarioSpec
 scenarioFromArgs(const CliArgs &args, EngineKind engine)
@@ -156,7 +113,7 @@ scenarioFromArgs(const CliArgs &args, EngineKind engine)
     spec.workload = args.get("workload", "dns");
     spec.platform = args.get("platform", "xeon");
     spec.trace.kind = args.get("trace", "es");
-    spec.trace.days = static_cast<unsigned>(args.getUnsigned("days", 1));
+    spec.trace.days = args.getUnsigned<unsigned>("days", 1);
     spec.trace.seed = 20140614;
     // Job source: which stream feeds the engine. --replay implies the
     // replay source; otherwise --source names a registered shape.
@@ -168,7 +125,7 @@ scenarioFromArgs(const CliArgs &args, EngineKind engine)
     spec.burstMeanGap = args.getDouble("burst-gap", 1800.0);
     spec.replayPath = args.get("replay", "");
     spec.strategy = args.get("strategy", "SS");
-    spec.epochMinutes = static_cast<unsigned>(args.getUnsigned("T", 5));
+    spec.epochMinutes = args.getUnsigned<unsigned>("T", 5);
     spec.overProvision = args.getDouble("alpha", 0.35);
     spec.rhoB = args.getDouble("rho-b", 0.8);
     spec.qosMetric = metricByName(args.get("metric", "mean"));
@@ -177,7 +134,7 @@ scenarioFromArgs(const CliArgs &args, EngineKind engine)
     spec.controllerMeasurementNoise = args.getDouble("controller-r", 1e-2);
     spec.controllerPole = args.getDouble("controller-pole", 0.0);
     spec.controllerPeriod =
-        static_cast<unsigned>(args.getUnsigned("controller-period", 1));
+        args.getUnsigned<unsigned>("controller-period", 1);
     spec.recordDecisionTime = args.has("decision-time");
     spec.farmSize = args.getUnsigned("servers", 4);
     spec.dispatcher = args.get("dispatcher", "packing");
@@ -204,7 +161,7 @@ scenarioFromArgs(const CliArgs &args, EngineKind engine)
     // (and pins the farm size to the list length); an explicit
     // --servers must agree rather than be silently overridden.
     if (args.has("platforms")) {
-        spec.farmPlatforms = splitCsv(args.get("platforms", ""));
+        spec.farmPlatforms = args.getList("platforms");
         fatalIf(args.has("servers") &&
                     spec.farmSize != spec.farmPlatforms.size(),
                 "--platforms lists " +
@@ -240,9 +197,8 @@ cmdSweep(const CliArgs &args)
     const auto count = args.getUnsigned("jobs", 20000);
     const PlatformModel platform = PlatformModel::xeon();
 
-    Rng rng(args.getUnsigned("seed", 1));
-    const auto jobs =
-        generateWorkloadJobs(rng, workload, rho, count);
+    StationarySource source(workload, rho, args.getUnsigned("seed", 1));
+    const auto jobs = materialize(source, count);
 
     TablePrinter table({"f", "mu*E[R]", "p95*mu", "E[P] [W]"});
     for (double f = rho + 0.02; f <= 1.0 + 1e-9; f += fstep) {
@@ -283,10 +239,9 @@ cmdSelect(const CliArgs &args)
         const double mu = 1.0 / workload.serviceMean;
         decision = manager.selectAnalytic(rho * mu, mu);
     } else {
-        Rng rng(args.getUnsigned("seed", 1));
-        const auto jobs =
-            generateWorkloadJobs(rng, workload, rho, 20000);
-        decision = manager.selectFromLog(jobs);
+        StationarySource source(workload, rho,
+                                args.getUnsigned("seed", 1));
+        decision = manager.selectFromLog(materialize(source, 20000));
     }
 
     std::cout << "policy:    " << decision.policy.toString() << '\n'
@@ -378,8 +333,9 @@ int
 cmdTrace(const CliArgs &args)
 {
     const std::string kind = args.get("kind", "es");
-    const auto days =
-        static_cast<unsigned>(args.getUnsigned("days", 3));
+    fatalIf(kind != "es" && kind != "fs",
+            "trace: unknown kind '" + kind + "' (es | fs)");
+    const auto days = args.getUnsigned<unsigned>("days", 3);
     const std::uint64_t seed = args.getUnsigned("seed", 42);
     const UtilizationTrace trace =
         kind == "es" ? synthEmailStoreTrace(days, seed)
@@ -505,42 +461,28 @@ cmdGrid(const CliArgs &args)
             "grid: --epochs-csv needs a single run (use run or farm)");
 
     std::vector<SweepAxis> axes;
-    if (args.has("sweep-T")) {
-        std::vector<unsigned> values;
-        for (const std::string &item :
-             splitCsv(args.get("sweep-T", "")))
-            values.push_back(static_cast<unsigned>(
-                positiveIntOrFatal(item, "sweep-T")));
-        axes.push_back(sweep("T", &ScenarioSpec::epochMinutes, values));
-    }
-    if (args.has("sweep-alpha")) {
-        std::vector<double> values;
-        for (const std::string &item :
-             splitCsv(args.get("sweep-alpha", "")))
-            values.push_back(numberOrFatal(item, "sweep-alpha"));
-        axes.push_back(
-            sweep("alpha", &ScenarioSpec::overProvision, values));
-    }
+    if (args.has("sweep-T"))
+        axes.push_back(sweep("T", &ScenarioSpec::epochMinutes,
+                             args.getUnsignedList<unsigned>("sweep-T")));
+    if (args.has("sweep-alpha"))
+        axes.push_back(sweep("alpha", &ScenarioSpec::overProvision,
+                             args.getDoubleList("sweep-alpha")));
     if (args.has("sweep-predictor"))
         axes.push_back(sweep("predictor", &ScenarioSpec::predictor,
-                             splitCsv(args.get("sweep-predictor", ""))));
+                             args.getList("sweep-predictor")));
     if (args.has("sweep-strategy"))
         axes.push_back(sweep("strategy", &ScenarioSpec::strategy,
-                             splitCsv(args.get("sweep-strategy", ""))));
+                             args.getList("sweep-strategy")));
     if (args.has("sweep-dispatcher"))
         axes.push_back(sweep("dispatcher", &ScenarioSpec::dispatcher,
-                             splitCsv(args.get("sweep-dispatcher", ""))));
+                             args.getList("sweep-dispatcher")));
     if (args.has("sweep-control"))
         axes.push_back(sweep("control", &ScenarioSpec::farmControl,
-                             splitCsv(args.get("sweep-control", ""))));
-    if (args.has("sweep-servers")) {
-        std::vector<std::size_t> values;
-        for (const std::string &item :
-             splitCsv(args.get("sweep-servers", "")))
-            values.push_back(static_cast<std::size_t>(
-                positiveIntOrFatal(item, "sweep-servers")));
-        axes.push_back(sweep("servers", &ScenarioSpec::farmSize, values));
-    }
+                             args.getList("sweep-control")));
+    if (args.has("sweep-servers"))
+        axes.push_back(sweep("servers", &ScenarioSpec::farmSize,
+                             args.getUnsignedList<std::size_t>(
+                                 "sweep-servers")));
     fatalIf(axes.empty(),
             "grid: give at least one --sweep-* axis "
             "(--sweep-T, --sweep-alpha, --sweep-predictor, "
