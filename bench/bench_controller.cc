@@ -6,14 +6,14 @@
  * Four sections, each over the paper's DNS day unless noted:
  *
  *  1. Decision cost — per-epoch decision wall time (mean and p99 µs)
- *     of "poet" vs the full and pruned "SS" searches, replicated
+ *     of "poet" vs the "SS" search, replicated
  *     N = 5 with 95% CIs. The headline claim: the controller decides
  *     in well under 50 µs where the search spends milliseconds.
  *  2. Burst convergence — the controller under an MMPP-modulated
  *     bursty arrival stream: how many epochs each QoS excursion
  *     lasts before the loop re-enters the budget (reactive recovery,
  *     the trade-off the feedback path makes for its constant cost).
- *  3. Paired energy/QoS deltas — poet vs full and pruned search on
+ *  3. Paired energy/QoS deltas — poet vs the search on
  *     the Table 5 workloads (dns, mail, google) under common random
  *     numbers, N = 5, 95% CIs on the energy savings and the
  *     mean-response delta.
@@ -78,15 +78,13 @@ struct CostRow
 };
 
 CostRow
-decisionCost(const std::string &label, const std::string &strategy,
-             bool pruned)
+decisionCost(const std::string &strategy)
 {
-    ScenarioSpec spec = dayScenario("cost " + label, strategy, "dns");
-    spec.prunedSearch = pruned;
+    ScenarioSpec spec = dayScenario("cost " + strategy, strategy, "dns");
     spec.recordDecisionTime = true;
     spec.replications = kReplications;
     const ReplicatedResult result = ExperimentRunner::runReplicated(spec);
-    return {label, result.metric("decision_us_mean"),
+    return {strategy, result.metric("decision_us_mean"),
             result.metric("decision_us_p99")};
 }
 
@@ -162,7 +160,7 @@ burstConvergence()
 struct PairedRow
 {
     std::string workload;
-    std::string baseline; ///< "SS" or "SS-pruned".
+    std::string baseline; ///< The search strategy poet is paired with.
     MetricSummary energy_savings_pct;
     MetricSummary response_delta_s; ///< poet − search mean response.
     double poet_violations;   ///< QoS-violating replication fraction.
@@ -170,18 +168,15 @@ struct PairedRow
 };
 
 PairedRow
-pairedDelta(const std::string &workload, bool pruned)
+pairedDelta(const std::string &workload)
 {
-    const std::string baseline = pruned ? "SS-pruned" : "SS";
     ScenarioSpec poet = dayScenario("poet " + workload, "poet", workload);
     poet.replications = kReplications;
-    ScenarioSpec search =
-        dayScenario(baseline + " " + workload, "SS", workload);
-    search.prunedSearch = pruned;
+    ScenarioSpec search = dayScenario("SS " + workload, "SS", workload);
     search.replications = kReplications;
     const PairedComparison comparison = comparePaired(poet, search);
     return {workload,
-            baseline,
+            "SS",
             comparison.delta("energy_savings_pct"),
             comparison.delta("mean_response_s"),
             comparison.a.metric("qos_violation").mean(),
@@ -340,18 +335,14 @@ main(int argc, char **argv)
             json = true;
     }
 
-    std::vector<CostRow> costs;
-    costs.push_back(decisionCost("poet", "poet", false));
-    costs.push_back(decisionCost("SS", "SS", false));
-    costs.push_back(decisionCost("SS-pruned", "SS", true));
+    const std::vector<CostRow> costs = {decisionCost("poet"),
+                                        decisionCost("SS")};
 
     const BurstOutcome burst = burstConvergence();
 
     std::vector<PairedRow> paired;
-    for (const std::string workload : {"dns", "mail", "google"}) {
-        paired.push_back(pairedDelta(workload, false));
-        paired.push_back(pairedDelta(workload, true));
-    }
+    for (const std::string workload : {"dns", "mail", "google"})
+        paired.push_back(pairedDelta(workload));
 
     const FarmScaleRow farm = farmScale(10000);
 

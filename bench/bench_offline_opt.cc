@@ -5,7 +5,7 @@
  *
  * Three sections:
  *
- *  1. Regret vs offline optimal — SS, pruned SS, poet, and the
+ *  1. Regret vs offline optimal — SS, poet, and the
  *     R2H(C6) race-to-halt fixed policy (the operating point the
  *     guarded degraded mode falls back to) on the Table 5 workloads'
  *     2AM-6AM email-store slice, replicated N = 3 with 95% CIs on
@@ -72,7 +72,7 @@ struct RegretRow
 
 RegretRow
 regretOf(const std::string &workload, const std::string &label,
-         const std::string &strategy, bool pruned, double rate_scale)
+         const std::string &strategy, double rate_scale)
 {
     ScenarioSpec spec;
     spec.label = "regret " + workload + " " + label;
@@ -83,7 +83,6 @@ regretOf(const std::string &workload, const std::string &label,
     spec.strategy = strategy;
     spec.epochMinutes = 5;
     spec.predictor = "LC";
-    spec.prunedSearch = pruned;
     spec.seed = 20140614;
     spec.replications = kReplications;
     spec.reportRegret = true;
@@ -101,17 +100,15 @@ regretSection()
     {
         const char *label;
         const char *strategy;
-        bool pruned;
     };
     const Arm arms[] = {
-        {"SS", "SS", false},
-        {"SS-pruned", "SS", true},
-        {"poet", "poet", false},
+        {"SS", "SS"},
+        {"poet", "poet"},
         // The guarded degraded mode pins this race-to-halt fallback
         // (docs/FAULTS.md), so its regret bounds the cost of running
         // degraded; the mode itself needs the farm engine while the
         // oracle replays a single server's log.
-        {"degraded(R2H-C6)", "R2H(C6)", false},
+        {"degraded(R2H-C6)", "R2H(C6)"},
     };
     const struct
     {
@@ -123,7 +120,7 @@ regretSection()
     for (const auto &w : workloads)
         for (const Arm &arm : arms)
             rows.push_back(regretOf(w.workload, arm.label, arm.strategy,
-                                    arm.pruned, w.rate_scale));
+                                    w.rate_scale));
     return rows;
 }
 
@@ -305,11 +302,11 @@ printTable(std::ostream &out, const std::vector<RegretRow> &regret,
         << "x), worst realized gap " << fmt(100.0 * exact.worst_gap, 3)
         << "% — " << (exact.worst_gap <= exact.epsilon ? "within" : "OVER")
         << " the requested epsilon\n"
-        << "\nExpected: SS sits closest to the oracle, the pruned "
-           "search and poet pay\nsmall premiums, and the degraded "
-           "fallback pays the largest; tightening\nepsilon grows "
-           "frontier width and runtime while the certified bracket\n"
-           "narrows (docs/OFFLINE_OPT.md).\n";
+        << "\nExpected: SS sits closest to the oracle, poet pays a "
+           "small premium, and\nthe degraded fallback pays the "
+           "largest; tightening epsilon grows\nfrontier width and "
+           "runtime while the certified bracket narrows\n"
+           "(docs/OFFLINE_OPT.md).\n";
 }
 
 } // namespace

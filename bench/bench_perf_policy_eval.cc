@@ -88,8 +88,8 @@ BENCHMARK(BM_PolicyManagerDecision);
 
 /** The engine's inner kernel: one replayBlock() pass over a prepared
  * 10k-job log with range(0) candidates — 1 (a lone candidate, e.g. a
- * one-plan pruned search's probe) or replayWidth (a full block). Items
- * are candidate-jobs, so the two rates compare per candidate. */
+ * search's last, partly filled block) or replayWidth (a full block).
+ * Items are candidate-jobs, so the two rates compare per candidate. */
 void
 BM_PreparedReplay10k(benchmark::State &state)
 {
@@ -184,29 +184,13 @@ BM_SelectFromLogParallel(benchmark::State &state)
 {
     const PlatformModel xeon = PlatformModel::xeon();
     const auto jobs = benchJobs(10000);
-    EvalEngineOptions options;
-    options.threads = static_cast<std::size_t>(state.range(0));
     PolicyEvalEngine engine(xeon, ServiceScaling::cpuBound(),
-                            PolicySpace::standard(), benchQos(), options);
+                            PolicySpace::standard(), benchQos(),
+                            static_cast<std::size_t>(state.range(0)));
     for (auto _ : state)
         benchmark::DoNotOptimize(engine.selectFromLog(jobs));
 }
 BENCHMARK(BM_SelectFromLogParallel)->Arg(2)->Arg(8);
-
-/** Engine selection with the pruned (binary-search) frequency scan. */
-void
-BM_SelectFromLogPruned(benchmark::State &state)
-{
-    const PlatformModel xeon = PlatformModel::xeon();
-    const auto jobs = benchJobs(10000);
-    EvalEngineOptions options;
-    options.pruned = true;
-    PolicyEvalEngine engine(xeon, ServiceScaling::cpuBound(),
-                            PolicySpace::standard(), benchQos(), options);
-    for (auto _ : state)
-        benchmark::DoNotOptimize(engine.selectFromLog(jobs));
-}
-BENCHMARK(BM_SelectFromLogPruned);
 
 /** The closed-form alternative the paper suggests as future work. */
 void

@@ -4,7 +4,7 @@
  *
  * SleepScale's runtime viability rests on the per-epoch candidate search
  * being negligible next to a minutes-long epoch (paper Sections 4.1 and
- * 5.1.1). The engine makes the search cheap through four mechanisms:
+ * 5.1.1). The engine makes the search cheap through three mechanisms:
  *
  *  1. A MaterializedPlan cache: the (plan, frequency) cross product is
  *     materialized against the platform once at construction — the
@@ -18,13 +18,10 @@
  *  3. Parallel block fan-out on a shared ThreadPool with outcomes
  *     stored by candidate index and reduced in index order, so a
  *     parallel selection bit-matches the serial one.
- *  4. An opt-in pruned mode that exploits the QoS metric's (typical)
- *     monotonicity in frequency: per plan, the cheapest feasible
- *     frequency boundary is binary-searched and only the feasible
- *     suffix is characterized for power. The plans' searches advance
- *     in lockstep, so each round's probes share blocks. When nothing
- *     is feasible the engine falls back to the exhaustive scan so the
- *     best-effort decision is still identical to exhaustive search.
+ *
+ * Closed-form selection (selectAnalytic) fills the same outcome table
+ * from the M/M/1 model instead of a replay, and both selections pick
+ * their winner through one reduction.
  *
  * An engine instance is NOT thread-safe: it owns per-call scratch state.
  * Use one engine per concurrently running controller. Internally the
@@ -75,25 +72,6 @@ struct PolicyDecision
     std::uint64_t evaluated = 0;
 };
 
-/** Search knobs of a PolicyEvalEngine. */
-struct EvalEngineOptions
-{
-    /** Candidate fan-out width: 1 searches serially on the calling
-     * thread, N > 1 uses an N-lane pool, 0 uses the hardware
-     * concurrency. Any width returns bit-identical decisions. */
-    std::size_t threads = 1;
-
-    /** Binary-search the per-plan QoS feasibility boundary in frequency
-     * instead of scanning the whole grid. Requires a strictly
-     * increasing frequency grid and assumes the QoS metric does not
-     * increase with frequency within a plan (it holds for the paper's
-     * workloads; verified against exhaustive search in the tests).
-     * Decisions are identical to exhaustive search whenever the
-     * assumption holds; `evaluated` counts only the candidates actually
-     * characterized. */
-    bool pruned = false;
-};
-
 /** Batched, allocation-free searcher over a PolicySpace. */
 class PolicyEvalEngine
 {
@@ -103,11 +81,14 @@ class PolicyEvalEngine
      * @param scaling Service-time scaling law of the hosted workload.
      * @param space Candidate plans and frequencies.
      * @param qos Constraint candidate policies must satisfy.
-     * @param options Search knobs.
+     * @param threads Candidate fan-out width: 1 searches serially on
+     *        the calling thread, N > 1 uses an N-lane pool, 0 uses the
+     *        hardware concurrency. Any width returns bit-identical
+     *        decisions.
      */
     PolicyEvalEngine(const PlatformModel &platform, ServiceScaling scaling,
                      PolicySpace space, QosConstraint qos,
-                     EvalEngineOptions options = {});
+                     std::size_t threads = 1);
 
     /**
      * Select the best policy for an empirical job log: every stable
@@ -119,8 +100,16 @@ class PolicyEvalEngine
      */
     PolicyDecision selectFromLog(const std::vector<Job> &log);
 
-    /** selectFromLog() over an already-preprocessed log. */
-    PolicyDecision selectFromPrepared(const PreparedLog &log);
+    /**
+     * Select the best policy under the idealized M/M/1 model: every
+     * stable candidate is characterized by its closed-form mean power
+     * and QoS statistic (no simulation), then reduced exactly as
+     * selectFromLog() reduces replayed outcomes.
+     *
+     * @param lambda Poisson arrival rate, jobs/s.
+     * @param mu Maximum service rate, jobs/s at f = 1.
+     */
+    PolicyDecision selectAnalytic(double lambda, double mu);
 
     /** The candidate space. */
     const PolicySpace &space() const { return _space; }
@@ -128,15 +117,13 @@ class PolicyEvalEngine
     /** The QoS constraint in force. */
     const QosConstraint &qos() const { return _qos; }
 
-    /** The search knobs in force. */
-    const EvalEngineOptions &options() const { return _options; }
-
     /** The cached materialization of plan `plan_idx` at frequency
      * `freq_idx` (indices into space().plans / space().frequencies). */
     const MaterializedPlan &materialized(std::size_t plan_idx,
                                          std::size_t freq_idx) const;
 
-    /** Candidate evaluations performed over the engine's lifetime. */
+    /** Candidates characterized by log replay over the engine's
+     * lifetime (closed-form selections are not counted). */
     std::uint64_t lifetimeEvaluations() const
     {
         return _lifetimeEvaluations;
@@ -150,16 +137,15 @@ class PolicyEvalEngine
     /** Characterization of one candidate, stored by candidate index. */
     struct Outcome
     {
-        double power = 0.0;
-        double metric = 0.0;
-        bool evaluated = false;
+        double power = 0.0;     ///< Average power, watts.
+        double metric = 0.0;    ///< The constrained QoS statistic, s.
+        bool evaluated = false; ///< Stable, hence characterized.
     };
 
     const PlatformModel &_platform;
     ServiceScaling _scaling;
     PolicySpace _space;
     QosConstraint _qos;
-    EvalEngineOptions _options;
 
     /** Plan-major (plan_idx * |frequencies| + freq_idx) cache of the
      * whole policy space, built once at construction. */
@@ -174,7 +160,7 @@ class PolicyEvalEngine
      * they need no locks; the TSan CI job covers the discipline. */
     std::vector<QuantileHistogram> _tails;
 
-    /** Shared fan-out pool (absent when options.threads == 1). */
+    /** Shared fan-out pool (absent when threads == 1). */
     std::unique_ptr<ThreadPool> _pool;
 
     /** Per-call outcome table, reused across selections. Lanes write
@@ -191,10 +177,6 @@ class PolicyEvalEngine
 
     void evaluateBlock(std::span<const std::uint32_t> block,
                        const PreparedLog &log, std::size_t lane);
-    void evaluateCandidates(const PreparedLog &log);
-    PolicyDecision exhaustiveSearch(const PreparedLog &log,
-                                    double f_floor);
-    PolicyDecision prunedSearch(const PreparedLog &log, double f_floor);
     PolicyDecision reduce() const;
 };
 

@@ -6,11 +6,11 @@
  * empirical job log (SleepScale proper) or (λ, µ) rates (the idealized
  * model) — characterize every candidate (frequency, sleep plan) pair and
  * return the one that minimizes average power subject to the QoS
- * constraint. Log-driven selection is delegated to the batched
- * PolicyEvalEngine (eval_engine.hh), which caches the materialized policy
- * space and characterizes candidates in blocks through the block-replay
- * kernel, optionally in parallel; closed-form selection evaluates the
- * M/M/1 model directly.
+ * constraint. Both selections are delegated to the batched
+ * PolicyEvalEngine (eval_engine.hh): log-driven selection replays the
+ * log through the engine's cached policy space in blocks, optionally in
+ * parallel; closed-form selection evaluates the M/M/1 model; one
+ * reduction picks both winners.
  */
 
 #ifndef SLEEPSCALE_CORE_POLICY_MANAGER_HH
@@ -47,11 +47,12 @@ class PolicyManager : public EpochDecider
      * @param scaling Service-time scaling law of the hosted workload.
      * @param space Candidate plans and frequencies.
      * @param qos Constraint candidate policies must satisfy.
-     * @param options Candidate-search knobs (fan-out width, pruning).
+     * @param threads Candidate-search fan-out width (see
+     *        PolicyEvalEngine).
      */
     PolicyManager(const PlatformModel &platform, ServiceScaling scaling,
                   PolicySpace space, QosConstraint qos,
-                  EvalEngineOptions options = {});
+                  std::size_t threads = 1);
 
     /**
      * Select the best policy for an empirical job log (SleepScale mode).
@@ -92,15 +93,12 @@ class PolicyManager : public EpochDecider
     /** The candidate space. */
     const PolicySpace &space() const { return _engine->space(); }
 
-    /** The evaluation engine backing selectFromLog() (read-only; the
+    /** The evaluation engine backing both selections (read-only; the
      * manager is the only mutation path, preserving the const barrier
      * the runtimes expose). */
     const PolicyEvalEngine &engine() const { return *_engine; }
 
   private:
-    const PlatformModel &_platform;
-    ServiceScaling _scaling;
-
     /** Owned through a pointer so logically-const selections can drive
      * the engine's mutable caches. */
     std::unique_ptr<PolicyEvalEngine> _engine;

@@ -22,8 +22,8 @@ namespace sleepscale {
  */
 struct PolicySpace
 {
-    std::vector<SleepPlan> plans;
-    std::vector<double> frequencies;
+    std::vector<SleepPlan> plans;   ///< Candidate sleep plans.
+    std::vector<double> frequencies; ///< Candidate DVFS factors, (0, 1].
 
     /** Number of (plan, frequency) combinations. */
     std::size_t size() const { return plans.size() * frequencies.size(); }

@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "control/controller_config.hh"
-#include "core/eval_engine.hh"
 #include "core/policy_space.hh"
 #include "core/qos.hh"
 #include "sim/policy.hh"
@@ -47,10 +46,10 @@ struct RuntimeConfig
     /** Candidate policies for the manager. */
     PolicySpace space = PolicySpace::standard();
 
-    /** Candidate-search engine knobs: fan-out width and pruned mode
-     * (see EvalEngineOptions). Any setting yields decisions identical
-     * to the serial exhaustive search. */
-    EvalEngineOptions search;
+    /** Candidate-search fan-out width (see PolicyEvalEngine): 1 is
+     * serial, 0 the hardware concurrency. Any width yields decisions
+     * identical to the serial search. */
+    std::size_t searchThreads = 1;
 
     /** Cap on the evaluation-log length; longer logs keep only the most
      * recent jobs (Section 5.2.1: average behaviour from the recent past
@@ -87,7 +86,7 @@ struct EpochReport
 {
     std::size_t index = 0;          ///< Epoch number.
     double startTime = 0.0;         ///< Seconds since trace start.
-    double predictedUtilization = 0.0;
+    double predictedUtilization = 0.0; ///< Predictor's forecast load.
     /** Offered load over the epoch's arrival span (the trace end cuts
      * the last epoch short); per-server view in farms. */
     double measuredUtilization = 0.0;
@@ -107,8 +106,9 @@ struct EpochReport
 /** Aggregate outcome of one single-server run (SleepScaleRuntime). */
 struct RuntimeResult
 {
-    std::vector<EpochReport> epochs;
+    std::vector<EpochReport> epochs; ///< One record per epoch.
     SimStats total;               ///< Whole-run merged statistics.
+    /** The QoS constraint the run was held to. */
     QosConstraint qos = QosConstraint::meanBudget(1.0);
 
     /** Whole-run mean response time, seconds. */

@@ -14,8 +14,7 @@ sharedConfig(const StrategyKnobs &knobs)
     config.overProvision = knobs.overProvision;
     config.rhoB = knobs.rhoB;
     config.qosMetric = knobs.qosMetric;
-    config.search.threads = knobs.searchThreads;
-    config.search.pruned = knobs.prunedSearch;
+    config.searchThreads = knobs.searchThreads;
     return config;
 }
 

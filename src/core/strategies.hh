@@ -32,14 +32,11 @@ struct StrategyKnobs
     unsigned epochMinutes = 5;      ///< Policy update interval T.
     double overProvision = 0.0;     ///< Over-provisioning factor α.
     double rhoB = 0.8;              ///< Peak design utilization ρ_b.
+    /** Which response-time statistic the QoS bounds. */
     QosMetric qosMetric = QosMetric::MeanResponse;
 
-    /** Candidate-search fan-out width (EvalEngineOptions::threads). */
+    /** Candidate-search fan-out width (RuntimeConfig::searchThreads). */
     std::size_t searchThreads = 1;
-
-    /** Binary-search the per-plan QoS feasibility boundary instead of
-     * scanning the whole frequency grid (EvalEngineOptions::pruned). */
-    bool prunedSearch = false;
 
     /** Kalman process-noise variance Q of the "poet" controller
      * (ControllerConfig::processNoise; docs/CONTROL.md). */

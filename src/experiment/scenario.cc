@@ -73,8 +73,6 @@ knobsOf(const ScenarioSpec &spec)
     knobs.overProvision = spec.overProvision;
     knobs.rhoB = spec.rhoB;
     knobs.qosMetric = spec.qosMetric;
-    knobs.searchThreads = spec.searchThreads;
-    knobs.prunedSearch = spec.prunedSearch;
     knobs.controllerProcessNoise = spec.controllerProcessNoise;
     knobs.controllerMeasurementNoise = spec.controllerMeasurementNoise;
     knobs.controllerPole = spec.controllerPole;

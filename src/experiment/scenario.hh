@@ -112,8 +112,6 @@ struct ScenarioSpec
     QosMetric qosMetric = QosMetric::MeanResponse; ///< Bounded statistic.
     std::string predictor = "LC";       ///< Predictor registry name.
     std::size_t predictorHistory = 10;  ///< Predictor tap count p.
-    std::size_t searchThreads = 1;      ///< Policy-search fan-out width.
-    bool prunedSearch = false;          ///< Prune the frequency scan.
 
     // "poet" controller knobs (docs/CONTROL.md); ignored by the
     // search strategies.

@@ -506,7 +506,7 @@ FarmRuntime::FarmRuntime(const PlatformModel &platform,
             auto manager = std::make_unique<PolicyManager>(
                 server_platform, _spec.scaling,
                 _config.perServer.space, _qos,
-                _config.perServer.search);
+                _config.perServer.searchThreads);
             _searchManagers.push_back(manager.get());
             return manager;
         };
@@ -707,9 +707,8 @@ FarmRuntime::run(JobSource &source, const UtilizationTrace &trace,
             group.demand = 0.0;
             group.jobs = 0;
 
-            // Per-server epoch streams are O(farm x epochs) memory;
-            // scale runs keep only the running totals.
-            if (!shared && _config.serverEpochReports) {
+            // A shared decision's stream is the farm's own.
+            if (!shared) {
                 result.servers[g].epochs.push_back(group.report);
                 result.servers[g].epochs.back().stats =
                     std::move(windows[g]);

@@ -120,11 +120,6 @@ struct FarmRuntimeConfig
      * this off; percentile readouts then report 0. */
     bool tailHistograms = true;
 
-    /** Populate FarmServerReport::epochs under per-server control.
-     * On by default; scale runs turn it off so memory stays O(farm),
-     * not O(farm x epochs). */
-    bool serverEpochReports = true;
-
     /** Per-server policy-management knobs (epoch length, α, ρ_b, QoS
      * metric, candidate space, log caps). */
     RuntimeConfig perServer;

@@ -73,9 +73,10 @@ struct MulticoreStats
     double elapsed = 0.0;       ///< Simulated span, seconds.
     double packageS3Time = 0.0; ///< Seconds the platform spent in S3.
     double packageIdleTime = 0.0; ///< Seconds in S0(i) (not S3).
-    std::uint64_t completions = 0;
+    std::uint64_t completions = 0;  ///< Jobs completed.
     std::uint64_t packageWakes = 0; ///< Wakes that paid the S3 latency.
-    OnlineStats response;
+    OnlineStats response;           ///< Response-time moments, seconds.
+    /** Response-time distribution, seconds (percentile queries). */
     QuantileHistogram responseHistogram{1e-7, 1e5, 400};
 
     /** Average package power, watts. */

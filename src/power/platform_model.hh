@@ -46,17 +46,17 @@ struct PlatformPowerParams
 struct WakeLatencies
 {
     double c0IdleS0Idle = 0.0; ///< Clock already running.
-    double c1S0Idle = 10e-6;
-    double c3S0Idle = 100e-6;
-    double c6S0Idle = 1e-3;
-    double c6S3 = 1.0;
+    double c1S0Idle = 10e-6;   ///< From C1(i)S0(i).
+    double c3S0Idle = 100e-6;  ///< From C3(i)S0(i).
+    double c6S0Idle = 1e-3;    ///< From C6(i)S0(i).
+    double c6S3 = 1.0;         ///< From C6S3 (platform suspend).
 };
 
 /** Table 4 latency ranges, used for validation and the table bench. */
 struct WakeLatencyRange
 {
-    double lo;
-    double hi;
+    double lo; ///< Shortest latency, seconds.
+    double hi; ///< Longest latency, seconds.
 };
 
 /** Valid range for a state's wake-up latency per Table 4. */

@@ -30,13 +30,16 @@ struct PendingDeparture
 class PendingQueue
 {
   public:
+    /** Whether no departure is buffered. */
     bool empty() const { return _count == 0; }
 
+    /** Number of buffered departures. */
     std::size_t size() const { return _count; }
 
     /** Oldest buffered departure (FCFS keeps these time-ordered). */
     const PendingDeparture &front() const { return _slots[_head]; }
 
+    /** Buffer a departure behind the newest one. */
     void
     push(double depart, double response)
     {
@@ -46,6 +49,7 @@ class PendingQueue
         ++_count;
     }
 
+    /** Drop the oldest departure; the queue must not be empty. */
     void
     pop()
     {

@@ -248,8 +248,8 @@ class ServerSim
  */
 struct PolicyEvaluation
 {
-    Policy policy;
-    SimStats stats;
+    Policy policy;  ///< The candidate evaluated.
+    SimStats stats; ///< Its whole-run statistics.
 
     /** Mean response time, seconds. */
     double meanResponse() const { return stats.meanResponse(); }

@@ -24,9 +24,9 @@ namespace sleepscale {
  */
 struct SimStats
 {
-    /** Window covered: [start, end] in simulation time. */
+    /** Window covered: [windowStart, windowEnd] in simulation time. */
     double windowStart = 0.0;
-    double windowEnd = 0.0;
+    double windowEnd = 0.0; ///< End of the window, seconds.
 
     /** Joules consumed inside the window. */
     double energy = 0.0;

@@ -27,7 +27,7 @@ namespace sleepscale {
 /** One stage of a sleep descent: a state and its entry delay τ. */
 struct SleepStage
 {
-    LowPowerState state;
+    LowPowerState state;     ///< The state entered.
     double enterAfter = 0.0; ///< τ, seconds after the queue empties.
 };
 

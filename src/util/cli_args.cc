@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <cstdlib>
-#include <sstream>
 
 #include "util/error.hh"
 
@@ -110,14 +109,22 @@ CliArgs::parseUnsigned(const std::string &key, const std::string &text,
 std::vector<std::string>
 CliArgs::getList(const std::string &key) const
 {
+    const std::string text = get(key, "");
     std::vector<std::string> items;
-    std::istringstream in(get(key, ""));
-    std::string item;
-    while (std::getline(in, item, ',')) {
-        if (!item.empty())
-            items.push_back(item);
+    if (text.empty())
+        return items;
+    // An empty item is a typo ("xeon,,atom"), not a shorter list.
+    std::size_t start = 0;
+    for (;;) {
+        const std::size_t comma = text.find(',', start);
+        items.push_back(text.substr(start, comma - start));
+        fatalIf(items.back().empty(),
+                "CliArgs: option '--" + key + "' has an empty item in '" +
+                    text + "'");
+        if (comma == std::string::npos)
+            return items;
+        start = comma + 1;
     }
-    return items;
 }
 
 std::vector<double>

@@ -64,8 +64,9 @@ class CliArgs
                          key, it->second, std::numeric_limits<T>::max()));
     }
 
-    /** Comma-separated list option; empty items are skipped, and an
-     * absent option is an empty list. */
+    /** Comma-separated list option; fatal() on an empty item (a
+     * leading, doubled or trailing comma). An absent or empty option
+     * is an empty list. */
     std::vector<std::string> getList(const std::string &key) const;
 
     /** getList() with getDouble()'s rules applied to every item. */

@@ -64,8 +64,16 @@ fromCsv(const std::string &text)
     CsvTable table;
     std::istringstream in(text);
     std::string line;
+    // Read CRLF files as the trace and replay loaders do.
+    const auto nextLine = [&in, &line] {
+        if (!std::getline(in, line))
+            return false;
+        if (!line.empty() && line.back() == '\r')
+            line.pop_back();
+        return true;
+    };
 
-    fatalIf(!std::getline(in, line), "fromCsv: empty input");
+    fatalIf(!nextLine(), "fromCsv: empty input");
     {
         std::istringstream header(line);
         std::string cell;
@@ -74,18 +82,17 @@ fromCsv(const std::string &text)
     }
     fatalIf(table.headers.empty(), "fromCsv: no header columns");
 
-    while (std::getline(in, line)) {
+    while (nextLine()) {
         if (line.empty())
             continue;
         std::istringstream fields(line);
         std::string cell;
         std::vector<double> row;
         while (std::getline(fields, cell, ',')) {
-            try {
-                row.push_back(std::stod(cell));
-            } catch (const std::exception &) {
-                fatal("fromCsv: non-numeric cell '" + cell + "'");
-            }
+            double value = 0.0;
+            fatalIf(!tryParseCsvDouble(cell, value),
+                    "fromCsv: non-numeric cell '" + cell + "'");
+            row.push_back(value);
         }
         table.addRow(row);
     }

@@ -20,6 +20,7 @@ namespace sleepscale {
 class ConfigError : public std::invalid_argument
 {
   public:
+    /** @param what_arg The message, naming the offending input. */
     explicit ConfigError(const std::string &what_arg)
         : std::invalid_argument(what_arg)
     {}
@@ -29,6 +30,7 @@ class ConfigError : public std::invalid_argument
 class InternalError : public std::logic_error
 {
   public:
+    /** @param what_arg The message, naming the broken invariant. */
     explicit InternalError(const std::string &what_arg)
         : std::logic_error(what_arg)
     {}

@@ -61,6 +61,7 @@ class SCOPED_CAPABILITY MutexLock
         _mutex.lock();
     }
 
+    /** Releases the mutex. */
     ~MutexLock() RELEASE() { _mutex.unlock(); }
 
     MutexLock(const MutexLock &) = delete;

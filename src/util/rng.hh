@@ -27,7 +27,7 @@ namespace sleepscale {
 class Rng
 {
   public:
-    using result_type = std::uint64_t;
+    using result_type = std::uint64_t; ///< UniformRandomBitGenerator.
 
     /** Construct from a seed; equal seeds yield identical streams. */
     explicit Rng(std::uint64_t seed = 0x5eed5ca1eULL);

@@ -43,6 +43,7 @@ class ThreadPool
      */
     explicit ThreadPool(std::size_t lanes = 0);
 
+    /** Stops and joins every worker. */
     ~ThreadPool();
 
     ThreadPool(const ThreadPool &) = delete;

@@ -57,6 +57,7 @@ class Distribution
 class DeterministicDist final : public Distribution
 {
   public:
+    /** @param value The point mass; fatal() if negative. */
     explicit DeterministicDist(double value);
     double sample(Rng &rng) const override;
     double cdf(double x) const override;
@@ -73,6 +74,7 @@ class DeterministicDist final : public Distribution
 class ExponentialDist final : public Distribution
 {
   public:
+    /** @param mean Positive mean. */
     explicit ExponentialDist(double mean);
     double sample(Rng &rng) const override;
     double cdf(double x) const override;
@@ -92,6 +94,10 @@ class ExponentialDist final : public Distribution
 class GammaDist final : public Distribution
 {
   public:
+    /**
+     * @param mean Positive mean.
+     * @param cv Positive coefficient of variation.
+     */
     GammaDist(double mean, double cv);
     double sample(Rng &rng) const override;
     double cdf(double x) const override;
@@ -119,6 +125,10 @@ class GammaDist final : public Distribution
 class HyperExponentialDist final : public Distribution
 {
   public:
+    /**
+     * @param mean Positive mean.
+     * @param cv Coefficient of variation, >= 1 (GammaDist covers < 1).
+     */
     HyperExponentialDist(double mean, double cv);
     double sample(Rng &rng) const override;
     double cdf(double x) const override;

@@ -49,6 +49,7 @@ struct WorkloadSpec
     double interArrivalCv;     ///< Coefficient of variation.
     double serviceMean;        ///< Seconds of work at f = 1.
     double serviceCv;          ///< Coefficient of variation.
+    /** How service time stretches as frequency drops. */
     ServiceScaling scaling = ServiceScaling::cpuBound();
 
     /** Native utilization λ/µ = serviceMean / interArrivalMean. */

@@ -120,7 +120,7 @@ TEST(CliArgs, ListsFollowTheScalarRules)
 {
     const std::set<std::string> known = {"alpha", "T", "names"};
     const CliArgs args = parse({"grid", "--alpha", "0,0.35", "--T",
-                                "1,5,10", "--names", "SS,,DVFS"},
+                                "1,5,10", "--names", "SS,DVFS"},
                                known);
     EXPECT_EQ(args.getDoubleList("alpha"),
               (std::vector<double>{0.0, 0.35}));
@@ -144,6 +144,18 @@ TEST(CliArgs, ListsFollowTheScalarRules)
                          .getUnsignedList<unsigned>("T"),
                      ConfigError)
             << bad;
+    // An empty item is a typo, not a shorter list: skipping it would
+    // turn "xeon,,atom" into a two-server farm.
+    for (const char *bad : {",SS", "SS,,DVFS", "SS,", ","})
+        EXPECT_THROW(parse({"grid", "--names", bad}, known).getList("names"),
+                     ConfigError)
+            << bad;
+    EXPECT_THROW(parse({"grid", "--T", "5,,10"}, known)
+                     .getUnsignedList<unsigned>("T"),
+                 ConfigError);
+    EXPECT_THROW(parse({"grid", "--alpha", "0,0.35,"}, known)
+                     .getDoubleList("alpha"),
+                 ConfigError);
 }
 
 // ------------------------------------------------------------ CSV export

@@ -2,8 +2,7 @@
  * @file
  * Tests for the batched policy-evaluation engine: plan-cache fidelity,
  * block-replay-kernel-vs-streaming equivalence, lane-position
- * independence, parallel-vs-serial bit-equality, and pruned-vs-
- * exhaustive decision equivalence across the Table 5 workloads.
+ * independence, and parallel-vs-serial bit-equality.
  */
 
 #include <gtest/gtest.h>
@@ -11,7 +10,6 @@
 #include <array>
 #include <cmath>
 #include <limits>
-#include <set>
 #include <span>
 #include <string>
 
@@ -34,15 +32,6 @@ poissonLog(double rho, double service_mean, std::size_t n,
     StationarySource source(
         std::make_unique<ExponentialDist>(service_mean / rho),
         std::make_unique<ExponentialDist>(service_mean), seed);
-    return materialize(source, n);
-}
-
-/** A workload's moment-matched log at a target utilization. */
-std::vector<Job>
-workloadLog(const WorkloadSpec &spec, double rho, std::size_t n,
-            std::uint64_t seed)
-{
-    StationarySource source(spec, rho, seed);
     return materialize(source, n);
 }
 
@@ -345,165 +334,15 @@ TEST_F(EvalEngineTest, ParallelSelectionBitMatchesSerial)
                 const PolicyDecision reference = serial.selectFromLog(log);
                 for (const std::size_t threads :
                      {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
-                    EvalEngineOptions options;
-                    options.threads = threads;
                     PolicyEvalEngine parallel(xeon,
                                               ServiceScaling::cpuBound(),
-                                              space, constraint, options);
+                                              space, constraint, threads);
                     const PolicyDecision decision =
                         parallel.selectFromLog(log);
                     expectIdenticalDecisions(reference, decision);
                     EXPECT_EQ(reference.evaluated, decision.evaluated);
                 }
             }
-        }
-    }
-}
-
-// ------------------------------------- pruned-vs-exhaustive equivalence
-
-/**
- * How many candidates a plan-by-plan pruned search characterizes: per
- * plan, a probe at the top frequency, then a binary search for the
- * first feasible one, then its feasible suffix; the whole stable set
- * when no plan is feasible. Metrics come from the streaming simulator.
- */
-std::uint64_t
-serialPrunedEvaluations(const PlatformModel &platform,
-                        ServiceScaling scaling, const PolicySpace &space,
-                        const QosConstraint &constraint, double f_floor,
-                        const std::vector<Job> &log)
-{
-    const std::size_t freqs = space.frequencies.size();
-    std::size_t first_stable = 0;
-    while (space.frequencies[first_stable] < f_floor)
-        ++first_stable;
-    std::uint64_t evaluated = 0;
-    bool any_feasible = false;
-    for (const SleepPlan &plan : space.plans) {
-        std::set<std::size_t> characterized;
-        auto feasible = [&](std::size_t k) {
-            characterized.insert(k);
-            const PolicyEvaluation eval = evaluatePolicy(
-                platform, scaling, {space.frequencies[k], plan}, log);
-            return constraint.measuredValue(eval.stats) <=
-                   constraint.budget();
-        };
-        std::size_t lo = first_stable;
-        std::size_t hi = freqs - 1;
-        if (feasible(hi)) {
-            any_feasible = true;
-            while (lo < hi) {
-                const std::size_t mid = lo + (hi - lo) / 2;
-                if (feasible(mid))
-                    hi = mid;
-                else
-                    lo = mid + 1;
-            }
-            for (std::size_t k = lo; k < freqs; ++k)
-                characterized.insert(k);
-        }
-        evaluated += characterized.size();
-    }
-    return any_feasible ? evaluated
-                        : space.plans.size() * (freqs - first_stable);
-}
-
-TEST_F(EvalEngineTest, PrunedMatchesExhaustiveAcrossTable5Workloads)
-{
-    const WorkloadSpec workloads[] = {dnsWorkload(), mailWorkload(),
-                                      googleWorkload()};
-    for (const WorkloadSpec &spec : workloads) {
-        const QosConstraint mean_qos =
-            QosConstraint::fromBaselineMean(0.8, spec.serviceMean);
-        const QosConstraint tail_qos =
-            QosConstraint::fromBaselineTail(0.8, spec.serviceMean);
-        for (const QosConstraint &constraint : {mean_qos, tail_qos}) {
-            PolicyEvalEngine exhaustive(xeon, spec.scaling,
-                                        PolicySpace::standard(),
-                                        constraint);
-            EvalEngineOptions options;
-            options.pruned = true;
-            PolicyEvalEngine pruned(xeon, spec.scaling,
-                                    PolicySpace::standard(), constraint,
-                                    options);
-            for (const double rho : {0.1, 0.3, 0.5}) {
-                const auto log = workloadLog(spec, rho, 4000, 17);
-                const PolicyDecision a = exhaustive.selectFromLog(log);
-                const PolicyDecision b = pruned.selectFromLog(log);
-                expectIdenticalDecisions(a, b);
-                // Pruning must not characterize more than exhaustive,
-                // and probing the plans in lockstep characterizes
-                // exactly what searching them one by one would.
-                EXPECT_LE(b.evaluated, a.evaluated)
-                    << spec.name << " rho=" << rho;
-                const double f_floor = pruned.minStableFrequency(
-                    PreparedLog::fromJobs(log).offeredLoad());
-                EXPECT_EQ(b.evaluated,
-                          serialPrunedEvaluations(
-                              xeon, spec.scaling, PolicySpace::standard(),
-                              constraint, f_floor, log))
-                    << spec.name << " rho=" << rho;
-            }
-        }
-    }
-}
-
-TEST_F(EvalEngineTest, PrunedInfeasibleFallbackMatchesExhaustive)
-{
-    // An impossible budget: nothing is feasible, and the pruned search
-    // must fall back to the identical best-effort (fastest) decision.
-    const QosConstraint impossible = QosConstraint::meanBudget(1e-6);
-    const auto log = poissonLog(0.3, 0.194, 4000, 5);
-
-    PolicyEvalEngine exhaustive(xeon, ServiceScaling::cpuBound(),
-                                PolicySpace::standard(), impossible);
-    EvalEngineOptions options;
-    options.pruned = true;
-    PolicyEvalEngine pruned(xeon, ServiceScaling::cpuBound(),
-                            PolicySpace::standard(), impossible, options);
-
-    const PolicyDecision a = exhaustive.selectFromLog(log);
-    const PolicyDecision b = pruned.selectFromLog(log);
-    EXPECT_FALSE(a.feasible);
-    expectIdenticalDecisions(a, b);
-    EXPECT_EQ(a.evaluated, b.evaluated);
-}
-
-TEST_F(EvalEngineTest, PrunedParallelCombinationMatchesSerial)
-{
-    const auto log = poissonLog(0.2, 0.194, 5000, 23);
-    const QosConstraint tail_qos =
-        QosConstraint::fromBaselineTail(0.8, 0.194);
-    for (const PolicySpace &space :
-         {PolicySpace::standard(), mixedSpace()}) {
-        for (const QosConstraint &constraint : {qos, tail_qos}) {
-            PolicyEvalEngine serial(xeon, ServiceScaling::cpuBound(),
-                                    space, constraint);
-            EvalEngineOptions pruned_options;
-            pruned_options.pruned = true;
-            PolicyEvalEngine pruned(xeon, ServiceScaling::cpuBound(),
-                                    space, constraint, pruned_options);
-            EvalEngineOptions options = pruned_options;
-            options.threads = 4;
-            PolicyEvalEngine combined(xeon, ServiceScaling::cpuBound(),
-                                      space, constraint, options);
-            const PolicyDecision reference = serial.selectFromLog(log);
-            const PolicyDecision serial_pruned = pruned.selectFromLog(log);
-            const PolicyDecision decision = combined.selectFromLog(log);
-            expectIdenticalDecisions(reference, decision);
-            // Pruning evaluates the same candidates at any width, and
-            // as many as searching the plans one by one.
-            EXPECT_EQ(serial_pruned.evaluated, decision.evaluated);
-            EXPECT_EQ(serial_pruned.evaluated,
-                      serialPrunedEvaluations(
-                          xeon, ServiceScaling::cpuBound(), space,
-                          constraint,
-                          pruned.minStableFrequency(
-                              PreparedLog::fromJobs(log).offeredLoad()),
-                          log));
-            EXPECT_EQ(pruned.lifetimeEvaluations(),
-                      combined.lifetimeEvaluations());
         }
     }
 }
@@ -521,16 +360,6 @@ TEST_F(EvalEngineTest, ValidationMatchesPolicyManager)
     bad_freq.frequencies.push_back(1.5);
     EXPECT_THROW(PolicyEvalEngine(xeon, ServiceScaling::cpuBound(),
                                   bad_freq, qos),
-                 ConfigError);
-
-    // Pruned mode requires an ascending grid.
-    PolicySpace shuffled = PolicySpace::standard();
-    std::swap(shuffled.frequencies.front(),
-              shuffled.frequencies.back());
-    EvalEngineOptions options;
-    options.pruned = true;
-    EXPECT_THROW(PolicyEvalEngine(xeon, ServiceScaling::cpuBound(),
-                                  shuffled, qos, options),
                  ConfigError);
 }
 

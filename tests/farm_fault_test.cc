@@ -985,8 +985,6 @@ pinConfig(const ScenarioSpec &spec)
     knobs.overProvision = spec.overProvision;
     knobs.rhoB = spec.rhoB;
     knobs.qosMetric = spec.qosMetric;
-    knobs.searchThreads = spec.searchThreads;
-    knobs.prunedSearch = spec.prunedSearch;
     config.perServer = strategyConfigByName(spec.strategy, knobs);
     return config;
 }

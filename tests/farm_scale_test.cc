@@ -288,7 +288,6 @@ TEST(FarmScale, TenThousandServerMillionJobRunConserves)
     config.perServer.epochMinutes = 1;
     config.shards = 0;          // Auto: scale lanes with the farm.
     config.tailHistograms = false;
-    config.serverEpochReports = false;
     const FarmRuntimeResult result = runScale(config, jobs, trace);
 
     // Everything offered is accounted for at every epoch close...

@@ -8,8 +8,8 @@
  * against closed-form degenerate instances computed independently here,
  * and against the simulator itself — no simulated strategy may ever
  * spend less energy than the oracle's lower bound on the same job log,
- * swept over the Table 5 workloads and the SS / pruned / poet
- * strategies through the end-to-end `reportRegret` path.
+ * swept over the Table 5 workloads and the SS / poet strategies
+ * through the end-to-end `reportRegret` path.
  */
 
 #include <gtest/gtest.h>
@@ -258,7 +258,6 @@ struct RegretCase
 {
     const char *workload;
     const char *strategy;
-    bool pruned;
     /** Arrival-rate thinning: the mail and google workloads pack far
      * more jobs into the slice than dns; thinning keeps every oracle
      * solve sub-second without changing what is being asserted. */
@@ -273,15 +272,13 @@ TEST_P(OfflineOptRegret, SimulatedEnergyNeverBeatsTheOracle)
 {
     const RegretCase c = GetParam();
     ScenarioSpec spec;
-    spec.label = std::string("regret ") + c.workload + " " + c.strategy +
-                 (c.pruned ? "-pruned" : "");
+    spec.label = std::string("regret ") + c.workload + " " + c.strategy;
     spec.workload = c.workload;
     spec.trace = {.kind = "es", .days = 1, .seed = 20140614,
                   .windowStartHour = 2, .windowEndHour = 4};
     spec.sourceRateScale = c.rate_scale;
     spec.strategy = c.strategy;
     spec.predictor = "LC";
-    spec.prunedSearch = c.pruned;
     spec.seed = 20140614;
     spec.reportRegret = true;
     spec.optEpsilon = 0.1;
@@ -293,19 +290,15 @@ TEST_P(OfflineOptRegret, SimulatedEnergyNeverBeatsTheOracle)
 
 INSTANTIATE_TEST_SUITE_P(
     Table5, OfflineOptRegret,
-    ::testing::Values(RegretCase{"dns", "SS", false, 1.0},
-                      RegretCase{"dns", "SS", true, 1.0},
-                      RegretCase{"dns", "poet", false, 1.0},
-                      RegretCase{"mail", "SS", false, 0.3},
-                      RegretCase{"mail", "SS", true, 0.3},
-                      RegretCase{"mail", "poet", false, 0.3},
-                      RegretCase{"google", "SS", false, 0.05},
-                      RegretCase{"google", "SS", true, 0.05},
-                      RegretCase{"google", "poet", false, 0.05}),
+    ::testing::Values(RegretCase{"dns", "SS", 1.0},
+                      RegretCase{"dns", "poet", 1.0},
+                      RegretCase{"mail", "SS", 0.3},
+                      RegretCase{"mail", "poet", 0.3},
+                      RegretCase{"google", "SS", 0.05},
+                      RegretCase{"google", "poet", 0.05}),
     [](const ::testing::TestParamInfo<RegretCase> &param_info) {
         return std::string(param_info.param.workload) + "_" +
-               param_info.param.strategy +
-               (param_info.param.pruned ? "_pruned" : "");
+               param_info.param.strategy;
     });
 
 } // namespace

@@ -6,7 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <string>
 
+#include "analytic/mm1_sleep.hh"
 #include "core/policy_manager.hh"
 #include "core/policy_space.hh"
 #include "power/platform_model.hh"
@@ -176,6 +179,98 @@ TEST_F(ManagerTest, AnalyticAndSimulatedSelectionAgree)
     EXPECT_NEAR(sim.policy.frequency, ana.policy.frequency, 0.08);
     EXPECT_NEAR(sim.predictedPower, ana.predictedPower,
                 0.05 * ana.predictedPower);
+}
+
+TEST_F(ManagerTest, AnalyticSelectionMatchesCandidateScan)
+{
+    // The closed-form selection, characterized candidate by candidate
+    // here: the cheapest feasible one, else the lowest metric, both by
+    // strict < in plan-major grid order.
+    const std::vector<PolicySpace> spaces = {
+        PolicySpace::standard(),
+        PolicySpace::allStates(PolicySpace::frequencyGrid(0.12, 1.0,
+                                                          0.01))};
+    for (const WorkloadSpec &spec :
+         {dnsWorkload(), mailWorkload(), googleWorkload()}) {
+        const MM1SleepModel model(xeon, spec.scaling);
+        const double mu = 1.0 / spec.serviceMean;
+        for (const QosMetric metric :
+             {QosMetric::MeanResponse, QosMetric::TailResponse}) {
+            const QosConstraint qos =
+                QosConstraint::fromBaseline(metric, 0.8, spec.serviceMean);
+            for (const PolicySpace &space : spaces) {
+                const PolicyManager manager(xeon, spec.scaling, space, qos);
+                for (const double rho : {0.05, 0.3, 0.6, 0.9}) {
+                    const double lambda = rho * mu;
+                    const double f_floor =
+                        manager.engine().minStableFrequency(rho);
+                    PolicyDecision best;
+                    PolicyDecision fallback;
+                    double fallback_metric =
+                        std::numeric_limits<double>::infinity();
+                    std::uint64_t evaluated = 0;
+                    for (const SleepPlan &plan : space.plans) {
+                        for (const double f : space.frequencies) {
+                            if (f < f_floor)
+                                continue;
+                            const Policy candidate{f, plan};
+                            const double power =
+                                model.meanPower(candidate, lambda, mu);
+                            const double value = qos.analyticValue(
+                                model, candidate, lambda, mu);
+                            ++evaluated;
+                            if (value <= qos.budget() &&
+                                (!best.feasible ||
+                                 power < best.predictedPower))
+                                best = {candidate, true, power, value};
+                            if (value < fallback_metric) {
+                                fallback_metric = value;
+                                fallback = {candidate, false, power, value};
+                            }
+                        }
+                    }
+                    const PolicyDecision &expected =
+                        best.feasible ? best : fallback;
+
+                    const PolicyDecision decision =
+                        manager.selectAnalytic(lambda, mu);
+                    const std::string where =
+                        spec.name + " " + toString(metric) + " |F|=" +
+                        std::to_string(space.frequencies.size()) +
+                        " rho=" + std::to_string(rho);
+                    EXPECT_EQ(decision.policy.frequency,
+                              expected.policy.frequency)
+                        << where;
+                    EXPECT_EQ(decision.policy.plan.toString(),
+                              expected.policy.plan.toString())
+                        << where;
+                    EXPECT_EQ(decision.feasible, expected.feasible)
+                        << where;
+                    EXPECT_EQ(decision.predictedPower,
+                              expected.predictedPower)
+                        << where;
+                    EXPECT_EQ(decision.predictedMetric,
+                              expected.predictedMetric)
+                        << where;
+                    EXPECT_EQ(decision.evaluated, evaluated) << where;
+                }
+            }
+        }
+    }
+}
+
+TEST_F(ManagerTest, AnalyticRejectsBadRates)
+{
+    const PolicyManager manager(xeon, ServiceScaling::cpuBound(),
+                                PolicySpace::standard(),
+                                QosConstraint::meanBudget(1.0));
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    EXPECT_THROW(manager.selectAnalytic(0.0, 5.0), ConfigError);
+    EXPECT_THROW(manager.selectAnalytic(1.0, -5.0), ConfigError);
+    // NaN compares false against any bound: a `<= 0` check lets it
+    // through to a pick from candidates whose every value is NaN.
+    EXPECT_THROW(manager.selectAnalytic(nan, 5.0), ConfigError);
+    EXPECT_THROW(manager.selectAnalytic(1.0, nan), ConfigError);
 }
 
 TEST_F(ManagerTest, ValidationRejectsBadSpace)

@@ -450,6 +450,19 @@ TEST(Csv, NonNumericCellRejected)
     EXPECT_THROW(fromCsv("a,b\n1,zzz\n"), ConfigError);
 }
 
+TEST(Csv, ParsesWholeCellsOfCrlfLines)
+{
+    // The whole cell must parse, as in the trace and replay loaders:
+    // "0.5x" is a typo, not 0.5.
+    EXPECT_THROW(fromCsv("a,b\n0.5x,2\n"), ConfigError);
+
+    // A CRLF file names its last column "b", not "b\r".
+    const CsvTable parsed = fromCsv("a,b\r\n0.5,2\r\n\r\n3,4\r\n");
+    EXPECT_EQ(parsed.headers, (std::vector<std::string>{"a", "b"}));
+    EXPECT_EQ(parsed.rows, (std::vector<std::vector<double>>{{0.5, 2.0},
+                                                             {3.0, 4.0}}));
+}
+
 TEST(Csv, FileRoundTrip)
 {
     CsvTable table;

@@ -16,13 +16,13 @@
 # have caught it first.
 #
 # Also runs bench_controller --json into BENCH_controller.json: the
-# O(1) feedback controller's decision cost vs the full and pruned
-# searches, burst-recovery epochs, paired energy/QoS deltas with CIs,
-# and the 10k-server per-server fan-out time (docs/CONTROL.md).
+# O(1) feedback controller's decision cost vs the SS search,
+# burst-recovery epochs, paired energy/QoS deltas with CIs, and the
+# 10k-server per-server fan-out time (docs/CONTROL.md).
 #
 # Also runs bench_offline_opt --json into BENCH_offline_opt.json: the
-# regret of SS / pruned / poet / degraded-fallback vs the offline-
-# optimal oracle on the Table 5 workloads (95% CIs), FPTAS runtime vs
+# regret of SS / poet / degraded-fallback vs the offline-optimal
+# oracle on the Table 5 workloads (95% CIs), FPTAS runtime vs
 # epsilon, and the FPTAS-vs-exact speedup (docs/OFFLINE_OPT.md).
 #
 # Also runs bench_farm_scale --json into BENCH_farm_scale.json: the

@@ -62,11 +62,12 @@ python3 "$repo_root/tools/lint_determinism.py"
 # clang-format is absent; CI pins clang-format-18).
 sh "$repo_root/tools/check_format.sh"
 
-# Docs check: the public farm/experiment headers must document every
+# Docs check: every public header under src/ must document every
 # public declaration. tools/doc_lint.py enforces the coverage rules
 # everywhere; when the doxygen binary is installed the tracked Doxyfile
-# runs the same check with WARN_AS_ERROR so Doxygen-syntax errors fail
-# too. Zero warnings is the bar (see docs/ARCHITECTURE.md).
+# runs the same check over src/farm and src/experiment with
+# WARN_AS_ERROR so Doxygen-syntax errors fail too. Zero warnings is
+# the bar (see docs/ARCHITECTURE.md).
 python3 "$repo_root/tools/doc_lint.py"
 if command -v doxygen >/dev/null 2>&1; then
     (cd "$repo_root" && doxygen Doxyfile)

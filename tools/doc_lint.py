@@ -1,12 +1,12 @@
 #!/usr/bin/env python3
-"""Documentation lint for the audited public headers (src/control,
-src/farm, src/fault, src/experiment).
+"""Documentation lint for every public header under src/.
 
 Fails (exit 1) with a file:line warning for every public declaration that
 carries no documentation comment. The rules mirror what Doxygen's
 WARN_IF_UNDOCUMENTED reports for this codebase's comment style, so the
 check runs in CI even where the doxygen binary is not installed (the
-tracked Doxyfile drives the identical check where it is):
+tracked Doxyfile drives the identical check over src/farm and
+src/experiment where it is):
 
   - every header starts with a file-level ``/** @file`` comment;
   - every top-level class/struct/enum/using/function declaration is
@@ -16,7 +16,7 @@ tracked Doxyfile drives the identical check where it is):
   - ``override`` members, ``= default``/``= delete`` members, and
     private/protected sections are exempt.
 
-Usage: tools/doc_lint.py [header ...]   (defaults to the audited set)
+Usage: tools/doc_lint.py [header ...]   (defaults to src/**/*.hh)
 """
 
 import re
@@ -24,9 +24,7 @@ import sys
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
-DEFAULT_GLOBS = ("src/analytic/*.hh", "src/control/*.hh",
-                 "src/farm/*.hh", "src/experiment/*.hh",
-                 "src/fault/*.hh")
+DEFAULT_GLOBS = ("src/**/*.hh",)
 
 ACCESS_RE = re.compile(r"^\s*(public|protected|private)\s*:")
 TYPE_OPEN_RE = re.compile(
