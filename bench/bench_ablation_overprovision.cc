@@ -36,8 +36,9 @@ main()
     TablePrinter table({"alpha", "mu*E[R]", "E[P] [W]",
                         "within budget?", "epochs boosted"});
     for (double alpha : {0.0, 0.1, 0.2, 0.35, 0.5, 0.75}) {
-        const RuntimeConfig config = strategyConfigByName(
-            "SS", {.epochMinutes = 5, .overProvision = alpha, .rhoB = 0.8});
+        RuntimeConfig knobs;
+        knobs.overProvision = alpha;
+        const RuntimeConfig config = strategyConfigByName("SS", knobs);
         const SleepScaleRuntime runtime(xeon, dns, config);
         LmsCusumPredictor predictor(10);
         const RuntimeResult result = runtime.run(jobs, window, predictor);

@@ -81,7 +81,7 @@ CostRow
 decisionCost(const std::string &strategy)
 {
     ScenarioSpec spec = dayScenario("cost " + strategy, strategy, "dns");
-    spec.recordDecisionTime = true;
+    spec.loop.perServer.recordDecisionTime = true;
     spec.replications = kReplications;
     const ReplicatedResult result = ExperimentRunner::runReplicated(spec);
     return {strategy, result.metric("decision_us_mean"),
@@ -114,7 +114,7 @@ burstConvergence()
 
     BurstOutcome outcome;
     outcome.budget_s =
-        QosConstraint::fromBaselineMean(spec.rhoB,
+        QosConstraint::fromBaselineMean(spec.loop.perServer.rhoB,
                                         workloadByName("dns").serviceMean)
             .budget();
 
@@ -205,9 +205,9 @@ farmScale(std::size_t servers)
     spec.source = "stationary";
     spec.sourceUtilization = 0.02;
     spec.strategy = "poet";
-    spec.recordDecisionTime = true;
-    spec.farmSize = servers;
-    spec.farmControl = "per-server";
+    spec.loop.perServer.recordDecisionTime = true;
+    spec.loop.farmSize = servers;
+    spec.loop.control = "per-server";
     spec.seed = 4;
     const ScenarioResult result = ExperimentRunner::runScenario(spec);
     return {servers, result.extra("decision_us_mean"),

@@ -59,15 +59,15 @@ churnSpec(double churn)
     spec.engine = EngineKind::Farm;
     spec.trace = {.kind = "flat", .flatLevel = 0.3, .flatMinutes = 240};
     spec.predictor = "LC";
-    spec.farmSize = 4;
-    spec.farmControl = "per-server";
+    spec.loop.farmSize = 4;
+    spec.loop.control = "per-server";
     spec.seed = 2;
     if (churn > 0.0) {
-        spec.faults = "mtbf";
-        spec.mtbf = kMttr * (1.0 - churn) / churn;
-        spec.mttr = kMttr;
-        spec.retryBackoff = 0.5;
-        spec.dropTimeout = 240.0;
+        spec.loop.faults = "mtbf";
+        spec.loop.mtbf = kMttr * (1.0 - churn) / churn;
+        spec.loop.mttr = kMttr;
+        spec.loop.retryBackoff = 0.5;
+        spec.loop.dropTimeout = 240.0;
     }
     return spec;
 }

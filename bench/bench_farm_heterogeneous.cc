@@ -33,11 +33,11 @@ farmBase(const std::string &label)
     spec.engine = EngineKind::Farm;
     spec.trace = {.kind = "es", .seed = 20140614,
                   .windowStartHour = 2, .windowEndHour = 20};
-    spec.overProvision = 0.35;
-    spec.rhoB = 0.8;
+    spec.loop.perServer.overProvision = 0.35;
+    spec.loop.perServer.rhoB = 0.8;
     spec.predictor = "LC";
-    spec.farmSize = 4;
-    spec.dispatcher = "random";
+    spec.loop.farmSize = 4;
+    spec.loop.dispatcher = "random";
     spec.seed = 4040;
     return spec;
 }
@@ -55,7 +55,7 @@ main()
     ExperimentRunner mode_runner;
     mode_runner.addGrid(
         farmBase("modes"),
-        {sweep("control", &ScenarioSpec::farmControl,
+        {sweep("control", &FarmRuntimeConfig::control,
                {"farm-wide", "per-server"})});
     const auto mode_results = mode_runner.run();
     resultsTable(mode_results).print(std::cout);
@@ -71,8 +71,8 @@ main()
                 "per-server control");
 
     ScenarioSpec mixed_spec = farmBase("big.LITTLE");
-    mixed_spec.farmControl = "per-server";
-    mixed_spec.farmPlatforms = {"xeon", "xeon", "atom", "atom"};
+    mixed_spec.loop.control = "per-server";
+    mixed_spec.loop.platforms = {"xeon", "xeon", "atom", "atom"};
     const ScenarioResult mixed = ExperimentRunner::runScenario(mixed_spec);
     resultsTable({mixed}).print(std::cout);
     std::cout << '\n';
@@ -87,9 +87,9 @@ main()
                 "load; autonomous controllers diverge");
 
     ScenarioSpec packed_spec = farmBase("packed");
-    packed_spec.dispatcher = "packing";
-    packed_spec.packingSpillBacklog = 2.0;
-    packed_spec.farmControl = "per-server";
+    packed_spec.loop.dispatcher = "packing";
+    packed_spec.loop.packingSpillBacklog = 2.0;
+    packed_spec.loop.control = "per-server";
     const ScenarioResult packed =
         ExperimentRunner::runScenario(packed_spec);
     resultsTable({packed}).print(std::cout);

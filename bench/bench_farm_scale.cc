@@ -66,19 +66,19 @@ runScale(std::size_t servers, std::size_t trace_minutes, bool faults)
     spec.trace = {.kind = "flat", .flatLevel = 0.25,
                   .flatMinutes = trace_minutes};
     spec.predictor = "LC";
-    spec.farmSize = servers;
-    spec.dispatcher = "JSQ";
-    spec.farmControl = "farm-wide";
-    spec.farmShards = 0; // Auto: lanes scale with the farm size.
+    spec.loop.farmSize = servers;
+    spec.loop.dispatcher = "JSQ";
+    spec.loop.control = "farm-wide";
+    spec.loop.shards = 0; // Auto: lanes scale with the farm size.
     // The large-farm configuration: per-server percentile histograms
     // are the one per-server cost that is not O(1), so the 10k row
     // runs without them exactly like a production-scale sweep would.
-    spec.tailHistograms = servers < 10000;
+    spec.loop.tailHistograms = servers < 10000;
     spec.seed = 7;
     if (faults) {
-        spec.faults = "mtbf";
-        spec.mtbf = 600.0;
-        spec.mttr = 60.0;
+        spec.loop.faults = "mtbf";
+        spec.loop.mtbf = 600.0;
+        spec.loop.mttr = 60.0;
     }
 
     const double start = monotonicMicros();
@@ -87,8 +87,8 @@ runScale(std::size_t servers, std::size_t trace_minutes, bool faults)
 
     ScaleRow row;
     row.servers = servers;
-    row.faults = spec.faults;
-    row.shards = spec.farmShards;
+    row.faults = spec.loop.faults;
+    row.shards = spec.loop.shards;
     row.jobs = result.jobs;
     row.sim_minutes = static_cast<double>(trace_minutes);
     row.wall_ms = wall_us / 1e3;

@@ -35,17 +35,17 @@ main()
     dispatch_base.engine = EngineKind::Farm;
     dispatch_base.trace = {.kind = "es", .seed = 20140614,
                            .windowStartHour = 2, .windowEndHour = 20};
-    dispatch_base.overProvision = 0.35;
-    dispatch_base.rhoB = 0.8;
+    dispatch_base.loop.perServer.overProvision = 0.35;
+    dispatch_base.loop.perServer.rhoB = 0.8;
     dispatch_base.predictor = "LC";
-    dispatch_base.farmSize = 4;
-    dispatch_base.packingSpillBacklog = 2.0;
+    dispatch_base.loop.farmSize = 4;
+    dispatch_base.loop.packingSpillBacklog = 2.0;
     dispatch_base.seed = 2020;
 
     ExperimentRunner dispatch_runner;
     dispatch_runner.addGrid(
         dispatch_base,
-        {sweep("dispatcher", &ScenarioSpec::dispatcher,
+        {sweep("dispatcher", &FarmRuntimeConfig::dispatcher,
                dispatcherRegistry().names())});
     const auto dispatch_results = dispatch_runner.run();
 
@@ -54,7 +54,7 @@ main()
                                  "within budget?"});
     for (const ScenarioResult &result : dispatch_results) {
         dispatch_table.addRow(
-            {result.spec.dispatcher,
+            {result.spec.loop.dispatcher,
              std::to_string(result.normalizedMean),
              std::to_string(result.avgPower),
              std::to_string(result.extra("per_server_w")),
@@ -71,10 +71,10 @@ main()
     scale_base.label = "scaleout";
     scale_base.engine = EngineKind::Farm;
     scale_base.trace = {.kind = "flat", .flatLevel = 0.2, .flatMinutes = 120};
-    scale_base.overProvision = 0.35;
-    scale_base.rhoB = 0.8;
+    scale_base.loop.perServer.overProvision = 0.35;
+    scale_base.loop.perServer.rhoB = 0.8;
     scale_base.predictor = "LC";
-    scale_base.dispatcher = "random";
+    scale_base.loop.dispatcher = "random";
 
     // Each farm size draws its own job stream (seed tied to the size),
     // while SS and R2H at the same size share it for a fair comparison.
@@ -82,7 +82,7 @@ main()
     for (std::size_t size : {1u, 2u, 4u, 8u, 16u}) {
         size_axis.points.emplace_back(
             std::to_string(size), [size](ScenarioSpec &spec) {
-                spec.farmSize = size;
+                spec.loop.farmSize = size;
                 spec.seed = 3030 + size;
             });
     }
@@ -104,7 +104,7 @@ main()
         std::ostringstream savings;
         savings << std::fixed << std::setprecision(1)
                 << 100.0 * (1.0 - ss_per / r2h_per) << "%";
-        scale_table.addRow({std::to_string(ss.spec.farmSize),
+        scale_table.addRow({std::to_string(ss.spec.loop.farmSize),
                             std::to_string(ss_per),
                             std::to_string(r2h_per), savings.str()});
     }

@@ -40,14 +40,14 @@ try {
     base.trace = {.kind = "es", .seed = 20140614, .windowStartHour = 2,
                   .windowEndHour = 20};
     base.strategy = "SS";
-    base.overProvision = 0.0;
-    base.rhoB = 0.8;
+    base.loop.perServer.overProvision = 0.0;
+    base.loop.perServer.rhoB = 0.8;
     base.seed = 88;
     base.replications = replications;
 
     ExperimentRunner runner;
     runner.addGrid(base,
-                   {sweep("T", &ScenarioSpec::epochMinutes, {1, 5, 10, 15}),
+                   {sweep("T", &RuntimeConfig::epochMinutes, {1, 5, 10, 15}),
                     sweep("predictor", &ScenarioSpec::predictor,
                           {"LC", "LMS", "NP", "Offline"})});
 
@@ -65,7 +65,7 @@ try {
                             "viol%"});
         for (const ReplicatedResult &result : results) {
             table.addRow(
-                {std::to_string(result.spec.epochMinutes),
+                {std::to_string(result.spec.loop.perServer.epochMinutes),
                  result.spec.predictor,
                  result.metric("normalized_mean").toString(),
                  std::to_string(
@@ -84,7 +84,7 @@ try {
     TablePrinter table({"T [min]", "predictor", "mu*E[R]",
                         "within budget?"});
     for (const ScenarioResult &result : results) {
-        table.addRow({std::to_string(result.spec.epochMinutes),
+        table.addRow({std::to_string(result.spec.loop.perServer.epochMinutes),
                       result.spec.predictor,
                       std::to_string(result.normalizedMean),
                       result.withinBudget ? "yes" : "no"});

@@ -45,9 +45,9 @@ try {
     base.label = "fig9";
     base.trace = {.kind = "es", .seed = 20140614, .windowStartHour = 2,
                   .windowEndHour = 20};
-    base.epochMinutes = 5;
-    base.overProvision = 0.35;
-    base.rhoB = 0.8;
+    base.loop.perServer.epochMinutes = 5;
+    base.loop.perServer.overProvision = 0.35;
+    base.loop.perServer.rhoB = 0.8;
     base.predictor = "LC";
     base.seed = 99;
     base.replications = replications;

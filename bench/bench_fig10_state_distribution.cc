@@ -51,10 +51,12 @@ main()
             TraceDrivenSource source(spec, trace_case.window, seed++);
             const auto jobs = materialize(source);
             for (double rho_b : {0.6, 0.8}) {
-                RuntimeConfig config = strategyConfigByName(
-                    "SS", {.epochMinutes = 5, .overProvision = 0.35,
-                           .rhoB = rho_b});
-                config.evalLogCap = 3000;
+                RuntimeConfig knobs;
+                knobs.overProvision = 0.35;
+                knobs.rhoB = rho_b;
+                knobs.evalLogCap = 3000;
+                const RuntimeConfig config =
+                    strategyConfigByName("SS", knobs);
                 const SleepScaleRuntime runtime(xeon, spec, config);
                 LmsCusumPredictor predictor(10);
                 const RuntimeResult result =

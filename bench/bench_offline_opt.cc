@@ -81,7 +81,7 @@ regretOf(const std::string &workload, const std::string &label,
                   .windowStartHour = 2, .windowEndHour = 6};
     spec.sourceRateScale = rate_scale;
     spec.strategy = strategy;
-    spec.epochMinutes = 5;
+    spec.loop.perServer.epochMinutes = 5;
     spec.predictor = "LC";
     spec.seed = 20140614;
     spec.replications = kReplications;

@@ -241,8 +241,8 @@ BM_ExperimentGridExpansion(benchmark::State &state)
     const SweepAxis seeds = sweep("seed", &ScenarioSpec::seed, seed_values);
     for (auto _ : state) {
         benchmark::DoNotOptimize(expandGrid(
-            base, {sweep("T", &ScenarioSpec::epochMinutes, epochs),
-                   sweep("alpha", &ScenarioSpec::overProvision, alphas),
+            base, {sweep("T", &RuntimeConfig::epochMinutes, epochs),
+                   sweep("alpha", &RuntimeConfig::overProvision, alphas),
                    seeds}));
     }
     state.SetItemsProcessed(

@@ -40,13 +40,13 @@ main(int argc, char **argv)
         spec.workload = "dns";
         spec.trace = {.kind = "es", .seed = 99, .windowStartHour = 2,
                       .windowEndHour = 14};
-        spec.epochMinutes = 5;
-        spec.overProvision = 0.35;
-        spec.rhoB = 0.8;
+        spec.loop.perServer.epochMinutes = 5;
+        spec.loop.perServer.overProvision = 0.35;
+        spec.loop.perServer.rhoB = 0.8;
         spec.predictor = "LC";
-        spec.farmSize = servers;
-        spec.dispatcher = dispatcher;
-        spec.packingSpillBacklog = 2.0;
+        spec.loop.farmSize = servers;
+        spec.loop.dispatcher = dispatcher;
+        spec.loop.packingSpillBacklog = 2.0;
         spec.seed = 17;
 
         const ScenarioResult result =

@@ -41,9 +41,9 @@ main()
         base.workload = "dns";
         base.trace = {.kind = "es", .seed = 424242, .windowStartHour = 2,
                       .windowEndHour = 20};
-        base.epochMinutes = 5;
-        base.overProvision = 0.35;
-        base.rhoB = 0.8;
+        base.loop.perServer.epochMinutes = 5;
+        base.loop.perServer.overProvision = 0.35;
+        base.loop.perServer.rhoB = 0.8;
         base.predictor = "LC";
         base.seed = 5;
         base.captureEpochs = true;
@@ -71,7 +71,7 @@ main()
         TablePrinter hours({"hour", "load", "f (last epoch)", "mu*E[R]",
                             "E[P] [W]"});
         const std::size_t epochs_per_hour =
-            60 / base.epochMinutes;
+            60 / base.loop.perServer.epochMinutes;
         for (std::size_t h = 0; h * epochs_per_hour < start.size();
              ++h) {
             const std::size_t lo = h * epochs_per_hour;

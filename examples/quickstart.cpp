@@ -38,9 +38,9 @@ main()
         base.workload = "dns";
         base.platform = "xeon";
         base.trace = {.kind = "flat", .flatLevel = 0.1, .flatMinutes = 60};
-        base.epochMinutes = 5;
-        base.overProvision = 0.0;
-        base.rhoB = 0.8;
+        base.loop.perServer.epochMinutes = 5;
+        base.loop.perServer.overProvision = 0.0;
+        base.loop.perServer.rhoB = 0.8;
         base.predictor = "LC";
         base.seed = 1;
 

@@ -41,6 +41,9 @@ struct ControllerConfig
      * periodEpochs-th epoch. */
     unsigned periodEpochs = 1;
 
+    /** Field-wise equality. */
+    bool operator==(const ControllerConfig &) const = default;
+
     /** fatal() on the first knob out of range (NaN and infinities fail):
      * the one check of these knobs, run by PowerPerfController and by
      * validateFarmConfig(). */

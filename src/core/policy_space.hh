@@ -25,6 +25,9 @@ struct PolicySpace
     std::vector<SleepPlan> plans;   ///< Candidate sleep plans.
     std::vector<double> frequencies; ///< Candidate DVFS factors, (0, 1].
 
+    /** Field-wise equality. */
+    bool operator==(const PolicySpace &) const = default;
+
     /** Number of (plan, frequency) combinations. */
     std::size_t size() const { return plans.size() * frequencies.size(); }
 

@@ -79,6 +79,9 @@ struct RuntimeConfig
     /** Policy in force before the first decision. */
     Policy initialPolicy{1.0,
                          SleepPlan::immediate(LowPowerState::C0IdleS0Idle)};
+
+    /** Field-wise equality. */
+    bool operator==(const RuntimeConfig &) const = default;
 };
 
 /** Per-epoch record of what the runtime decided and what happened. */

@@ -4,50 +4,42 @@ namespace sleepscale {
 
 namespace {
 
-/** The knobs every strategy copies; the policy space is the full
- * SleepScale one (all five states x the frequency grid). */
-RuntimeConfig
-sharedConfig(const StrategyKnobs &knobs)
+/** SleepScale's candidate search over the configured policy space. */
+void
+search(RuntimeConfig &config)
 {
-    RuntimeConfig config;
-    config.epochMinutes = knobs.epochMinutes;
-    config.overProvision = knobs.overProvision;
-    config.rhoB = knobs.rhoB;
-    config.qosMetric = knobs.qosMetric;
-    config.searchThreads = knobs.searchThreads;
-    return config;
+    config.controller.reset();
+    config.fixedPolicy.reset();
 }
 
 /** SleepScale's search restricted to one immediate sleep state. */
-StrategyFactory
+StrategyPatch
 searchWithin(LowPowerState state)
 {
-    return [state](const StrategyKnobs &knobs) {
-        RuntimeConfig config = sharedConfig(knobs);
-        config.space = PolicySpace::singlePlan(SleepPlan::immediate(state));
-        return config;
+    return [state](RuntimeConfig &config) {
+        search(config);
+        config.space.plans = {SleepPlan::immediate(state)};
     };
 }
 
 /** Race-to-halt at f = 1 into `state`: no decisions at all. */
-StrategyFactory
+StrategyPatch
 raceToHaltInto(LowPowerState state)
 {
-    return [state](const StrategyKnobs &knobs) {
-        RuntimeConfig config = sharedConfig(knobs);
+    return [state](RuntimeConfig &config) {
+        config.controller.reset();
         config.fixedPolicy = raceToHalt(state);
-        return config;
     };
 }
 
 } // namespace
 
-Registry<StrategyFactory> &
+Registry<StrategyPatch> &
 strategyRegistry()
 {
-    static Registry<StrategyFactory> registry = [] {
-        Registry<StrategyFactory> r("strategy");
-        r.add("SS", sharedConfig);
+    static Registry<StrategyPatch> registry = [] {
+        Registry<StrategyPatch> r("strategy");
+        r.add("SS", search);
         r.add("SS(C3)", searchWithin(LowPowerState::C3S0Idle));
         // The state a frequency governor gets with no C-state
         // management.
@@ -56,16 +48,10 @@ strategyRegistry()
         r.add("R2H(C6)", raceToHaltInto(LowPowerState::C6S0Idle));
         // The O(1) feedback controller over the full SleepScale
         // policy space (docs/CONTROL.md).
-        r.add("poet", [](const StrategyKnobs &knobs) {
-            RuntimeConfig config = sharedConfig(knobs);
-            ControllerConfig controller;
-            controller.processNoise = knobs.controllerProcessNoise;
-            controller.measurementNoise =
-                knobs.controllerMeasurementNoise;
-            controller.pole = knobs.controllerPole;
-            controller.periodEpochs = knobs.controllerPeriodEpochs;
-            config.controller = controller;
-            return config;
+        r.add("poet", [](RuntimeConfig &config) {
+            config.fixedPolicy.reset();
+            if (!config.controller)
+                config.controller.emplace();
         });
         return r;
     }();
@@ -73,9 +59,10 @@ strategyRegistry()
 }
 
 RuntimeConfig
-strategyConfigByName(const std::string &name, const StrategyKnobs &knobs)
+strategyConfigByName(const std::string &name, RuntimeConfig base)
 {
-    return strategyRegistry().get(name)(knobs);
+    strategyRegistry().get(name)(base);
+    return base;
 }
 
 } // namespace sleepscale

@@ -2,9 +2,11 @@
  * @file
  * The named power-management strategies compared in the paper's Figure 9.
  *
- * Every strategy is a RuntimeConfig for the one epoch loop (FarmRuntime,
- * which SleepScaleRuntime runs on one server), so comparisons use
- * identical workload feeds, accounting, and predictors:
+ * Every strategy is a patch over a RuntimeConfig for the one epoch loop
+ * (FarmRuntime, which SleepScaleRuntime runs on one server): it narrows
+ * the policy space or pins the decision and leaves every other knob as
+ * the caller set it, so comparisons use identical workload feeds,
+ * accounting, and predictors:
  *
  *  - SS:       full SleepScale (all five states x frequency grid).
  *  - SS(C3):   SleepScale restricted to the single state C3S0(i).
@@ -26,53 +28,33 @@
 
 namespace sleepscale {
 
-/** Policy-management knobs a strategy factory specializes. */
-struct StrategyKnobs
-{
-    unsigned epochMinutes = 5;      ///< Policy update interval T.
-    double overProvision = 0.0;     ///< Over-provisioning factor α.
-    double rhoB = 0.8;              ///< Peak design utilization ρ_b.
-    /** Which response-time statistic the QoS bounds. */
-    QosMetric qosMetric = QosMetric::MeanResponse;
-
-    /** Candidate-search fan-out width (RuntimeConfig::searchThreads). */
-    std::size_t searchThreads = 1;
-
-    /** Kalman process-noise variance Q of the "poet" controller
-     * (ControllerConfig::processNoise; docs/CONTROL.md). */
-    double controllerProcessNoise = 1e-4;
-
-    /** Kalman measurement-noise variance R of the "poet" controller
-     * (ControllerConfig::measurementNoise). */
-    double controllerMeasurementNoise = 1e-2;
-
-    /** Z-plane pole of the "poet" xup integrator, in [0, 1)
-     * (ControllerConfig::pole). */
-    double controllerPole = 0.0;
-
-    /** Control period of the "poet" strategy as a multiple of the
-     * epoch (ControllerConfig::periodEpochs). */
-    unsigned controllerPeriodEpochs = 1;
-};
-
-/** Factory signature stored in the strategy registry. */
-using StrategyFactory = std::function<RuntimeConfig(const StrategyKnobs &)>;
+/** A strategy: a patch applied to the caller's RuntimeConfig. */
+using StrategyPatch = std::function<void(RuntimeConfig &)>;
 
 /**
- * The strategy registry, the one way to build a strategy's
- * RuntimeConfig. Ships with the paper's Figure 9 lineup — "SS",
- * "SS(C3)", "DVFS", "R2H(C3)", "R2H(C6)" — keyed by the paper's labels,
- * plus "poet", the O(1) Kalman-filtered feedback controller over the
- * same policy space (docs/CONTROL.md); extensions register additional
- * configurations under new names. Every factory copies the epoch, α,
- * ρ_b, QoS metric and search knobs (α does not move race-to-halt,
- * which already runs at f = 1).
+ * The strategy registry, the one way to turn a RuntimeConfig into a
+ * strategy's. Ships with the paper's Figure 9 lineup — "SS", "SS(C3)",
+ * "DVFS", "R2H(C3)", "R2H(C6)" — keyed by the paper's labels, plus
+ * "poet", the O(1) Kalman-filtered feedback controller over the same
+ * policy space (docs/CONTROL.md); extensions register additional
+ * patches under new names.
+ *
+ * Each patch sets the decision rule its name says. The search
+ * strategies clear `controller` and `fixedPolicy` (SS(C3) and DVFS
+ * then narrow `space` to one sleep plan), race-to-halt clears
+ * `controller` and sets `fixedPolicy`, and "poet" clears `fixedPolicy`
+ * and emplaces a default `controller` when the caller set none. The
+ * controller knobs therefore only ever reach a "poet" run.
  */
-Registry<StrategyFactory> &strategyRegistry();
+Registry<StrategyPatch> &strategyRegistry();
 
-/** Build a registered strategy's RuntimeConfig; fatal() on unknown names. */
+/** Apply a registered strategy to `base`; fatal() on unknown names. */
 RuntimeConfig strategyConfigByName(const std::string &name,
-                                   const StrategyKnobs &knobs);
+                                   RuntimeConfig base);
+
+/** The benchmark driver's old name for a strategy's base knobs; the
+ * next change to the benchmark deletes it. */
+using StrategyKnobs = RuntimeConfig;
 
 } // namespace sleepscale
 

@@ -51,37 +51,6 @@ addDecisionExtras(ScenarioResult &result,
     result.extras.emplace_back("decision_us_p99", p99);
 }
 
-WorkloadSpec
-workloadOf(const ScenarioSpec &spec)
-{
-    const WorkloadSpec workload = workloadByName(spec.workload);
-    return spec.idealizedWorkload ? workload.idealized() : workload;
-}
-
-/**
- * Build the scenario's job source. Engines pull from it epoch by
- * epoch — the stream is never materialized.
- *
- * @param rate_scale Engine-imposed arrival-rate multiplier (the farm
- *        aggregates farm-size times the per-server trace load).
- */
-std::unique_ptr<JobSource>
-sourceOf(const ScenarioSpec &spec, const WorkloadSpec &workload,
-         const UtilizationTrace &trace, double rate_scale)
-{
-    JobSourceConfig config;
-    config.workload = workload;
-    config.trace = trace;
-    config.utilization = spec.sourceUtilization;
-    config.rateScale = spec.sourceRateScale * rate_scale;
-    config.burstRateFactor = spec.burstRateFactor;
-    config.burstMeanLength = spec.burstMeanLength;
-    config.burstMeanGap = spec.burstMeanGap;
-    config.replayPath = spec.replayPath;
-    config.seed = spec.seed;
-    return makeJobSource(spec.source, config);
-}
-
 /**
  * Run a single-server or farm scenario through FarmRuntime::run, the
  * one epoch loop. Both engines report one extras list; only the
@@ -95,14 +64,7 @@ runFarm(const ScenarioSpec &spec)
     const UtilizationTrace trace = spec.trace.realize();
     const FarmRuntimeConfig config = farmConfigOf(spec);
     const FarmRuntime runtime(platform, workload, config);
-
-    // The farm sees farm-size times the per-server trace load; replay
-    // logs are taken literally (their recorded stream IS the aggregate).
-    const double aggregate_scale =
-        spec.source == "replay"
-            ? 1.0
-            : static_cast<double>(config.farmSize);
-    const auto source = sourceOf(spec, workload, trace, aggregate_scale);
+    const auto source = sourceOf(spec, workload, trace);
     const auto predictor = makePredictor(spec.predictor,
                                          spec.predictorHistory,
                                          trace.values());
@@ -152,15 +114,14 @@ runFarm(const ScenarioSpec &spec)
     // In every control mode the farm-level epochs' decisionMicros times
     // the whole decision fan-out — the farm-scale decision cost, not
     // one server's.
-    if (spec.recordDecisionTime)
+    if (config.perServer.recordDecisionTime)
         addDecisionExtras(result, run.epochs);
     if (spec.reportRegret) {
         // Re-materialize the exact job log the runtime consumed (same
         // source, same seed, same arrival cutoff) and hand it to the
         // offline oracle with the run's accounting horizon, so the
         // regret compares identical books (docs/OFFLINE_OPT.md).
-        const auto replay =
-            sourceOf(spec, workload, trace, aggregate_scale);
+        const auto replay = sourceOf(spec, workload, trace);
         std::vector<Job> log;
         Job job;
         while (replay->next(job) && job.arrival < trace.duration())
@@ -232,10 +193,11 @@ runMulticore(const ScenarioSpec &spec)
     result.elapsed = stats.elapsed;
     result.jobs = stats.completions;
 
+    const RuntimeConfig &knobs = spec.loop.perServer;
     const QosConstraint qos = QosConstraint::fromBaseline(
-        spec.qosMetric, spec.rhoB, workload.serviceMean);
+        knobs.qosMetric, knobs.rhoB, workload.serviceMean);
     result.withinBudget =
-        (spec.qosMetric == QosMetric::MeanResponse
+        (knobs.qosMetric == QosMetric::MeanResponse
              ? result.meanResponse
              : result.p95Response) <= qos.budget();
 

@@ -11,7 +11,7 @@
  *
  *   ExperimentRunner runner;
  *   runner.addGrid(base,
- *                  {sweep("T", &ScenarioSpec::epochMinutes, {1, 5, 10, 15}),
+ *                  {sweep("T", &RuntimeConfig::epochMinutes, {1, 5, 10, 15}),
  *                   sweep("predictor", &ScenarioSpec::predictor,
  *                         {"LC", "LMS", "NP"})});
  *   const auto results = runner.run();      // parallel by default
@@ -103,15 +103,39 @@ struct SweepAxis
 };
 
 /**
- * Sweep one ScenarioSpec field over `values`. Each point's printable
- * value is the value streamed through an std::ostringstream ("5",
- * "0.35", "R2H(C6)", "inf"), which the grid label and CSV row carry.
- *
- *   sweep("alpha", &ScenarioSpec::overProvision, {0.0, 0.35})
+ * The part of a spec that a sweep() member pointer of `Owner` indexes:
+ * the spec itself, its loop configuration, or the loop's per-server
+ * knobs.
  */
-template <typename Field>
+template <typename Owner>
+Owner &
+sweptPart(ScenarioSpec &spec)
+{
+    if constexpr (std::is_same_v<Owner, FarmRuntimeConfig>) {
+        return spec.loop;
+    } else if constexpr (std::is_same_v<Owner, RuntimeConfig>) {
+        return spec.loop.perServer;
+    } else {
+        static_assert(std::is_same_v<Owner, ScenarioSpec>,
+                      "sweep() takes a ScenarioSpec, FarmRuntimeConfig "
+                      "or RuntimeConfig member");
+        return spec;
+    }
+}
+
+/**
+ * Sweep one field over `values`: a ScenarioSpec field, or a loop knob
+ * named by its FarmRuntimeConfig or RuntimeConfig member (the owner is
+ * deduced from the member pointer). Each point's printable value is
+ * the value streamed through an std::ostringstream ("5", "0.35",
+ * "R2H(C6)", "inf"), which the grid label and CSV row carry.
+ *
+ *   sweep("alpha", &RuntimeConfig::overProvision, {0.0, 0.35})
+ *   sweep("servers", &FarmRuntimeConfig::farmSize, {2, 4})
+ */
+template <typename Owner, typename Field>
 SweepAxis
-sweep(std::string name, Field ScenarioSpec::*field,
+sweep(std::string name, Field Owner::*field,
       const std::vector<std::type_identity_t<Field>> &values)
 {
     SweepAxis axis{std::move(name), {}};
@@ -119,8 +143,9 @@ sweep(std::string name, Field ScenarioSpec::*field,
         std::ostringstream printed;
         printed << value;
         axis.points.emplace_back(
-            printed.str(),
-            [field, value](ScenarioSpec &spec) { spec.*field = value; });
+            printed.str(), [field, value](ScenarioSpec &spec) {
+                sweptPart<Owner>(spec).*field = value;
+            });
     }
     return axis;
 }

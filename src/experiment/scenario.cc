@@ -5,12 +5,9 @@
 
 #include "core/predictor.hh"
 #include "core/strategies.hh"
-#include "farm/farm_runtime.hh"
 #include "power/platform_model.hh"
 #include "util/error.hh"
 #include "util/rng.hh"
-#include "workload/job_source.hh"
-#include "workload/workload_spec.hh"
 
 namespace sleepscale {
 
@@ -65,37 +62,23 @@ TraceSpec::label() const
 
 namespace {
 
-StrategyKnobs
-knobsOf(const ScenarioSpec &spec)
-{
-    StrategyKnobs knobs;
-    knobs.epochMinutes = spec.epochMinutes;
-    knobs.overProvision = spec.overProvision;
-    knobs.rhoB = spec.rhoB;
-    knobs.qosMetric = spec.qosMetric;
-    knobs.controllerProcessNoise = spec.controllerProcessNoise;
-    knobs.controllerMeasurementNoise = spec.controllerMeasurementNoise;
-    knobs.controllerPole = spec.controllerPole;
-    knobs.controllerPeriodEpochs = spec.controllerPeriod;
-    return knobs;
-}
-
 /**
  * The checks of validate(), without the scenario label. The loop
- * engines' knobs are left to validateFarmConfig(); only what that
- * validator cannot see is checked here.
+ * engines' knobs are left to validateFarmConfig() and the source knobs
+ * to the source's own constructor; only what those cannot see is
+ * checked here.
  */
 void
 checkSpec(const ScenarioSpec &spec)
 {
-    const WorkloadSpec workload = workloadByName(spec.workload);
+    const WorkloadSpec workload = workloadOf(spec);
     platformRegistry().get(spec.platform);
     fatalIf(spec.trace.kind != "flat" && spec.trace.days == 0,
             "trace days must be >= 1");
     fatalIf(spec.replications == 0, "replications must be >= 1");
     fatalIf(!(spec.optEpsilon > 0.0) || !std::isfinite(spec.optEpsilon),
             "optEpsilon must be positive and finite");
-    fatalIf(spec.faults != "none" && spec.engine != EngineKind::Farm,
+    fatalIf(spec.loop.faults != "none" && spec.engine != EngineKind::Farm,
             "fault injection needs the farm engine");
     fatalIf(spec.reportRegret && spec.engine != EngineKind::SingleServer,
             "reportRegret needs the single-server engine (the offline "
@@ -117,10 +100,10 @@ checkSpec(const ScenarioSpec &spec)
             "replayPath '" + spec.replayPath +
                 "' is set but the source is '" + spec.source +
                 "' (set source to \"replay\")");
-    fatalIf(!(spec.sourceRateScale > 0.0) ||
-                !std::isfinite(spec.sourceRateScale),
-            "sourceRateScale must be positive and finite");
     validateFarmConfig(farmConfigOf(spec), workload);
+    // A throwaway source over the realized trace checks the trace and
+    // the source knobs, as validateFarmConfig() checks the dispatcher.
+    sourceOf(spec, workload, spec.trace.realize());
 }
 
 } // namespace
@@ -141,33 +124,48 @@ FarmRuntimeConfig
 farmConfigOf(const ScenarioSpec &spec)
 {
     RuntimeConfig per_server =
-        strategyConfigByName(spec.strategy, knobsOf(spec));
-    per_server.recordDecisionTime = spec.recordDecisionTime;
-    FarmRuntimeConfig config = singleServerFarm(std::move(per_server));
+        strategyConfigByName(spec.strategy, spec.loop.perServer);
     if (spec.engine != EngineKind::Farm)
-        return config;
-    config.farmSize = spec.farmSize;
-    config.dispatcher = spec.dispatcher;
-    config.packingSpillBacklog = spec.packingSpillBacklog;
-    config.control = spec.farmControl;
-    config.platforms = spec.farmPlatforms;
-    config.decisionThreads = spec.decisionThreads;
-    config.shards = spec.farmShards;
-    config.tailHistograms = spec.tailHistograms;
+        return singleServerFarm(std::move(per_server));
+    FarmRuntimeConfig config = spec.loop;
+    config.perServer = std::move(per_server);
     // Decorrelated from the job-generation stream, which uses the raw
     // seed: identical seeds would put both generators in lock-step.
     config.dispatchSeed = mixSeed(spec.seed);
-    config.faults = spec.faults;
-    config.mtbf = spec.mtbf;
-    config.mttr = spec.mttr;
-    config.retryBackoff = spec.retryBackoff;
-    config.dropTimeout = spec.dropTimeout;
     // A third decorrelated stream: the fault schedule must not move
     // when job or dispatch randomness does (and replication seeds flow
     // through spec.seed, so paired fault/no-fault comparisons share
     // schedules per replication).
     config.faultSeed = mixSeed(config.dispatchSeed);
     return config;
+}
+
+WorkloadSpec
+workloadOf(const ScenarioSpec &spec)
+{
+    const WorkloadSpec workload = workloadByName(spec.workload);
+    return spec.idealizedWorkload ? workload.idealized() : workload;
+}
+
+std::unique_ptr<JobSource>
+sourceOf(const ScenarioSpec &spec, const WorkloadSpec &workload,
+         const UtilizationTrace &trace)
+{
+    const double aggregate_scale =
+        spec.engine == EngineKind::Farm && spec.source != "replay"
+            ? static_cast<double>(spec.loop.farmSize)
+            : 1.0;
+    JobSourceConfig config;
+    config.workload = workload;
+    config.trace = trace;
+    config.utilization = spec.sourceUtilization;
+    config.rateScale = spec.sourceRateScale * aggregate_scale;
+    config.burstRateFactor = spec.burstRateFactor;
+    config.burstMeanLength = spec.burstMeanLength;
+    config.burstMeanGap = spec.burstMeanGap;
+    config.replayPath = spec.replayPath;
+    config.seed = spec.seed;
+    return makeJobSource(spec.source, config);
 }
 
 } // namespace sleepscale

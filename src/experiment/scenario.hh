@@ -11,38 +11,41 @@
  * and misspelled names fail fast listing the registered alternatives.
  *
  * Specs are plain structs: start from the defaults and set the fields
- * that differ.
+ * that differ. The epoch loop's knobs are the loop's own configuration
+ * (`loop`, a FarmRuntimeConfig whose `perServer` is the RuntimeConfig),
+ * not copies of it.
  *
  *   ScenarioSpec spec;
  *   spec.label = "fig9";
  *   spec.workload = "dns";
  *   spec.trace = {.kind = "es", .windowStartHour = 2, .windowEndHour = 20};
  *   spec.strategy = "SS";
- *   spec.overProvision = 0.35;
+ *   spec.loop.perServer.overProvision = 0.35;
  *   spec.seed = 99;
  *
- * validate() checks what only a scenario knows (component names, the
- * source, replications, the multicore fields) and hands every
- * loop-engine knob to the engine's own validator, validateFarmConfig()
- * on farmConfigOf(), so each knob has one range check. ExperimentRunner
- * (runner.hh) validates and executes specs and expands sweep grids.
+ * validate() checks what only a scenario knows (component names,
+ * replications, the multicore fields), builds a throwaway job source
+ * over the realized trace so a bad source knob or trace fails before
+ * anything runs, and hands every loop-engine knob to the engine's own
+ * validator, validateFarmConfig() on farmConfigOf(), so each knob has
+ * one range check. ExperimentRunner (runner.hh) validates and executes
+ * specs and expands sweep grids.
  */
 
 #ifndef SLEEPSCALE_EXPERIMENT_SCENARIO_HH
 #define SLEEPSCALE_EXPERIMENT_SCENARIO_HH
 
 #include <cstdint>
+#include <memory>
 #include <string>
-#include <vector>
 
-#include "core/qos.hh"
+#include "farm/farm_runtime.hh"
 #include "power/low_power_state.hh"
+#include "workload/job_source.hh"
 #include "workload/utilization_trace.hh"
+#include "workload/workload_spec.hh"
 
 namespace sleepscale {
-
-/** The loop engines' configuration (farm/farm_runtime.hh). */
-struct FarmRuntimeConfig;
 
 /** Which engine executes a scenario. */
 enum class EngineKind
@@ -106,46 +109,26 @@ struct ScenarioSpec
 
     // Policy management (single-server and farm engines).
     std::string strategy = "SS";        ///< Strategy registry name.
-    unsigned epochMinutes = 5;          ///< Update interval T.
-    double overProvision = 0.35;        ///< α.
-    double rhoB = 0.8;                  ///< ρ_b anchoring the QoS budget.
-    QosMetric qosMetric = QosMetric::MeanResponse; ///< Bounded statistic.
     std::string predictor = "LC";       ///< Predictor registry name.
     std::size_t predictorHistory = 10;  ///< Predictor tap count p.
 
-    // "poet" controller knobs (docs/CONTROL.md); ignored by the
-    // search strategies.
-    double controllerProcessNoise = 1e-4;   ///< Kalman Q (finite, > 0).
-    double controllerMeasurementNoise = 1e-2; ///< Kalman R (finite, > 0).
-    double controllerPole = 0.0;        ///< Xup integrator pole, [0, 1).
-    unsigned controllerPeriod = 1;      ///< Control period, epochs (>= 1).
-
-    /** Time each epoch decision (decision_us_* result extras). The
-     * reading never feeds simulated state, so metrics stay
-     * bit-identical whether or not it is enabled. */
-    bool recordDecisionTime = false;
-
-    // Farm engine.
-    std::size_t farmSize = 4;           ///< Back-end server count.
-    std::string dispatcher = "random";  ///< Dispatcher registry name.
-    double packingSpillBacklog = 1.0;   ///< Packing spill threshold, s.
-    /** "farm-wide" | "per-server" | "distributed". */
-    std::string farmControl = "farm-wide";
-    /** Per-server platform names: empty = homogeneous `platform`,
-     * else one name per server (farmSize entries). A heterogeneous mix
-     * needs farmControl "per-server" or "distributed". */
-    std::vector<std::string> farmPlatforms;
-    std::size_t decisionThreads = 0;    ///< Per-server decision fan-out.
-    std::size_t farmShards = 1;         ///< Accounting shard width (0 = auto).
-    bool tailHistograms = true;         ///< Per-completion tail histograms.
-
-    // Fault injection (farm engine only; docs/FAULTS.md). "none"
-    // reproduces the fault-free farm bit-for-bit.
-    std::string faults = "none";        ///< Fault-source registry name.
-    double mtbf = 4.0 * 3600.0;         ///< Mean time between failures, s.
-    double mttr = 300.0;                ///< Mean time to repair, s.
-    double retryBackoff = 1.0;          ///< Failover backoff base, s.
-    double dropTimeout = 300.0;         ///< Failover drop deadline, s.
+    /**
+     * The epoch loop's configuration (single-server and farm engines),
+     * handed to FarmRuntime by farmConfigOf(): `perServer` holds the
+     * policy-management knobs (T, α, ρ_b, QoS metric, log caps, the
+     * "poet" controller), the rest the farm and its fault plane. The
+     * strategy is applied as a patch over `perServer`, a single-server
+     * scenario runs on singleServerFarm() and so ignores the farm
+     * knobs, and dispatchSeed/faultSeed are always derived from `seed`.
+     * The multicore engine reads only the QoS metric and ρ_b. The
+     * defaults are the loop's own, except α = 0.35, the paper's
+     * over-provisioned runs.
+     */
+    FarmRuntimeConfig loop = [] {
+        FarmRuntimeConfig config;
+        config.perServer.overProvision = 0.35;
+        return config;
+    }();
 
     // Multicore engine (fixed package policy over a stationary load).
     std::size_t cores = 4;              ///< Cores in the package.
@@ -196,11 +179,28 @@ struct ScenarioSpec
 
 /**
  * The FarmRuntime configuration of a single-server or farm scenario:
- * the one-server farm the paper's runtime runs on (singleServerFarm()),
- * widened to the spec's farm for the farm engine. fatal() on an
- * unknown strategy.
+ * `spec.loop` with the strategy patched over its `perServer` and the
+ * dispatch and fault seeds derived from `spec.seed`; for the
+ * single-server engine, the one-server farm the paper's runtime runs
+ * on (singleServerFarm()) around that patched `perServer`. fatal() on
+ * an unknown strategy.
  */
 FarmRuntimeConfig farmConfigOf(const ScenarioSpec &spec);
+
+/** The scenario's workload: the registered one, idealized when
+ * `spec.idealizedWorkload` asks for it. */
+WorkloadSpec workloadOf(const ScenarioSpec &spec);
+
+/**
+ * Build the job source of a single-server or farm scenario over
+ * `trace`. Engines pull from it epoch by epoch — the stream is never
+ * materialized. The farm sees farm-size times the per-server trace
+ * load; a replay log is taken literally (its recorded stream IS the
+ * aggregate). fatal() on a bad source knob.
+ */
+std::unique_ptr<JobSource> sourceOf(const ScenarioSpec &spec,
+                                    const WorkloadSpec &workload,
+                                    const UtilizationTrace &trace);
 
 } // namespace sleepscale
 

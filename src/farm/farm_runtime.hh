@@ -167,6 +167,9 @@ struct FarmRuntimeConfig
     /** Safe fixed policy controllers fall back to in degraded mode
      * (default: full frequency, no sleep descent). */
     Policy degradedPolicy;
+
+    /** Field-wise equality. */
+    bool operator==(const FarmRuntimeConfig &) const = default;
 };
 
 /** Availability-plane counters of a fault-injected farm run. All

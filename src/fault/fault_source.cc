@@ -16,16 +16,6 @@ NoFaultSource::next(FaultEvent &)
     return false;
 }
 
-void
-NoFaultSource::reset(std::uint64_t)
-{}
-
-std::unique_ptr<FaultSource>
-NoFaultSource::clone() const
-{
-    return std::make_unique<NoFaultSource>();
-}
-
 // ------------------------------------------------------- MtbfFaultSource
 
 MtbfFaultSource::MtbfFaultSource(std::size_t farm_size, double mtbf,
@@ -38,17 +28,10 @@ MtbfFaultSource::MtbfFaultSource(std::size_t farm_size, double mtbf,
             "MtbfFaultSource: MTBF must be positive and finite");
     fatalIf(!(mttr > 0.0) || !std::isfinite(mttr),
             "MtbfFaultSource: MTTR must be positive and finite");
-    prime(seed);
-}
-
-void
-MtbfFaultSource::prime(std::uint64_t seed)
-{
     // One decorrelated stream per server, forked off the master seed,
     // so server i's schedule is invariant to how far the others have
     // been consumed.
     Rng master(seed);
-    _rngs.clear();
     _rngs.reserve(_farmSize);
     _pending.assign(_farmSize, FaultEvent{});
     for (std::size_t i = 0; i < _farmSize; ++i) {
@@ -77,20 +60,6 @@ MtbfFaultSource::next(FaultEvent &out)
                            : _rngs[pick].exponential(_mtbf);
     slot.down = !slot.down;
     return true;
-}
-
-void
-MtbfFaultSource::reset(std::uint64_t seed)
-{
-    prime(seed);
-}
-
-std::unique_ptr<FaultSource>
-MtbfFaultSource::clone() const
-{
-    // Rng and the pending slots are plain values — member-wise copy IS
-    // the full mid-stream state.
-    return std::unique_ptr<MtbfFaultSource>(new MtbfFaultSource(*this));
 }
 
 // ------------------------------------------------- CorrelatedFaultSource
@@ -145,23 +114,6 @@ CorrelatedFaultSource::next(FaultEvent &out)
     return true;
 }
 
-void
-CorrelatedFaultSource::reset(std::uint64_t seed)
-{
-    _rng = Rng(seed);
-    _queue.clear();
-    _cursor = 0;
-    _clock = 0.0;
-    scheduleOutage();
-}
-
-std::unique_ptr<FaultSource>
-CorrelatedFaultSource::clone() const
-{
-    return std::unique_ptr<CorrelatedFaultSource>(
-        new CorrelatedFaultSource(*this));
-}
-
 // --------------------------------------------------- ScriptedFaultSource
 
 ScriptedFaultSource::ScriptedFaultSource(std::size_t farm_size,
@@ -195,19 +147,6 @@ ScriptedFaultSource::next(FaultEvent &out)
         return false;
     out = _events[_cursor++];
     return true;
-}
-
-void
-ScriptedFaultSource::reset(std::uint64_t)
-{
-    _cursor = 0;
-}
-
-std::unique_ptr<FaultSource>
-ScriptedFaultSource::clone() const
-{
-    return std::unique_ptr<ScriptedFaultSource>(
-        new ScriptedFaultSource(*this));
 }
 
 // ----------------------------------------------------- registry, helpers

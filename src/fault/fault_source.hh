@@ -7,16 +7,14 @@
  * pull-based, seed-deterministic stream of timed events, consumed with
  * one-event lookahead by FarmRuntime, which drives each back-end
  * through the up -> draining -> down -> recovering -> up lifecycle in
- * ServerFarm. The same contract applies:
+ * ServerFarm. Its contract:
  *
  *  - next() yields events in non-decreasing time order and returns
  *    false forever once the schedule is exhausted (finite sources
  *    only; the MTBF/MTTR processes are endless and are bounded by the
  *    caller's horizon).
- *  - reset(seed) rewinds; equal seeds reproduce the stream
- *    bit-for-bit.
- *  - clone() duplicates mid-stream state, so a cloned source continues
- *    exactly where the original stood.
+ *  - Two sources built from equal configurations (seed included) yield
+ *    the same stream bit-for-bit.
  *
  * All randomness flows through the seeded Rng streams (util/rng.hh) —
  * never ambient entropy — so fault schedules derived from replication
@@ -49,6 +47,9 @@ struct FaultEvent
     /** True for a crash (server stops accepting work), false for a
      * recovery (server starts accepting again). */
     bool down = true;
+
+    /** Field-wise equality. */
+    bool operator==(const FaultEvent &) const = default;
 };
 
 /** Pull-based deterministic stream of crash/recovery events. */
@@ -64,13 +65,6 @@ class FaultSource
      * @return False when the schedule is exhausted (and forever after).
      */
     virtual bool next(FaultEvent &out) = 0;
-
-    /** Rewind; equal seeds reproduce the stream bit-for-bit. */
-    virtual void reset(std::uint64_t seed) = 0;
-
-    /** Duplicate mid-stream state: the clone continues exactly where
-     * this source stands, without disturbing it. */
-    virtual std::unique_ptr<FaultSource> clone() const = 0;
 };
 
 /** The empty schedule: no server ever fails. A farm driven by this
@@ -80,8 +74,6 @@ class NoFaultSource final : public FaultSource
 {
   public:
     bool next(FaultEvent &out) override;
-    void reset(std::uint64_t seed) override;
-    std::unique_ptr<FaultSource> clone() const override;
 };
 
 /**
@@ -103,8 +95,6 @@ class MtbfFaultSource final : public FaultSource
                     std::uint64_t seed);
 
     bool next(FaultEvent &out) override;
-    void reset(std::uint64_t seed) override;
-    std::unique_ptr<FaultSource> clone() const override;
 
   private:
     std::size_t _farmSize;
@@ -116,8 +106,6 @@ class MtbfFaultSource final : public FaultSource
 
     /** Each server's next pending transition (index-aligned). */
     std::vector<FaultEvent> _pending;
-
-    void prime(std::uint64_t seed);
 };
 
 /**
@@ -143,8 +131,6 @@ class CorrelatedFaultSource final : public FaultSource
                           double mtbf, double mttr, std::uint64_t seed);
 
     bool next(FaultEvent &out) override;
-    void reset(std::uint64_t seed) override;
-    std::unique_ptr<FaultSource> clone() const override;
 
   private:
     std::size_t _farmSize;
@@ -168,8 +154,8 @@ class CorrelatedFaultSource final : public FaultSource
 /**
  * A scripted crash/recovery trace: events are validated up front
  * (non-decreasing times, finite and non-negative, server indices in
- * range) and replayed verbatim. reset() ignores the seed — the script
- * IS the schedule. An empty script is the no-fault schedule.
+ * range) and replayed verbatim; there is no seed — the script IS the
+ * schedule. An empty script is the no-fault schedule.
  */
 class ScriptedFaultSource final : public FaultSource
 {
@@ -182,8 +168,6 @@ class ScriptedFaultSource final : public FaultSource
                         std::vector<FaultEvent> events);
 
     bool next(FaultEvent &out) override;
-    void reset(std::uint64_t seed) override;
-    std::unique_ptr<FaultSource> clone() const override;
 
   private:
     std::vector<FaultEvent> _events;

@@ -27,6 +27,9 @@ struct Policy
 
     /** Human-readable form, e.g. "f=0.42 C6S3". */
     std::string toString() const;
+
+    /** Field-wise equality. */
+    bool operator==(const Policy &) const = default;
 };
 
 /** Race-to-halt (paper [25]): run flat out, sleep immediately. */

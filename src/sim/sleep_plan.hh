@@ -29,6 +29,9 @@ struct SleepStage
 {
     LowPowerState state;     ///< The state entered.
     double enterAfter = 0.0; ///< τ, seconds after the queue empties.
+
+    /** Field-wise equality. */
+    bool operator==(const SleepStage &) const = default;
 };
 
 /**
@@ -77,6 +80,9 @@ class SleepPlan
 
     /** Human-readable form, e.g. "C0(i)S0(i)->C6S3@0.126". */
     std::string toString() const;
+
+    /** Stage-wise equality. */
+    bool operator==(const SleepPlan &) const = default;
 
   private:
     std::vector<SleepStage> _stages;

@@ -248,8 +248,7 @@ TEST(ControlLoop, ReconvergesWithinBoundedEpochsAfterLoadStep)
     TraceDrivenSource source(dns, trace, 11);
     const auto jobs = materialize(source);
 
-    StrategyKnobs knobs;
-    const RuntimeConfig config = strategyConfigByName("poet", knobs);
+    const RuntimeConfig config = strategyConfigByName("poet", {});
     const SleepScaleRuntime runtime(xeon, dns, config);
     NaivePreviousPredictor predictor(0.15);
     const RuntimeResult result = runtime.run(jobs, trace, predictor);
@@ -327,7 +326,7 @@ TEST(ControlDeterminism, TimingInstrumentationDoesNotPerturbResults)
     // state.
     const ScenarioSpec plain = stationarySpec("poet", 0.3);
     ScenarioSpec timed = plain;
-    timed.recordDecisionTime = true;
+    timed.loop.perServer.recordDecisionTime = true;
     const ScenarioResult a = ExperimentRunner::runScenario(plain);
     const ScenarioResult b = ExperimentRunner::runScenario(timed);
     EXPECT_EQ(a.energy, b.energy);
@@ -348,13 +347,13 @@ TEST(ControlDeterminism, PerServerFarmIsThreadWidthInvariant)
     base.source = "stationary";
     base.sourceUtilization = 0.25;
     base.strategy = "poet";
-    base.farmSize = 8;
-    base.farmControl = "per-server";
+    base.loop.farmSize = 8;
+    base.loop.control = "per-server";
     base.seed = 3;
     ScenarioSpec serial = base;
-    serial.decisionThreads = 1;
+    serial.loop.decisionThreads = 1;
     ScenarioSpec wide = base;
-    wide.decisionThreads = 8;
+    wide.loop.decisionThreads = 8;
 
     const ScenarioResult a = ExperimentRunner::runScenario(serial);
     const ScenarioResult b = ExperimentRunner::runScenario(wide);

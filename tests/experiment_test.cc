@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <fstream>
 #include <functional>
 #include <limits>
 #include <set>
@@ -24,6 +25,7 @@
 #include "power/platform_model.hh"
 #include "util/error.hh"
 #include "util/registry.hh"
+#include "util/rng.hh"
 #include "workload/job_source.hh"
 #include "workload/workload_spec.hh"
 
@@ -103,7 +105,7 @@ TEST(ScenarioSpec, ValidatesAndRealizesFlatTrace)
     spec.platform = "atom";
     spec.trace = {.kind = "flat", .flatLevel = 0.25, .flatMinutes = 45};
     spec.strategy = "DVFS";
-    spec.epochMinutes = 3;
+    spec.loop.perServer.epochMinutes = 3;
     spec.predictor = "NP";
     EXPECT_NO_THROW(spec.validate());
 
@@ -138,7 +140,7 @@ TEST(ScenarioSpec, RejectsUnknownComponentNames)
     EXPECT_TRUE(rejects([](ScenarioSpec &s) { s.predictor = "ARIMA"; }));
     EXPECT_TRUE(rejects([](ScenarioSpec &s) {
         s.engine = EngineKind::Farm;
-        s.dispatcher = "least-loaded";
+        s.loop.dispatcher = "least-loaded";
     }));
     EXPECT_TRUE(rejects([](ScenarioSpec &s) { s.platform = "epyc"; }));
     EXPECT_TRUE(rejects([](ScenarioSpec &s) { s.source = "psychic"; }));
@@ -154,9 +156,41 @@ TEST(ScenarioSpec, ReplayPathNeedsTheReplaySource)
         s.replayPath = "jobs.csv";
     }));
     EXPECT_TRUE(rejects([](ScenarioSpec &s) { s.replayPath = "jobs.csv"; }));
-    EXPECT_FALSE(rejects([](ScenarioSpec &s) {
+
+    // The replay source opens its log when the scenario is validated: a
+    // readable log passes, a missing one fails before anything runs.
+    const std::string log =
+        ::testing::TempDir() + "sleepscale_scenario_replay.csv";
+    std::ofstream(log) << "arrival,size\n1.0,0.5\n";
+    EXPECT_FALSE(rejects([log](ScenarioSpec &s) {
         s.source = "replay";
-        s.replayPath = "jobs.csv";
+        s.replayPath = log;
+    }));
+    EXPECT_TRUE(rejects([](ScenarioSpec &s) {
+        s.source = "replay";
+        s.replayPath = ::testing::TempDir() + "sleepscale_no_such_log.csv";
+    }));
+}
+
+TEST(ScenarioSpec, RejectsBadSourceKnobsAndTraces)
+{
+    // validate() builds a throwaway source over the realized trace, so
+    // these fail up front, naming the scenario, not mid-run.
+    EXPECT_TRUE(rejects([](ScenarioSpec &s) {
+        s.source = "stationary";
+        s.sourceUtilization = 2.0;
+    }));
+    EXPECT_TRUE(rejects([](ScenarioSpec &s) {
+        s.source = "bursty";
+        s.burstRateFactor = 0.5;
+    }));
+    EXPECT_TRUE(rejects([](ScenarioSpec &s) {
+        s.source = "bursty";
+        s.burstMeanLength = 0.0;
+    }));
+    EXPECT_TRUE(rejects([](ScenarioSpec &s) { s.sourceRateScale = 0.0; }));
+    EXPECT_TRUE(rejects([](ScenarioSpec &s) {
+        s.trace.kind = ::testing::TempDir() + "sleepscale_no_such_trace.csv";
     }));
 }
 
@@ -164,34 +198,34 @@ TEST(ScenarioSpec, FarmControlAndPlatformMixValidation)
 {
     EXPECT_FALSE(rejects([](ScenarioSpec &s) {
         s.engine = EngineKind::Farm;
-        s.farmSize = 4;
-        s.farmControl = "per-server";
-        s.farmPlatforms = {"xeon", "xeon", "atom", "atom"};
-        s.decisionThreads = 2;
+        s.loop.farmSize = 4;
+        s.loop.control = "per-server";
+        s.loop.platforms = {"xeon", "xeon", "atom", "atom"};
+        s.loop.decisionThreads = 2;
     }));
 
     EXPECT_TRUE(rejects([](ScenarioSpec &s) {
         s.engine = EngineKind::Farm;
-        s.farmControl = "per-rack";
+        s.loop.control = "per-rack";
     }));
     // One platform name per server, or none.
     EXPECT_TRUE(rejects([](ScenarioSpec &s) {
         s.engine = EngineKind::Farm;
-        s.farmSize = 2;
-        s.farmPlatforms = {"xeon", "atom", "xeon"};
+        s.loop.farmSize = 2;
+        s.loop.platforms = {"xeon", "atom", "xeon"};
     }));
     EXPECT_TRUE(rejects([](ScenarioSpec &s) {
         s.engine = EngineKind::Farm;
-        s.farmSize = 2;
-        s.farmControl = "per-server";
-        s.farmPlatforms = {"xeon", "epyc"};
+        s.loop.farmSize = 2;
+        s.loop.control = "per-server";
+        s.loop.platforms = {"xeon", "epyc"};
     }));
     // A heterogeneous mix requires autonomous per-server control.
     EXPECT_TRUE(rejects([](ScenarioSpec &s) {
         s.engine = EngineKind::Farm;
-        s.farmSize = 2;
-        s.farmControl = "farm-wide";
-        s.farmPlatforms = {"xeon", "atom"};
+        s.loop.farmSize = 2;
+        s.loop.control = "farm-wide";
+        s.loop.platforms = {"xeon", "atom"};
     }));
 }
 
@@ -202,10 +236,10 @@ TEST(ExperimentRunner, HeterogeneousFarmScenarioReportsPerServer)
     spec.engine = EngineKind::Farm;
     spec.trace = {.kind = "flat", .flatLevel = 0.25, .flatMinutes = 20};
     spec.predictor = "NP";
-    spec.farmSize = 2;
-    spec.dispatcher = "random";
-    spec.farmControl = "per-server";
-    spec.farmPlatforms = {"xeon", "atom"};
+    spec.loop.farmSize = 2;
+    spec.loop.dispatcher = "random";
+    spec.loop.control = "per-server";
+    spec.loop.platforms = {"xeon", "atom"};
     spec.seed = 33;
     const ScenarioResult result = ExperimentRunner::runScenario(spec);
 
@@ -240,11 +274,11 @@ TEST(ExpandGrid, FarmControlAxisExpands)
     base.engine = EngineKind::Farm;
     base.trace = {.kind = "flat", .flatLevel = 0.2, .flatMinutes = 20};
     const auto grid = expandGrid(
-        base, {sweep("control", &ScenarioSpec::farmControl,
+        base, {sweep("control", &FarmRuntimeConfig::control,
                      {"farm-wide", "per-server"})});
     ASSERT_EQ(grid.size(), 2u);
-    EXPECT_EQ(grid[0].farmControl, "farm-wide");
-    EXPECT_EQ(grid[1].farmControl, "per-server");
+    EXPECT_EQ(grid[0].loop.control, "farm-wide");
+    EXPECT_EQ(grid[1].loop.control, "per-server");
     EXPECT_NE(grid[1].label.find("control=per-server"),
               std::string::npos);
 }
@@ -268,8 +302,10 @@ TEST(ExperimentRunner, BurstySourceScenarioSmoke)
 
 TEST(ScenarioSpec, RejectsOutOfRangeKnobs)
 {
-    EXPECT_TRUE(rejects([](ScenarioSpec &s) { s.epochMinutes = 0; }));
-    EXPECT_TRUE(rejects([](ScenarioSpec &s) { s.rhoB = 1.5; }));
+    EXPECT_TRUE(rejects(
+        [](ScenarioSpec &s) { s.loop.perServer.epochMinutes = 0; }));
+    EXPECT_TRUE(
+        rejects([](ScenarioSpec &s) { s.loop.perServer.rhoB = 1.5; }));
     EXPECT_TRUE(rejects([](ScenarioSpec &s) {
         s.engine = EngineKind::Multicore;
         s.rho = 1.2;
@@ -280,7 +316,7 @@ TEST(ScenarioSpec, RejectsOutOfRangeKnobs)
     }));
     EXPECT_TRUE(rejects([](ScenarioSpec &s) {
         s.engine = EngineKind::Farm;
-        s.farmSize = 0;
+        s.loop.farmSize = 0;
     }));
 }
 
@@ -293,36 +329,36 @@ TEST(ScenarioSpec, LeavesLoopKnobsToTheEngineValidator)
     const double nan = std::numeric_limits<double>::quiet_NaN();
     const double inf = std::numeric_limits<double>::infinity();
     const std::vector<std::function<void(ScenarioSpec &)>> edits = {
-        [](ScenarioSpec &s) { s.overProvision = -1.0; },
-        [nan](ScenarioSpec &s) { s.rhoB = nan; },
+        [](ScenarioSpec &s) { s.loop.perServer.overProvision = -1.0; },
+        [nan](ScenarioSpec &s) { s.loop.perServer.rhoB = nan; },
         [nan](ScenarioSpec &s) {
             s.strategy = "poet";
-            s.controllerProcessNoise = nan;
+            s.loop.perServer.controller.emplace().processNoise = nan;
         },
         [nan](ScenarioSpec &s) {
             s.strategy = "poet";
-            s.controllerPole = nan;
+            s.loop.perServer.controller.emplace().pole = nan;
         },
         [nan](ScenarioSpec &s) {
             s.engine = EngineKind::Farm;
-            s.faults = "mtbf";
-            s.mtbf = nan;
+            s.loop.faults = "mtbf";
+            s.loop.mtbf = nan;
         },
         [nan](ScenarioSpec &s) {
             s.engine = EngineKind::Farm;
-            s.faults = "mtbf";
-            s.dropTimeout = nan;
+            s.loop.faults = "mtbf";
+            s.loop.dropTimeout = nan;
         },
         // +inf must fail as well: α = +inf runs with a meaningless
         // budget, and poet aborts mid-run on an infinite process noise.
-        [inf](ScenarioSpec &s) { s.overProvision = inf; },
+        [inf](ScenarioSpec &s) { s.loop.perServer.overProvision = inf; },
         [inf](ScenarioSpec &s) {
             s.strategy = "poet";
-            s.controllerProcessNoise = inf;
+            s.loop.perServer.controller.emplace().processNoise = inf;
         },
         [inf](ScenarioSpec &s) {
             s.strategy = "poet";
-            s.controllerMeasurementNoise = inf;
+            s.loop.perServer.controller.emplace().measurementNoise = inf;
         },
     };
     const PlatformModel xeon = PlatformModel::xeon();
@@ -336,6 +372,114 @@ TEST(ScenarioSpec, LeavesLoopKnobsToTheEngineValidator)
     }
 }
 
+TEST(ScenarioSpec, ControllerKnobsAreCheckedOnlyUnderPoet)
+{
+    // Only "poet" keeps the controller; every other strategy clears it,
+    // so its knobs are neither used nor checked there.
+    const auto zero_noise = [](const std::string &strategy) {
+        return [strategy](ScenarioSpec &s) {
+            s.strategy = strategy;
+            s.loop.perServer.controller.emplace().processNoise = 0.0;
+        };
+    };
+    EXPECT_FALSE(rejects(zero_noise("SS")));
+    EXPECT_TRUE(rejects(zero_noise("poet")));
+}
+
+// ------------------------------------------------ loop configuration
+
+TEST(ScenarioLoop, FarmConfigIsTheLoopPatchedAndSeeded)
+{
+    // farmConfigOf() copies spec.loop and changes only the strategy's
+    // patch and the two seeds it derives from spec.seed.
+    ScenarioSpec spec;
+    spec.engine = EngineKind::Farm;
+    spec.strategy = "SS(C3)";
+    spec.seed = 17;
+    spec.loop.farmSize = 6;
+    spec.loop.dispatcher = "JSQ";
+    spec.loop.control = "per-server";
+    spec.loop.shards = 2;
+    spec.loop.perServer.historyEpochs = 1;
+    spec.loop.dispatchSeed = 99; // Derived, so overridden.
+    FarmRuntimeConfig expected = spec.loop;
+    expected.perServer =
+        strategyConfigByName("SS(C3)", spec.loop.perServer);
+    expected.dispatchSeed = mixSeed(17);
+    expected.faultSeed = mixSeed(mixSeed(17));
+    EXPECT_TRUE(farmConfigOf(spec) == expected);
+
+    // The single-server engine runs the patched knobs on the one-server
+    // farm and ignores the farm knobs.
+    spec.engine = EngineKind::SingleServer;
+    EXPECT_TRUE(farmConfigOf(spec) == singleServerFarm(expected.perServer));
+}
+
+TEST(ScenarioLoop, EveryLoopKnobReachesTheEngine)
+{
+    // Knobs no scenario field used to mirror reach the engine through
+    // spec.loop.
+    ScenarioSpec spec;
+    spec.engine = EngineKind::Farm;
+    spec.loop.perServer.evalLogCap = 123;
+    spec.loop.perServer.historyEpochs = 2;
+    spec.loop.perServer.initialPolicy =
+        Policy{0.6, SleepPlan::immediate(LowPowerState::C3S0Idle)};
+    spec.loop.correlatedGroup = 3;
+    spec.loop.recoverySeconds = 12.5;
+    spec.loop.retryBackoffCap = 30.0;
+    spec.loop.faultScript = {{60.0, 1, true}, {300.0, 1, false}};
+    const FarmRuntimeConfig config = farmConfigOf(spec);
+    EXPECT_EQ(config.perServer.evalLogCap, 123u);
+    EXPECT_EQ(config.perServer.historyEpochs, 2u);
+    EXPECT_TRUE(config.perServer.initialPolicy ==
+                spec.loop.perServer.initialPolicy);
+    EXPECT_EQ(config.correlatedGroup, 3u);
+    EXPECT_EQ(config.recoverySeconds, 12.5);
+    EXPECT_EQ(config.retryBackoffCap, 30.0);
+    EXPECT_TRUE(config.faultScript == spec.loop.faultScript);
+}
+
+TEST(ScenarioLoop, ScriptedFaultScenarioMatchesTheEngine)
+{
+    // A scripted outage set on the scenario runs exactly as the same
+    // configuration does on FarmRuntime directly.
+    const std::vector<FaultEvent> script = {{300.0, 1, true},
+                                            {900.0, 1, false}};
+    ScenarioSpec spec;
+    spec.label = "scripted";
+    spec.engine = EngineKind::Farm;
+    spec.trace = {.kind = "flat", .flatLevel = 0.3, .flatMinutes = 30};
+    spec.predictor = "NP";
+    spec.seed = 5;
+    spec.loop.farmSize = 2;
+    spec.loop.faults = "scripted";
+    spec.loop.faultScript = script;
+    spec.loop.recoverySeconds = 30.0;
+    const ScenarioResult result = ExperimentRunner::runScenario(spec);
+
+    FarmRuntimeConfig config;
+    config.farmSize = 2;
+    config.dispatchSeed = mixSeed(5);
+    config.faults = "scripted";
+    config.faultScript = script;
+    config.recoverySeconds = 30.0;
+    config.perServer.overProvision = 0.35;
+    const PlatformModel xeon = PlatformModel::xeon();
+    const WorkloadSpec dns = dnsWorkload();
+    const UtilizationTrace trace = spec.trace.realize();
+    const FarmRuntime runtime(xeon, dns, config);
+    TraceDrivenSource source(dns, trace, 5, 2.0);
+    const auto predictor = makePredictor("NP", 10, trace.values());
+    const FarmRuntimeResult direct = runtime.run(source, trace, *predictor);
+
+    EXPECT_GT(direct.faults.downSeconds, 0.0);
+    EXPECT_EQ(result.extra("down_s"), direct.faults.downSeconds);
+    EXPECT_EQ(result.jobs, direct.total.arrivals);
+    EXPECT_EQ(result.energy, direct.total.energy);
+    EXPECT_EQ(result.meanResponse, direct.meanResponse());
+}
+
 // --------------------------------------------------------- sweep grids
 
 ScenarioSpec
@@ -344,7 +488,7 @@ flatBase()
     ScenarioSpec spec;
     spec.label = "base";
     spec.trace = {.kind = "flat", .flatLevel = 0.15, .flatMinutes = 30};
-    spec.overProvision = 0.0;
+    spec.loop.perServer.overProvision = 0.0;
     spec.predictor = "NP";
     spec.seed = 11;
     return spec;
@@ -354,7 +498,7 @@ TEST(ExpandGrid, CrossProductCountsAndLabels)
 {
     const auto grid = expandGrid(
         flatBase(),
-        {sweep("T", &ScenarioSpec::epochMinutes, {1, 5, 10, 15}),
+        {sweep("T", &RuntimeConfig::epochMinutes, {1, 5, 10, 15}),
          sweep("predictor", &ScenarioSpec::predictor, {"LC", "LMS", "NP"})});
     ASSERT_EQ(grid.size(), 12u);
 
@@ -364,11 +508,11 @@ TEST(ExpandGrid, CrossProductCountsAndLabels)
     EXPECT_EQ(labels.size(), 12u); // every label unique
 
     // First axis outermost, second innermost.
-    EXPECT_EQ(grid[0].epochMinutes, 1u);
+    EXPECT_EQ(grid[0].loop.perServer.epochMinutes, 1u);
     EXPECT_EQ(grid[0].predictor, "LC");
     EXPECT_EQ(grid[1].predictor, "LMS");
-    EXPECT_EQ(grid[3].epochMinutes, 5u);
-    EXPECT_EQ(grid.back().epochMinutes, 15u);
+    EXPECT_EQ(grid[3].loop.perServer.epochMinutes, 5u);
+    EXPECT_EQ(grid.back().loop.perServer.epochMinutes, 15u);
     EXPECT_EQ(grid.back().predictor, "NP");
     EXPECT_EQ(grid[0].label, "base T=1 predictor=LC");
 }
@@ -376,7 +520,7 @@ TEST(ExpandGrid, CrossProductCountsAndLabels)
 TEST(ExpandGrid, SharedSeedByDefaultDistinctWhenReseeding)
 {
     const SweepAxis epochs =
-        sweep("T", &ScenarioSpec::epochMinutes, {1, 5, 10});
+        sweep("T", &RuntimeConfig::epochMinutes, {1, 5, 10});
     const auto shared = expandGrid(flatBase(), {epochs});
     for (const ScenarioSpec &spec : shared)
         EXPECT_EQ(spec.seed, 11u);
@@ -398,9 +542,9 @@ TEST(ExpandGrid, SweepLabelsPrintTheValue)
             printed.push_back(point.first);
         return printed;
     };
-    EXPECT_EQ(labels(sweep("T", &ScenarioSpec::epochMinutes, {5, 15})),
+    EXPECT_EQ(labels(sweep("T", &RuntimeConfig::epochMinutes, {5, 15})),
               (std::vector<std::string>{"5", "15"}));
-    EXPECT_EQ(labels(sweep("alpha", &ScenarioSpec::overProvision,
+    EXPECT_EQ(labels(sweep("alpha", &RuntimeConfig::overProvision,
                            {0.0, 0.35})),
               (std::vector<std::string>{"0", "0.35"}));
     EXPECT_EQ(labels(sweep("pkg_delay", &ScenarioSpec::packageSleepDelay,
@@ -412,9 +556,9 @@ TEST(ExpandGrid, SweepLabelsPrintTheValue)
 
     // The mutator sets the swept field.
     const auto grid = expandGrid(
-        flatBase(), {sweep("servers", &ScenarioSpec::farmSize, {2, 8})});
+        flatBase(), {sweep("servers", &FarmRuntimeConfig::farmSize, {2, 8})});
     ASSERT_EQ(grid.size(), 2u);
-    EXPECT_EQ(grid[1].farmSize, 8u);
+    EXPECT_EQ(grid[1].loop.farmSize, 8u);
     EXPECT_EQ(grid[1].label, "base servers=8");
 }
 
@@ -455,8 +599,8 @@ TEST(ExperimentRunner, RejectsNonFiniteInputs)
             {"packingSpillBacklog NaN (farm, packing)",
              [nan](ScenarioSpec &s) {
                  s.engine = EngineKind::Farm;
-                 s.dispatcher = "packing";
-                 s.packingSpillBacklog = nan;
+                 s.loop.dispatcher = "packing";
+                 s.loop.packingSpillBacklog = nan;
              }},
             {"optEpsilon +inf",
              [](ScenarioSpec &s) {
@@ -525,7 +669,7 @@ TEST(ExperimentRunner, ParallelRunBitMatchesSequential)
     // stream is derived from the scenario's own seed.
     const std::vector<SweepAxis> axes = {
         sweep("strategy", &ScenarioSpec::strategy, {"SS", "R2H(C6)"}),
-        sweep("T", &ScenarioSpec::epochMinutes, {5, 10}),
+        sweep("T", &RuntimeConfig::epochMinutes, {5, 10}),
     };
 
     ExperimentRunner sequential(1);
@@ -628,7 +772,7 @@ TEST(ExperimentRunner, CaptureEpochsProducesPerEpochTable)
 
     // A farm captures its farm-level epochs the same way.
     spec.engine = EngineKind::Farm;
-    spec.farmSize = 2;
+    spec.loop.farmSize = 2;
     const ScenarioResult farm = ExperimentRunner::runScenario(spec);
     EXPECT_EQ(farm.epochs.rows.size(), farm.extra("epochs"));
     EXPECT_GT(farm.epochs.rows.size(), 0u);
@@ -668,10 +812,10 @@ TEST(ExperimentRunner, SingleServerScenarioIsAOneServerFarm)
     single.captureEpochs = true;
     ScenarioSpec farm = single;
     farm.engine = EngineKind::Farm;
-    farm.farmSize = 1;
-    farm.dispatcher = "round-robin";
-    farm.farmControl = "farm-wide";
-    farm.decisionThreads = 1;
+    farm.loop.farmSize = 1;
+    farm.loop.dispatcher = "round-robin";
+    farm.loop.control = "farm-wide";
+    farm.loop.decisionThreads = 1;
 
     const ScenarioResult a = ExperimentRunner::runScenario(single);
     const ScenarioResult b = ExperimentRunner::runScenario(farm);

@@ -65,9 +65,7 @@ TEST(FaultSources, NoFaultSourceIsEmpty)
     NoFaultSource source;
     FaultEvent event;
     EXPECT_FALSE(source.next(event));
-    source.reset(7);
     EXPECT_FALSE(source.next(event));
-    EXPECT_FALSE(source.clone()->next(event));
 }
 
 TEST(FaultSources, MtbfIsSeedDeterministic)
@@ -81,16 +79,15 @@ TEST(FaultSources, MtbfIsSeedDeterministic)
     const auto events = materializeFaults(*source, 50000.0);
     ASSERT_FALSE(events.empty());
 
-    // Equal seeds reproduce the stream bit-for-bit, via reset() and
-    // via an independently constructed source.
-    source->reset(42);
-    EXPECT_TRUE(sameEvents(events, materializeFaults(*source, 50000.0)));
+    // Equal seeds reproduce the stream bit-for-bit in an independently
+    // constructed source.
     const auto twin = makeFaultSource("mtbf", config);
     EXPECT_TRUE(sameEvents(events, materializeFaults(*twin, 50000.0)));
 
     // A different seed yields a different schedule.
-    source->reset(43);
-    EXPECT_FALSE(sameEvents(events, materializeFaults(*source, 50000.0)));
+    config.seed = 43;
+    const auto other = makeFaultSource("mtbf", config);
+    EXPECT_FALSE(sameEvents(events, materializeFaults(*other, 50000.0)));
 }
 
 TEST(FaultSources, MtbfAlternatesDownUpPerServer)
@@ -114,25 +111,6 @@ TEST(FaultSources, MtbfAlternatesDownUpPerServer)
         EXPECT_EQ(event.down, expect_down[event.server]);
         expect_down[event.server] = !event.down;
     }
-}
-
-TEST(FaultSources, MtbfCloneContinuesMidStream)
-{
-    FaultSourceConfig config;
-    config.farmSize = 2;
-    config.mtbf = 300.0;
-    config.mttr = 60.0;
-    config.seed = 5;
-    const auto source = makeFaultSource("mtbf", config);
-    FaultEvent event;
-    for (int i = 0; i < 7; ++i)
-        ASSERT_TRUE(source->next(event));
-    const auto clone = source->clone();
-    // The clone continues exactly where the original stands, and
-    // draining the clone does not disturb the original.
-    const auto from_clone = materializeFaults(*clone, 20000.0);
-    const auto from_source = materializeFaults(*source, 20000.0);
-    EXPECT_TRUE(sameEvents(from_clone, from_source));
 }
 
 TEST(FaultSources, CorrelatedOutagesCoverGroupsWithoutOverlap)
@@ -175,8 +153,8 @@ TEST(FaultSources, CorrelatedOutagesCoverGroupsWithoutOverlap)
     }
 
     // Determinism carries over to the correlated family too.
-    source->reset(11);
-    EXPECT_TRUE(sameEvents(events, materializeFaults(*source, 200000.0)));
+    const auto twin = makeFaultSource("correlated", config);
+    EXPECT_TRUE(sameEvents(events, materializeFaults(*twin, 200000.0)));
 }
 
 TEST(FaultSources, ScriptedReplaysVerbatimAndValidates)
@@ -192,8 +170,9 @@ TEST(FaultSources, ScriptedReplaysVerbatimAndValidates)
     FaultEvent event;
     EXPECT_FALSE(source->next(event)); // Exhausted, forever.
     EXPECT_FALSE(source->next(event));
-    source->reset(999); // Seed ignored: the script IS the schedule.
-    EXPECT_TRUE(sameEvents(script, materializeFaults(*source, 1e9)));
+    config.seed = 999; // Seed ignored: the script IS the schedule.
+    const auto reseeded = makeFaultSource("scripted", config);
+    EXPECT_TRUE(sameEvents(script, materializeFaults(*reseeded, 1e9)));
 
     // Validation up front: out-of-order times, out-of-range servers,
     // and non-finite times are configuration errors.
@@ -704,9 +683,8 @@ TEST(DegradedMode, StarvedServerFallsBackToSafePolicy)
     };
     for (const auto &mode : modes) {
         FarmRuntimeConfig config = faultRuntimeConfig(2, mode.control);
-        StrategyKnobs knobs;
-        knobs.epochMinutes = config.perServer.epochMinutes;
-        config.perServer = strategyConfigByName(mode.strategy, knobs);
+        config.perServer =
+            strategyConfigByName(mode.strategy, config.perServer);
         config.faults = "scripted";
         config.faultScript = {{310.0, 1, true}, {1500.0, 1, false}};
         // A fallback no decider would pick, so it is recognizable.
@@ -912,8 +890,8 @@ pinSpec(const std::string &workload, const std::string &control,
     spec.workload = workload;
     spec.trace = {.kind = "flat", .flatLevel = 0.3, .flatMinutes = 60};
     spec.strategy = strategy;
-    spec.farmSize = 3;
-    spec.farmControl = control;
+    spec.loop.farmSize = 3;
+    spec.loop.control = control;
     spec.seed = 1;
     return spec;
 }
@@ -966,40 +944,19 @@ hashEpochStream(std::uint64_t &hash, const std::vector<EpochReport> &epochs)
     }
 }
 
-/** The farm configuration a pin scenario describes (the runner does
- * not expose per-server epoch streams, so pins drive FarmRuntime
- * directly). */
-FarmRuntimeConfig
-pinConfig(const ScenarioSpec &spec)
-{
-    FarmRuntimeConfig config;
-    config.farmSize = spec.farmSize;
-    config.dispatcher = spec.dispatcher;
-    config.packingSpillBacklog = spec.packingSpillBacklog;
-    config.dispatchSeed = mixSeed(spec.seed);
-    config.control = spec.farmControl;
-    config.platforms = spec.farmPlatforms;
-    config.decisionThreads = spec.decisionThreads;
-    StrategyKnobs knobs;
-    knobs.epochMinutes = spec.epochMinutes;
-    knobs.overProvision = spec.overProvision;
-    knobs.rhoB = spec.rhoB;
-    knobs.qosMetric = spec.qosMetric;
-    config.perServer = strategyConfigByName(spec.strategy, knobs);
-    return config;
-}
-
+/** Run a pin scenario on FarmRuntime directly: the runner does not
+ * expose per-server epoch streams. */
 FarmRuntimeResult
-runPin(const ScenarioSpec &spec, const FarmRuntimeConfig &config)
+runPin(const ScenarioSpec &spec)
 {
-    const WorkloadSpec workload = workloadByName(spec.workload);
+    const WorkloadSpec workload = workloadOf(spec);
     const PlatformModel platform = platformByName(spec.platform);
     const UtilizationTrace trace = spec.trace.realize();
-    FarmRuntime runtime(platform, workload, config);
-    TraceDrivenSource source(workload, trace, spec.seed, spec.farmSize);
+    FarmRuntime runtime(platform, workload, farmConfigOf(spec));
+    const auto source = sourceOf(spec, workload, trace);
     const auto predictor = makePredictor(
         spec.predictor, spec.predictorHistory, trace.values());
-    return runtime.run(source, trace, *predictor);
+    return runtime.run(*source, trace, *predictor);
 }
 
 /** FNV hash of every decision stream (farm-level and per-server),
@@ -1045,7 +1002,7 @@ TEST(NoFaultPin, DecisionStreamsMatchTheFaultFreeRuntimeBitForBit)
     for (const auto &pin : decisionPins) {
         const ScenarioSpec spec =
             pinSpec(pin.workload, pin.control, pin.strategy);
-        const FarmRuntimeResult result = runPin(spec, pinConfig(spec));
+        const FarmRuntimeResult result = runPin(spec);
         EXPECT_EQ(decisionHash(result), pin.hash)
             << pin.workload << "/" << pin.control << "/" << pin.strategy;
 
@@ -1054,7 +1011,8 @@ TEST(NoFaultPin, DecisionStreamsMatchTheFaultFreeRuntimeBitForBit)
         EXPECT_EQ(result.faults.retries, 0u);
         EXPECT_EQ(result.faults.degradedEpochs, 0u);
         EXPECT_DOUBLE_EQ(result.faults.downSeconds, 0.0);
-        EXPECT_DOUBLE_EQ(result.faults.availability(spec.farmSize), 1.0);
+        EXPECT_DOUBLE_EQ(result.faults.availability(spec.loop.farmSize),
+                         1.0);
         EXPECT_DOUBLE_EQ(result.faults.goodput(), 1.0);
         expectConservation(result);
     }
@@ -1115,17 +1073,17 @@ TEST(FaultReplication, PairedComparisonQuantifiesOutageCost)
     faulty.label = "faults(correlated)";
     faulty.engine = EngineKind::Farm;
     faulty.trace = {.kind = "flat", .flatLevel = 0.3, .flatMinutes = 45};
-    faulty.farmSize = 2;
-    faulty.faults = "correlated";
-    faulty.mtbf = 900.0;
-    faulty.mttr = 120.0;
-    faulty.retryBackoff = 0.5;
-    faulty.dropTimeout = 240.0;
+    faulty.loop.farmSize = 2;
+    faulty.loop.faults = "correlated";
+    faulty.loop.mtbf = 900.0;
+    faulty.loop.mttr = 120.0;
+    faulty.loop.retryBackoff = 0.5;
+    faulty.loop.dropTimeout = 240.0;
     faulty.seed = 7;
     faulty.replications = 5;
     ScenarioSpec clean = faulty;
     clean.label = "no-fault";
-    clean.faults = "none";
+    clean.loop.faults = "none";
 
     const PairedComparison comparison = comparePaired(faulty, clean, 0);
 

@@ -281,8 +281,9 @@ TEST(PerServerControl, SecondRunRepeatsTheFirst)
         config.farmSize = 4;
         config.dispatcher = "JSQ";
         config.control = control;
-        config.perServer = strategyConfigByName(
-            strategy, {.epochMinutes = 5, .overProvision = 0.35});
+        config.perServer.overProvision = 0.35;
+        config.perServer =
+            strategyConfigByName(strategy, config.perServer);
         const FarmRuntime runtime(xeon, mail, config);
 
         LmsCusumPredictor p1(10), p2(10);

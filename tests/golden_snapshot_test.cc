@@ -55,9 +55,9 @@ goldenScenario(const std::string &workload)
     spec.trace = {.kind = "es", .days = 1, .seed = 20140614,
                   .windowStartHour = 2, .windowEndHour = 8};
     spec.strategy = "SS";
-    spec.epochMinutes = 5;
-    spec.overProvision = 0.35;
-    spec.rhoB = 0.8;
+    spec.loop.perServer.epochMinutes = 5;
+    spec.loop.perServer.overProvision = 0.35;
+    spec.loop.perServer.rhoB = 0.8;
     spec.predictor = "LC";
     spec.seed = 20140614;
     spec.captureEpochs = true;

@@ -33,9 +33,9 @@ class EndToEnd : public ::testing::Test
     runStrategy(const std::string &strategy, const std::vector<Job> &jobs,
                 const UtilizationTrace &trace) const
     {
-        const RuntimeConfig config = strategyConfigByName(
-            strategy,
-            {.epochMinutes = 5, .overProvision = 0.35, .rhoB = 0.8});
+        RuntimeConfig base;
+        base.overProvision = 0.35;
+        const RuntimeConfig config = strategyConfigByName(strategy, base);
         const SleepScaleRuntime runtime(xeon, dns, config);
         LmsCusumPredictor predictor(10);
         return runtime.run(jobs, trace, predictor);
@@ -72,8 +72,10 @@ TEST_F(EndToEnd, SleepScaleBeatsConventionalStrategiesOnPower)
 
     // ...and with perfect utilization knowledge (offline predictor,
     // 1-minute epochs) the budget itself is met.
-    RuntimeConfig genie = strategyConfigByName(
-        "SS", {.epochMinutes = 1, .overProvision = 0.35, .rhoB = 0.8});
+    RuntimeConfig genie_base;
+    genie_base.epochMinutes = 1;
+    genie_base.overProvision = 0.35;
+    const RuntimeConfig genie = strategyConfigByName("SS", genie_base);
     const SleepScaleRuntime genie_runtime(xeon, dns, genie);
     OfflinePredictor offline(window.values());
     const RuntimeResult genie_result =

@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
+#include <string>
 
 #include "core/predictor.hh"
 #include "core/runtime.hh"
@@ -136,8 +138,7 @@ TEST_F(RuntimeTest, DvfsOnlyNeverSleepsDeep)
 {
     const UtilizationTrace trace = flatTrace(30, 0.3);
     const auto jobs = jobsFor(trace);
-    const RuntimeConfig config = strategyConfigByName(
-        "DVFS", {.epochMinutes = 5, .overProvision = 0.0, .rhoB = 0.8});
+    const RuntimeConfig config = strategyConfigByName("DVFS", {});
     const SleepScaleRuntime runtime(xeon, dns, config);
     NaivePreviousPredictor predictor(0.3);
     const RuntimeResult result = runtime.run(jobs, trace, predictor);
@@ -232,15 +233,15 @@ TEST_F(RuntimeTest, OneServerFarmMatchesSingleServerRuntime)
     // run would pick.
     const UtilizationTrace trace =
         synthEmailStoreTrace(1, 20140614).dailyWindow(2, 5);
-    StrategyKnobs knobs;
-    knobs.overProvision = 0.35;
+    RuntimeConfig base;
+    base.overProvision = 0.35;
     for (const std::string workload_name : {"dns", "mail", "google"}) {
         const WorkloadSpec workload = workloadByName(workload_name);
         for (const std::string strategy :
              {"SS", "DVFS", "R2H(C6)", "poet"}) {
             const std::string label = workload_name + "/" + strategy;
             const RuntimeConfig config =
-                strategyConfigByName(strategy, knobs);
+                strategyConfigByName(strategy, base);
 
             const SleepScaleRuntime single(xeon, workload, config);
             TraceDrivenSource single_source(workload, trace, 20140614);
@@ -291,8 +292,27 @@ TEST_F(RuntimeTest, OneServerFarmMatchesSingleServerRuntime)
 
 TEST(Strategies, ConfigsEncodeTheRightRestrictions)
 {
-    const StrategyKnobs knobs{
-        .epochMinutes = 5, .overProvision = 0.35, .rhoB = 0.8};
+    // Patched onto a default RuntimeConfig, every strategy is the
+    // configuration it names, field for field: the full search, the
+    // search over one immediate sleep state, race-to-halt, or the
+    // default feedback controller.
+    std::map<std::string, RuntimeConfig> expected;
+    for (const std::string &name : strategyRegistry().names())
+        expected[name] = RuntimeConfig{};
+    ASSERT_EQ(expected.size(), 6u);
+    expected["SS(C3)"].space = PolicySpace::singlePlan(
+        SleepPlan::immediate(LowPowerState::C3S0Idle));
+    expected["DVFS"].space = PolicySpace::singlePlan(
+        SleepPlan::immediate(LowPowerState::C0IdleS0Idle));
+    expected["R2H(C3)"].fixedPolicy = raceToHalt(LowPowerState::C3S0Idle);
+    expected["R2H(C6)"].fixedPolicy = raceToHalt(LowPowerState::C6S0Idle);
+    expected["poet"].controller = ControllerConfig{};
+    for (const auto &[name, config] : expected)
+        EXPECT_TRUE(strategyConfigByName(name, RuntimeConfig{}) == config)
+            << name;
+
+    RuntimeConfig knobs;
+    knobs.overProvision = 0.35;
     const RuntimeConfig ss = strategyConfigByName("SS", knobs);
     EXPECT_EQ(ss.space.plans.size(), 5u);
     EXPECT_FALSE(ss.fixedPolicy.has_value());
@@ -312,6 +332,60 @@ TEST(Strategies, ConfigsEncodeTheRightRestrictions)
     ASSERT_TRUE(r2h.fixedPolicy.has_value());
     EXPECT_DOUBLE_EQ(r2h.fixedPolicy->frequency, 1.0);
     EXPECT_EQ(r2h.fixedPolicy->plan.deepest(), LowPowerState::C6S0Idle);
+}
+
+TEST(Strategies, PatchesKeepTheCallersKnobs)
+{
+    // A strategy touches only its decision rule; every knob the caller
+    // set survives it.
+    RuntimeConfig base;
+    base.epochMinutes = 3;
+    base.overProvision = 0.2;
+    base.rhoB = 0.7;
+    base.qosMetric = QosMetric::TailResponse;
+    base.searchThreads = 2;
+    base.evalLogCap = 500;
+    base.historyEpochs = 1;
+    base.recordDecisionTime = true;
+    base.initialPolicy =
+        Policy{0.5, SleepPlan::immediate(LowPowerState::C1S0Idle)};
+    for (const std::string &name : strategyRegistry().names()) {
+        const RuntimeConfig config = strategyConfigByName(name, base);
+        EXPECT_EQ(config.epochMinutes, 3u) << name;
+        EXPECT_EQ(config.overProvision, 0.2) << name;
+        EXPECT_EQ(config.rhoB, 0.7) << name;
+        EXPECT_EQ(config.qosMetric, QosMetric::TailResponse) << name;
+        EXPECT_EQ(config.searchThreads, 2u) << name;
+        EXPECT_EQ(config.evalLogCap, 500u) << name;
+        EXPECT_EQ(config.historyEpochs, 1u) << name;
+        EXPECT_TRUE(config.recordDecisionTime) << name;
+        EXPECT_TRUE(config.initialPolicy == base.initialPolicy) << name;
+    }
+
+    // A caller's controller reaches "poet" as set and no other
+    // strategy; a caller's fixed policy reaches none (race-to-halt pins
+    // its own).
+    ControllerConfig controller;
+    controller.pole = 0.5;
+    controller.periodEpochs = 3;
+    base.controller = controller;
+    base.fixedPolicy = raceToHalt(LowPowerState::C1S0Idle);
+    for (const std::string &name : strategyRegistry().names()) {
+        const RuntimeConfig config = strategyConfigByName(name, base);
+        if (name == "poet") {
+            EXPECT_TRUE(config.controller == controller);
+        } else {
+            EXPECT_FALSE(config.controller.has_value()) << name;
+        }
+        if (name.rfind("R2H", 0) == 0) {
+            ASSERT_TRUE(config.fixedPolicy.has_value()) << name;
+            EXPECT_EQ(config.fixedPolicy->plan.deepest(),
+                      name == "R2H(C3)" ? LowPowerState::C3S0Idle
+                                        : LowPowerState::C6S0Idle);
+        } else {
+            EXPECT_FALSE(config.fixedPolicy.has_value()) << name;
+        }
+    }
 }
 
 } // namespace

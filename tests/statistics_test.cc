@@ -139,7 +139,7 @@ shortScenario(const std::string &strategy = "SS")
     spec.label = "stat " + strategy;
     spec.trace = {.kind = "flat", .flatLevel = 0.2, .flatMinutes = 25};
     spec.strategy = strategy;
-    spec.overProvision = 0.35;
+    spec.loop.perServer.overProvision = 0.35;
     spec.predictor = "NP";
     spec.seed = 42;
     return spec;
@@ -335,7 +335,7 @@ TEST(PairedComparison, Fig9PolicyPairIsSignificantAtN20)
         spec.label = "fig9 pair " + strategy;
         spec.trace = {.kind = "flat", .flatLevel = 0.08, .flatMinutes = 25};
         spec.strategy = strategy;
-        spec.overProvision = 0.35;
+        spec.loop.perServer.overProvision = 0.35;
         spec.predictor = "NP";
         spec.seed = 42;
         spec.replications = 20;

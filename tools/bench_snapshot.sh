@@ -5,9 +5,13 @@
 #   tools/bench_snapshot.sh [build-dir]
 #
 # Runs bench_perf_policy_eval with JSON output and writes the result to
-# BENCH_policy_eval.json at the repo root. Compare snapshots across
-# commits to spot regressions in BM_SelectFromLog / BM_EvaluatePolicy10k.
-# BENCH_MIN_TIME (seconds per benchmark) tunes fidelity vs runtime.
+# BENCH_policy_eval.json at the repo root. Each BM_* runs 5 repetitions
+# and the file keeps only their aggregates (mean, median, stddev, cv),
+# so a snapshot shows its own host noise: compare medians across
+# commits, against the cv, to spot regressions in BM_SelectFromLog /
+# BM_EvaluatePolicy10k. BENCH_MIN_TIME (seconds per repetition) tunes
+# fidelity vs runtime. The CI search-ratio gate reads its own smoke
+# run (tools/ci.sh), not this file.
 #
 # Also runs bench_farm_faults --json into BENCH_farm_faults.json: the
 # goodput and energy-per-job overhead of server churn at {0%, 0.1%, 1%}
@@ -43,6 +47,8 @@ Benchmark)" >&2
 fi
 
 "$bench" --benchmark_min_time="${BENCH_MIN_TIME:-0.5}" \
+         --benchmark_repetitions=5 \
+         --benchmark_report_aggregates_only=true \
          --benchmark_format=json \
          > "$repo_root/BENCH_policy_eval.json"
 echo "wrote $repo_root/BENCH_policy_eval.json"

@@ -125,28 +125,33 @@ scenarioFromArgs(const CliArgs &args, EngineKind engine)
     spec.burstMeanGap = args.getDouble("burst-gap", 1800.0);
     spec.replayPath = args.get("replay", "");
     spec.strategy = args.get("strategy", "SS");
-    spec.epochMinutes = args.getUnsigned<unsigned>("T", 5);
-    spec.overProvision = args.getDouble("alpha", 0.35);
-    spec.rhoB = args.getDouble("rho-b", 0.8);
-    spec.qosMetric = metricByName(args.get("metric", "mean"));
     spec.predictor = args.get("predictor", "LC");
-    spec.controllerProcessNoise = args.getDouble("controller-q", 1e-4);
-    spec.controllerMeasurementNoise = args.getDouble("controller-r", 1e-2);
-    spec.controllerPole = args.getDouble("controller-pole", 0.0);
-    spec.controllerPeriod =
+    RuntimeConfig &knobs = spec.loop.perServer;
+    knobs.epochMinutes = args.getUnsigned<unsigned>("T", 5);
+    knobs.overProvision = args.getDouble("alpha", 0.35);
+    knobs.rhoB = args.getDouble("rho-b", 0.8);
+    knobs.qosMetric = metricByName(args.get("metric", "mean"));
+    // Only the "poet" strategy keeps the controller; the others clear
+    // it, so its flags go unchecked under them.
+    ControllerConfig &controller = knobs.controller.emplace();
+    controller.processNoise = args.getDouble("controller-q", 1e-4);
+    controller.measurementNoise = args.getDouble("controller-r", 1e-2);
+    controller.pole = args.getDouble("controller-pole", 0.0);
+    controller.periodEpochs =
         args.getUnsigned<unsigned>("controller-period", 1);
-    spec.recordDecisionTime = args.has("decision-time");
-    spec.farmSize = args.getUnsigned("servers", 4);
-    spec.dispatcher = args.get("dispatcher", "packing");
-    spec.farmControl = args.get("control", "farm-wide");
-    spec.decisionThreads = args.getUnsigned("decision-threads", 0);
-    spec.farmShards = args.getUnsigned("shards", 1);
-    spec.tailHistograms = !args.has("no-tail-histograms");
-    spec.faults = args.get("faults", "none");
-    spec.mtbf = args.getDouble("mtbf", 4.0 * 3600.0);
-    spec.mttr = args.getDouble("mttr", 300.0);
-    spec.retryBackoff = args.getDouble("retry-backoff", 1.0);
-    spec.dropTimeout = args.getDouble("drop-timeout", 300.0);
+    knobs.recordDecisionTime = args.has("decision-time");
+    FarmRuntimeConfig &farm = spec.loop;
+    farm.farmSize = args.getUnsigned("servers", 4);
+    farm.dispatcher = args.get("dispatcher", "packing");
+    farm.control = args.get("control", "farm-wide");
+    farm.decisionThreads = args.getUnsigned("decision-threads", 0);
+    farm.shards = args.getUnsigned("shards", 1);
+    farm.tailHistograms = !args.has("no-tail-histograms");
+    farm.faults = args.get("faults", "none");
+    farm.mtbf = args.getDouble("mtbf", 4.0 * 3600.0);
+    farm.mttr = args.getDouble("mttr", 300.0);
+    farm.retryBackoff = args.getDouble("retry-backoff", 1.0);
+    farm.dropTimeout = args.getDouble("drop-timeout", 300.0);
     spec.seed = args.getUnsigned("seed", 1);
     spec.replications = args.getUnsigned("replications", 1);
     spec.captureEpochs = args.has("epochs-csv");
@@ -161,15 +166,15 @@ scenarioFromArgs(const CliArgs &args, EngineKind engine)
     // (and pins the farm size to the list length); an explicit
     // --servers must agree rather than be silently overridden.
     if (args.has("platforms")) {
-        spec.farmPlatforms = args.getList("platforms");
+        farm.platforms = args.getList("platforms");
         fatalIf(args.has("servers") &&
-                    spec.farmSize != spec.farmPlatforms.size(),
+                    farm.farmSize != farm.platforms.size(),
                 "--platforms lists " +
-                    std::to_string(spec.farmPlatforms.size()) +
+                    std::to_string(farm.platforms.size()) +
                     " platforms but --servers asks for " +
                     args.get("servers", "") +
                     " (drop --servers or make them agree)");
-        spec.farmSize = spec.farmPlatforms.size();
+        farm.farmSize = farm.platforms.size();
     }
     fatalIf(spec.captureEpochs && spec.replications > 1,
             "--epochs-csv needs a single run (drop --replications)");
@@ -313,7 +318,7 @@ cmdRun(const CliArgs &args)
     }
     std::cout << '\n';
 
-    if (spec.recordDecisionTime)
+    if (spec.loop.perServer.recordDecisionTime)
         std::cout << "decision cost: "
                   << result.extra("decision_us_mean") << " µs mean, "
                   << result.extra("decision_us_p99") << " µs p99\n";
@@ -358,7 +363,7 @@ cmdTrace(const CliArgs &args)
 int
 cmdFaultCompare(const ScenarioSpec &spec, const CliArgs &args)
 {
-    fatalIf(spec.faults == "none",
+    fatalIf(spec.loop.faults == "none",
             "farm: --fault-compare needs a fault source "
             "(--faults mtbf | correlated | scripted)");
     fatalIf(spec.replications < 2,
@@ -366,9 +371,9 @@ cmdFaultCompare(const ScenarioSpec &spec, const CliArgs &args)
             "paired confidence intervals (the paper-style runs use 5)");
 
     ScenarioSpec faulty = spec;
-    faulty.label = "faults(" + spec.faults + ")";
+    faulty.label = "faults(" + spec.loop.faults + ")";
     ScenarioSpec clean = spec;
-    clean.faults = "none";
+    clean.loop.faults = "none";
     clean.label = "no-fault";
 
     const PairedComparison comparison =
@@ -377,7 +382,7 @@ cmdFaultCompare(const ScenarioSpec &spec, const CliArgs &args)
     std::cout << "paired fault vs no-fault ("
               << comparison.a.replications.size()
               << " replications, common random numbers; faults: "
-              << spec.faults << ")\n"
+              << spec.loop.faults << ")\n"
               << "availability:  "
               << comparison.a.metric("availability").toString() << '\n'
               << "goodput:       "
@@ -403,8 +408,8 @@ cmdFarm(const CliArgs &args)
         const ReplicatedResult replicated =
             ExperimentRunner::runReplicated(
                 spec, args.getUnsigned("threads", 0));
-        std::cout << "servers:       " << spec.farmSize << " ("
-                  << spec.dispatcher << ", " << spec.farmControl
+        std::cout << "servers:       " << spec.loop.farmSize << " ("
+                  << spec.loop.dispatcher << ", " << spec.loop.control
                   << " control)\n";
         printReplicatedSummary(replicated);
         std::cout << "\nper-server view (replication 0):\n";
@@ -415,8 +420,8 @@ cmdFarm(const CliArgs &args)
     const ScenarioResult result =
         ExperimentRunner::runScenario(spec);
 
-    std::cout << "servers:       " << spec.farmSize << " ("
-              << spec.dispatcher << ", " << spec.farmControl
+    std::cout << "servers:       " << spec.loop.farmSize << " ("
+              << spec.loop.dispatcher << ", " << spec.loop.control
               << " control)\n"
               << "jobs:          " << result.jobs << '\n'
               << "mean response: " << result.meanResponse << " s\n"
@@ -424,7 +429,7 @@ cmdFarm(const CliArgs &args)
               << result.extra("per_server_w") << " W/server)\n"
               << "within budget: "
               << (result.withinBudget ? "yes" : "no") << '\n';
-    if (spec.faults != "none") {
+    if (spec.loop.faults != "none") {
         std::cout << "availability:  " << result.extra("availability")
                   << "  (down " << result.extra("down_s") << " s)\n"
                   << "goodput:       " << result.extra("goodput")
@@ -434,7 +439,7 @@ cmdFarm(const CliArgs &args)
                   << "degraded time: " << result.extra("degraded_s")
                   << " s\n";
     }
-    if (spec.recordDecisionTime)
+    if (spec.loop.perServer.recordDecisionTime)
         std::cout << "decision cost: "
                   << result.extra("decision_us_mean") << " µs mean, "
                   << result.extra("decision_us_p99") << " µs p99\n";
@@ -462,10 +467,10 @@ cmdGrid(const CliArgs &args)
 
     std::vector<SweepAxis> axes;
     if (args.has("sweep-T"))
-        axes.push_back(sweep("T", &ScenarioSpec::epochMinutes,
+        axes.push_back(sweep("T", &RuntimeConfig::epochMinutes,
                              args.getUnsignedList<unsigned>("sweep-T")));
     if (args.has("sweep-alpha"))
-        axes.push_back(sweep("alpha", &ScenarioSpec::overProvision,
+        axes.push_back(sweep("alpha", &RuntimeConfig::overProvision,
                              args.getDoubleList("sweep-alpha")));
     if (args.has("sweep-predictor"))
         axes.push_back(sweep("predictor", &ScenarioSpec::predictor,
@@ -474,13 +479,13 @@ cmdGrid(const CliArgs &args)
         axes.push_back(sweep("strategy", &ScenarioSpec::strategy,
                              args.getList("sweep-strategy")));
     if (args.has("sweep-dispatcher"))
-        axes.push_back(sweep("dispatcher", &ScenarioSpec::dispatcher,
+        axes.push_back(sweep("dispatcher", &FarmRuntimeConfig::dispatcher,
                              args.getList("sweep-dispatcher")));
     if (args.has("sweep-control"))
-        axes.push_back(sweep("control", &ScenarioSpec::farmControl,
+        axes.push_back(sweep("control", &FarmRuntimeConfig::control,
                              args.getList("sweep-control")));
     if (args.has("sweep-servers"))
-        axes.push_back(sweep("servers", &ScenarioSpec::farmSize,
+        axes.push_back(sweep("servers", &FarmRuntimeConfig::farmSize,
                              args.getUnsignedList<std::size_t>(
                                  "sweep-servers")));
     fatalIf(axes.empty(),
