@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <string>
 
 #include "core/policy_space.hh"
@@ -34,32 +35,26 @@ constexpr std::size_t kMaxCoarsenings = 8;
 } // namespace
 
 OfflineOptInstance
-OfflineOptInstance::fromJobs(std::vector<Job> jobs, double horizon,
-                             double deadline_slack)
+OfflineOptInstance::fromJobs(std::vector<Job> jobs, double horizon)
 {
-    fatalIf(!(horizon >= 0.0),
-            "OfflineOptInstance: horizon must be non-negative");
-    fatalIf(!(deadline_slack > 0.0),
-            "OfflineOptInstance: deadlineSlack must be positive");
-    double last_arrival = 0.0;
+    fatalIf(!(horizon >= 0.0) || !std::isfinite(horizon),
+            "OfflineOptInstance: horizon must be finite and non-negative");
     for (std::size_t j = 0; j < jobs.size(); ++j) {
-        fatalIf(jobs[j].arrival < 0.0,
-                "OfflineOptInstance: negative arrival at job " +
-                    std::to_string(j));
+        fatalIf(!(jobs[j].arrival >= 0.0) || !std::isfinite(jobs[j].arrival),
+                "OfflineOptInstance: non-finite or negative arrival at "
+                "job " + std::to_string(j));
         fatalIf(j > 0 && jobs[j].arrival < jobs[j - 1].arrival,
                 "OfflineOptInstance: arrivals must be non-decreasing "
                 "(job " + std::to_string(j) + ")");
-        fatalIf(jobs[j].size < 0.0,
-                "OfflineOptInstance: negative size at job " +
+        fatalIf(!(jobs[j].size >= 0.0) || !std::isfinite(jobs[j].size),
+                "OfflineOptInstance: non-finite or negative size at job " +
                     std::to_string(j));
-        last_arrival = jobs[j].arrival;
     }
-    fatalIf(!jobs.empty() && horizon < last_arrival,
+    fatalIf(!jobs.empty() && horizon < jobs.back().arrival,
             "OfflineOptInstance: horizon precedes the last arrival");
     OfflineOptInstance instance;
     instance.jobs = std::move(jobs);
     instance.horizon = horizon;
-    instance.deadlineSlack = deadline_slack;
     return instance;
 }
 
@@ -165,7 +160,6 @@ struct ExactState
 {
     double c;
     double energy;
-    std::uint32_t violations;
     std::vector<std::uint16_t> path;
 };
 
@@ -179,7 +173,6 @@ struct GridState
     double energy;
     double cTrue;
     double energyTrue;
-    std::uint32_t violations;
 };
 
 } // namespace
@@ -188,83 +181,51 @@ OfflineOptResult
 OfflineOptimal::solveExact(const OfflineOptInstance &instance) const
 {
     const std::size_t n = instance.jobs.size();
-    const bool relaxed = !std::isfinite(instance.deadlineSlack);
-    const std::size_t fmax = _freqs.size() - 1;
 
     std::vector<JobCosts> costs;
     costs.reserve(n);
     for (const Job &job : instance.jobs)
         costs.push_back(jobCosts(job));
 
-    std::vector<ExactState> frontier{{0.0, 0.0, 0, {}}};
+    std::vector<ExactState> frontier{{0.0, 0.0, {}}};
     std::vector<ExactState> next;
     std::size_t peak = 1;
 
     for (std::size_t j = 0; j < n; ++j) {
-        const Job &job = instance.jobs[j];
-        const double deadline = job.arrival + instance.deadlineSlack;
         next.clear();
         for (const ExactState &state : frontier) {
-            const double start = std::max(state.c, job.arrival);
+            const double start = std::max(state.c, instance.jobs[j].arrival);
             const double gap = start - state.c;
-            const bool clamped =
-                !relaxed && start + costs[j].minService >
-                                deadline + kTimeTolerance;
             for (std::size_t k = 0; k < _freqs.size(); ++k) {
-                const double done = start + costs[j].service[k];
-                if (clamped) {
-                    if (k != fmax)
-                        continue;
-                } else if (!relaxed &&
-                           done > deadline + kTimeTolerance) {
-                    continue;
-                }
                 ExactState successor;
-                successor.c = done;
+                successor.c = start + costs[j].service[k];
                 successor.energy =
                     state.energy + costs[j].busyEnergy[k] +
                     (gap > 0.0 ? gapCost(gap, _activePower[k]) : 0.0);
-                successor.violations =
-                    state.violations + (clamped ? 1 : 0);
                 successor.path = state.path;
                 successor.path.push_back(
                     static_cast<std::uint16_t>(k));
                 next.push_back(std::move(successor));
             }
         }
-        fatalIf(next.empty(),
-                "OfflineOptimal::solveExact: no feasible transition at "
-                "job " + std::to_string(j));
         std::sort(next.begin(), next.end(),
                   [](const ExactState &a, const ExactState &b) {
                       if (a.c != b.c)
                           return a.c < b.c;
-                      if (a.energy != b.energy)
-                          return a.energy < b.energy;
-                      return a.violations < b.violations;
+                      return a.energy < b.energy;
                   });
+        // The future cost is non-increasing in the completion time, so
+        // (c_A >= c_B, E_A <= E_B) dominates exactly: sweep from the
+        // latest state down, keeping only strict energy improvements.
         frontier.clear();
-        if (relaxed) {
-            // Without deadlines the future cost is non-increasing in
-            // the completion time, so (c_A >= c_B, E_A <= E_B)
-            // dominates exactly: sweep from the latest state down,
-            // keeping only strict energy improvements.
-            for (std::size_t i = next.size(); i-- > 0;) {
-                if (i > 0 && next[i - 1].c == next[i].c)
-                    continue; // A cheaper state shares this c.
-                if (frontier.empty() ||
-                    next[i].energy < frontier.back().energy)
-                    frontier.push_back(std::move(next[i]));
-            }
-            std::reverse(frontier.begin(), frontier.end());
-        } else {
-            // Deadlines break late-is-better; only equal completion
-            // times are comparable.
-            for (std::size_t i = 0; i < next.size(); ++i) {
-                if (frontier.empty() || next[i].c != frontier.back().c)
-                    frontier.push_back(std::move(next[i]));
-            }
+        for (std::size_t i = next.size(); i-- > 0;) {
+            if (i > 0 && next[i - 1].c == next[i].c)
+                continue; // A cheaper state shares this c.
+            if (frontier.empty() ||
+                next[i].energy < frontier.back().energy)
+                frontier.push_back(std::move(next[i]));
         }
+        std::reverse(frontier.begin(), frontier.end());
         peak = std::max(peak, frontier.size());
         fatalIf(frontier.size() > _options.maxExactStates,
                 "OfflineOptimal::solveExact: frontier exceeded "
@@ -290,7 +251,6 @@ OfflineOptimal::solveExact(const OfflineOptInstance &instance) const
     result.energy = best_total;
     result.upperBound = best_total;
     result.elapsed = instance.horizon;
-    result.violations = best->violations;
     result.frontierPeak = peak;
     result.jobFrequencies.reserve(n);
     result.gapStates.reserve(n);
@@ -312,37 +272,21 @@ OfflineOptimal::GreedyBound
 OfflineOptimal::greedyUpperBound(const OfflineOptInstance &instance,
                                  const std::vector<JobCosts> &costs) const
 {
-    const bool relaxed = !std::isfinite(instance.deadlineSlack);
-    const std::size_t fmax = _freqs.size() - 1;
     double c = 0.0;
     double energy = 0.0;
     std::size_t gaps = 0;
     for (std::size_t j = 0; j < instance.jobs.size(); ++j) {
-        const Job &job = instance.jobs[j];
-        const double deadline = job.arrival + instance.deadlineSlack;
-        const double start = std::max(c, job.arrival);
+        const double start = std::max(c, instance.jobs[j].arrival);
         const double gap = start - c;
-        const bool clamped =
-            !relaxed &&
-            start + costs[j].minService > deadline + kTimeTolerance;
         double best_cost = 0.0;
-        std::size_t best_k = fmax;
-        bool found = false;
+        std::size_t best_k = 0;
         for (std::size_t k = 0; k < _freqs.size(); ++k) {
-            if (clamped) {
-                if (k != fmax)
-                    continue;
-            } else if (!relaxed && start + costs[j].service[k] >
-                                       deadline + kTimeTolerance) {
-                continue;
-            }
             const double cost =
                 costs[j].busyEnergy[k] +
                 (gap > 0.0 ? gapCost(gap, _activePower[k]) : 0.0);
-            if (!found || cost < best_cost) {
+            if (k == 0 || cost < best_cost) {
                 best_cost = cost;
                 best_k = k;
-                found = true;
             }
         }
         energy += best_cost;
@@ -362,8 +306,6 @@ OfflineOptimal::fptasPass(const OfflineOptInstance &instance,
                           std::size_t max_states) const
 {
     const std::size_t n = instance.jobs.size();
-    const bool relaxed = !std::isfinite(instance.deadlineSlack);
-    const std::size_t fmax = _freqs.size() - 1;
 
     // Suffixes of unavoidable busy energy and of slowest-possible
     // service time, for upper-bound pruning: whatever frequencies a
@@ -380,88 +322,63 @@ OfflineOptimal::fptasPass(const OfflineOptInstance &instance,
     const double prune_slack =
         1e-9 * std::max(1.0, upper_bound) + kTimeTolerance;
 
-    // Sort + per-cell dedupe + Pareto sweep. Relaxed instances keep,
-    // per cell, only states no later-and-cheaper state dominates;
-    // deadline-constrained ones keep the cheapest state per cell
-    // (violations break the monotone structure the sweep needs).
+    // Sort + per-cell dedupe + Pareto sweep: keep, per cell, only
+    // states no later-and-cheaper state dominates.
     const auto compact = [&](std::vector<GridState> &states) {
         std::sort(states.begin(), states.end(),
                   [](const GridState &a, const GridState &b) {
                       if (a.cell != b.cell)
                           return a.cell < b.cell;
-                      if (a.energy != b.energy)
-                          return a.energy < b.energy;
-                      return a.violations < b.violations;
+                      return a.energy < b.energy;
                   });
         std::vector<GridState> kept;
-        if (relaxed) {
-            double best_energy = 0.0;
-            bool have = false;
-            for (std::size_t i = states.size(); i-- > 0;) {
-                if (i > 0 && states[i - 1].cell == states[i].cell)
-                    continue; // A cheaper state shares the cell.
-                if (!have || states[i].energy < best_energy) {
-                    kept.push_back(states[i]);
-                    best_energy = states[i].energy;
-                    have = true;
-                }
-            }
-            std::reverse(kept.begin(), kept.end());
-            // Lipschitz dominance: finishing later by dc can save at
-            // most dc * (max relaxed idle power) on future gaps, so a
-            // later state whose energy premium over an earlier one
-            // exceeds dc * idleCeil can never catch up — dropping it
-            // is exact, and it kills the slow-frequency lineages whose
-            // backlog otherwise spreads the frontier at low load.
-            std::size_t out = 0;
-            double min_shifted = 0.0;
-            for (std::size_t i = 0; i < kept.size(); ++i) {
-                const double shifted =
-                    kept[i].energy - kept[i].cGrid * _idleCeil;
-                if (i == 0 || shifted < min_shifted) {
-                    kept[out++] = kept[i];
-                    min_shifted =
-                        i == 0 ? shifted : std::min(min_shifted, shifted);
-                }
-            }
-            kept.resize(out);
-        } else {
-            for (std::size_t i = 0; i < states.size(); ++i) {
-                if (kept.empty() || states[i].cell != kept.back().cell)
-                    kept.push_back(states[i]);
+        double best_energy = 0.0;
+        for (std::size_t i = states.size(); i-- > 0;) {
+            if (i > 0 && states[i - 1].cell == states[i].cell)
+                continue; // A cheaper state shares the cell.
+            if (kept.empty() || states[i].energy < best_energy) {
+                kept.push_back(states[i]);
+                best_energy = states[i].energy;
             }
         }
+        std::reverse(kept.begin(), kept.end());
+        // Lipschitz dominance: finishing later by dc can save at most
+        // dc * (max relaxed idle power) on future gaps, so a later
+        // state whose energy premium over an earlier one exceeds
+        // dc * idleCeil can never catch up — dropping it is exact, and
+        // it kills the slow-frequency lineages whose backlog otherwise
+        // spreads the frontier at low load.
+        std::size_t out = 0;
+        double min_shifted = 0.0;
+        for (std::size_t i = 0; i < kept.size(); ++i) {
+            const double shifted =
+                kept[i].energy - kept[i].cGrid * _idleCeil;
+            if (i == 0 || shifted < min_shifted) {
+                kept[out++] = kept[i];
+                min_shifted =
+                    i == 0 ? shifted : std::min(min_shifted, shifted);
+            }
+        }
+        kept.resize(out);
         states.swap(kept);
     };
 
-    std::vector<GridState> frontier{{0, 0.0, 0.0, 0.0, 0.0, 0}};
+    std::vector<GridState> frontier{{0, 0.0, 0.0, 0.0, 0.0}};
     std::vector<GridState> next;
     std::size_t peak = 1;
     std::size_t coarsenings = 0;
     double debt = 0.0;
 
     for (std::size_t j = 0; j < n; ++j) {
-        const Job &job = instance.jobs[j];
-        const double deadline = job.arrival + instance.deadlineSlack;
+        const double arrival = instance.jobs[j].arrival;
         next.clear();
         for (const GridState &state : frontier) {
-            const double start = std::max(state.cGrid, job.arrival);
+            const double start = std::max(state.cGrid, arrival);
             const double gap = start - state.cGrid;
-            const double start_true =
-                std::max(state.cTrue, job.arrival);
+            const double start_true = std::max(state.cTrue, arrival);
             const double gap_true = start_true - state.cTrue;
-            const bool clamped =
-                !relaxed && start + costs[j].minService >
-                                deadline + kTimeTolerance;
             for (std::size_t k = 0; k < _freqs.size(); ++k) {
                 const double done = start + costs[j].service[k];
-                if (clamped) {
-                    if (k != fmax)
-                        continue;
-                } else if (!relaxed &&
-                           done > deadline + kTimeTolerance) {
-                    continue;
-                }
                 GridState successor;
                 // Round the completion *up*: gaps can only shrink, so
                 // the grid value stays a valid lower bound.
@@ -478,8 +395,6 @@ OfflineOptimal::fptasPass(const OfflineOptInstance &instance,
                     (gap_true > 0.0
                          ? gapCost(gap_true, _activePower[k])
                          : 0.0);
-                successor.violations =
-                    state.violations + (clamped ? 1 : 0);
                 // A state whose certain remaining floor already beats
                 // the incumbent upper bound cannot be optimal. The
                 // threshold carries the accumulated merge debt: after
@@ -512,7 +427,7 @@ OfflineOptimal::fptasPass(const OfflineOptInstance &instance,
         // costs the optimal path at most eta per step (its merge target
         // trails it by < eta in guaranteed total); the accumulated debt
         // is subtracted from the reported bound, keeping it certified.
-        if (relaxed && merge_eta > 0.0 && next.size() > kSoftFrontier) {
+        if (merge_eta > 0.0 && next.size() > kSoftFrontier) {
             std::size_t out = 1;
             double last_shifted =
                 next[0].energy - next[0].cGrid * _idleCeil;
@@ -565,7 +480,6 @@ OfflineOptimal::fptasPass(const OfflineOptInstance &instance,
 
     double best_lower = 0.0;
     double best_upper = 0.0;
-    std::uint32_t violations = 0;
     bool have = false;
     for (const GridState &state : frontier) {
         const double lower =
@@ -574,10 +488,8 @@ OfflineOptimal::fptasPass(const OfflineOptInstance &instance,
         const double upper =
             state.energyTrue +
             _idleFloor * std::max(0.0, instance.horizon - state.cTrue);
-        if (!have || lower < best_lower) {
+        if (!have || lower < best_lower)
             best_lower = lower;
-            violations = state.violations;
-        }
         if (!have || upper < best_upper)
             best_upper = upper;
         have = true;
@@ -587,7 +499,6 @@ OfflineOptimal::fptasPass(const OfflineOptInstance &instance,
     out.energy = best_lower - debt;
     out.upperBound = std::min(best_upper, upper_bound);
     out.elapsed = instance.horizon;
-    out.violations = violations;
     out.frontierPeak = peak;
     out.coarsenings = coarsenings;
     out.mergeDebt = debt;
@@ -703,7 +614,6 @@ OfflineOptimal::solve(const OfflineOptInstance &instance) const
             }
             best.upperBound =
                 std::min(best.upperBound, attempt.upperBound);
-            best.violations = attempt.violations;
             best.frontierPeak =
                 std::max(best.frontierPeak, attempt.frontierPeak);
         }
@@ -721,7 +631,6 @@ OfflineOptimal::solve(const OfflineOptInstance &instance) const
 
     result.energy = best.energy;
     result.upperBound = best.upperBound;
-    result.violations = best.violations;
     result.frontierPeak = best.frontierPeak;
     result.coarsenings = coarsenings;
     result.mergeDebt = merge_debt;

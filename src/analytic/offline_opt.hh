@@ -42,7 +42,6 @@
 
 #include <array>
 #include <cstddef>
-#include <limits>
 #include <vector>
 
 #include "power/low_power_state.hh"
@@ -54,34 +53,26 @@ namespace sleepscale {
 
 /**
  * A completed job log handed to the offline solver, plus the
- * accounting horizon and an optional per-job deadline slack.
+ * accounting horizon.
  */
 struct OfflineOptInstance
 {
-    /** Jobs in arrival order (non-decreasing arrivals, sizes >= 0). */
+    /** Jobs in arrival order (non-decreasing finite arrivals, finite
+     * sizes >= 0). */
     std::vector<Job> jobs;
 
-    /** Accounting horizon in seconds (>= the last arrival); idle is
-     * billed through it, mirroring SleepScaleRuntime's bookkeeping. */
+    /** Accounting horizon in seconds (finite, >= the last arrival);
+     * idle is billed through it, mirroring SleepScaleRuntime's
+     * bookkeeping. */
     double horizon = 0.0;
 
     /**
-     * Per-job deadline slack: job j must complete by arrival + slack.
-     * The default (infinity) is the relaxed oracle used for regret —
-     * strategies meeting a *mean-response* QoS budget still violate
-     * per-job deadlines on service-time tails, so only the relaxed
-     * bound is guaranteed to lower-bound every simulated strategy.
+     * Validate and build an instance; fatal() on non-finite, negative
+     * or out-of-order arrivals, non-finite or negative sizes, or a
+     * non-finite horizon or one before the last arrival.
      */
-    double deadlineSlack = std::numeric_limits<double>::infinity();
-
-    /**
-     * Validate and build an instance; fatal() on out-of-order
-     * arrivals, negative sizes, or a horizon before the last arrival.
-     */
-    static OfflineOptInstance
-    fromJobs(std::vector<Job> jobs, double horizon,
-             double deadline_slack =
-                 std::numeric_limits<double>::infinity());
+    static OfflineOptInstance fromJobs(std::vector<Job> jobs,
+                                       double horizon);
 };
 
 /** Tuning knobs of the offline solver. */
@@ -123,10 +114,6 @@ struct OfflineOptResult
     /** Certified bracket width actually achieved:
      * upperBound / energy - 1 (0 when energy is 0). */
     double epsilonEffective = 0.0;
-
-    /** Deadline clamp-and-count events (deadline-constrained instances
-     * where even the fastest frequency misses; 0 when relaxed). */
-    std::size_t violations = 0;
 
     /** Peak DP frontier size (diagnostics). */
     std::size_t frontierPeak = 0;

@@ -20,7 +20,7 @@ PolicyEvalEngine::PolicyEvalEngine(const PlatformModel &platform,
     fatalIf(_space.plans.empty() || _space.frequencies.empty(),
             "PolicyEvalEngine: empty policy space");
     for (double f : _space.frequencies) {
-        fatalIf(f <= 0.0 || f > 1.0,
+        fatalIf(!(f > 0.0 && f <= 1.0),
                 "PolicyEvalEngine: frequencies must be in (0, 1]");
     }
 

@@ -9,9 +9,9 @@ namespace sleepscale {
 std::vector<double>
 PolicySpace::frequencyGrid(double lo, double hi, double step)
 {
-    fatalIf(lo <= 0.0 || hi > 1.0 || lo > hi,
+    fatalIf(!(lo > 0.0 && lo <= hi && hi <= 1.0),
             "PolicySpace::frequencyGrid: need 0 < lo <= hi <= 1");
-    fatalIf(step <= 0.0, "PolicySpace::frequencyGrid: step must be > 0");
+    fatalIf(!(step > 0.0), "PolicySpace::frequencyGrid: step must be > 0");
     std::vector<double> grid;
     for (double f = lo; f < hi - 1e-12; f += step)
         grid.push_back(f);

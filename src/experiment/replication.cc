@@ -318,7 +318,7 @@ ExperimentRunner::runReplicated(double confidence) const
         replication.seed =
             replicationSeed(base.seed, item - offsets[scenario_index]);
         replication.replications = 1;
-        flat[item] = runScenario(replication);
+        flat[item] = runQueued(replication);
     });
 
     results.reserve(specs.size());

@@ -290,6 +290,12 @@ ScenarioResult
 ExperimentRunner::runScenario(const ScenarioSpec &spec)
 {
     spec.validate();
+    return runQueued(spec);
+}
+
+ScenarioResult
+ExperimentRunner::runQueued(const ScenarioSpec &spec)
+{
     switch (spec.engine) {
       case EngineKind::SingleServer:
       case EngineKind::Farm:
@@ -312,7 +318,7 @@ ExperimentRunner::run() const
     ThreadPool pool(std::min(_threads, _scenarios.size()));
     pool.parallelFor(_scenarios.size(),
                      [&](std::size_t i, std::size_t) {
-                         results[i] = runScenario(_scenarios[i]);
+                         results[i] = runQueued(_scenarios[i]);
                      });
     return results;
 }

@@ -184,7 +184,8 @@ class ExperimentRunner
      */
     explicit ExperimentRunner(std::size_t threads = 0);
 
-    /** Queue one scenario. */
+    /** Validate and queue one scenario; run() and runReplicated()
+     * do not validate it again. */
     ExperimentRunner &add(ScenarioSpec spec);
 
     /** Queue a whole sweep grid (see expandGrid). */
@@ -238,6 +239,10 @@ class ExperimentRunner
                                           double confidence = 0.95);
 
   private:
+    /** runScenario() without the validation: for scenarios add()
+     * already validated (and their per-replication reseeds). */
+    static ScenarioResult runQueued(const ScenarioSpec &spec);
+
     std::size_t _threads;
     std::vector<ScenarioSpec> _scenarios;
 };

@@ -84,8 +84,8 @@ struct TraceSpec
 
 /**
  * One fully specified experiment. validate(), which ExperimentRunner
- * calls before it runs a spec, cross-checks every component name
- * against its registry and every knob against its range.
+ * calls once per spec before it runs, cross-checks every component
+ * name against its registry and every knob against its range.
  */
 struct ScenarioSpec
 {

@@ -397,6 +397,22 @@ validateFarmConfig(const FarmRuntimeConfig &config, const WorkloadSpec &spec)
             "FarmRuntime: evalLogCap must be at least 2");
     fatalIf(per_server.historyEpochs == 0,
             "FarmRuntime: historyEpochs must be positive");
+    // The candidate space and every policy the loop may apply. A
+    // frequency outside (0, 1], NaN included, would otherwise stop the
+    // run mid-way or run it at NaN power. Plans check their own stages.
+    const auto check_frequency = [](double f, const std::string &what) {
+        fatalIf(!(f > 0.0 && f <= 1.0),
+                "FarmRuntime: " + what + " frequency must be in (0, 1]");
+    };
+    fatalIf(per_server.space.plans.empty() ||
+                per_server.space.frequencies.empty(),
+            "FarmRuntime: the policy space needs at least one plan and "
+            "one frequency");
+    for (double f : per_server.space.frequencies)
+        check_frequency(f, "policy-space");
+    check_frequency(per_server.initialPolicy.frequency, "initialPolicy");
+    if (per_server.fixedPolicy)
+        check_frequency(per_server.fixedPolicy->frequency, "fixedPolicy");
     // ρ_b and the metric: the factory that builds the run's budget.
     QosConstraint::fromBaseline(per_server.qosMetric, per_server.rhoB,
                                 spec.serviceMean);
@@ -432,6 +448,8 @@ validateFarmConfig(const FarmRuntimeConfig &config, const WorkloadSpec &spec)
         fatalIf(!(config.recoverySeconds >= 0.0) ||
                     !std::isfinite(config.recoverySeconds),
                 "FarmRuntime: recoverySeconds must be finite and >= 0");
+        // Only fault-injected runs fall back to the degraded policy.
+        check_frequency(config.degradedPolicy.frequency, "degradedPolicy");
     }
     if (config.platforms.empty())
         return;

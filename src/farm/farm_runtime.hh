@@ -400,8 +400,9 @@ class FarmRuntime
 
 /**
  * The one range check of every loop-engine knob (ρ_b through the QoS
- * factory, the poet ControllerConfig included; NaN and infinities fail
- * every check that needs a finite value),
+ * factory, the poet ControllerConfig, a non-empty policy space and the
+ * frequency of every candidate and loop policy included; NaN and
+ * infinities fail every check that needs a finite value),
  * run by the FarmRuntime constructor and, before any runtime exists, by
  * ScenarioSpec::validate(). fatal() on the first bad knob.
  *

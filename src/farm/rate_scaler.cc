@@ -16,7 +16,7 @@ DistributedRateScaler::DistributedRateScaler(
     fatalIf(_frequencies.empty(),
             "DistributedRateScaler: need at least one frequency");
     for (double f : _frequencies)
-        fatalIf(f <= 0.0 || f > 1.0,
+        fatalIf(!(f > 0.0 && f <= 1.0),
                 "DistributedRateScaler: frequencies must be in (0, 1]");
     fatalIf(_options.targetUtilization <= 0.0 ||
                 _options.targetUtilization > 1.0,

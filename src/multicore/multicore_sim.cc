@@ -22,7 +22,7 @@ MulticoreSim::MulticoreSim(const PlatformModel &platform,
 void
 MulticoreSim::rebuildDerived()
 {
-    fatalIf(_policy.frequency <= 0.0 || _policy.frequency > 1.0,
+    fatalIf(!(_policy.frequency > 0.0 && _policy.frequency <= 1.0),
             "MulticoreSim: frequency must be in (0, 1]");
     fatalIf(_policy.corePlan.deepest() == LowPowerState::C6S3,
             "MulticoreSim: C6S3 is a package state; core plans may "

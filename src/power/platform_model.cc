@@ -69,7 +69,7 @@ PlatformModel::validate() const
 double
 PlatformModel::activePower(double f) const
 {
-    fatalIf(f <= 0.0 || f > 1.0,
+    fatalIf(!(f > 0.0 && f <= 1.0),
             "PlatformModel::activePower: f must be in (0, 1]");
     return _cpu.activeCoeff * f * f * f + _platform.s0Active;
 }
@@ -77,7 +77,7 @@ PlatformModel::activePower(double f) const
 double
 PlatformModel::lowPower(LowPowerState state, double f) const
 {
-    fatalIf(f <= 0.0 || f > 1.0,
+    fatalIf(!(f > 0.0 && f <= 1.0),
             "PlatformModel::lowPower: f must be in (0, 1]");
     switch (state) {
       case LowPowerState::C0IdleS0Idle:

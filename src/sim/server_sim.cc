@@ -336,7 +336,7 @@ ServerSim::offerJob(const Job &job)
 void
 ServerSim::setPolicy(const Policy &policy, double t)
 {
-    fatalIf(policy.frequency <= 0.0 || policy.frequency > 1.0,
+    fatalIf(!(policy.frequency > 0.0 && policy.frequency <= 1.0),
             "ServerSim::setPolicy: frequency must be in (0, 1]");
     advanceTo(t);
     _policy = policy;

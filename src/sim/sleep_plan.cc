@@ -16,7 +16,8 @@ SleepPlan::SleepPlan(std::vector<SleepStage> stages)
             "(enterAfter = 0); use a C0(i)S0(i) first stage to model a "
             "delayed descent");
     for (std::size_t i = 1; i < _stages.size(); ++i) {
-        fatalIf(_stages[i].enterAfter <= _stages[i - 1].enterAfter,
+        // Negated so a NaN delay fails too.
+        fatalIf(!(_stages[i].enterAfter > _stages[i - 1].enterAfter),
                 "SleepPlan: entry delays must strictly increase");
         fatalIf(depthIndex(_stages[i].state) <=
                     depthIndex(_stages[i - 1].state),
@@ -33,10 +34,8 @@ SleepPlan::immediate(LowPowerState state)
 SleepPlan
 SleepPlan::delayed(LowPowerState state, double delay)
 {
-    fatalIf(delay <= 0.0, "SleepPlan::delayed: delay must be positive");
-    fatalIf(state == LowPowerState::C0IdleS0Idle,
-            "SleepPlan::delayed: the delayed state must be deeper than "
-            "C0(i)S0(i)");
+    // The constructor rejects a delay that is not > 0 (NaN included)
+    // and a state no deeper than C0(i)S0(i).
     return SleepPlan({{LowPowerState::C0IdleS0Idle, 0.0}, {state, delay}});
 }
 

@@ -1,7 +1,6 @@
 #include "workload/job_source.hh"
 
 #include <cmath>
-#include <numbers>
 #include <sstream>
 #include <utility>
 
@@ -456,120 +455,6 @@ class MergeSource final : public JobSource
     bool _primed = false;
 };
 
-class ScaleSource final : public JobSource
-{
-  public:
-    ScaleSource(std::unique_ptr<JobSource> source, double rate_scale,
-                double size_scale)
-        : _source(std::move(source)), _rateScale(rate_scale),
-          _sizeScale(size_scale)
-    {
-        fatalIf(!_source, "scale: null source");
-        fatalIf(rate_scale <= 0.0 || size_scale <= 0.0,
-                "scale: factors must be positive");
-    }
-
-    bool next(Job &out) override
-    {
-        if (!_source->next(out))
-            return false;
-        out.arrival /= _rateScale;
-        out.size *= _sizeScale;
-        return true;
-    }
-
-    void reset(std::uint64_t seed) override { _source->reset(seed); }
-
-    std::unique_ptr<JobSource> clone() const override
-    {
-        return std::make_unique<ScaleSource>(_source->clone(),
-                                             _rateScale, _sizeScale);
-    }
-
-  private:
-    std::unique_ptr<JobSource> _source;
-    double _rateScale;
-    double _sizeScale;
-};
-
-class ThinSource final : public JobSource
-{
-  public:
-    ThinSource(std::unique_ptr<JobSource> source, double keep_prob,
-               std::uint64_t seed)
-        : _source(std::move(source)), _keepProb(keep_prob), _rng(seed)
-    {
-        fatalIf(!_source, "thin: null source");
-        fatalIf(keep_prob <= 0.0 || keep_prob > 1.0,
-                "thin: keep probability must be in (0, 1]");
-    }
-
-    bool next(Job &out) override
-    {
-        while (_source->next(out)) {
-            if (_rng.uniform() < _keepProb)
-                return true;
-        }
-        return false;
-    }
-
-    void reset(std::uint64_t seed) override
-    {
-        _source->reset(mixSeed(seed));
-        _rng = Rng(seed);
-    }
-
-    std::unique_ptr<JobSource> clone() const override
-    {
-        auto copy = std::make_unique<ThinSource>(_source->clone(),
-                                                 _keepProb, 0);
-        copy->_rng = _rng;
-        return copy;
-    }
-
-  private:
-    std::unique_ptr<JobSource> _source;
-    double _keepProb;
-    Rng _rng;
-};
-
-class TakeSource final : public JobSource
-{
-  public:
-    TakeSource(std::unique_ptr<JobSource> source, std::size_t count)
-        : _source(std::move(source)), _count(count)
-    {
-        fatalIf(!_source, "take: null source");
-    }
-
-    bool next(Job &out) override
-    {
-        if (_taken >= _count || !_source->next(out))
-            return false;
-        ++_taken;
-        return true;
-    }
-
-    void reset(std::uint64_t seed) override
-    {
-        _source->reset(seed);
-        _taken = 0;
-    }
-
-    std::unique_ptr<JobSource> clone() const override
-    {
-        auto copy =
-            std::make_unique<TakeSource>(_source->clone(), _count);
-        copy->_taken = _taken;
-        return copy;
-    }
-
-  private:
-    std::unique_ptr<JobSource> _source;
-    std::size_t _count;
-    std::size_t _taken = 0;
-};
-
 class UntilSource final : public JobSource
 {
   public:
@@ -577,7 +462,7 @@ class UntilSource final : public JobSource
         : _source(std::move(source)), _endTime(end_time)
     {
         fatalIf(!_source, "until: null source");
-        fatalIf(end_time <= 0.0, "until: end time must be positive");
+        fatalIf(!(end_time > 0.0), "until: end time must be positive");
     }
 
     bool next(Job &out) override
@@ -609,63 +494,6 @@ class UntilSource final : public JobSource
     bool _done = false;
 };
 
-class DiurnalSource final : public JobSource
-{
-  public:
-    DiurnalSource(std::unique_ptr<JobSource> source, double amplitude,
-                  double period, double phase)
-        : _source(std::move(source)), _amplitude(amplitude),
-          _period(period), _phase(phase)
-    {
-        fatalIf(!_source, "diurnal: null source");
-        fatalIf(amplitude < 0.0 || amplitude >= 1.0,
-                "diurnal: amplitude must be in [0, 1)");
-        fatalIf(period <= 0.0, "diurnal: period must be positive");
-    }
-
-    bool next(Job &out) override
-    {
-        if (!_source->next(out))
-            return false;
-        // Gap-preserving time warp: the child's gap shrinks where the
-        // modulation m(t) is high, so the output rate follows the daily
-        // curve while the gap distribution's shape is untouched.
-        const double gap = out.arrival - _lastIn;
-        _lastIn = out.arrival;
-        const double m =
-            1.0 + _amplitude *
-                      std::sin(2.0 * std::numbers::pi *
-                               (_outClock + _phase) / _period);
-        _outClock += gap / m;
-        out.arrival = _outClock;
-        return true;
-    }
-
-    void reset(std::uint64_t seed) override
-    {
-        _source->reset(seed);
-        _lastIn = 0.0;
-        _outClock = 0.0;
-    }
-
-    std::unique_ptr<JobSource> clone() const override
-    {
-        auto copy = std::make_unique<DiurnalSource>(
-            _source->clone(), _amplitude, _period, _phase);
-        copy->_lastIn = _lastIn;
-        copy->_outClock = _outClock;
-        return copy;
-    }
-
-  private:
-    std::unique_ptr<JobSource> _source;
-    double _amplitude;
-    double _period;
-    double _phase;
-    double _lastIn = 0.0;
-    double _outClock = 0.0;
-};
-
 } // namespace
 
 std::unique_ptr<JobSource>
@@ -675,48 +503,9 @@ merge(std::vector<std::unique_ptr<JobSource>> sources)
 }
 
 std::unique_ptr<JobSource>
-merge(std::unique_ptr<JobSource> a, std::unique_ptr<JobSource> b)
-{
-    std::vector<std::unique_ptr<JobSource>> sources;
-    sources.push_back(std::move(a));
-    sources.push_back(std::move(b));
-    return merge(std::move(sources));
-}
-
-std::unique_ptr<JobSource>
-scale(std::unique_ptr<JobSource> source, double rate_scale,
-      double size_scale)
-{
-    return std::make_unique<ScaleSource>(std::move(source), rate_scale,
-                                         size_scale);
-}
-
-std::unique_ptr<JobSource>
-thin(std::unique_ptr<JobSource> source, double keep_prob,
-     std::uint64_t seed)
-{
-    return std::make_unique<ThinSource>(std::move(source), keep_prob,
-                                        seed);
-}
-
-std::unique_ptr<JobSource>
-take(std::unique_ptr<JobSource> source, std::size_t count)
-{
-    return std::make_unique<TakeSource>(std::move(source), count);
-}
-
-std::unique_ptr<JobSource>
 until(std::unique_ptr<JobSource> source, double end_time)
 {
     return std::make_unique<UntilSource>(std::move(source), end_time);
-}
-
-std::unique_ptr<JobSource>
-diurnal(std::unique_ptr<JobSource> source, double amplitude,
-        double period, double phase)
-{
-    return std::make_unique<DiurnalSource>(std::move(source), amplitude,
-                                           period, phase);
 }
 
 // ------------------------------------------------------------- registry

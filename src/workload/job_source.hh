@@ -24,10 +24,9 @@
  *                         validation.
  *  - VectorSource       — adapter over an in-memory job list.
  *
- * Combinators build composite streams: merge() interleaves N sources
- * with a deterministic tie-break, scale() rescales rate and sizes,
- * thin() keeps a random subset, take()/until() bound a stream, and
- * diurnal() modulates the rate with a smooth daily pattern.
+ * Two combinators build composite streams: merge() interleaves N
+ * sources with a deterministic tie-break, and until() ends a stream at
+ * a time bound.
  *
  * Sources are registered by name in jobSourceRegistry() so
  * ScenarioSpec can pick and parameterize them declaratively.
@@ -300,47 +299,9 @@ class VectorSource final : public JobSource
 std::unique_ptr<JobSource>
 merge(std::vector<std::unique_ptr<JobSource>> sources);
 
-/** Two-source convenience overload of merge(). */
-std::unique_ptr<JobSource> merge(std::unique_ptr<JobSource> a,
-                                 std::unique_ptr<JobSource> b);
-
-/**
- * Rescale a stream: arrival times divide by rate_scale (> 0), so the
- * arrival rate multiplies by it; sizes multiply by size_scale (> 0).
- */
-std::unique_ptr<JobSource> scale(std::unique_ptr<JobSource> source,
-                                 double rate_scale,
-                                 double size_scale = 1.0);
-
-/**
- * Keep each job independently with probability keep_prob in (0, 1] —
- * random splitting, e.g. one server's share of an aggregate stream.
- */
-std::unique_ptr<JobSource> thin(std::unique_ptr<JobSource> source,
-                                double keep_prob, std::uint64_t seed);
-
-/** First `count` jobs of a stream. */
-std::unique_ptr<JobSource> take(std::unique_ptr<JobSource> source,
-                                std::size_t count);
-
-/** Jobs arriving strictly before `end_time` seconds. */
+/** Jobs arriving strictly before `end_time` seconds (> 0, not NaN). */
 std::unique_ptr<JobSource> until(std::unique_ptr<JobSource> source,
                                  double end_time);
-
-/**
- * Modulate a stream's rate with a smooth diurnal pattern: each gap is
- * divided by m(t) = 1 + amplitude * sin(2π (t + phase) / period), so
- * the instantaneous rate follows the daily curve while the gap shape is
- * preserved.
- *
- * @param amplitude Modulation depth in [0, 1).
- * @param period Pattern period, seconds (default one day).
- * @param phase Phase offset, seconds.
- */
-std::unique_ptr<JobSource> diurnal(std::unique_ptr<JobSource> source,
-                                   double amplitude,
-                                   double period = 86400.0,
-                                   double phase = 0.0);
 
 // -------------------------------------------------------------- registry
 

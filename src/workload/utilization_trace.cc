@@ -213,7 +213,7 @@ namespace {
  * Smooth diurnal shape in [0, 1]: minimum around 4 AM, peak around 3 PM.
  */
 double
-diurnal(unsigned minute_of_day)
+diurnalShape(unsigned minute_of_day)
 {
     const double hours = static_cast<double>(minute_of_day) / 60.0;
     const double phase = (hours - 9.0) / 24.0 * 2.0 * std::numbers::pi;
@@ -235,7 +235,7 @@ synthFileServerTrace(unsigned days, std::uint64_t seed)
         for (unsigned m = 0; m < minutesPerDay; ++m) {
             // AR(1) fluctuation plus rare small access bursts.
             noise = 0.92 * noise + rng.normal(0.0, 0.008);
-            double u = 0.05 + 0.09 * diurnal(m) + noise;
+            double u = 0.05 + 0.09 * diurnalShape(m) + noise;
             if (rng.uniform() < 0.004)
                 u += rng.uniform(0.02, 0.06);
             trace.push_back(std::clamp(u, 0.02, 0.20));
@@ -258,7 +258,7 @@ synthEmailStoreTrace(unsigned days, std::uint64_t seed)
     for (unsigned day = 0; day < days; ++day) {
         for (unsigned m = 0; m < minutesPerDay; ++m) {
             noise = 0.90 * noise + rng.normal(0.0, 0.02);
-            double u = 0.15 + 0.25 * diurnal(m) + noise;
+            double u = 0.15 + 0.25 * diurnalShape(m) + noise;
 
             const unsigned hour = m / 60;
             const bool backup = hour >= 20 || hour < 2;

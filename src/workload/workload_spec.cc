@@ -9,7 +9,7 @@ namespace sleepscale {
 double
 ServiceScaling::factor(double f) const
 {
-    fatalIf(f <= 0.0 || f > 1.0, "ServiceScaling: f must be in (0, 1]");
+    fatalIf(!(f > 0.0 && f <= 1.0), "ServiceScaling: f must be in (0, 1]");
     fatalIf(exponent < 0.0 || exponent > 1.0,
             "ServiceScaling: exponent must be in [0, 1]");
     if (exponent == 0.0)

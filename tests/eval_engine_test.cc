@@ -361,6 +361,12 @@ TEST_F(EvalEngineTest, ValidationMatchesPolicyManager)
     EXPECT_THROW(PolicyEvalEngine(xeon, ServiceScaling::cpuBound(),
                                   bad_freq, qos),
                  ConfigError);
+
+    PolicySpace nan_freq = PolicySpace::standard();
+    nan_freq.frequencies.push_back(std::numeric_limits<double>::quiet_NaN());
+    EXPECT_THROW(PolicyEvalEngine(xeon, ServiceScaling::cpuBound(),
+                                  nan_freq, qos),
+                 ConfigError);
 }
 
 // ------------------------------------------------------- prepared logs

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <fstream>
 #include <functional>
 #include <limits>
@@ -360,6 +361,29 @@ TEST(ScenarioSpec, LeavesLoopKnobsToTheEngineValidator)
             s.strategy = "poet";
             s.loop.perServer.controller.emplace().measurementNoise = inf;
         },
+        // The candidate space and the loop's policies: an out-of-range
+        // frequency stops the run mid-way, a NaN one runs at NaN power.
+        [](ScenarioSpec &s) {
+            s.loop.perServer.initialPolicy.frequency = 1.5;
+        },
+        [nan](ScenarioSpec &s) {
+            s.loop.perServer.initialPolicy.frequency = nan;
+        },
+        [](ScenarioSpec &s) { s.loop.perServer.space.frequencies = {}; },
+        [](ScenarioSpec &s) {
+            s.loop.perServer.space.frequencies = {1.5};
+        },
+        [](ScenarioSpec &s) { s.loop.perServer.space.plans = {}; },
+        [nan](ScenarioSpec &s) {
+            s.engine = EngineKind::Farm;
+            s.loop.control = "distributed";
+            s.loop.perServer.space.frequencies = {nan, 1.0};
+        },
+        [](ScenarioSpec &s) {
+            s.engine = EngineKind::Farm;
+            s.loop.faults = "mtbf";
+            s.loop.degradedPolicy.frequency = 0.0;
+        },
     };
     const PlatformModel xeon = PlatformModel::xeon();
     for (std::size_t i = 0; i < edits.size(); ++i) {
@@ -370,6 +394,12 @@ TEST(ScenarioSpec, LeavesLoopKnobsToTheEngineValidator)
                      ConfigError)
             << "edit " << i;
     }
+    // Every strategy patch replaces a scenario's fixedPolicy, so only a
+    // config handed to the engine directly can carry a bad one.
+    FarmRuntimeConfig fixed;
+    fixed.perServer.fixedPolicy =
+        Policy{1.5, SleepPlan::immediate(LowPowerState::C6S0Idle)};
+    EXPECT_THROW(FarmRuntime(xeon, dnsWorkload(), fixed), ConfigError);
 }
 
 TEST(ScenarioSpec, ControllerKnobsAreCheckedOnlyUnderPoet)
@@ -754,6 +784,44 @@ TEST(ExperimentRunner, ReplicatedRunSmoke)
     const PairedComparison comparison =
         comparePaired(runner.scenarios()[0], runner.scenarios()[1], 2);
     EXPECT_EQ(comparison.delta("energy_j").count(), 3u);
+}
+
+/** Job sources built through the "counting-trace" test source. */
+std::atomic<int> countingSourceBuilds{0};
+
+TEST(ExperimentRunner, ValidatesEachQueuedScenarioOnce)
+{
+    // validate() builds a throwaway source and every run builds its
+    // own, so the build count shows how often a scenario is validated:
+    // once by add(), never again by run() or runReplicated().
+    [[maybe_unused]] static const bool registered = [] {
+        jobSourceRegistry().add(
+            "counting-trace", [](const JobSourceConfig &config) {
+                ++countingSourceBuilds;
+                return makeJobSource("trace", config);
+            });
+        return true;
+    }();
+    ScenarioSpec spec = flatBase();
+    spec.source = "counting-trace";
+
+    countingSourceBuilds = 0;
+    ExperimentRunner runner(1);
+    runner.add(spec);
+    runner.run();
+    EXPECT_EQ(countingSourceBuilds, 2);
+
+    countingSourceBuilds = 0;
+    spec.replications = 3;
+    ExperimentRunner replicated(1);
+    replicated.add(spec);
+    replicated.runReplicated();
+    EXPECT_EQ(countingSourceBuilds, 4);
+
+    // The public one-scenario entry point still validates.
+    countingSourceBuilds = 0;
+    ExperimentRunner::runScenario(spec);
+    EXPECT_EQ(countingSourceBuilds, 2);
 }
 
 TEST(ExperimentRunner, CaptureEpochsProducesPerEpochTable)

@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -135,6 +136,11 @@ TEST(DistributedRateScaler, RejectsBadConfiguration)
     EXPECT_THROW(DistributedRateScaler({1.5}, ServiceScaling::cpuBound(),
                                        initialPolicy(), options),
                  ConfigError);
+    EXPECT_THROW(
+        DistributedRateScaler({std::numeric_limits<double>::quiet_NaN()},
+                              ServiceScaling::cpuBound(), initialPolicy(),
+                              options),
+        ConfigError);
     options.targetUtilization = 0.0;
     EXPECT_THROW(DistributedRateScaler(kGrid, ServiceScaling::cpuBound(),
                                        initialPolicy(), options),

@@ -10,6 +10,7 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 
 #include "core/predictor.hh"
 #include "core/runtime.hh"
@@ -138,8 +139,10 @@ TEST(JobSourceCombinators, MergeTieBreaksByLowestIndex)
         first.push_back({static_cast<double>(i), 1.0});
         second.push_back({static_cast<double>(i), 2.0});
     }
-    auto merged = merge(std::make_unique<VectorSource>(first),
-                        std::make_unique<VectorSource>(second));
+    std::vector<std::unique_ptr<JobSource>> parts;
+    parts.push_back(std::make_unique<VectorSource>(first));
+    parts.push_back(std::make_unique<VectorSource>(second));
+    auto merged = merge(std::move(parts));
     Job job;
     for (int i = 1; i <= 50; ++i) {
         ASSERT_TRUE(merged->next(job));
@@ -165,24 +168,9 @@ TEST(JobSourceCombinators, MergeIsCloneDeterministic)
     expectSameJobs(drain(*merged, 500), drain(*copy, 500));
 }
 
-TEST(JobSourceCombinators, ScaleMultipliesRateAndSizes)
-{
-    std::vector<Job> jobs{{1.0, 0.2}, {2.0, 0.4}, {4.0, 0.8}};
-    auto scaled = scale(std::make_unique<VectorSource>(jobs), 2.0, 0.5);
-    const auto out = drain(*scaled);
-    ASSERT_EQ(out.size(), 3u);
-    EXPECT_DOUBLE_EQ(out[0].arrival, 0.5);
-    EXPECT_DOUBLE_EQ(out[2].arrival, 2.0);
-    EXPECT_DOUBLE_EQ(out[0].size, 0.1);
-    EXPECT_DOUBLE_EQ(out[2].size, 0.4);
-}
-
-TEST(JobSourceCombinators, TakeAndUntilBoundTheStream)
+TEST(JobSourceCombinators, UntilBoundsTheStream)
 {
     StationarySource base(dnsWorkload(), 0.3, 6);
-    auto bounded = take(base.clone(), 123);
-    EXPECT_EQ(drain(*bounded).size(), 123u);
-
     auto timed = until(base.clone(), 50.0);
     const auto jobs = drain(*timed);
     ASSERT_FALSE(jobs.empty());
@@ -191,59 +179,14 @@ TEST(JobSourceCombinators, TakeAndUntilBoundTheStream)
     EXPECT_FALSE(timed->next(job));
 }
 
-TEST(JobSourceCombinators, ThinKeepsTheRequestedFraction)
-{
-    auto thinned =
-        thin(take(std::make_unique<StationarySource>(dnsWorkload(), 0.3,
-                                                     8),
-                  20000),
-             0.25, 77);
-    const auto jobs = drain(*thinned);
-    EXPECT_NEAR(static_cast<double>(jobs.size()), 5000.0, 300.0);
-}
-
-TEST(JobSourceCombinators, DiurnalModulatesTheRate)
-{
-    // A day-period modulation over a constant stream: the busy half
-    // must hold more arrivals than the quiet half.
-    auto modulated = diurnal(
-        take(std::make_unique<StationarySource>(dnsWorkload(), 0.3, 10),
-             40000),
-        0.8, 86400.0, 0.0);
-    const auto jobs = drain(*modulated);
-    ASSERT_GT(jobs.size(), 1000u);
-    const double half = 43200.0;
-    std::size_t early = 0;
-    for (const Job &job : jobs)
-        early += job.arrival < half ? 1 : 0;
-    // sin() is positive over the first half-period: more arrivals land
-    // there than in the second half.
-    EXPECT_GT(early, jobs.size() - early);
-    Job previous{}, job2;
-    auto again = diurnal(
-        take(std::make_unique<StationarySource>(dnsWorkload(), 0.3, 10),
-             5000),
-        0.8);
-    while (again->next(job2)) {
-        ASSERT_GE(job2.arrival, previous.arrival);
-        previous = job2;
-    }
-}
-
 TEST(JobSourceCombinators, Validation)
 {
     EXPECT_THROW(merge({}), ConfigError);
-    EXPECT_THROW(scale(std::make_unique<StationarySource>(dnsWorkload(),
+    // A NaN end time compares false against every arrival, so the
+    // bound would never end an unbounded stream.
+    EXPECT_THROW(until(std::make_unique<StationarySource>(dnsWorkload(),
                                                           0.3, 1),
-                       0.0),
-                 ConfigError);
-    EXPECT_THROW(thin(std::make_unique<StationarySource>(dnsWorkload(),
-                                                         0.3, 1),
-                      1.5, 1),
-                 ConfigError);
-    EXPECT_THROW(diurnal(std::make_unique<StationarySource>(
-                             dnsWorkload(), 0.3, 1),
-                         1.0),
+                       std::numeric_limits<double>::quiet_NaN()),
                  ConfigError);
     EXPECT_THROW(BurstySource(dnsWorkload(), 0.3, 0.5, 60.0, 600.0, 1),
                  ConfigError);

@@ -236,6 +236,10 @@ TEST_F(Multicore, ValidationGuards)
     EXPECT_THROW(MulticoreSim(xeon, ServiceScaling::cpuBound(), 2,
                               bad_f),
                  ConfigError);
+    bad_f.frequency = std::numeric_limits<double>::quiet_NaN();
+    EXPECT_THROW(MulticoreSim(xeon, ServiceScaling::cpuBound(), 2,
+                              bad_f),
+                 ConfigError);
 
     MulticoreSim sim(xeon, ServiceScaling::cpuBound(), 2, mc);
     sim.advanceTo(4.0);

@@ -52,6 +52,10 @@ TEST(PolicySpace, GridValidation)
     EXPECT_THROW(PolicySpace::frequencyGrid(0.0, 1.0, 0.1), ConfigError);
     EXPECT_THROW(PolicySpace::frequencyGrid(0.5, 1.2, 0.1), ConfigError);
     EXPECT_THROW(PolicySpace::frequencyGrid(0.5, 1.0, 0.0), ConfigError);
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    EXPECT_THROW(PolicySpace::frequencyGrid(nan, 1.0, 0.1), ConfigError);
+    EXPECT_THROW(PolicySpace::frequencyGrid(0.5, nan, 0.1), ConfigError);
+    EXPECT_THROW(PolicySpace::frequencyGrid(0.5, 1.0, nan), ConfigError);
 }
 
 // ---------------------------------------------------------- the manager

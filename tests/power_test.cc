@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "power/component_table.hh"
 #include "power/low_power_state.hh"
@@ -160,6 +161,10 @@ TEST_F(XeonModel, FrequencyDomainValidated)
     EXPECT_THROW(model.activePower(0.0), ConfigError);
     EXPECT_THROW(model.activePower(1.5), ConfigError);
     EXPECT_THROW(model.lowPower(LowPowerState::C1S0Idle, -0.1),
+                 ConfigError);
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    EXPECT_THROW(model.activePower(nan), ConfigError);
+    EXPECT_THROW(model.lowPower(LowPowerState::C1S0Idle, nan),
                  ConfigError);
 }
 

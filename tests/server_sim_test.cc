@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "power/platform_model.hh"
 #include "sim/server_sim.hh"
@@ -217,6 +218,11 @@ TEST_F(XeonSim, InvalidPolicyFrequencyRejected)
     EXPECT_THROW(
         sim.setPolicy(immediatePolicy(LowPowerState::C6S3, 0.0), 1.0),
         ConfigError);
+    EXPECT_THROW(sim.setPolicy(immediatePolicy(
+                                   LowPowerState::C6S3,
+                                   std::numeric_limits<double>::quiet_NaN()),
+                               1.0),
+                 ConfigError);
 }
 
 TEST_F(XeonSim, BacklogReportsRemainingWork)

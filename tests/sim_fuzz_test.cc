@@ -14,8 +14,8 @@
  *   5. determinism: identical seeds give identical accounting.
  *
  * The job-source half is a seeded differential fuzzer: random
- * compositions of streaming sources (merge/scale/thin/take/diurnal
- * over stationary/bursty/trace-driven primitives) are checked for
+ * compositions of streaming sources (until() over a merge() of one to
+ * three stationary/bursty/trace-driven primitives) are checked for
  * reset() determinism, clone() fidelity after partial consumption, and
  * streaming == materialized equality through the runtime engine.
  */
@@ -270,35 +270,16 @@ randomPrimitiveSource(Rng &rng)
 }
 
 /**
- * A random composition: primitives wrapped in random combinators,
- * bounded by a final take() so infinite primitives terminate.
+ * A random composition: one to three primitives merged, bounded by a
+ * final until() so infinite primitives terminate.
  */
 std::unique_ptr<JobSource>
 randomComposition(Rng &rng)
 {
-    std::unique_ptr<JobSource> source = randomPrimitiveSource(rng);
-    const std::size_t wraps = rng.uniformInt(3);
-    for (std::size_t i = 0; i < wraps; ++i) {
-        switch (rng.uniformInt(4)) {
-          case 0:
-            source = merge(std::move(source),
-                           randomPrimitiveSource(rng));
-            break;
-          case 1:
-            source = scale(std::move(source), rng.uniform(0.5, 2.0),
-                           rng.uniform(0.5, 2.0));
-            break;
-          case 2:
-            source = thin(std::move(source), rng.uniform(0.3, 1.0),
-                          rng.next());
-            break;
-          default:
-            source = diurnal(std::move(source), rng.uniform(0.0, 0.8),
-                             rng.uniform(3600.0, 86400.0));
-            break;
-        }
-    }
-    return take(std::move(source), 800 + rng.uniformInt(800));
+    std::vector<std::unique_ptr<JobSource>> parts(1 + rng.uniformInt(3));
+    for (auto &part : parts)
+        part = randomPrimitiveSource(rng);
+    return until(merge(std::move(parts)), rng.uniform(600.0, 1800.0));
 }
 
 void

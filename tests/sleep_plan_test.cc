@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "power/platform_model.hh"
 #include "sim/policy.hh"
 #include "sim/sleep_plan.hh"
@@ -37,6 +39,11 @@ TEST(SleepPlan, DelayedValidation)
                  ConfigError);
     EXPECT_THROW(SleepPlan::delayed(LowPowerState::C0IdleS0Idle, 1.0),
                  ConfigError);
+    // NaN compares false against every bound, so a plain `delay <= 0`
+    // check lets it through.
+    EXPECT_THROW(SleepPlan::delayed(LowPowerState::C6S3,
+                                    std::numeric_limits<double>::quiet_NaN()),
+                 ConfigError);
 }
 
 TEST(SleepPlan, ThrottleBackBuildsFullDescent)
@@ -59,6 +66,10 @@ TEST(SleepPlan, RejectsNonIncreasingDelays)
     EXPECT_THROW(SleepPlan({{LowPowerState::C0IdleS0Idle, 0.0},
                             {LowPowerState::C3S0Idle, 0.5},
                             {LowPowerState::C6S3, 0.5}}),
+                 ConfigError);
+    EXPECT_THROW(SleepPlan({{LowPowerState::C0IdleS0Idle, 0.0},
+                            {LowPowerState::C3S0Idle,
+                             std::numeric_limits<double>::quiet_NaN()}}),
                  ConfigError);
 }
 

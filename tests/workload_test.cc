@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "util/error.hh"
 #include "util/online_stats.hh"
@@ -43,6 +44,9 @@ TEST(ServiceScaling, DomainValidated)
 {
     EXPECT_THROW(ServiceScaling::cpuBound().factor(0.0), ConfigError);
     EXPECT_THROW(ServiceScaling::cpuBound().factor(1.1), ConfigError);
+    EXPECT_THROW(ServiceScaling::cpuBound().factor(
+                     std::numeric_limits<double>::quiet_NaN()),
+                 ConfigError);
     EXPECT_THROW((ServiceScaling{1.5}.factor(0.5)), ConfigError);
 }
 
