@@ -96,18 +96,22 @@ BM_PreparedReplay10k(benchmark::State &state)
     const PlatformModel xeon = PlatformModel::xeon();
     const PreparedLog log = PreparedLog::fromJobs(benchJobs(10000));
     const auto lanes = static_cast<std::size_t>(state.range(0));
+    // Lane l runs at f = 0.7 + 0.04 l, which stays in (0, 1] for
+    // every lane of a full block.
+    const auto frequency = [](std::size_t lane) {
+        return 0.7 + 0.04 * static_cast<double>(lane);
+    };
     std::vector<MaterializedPlan> plans;
     std::vector<ReplayCandidate> candidates;
     plans.reserve(lanes);
     for (std::size_t lane = 0; lane < lanes; ++lane) {
-        const double f = 0.7 + 0.05 * static_cast<double>(lane);
         plans.emplace_back(SleepPlan::immediate(LowPowerState::C6S3),
-                           xeon, f);
+                           xeon, frequency(lane));
     }
     for (std::size_t lane = 0; lane < lanes; ++lane) {
         candidates.push_back(ReplayCandidate::of(
             plans[lane], xeon, ServiceScaling::cpuBound(),
-            0.7 + 0.05 * static_cast<double>(lane)));
+            frequency(lane)));
     }
     std::vector<ReplayOutcome> outcomes(lanes);
     for (auto _ : state) {

@@ -11,10 +11,12 @@
  *     policy space is static, so per-epoch selections reuse it instead
  *     of re-binding every candidate every epoch.
  *  2. Block replay: candidates are packed into blocks of replayWidth
- *     and each block is characterized by one replayBlock() pass over a
- *     PreparedLog, so the candidates' independent dependency chains
- *     overlap in the pipeline. A lane's outcome does not depend on its
- *     block or lane position, and the kernel allocates nothing.
+ *     (eight) and each block is characterized by one replayBlock() call
+ *     over a PreparedLog — one pass of 32-byte AVX2 vectors, or two of
+ *     16-byte SSE2 vectors on hosts without AVX2 — so the candidates'
+ *     independent dependency chains overlap in the pipeline. A lane's
+ *     outcome does not depend on its block or lane position, nor on the
+ *     body the host runs, and the kernel allocates nothing.
  *  3. Parallel block fan-out on a shared ThreadPool with outcomes
  *     stored by candidate index and reduced in index order, so a
  *     parallel selection bit-matches the serial one.

@@ -73,7 +73,9 @@ struct RuntimeConfig
     bool recordDecisionTime = false;
 
     /** When set, skip the policy manager entirely and run this policy
-     * for the whole trace (race-to-halt baselines). */
+     * for the whole trace (race-to-halt baselines). Strategy patches
+     * own it, so ScenarioSpec::validate() refuses a scenario that sets
+     * it; the "R2H" strategies set it. */
     std::optional<Policy> fixedPolicy;
 
     /** Policy in force before the first decision. */

@@ -80,6 +80,13 @@ checkSpec(const ScenarioSpec &spec)
             "optEpsilon must be positive and finite");
     fatalIf(spec.loop.faults != "none" && spec.engine != EngineKind::Farm,
             "fault injection needs the farm engine");
+    // Every strategy patch resets or overwrites the fixed policy, so a
+    // scenario's own would be dropped without a word.
+    fatalIf(spec.loop.perServer.fixedPolicy.has_value(),
+            "loop.perServer.fixedPolicy is set, but the strategy decides "
+            "the policy; pin one with a race-to-halt strategy "
+            "(\"R2H(C3)\", \"R2H(C6)\") or register a strategy patch "
+            "that sets it");
     fatalIf(spec.reportRegret && spec.engine != EngineKind::SingleServer,
             "reportRegret needs the single-server engine (the offline "
             "oracle replays one server's job log)");

@@ -2,11 +2,17 @@
 
 #include <algorithm>
 #include <array>
-#include <bit>
 #include <cmath>
 #include <limits>
+#include <tuple>
 
+#include "sim/replay_kernel.hh"
 #include "util/error.hh"
+
+// The 32-byte replay body needs an x86 target attribute.
+#if defined(__x86_64__) || defined(__i386__)
+#define SLEEPSCALE_REPLAY_AVX2 1
+#endif
 
 namespace sleepscale {
 
@@ -56,54 +62,98 @@ ReplayCandidate::of(const MaterializedPlan &plan,
 namespace {
 
 /**
- * Two candidate lanes in one 16-byte SIMD register: a GCC/Clang generic
- * vector, so x86-64 gets plain SSE2 (AArch64 gets NEON) with no -march
- * flag. Element-wise add, sub, mul and div round exactly as the scalar
- * operations do, which keeps every lane bit-identical to scalar code.
+ * GCC/Clang generic vectors of doubles. Element-wise add, sub, mul and
+ * div round exactly as the scalar operations do, and selects copy bits,
+ * so every lane is bit-identical to scalar code at either width. Vec2
+ * is one 16-byte register: plain SSE2 on x86-64 (NEON on AArch64), no
+ * -march flag. Vec4 is one 32-byte register, touched only inside the
+ * target("avx2") body; no function takes or returns a vector by value,
+ * so the library's ABI does not depend on AVX.
  */
-typedef double LanePair __attribute__((vector_size(2 * sizeof(double))));
+typedef double Vec2 __attribute__((vector_size(2 * sizeof(double))));
+typedef double Vec4 __attribute__((vector_size(4 * sizeof(double))));
 
-/** A LanePair comparison result: all ones (true) or zeros per lane. */
-using LaneMask = decltype(LanePair{} <= LanePair{});
+/** Candidate lanes in one vector of type V. */
+template <typename V>
+inline constexpr std::size_t lanesPerVector = sizeof(V) / sizeof(double);
 
-static_assert(replayWidth % 2 == 0, "lanes are processed in pairs");
+/**
+ * One value per lane of a replay pass, held in two independent vectors:
+ * each dependency chain (the Welford mean above all) then overlaps with
+ * a second one, where a single vector per chain exposes its latency.
+ */
+template <typename V>
+using Lanes = std::array<V, 2>;
 
-/** One value per lane of a replay block. */
-using Lanes = std::array<LanePair, replayWidth / 2>;
+/** Candidates one pass of the V body replays. */
+template <typename V>
+inline constexpr std::size_t passWidth =
+    std::tuple_size_v<Lanes<V>> * lanesPerVector<V>;
 
-LanePair
-splat(double x)
+static_assert(replayWidth % passWidth<Vec2> == 0 &&
+                  replayWidth == passWidth<Vec4>,
+              "a block is whole Vec2 passes and one Vec4 pass");
+
+/** The lanes of `v` in lane order. Constant indices only, so the
+ * vectors can stay in registers across the replay loop. */
+template <typename V>
+[[gnu::always_inline]] inline std::array<double, passWidth<V>>
+unpack(const Lanes<V> &v)
 {
-    return LanePair{x, x};
-}
-
-/** Per lane, `a` where `take` is set, else `b` (exact: a bit select). */
-LanePair
-pick(LaneMask take, LanePair a, LanePair b)
-{
-    return std::bit_cast<LanePair>((std::bit_cast<LaneMask>(a) & take) |
-                                   (std::bit_cast<LaneMask>(b) & ~take));
+    std::array<double, passWidth<V>> lanes{};
+    for (std::size_t h = 0; h < v.size(); ++h) {
+        for (std::size_t e = 0; e < lanesPerVector<V>; ++e)
+            lanes[h * lanesPerVector<V> + e] = v[h][e];
+    }
+    return lanes;
 }
 
 /**
- * A replay block's per-lane constants, stage-major so the lanes of one
+ * A replay pass's per-lane constants, stage-major so the lanes of one
  * stage sit side by side. Stages past a lane's own plan are padded with
  * enterAfter = +inf, so the stage selection never picks them.
  */
-struct BlockConstants
+template <typename V>
+struct PassConstants
 {
-    std::size_t stages = 1; ///< Largest stage count in the block.
-    Lanes serviceFactor{};
-    Lanes activePower{};
-    std::array<Lanes, MaterializedPlan::maxStages> enterAfter{};
-    std::array<Lanes, MaterializedPlan::maxStages> power{};
-    std::array<Lanes, MaterializedPlan::maxStages> energyBefore{};
-    std::array<Lanes, MaterializedPlan::maxStages> wake{};
+    std::size_t stages = 1; ///< Largest stage count in the pass.
+    Lanes<V> serviceFactor{};
+    Lanes<V> activePower{};
+    std::array<Lanes<V>, MaterializedPlan::maxStages> enterAfter{};
+    std::array<Lanes<V>, MaterializedPlan::maxStages> power{};
+    std::array<Lanes<V>, MaterializedPlan::maxStages> energyBefore{};
+    std::array<Lanes<V>, MaterializedPlan::maxStages> wake{};
 };
 
+/** Bind 1 to passWidth<V> candidates to `c`; padding lanes repeat the
+ * first candidate. */
+template <typename V>
+[[gnu::always_inline]] inline void
+bindPass(std::span<const ReplayCandidate> lanes, PassConstants<V> &c)
+{
+    constexpr std::size_t w = lanesPerVector<V>;
+    for (std::size_t l = 0; l < passWidth<V>; ++l) {
+        const ReplayCandidate &lane = lanes[l < lanes.size() ? l : 0];
+        const MaterializedPlan &plan = *lane.plan;
+        c.stages = std::max(c.stages, plan.size());
+        c.serviceFactor[l / w][l % w] = lane.serviceFactor;
+        c.activePower[l / w][l % w] = lane.activePower;
+        for (std::size_t k = 0; k < MaterializedPlan::maxStages; ++k) {
+            const bool own = k < plan.size();
+            c.enterAfter[k][l / w][l % w] =
+                own ? plan.enterAfter(k)
+                    : std::numeric_limits<double>::infinity();
+            c.power[k][l / w][l % w] = own ? plan.power(k) : 0.0;
+            c.energyBefore[k][l / w][l % w] =
+                own ? plan.energyBeforeStage(k) : 0.0;
+            c.wake[k][l / w][l % w] = own ? plan.wakeLatency(k) : 0.0;
+        }
+    }
+}
+
 /**
- * The block-replay loop. Per lane and job it performs exactly the
- * scalar accounting of the streaming simulator, in the same order:
+ * The replay loop over one pass. Per lane and job it performs exactly
+ * the scalar accounting of the streaming simulator, in the same order:
  * idle energy of the interrupted descent, then busy energy to the
  * departure, then OnlineStats::add's Welford step. Idle-only terms are
  * selected, not branched to: a busy arrival adds +0.0, which leaves the
@@ -113,77 +163,147 @@ struct BlockConstants
  * the stage loop out of it is measurably faster than a runtime bound of
  * one. Non-empty `tails` are fed each lane's response times.
  */
-template <bool Staged>
-void
-replayLanes(const PreparedLog &log, const BlockConstants &c,
-            std::span<ReplayOutcome> outcomes,
-            std::span<QuantileHistogram> tails)
+template <typename V, bool Staged>
+[[gnu::always_inline]] inline void
+replayPass(const PreparedLog &log, const PassConstants<V> &c,
+           std::span<ReplayOutcome> outcomes,
+           std::span<QuantileHistogram> tails)
 {
-    Lanes next_free{};
-    Lanes energy{};
-    Lanes mean{};
+    const V zero{};
+    Lanes<V> next_free{};
+    Lanes<V> energy{};
+    Lanes<V> mean{};
 
     const std::size_t n = log.count();
     const double *arrivals = log.arrival.data();
     const double *sizes = log.size.data();
     for (std::size_t i = 0; i < n; ++i) {
-        const LanePair arrival = splat(arrivals[i]);
-        const LanePair work = splat(sizes[i]);
+        // Broadcasts: x - (+0.0) is x exactly, -0.0 included.
+        const V arrival = arrivals[i] - zero;
+        const V work = sizes[i] - zero;
         // OnlineStats::add divides by the sample count, as a double.
-        const LanePair samples = splat(static_cast<double>(i + 1));
+        const V samples = static_cast<double>(i + 1) - zero;
 
-        Lanes response{};
+        Lanes<V> response{};
         for (std::size_t h = 0; h < response.size(); ++h) {
-            const LanePair free_at = next_free[h];
-            const LaneMask idle = free_at <= arrival;
-            const LanePair gap = arrival - free_at;
+            const V free_at = next_free[h];
+            const auto idle = free_at <= arrival;
+            const V gap = arrival - free_at;
 
             // The stage the arrival interrupts: the deepest one the gap
             // has entered, i.e. MaterializedPlan::stageAt(gap). Busy
             // lanes have a negative gap and keep stage 0.
-            LanePair before = c.energyBefore[0][h];
-            LanePair power = c.power[0][h];
-            LanePair enter = c.enterAfter[0][h];
-            LanePair wake = c.wake[0][h];
+            V before = c.energyBefore[0][h];
+            V power = c.power[0][h];
+            V enter = c.enterAfter[0][h];
+            V wake = c.wake[0][h];
             if constexpr (Staged) {
                 for (std::size_t k = 1; k < c.stages; ++k) {
-                    const LaneMask deeper = c.enterAfter[k][h] <= gap;
-                    before = pick(deeper, c.energyBefore[k][h], before);
-                    power = pick(deeper, c.power[k][h], power);
-                    enter = pick(deeper, c.enterAfter[k][h], enter);
-                    wake = pick(deeper, c.wake[k][h], wake);
+                    const auto deeper = c.enterAfter[k][h] <= gap;
+                    before = deeper ? c.energyBefore[k][h] : before;
+                    power = deeper ? c.power[k][h] : power;
+                    enter = deeper ? c.enterAfter[k][h] : enter;
+                    wake = deeper ? c.wake[k][h] : wake;
                 }
             }
 
             // MaterializedPlan::idleEnergy(gap); idleEnergy(0) is 0.
-            energy[h] += pick(idle, before + power * (gap - enter),
-                              LanePair{});
-            const LanePair depart = pick(idle, arrival + wake, free_at) +
-                                    work * c.serviceFactor[h];
-            energy[h] += c.activePower[h] *
-                         (depart - pick(idle, arrival, free_at));
+            energy[h] += idle ? before + power * (gap - enter) : zero;
+            const V depart = (idle ? arrival + wake : free_at) +
+                             work * c.serviceFactor[h];
+            energy[h] +=
+                c.activePower[h] * (depart - (idle ? arrival : free_at));
             response[h] = depart - arrival;
             mean[h] += (response[h] - mean[h]) / samples;
             next_free[h] = depart;
         }
-        for (std::size_t l = 0; l < tails.size(); ++l)
-            tails[l].add(response[l / 2][l % 2]);
+        if (!tails.empty()) {
+            const std::array<double, passWidth<V>> lane = unpack(response);
+            for (std::size_t l = 0; l < tails.size(); ++l)
+                tails[l].add(lane[l]);
+        }
     }
 
+    const std::array<double, passWidth<V>> spans = unpack(next_free);
+    const std::array<double, passWidth<V>> joules = unpack(energy);
+    const std::array<double, passWidth<V>> means = unpack(mean);
     for (std::size_t l = 0; l < outcomes.size(); ++l) {
-        const double span = next_free[l / 2][l % 2];
-        const double joules = energy[l / 2][l % 2];
-        outcomes[l].avgPower = span > 0.0 ? joules / span : 0.0;
-        outcomes[l].meanResponse = mean[l / 2][l % 2];
+        outcomes[l].avgPower = spans[l] > 0.0 ? joules[l] / spans[l] : 0.0;
+        outcomes[l].meanResponse = means[l];
     }
 }
 
+/** The kernel template: a validated block replayed in passes of
+ * passWidth<V> candidates. It and its helpers are always_inline, so
+ * each body below compiles them for its own target. */
+template <typename V>
+[[gnu::always_inline]] inline void
+replayPasses(const PreparedLog &log,
+             std::span<const ReplayCandidate> lanes,
+             std::span<ReplayOutcome> outcomes,
+             std::span<QuantileHistogram> tails)
+{
+    for (std::size_t first = 0; first < lanes.size();
+         first += passWidth<V>) {
+        const std::size_t count =
+            std::min(passWidth<V>, lanes.size() - first);
+        PassConstants<V> c;
+        bindPass(lanes.subspan(first, count), c);
+        const std::span<ReplayOutcome> out =
+            outcomes.subspan(first, count);
+        const std::span<QuantileHistogram> fed =
+            tails.empty() ? tails : tails.subspan(first, count);
+        if (c.stages > 1)
+            replayPass<V, true>(log, c, out, fed);
+        else
+            replayPass<V, false>(log, c, out, fed);
+    }
+}
+
+/** The 16-byte body: two passes of four lanes per full block. */
+void
+replaySse2(const PreparedLog &log, std::span<const ReplayCandidate> lanes,
+           std::span<ReplayOutcome> outcomes,
+           std::span<QuantileHistogram> tails)
+{
+    replayPasses<Vec2>(log, lanes, outcomes, tails);
+}
+
+#ifdef SLEEPSCALE_REPLAY_AVX2
+/** The 32-byte body: one pass of eight lanes. It enables AVX2 only,
+ * not FMA, so GCC cannot contract a * b + c and every lane keeps the
+ * separately rounded operations of the 16-byte body. */
+[[gnu::target("avx2")]] void
+replayAvx2(const PreparedLog &log, std::span<const ReplayCandidate> lanes,
+           std::span<ReplayOutcome> outcomes,
+           std::span<QuantileHistogram> tails)
+{
+    replayPasses<Vec4>(log, lanes, outcomes, tails);
+}
+#endif
+
 } // namespace
 
+ReplayKernel
+activeReplayKernel()
+{
+    // Probed once, at the first replay; both bodies give the same bits.
+    static const ReplayKernel active = [] {
+#ifdef SLEEPSCALE_REPLAY_AVX2
+        __builtin_cpu_init();
+        if (__builtin_cpu_supports("avx2"))
+            return ReplayKernel::Avx2;
+#endif
+        return ReplayKernel::Sse2;
+    }();
+    return active;
+}
+
 void
-replayBlock(const PreparedLog &log, std::span<const ReplayCandidate> lanes,
-            std::span<ReplayOutcome> outcomes,
-            std::span<QuantileHistogram> tails)
+replayBlockWith(ReplayKernel kernel, const PreparedLog &log,
+                std::span<const ReplayCandidate> lanes,
+                std::span<ReplayOutcome> outcomes,
+                std::span<QuantileHistogram> tails)
 {
     fatalIf(lanes.empty() || lanes.size() > replayWidth,
             "replayBlock: need 1 to replayWidth candidates");
@@ -192,37 +312,30 @@ replayBlock(const PreparedLog &log, std::span<const ReplayCandidate> lanes,
     fatalIf(!tails.empty() && tails.size() != lanes.size(),
             "replayBlock: need no tail histograms or one per candidate");
     fatalIf(log.count() == 0, "replayBlock: need at least one job");
-
-    BlockConstants block;
-    for (std::size_t l = 0; l < replayWidth; ++l) {
-        // Padding lanes repeat the first candidate.
-        const ReplayCandidate &lane = lanes[l < lanes.size() ? l : 0];
+    for (const ReplayCandidate &lane : lanes)
         fatalIf(lane.plan == nullptr,
                 "replayBlock: candidate has no plan");
-        const MaterializedPlan &plan = *lane.plan;
-        block.stages = std::max(block.stages, plan.size());
-        const std::size_t h = l / 2;
-        const std::size_t e = l % 2;
-        block.serviceFactor[h][e] = lane.serviceFactor;
-        block.activePower[h][e] = lane.activePower;
-        for (std::size_t k = 0; k < MaterializedPlan::maxStages; ++k) {
-            const bool own = k < plan.size();
-            block.enterAfter[k][h][e] =
-                own ? plan.enterAfter(k)
-                    : std::numeric_limits<double>::infinity();
-            block.power[k][h][e] = own ? plan.power(k) : 0.0;
-            block.energyBefore[k][h][e] =
-                own ? plan.energyBeforeStage(k) : 0.0;
-            block.wake[k][h][e] = own ? plan.wakeLatency(k) : 0.0;
-        }
-    }
+    fatalIf(kernel == ReplayKernel::Avx2 &&
+                activeReplayKernel() != ReplayKernel::Avx2,
+            "replayBlock: this host cannot run the AVX2 body");
     for (QuantileHistogram &tail : tails)
         tail.reset();
 
-    if (block.stages > 1)
-        replayLanes<true>(log, block, outcomes, tails);
-    else
-        replayLanes<false>(log, block, outcomes, tails);
+#ifdef SLEEPSCALE_REPLAY_AVX2
+    if (kernel == ReplayKernel::Avx2) {
+        replayAvx2(log, lanes, outcomes, tails);
+        return;
+    }
+#endif
+    replaySse2(log, lanes, outcomes, tails);
+}
+
+void
+replayBlock(const PreparedLog &log, std::span<const ReplayCandidate> lanes,
+            std::span<ReplayOutcome> outcomes,
+            std::span<QuantileHistogram> tails)
+{
+    replayBlockWith(activeReplayKernel(), log, lanes, outcomes, tails);
 }
 
 ServerSim::ServerSim(const PlatformModel &platform, ServiceScaling scaling,

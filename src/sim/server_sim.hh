@@ -17,7 +17,7 @@
  * one). The policy search instead scores candidates with replayBlock(),
  * the same FCFS accounting reduced to what a decision reads (average
  * power, mean or tail response) and run for replayWidth candidates side
- * by side in one pass over a PreparedLog. That makes candidate-policy
+ * by side over a PreparedLog. That makes candidate-policy
  * evaluation cheap enough to run hundreds of times per epoch, which is
  * the premise of SleepScale's runtime policy manager.
  */
@@ -75,8 +75,10 @@ struct PreparedLog
     double offeredLoad() const;
 };
 
-/** Candidates one replayBlock() pass characterizes side by side. */
-inline constexpr std::size_t replayWidth = 4;
+/** Candidates one replayBlock() call characterizes side by side: one
+ * pass of its AVX2 body, or two passes of four lanes of its SSE2 body
+ * (sim/replay_kernel.hh). */
+inline constexpr std::size_t replayWidth = 8;
 
 /** One candidate policy of a replay block, bound to its frequency. */
 struct ReplayCandidate
@@ -115,12 +117,15 @@ struct ReplayOutcome
  * through the last departure — evaluatePolicy()'s accounting, bit for
  * bit in mean response and tail, to rounding in power — but keeps only
  * what a policy decision reads. The lanes are independent dependency
- * chains updated with branch-free selects, so they overlap in the
- * pipeline and vectorize; a lane's outcome does not depend on the other
- * lanes or on its position in the block. Short blocks are padded
- * internally; padding lanes are computed but never reported. Lanes may
- * mix plans with different stage counts. Allocates nothing beyond the
- * first sample of each tail histogram.
+ * chains updated with branch-free selects in SIMD vectors, so they
+ * overlap in the pipeline; a lane's outcome does not depend on the
+ * other lanes or on its position in the block. The vectors are 32
+ * bytes (AVX2) where the CPU has AVX2 and 16 bytes (SSE2) elsewhere,
+ * chosen once at the first call; both bodies give bit-identical
+ * outcomes (sim/replay_kernel.hh). Short blocks are padded internally;
+ * padding lanes are computed but never reported. Lanes may mix plans
+ * with different stage counts. Allocates nothing beyond the first
+ * sample of each tail histogram.
  *
  * @param log Preprocessed job log (at least one job).
  * @param lanes 1 to replayWidth candidates.

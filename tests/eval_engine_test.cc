@@ -2,11 +2,13 @@
  * @file
  * Tests for the batched policy-evaluation engine: plan-cache fidelity,
  * block-replay-kernel-vs-streaming equivalence, lane-position
- * independence, and parallel-vs-serial bit-equality.
+ * independence, bit-identity of the kernel's two bodies, and
+ * parallel-vs-serial bit-equality.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cmath>
 #include <limits>
@@ -17,6 +19,7 @@
 #include "core/policy_manager.hh"
 #include "power/platform_model.hh"
 #include "sim/pending_queue.hh"
+#include "sim/replay_kernel.hh"
 #include "sim/server_sim.hh"
 #include "util/error.hh"
 #include "workload/job_source.hh"
@@ -138,6 +141,23 @@ struct Replayed
     double p95 = 0.0;
 };
 
+/** A hand-built log for one candidate: the second job arrives exactly
+ * at the first one's departure, a zero-size job arrives while busy and
+ * another one idle, and two jobs share an arrival instant. */
+std::vector<Job>
+edgeLog(const MaterializedPlan &plan, ServiceScaling scaling,
+        double frequency)
+{
+    const double first_departure =
+        0.0 + plan.wakeLatency(0) + 0.3 * scaling.factor(frequency);
+    return {{0.0, 0.3},
+            {first_departure, 0.2},
+            {first_departure + 0.01, 0.0},
+            {5.0, 0.0},
+            {5.0, 0.1},
+            {9.0, 0.4}};
+}
+
 Replayed
 replayAlone(const PreparedLog &log, const ReplayCandidate &candidate)
 {
@@ -159,17 +179,8 @@ TEST_F(EvalEngineTest, KernelMatchesStreamingEvaluation)
         const ReplayCandidate candidate =
             ReplayCandidate::of(plan, xeon, scaling, policy.frequency);
 
-        // A hand-built log for this candidate: the second job arrives
-        // exactly at the first one's departure, a zero-size job arrives
-        // while busy and another one idle, and two jobs share an
-        // arrival instant.
-        const double first_departure =
-            0.0 + plan.wakeLatency(0) +
-            0.3 * scaling.factor(policy.frequency);
-        const std::vector<Job> edges = {
-            {0.0, 0.3},  {first_departure, 0.2},
-            {first_departure + 0.01, 0.0}, {5.0, 0.0},
-            {5.0, 0.1},  {9.0, 0.4}};
+        const std::vector<Job> edges =
+            edgeLog(plan, scaling, policy.frequency);
         const std::vector<Job> single = {{2.0, 0.25}};
 
         for (const std::vector<Job> *jobs : {&poisson, &edges, &single}) {
@@ -272,6 +283,97 @@ TEST_F(EvalEngineTest, KernelRejectsMalformedBlocks)
     EXPECT_THROW(replayBlock(log, {&planless, 1},
                              std::span(outcomes).first(1)),
                  ConfigError);
+}
+
+/** Every candidate of `candidates`, replayed in consecutive blocks of
+ * `width` through `kernel`: each one's outcome and p95 response. */
+std::vector<Replayed>
+replayInBlocks(ReplayKernel kernel, const PreparedLog &log,
+               const std::vector<ReplayCandidate> &candidates,
+               std::size_t width)
+{
+    std::vector<Replayed> replayed(candidates.size());
+    std::vector<ReplayOutcome> outcomes(width);
+    std::vector<QuantileHistogram> tails(width,
+                                         SimStats{}.responseHistogram);
+    for (std::size_t first = 0; first < candidates.size();
+         first += width) {
+        const std::size_t count =
+            std::min(width, candidates.size() - first);
+        replayBlockWith(kernel, log,
+                        std::span(candidates).subspan(first, count),
+                        std::span(outcomes).first(count),
+                        std::span(tails).first(count));
+        for (std::size_t j = 0; j < count; ++j) {
+            replayed[first + j].outcome = outcomes[j];
+            replayed[first + j].p95 = tails[j].percentile(95.0);
+        }
+    }
+    return replayed;
+}
+
+TEST_F(EvalEngineTest, KernelBodiesAreBitIdentical)
+{
+    if (activeReplayKernel() != ReplayKernel::Avx2)
+        GTEST_SKIP() << "this host cannot run the AVX2 body";
+
+    // Every candidate of a space mixing one- to five-stage plans.
+    const ServiceScaling scaling = ServiceScaling::cpuBound();
+    const PolicySpace space = mixedSpace();
+    std::vector<MaterializedPlan> plans;
+    std::vector<ReplayCandidate> candidates;
+    std::vector<std::string> names;
+    plans.reserve(space.size());
+    for (const SleepPlan &plan : space.plans) {
+        for (const double f : space.frequencies) {
+            plans.emplace_back(plan, xeon, f);
+            candidates.push_back(
+                ReplayCandidate::of(plans.back(), xeon, scaling, f));
+            names.push_back(plan.toString() + " f=" + std::to_string(f));
+        }
+    }
+
+    const auto expect_identical = [&](const std::vector<Job> &jobs,
+                                      const std::string &log_name) {
+        const PreparedLog log = PreparedLog::fromJobs(jobs);
+        for (std::size_t width = 1; width <= replayWidth; ++width) {
+            const std::vector<Replayed> sse2 = replayInBlocks(
+                ReplayKernel::Sse2, log, candidates, width);
+            const std::vector<Replayed> avx2 = replayInBlocks(
+                ReplayKernel::Avx2, log, candidates, width);
+            for (std::size_t c = 0; c < candidates.size(); ++c) {
+                EXPECT_EQ(avx2[c].outcome.avgPower,
+                          sse2[c].outcome.avgPower)
+                    << log_name << " width " << width << " " << names[c];
+                EXPECT_EQ(avx2[c].outcome.meanResponse,
+                          sse2[c].outcome.meanResponse)
+                    << log_name << " width " << width << " " << names[c];
+                EXPECT_EQ(avx2[c].p95, sse2[c].p95)
+                    << log_name << " width " << width << " " << names[c];
+            }
+        }
+    };
+
+    // The logs of KernelMatchesStreamingEvaluation.
+    expect_identical(poissonLog(0.25, 0.194, 8000, 7), "poisson");
+    expect_identical({{2.0, 0.25}}, "single");
+    for (const Policy &policy : kernelPolicies()) {
+        const MaterializedPlan plan(policy.plan, xeon, policy.frequency);
+        expect_identical(edgeLog(plan, scaling, policy.frequency),
+                         "edges of " + policy.plan.toString() + " f=" +
+                             std::to_string(policy.frequency));
+    }
+}
+
+TEST(ReplayKernel, ActiveBodyIsAvx2WhereTheCpuHasIt)
+{
+#if defined(__x86_64__) || defined(__i386__)
+    if (!__builtin_cpu_supports("avx2"))
+        GTEST_SKIP() << "the CPU reports no AVX2";
+    EXPECT_EQ(activeReplayKernel(), ReplayKernel::Avx2);
+#else
+    GTEST_SKIP() << "the AVX2 body exists on x86 only";
+#endif
 }
 
 // ------------------------------------------- engine vs the legacy loop

@@ -394,8 +394,20 @@ TEST(ScenarioSpec, LeavesLoopKnobsToTheEngineValidator)
                      ConfigError)
             << "edit " << i;
     }
-    // Every strategy patch replaces a scenario's fixedPolicy, so only a
-    // config handed to the engine directly can carry a bad one.
+    // A scenario's own fixed policy, valid or not, is refused: every
+    // strategy patch resets or overwrites it, so the engine would never
+    // see it. The race-to-halt strategies are the way to pin one.
+    for (const std::string strategy : {"SS", "poet", "R2H(C6)"}) {
+        for (const double f : {0.5, 1.5}) {
+            EXPECT_TRUE(rejects([&](ScenarioSpec &s) {
+                s.strategy = strategy;
+                s.loop.perServer.fixedPolicy = Policy{
+                    f, SleepPlan::immediate(LowPowerState::C6S0Idle)};
+            })) << strategy << " f=" << f;
+        }
+    }
+    // So only a config handed to the engine directly can carry a bad
+    // fixed policy.
     FarmRuntimeConfig fixed;
     fixed.perServer.fixedPolicy =
         Policy{1.5, SleepPlan::immediate(LowPowerState::C6S0Idle)};

@@ -24,6 +24,11 @@ rationale):
                         only ever size worker pools and scratch arenas
                         (ThreadPool::hardwareLanes), never shape a
                         result.
+  cpu-dispatch          __builtin_cpu_supports/__builtin_cpu_is outside
+                        src/sim/server_sim.cc: a CPU feature probe may
+                        only pick between kernel bodies that tests pin
+                        bit-identical (the block-replay kernel's SSE2
+                        and AVX2 bodies), never shape a result.
   unordered-container   std::unordered_map/std::unordered_set anywhere
                         in src/: iteration order is unspecified and
                         libstdc++-version dependent, so any reduction
@@ -77,6 +82,12 @@ RULES = {
         "machine topology may only size worker pools; call "
         "ThreadPool::hardwareLanes() (src/util/thread_pool.cc) so lane "
         "counts never shape a result",
+    ),
+    "cpu-dispatch": (
+        re.compile(r"\b__builtin_cpu_(?:supports|is)\b"),
+        "CPU feature probes may only choose between bit-identical "
+        "kernel bodies; the block-replay kernel "
+        "(src/sim/server_sim.cc) is the one sanctioned site",
     ),
     "unordered-container": (
         re.compile(r"\bunordered_(?:map|set|multimap|multiset)\b"),

@@ -53,6 +53,7 @@
  * seconds unless stated otherwise.
  */
 
+#include <algorithm>
 #include <cmath>
 #include <iostream>
 
@@ -199,6 +200,9 @@ cmdSweep(const CliArgs &args)
     const LowPowerState state =
         lowPowerStateFromString(args.get("state", "C6S3"));
     const double fstep = args.getDouble("fstep", 0.02);
+    // A step that is not positive never reaches f = 1.
+    fatalIf(!(fstep > 0.0), "sweep: option '--fstep' must be > 0, got '" +
+                                args.get("fstep", "") + "'");
     const auto count = args.getUnsigned("jobs", 20000);
     const PlatformModel platform = PlatformModel::xeon();
 
@@ -206,7 +210,9 @@ cmdSweep(const CliArgs &args)
     const auto jobs = materialize(source, count);
 
     TablePrinter table({"f", "mu*E[R]", "p95*mu", "E[P] [W]"});
-    for (double f = rho + 0.02; f <= 1.0 + 1e-9; f += fstep) {
+    // Near-saturated loads still get the f = 1 row.
+    for (double f = std::min(rho + 0.02, 1.0); f <= 1.0 + 1e-9;
+         f += fstep) {
         const Policy policy{std::min(f, 1.0),
                             SleepPlan::immediate(state)};
         const PolicyEvaluation eval = evaluatePolicy(
