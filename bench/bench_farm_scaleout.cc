@@ -78,7 +78,7 @@ main()
 
     // Each farm size draws its own job stream (seed tied to the size),
     // while SS and R2H at the same size share it for a fair comparison.
-    SweepAxis size_axis = customAxis("servers", {});
+    SweepAxis size_axis{"servers", {}};
     for (std::size_t size : {1u, 2u, 4u, 8u, 16u}) {
         size_axis.points.emplace_back(
             std::to_string(size), [size](ScenarioSpec &spec) {

@@ -1,8 +1,8 @@
 /**
  * @file
  * Extension bench (paper Section 7 future work, multi-core direction):
- * package-gated sleep on a multi-core part, both panels as declarative
- * sweep grids over the multicore engine:
+ * package-gated sleep on a multi-core part, both panels as fixed
+ * package policies evaluated on MulticoreSim over a stationary load:
  *
  *  (a) Package-delay sweep: how long to wait for *joint* idleness
  *      before dropping the platform to S3 — the multi-core analogue of
@@ -13,54 +13,87 @@
  *      management harder than N independent SleepScale instances.
  */
 
+#include <cmath>
+#include <cstdint>
 #include <iostream>
 #include <limits>
+#include <string>
 
-#include "experiment/runner.hh"
+#include "multicore/multicore_sim.hh"
+#include "power/platform_model.hh"
+#include "util/table_printer.hh"
+#include "workload/job_source.hh"
+#include "workload/workload_spec.hh"
 
 using namespace sleepscale;
+
+namespace {
+
+/** Jobs each package run serves. */
+constexpr std::size_t jobCount = 60000;
+
+/**
+ * One package run over `workload`: `cores` cores at per-core offered
+ * load `rho` with the workload's gap shape, each idle core descending
+ * straight to C6 at f = 1, and the platform dropping to S3 after
+ * `package_delay` seconds of joint idleness.
+ */
+MulticoreStats
+runPackage(const PlatformModel &platform, const WorkloadSpec &workload,
+           std::size_t cores, double rho, double package_delay,
+           std::uint64_t seed)
+{
+    // The package sees cores-times one core's load; utilities capped
+    // to (0, 1) don't apply here, so the gap distribution is fitted
+    // directly.
+    const double total_load = rho * static_cast<double>(cores);
+    StationarySource source(
+        fitDistribution(workload.serviceMean / total_load,
+                        workload.interArrivalCv),
+        workload.makeService(), seed);
+    MulticorePolicy policy;
+    policy.frequency = 1.0;
+    policy.corePlan = SleepPlan::immediate(LowPowerState::C6S0Idle);
+    policy.packageSleepDelay = package_delay;
+    return evaluateMulticorePolicy(platform, workload.scaling, cores,
+                                   policy, source, jobCount);
+}
+
+/** Fraction of the run the platform spent in S3. */
+double
+s3Residency(const MulticoreStats &stats)
+{
+    return stats.elapsed > 0.0 ? stats.packageS3Time / stats.elapsed
+                               : 0.0;
+}
+
+} // namespace
 
 int
 main()
 {
     constexpr double inf = std::numeric_limits<double>::infinity();
+    const PlatformModel xeon = platformByName("xeon");
+    const WorkloadSpec dns = workloadByName("dns").idealized();
 
     // ------------ (a) package-delay sweep, 4 cores ------------
     printBanner(std::cout,
                 "Multicore (a): package S3 delay sweep (4 cores, "
                 "DNS-like, per-core rho = 0.1)");
 
-    ScenarioSpec delay_base;
-    delay_base.label = "mc";
-    delay_base.engine = EngineKind::Multicore;
-    delay_base.idealizedWorkload = true;
-    delay_base.cores = 4;
-    delay_base.frequency = 1.0;
-    delay_base.coreState = LowPowerState::C6S0Idle;
-    delay_base.rho = 0.1;
-    delay_base.jobCount = 60000;
-    delay_base.seed = 60001;
-
-    ExperimentRunner delay_runner;
-    delay_runner.addGrid(
-        delay_base,
-        {sweep("pkg_delay", &ScenarioSpec::packageSleepDelay,
-               {0.0, 0.5, 2.0, 10.0, inf})});
-    const auto delay_results = delay_runner.run();
-
     TablePrinter delay_table({"package delay [s]", "mu*E[R]",
                               "E[P] [W]", "S3 residency",
                               "package wakes"});
-    for (const ScenarioResult &result : delay_results) {
-        const double delay = result.spec.packageSleepDelay;
+    for (const double delay : {0.0, 0.5, 2.0, 10.0, inf}) {
+        const MulticoreStats stats =
+            runPackage(xeon, dns, 4, 0.1, delay, 60001);
         delay_table.addRow(
             {std::isfinite(delay) ? std::to_string(delay).substr(0, 4)
                                   : "inf",
-             std::to_string(result.normalizedMean),
-             std::to_string(result.avgPower),
-             std::to_string(result.extra("s3_residency")),
-             std::to_string(static_cast<std::uint64_t>(
-                 result.extra("package_wakes")))});
+             std::to_string(stats.response.mean() / dns.serviceMean),
+             std::to_string(stats.avgPower()),
+             std::to_string(s3Residency(stats)),
+             std::to_string(stats.packageWakes)});
     }
     delay_table.print(std::cout);
     std::cout << "\nExpected: immediate S3 triggers a wake storm "
@@ -76,40 +109,20 @@ main()
                 "Multicore (b): cores vs joint idleness (total load = "
                 "0.8 of one core)");
 
-    ScenarioSpec core_base;
-    core_base.label = "mc";
-    core_base.engine = EngineKind::Multicore;
-    core_base.idealizedWorkload = true;
-    core_base.frequency = 1.0;
-    core_base.coreState = LowPowerState::C6S0Idle;
-    core_base.packageSleepDelay = 1.0;
-    core_base.jobCount = 60000;
-    core_base.seed = 60002;
-
     // Total load pinned to 0.8 of one core: per-core rho shrinks as
     // the core count grows, so the same job stream spreads thinner.
-    SweepAxis core_axis = customAxis("cores", {});
-    for (std::size_t cores : {1u, 2u, 4u, 8u}) {
-        core_axis.points.emplace_back(
-            std::to_string(cores), [cores](ScenarioSpec &spec) {
-                spec.cores = cores;
-                spec.rho = 0.8 / static_cast<double>(cores);
-            });
-    }
-
-    ExperimentRunner core_runner;
-    core_runner.addGrid(core_base, {core_axis});
-    const auto core_results = core_runner.run();
-
     TablePrinter core_table({"cores", "mu*E[R]", "E[P] [W]",
                              "S3 residency", "per-core busy"});
-    for (const ScenarioResult &result : core_results) {
-        core_table.addRow(
-            {std::to_string(result.spec.cores),
-             std::to_string(result.normalizedMean),
-             std::to_string(result.avgPower),
-             std::to_string(result.extra("s3_residency")),
-             std::to_string(result.spec.rho).substr(0, 5)});
+    for (const std::size_t cores : {1u, 2u, 4u, 8u}) {
+        const double rho = 0.8 / static_cast<double>(cores);
+        const MulticoreStats stats =
+            runPackage(xeon, dns, cores, rho, 1.0, 60002);
+        core_table.addRow({std::to_string(cores),
+                           std::to_string(stats.response.mean() /
+                                          dns.serviceMean),
+                           std::to_string(stats.avgPower()),
+                           std::to_string(s3Residency(stats)),
+                           std::to_string(rho).substr(0, 5)});
     }
     core_table.print(std::cout);
     std::cout << "\nExpected: response improves sharply with cores "

@@ -32,6 +32,14 @@ constexpr std::size_t kSoftFrontier = 256;
  * every remaining job. */
 constexpr std::size_t kMaxCoarsenings = 8;
 
+/** FPTAS frontier cap per job; refinement stops (with an honest,
+ * larger effective epsilon) rather than exceed it. */
+constexpr std::size_t kMaxStates = 4096;
+
+/** Exact-solver frontier cap; solveExact() fails past it (solve() is
+ * the solver for logs that large). */
+constexpr std::size_t kMaxExactStates = 200000;
+
 } // namespace
 
 OfflineOptInstance
@@ -40,15 +48,15 @@ OfflineOptInstance::fromJobs(std::vector<Job> jobs, double horizon)
     fatalIf(!(horizon >= 0.0) || !std::isfinite(horizon),
             "OfflineOptInstance: horizon must be finite and non-negative");
     for (std::size_t j = 0; j < jobs.size(); ++j) {
-        fatalIf(!(jobs[j].arrival >= 0.0) || !std::isfinite(jobs[j].arrival),
-                "OfflineOptInstance: non-finite or negative arrival at "
-                "job " + std::to_string(j));
-        fatalIf(j > 0 && jobs[j].arrival < jobs[j - 1].arrival,
-                "OfflineOptInstance: arrivals must be non-decreasing "
-                "(job " + std::to_string(j) + ")");
-        fatalIf(!(jobs[j].size >= 0.0) || !std::isfinite(jobs[j].size),
-                "OfflineOptInstance: non-finite or negative size at job " +
-                    std::to_string(j));
+        if (!(jobs[j].arrival >= 0.0) || !std::isfinite(jobs[j].arrival))
+            fatal("OfflineOptInstance: non-finite or negative arrival at "
+                  "job " + std::to_string(j));
+        if (j > 0 && jobs[j].arrival < jobs[j - 1].arrival)
+            fatal("OfflineOptInstance: arrivals must be non-decreasing "
+                  "(job " + std::to_string(j) + ")");
+        if (!(jobs[j].size >= 0.0) || !std::isfinite(jobs[j].size))
+            fatal("OfflineOptInstance: non-finite or negative size at "
+                  "job " + std::to_string(j));
     }
     fatalIf(!jobs.empty() && horizon < jobs.back().arrival,
             "OfflineOptInstance: horizon precedes the last arrival");
@@ -65,8 +73,6 @@ OfflineOptimal::OfflineOptimal(const PlatformModel &platform,
 {
     fatalIf(!(_options.epsilon > 0.0) || !std::isfinite(_options.epsilon),
             "OfflineOptimal: epsilon must be positive and finite");
-    fatalIf(_options.maxStates < 2,
-            "OfflineOptimal: maxStates must be >= 2");
     _freqs = _options.frequencies.empty()
                  ? PolicySpace::standard().frequencies
                  : _options.frequencies;
@@ -227,12 +233,10 @@ OfflineOptimal::solveExact(const OfflineOptInstance &instance) const
         }
         std::reverse(frontier.begin(), frontier.end());
         peak = std::max(peak, frontier.size());
-        fatalIf(frontier.size() > _options.maxExactStates,
-                "OfflineOptimal::solveExact: frontier exceeded "
-                "maxExactStates (" +
-                    std::to_string(_options.maxExactStates) +
-                    ") at job " + std::to_string(j) +
-                    "; use solve() for logs this size");
+        if (frontier.size() > kMaxExactStates)
+            fatal("OfflineOptimal::solveExact: frontier exceeded " +
+                  std::to_string(kMaxExactStates) + " states at job " +
+                  std::to_string(j) + "; use solve() for logs this size");
     }
 
     const ExactState *best = nullptr;
@@ -596,8 +600,7 @@ OfflineOptimal::solve(const OfflineOptInstance &instance) const
         // states, so run it under a small cap and let it abort fast.
         const bool probe = schedule[pass] > delta_job && allow_abort;
         const std::size_t max_states =
-            probe ? std::min(_options.maxStates, 2 * kSoftFrontier)
-                  : _options.maxStates;
+            probe ? std::min(kMaxStates, 2 * kSoftFrontier) : kMaxStates;
         const OfflineOptResult attempt =
             fptasPass(instance, costs, schedule[pass], merge_eta,
                       upper_bound, allow_abort, max_states);

@@ -85,13 +85,6 @@ struct OfflineOptOptions
     /** Relative accuracy target of solve(): the certified upper/lower
      * bracket is refined until upper <= (1 + epsilon) * lower. */
     double epsilon = 0.05;
-
-    /** FPTAS frontier cap per job; refinement stops (with an honest,
-     * larger effective epsilon) rather than exceed it. */
-    std::size_t maxStates = 4096;
-
-    /** Exact-solver state cap; fatal() past it (use solve() instead). */
-    std::size_t maxExactStates = 200000;
 };
 
 /** Outcome of an offline-optimal solve. */
@@ -118,9 +111,10 @@ struct OfflineOptResult
     /** Peak DP frontier size (diagnostics). */
     std::size_t frontierPeak = 0;
 
-    /** Times the FPTAS locally coarsened its grid to respect
-     * maxStates (0 = the requested resolution held throughout;
-     * coarsening widens epsilonEffective but keeps the bound valid). */
+    /** Times the FPTAS locally coarsened its grid to respect its
+     * 4096-state frontier cap (0 = the requested resolution held
+     * throughout; coarsening widens epsilonEffective but keeps the
+     * bound valid). */
     std::size_t coarsenings = 0;
 
     /** Total energy debt (joules) subtracted from the lower bound to
@@ -168,8 +162,8 @@ class OfflineOptimal
 
     /**
      * Exact Pareto-frontier solve; exponential worst case, fatal()
-     * past maxExactStates. Intended for small logs (tests, debugging)
-     * and as the reference the FPTAS is validated against.
+     * past 200,000 frontier states. Intended for small logs (tests,
+     * debugging) and as the reference the FPTAS is validated against.
      */
     OfflineOptResult solveExact(const OfflineOptInstance &instance) const;
 

@@ -117,9 +117,9 @@ struct ReplicatedResult
     /** Per-metric summaries: the core metrics (mean_response_s,
      * p95_response_s, p99_response_s, avg_power_w, energy_j,
      * qos_violation) plus every extra shared by all replications —
-     * per-state residency_* for the single-server and farm engines,
-     * s3_residency for the multicore engine, and any other engine
-     * extras. */
+     * the availability plane, the per-state residency_* and state_*
+     * mix, and the decision-time and regret extras when the spec asks
+     * for them. */
     std::vector<MetricSummary> metrics;
 
     /** Summary of a named metric; fatal() listing the known names when

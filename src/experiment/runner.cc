@@ -8,7 +8,6 @@
 #include "core/predictor.hh"
 #include "core/runtime.hh"
 #include "farm/farm_runtime.hh"
-#include "multicore/multicore_sim.hh"
 #include "power/platform_model.hh"
 #include "util/error.hh"
 #include "util/rng.hh"
@@ -51,13 +50,10 @@ addDecisionExtras(ScenarioResult &result,
     result.extras.emplace_back("decision_us_p99", p99);
 }
 
-/**
- * Run a single-server or farm scenario through FarmRuntime::run, the
- * one epoch loop. Both engines report one extras list; only the
- * per-server breakdown is farm-only.
- */
+} // namespace
+
 ScenarioResult
-runFarm(const ScenarioSpec &spec)
+ExperimentRunner::runQueued(const ScenarioSpec &spec)
 {
     const PlatformModel platform = platformByName(spec.platform);
     const WorkloadSpec workload = workloadOf(spec);
@@ -65,9 +61,8 @@ runFarm(const ScenarioSpec &spec)
     const FarmRuntimeConfig config = farmConfigOf(spec);
     const FarmRuntime runtime(platform, workload, config);
     const auto source = sourceOf(spec, workload, trace);
-    const auto predictor = makePredictor(spec.predictor,
-                                         spec.predictorHistory,
-                                         trace.values());
+    const auto predictor =
+        makePredictor(spec.predictor, 10, trace.values());
     const FarmRuntimeResult run =
         runtime.run(*source, trace, *predictor);
 
@@ -157,60 +152,6 @@ runFarm(const ScenarioSpec &spec)
     return result;
 }
 
-ScenarioResult
-runMulticore(const ScenarioSpec &spec)
-{
-    const PlatformModel platform = platformByName(spec.platform);
-    const WorkloadSpec workload = workloadOf(spec);
-
-    // The package sees cores-times one core's load with the workload's
-    // gap shape; utilities capped to (0, 1) don't apply here, so the
-    // arrival distribution is fitted directly.
-    const double total_load =
-        spec.rho * static_cast<double>(spec.cores);
-    auto gaps = fitDistribution(workload.serviceMean / total_load,
-                                workload.interArrivalCv);
-    StationarySource source(std::move(gaps), workload.makeService(),
-                            spec.seed);
-
-    MulticorePolicy policy;
-    policy.frequency = spec.frequency;
-    policy.corePlan = SleepPlan::immediate(spec.coreState);
-    policy.packageSleepDelay = spec.packageSleepDelay;
-    const MulticoreStats stats =
-        evaluateMulticorePolicy(platform, workload.scaling, spec.cores,
-                                policy, source, spec.jobCount);
-
-    ScenarioResult result;
-    result.spec = spec;
-    result.meanResponse = stats.response.mean();
-    result.normalizedMean =
-        stats.response.mean() / workload.serviceMean;
-    result.p95Response = stats.responseHistogram.percentile(95.0);
-    result.p99Response = stats.responseHistogram.percentile(99.0);
-    result.avgPower = stats.avgPower();
-    result.energy = stats.energy;
-    result.elapsed = stats.elapsed;
-    result.jobs = stats.completions;
-
-    const RuntimeConfig &knobs = spec.loop.perServer;
-    const QosConstraint qos = QosConstraint::fromBaseline(
-        knobs.qosMetric, knobs.rhoB, workload.serviceMean);
-    result.withinBudget =
-        (knobs.qosMetric == QosMetric::MeanResponse
-             ? result.meanResponse
-             : result.p95Response) <= qos.budget();
-
-    result.extras.emplace_back(
-        "s3_residency",
-        stats.elapsed > 0.0 ? stats.packageS3Time / stats.elapsed : 0.0);
-    result.extras.emplace_back(
-        "package_wakes", static_cast<double>(stats.packageWakes));
-    return result;
-}
-
-} // namespace
-
 double
 ScenarioResult::extra(const std::string &key) const
 {
@@ -222,22 +163,14 @@ ScenarioResult::extra(const std::string &key) const
           "'");
 }
 
-SweepAxis
-customAxis(
-    std::string name,
-    std::vector<std::pair<std::string, std::function<void(ScenarioSpec &)>>>
-        points)
-{
-    return SweepAxis{std::move(name), std::move(points)};
-}
-
 std::vector<ScenarioSpec>
 expandGrid(const ScenarioSpec &base, const std::vector<SweepAxis> &axes,
            bool reseed_per_scenario)
 {
-    for (const SweepAxis &axis : axes)
-        fatalIf(axis.points.empty(),
-                "expandGrid: sweep axis '" + axis.name + "' is empty");
+    for (const SweepAxis &axis : axes) {
+        if (axis.points.empty())
+            fatal("expandGrid: sweep axis '" + axis.name + "' is empty");
+    }
 
     std::vector<ScenarioSpec> grid{base};
     for (const SweepAxis &axis : axes) {
@@ -291,19 +224,6 @@ ExperimentRunner::runScenario(const ScenarioSpec &spec)
 {
     spec.validate();
     return runQueued(spec);
-}
-
-ScenarioResult
-ExperimentRunner::runQueued(const ScenarioSpec &spec)
-{
-    switch (spec.engine) {
-      case EngineKind::SingleServer:
-      case EngineKind::Farm:
-        return runFarm(spec);
-      case EngineKind::Multicore:
-        return runMulticore(spec);
-    }
-    panic("ExperimentRunner: unknown EngineKind");
 }
 
 std::vector<ScenarioResult>

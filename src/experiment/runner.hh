@@ -2,12 +2,11 @@
  * @file
  * Scenario execution and sweep-grid expansion.
  *
- * ExperimentRunner is the single entry point over the engines. It
+ * ExperimentRunner is the single entry point over the epoch loop. It
  * executes ScenarioSpecs — one or a whole parameter grid — on a worker
- * pool and returns uniform ScenarioResults for table/CSV export.
- * Single-server and farm scenarios run through FarmRuntime, the one
- * epoch loop (a single-server scenario is the one-server farm of
- * singleServerFarm()); multicore scenarios run through MulticoreSim.
+ * pool and returns uniform ScenarioResults for table/CSV export. Every
+ * scenario runs through FarmRuntime, the one epoch loop (a
+ * single-server scenario is the one-server farm of singleServerFarm()).
  *
  *   ExperimentRunner runner;
  *   runner.addGrid(base,
@@ -68,12 +67,11 @@ struct ScenarioResult
     std::uint64_t jobs = 0;        ///< Jobs offered to the engine.
     bool withinBudget = false;     ///< QoS statistic met its budget.
 
-    /** Engine-specific metrics, uniform-schema exported. Single-server
-     * and farm rows share one list: "epochs", "per_server_w", the
-     * availability plane, "residency_<state>", "state_<state>"
-     * selection fractions, then "decision_us_*" and the regret pair
-     * when the spec asks for them. Multicore rows report
-     * "s3_residency" and "package_wakes". */
+    /** Engine metrics, uniform-schema exported. Single-server and farm
+     * rows share one list: "epochs", "per_server_w", the availability
+     * plane, "residency_<state>", "state_<state>" selection fractions,
+     * then "decision_us_*" and the regret pair when the spec asks for
+     * them. */
     std::vector<std::pair<std::string, double>> extras;
 
     /** Per-server breakdown (farm engine only; one row per back-end,
@@ -149,12 +147,6 @@ sweep(std::string name, Field Owner::*field,
     }
     return axis;
 }
-
-/** Arbitrary custom dimension, for axes that set several fields. */
-SweepAxis customAxis(
-    std::string name,
-    std::vector<std::pair<std::string, std::function<void(ScenarioSpec &)>>>
-        points);
 
 /**
  * Expand a base spec against sweep axes into the full cross-product
@@ -239,8 +231,9 @@ class ExperimentRunner
                                           double confidence = 0.95);
 
   private:
-    /** runScenario() without the validation: for scenarios add()
-     * already validated (and their per-replication reseeds). */
+    /** runScenario() without the validation, for scenarios add()
+     * already validated (and their per-replication reseeds): one
+     * FarmRuntime::run and its result extras. */
     static ScenarioResult runQueued(const ScenarioSpec &spec);
 
     std::size_t _threads;

@@ -19,8 +19,6 @@ toString(EngineKind kind)
         return "single";
       case EngineKind::Farm:
         return "farm";
-      case EngineKind::Multicore:
-        return "multicore";
     }
     panic("toString: unknown EngineKind");
 }
@@ -90,15 +88,6 @@ checkSpec(const ScenarioSpec &spec)
     fatalIf(spec.reportRegret && spec.engine != EngineKind::SingleServer,
             "reportRegret needs the single-server engine (the offline "
             "oracle replays one server's job log)");
-    if (spec.engine == EngineKind::Multicore) {
-        fatalIf(spec.cores == 0, "cores must be >= 1");
-        fatalIf(!(spec.frequency > 0.0 && spec.frequency <= 1.0),
-                "frequency must be in (0, 1]");
-        fatalIf(!(spec.rho > 0.0 && spec.rho < 1.0),
-                "rho must be in (0, 1)");
-        fatalIf(spec.jobCount == 0, "jobCount must be >= 1");
-        return;
-    }
     predictorRegistry().get(spec.predictor);
     jobSourceRegistry().get(spec.source);
     fatalIf(spec.source == "replay" && spec.replayPath.empty(),

@@ -2,13 +2,13 @@
  * @file
  * Declarative experiment scenarios.
  *
- * A ScenarioSpec is a complete, engine-agnostic description of one
- * SleepScale experiment: which trace feeds which workload on which
- * platform, which policy-management strategy and predictor run, and
- * which engine executes it (single server, dispatched farm, or
- * multi-core package). Every component is named against its registry,
- * so specs serialize naturally into sweep grids, tables, and CSV rows,
- * and misspelled names fail fast listing the registered alternatives.
+ * A ScenarioSpec is a complete description of one SleepScale
+ * experiment: which trace feeds which workload on which platform,
+ * which policy-management strategy and predictor run, and whether the
+ * epoch loop runs one server or a dispatched farm. Every component is
+ * named against its registry, so specs serialize naturally into sweep
+ * grids, tables, and CSV rows, and misspelled names fail fast listing
+ * the registered alternatives.
  *
  * Specs are plain structs: start from the defaults and set the fields
  * that differ. The epoch loop's knobs are the loop's own configuration
@@ -24,12 +24,12 @@
  *   spec.seed = 99;
  *
  * validate() checks what only a scenario knows (component names,
- * replications, the multicore fields), builds a throwaway job source
- * over the realized trace so a bad source knob or trace fails before
- * anything runs, and hands every loop-engine knob to the engine's own
- * validator, validateFarmConfig() on farmConfigOf(), so each knob has
- * one range check. ExperimentRunner (runner.hh) validates and executes
- * specs and expands sweep grids.
+ * replications, the engine a knob needs), builds a throwaway job
+ * source over the realized trace so a bad source knob or trace fails
+ * before anything runs, and hands every loop-engine knob to the
+ * engine's own validator, validateFarmConfig() on farmConfigOf(), so
+ * each knob has one range check. ExperimentRunner (runner.hh)
+ * validates and executes specs and expands sweep grids.
  */
 
 #ifndef SLEEPSCALE_EXPERIMENT_SCENARIO_HH
@@ -40,22 +40,20 @@
 #include <string>
 
 #include "farm/farm_runtime.hh"
-#include "power/low_power_state.hh"
 #include "workload/job_source.hh"
 #include "workload/utilization_trace.hh"
 #include "workload/workload_spec.hh"
 
 namespace sleepscale {
 
-/** Which engine executes a scenario. */
+/** Which farm a scenario's FarmRuntime runs. */
 enum class EngineKind
 {
     SingleServer, ///< The paper's runtime: a one-server FarmRuntime.
     Farm,         ///< FarmRuntime: dispatched multi-server farm.
-    Multicore,    ///< MulticoreSim: package-gated multi-core part.
 };
 
-/** Engine name for reports ("single", "farm", "multicore"). */
+/** Engine name for reports ("single", "farm"). */
 std::string toString(EngineKind kind);
 
 /**
@@ -97,8 +95,8 @@ struct ScenarioSpec
     std::string platform = "xeon";      ///< Platform registry name.
     TraceSpec trace;                    ///< Utilization trace feed.
 
-    // Job source (single-server and farm engines). Sources stream jobs
-    // into the engines epoch by epoch — nothing is materialized.
+    // Job source. Sources stream jobs into the engine epoch by epoch —
+    // nothing is materialized.
     std::string source = "trace";       ///< Job-source registry name.
     double sourceUtilization = 0.3;     ///< "stationary"/"bursty" level.
     double sourceRateScale = 1.0;       ///< Extra arrival-rate factor.
@@ -107,20 +105,18 @@ struct ScenarioSpec
     double burstMeanGap = 1800.0;       ///< "bursty": inter-episode, s.
     std::string replayPath;             ///< CSV job log ("replay" only).
 
-    // Policy management (single-server and farm engines).
+    // Policy management.
     std::string strategy = "SS";        ///< Strategy registry name.
     std::string predictor = "LC";       ///< Predictor registry name.
-    std::size_t predictorHistory = 10;  ///< Predictor tap count p.
 
     /**
-     * The epoch loop's configuration (single-server and farm engines),
-     * handed to FarmRuntime by farmConfigOf(): `perServer` holds the
-     * policy-management knobs (T, α, ρ_b, QoS metric, log caps, the
-     * "poet" controller), the rest the farm and its fault plane. The
-     * strategy is applied as a patch over `perServer`, a single-server
-     * scenario runs on singleServerFarm() and so ignores the farm
-     * knobs, and dispatchSeed/faultSeed are always derived from `seed`.
-     * The multicore engine reads only the QoS metric and ρ_b. The
+     * The epoch loop's configuration, handed to FarmRuntime by
+     * farmConfigOf(): `perServer` holds the policy-management knobs
+     * (T, α, ρ_b, QoS metric, log caps, the "poet" controller), the
+     * rest the farm and its fault plane. The strategy is applied as a
+     * patch over `perServer`, a single-server scenario runs on
+     * singleServerFarm() and so ignores the farm knobs, and
+     * dispatchSeed/faultSeed are always derived from `seed`. The
      * defaults are the loop's own, except α = 0.35, the paper's
      * over-provisioned runs.
      */
@@ -129,14 +125,6 @@ struct ScenarioSpec
         config.perServer.overProvision = 0.35;
         return config;
     }();
-
-    // Multicore engine (fixed package policy over a stationary load).
-    std::size_t cores = 4;              ///< Cores in the package.
-    double frequency = 1.0;             ///< Shared DVFS factor.
-    LowPowerState coreState = LowPowerState::C6S0Idle; ///< Idle descent.
-    double packageSleepDelay = 1.0;     ///< Joint-idle S3 delay, s.
-    double rho = 0.1;                   ///< Per-core offered load.
-    std::size_t jobCount = 60000;       ///< Stationary job count.
 
     /** Master seed; every RNG the engines draw is derived from it. */
     std::uint64_t seed = 1;
@@ -153,8 +141,8 @@ struct ScenarioSpec
      */
     std::size_t replications = 1;
 
-    /** Capture the per-epoch CSV in the result (single-server and farm
-     * engines; a farm reports its farm-level epochs). */
+    /** Capture the per-epoch CSV in the result (a farm reports its
+     * farm-level epochs). */
     bool captureEpochs = false;
 
     /**
@@ -178,12 +166,11 @@ struct ScenarioSpec
 };
 
 /**
- * The FarmRuntime configuration of a single-server or farm scenario:
- * `spec.loop` with the strategy patched over its `perServer` and the
- * dispatch and fault seeds derived from `spec.seed`; for the
- * single-server engine, the one-server farm the paper's runtime runs
- * on (singleServerFarm()) around that patched `perServer`. fatal() on
- * an unknown strategy.
+ * The FarmRuntime configuration of a scenario: `spec.loop` with the
+ * strategy patched over its `perServer` and the dispatch and fault
+ * seeds derived from `spec.seed`; for the single-server engine, the
+ * one-server farm the paper's runtime runs on (singleServerFarm())
+ * around that patched `perServer`. fatal() on an unknown strategy.
  */
 FarmRuntimeConfig farmConfigOf(const ScenarioSpec &spec);
 
@@ -192,11 +179,11 @@ FarmRuntimeConfig farmConfigOf(const ScenarioSpec &spec);
 WorkloadSpec workloadOf(const ScenarioSpec &spec);
 
 /**
- * Build the job source of a single-server or farm scenario over
- * `trace`. Engines pull from it epoch by epoch — the stream is never
- * materialized. The farm sees farm-size times the per-server trace
- * load; a replay log is taken literally (its recorded stream IS the
- * aggregate). fatal() on a bad source knob.
+ * Build the job source of a scenario over `trace`. Engines pull from
+ * it epoch by epoch — the stream is never materialized. The farm sees
+ * farm-size times the per-server trace load; a replay log is taken
+ * literally (its recorded stream IS the aggregate). fatal() on a bad
+ * source knob.
  */
 std::unique_ptr<JobSource> sourceOf(const ScenarioSpec &spec,
                                     const WorkloadSpec &workload,

@@ -50,8 +50,9 @@ faultConfigOf(const FarmRuntimeConfig &config)
  * to the farm in time order, and owns the failover retry queue — jobs
  * that found every server down, waiting out a capped exponential
  * backoff in sim time until a retry succeeds or the drop timeout
- * expires. Inactive ("none") drivers reduce to the plain offerJob()
- * path, so fault-free runs reproduce the pre-fault farm bit-for-bit.
+ * expires. Inactive ("none") drivers reduce to one tryOfferJob() per
+ * arrival, so fault-free runs reproduce the pre-fault farm
+ * bit-for-bit.
  */
 class FaultDriver
 {
@@ -152,10 +153,10 @@ class FaultDriver
 
     void applyEvent()
     {
-        fatalIf(_event.server >= _farm.size(),
-                "FaultDriver: fault event names server " +
-                    std::to_string(_event.server) + " in a farm of " +
-                    std::to_string(_farm.size()));
+        if (_event.server >= _farm.size())
+            fatal("FaultDriver: fault event names server " +
+                  std::to_string(_event.server) + " in a farm of " +
+                  std::to_string(_farm.size()));
         if (_event.down)
             _farm.failServer(_event.server, _event.time);
         else
@@ -401,8 +402,8 @@ validateFarmConfig(const FarmRuntimeConfig &config, const WorkloadSpec &spec)
     // frequency outside (0, 1], NaN included, would otherwise stop the
     // run mid-way or run it at NaN power. Plans check their own stages.
     const auto check_frequency = [](double f, const std::string &what) {
-        fatalIf(!(f > 0.0 && f <= 1.0),
-                "FarmRuntime: " + what + " frequency must be in (0, 1]");
+        if (!(f > 0.0 && f <= 1.0))
+            fatal("FarmRuntime: " + what + " frequency must be in (0, 1]");
     };
     fatalIf(per_server.space.plans.empty() ||
                 per_server.space.frequencies.empty(),
@@ -424,6 +425,25 @@ validateFarmConfig(const FarmRuntimeConfig &config, const WorkloadSpec &spec)
             "FarmRuntime: unknown control mode '" + config.control +
                 "' (use \"farm-wide\", \"per-server\", or "
                 "\"distributed\")");
+    if (config.control == "distributed") {
+        // The rate scaler decides alone, moving only the frequency of
+        // the initial policy: a rule it would drop is refused.
+        fatalIf(per_server.controller.has_value(),
+                "FarmRuntime: control = \"distributed\" decides with "
+                "the rate scaler, so the \"poet\" controller would be "
+                "dropped");
+        fatalIf(per_server.fixedPolicy.has_value(),
+                "FarmRuntime: control = \"distributed\" decides with "
+                "the rate scaler, so the fixed (race-to-halt) policy "
+                "would be dropped");
+        const auto &plans = per_server.space.plans;
+        fatalIf(std::find(plans.begin(), plans.end(),
+                          per_server.initialPolicy.plan) == plans.end(),
+                "FarmRuntime: control = \"distributed\" runs the "
+                "initial policy's sleep plan, which is not in the "
+                "policy space, so the strategy's plan restriction would "
+                "be dropped");
+    }
     // Throwaway components check their own knobs: the dispatcher its
     // name (the registry lists the alternatives) and packing spill
     // threshold; the fault source its name, MTBF/MTTR ranges and every
@@ -508,11 +528,10 @@ FarmRuntime::FarmRuntime(const PlatformModel &platform,
                 // offered load; the target anchors at the QoS design
                 // point ρ_b, and the sleep plan is pinned to the
                 // initial policy's.
-                RateScalerOptions options;
-                options.targetUtilization = _config.perServer.rhoB;
                 return std::make_unique<DistributedRateScaler>(
                     _config.perServer.space.frequencies, _spec.scaling,
-                    _config.perServer.initialPolicy, options);
+                    _config.perServer.initialPolicy,
+                    _config.perServer.rhoB);
             }
             if (_config.perServer.controller) {
                 return std::make_unique<ControllerManager>(

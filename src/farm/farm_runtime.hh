@@ -82,8 +82,13 @@ struct FarmRuntimeConfig
      * everywhere), "per-server" (autonomous per-server decisions from
      * each server's own dispatched log), or "distributed"
      * (zero-communication local rate scaling, farm/rate_scaler.hh:
-     * each server tracks its own offered load and scales frequency
-     * against the ρ_b target, ignoring the shared predictor). */
+     * each server tracks its own offered load and scales the
+     * frequency of perServer.initialPolicy against the ρ_b target,
+     * ignoring the shared predictor). The rate scaler is then the only
+     * decision rule, so validateFarmConfig() refuses a distributed
+     * config with a controller, a fixed policy, or a policy space
+     * without the initial policy's sleep plan: strategies "SS" and
+     * "DVFS" run, "poet", "R2H(...)" and "SS(C3)" do not. */
     std::string control = "farm-wide";
 
     /** Per-server platform names resolved against platformRegistry().
@@ -402,7 +407,8 @@ class FarmRuntime
  * The one range check of every loop-engine knob (ρ_b through the QoS
  * factory, the poet ControllerConfig, a non-empty policy space and the
  * frequency of every candidate and loop policy included; NaN and
- * infinities fail every check that needs a finite value),
+ * infinities fail every check that needs a finite value) and of the
+ * rules a distributed farm would drop (see FarmRuntimeConfig::control),
  * run by the FarmRuntime constructor and, before any runtime exists, by
  * ScenarioSpec::validate(). fatal() on the first bad knob.
  *

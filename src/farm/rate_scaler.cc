@@ -1,30 +1,33 @@
 #include "farm/rate_scaler.hh"
 
 #include <algorithm>
-#include <cmath>
 
 #include "util/error.hh"
 
 namespace sleepscale {
 
+namespace {
+
+/** Floor of the Robbins–Monro gain: past the 20th observation every
+ * step moves the estimate 5% of the way to the observed load. */
+constexpr double gainFloor = 0.05;
+
+} // namespace
+
 DistributedRateScaler::DistributedRateScaler(
     std::vector<double> frequencies, ServiceScaling scaling,
-    const Policy &initial, RateScalerOptions options)
+    const Policy &initial, double target)
     : _frequencies(std::move(frequencies)), _scaling(scaling),
-      _initial(initial), _options(options)
+      _initial(initial), _target(target)
 {
     fatalIf(_frequencies.empty(),
             "DistributedRateScaler: need at least one frequency");
     for (double f : _frequencies)
         fatalIf(!(f > 0.0 && f <= 1.0),
                 "DistributedRateScaler: frequencies must be in (0, 1]");
-    fatalIf(_options.targetUtilization <= 0.0 ||
-                _options.targetUtilization > 1.0,
+    fatalIf(!(_target > 0.0 && _target <= 1.0),
             "DistributedRateScaler: target utilization must be in "
             "(0, 1]");
-    fatalIf(_options.gainFloor < 0.0 || _options.gainFloor > 1.0 ||
-                !std::isfinite(_options.gainFloor),
-            "DistributedRateScaler: gain floor must be in [0, 1]");
     std::sort(_frequencies.begin(), _frequencies.end());
 }
 
@@ -41,8 +44,7 @@ DistributedRateScaler::decide(const EpochObservation &observation,
         std::clamp(observation.measuredUtilization, 0.0, 1.0);
     ++_samples;
     const double gain =
-        std::max(1.0 / static_cast<double>(_samples),
-                 _options.gainFloor);
+        std::max(1.0 / static_cast<double>(_samples), gainFloor);
     _lambda += gain * (observed - _lambda);
 
     // Slowest frequency that keeps the scaled utilization under the
@@ -54,11 +56,10 @@ DistributedRateScaler::decide(const EpochObservation &observation,
     for (double f : _frequencies) {
         ++decision.evaluated;
         const double utilization = _lambda * _scaling.factor(f);
-        if (utilization <= _options.targetUtilization) {
+        if (utilization <= _target) {
             decision.policy.frequency = f;
             decision.feasible = true;
-            decision.predictedMetric =
-                utilization / _options.targetUtilization;
+            decision.predictedMetric = utilization / _target;
             break;
         }
     }

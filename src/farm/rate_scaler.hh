@@ -28,25 +28,14 @@
 
 namespace sleepscale {
 
-/** Knobs of the distributed rate-scaling rule. */
-struct RateScalerOptions
-{
-    /** Utilization ceiling ρ* the chosen frequency must keep the
-     * estimated load under; the natural anchor is the QoS design
-     * point ρ_b (RuntimeConfig::rhoB). In (0, 1]. */
-    double targetUtilization = 0.8;
-
-    /** Floor of the Robbins–Monro gain: the step size is
-     * max(1/k, floor) at the k-th observation, so the estimate
-     * converges like a running mean early on but keeps adapting to
-     * drift forever. In [0, 1]. */
-    double gainFloor = 0.05;
-};
-
 /**
  * Local-load-tracking EpochDecider: estimate the server's offered
  * load λ̂ from its own epoch observations, then run the slowest
  * frequency f with λ̂ · scaling.factor(f) <= ρ*.
+ *
+ * The Robbins–Monro step size at the k-th observation is
+ * max(1/k, 0.05), so the estimate converges like a running mean early
+ * on but keeps adapting to drift forever.
  *
  * Stateless apart from the scalar estimate (needsLog() is false), so
  * FarmRuntime skips per-server log collection entirely — the memory
@@ -63,11 +52,13 @@ class DistributedRateScaler final : public EpochDecider
      * @param initial Policy run until the first decision; its sleep
      *        plan stays in force forever (rate scaling only moves the
      *        frequency).
-     * @param options Target utilization and estimator gain floor.
+     * @param target Utilization ceiling ρ* the chosen frequency must
+     *        keep the estimated load under, in (0, 1]; FarmRuntime
+     *        anchors it at the QoS design point ρ_b.
      */
     DistributedRateScaler(std::vector<double> frequencies,
                           ServiceScaling scaling, const Policy &initial,
-                          RateScalerOptions options);
+                          double target);
 
     /** Never consumes a job log (the zero-communication point). */
     bool needsLog() const override { return false; }
@@ -87,7 +78,7 @@ class DistributedRateScaler final : public EpochDecider
     std::vector<double> _frequencies;
     ServiceScaling _scaling;
     Policy _initial;
-    RateScalerOptions _options;
+    double _target;
 
     double _lambda = 0.0;
     std::uint64_t _samples = 0;

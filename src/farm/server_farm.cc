@@ -186,20 +186,10 @@ ServerFarm::noteAdmission(std::size_t server)
 }
 
 std::size_t
-ServerFarm::offerJob(const Job &job)
-{
-    const std::size_t pick = tryOfferJob(job);
-    fatalIf(pick == noServer,
-            "ServerFarm::offerJob: no server is accepting work (use "
-            "tryOfferJob() to back off and retry)");
-    return pick;
-}
-
-std::size_t
 ServerFarm::tryOfferJob(const Job &job)
 {
     fatalIf(job.arrival < _lastArrival,
-            "ServerFarm::offerJob: arrivals must be non-decreasing");
+            "ServerFarm::tryOfferJob: arrivals must be non-decreasing");
     _lastArrival = job.arrival;
 
     readmitUpTo(job.arrival);
@@ -309,15 +299,6 @@ ServerFarm::accepting(std::size_t server, double now) const
     return now >= _acceptFrom[server];
 }
 
-std::size_t
-ServerFarm::acceptingCount(double now) const
-{
-    std::size_t count = 0;
-    for (std::size_t i = 0; i < _servers.size(); ++i)
-        count += accepting(i, now) ? 1 : 0;
-    return count;
-}
-
 ServerLifecycle
 ServerFarm::lifecycle(std::size_t server, double now) const
 {
@@ -373,12 +354,6 @@ ServerFarm::policy(std::size_t server) const
     return _servers[server].policy();
 }
 
-SimStats
-ServerFarm::harvestWindow()
-{
-    return mergeWindows(harvestWindows());
-}
-
 std::vector<SimStats>
 ServerFarm::harvestWindows()
 {
@@ -426,14 +401,6 @@ ServerFarm::platform(std::size_t server) const
     fatalIf(server >= _servers.size(),
             "ServerFarm::platform: server index out of range");
     return _servers[server].platform();
-}
-
-SimStats
-ServerFarm::harvestWindow(std::size_t server)
-{
-    fatalIf(server >= _servers.size(),
-            "ServerFarm::harvestWindow: server index out of range");
-    return _servers[server].harvestWindow();
 }
 
 double

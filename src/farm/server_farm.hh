@@ -92,19 +92,9 @@ class ServerFarm
     /**
      * Route and admit one arrival (non-decreasing arrival times).
      * Routing only considers servers accepting work at the arrival
-     * instant; fatal() when every server is unavailable — callers that
-     * can retry should use tryOfferJob() instead.
-     *
-     * @return Index of the server that received the job.
-     */
-    std::size_t offerJob(const Job &job);
-
-    /**
-     * Fault-tolerant variant of offerJob(): routes among the servers
-     * accepting work at the arrival instant and returns noServer —
-     * instead of fatal() — when there are none, so the caller can
-     * back off and retry (FarmRuntime's failover path). The dispatcher
-     * is not called when no server accepts work.
+     * instant; when there are none the dispatcher is not called and
+     * noServer comes back, so the caller can back off and retry
+     * (FarmRuntime's failover path).
      *
      * @return Index of the admitting server, or noServer.
      */
@@ -135,9 +125,6 @@ class ServerFarm
     /** Whether a server accepts new work at time `now`. */
     bool accepting(std::size_t server, double now) const;
 
-    /** Number of servers accepting new work at time `now`. */
-    std::size_t acceptingCount(double now) const;
-
     /** Lifecycle state of one server at time `now`. */
     ServerLifecycle lifecycle(std::size_t server, double now) const;
 
@@ -158,27 +145,16 @@ class ServerFarm
     /** Policy currently in force on a server. */
     const Policy &policy(std::size_t server) const;
 
-    /**
-     * Harvest and merge every server's window. Energy and residencies
-     * add across servers; response statistics pool all completions. The
-     * elapsed window is one server's wall-clock span (not multiplied by
-     * the farm size), so avgPower() reports farm watts.
-     */
-    SimStats harvestWindow();
-
-    /** Harvest one server's window. */
-    SimStats harvestWindow(std::size_t server);
-
     /** Harvest every server's window, one entry per server (per-server
      * control reads these individually and merges with mergeWindows()
      * for the farm view). */
     std::vector<SimStats> harvestWindows();
 
     /**
-     * Merge per-server windows into one farm window with
-     * harvestWindow()'s semantics: energies and residencies add,
-     * responses pool, and the window span is the union wall-clock span
-     * (so avgPower() reports farm watts). Needs >= 1 window.
+     * Merge per-server windows into one farm window: energies and
+     * residencies add, responses pool, and the window span is the
+     * union wall-clock span, not multiplied by the farm size (so
+     * avgPower() reports farm watts). Needs >= 1 window.
      */
     static SimStats mergeWindows(const std::vector<SimStats> &windows);
 

@@ -125,17 +125,17 @@ ScriptedFaultSource::ScriptedFaultSource(std::size_t farm_size,
     double last = 0.0;
     for (std::size_t i = 0; i < _events.size(); ++i) {
         const FaultEvent &event = _events[i];
-        fatalIf(!std::isfinite(event.time) || event.time < 0.0,
-                "ScriptedFaultSource: event " + std::to_string(i) +
-                    " has a non-finite or negative time");
-        fatalIf(event.time < last,
-                "ScriptedFaultSource: event " + std::to_string(i) +
-                    " goes back in time (events must be in "
-                    "non-decreasing time order)");
-        fatalIf(event.server >= farm_size,
-                "ScriptedFaultSource: event " + std::to_string(i) +
-                    " names server " + std::to_string(event.server) +
-                    " in a farm of " + std::to_string(farm_size));
+        if (!std::isfinite(event.time) || event.time < 0.0)
+            fatal("ScriptedFaultSource: event " + std::to_string(i) +
+                  " has a non-finite or negative time");
+        if (event.time < last)
+            fatal("ScriptedFaultSource: event " + std::to_string(i) +
+                  " goes back in time (events must be in "
+                  "non-decreasing time order)");
+        if (event.server >= farm_size)
+            fatal("ScriptedFaultSource: event " + std::to_string(i) +
+                  " names server " + std::to_string(event.server) +
+                  " in a farm of " + std::to_string(farm_size));
         last = event.time;
     }
 }

@@ -48,9 +48,9 @@ PlatformModel::validate() const
     double previous_power = activePower(1.0);
     for (LowPowerState state : allLowPowerStates) {
         const double p = lowPower(state, 1.0);
-        fatalIf(p >= previous_power,
-                "PlatformModel: power must strictly decrease with sleep "
-                "depth; violated at " + toString(state));
+        if (p >= previous_power)
+            fatal("PlatformModel: power must strictly decrease with "
+                  "sleep depth; violated at " + toString(state));
         previous_power = p;
     }
 
@@ -58,9 +58,9 @@ PlatformModel::validate() const
     double previous_wake = -1.0;
     for (LowPowerState state : allLowPowerStates) {
         const double w = wakeLatency(state);
-        fatalIf(w < previous_wake,
-                "PlatformModel: wake latency must not decrease with sleep "
-                "depth; violated at " + toString(state));
+        if (w < previous_wake)
+            fatal("PlatformModel: wake latency must not decrease with "
+                  "sleep depth; violated at " + toString(state));
         fatalIf(w < 0.0, "PlatformModel: wake latencies must be >= 0");
         previous_wake = w;
     }

@@ -194,17 +194,8 @@ class ServerSim
      */
     SimStats harvestWindow();
 
-    /** Statistics of the in-progress window (const view). */
-    const SimStats &currentWindow() const { return _window; }
-
-    /** Time up to which power has been integrated. */
-    double accountedTime() const { return _accountedUntil; }
-
     /** Time at which the server's queue next empties. */
     double nextFreeTime() const { return _nextFree; }
-
-    /** Whether the server will be idle at time t absent new arrivals. */
-    bool idleAt(double t) const { return t >= _nextFree; }
 
     /** Seconds of committed work left at time t (0 when idle). */
     double backlog(double t) const;
@@ -220,9 +211,6 @@ class ServerSim
      * moments (mean, min, max, Cv) are always recorded.
      */
     void setRecordTail(bool record) { _recordTail = record; }
-
-    /** Whether per-completion tail histograms are being recorded. */
-    bool recordTail() const { return _recordTail; }
 
   private:
     const PlatformModel &_platform;

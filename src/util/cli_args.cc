@@ -17,11 +17,11 @@ CliArgs::CliArgs(int argc, const char *const *argv,
     }
     for (; i < argc; ++i) {
         const std::string word = argv[i];
-        fatalIf(word.rfind("--", 0) != 0,
-                "CliArgs: expected --option, got '" + word + "'");
+        if (word.rfind("--", 0) != 0)
+            fatal("CliArgs: expected --option, got '" + word + "'");
         const std::string key = word.substr(2);
-        fatalIf(known.find(key) == known.end(),
-                "CliArgs: unknown option '--" + key + "'");
+        if (known.find(key) == known.end())
+            fatal("CliArgs: unknown option '--" + key + "'");
         if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
             _values[key] = argv[i + 1];
             ++i;
@@ -118,9 +118,9 @@ CliArgs::getList(const std::string &key) const
     for (;;) {
         const std::size_t comma = text.find(',', start);
         items.push_back(text.substr(start, comma - start));
-        fatalIf(items.back().empty(),
-                "CliArgs: option '--" + key + "' has an empty item in '" +
-                    text + "'");
+        if (items.back().empty())
+            fatal("CliArgs: option '--" + key + "' has an empty item in '" +
+                  text + "'");
         if (comma == std::string::npos)
             return items;
         start = comma + 1;

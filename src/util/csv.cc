@@ -90,8 +90,8 @@ fromCsv(const std::string &text)
         std::vector<double> row;
         while (std::getline(fields, cell, ',')) {
             double value = 0.0;
-            fatalIf(!tryParseCsvDouble(cell, value),
-                    "fromCsv: non-numeric cell '" + cell + "'");
+            if (!tryParseCsvDouble(cell, value))
+                fatal("fromCsv: non-numeric cell '" + cell + "'");
             row.push_back(value);
         }
         table.addRow(row);

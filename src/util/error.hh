@@ -5,7 +5,14 @@
  * Follows the gem5 fatal/panic discipline: fatal() is for conditions caused
  * by the caller (bad configuration, invalid arguments) and throws
  * ConfigError; panic() is for violated internal invariants (library bugs)
- * and throws InternalError. Neither is used on hot simulation paths.
+ * and throws InternalError.
+ *
+ * fatalIf() guards hot paths too (every job a ServerSim admits, every
+ * job of a log the search replays), so a passing check costs one
+ * branch: its message is a string_view, and the std::string is built
+ * only when the check fails. A message computed with `+` or
+ * std::to_string is built before any call, so checks inside per-item
+ * loops that need one are written `if (bad) fatal(...)` instead.
  */
 
 #ifndef SLEEPSCALE_UTIL_ERROR_HH
@@ -13,6 +20,7 @@
 
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 namespace sleepscale {
 
@@ -58,16 +66,17 @@ class InternalError : public std::logic_error
 [[noreturn]] void panic(const std::string &msg);
 
 /**
- * Check a user-supplied condition, raising ConfigError when it fails.
+ * Check a user-supplied condition, raising ConfigError when it holds.
  *
- * @param ok Condition that must hold for the configuration to be valid.
- * @param msg Message used if the condition fails.
+ * @param bad Condition under which the configuration is invalid.
+ * @param msg Message used if `bad` is true; only then copied into a
+ *        std::string.
  */
 inline void
-fatalIf(bool bad, const std::string &msg)
+fatalIf(bool bad, std::string_view msg)
 {
     if (bad)
-        fatal(msg);
+        fatal(std::string(msg));
 }
 
 } // namespace sleepscale

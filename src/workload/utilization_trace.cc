@@ -168,34 +168,34 @@ UtilizationTrace::load(const std::string &path)
         std::vector<double> row;
         while (std::getline(fields, cell, ',')) {
             double value = 0.0;
-            fatalIf(!tryParseCsvDouble(cell, value),
-                    lineError(line_no,
-                              "non-numeric cell '" + cell + "'"));
+            if (!tryParseCsvDouble(cell, value))
+                fatal(lineError(line_no,
+                                "non-numeric cell '" + cell + "'"));
             row.push_back(value);
         }
-        fatalIf(row.size() != columns,
-                lineError(line_no, "expected " +
-                                       std::to_string(columns) +
-                                       " cells, got " +
-                                       std::to_string(row.size())));
+        if (row.size() != columns)
+            fatal(lineError(line_no, "expected " + std::to_string(columns) +
+                                         " cells, got " +
+                                         std::to_string(row.size())));
         const double u = row[util_col];
-        fatalIf(std::isnan(u), lineError(line_no, "NaN utilization"));
-        fatalIf(u < 0.0 || u >= 1.0,
-                lineError(line_no, "utilization " + std::to_string(u) +
-                                       " outside [0, 1)"));
+        if (std::isnan(u))
+            fatal(lineError(line_no, "NaN utilization"));
+        if (u < 0.0 || u >= 1.0)
+            fatal(lineError(line_no, "utilization " + std::to_string(u) +
+                                         " outside [0, 1)"));
         // Traces saved by save() carry a minute column; when present it
         // must be strictly increasing (an out-of-order or duplicated
         // row is a corrupt trace, not data).
         if (util_col != 0 && columns >= 2) {
             const double minute = row[0];
-            fatalIf(std::isnan(minute) || minute < 0.0,
-                    lineError(line_no, "bad minute index"));
-            fatalIf(minute <= last_minute,
-                    lineError(line_no,
-                              "out-of-order minute " +
-                                  std::to_string(minute) +
-                                  " (previous " +
-                                  std::to_string(last_minute) + ")"));
+            if (std::isnan(minute) || minute < 0.0)
+                fatal(lineError(line_no, "bad minute index"));
+            if (minute <= last_minute)
+                fatal(lineError(line_no, "out-of-order minute " +
+                                             std::to_string(minute) +
+                                             " (previous " +
+                                             std::to_string(last_minute) +
+                                             ")"));
             last_minute = minute;
         }
         values.push_back(u);

@@ -308,14 +308,6 @@ TEST(ScenarioSpec, RejectsOutOfRangeKnobs)
     EXPECT_TRUE(
         rejects([](ScenarioSpec &s) { s.loop.perServer.rhoB = 1.5; }));
     EXPECT_TRUE(rejects([](ScenarioSpec &s) {
-        s.engine = EngineKind::Multicore;
-        s.rho = 1.2;
-    }));
-    EXPECT_TRUE(rejects([](ScenarioSpec &s) {
-        s.engine = EngineKind::Multicore;
-        s.cores = 0;
-    }));
-    EXPECT_TRUE(rejects([](ScenarioSpec &s) {
         s.engine = EngineKind::Farm;
         s.loop.farmSize = 0;
     }));
@@ -384,6 +376,25 @@ TEST(ScenarioSpec, LeavesLoopKnobsToTheEngineValidator)
             s.loop.faults = "mtbf";
             s.loop.degradedPolicy.frequency = 0.0;
         },
+        // Distributed control decides with the rate scaler alone, which
+        // only moves the initial policy's frequency: the controller,
+        // the pinned race-to-halt policy and the one-plan space would
+        // each be dropped without a word.
+        [](ScenarioSpec &s) {
+            s.engine = EngineKind::Farm;
+            s.loop.control = "distributed";
+            s.strategy = "poet";
+        },
+        [](ScenarioSpec &s) {
+            s.engine = EngineKind::Farm;
+            s.loop.control = "distributed";
+            s.strategy = "R2H(C6)";
+        },
+        [](ScenarioSpec &s) {
+            s.engine = EngineKind::Farm;
+            s.loop.control = "distributed";
+            s.strategy = "SS(C3)";
+        },
     };
     const PlatformModel xeon = PlatformModel::xeon();
     for (std::size_t i = 0; i < edits.size(); ++i) {
@@ -393,6 +404,14 @@ TEST(ScenarioSpec, LeavesLoopKnobsToTheEngineValidator)
         EXPECT_THROW(FarmRuntime(xeon, dnsWorkload(), farmConfigOf(spec)),
                      ConfigError)
             << "edit " << i;
+    }
+    // The strategies whose rule the rate scaler keeps still run there.
+    for (const std::string strategy : {"SS", "DVFS"}) {
+        EXPECT_FALSE(rejects([&](ScenarioSpec &s) {
+            s.engine = EngineKind::Farm;
+            s.loop.control = "distributed";
+            s.strategy = strategy;
+        })) << strategy;
     }
     // A scenario's own fixed policy, valid or not, is refused: every
     // strategy patch resets or overwrites it, so the engine would never
@@ -589,7 +608,7 @@ TEST(ExpandGrid, SweepLabelsPrintTheValue)
     EXPECT_EQ(labels(sweep("alpha", &RuntimeConfig::overProvision,
                            {0.0, 0.35})),
               (std::vector<std::string>{"0", "0.35"}));
-    EXPECT_EQ(labels(sweep("pkg_delay", &ScenarioSpec::packageSleepDelay,
+    EXPECT_EQ(labels(sweep("burst_gap", &ScenarioSpec::burstMeanGap,
                            {0.5, std::numeric_limits<double>::infinity()})),
               (std::vector<std::string>{"0.5", "inf"}));
     EXPECT_EQ(labels(sweep("strategy", &ScenarioSpec::strategy,
@@ -683,26 +702,6 @@ TEST(ScenarioSpec, RejectsInfiniteSourceKnobs)
     EXPECT_THROW(BurstySource(dns, 0.2, 4.0, 120.0, inf, 1), ConfigError);
 }
 
-TEST(ExperimentRunner, MulticoreScenarioSmoke)
-{
-    ScenarioSpec spec;
-    spec.label = "mc";
-    spec.engine = EngineKind::Multicore;
-    spec.idealizedWorkload = true;
-    spec.cores = 2;
-    spec.rho = 0.2;
-    spec.jobCount = 2000;
-    spec.seed = 3;
-    const ScenarioResult result =
-        ExperimentRunner::runScenario(spec);
-    EXPECT_EQ(result.jobs, 2000u);
-    EXPECT_GT(result.meanResponse, 0.0);
-    EXPECT_GT(result.avgPower, 0.0);
-    EXPECT_GT(result.elapsed, 0.0);
-    EXPECT_GE(result.extra("s3_residency"), 0.0);
-    EXPECT_THROW(result.extra("no_such_metric"), ConfigError);
-}
-
 TEST(ExperimentRunner, ParallelRunBitMatchesSequential)
 {
     // A mixed 2x2 grid (two strategies, two update intervals) over a
@@ -748,27 +747,39 @@ TEST(ExperimentRunner, ResultsExportUniformSchema)
     single.predictor = "NP";
     single.seed = 5;
     runner.add(single);
-    ScenarioSpec multicore;
-    multicore.label = "mc one";
-    multicore.engine = EngineKind::Multicore;
-    multicore.idealizedWorkload = true;
-    multicore.cores = 2;
-    multicore.rho = 0.2;
-    multicore.jobCount = 1000;
-    multicore.seed = 5;
-    runner.add(multicore);
+    // A second row whose extras differ: only it times its decisions.
+    ScenarioSpec timed = single;
+    timed.label = "timed one";
+    timed.strategy = "SS";
+    timed.loop.perServer.recordDecisionTime = true;
+    runner.add(timed);
     const auto results = runner.run();
+    EXPECT_THROW(results[0].extra("decision_us_mean"), ConfigError);
+    EXPECT_GE(results[1].extra("decision_us_mean"), 0.0);
 
     const std::string csv = resultsToCsvString(results);
-    const std::size_t rows =
-        std::count(csv.begin(), csv.end(), '\n');
-    EXPECT_EQ(rows, results.size() + 1); // header + one line per row
-    // Engine-specific extras become union columns.
-    EXPECT_NE(csv.find("epochs"), std::string::npos);
-    EXPECT_NE(csv.find("s3_residency"), std::string::npos);
-    EXPECT_NE(csv.find("\"single one\"") != std::string::npos ||
-                      csv.find("single one") != std::string::npos,
-              false);
+    std::vector<std::string> lines;
+    std::istringstream in(csv);
+    for (std::string line; std::getline(in, line);)
+        lines.push_back(line);
+    ASSERT_EQ(lines.size(), results.size() + 1); // header + one per row
+    // The union of extras becomes the trailing columns, in first-seen
+    // order, so the untimed row pads the two decision columns blank
+    // and every line has the header's width.
+    const std::string header = lines[0];
+    EXPECT_NE(header.find(",epochs,"), std::string::npos);
+    const std::string tail = ",decision_us_mean,decision_us_p99";
+    ASSERT_GE(header.size(), tail.size());
+    EXPECT_EQ(header.substr(header.size() - tail.size()), tail);
+    const auto commas = [](const std::string &line) {
+        return std::count(line.begin(), line.end(), ',');
+    };
+    EXPECT_EQ(commas(lines[1]), commas(header));
+    EXPECT_EQ(commas(lines[2]), commas(header));
+    EXPECT_EQ(lines[1].rfind("single one,", 0), 0u) << lines[1];
+    EXPECT_EQ(lines[1].substr(lines[1].size() - 2), ",,");
+    EXPECT_EQ(lines[2].rfind("timed one,", 0), 0u) << lines[2];
+    EXPECT_NE(lines[2].back(), ',');
 }
 
 TEST(ExperimentRunner, ReplicatedRunSmoke)

@@ -38,9 +38,7 @@ initialPolicy()
 DistributedRateScaler
 makeScaler(double target, ServiceScaling scaling = ServiceScaling::cpuBound())
 {
-    RateScalerOptions options;
-    options.targetUtilization = target;
-    return DistributedRateScaler(kGrid, scaling, initialPolicy(), options);
+    return DistributedRateScaler(kGrid, scaling, initialPolicy(), target);
 }
 
 EpochObservation
@@ -129,26 +127,19 @@ TEST(DistributedRateScaler, NeverConsumesAJobLog)
 
 TEST(DistributedRateScaler, RejectsBadConfiguration)
 {
-    RateScalerOptions options;
     EXPECT_THROW(DistributedRateScaler({}, ServiceScaling::cpuBound(),
-                                       initialPolicy(), options),
+                                       initialPolicy(), 0.8),
                  ConfigError);
     EXPECT_THROW(DistributedRateScaler({1.5}, ServiceScaling::cpuBound(),
-                                       initialPolicy(), options),
+                                       initialPolicy(), 0.8),
                  ConfigError);
     EXPECT_THROW(
         DistributedRateScaler({std::numeric_limits<double>::quiet_NaN()},
                               ServiceScaling::cpuBound(), initialPolicy(),
-                              options),
+                              0.8),
         ConfigError);
-    options.targetUtilization = 0.0;
     EXPECT_THROW(DistributedRateScaler(kGrid, ServiceScaling::cpuBound(),
-                                       initialPolicy(), options),
-                 ConfigError);
-    options.targetUtilization = 0.8;
-    options.gainFloor = 2.0;
-    EXPECT_THROW(DistributedRateScaler(kGrid, ServiceScaling::cpuBound(),
-                                       initialPolicy(), options),
+                                       initialPolicy(), 0.0),
                  ConfigError);
 }
 

@@ -232,7 +232,7 @@ TEST_F(FaultFarmTest, LifecycleWalksDrainDownRecoverUp)
     farm.failServer(victim, 1.0);
     EXPECT_EQ(farm.lifecycle(victim, 1.0), ServerLifecycle::Draining);
     EXPECT_FALSE(farm.accepting(victim, 1.0));
-    EXPECT_EQ(farm.acceptingCount(1.0), 1u);
+    EXPECT_TRUE(farm.accepting(victim == 0 ? 1 : 0, 1.0));
     EXPECT_EQ(farm.lifecycle(victim, 20.0), ServerLifecycle::Down);
 
     farm.restoreServer(victim, 30.0);
@@ -264,10 +264,9 @@ TEST_F(FaultFarmTest, TryOfferSignalsWhenNoServerAccepts)
     farm.failServer(0, 0.0);
     farm.failServer(0, 0.0); // Idempotent on an already-crashed server.
     farm.failServer(1, 0.0);
-    EXPECT_EQ(farm.acceptingCount(1.0), 0u);
+    EXPECT_FALSE(farm.accepting(0, 1.0));
+    EXPECT_FALSE(farm.accepting(1, 1.0));
     EXPECT_EQ(farm.tryOfferJob({1.0, 1.0}), ServerFarm::noServer);
-    // offerJob() has no failover path and fails fast instead.
-    EXPECT_THROW(farm.offerJob({1.0, 1.0}), ConfigError);
 
     // Restoring one server routes everything to it.
     farm.restoreServer(0, 2.0);
@@ -954,8 +953,8 @@ runPin(const ScenarioSpec &spec)
     const UtilizationTrace trace = spec.trace.realize();
     FarmRuntime runtime(platform, workload, farmConfigOf(spec));
     const auto source = sourceOf(spec, workload, trace);
-    const auto predictor = makePredictor(
-        spec.predictor, spec.predictorHistory, trace.values());
+    const auto predictor =
+        makePredictor(spec.predictor, 10, trace.values());
     return runtime.run(*source, trace, *predictor);
 }
 

@@ -248,7 +248,7 @@ TEST(FarmScale, CalendarStaysBoundedOverStreamingRun)
     for (int burst = 0; burst < 200; ++burst) {
         for (int j = 0; j < 500; ++j) {
             t += rng.exponential(1.0 / 500.0);
-            farm.offerJob(Job{t, rng.exponential(0.05)});
+            farm.tryOfferJob(Job{t, rng.exponential(0.05)});
         }
         // Advancing drains every due event: what remains are future
         // queue-empties entries, at most a small multiple of the farm

@@ -153,9 +153,9 @@ TEST_F(FarmTest, JobsConservedAcrossServers)
                             std::make_unique<ExponentialDist>(0.194), 3);
     const auto jobs = materialize(source, 5000);
     for (const Job &job : jobs)
-        farm.offerJob(job);
+        farm.tryOfferJob(job);
     farm.advanceTo(farm.nextFreeTime());
-    const SimStats stats = farm.harvestWindow();
+    const SimStats stats = ServerFarm::mergeWindows(farm.harvestWindows());
 
     EXPECT_EQ(stats.arrivals, jobs.size());
     EXPECT_EQ(stats.completions, jobs.size());
@@ -170,12 +170,12 @@ TEST_F(FarmTest, JsqFarmTieBreaksToLowestIndex)
     // an exact all-zero-backlog tie, and equal jobs keep producing
     // exact ties, so the routed sequence is fully determined.
     ServerFarm farm = makeFarm(3, "JSQ");
-    EXPECT_EQ(farm.offerJob({0.0, 0.5}), 0u); // all idle -> lowest.
-    EXPECT_EQ(farm.offerJob({0.0, 0.5}), 1u); // 1 and 2 tie at zero.
-    EXPECT_EQ(farm.offerJob({0.0, 0.5}), 2u);
+    EXPECT_EQ(farm.tryOfferJob({0.0, 0.5}), 0u); // all idle -> lowest.
+    EXPECT_EQ(farm.tryOfferJob({0.0, 0.5}), 1u); // 1 and 2 tie at zero.
+    EXPECT_EQ(farm.tryOfferJob({0.0, 0.5}), 2u);
     // All three backlogs are now byte-identical: lowest index again.
-    EXPECT_EQ(farm.offerJob({0.0, 0.5}), 0u);
-    EXPECT_EQ(farm.offerJob({0.0, 0.5}), 1u);
+    EXPECT_EQ(farm.tryOfferJob({0.0, 0.5}), 0u);
+    EXPECT_EQ(farm.tryOfferJob({0.0, 0.5}), 1u);
 }
 
 TEST_F(FarmTest, EligibleTieBreaksToLowestEligibleIndex)
@@ -196,10 +196,10 @@ TEST_F(FarmTest, EligibleTieBreaksToLowestEligibleIndex)
 TEST_F(FarmTest, FarmEnergyIsSumOfServers)
 {
     ServerFarm farm = makeFarm(2, "round-robin");
-    farm.offerJob({1.0, 0.5});
-    farm.offerJob({1.5, 0.5});
+    farm.tryOfferJob({1.0, 0.5});
+    farm.tryOfferJob({1.5, 0.5});
     farm.advanceTo(10.0);
-    const SimStats merged = farm.harvestWindow();
+    const SimStats merged = ServerFarm::mergeWindows(farm.harvestWindows());
 
     // Reconstruct by hand: two identical servers, one job each.
     ServerSim lone(xeon, ServiceScaling::cpuBound(), idlePolicy);
@@ -225,9 +225,9 @@ TEST_F(FarmTest, JsqBeatsRandomOnResponse)
     auto run = [&](const std::string &dispatcher) {
         ServerFarm farm = makeFarm(4, dispatcher);
         for (const Job &job : jobs)
-            farm.offerJob(job);
+            farm.tryOfferJob(job);
         farm.advanceTo(farm.nextFreeTime());
-        return farm.harvestWindow();
+        return ServerFarm::mergeWindows(farm.harvestWindows());
     };
     const SimStats jsq = run("JSQ");
     const SimStats random = run("random");
@@ -245,7 +245,7 @@ TEST_F(FarmTest, PackingConcentratesLoad)
 
     ServerFarm packed = makeFarm(4, "packing");
     for (const Job &job : jobs)
-        packed.offerJob(job);
+        packed.tryOfferJob(job);
     const auto &routed = packed.jobsPerServer();
     const auto minmax =
         std::minmax_element(routed.begin(), routed.end());
@@ -263,9 +263,9 @@ TEST_F(FarmTest, PackingSavesIdlePowerAtLowLoad)
     auto power = [&](const std::string &dispatcher) {
         ServerFarm farm = makeFarm(4, dispatcher);
         for (const Job &job : jobs)
-            farm.offerJob(job);
+            farm.tryOfferJob(job);
         farm.advanceTo(farm.nextFreeTime());
-        return farm.harvestWindow().avgPower();
+        return ServerFarm::mergeWindows(farm.harvestWindows()).avgPower();
     };
     EXPECT_LT(power("packing"), power("random"));
 }
@@ -292,8 +292,8 @@ TEST_F(FarmTest, ValidationGuards)
                             2, nullptr),
                  ConfigError);
     ServerFarm farm = makeFarm(2);
-    farm.offerJob({5.0, 0.1});
-    EXPECT_THROW(farm.offerJob({4.0, 0.1}), ConfigError);
+    farm.tryOfferJob({5.0, 0.1});
+    EXPECT_THROW(farm.tryOfferJob({4.0, 0.1}), ConfigError);
 }
 
 // ------------------------------------------------------------ FarmRuntime

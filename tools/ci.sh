@@ -106,15 +106,14 @@ echo "sanitizer pass OK: $san_dir"
 # plus the "fault" and "control" labels — degraded-mode and
 # controller decisions both fan out across the per-server pool, so
 # those planes must be race-clean too. Only those test targets are
-# built, so this adds one library build, not a third full tree.
+# built (CMake target race_check_tests, defined next to the label
+# lists), so this adds one library build, not a third full tree.
 tsan_dir="$build_dir-tsan"
 cmake -B "$tsan_dir" -S "$repo_root" -DCMAKE_BUILD_TYPE=Debug \
       -DSLEEPSCALE_BUILD_BENCHES=OFF -DSLEEPSCALE_BUILD_EXAMPLES=OFF \
       -DSLEEPSCALE_SANITIZE=thread
-cmake --build "$tsan_dir" -j "$(nproc 2>/dev/null || echo 4)" --target \
-      thread_pool_test eval_engine_test experiment_test \
-      farm_per_server_test farm_fault_test sim_fuzz_test control_test \
-      farm_distributed_test farm_scale_test
+cmake --build "$tsan_dir" -j "$(nproc 2>/dev/null || echo 4)" \
+      --target race_check_tests
 ctest --test-dir "$tsan_dir" --output-on-failure -j \
       "$(nproc 2>/dev/null || echo 4)" \
       -L "concurrency|fault|control"
