@@ -31,8 +31,7 @@ farmBase(const std::string &label)
     ScenarioSpec spec;
     spec.label = label;
     spec.engine = EngineKind::Farm;
-    spec.trace = {.kind = "es", .seed = 20140614,
-                  .windowStartHour = 2, .windowEndHour = 20};
+    spec.trace = {.kind = "es", .windowStartHour = 2, .windowEndHour = 20};
     spec.loop.perServer.overProvision = 0.35;
     spec.loop.perServer.rhoB = 0.8;
     spec.predictor = "LC";

@@ -33,8 +33,8 @@ main()
     ScenarioSpec dispatch_base;
     dispatch_base.label = "farm";
     dispatch_base.engine = EngineKind::Farm;
-    dispatch_base.trace = {.kind = "es", .seed = 20140614,
-                           .windowStartHour = 2, .windowEndHour = 20};
+    dispatch_base.trace = {
+        .kind = "es", .windowStartHour = 2, .windowEndHour = 20};
     dispatch_base.loop.perServer.overProvision = 0.35;
     dispatch_base.loop.perServer.rhoB = 0.8;
     dispatch_base.predictor = "LC";

@@ -37,8 +37,7 @@ try {
     const std::size_t replications = args.getUnsigned("replications", 1);
     ScenarioSpec base;
     base.label = "fig8";
-    base.trace = {.kind = "es", .seed = 20140614, .windowStartHour = 2,
-                  .windowEndHour = 20};
+    base.trace = {.kind = "es", .windowStartHour = 2, .windowEndHour = 20};
     base.strategy = "SS";
     base.loop.perServer.overProvision = 0.0;
     base.loop.perServer.rhoB = 0.8;

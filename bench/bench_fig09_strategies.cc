@@ -43,8 +43,7 @@ try {
     const std::size_t replications = args.getUnsigned("replications", 1);
     ScenarioSpec base;
     base.label = "fig9";
-    base.trace = {.kind = "es", .seed = 20140614, .windowStartHour = 2,
-                  .windowEndHour = 20};
+    base.trace = {.kind = "es", .windowStartHour = 2, .windowEndHour = 20};
     base.loop.perServer.epochMinutes = 5;
     base.loop.perServer.overProvision = 0.35;
     base.loop.perServer.rhoB = 0.8;
@@ -87,8 +86,8 @@ try {
             for (std::size_t i = 0; i < power.size(); ++i)
                 delta_pct[i] =
                     100.0 * (power[i] / ss_power[i] - 1.0);
-            const MetricSummary delta = summarizeSamples(
-                "vs_ss_power_pct", std::move(delta_pct));
+            const MetricSummary delta{"vs_ss_power_pct",
+                                      std::move(delta_pct)};
             table.addRow(
                 {result.spec.strategy,
                  result.metric("normalized_mean").toString(),

@@ -77,8 +77,8 @@ regretOf(const std::string &workload, const std::string &label,
     ScenarioSpec spec;
     spec.label = "regret " + workload + " " + label;
     spec.workload = workload;
-    spec.trace = {.kind = "es", .days = 1, .seed = 20140614,
-                  .windowStartHour = 2, .windowEndHour = 6};
+    spec.trace = {
+        .kind = "es", .days = 1, .windowStartHour = 2, .windowEndHour = 6};
     spec.sourceRateScale = rate_scale;
     spec.strategy = strategy;
     spec.loop.perServer.epochMinutes = 5;

@@ -67,16 +67,6 @@ class ControllerManager : public EpochDecider
     /** The QoS constraint the loop regulates toward. */
     const QosConstraint &qos() const { return _qos; }
 
-    /** Kalman filter over measured offered load (h = 1). */
-    const KalmanEstimator &loadFilter() const { return _loadFilter; }
-
-    /** Kalman filter over base speed, observed through the applied
-     * xup (h = speedup of the policy the epoch ran under). */
-    const KalmanEstimator &perfFilter() const { return _perfFilter; }
-
-    /** The xup integrator and translator. */
-    const PowerPerfController &controller() const { return _xup; }
-
   private:
     /** Mean-power estimate of running `policy` at offered load
      * `load` — reported as PolicyDecision::predictedPower for parity

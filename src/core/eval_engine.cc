@@ -35,7 +35,7 @@ PolicyEvalEngine::PolicyEvalEngine(const PlatformModel &platform,
     if (threads != 1)
         _pool = std::make_unique<ThreadPool>(threads);
     const std::size_t lanes = _pool ? _pool->size() : 1;
-    _tails.assign(lanes * replayWidth, SimStats{}.responseHistogram);
+    _tails.resize(lanes * replayWidth);
     _outcomes.resize(_space.size());
 }
 

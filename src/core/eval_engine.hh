@@ -113,14 +113,11 @@ class PolicyEvalEngine
      */
     PolicyDecision selectAnalytic(double lambda, double mu);
 
-    /** The candidate space. */
-    const PolicySpace &space() const { return _space; }
-
     /** The QoS constraint in force. */
     const QosConstraint &qos() const { return _qos; }
 
     /** The cached materialization of plan `plan_idx` at frequency
-     * `freq_idx` (indices into space().plans / space().frequencies). */
+     * `freq_idx` (indices into the space's plans and frequencies). */
     const MaterializedPlan &materialized(std::size_t plan_idx,
                                          std::size_t freq_idx) const;
 

@@ -90,9 +90,6 @@ class PolicyManager : public EpochDecider
     /** The QoS constraint in force. */
     const QosConstraint &qos() const { return _engine->qos(); }
 
-    /** The candidate space. */
-    const PolicySpace &space() const { return _engine->space(); }
-
     /** The evaluation engine backing both selections (read-only; the
      * manager is the only mutation path, preserving the const barrier
      * the runtimes expose). */

@@ -26,15 +26,6 @@ PolicySpace::standard()
 }
 
 PolicySpace
-PolicySpace::singlePlan(const SleepPlan &plan)
-{
-    PolicySpace space;
-    space.plans = {plan};
-    space.frequencies = frequencyGrid(0.30, 1.0, 0.05);
-    return space;
-}
-
-PolicySpace
 PolicySpace::allStates(std::vector<double> frequencies)
 {
     PolicySpace space;

@@ -44,9 +44,6 @@ struct PolicySpace
      */
     static PolicySpace standard();
 
-    /** A single-plan space (e.g. SS(C3) or the DVFS-only baseline). */
-    static PolicySpace singlePlan(const SleepPlan &plan);
-
     /** All five single-state plans over a caller-provided grid. */
     static PolicySpace allStates(std::vector<double> frequencies);
 };

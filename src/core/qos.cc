@@ -96,7 +96,7 @@ QosConstraint::measuredValue(double mean_response,
 bool
 QosConstraint::satisfiedBy(const SimStats &stats) const
 {
-    return measuredValue(stats) <= _budget;
+    return stats.completions > 0 && measuredValue(stats) <= _budget;
 }
 
 double
@@ -122,14 +122,6 @@ QosConstraint::analyticValue(const MM1SleepModel &model,
             hi = mid;
     }
     return 0.5 * (lo + hi);
-}
-
-bool
-QosConstraint::satisfiedByAnalytic(const MM1SleepModel &model,
-                                   const Policy &policy, double lambda,
-                                   double mu) const
-{
-    return analyticValue(model, policy, lambda, mu) <= _budget;
 }
 
 } // namespace sleepscale

@@ -86,17 +86,17 @@ class QosConstraint
     double measuredValue(double mean_response,
                          const QuantileHistogram &responses) const;
 
-    /** Whether measured statistics meet the constraint. */
+    /**
+     * Whether measured statistics meet the constraint. A window that
+     * completed no job never does: it has no response statistic, so it
+     * neither arms the over-provisioning boost nor reads as
+     * budget-compliant in reports.
+     */
     bool satisfiedBy(const SimStats &stats) const;
 
     /** Closed-form statistic under the idealized model. */
     double analyticValue(const MM1SleepModel &model, const Policy &policy,
                          double lambda, double mu) const;
-
-    /** Whether the idealized model predicts the constraint is met. */
-    bool satisfiedByAnalytic(const MM1SleepModel &model,
-                             const Policy &policy, double lambda,
-                             double mu) const;
 
   private:
     QosConstraint(QosMetric metric, double budget, double quantile);

@@ -28,7 +28,13 @@
 
 namespace sleepscale {
 
-/** Knobs of one runtime configuration. */
+/** How many past epochs of job events feed the evaluation log (Section
+ * 5.2.1 logs "previous epochs"; more history smooths the
+ * characterization when epochs are short). */
+constexpr std::size_t historyEpochs = 3;
+
+/** Knobs of one runtime configuration. The evaluation log always holds
+ * the last historyEpochs epochs, trimmed to evalLogCap jobs. */
 struct RuntimeConfig
 {
     /** Policy update interval T, minutes (paper: 1-15). */
@@ -55,11 +61,6 @@ struct RuntimeConfig
      * recent jobs (Section 5.2.1: average behaviour from the recent past
      * suffices, and the cap bounds the per-epoch decision cost). */
     std::size_t evalLogCap = 4000;
-
-    /** How many past epochs of job events feed the evaluation log
-     * (Section 5.2.1 logs "previous epochs"; more history smooths the
-     * characterization when epochs are short). */
-    std::size_t historyEpochs = 3;
 
     /** When set, decide per epoch with the O(1) feedback controller
      * (control/controller_manager.hh, strategy "poet") instead of the
@@ -128,7 +129,8 @@ struct RuntimeResult
     /** Whole-run average power, watts. */
     double avgPower() const { return total.avgPower(); }
 
-    /** Whether the whole-run QoS statistic met its budget. */
+    /** Whether the whole-run QoS statistic met its budget (never for a
+     * run that completed no job). */
     bool withinBudget() const { return qos.satisfiedBy(total); }
 };
 

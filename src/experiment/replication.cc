@@ -14,9 +14,11 @@ namespace sleepscale {
 namespace {
 
 /**
- * The metric schema of one replication: the core result fields plus
- * every engine extra, in a stable order. The replication layer
- * summarizes the metrics this list shares across all replications.
+ * The metrics of one replication: the core result fields plus every
+ * engine extra, in a stable order. Every replication of one spec
+ * reports the same list: runQueued() emits every extra
+ * unconditionally, and the optional decision-time and regret extras
+ * depend only on the spec.
  */
 std::vector<std::pair<std::string, double>>
 metricValues(const ScenarioResult &result)
@@ -37,15 +39,14 @@ metricValues(const ScenarioResult &result)
     return values;
 }
 
-/** The entry named `name` in a list of named values, or null. */
-template <typename Entry>
-const Entry *
-findNamed(const std::vector<Entry> &entries, const std::string &name,
-          std::string Entry::*key)
+/** The summary named `name`, or null. */
+const MetricSummary *
+findNamed(const std::vector<MetricSummary> &summaries,
+          const std::string &name)
 {
-    for (const Entry &entry : entries) {
-        if (entry.*key == name)
-            return &entry;
+    for (const MetricSummary &summary : summaries) {
+        if (summary.name == name)
+            return &summary;
     }
     return nullptr;
 }
@@ -59,12 +60,36 @@ formatCell(double value, int precision)
     return out.str();
 }
 
-/** CI column suffix for a confidence level, e.g. 0.95 -> "ci95". */
-std::string
-ciSuffix(double confidence)
+/**
+ * Summarize already-run replications of one scenario (at least one),
+ * the reduction runReplicated() applies after the fan-out. The
+ * replications' metrics zip by index.
+ */
+ReplicatedResult
+summarizeReplications(const ScenarioSpec &spec,
+                      std::vector<ScenarioResult> replications)
 {
-    return "ci" + std::to_string(static_cast<int>(
-                      std::lround(confidence * 100.0)));
+    ReplicatedResult result;
+    result.spec = spec;
+    for (const auto &entry : metricValues(replications.front()))
+        result.metrics.push_back({entry.first, {}});
+    for (const ScenarioResult &replication : replications) {
+        const auto values = metricValues(replication);
+        if (values.size() != result.metrics.size())
+            panic("summarizeReplications: replications of '" +
+                  spec.label + "' report different metric counts");
+        for (std::size_t m = 0; m < values.size(); ++m) {
+            MetricSummary &summary = result.metrics[m];
+            if (values[m].first != summary.name)
+                panic("summarizeReplications: replications of '" +
+                      spec.label + "' disagree on metric " +
+                      std::to_string(m) + " ('" + summary.name +
+                      "' vs '" + values[m].first + "')");
+            summary.samples.push_back(values[m].second);
+        }
+    }
+    result.replications = std::move(replications);
+    return result;
 }
 
 } // namespace
@@ -101,7 +126,7 @@ MetricSummary::ciHalfWidth() const
     const std::size_t n = samples.size();
     if (n < 2)
         return 0.0;
-    const double critical = studentTCriticalValue(confidence, n - 1);
+    const double critical = studentTCriticalValue(ciLevel, n - 1);
     return critical * stddev() / std::sqrt(static_cast<double>(n));
 }
 
@@ -122,26 +147,12 @@ MetricSummary::toString(int precision) const
     return out.str();
 }
 
-MetricSummary
-summarizeSamples(std::string name, std::vector<double> samples,
-                 double confidence)
-{
-    fatalIf(confidence <= 0.0 || confidence >= 1.0,
-            "summarizeSamples: confidence must be in (0, 1)");
-    MetricSummary summary;
-    summary.name = std::move(name);
-    summary.samples = std::move(samples);
-    summary.confidence = confidence;
-    return summary;
-}
-
 // ------------------------------------------------------- ReplicatedResult
 
 const MetricSummary &
 ReplicatedResult::metric(const std::string &name) const
 {
-    if (const MetricSummary *summary =
-            findNamed(metrics, name, &MetricSummary::name))
+    if (const MetricSummary *summary = findNamed(metrics, name))
         return *summary;
     std::string known;
     for (const MetricSummary &summary : metrics)
@@ -153,50 +164,7 @@ ReplicatedResult::metric(const std::string &name) const
 bool
 ReplicatedResult::hasMetric(const std::string &name) const
 {
-    return findNamed(metrics, name, &MetricSummary::name) != nullptr;
-}
-
-ReplicatedResult
-summarizeReplications(const ScenarioSpec &spec,
-                      std::vector<ScenarioResult> replications,
-                      double confidence)
-{
-    fatalIf(replications.empty(),
-            "summarizeReplications: need at least one replication");
-    fatalIf(confidence <= 0.0 || confidence >= 1.0,
-            "summarizeReplications: confidence must be in (0, 1)");
-
-    ReplicatedResult result;
-    result.spec = spec;
-    result.confidence = confidence;
-
-    // Summarize every metric the first replication reports that all
-    // later replications also report — engine extras with unstable
-    // keys drop out instead of producing ragged sample sets.
-    std::vector<std::vector<std::pair<std::string, double>>> schemas;
-    schemas.reserve(replications.size());
-    for (const ScenarioResult &replication : replications)
-        schemas.push_back(metricValues(replication));
-
-    for (const auto &[name, first_value] : schemas.front()) {
-        std::vector<double> samples{first_value};
-        samples.reserve(schemas.size());
-        bool shared = true;
-        for (std::size_t i = 1; i < schemas.size() && shared; ++i) {
-            const auto *entry = findNamed(
-                schemas[i], name, &std::pair<std::string, double>::first);
-            if (entry == nullptr)
-                shared = false;
-            else
-                samples.push_back(entry->second);
-        }
-        if (shared)
-            result.metrics.push_back(summarizeSamples(
-                name, std::move(samples), confidence));
-    }
-
-    result.replications = std::move(replications);
-    return result;
+    return findNamed(metrics, name) != nullptr;
 }
 
 // ------------------------------------------------------- PairedComparison
@@ -204,8 +172,7 @@ summarizeReplications(const ScenarioSpec &spec,
 const MetricSummary &
 PairedComparison::delta(const std::string &name) const
 {
-    if (const MetricSummary *summary =
-            findNamed(deltas, name, &MetricSummary::name))
+    if (const MetricSummary *summary = findNamed(deltas, name))
         return *summary;
     fatal("PairedComparison '" + a.spec.label + "' vs '" + b.spec.label +
           "': no delta metric '" + name + "'");
@@ -226,7 +193,7 @@ replicationSeed(std::uint64_t base, std::size_t index)
 
 PairedComparison
 comparePaired(const ScenarioSpec &a, const ScenarioSpec &b,
-              std::size_t threads, double confidence)
+              std::size_t threads)
 {
     // Common random numbers: both scenarios replicate under the seed
     // stream derived from a.seed, so replication i of each sees the
@@ -238,7 +205,7 @@ comparePaired(const ScenarioSpec &a, const ScenarioSpec &b,
 
     ExperimentRunner runner(threads);
     runner.add(a).add(b_crn);
-    std::vector<ReplicatedResult> arms = runner.runReplicated(confidence);
+    std::vector<ReplicatedResult> arms = runner.runReplicated();
 
     PairedComparison comparison;
     comparison.a = std::move(arms[0]);
@@ -252,8 +219,7 @@ comparePaired(const ScenarioSpec &a, const ScenarioSpec &b,
         std::vector<double> deltas(n);
         for (std::size_t i = 0; i < n; ++i)
             deltas[i] = metric_a.samples[i] - metric_b.samples[i];
-        comparison.deltas.push_back(summarizeSamples(
-            metric_a.name, std::move(deltas), confidence));
+        comparison.deltas.push_back({metric_a.name, std::move(deltas)});
     }
 
     // Relative savings of A over B, in percent (positive = A cheaper),
@@ -272,27 +238,23 @@ comparePaired(const ScenarioSpec &a, const ScenarioSpec &b,
                                                 metric_b.samples[i]);
         }
         if (defined)
-            comparison.deltas.push_back(
-                summarizeSamples(savings_name, std::move(savings), confidence));
+            comparison.deltas.push_back({savings_name, std::move(savings)});
     }
     return comparison;
 }
 
 ReplicatedResult
 ExperimentRunner::runReplicated(const ScenarioSpec &spec,
-                                std::size_t threads, double confidence)
+                                std::size_t threads)
 {
     ExperimentRunner runner(threads);
     runner.add(spec);
-    return std::move(runner.runReplicated(confidence).front());
+    return std::move(runner.runReplicated().front());
 }
 
 std::vector<ReplicatedResult>
-ExperimentRunner::runReplicated(double confidence) const
+ExperimentRunner::runReplicated() const
 {
-    fatalIf(!(confidence > 0.0 && confidence < 1.0),
-            "ExperimentRunner::runReplicated: confidence must be in "
-            "(0, 1)");
     const std::vector<ScenarioSpec> &specs = scenarios();
     std::vector<ReplicatedResult> results;
     if (specs.empty())
@@ -326,8 +288,8 @@ ExperimentRunner::runReplicated(double confidence) const
         std::vector<ScenarioResult> replications(
             flat.begin() + static_cast<std::ptrdiff_t>(offsets[i]),
             flat.begin() + static_cast<std::ptrdiff_t>(offsets[i + 1]));
-        results.push_back(summarizeReplications(
-            specs[i], std::move(replications), confidence));
+        results.push_back(
+            summarizeReplications(specs[i], std::move(replications)));
     }
     return results;
 }
@@ -395,15 +357,11 @@ replicatedToCsvString(const std::vector<ReplicatedResult> &results)
         }
     }
 
-    const double level =
-        results.empty() ? 0.95 : results.front().confidence;
-    const std::string suffix = ciSuffix(level);
-
     std::ostringstream out;
     out << "label,engine,workload,strategy,predictor,seed,replications";
     for (const std::string &name : metric_names)
-        out << ',' << name << "_mean," << name << "_sd," << name << '_'
-            << suffix;
+        out << ',' << name << "_mean," << name << "_sd," << name
+            << "_ci95";
     out << '\n';
 
     for (const ReplicatedResult &result : results) {

@@ -7,8 +7,8 @@
  * runs any ScenarioSpec N times under derived per-replication seeds and
  * summarizes every metric (energy, average power, mean/p95/p99
  * response, QoS violation rate, per-state residencies, every engine
- * extra) with a mean, standard deviation, and Student-t confidence
- * interval:
+ * extra) with a mean, standard deviation, and 95% Student-t confidence
+ * interval (the level is fixed, ciLevel):
  *
  *   spec.replications = 20;
  *   const ReplicatedResult r = ExperimentRunner::runReplicated(spec);
@@ -45,15 +45,21 @@
 
 namespace sleepscale {
 
+/** Two-sided coverage level of every replicated confidence interval
+ * (the "ci95" CSV columns). */
+constexpr double ciLevel = 0.95;
+
 /**
  * One metric summarized across replications: the per-replication
  * samples (index order) plus mean / stddev / Student-t CI accessors.
+ * Brace-initialize it from raw samples ({name, samples}) to apply the
+ * replication layer's CI math outside ScenarioSpec, as the analytic
+ * coverage oracle in tests/statistics_test.cc does.
  */
 struct MetricSummary
 {
     std::string name;            ///< Metric key, e.g. "avg_power_w".
     std::vector<double> samples; ///< One value per replication.
-    double confidence = 0.95;    ///< Two-sided CI coverage level.
 
     /** Number of replications summarized. */
     std::size_t count() const { return samples.size(); }
@@ -65,8 +71,8 @@ struct MetricSummary
     double stddev() const;
 
     /**
-     * Student-t confidence-interval half width t* · s / sqrt(n) at the
-     * summary's confidence level; 0 below two samples.
+     * Student-t confidence-interval half width t* · s / sqrt(n) at
+     * ciLevel; 0 below two samples.
      */
     double ciHalfWidth() const;
 
@@ -94,21 +100,10 @@ struct MetricSummary
     std::string toString(int precision = 4) const;
 };
 
-/**
- * Build a MetricSummary from raw per-replication samples — the same CI
- * math the replication layer applies, reusable by tests and harnesses
- * that replicate outside ScenarioSpec (e.g. the analytic coverage
- * oracle in tests/statistics_test.cc).
- */
-MetricSummary summarizeSamples(std::string name,
-                               std::vector<double> samples,
-                               double confidence = 0.95);
-
 /** Outcome of a replicated scenario: N runs plus per-metric CIs. */
 struct ReplicatedResult
 {
-    ScenarioSpec spec;        ///< Base scenario (original seed).
-    double confidence = 0.95; ///< CI coverage level of every metric.
+    ScenarioSpec spec; ///< Base scenario (original seed).
 
     /** Per-replication results, replication-index order; replication i
      * ran with seed replicationSeed(spec.seed, i). */
@@ -116,10 +111,11 @@ struct ReplicatedResult
 
     /** Per-metric summaries: the core metrics (mean_response_s,
      * p95_response_s, p99_response_s, avg_power_w, energy_j,
-     * qos_violation) plus every extra shared by all replications —
-     * the availability plane, the per-state residency_* and state_*
-     * mix, and the decision-time and regret extras when the spec asks
-     * for them. */
+     * qos_violation) plus every engine extra — the availability
+     * plane, the per-state residency_* and state_* mix, and the
+     * decision-time and regret extras when the spec asks for them.
+     * Every replication of one spec reports the same metrics in the
+     * same order. */
     std::vector<MetricSummary> metrics;
 
     /** Summary of a named metric; fatal() listing the known names when
@@ -139,19 +135,6 @@ struct ReplicatedResult
  * from the same base seed).
  */
 std::uint64_t replicationSeed(std::uint64_t base, std::size_t index);
-
-/**
- * Summarize already-run replications of one scenario — the reduction
- * ExperimentRunner::runReplicated() applies after the fan-out.
- *
- * @param spec The base scenario the replications ran.
- * @param replications Per-replication results in index order.
- * @param confidence Two-sided CI coverage level in (0, 1).
- */
-ReplicatedResult
-summarizeReplications(const ScenarioSpec &spec,
-                      std::vector<ScenarioResult> replications,
-                      double confidence = 0.95);
 
 /**
  * A paired A-vs-B comparison under common random numbers: both
@@ -187,11 +170,9 @@ struct PairedComparison
  * is bit-identical to a sequential run.
  *
  * @param threads Fan-out width (0 = hardware, 1 = sequential).
- * @param confidence Two-sided CI coverage level in (0, 1).
  */
 PairedComparison comparePaired(const ScenarioSpec &a, const ScenarioSpec &b,
-                               std::size_t threads = 1,
-                               double confidence = 0.95);
+                               std::size_t threads = 1);
 
 /**
  * Standard replicated-results table: label, engine, n, and mean ± CI
@@ -208,7 +189,7 @@ TablePrinter pairedTable(const PairedComparison &comparison);
 
 /**
  * Serialize replicated results as CSV: scenario identity columns, n,
- * then <metric>_mean, <metric>_sd, <metric>_ci<level> triples for the
+ * then <metric>_mean, <metric>_sd, <metric>_ci95 triples for the
  * union of metrics across rows (blank where a row lacks the metric).
  */
 std::string

@@ -56,7 +56,7 @@ ScenarioResult
 ExperimentRunner::runQueued(const ScenarioSpec &spec)
 {
     const PlatformModel platform = platformByName(spec.platform);
-    const WorkloadSpec workload = workloadOf(spec);
+    const WorkloadSpec workload = workloadByName(spec.workload);
     const UtilizationTrace trace = spec.trace.realize();
     const FarmRuntimeConfig config = farmConfigOf(spec);
     const FarmRuntime runtime(platform, workload, config);

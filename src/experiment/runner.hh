@@ -207,12 +207,8 @@ class ExperimentRunner
      * replication) space shares one worker pool, and results are
      * reduced in queue/replication index order, so any pool width is
      * bit-identical to a sequential run.
-     *
-     * @param confidence Two-sided CI coverage level in (0, 1), checked
-     *        before anything runs.
      */
-    std::vector<ReplicatedResult>
-    runReplicated(double confidence = 0.95) const;
+    std::vector<ReplicatedResult> runReplicated() const;
 
     /** Execute one scenario synchronously (validates first). */
     static ScenarioResult runScenario(const ScenarioSpec &spec);
@@ -224,11 +220,9 @@ class ExperimentRunner
      *
      * @param spec The scenario; spec.replications sets N.
      * @param threads Fan-out width (0 = hardware, 1 = sequential).
-     * @param confidence Two-sided CI coverage level in (0, 1).
      */
     static ReplicatedResult runReplicated(const ScenarioSpec &spec,
-                                          std::size_t threads = 1,
-                                          double confidence = 0.95);
+                                          std::size_t threads = 1);
 
   private:
     /** runScenario() without the validation, for scenarios add()

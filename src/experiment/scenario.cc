@@ -69,7 +69,7 @@ namespace {
 void
 checkSpec(const ScenarioSpec &spec)
 {
-    const WorkloadSpec workload = workloadOf(spec);
+    const WorkloadSpec workload = workloadByName(spec.workload);
     platformRegistry().get(spec.platform);
     fatalIf(spec.trace.kind != "flat" && spec.trace.days == 0,
             "trace days must be >= 1");
@@ -134,13 +134,6 @@ farmConfigOf(const ScenarioSpec &spec)
     // schedules per replication).
     config.faultSeed = mixSeed(config.dispatchSeed);
     return config;
-}
-
-WorkloadSpec
-workloadOf(const ScenarioSpec &spec)
-{
-    const WorkloadSpec workload = workloadByName(spec.workload);
-    return spec.idealizedWorkload ? workload.idealized() : workload;
 }
 
 std::unique_ptr<JobSource>

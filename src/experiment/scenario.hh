@@ -91,7 +91,6 @@ struct ScenarioSpec
     EngineKind engine = EngineKind::SingleServer; ///< Executing engine.
 
     std::string workload = "dns";       ///< Workload registry name.
-    bool idealizedWorkload = false;     ///< Use spec.idealized().
     std::string platform = "xeon";      ///< Platform registry name.
     TraceSpec trace;                    ///< Utilization trace feed.
 
@@ -173,10 +172,6 @@ struct ScenarioSpec
  * around that patched `perServer`. fatal() on an unknown strategy.
  */
 FarmRuntimeConfig farmConfigOf(const ScenarioSpec &spec);
-
-/** The scenario's workload: the registered one, idealized when
- * `spec.idealizedWorkload` asks for it. */
-WorkloadSpec workloadOf(const ScenarioSpec &spec);
 
 /**
  * Build the job source of a scenario over `trace`. Engines pull from

@@ -18,6 +18,10 @@ namespace {
 
 constexpr double secondsPerMinute = 60.0;
 
+/** The safe fixed policy of degraded mode (docs/FAULTS.md): full
+ * frequency, no sleep descent. */
+const Policy degradedPolicy{};
+
 // Shard width for the farm's per-server accounting loops: explicit
 // widths are honored (capped at the farm size); 0 sizes automatically
 // at one lane per 1024 servers, capped at the hardware concurrency,
@@ -39,7 +43,6 @@ faultConfigOf(const FarmRuntimeConfig &config)
     fault.farmSize = config.farmSize;
     fault.mtbf = config.mtbf;
     fault.mttr = config.mttr;
-    fault.correlatedGroup = config.correlatedGroup;
     fault.script = config.faultScript;
     fault.seed = config.faultSeed;
     return fault;
@@ -59,10 +62,7 @@ class FaultDriver
   public:
     FaultDriver(ServerFarm &farm, const FarmRuntimeConfig &config)
         : _farm(farm), _active(config.faults != "none"),
-          _backoff(config.retryBackoff),
-          _backoffCap(std::max(config.retryBackoffCap,
-                               config.retryBackoff)),
-          _dropTimeout(config.dropTimeout)
+          _backoff(config.retryBackoff), _dropTimeout(config.dropTimeout)
     {
         if (_active) {
             _source = makeFaultSource(config.faults,
@@ -193,9 +193,7 @@ class FaultDriver
 
     void scheduleEntry(RetryEntry entry)
     {
-        const double delay = failoverBackoffDelay(
-            _backoff, entry.attempts, _backoffCap);
-        entry.due += delay;
+        entry.due += failoverBackoffDelay(_backoff, entry.attempts);
         if (entry.due > entry.deadline) {
             ++_stats.dropped; // Recorded SLO loss.
             return;
@@ -213,7 +211,6 @@ class FaultDriver
     ServerFarm &_farm;
     bool _active;
     double _backoff;
-    double _backoffCap;
     double _dropTimeout;
     std::unique_ptr<FaultSource> _source;
     FaultEvent _event;
@@ -298,16 +295,6 @@ closeLogEpoch(std::vector<Job> &history, std::vector<std::size_t> &counts,
                   history.begin() + static_cast<std::ptrdiff_t>(drop));
 }
 
-/** Whether a harvested window (an epoch's, or a server's whole-run
- * total) met the QoS budget. An empty window never qualifies: it has
- * no response statistic, so it neither arms the over-provisioning
- * boost nor counts as budget-compliant in reports. */
-bool
-windowWithinBudget(const QosConstraint &qos, const SimStats &stats)
-{
-    return stats.completions > 0 && qos.satisfiedBy(stats);
-}
-
 /** Raise a decided policy's frequency by (1 + α) when the previous
  * epoch met its budget (Section 5.2.3). Returns whether it boosted. */
 bool
@@ -346,14 +333,13 @@ struct DecisionGroup
 } // namespace
 
 double
-failoverBackoffDelay(double backoff, unsigned attempts, double cap)
+failoverBackoffDelay(double backoff, unsigned attempts)
 {
     fatalIf(!(backoff > 0.0) || !std::isfinite(backoff),
             "failoverBackoffDelay: backoff must be positive and "
             "finite seconds");
     fatalIf(attempts == 0, "failoverBackoffDelay: attempts start at 1");
-    fatalIf(!(cap >= backoff) || !std::isfinite(cap),
-            "failoverBackoffDelay: cap must be finite and >= backoff");
+    const double cap = std::max(retryBackoffCap, backoff);
     // Attempt k waits backoff * 2^(k-1), no further than the cap.
     // Saturate before scaling: past 2^1074 even the smallest positive
     // double lands beyond any finite cap, and ldexp toward infinity
@@ -396,8 +382,6 @@ validateFarmConfig(const FarmRuntimeConfig &config, const WorkloadSpec &spec)
             "FarmRuntime: overProvision must be finite and >= 0");
     fatalIf(per_server.evalLogCap < 2,
             "FarmRuntime: evalLogCap must be at least 2");
-    fatalIf(per_server.historyEpochs == 0,
-            "FarmRuntime: historyEpochs must be positive");
     // The candidate space and every policy the loop may apply. A
     // frequency outside (0, 1], NaN included, would otherwise stop the
     // run mid-way or run it at NaN power. Plans check their own stages.
@@ -457,10 +441,6 @@ validateFarmConfig(const FarmRuntimeConfig &config, const WorkloadSpec &spec)
                     !std::isfinite(config.retryBackoff),
                 "FarmRuntime: retryBackoff must be positive and "
                 "finite seconds");
-        fatalIf(!(config.retryBackoffCap > 0.0) ||
-                    !std::isfinite(config.retryBackoffCap),
-                "FarmRuntime: retryBackoffCap must be positive and "
-                "finite seconds");
         fatalIf(!(config.dropTimeout > 0.0) ||
                     !std::isfinite(config.dropTimeout),
                 "FarmRuntime: dropTimeout must be positive and finite "
@@ -468,8 +448,6 @@ validateFarmConfig(const FarmRuntimeConfig &config, const WorkloadSpec &spec)
         fatalIf(!(config.recoverySeconds >= 0.0) ||
                     !std::isfinite(config.recoverySeconds),
                 "FarmRuntime: recoverySeconds must be finite and >= 0");
-        // Only fault-injected runs fall back to the degraded policy.
-        check_frequency(config.degradedPolicy.frequency, "degradedPolicy");
     }
     if (config.platforms.empty())
         return;
@@ -583,14 +561,6 @@ FarmRuntime::serverManager(std::size_t server) const
     fatalIf(server >= _searchManagers.size(),
             "FarmRuntime::serverManager: server index out of range");
     return *_searchManagers[server];
-}
-
-const PlatformModel &
-FarmRuntime::serverPlatform(std::size_t server) const
-{
-    fatalIf(server >= _serverPlatforms.size(),
-            "FarmRuntime::serverPlatform: server index out of range");
-    return *_serverPlatforms[server];
 }
 
 FarmRuntimeResult
@@ -715,11 +685,10 @@ FarmRuntime::run(JobSource &source, const UtilizationTrace &trace,
         for (std::size_t g = 0; g < groups.size(); ++g) {
             DecisionGroup &group = groups[g];
             const SimStats &window = shared ? farm_epoch.stats : windows[g];
-            group.lastWithin = windowWithinBudget(_qos, window);
+            group.lastWithin = _qos.satisfiedBy(window);
             if (needs_log)
                 closeLogEpoch(group.history, group.historyCounts,
-                              _config.perServer.historyEpochs,
-                              _config.perServer.evalLogCap);
+                              historyEpochs, _config.perServer.evalLogCap);
             if (group.report.degraded) {
                 farm_epoch.degraded = true;
                 degraded_epochs += shared ? size : 1;
@@ -855,10 +824,10 @@ FarmRuntime::run(JobSource &source, const UtilizationTrace &trace,
                 } else if (group.starved ||
                            (faults.active() && group.decided &&
                             !group.decision.feasible)) {
-                    // Degraded mode (docs/FAULTS.md): a starved or, under
-                    // faults, infeasible decision runs the safe fixed
-                    // policy — unboosted, and not feasible.
-                    policy = _config.degradedPolicy;
+                    // Degraded mode: a starved or, under faults,
+                    // infeasible decision runs the safe fixed policy —
+                    // unboosted, and not feasible.
+                    policy = degradedPolicy;
                     epoch.decided = true;
                     epoch.degraded = true;
                 } else if (group.decided) {
@@ -914,11 +883,8 @@ FarmRuntime::run(JobSource &source, const UtilizationTrace &trace,
     result.jobsPerServer = farm.jobsPerServer();
     for (std::size_t i = 0; i < size; ++i) {
         result.servers[i].jobsRouted = result.jobsPerServer[i];
-        // A server that completed nothing has no response statistic to
-        // meet the budget with — report it as not-within rather than
-        // vacuously compliant.
         result.servers[i].withinBudget =
-            windowWithinBudget(_qos, result.servers[i].total);
+            _qos.satisfiedBy(result.servers[i].total);
     }
     return result;
 }

@@ -130,7 +130,10 @@ struct FarmRuntimeConfig
     RuntimeConfig perServer;
 
     // ------------------------------------------ fault injection
-    // (docs/FAULTS.md; all ignored when faults == "none").
+    // (docs/FAULTS.md; all ignored when faults == "none"). A
+    // "correlated" outage takes down correlatedGroup servers, failover
+    // backoff is capped at retryBackoffCap, and degraded mode runs
+    // Policy{} (f = 1, no sleep descent); these are fixed.
 
     /** Fault-source family ("none", "mtbf", "correlated", "scripted")
      * resolved against faultSourceRegistry(). "none" reproduces the
@@ -143,9 +146,6 @@ struct FarmRuntimeConfig
     /** Mean time to recovery, seconds ("mtbf"/"correlated"). */
     double mttr = 300.0;
 
-    /** Servers per correlated outage ("correlated" only). */
-    std::size_t correlatedGroup = 2;
-
     /** Scripted crash/recovery schedule ("scripted" only). */
     std::vector<FaultEvent> faultScript;
 
@@ -155,23 +155,16 @@ struct FarmRuntimeConfig
 
     /** Initial failover backoff, seconds of sim time (> 0): a job that
      * finds every server down is retried after retryBackoff, then
-     * 2x, 4x, ... capped at retryBackoffCap. */
+     * 2x, 4x, ... (see failoverBackoffDelay()). */
     double retryBackoff = 1.0;
-
-    /** Ceiling of the exponential failover backoff, seconds. */
-    double retryBackoffCap = 60.0;
 
     /** A job still undispatched this long after its original arrival
      * is dropped and recorded as an SLO loss, seconds. */
     double dropTimeout = 300.0;
 
     /** Extra delay between a recovery event and the server accepting
-     * work again, seconds (the Recovering lifecycle stage). */
+     * work again, seconds. */
     double recoverySeconds = 0.0;
-
-    /** Safe fixed policy controllers fall back to in degraded mode
-     * (default: full frequency, no sleep descent). */
-    Policy degradedPolicy;
 
     /** Field-wise equality. */
     bool operator==(const FarmRuntimeConfig &) const = default;
@@ -298,7 +291,8 @@ struct FarmRuntimeResult
     /** Whole-run farm power, watts. */
     double avgPower() const { return total.avgPower(); }
 
-    /** Whether the pooled response statistic met the budget. */
+    /** Whether the pooled response statistic met the budget (never
+     * for a run that completed no job). */
     bool withinBudget() const { return qos.satisfiedBy(total); }
 };
 
@@ -366,9 +360,6 @@ class FarmRuntime
      * of range). Persistent across epochs and runs, so each server's
      * eval-engine cache survives the whole farm lifetime. */
     const PolicyManager &serverManager(std::size_t server) const;
-
-    /** Resolved power model of one server. */
-    const PlatformModel &serverPlatform(std::size_t server) const;
 
   private:
     const PlatformModel &_platform;
@@ -469,23 +460,25 @@ class SleepScaleRuntime
     FarmRuntime _farm;
 };
 
+/** Ceiling of the exponential failover backoff, seconds. */
+constexpr double retryBackoffCap = 60.0;
+
 /**
  * Delay before failover retry attempt `attempts` (>= 1): the capped
- * exponential backoff min(backoff * 2^(attempts-1), cap), computed in
- * saturating form. The doubling is exact binary scaling (no pow()
- * rounding), and once 2^(attempts-1) would overflow — or the product
- * merely exceeds the cap — the result saturates at the cap instead of
- * wrapping through infinity. In particular a sub-nanosecond backoff
- * still climbs all the way to the cap rather than stalling at
- * backoff * 2^30 forever (the pre-saturation clamp did exactly that,
- * which made an always-down farm retry-spin in near-zero sim time).
+ * exponential backoff min(backoff * 2^(attempts-1), cap) with cap =
+ * max(retryBackoffCap, backoff), computed in saturating form. The
+ * doubling is exact binary scaling (no pow() rounding), and once
+ * 2^(attempts-1) would overflow — or the product merely exceeds the
+ * cap — the result saturates at the cap instead of wrapping through
+ * infinity. In particular a sub-nanosecond backoff still climbs all
+ * the way to the cap rather than stalling at backoff * 2^30 forever
+ * (the pre-saturation clamp did exactly that, which made an
+ * always-down farm retry-spin in near-zero sim time).
  *
  * @param backoff Initial backoff, seconds (> 0, finite).
  * @param attempts Failed dispatch attempts so far (>= 1).
- * @param cap Backoff ceiling, seconds (>= backoff).
  */
-double failoverBackoffDelay(double backoff, unsigned attempts,
-                            double cap);
+double failoverBackoffDelay(double backoff, unsigned attempts);
 
 } // namespace sleepscale
 

@@ -68,12 +68,6 @@ class DistributedRateScaler final : public EpochDecider
 
     void reset() override;
 
-    /** Current Robbins–Monro offered-load estimate λ̂. */
-    double estimatedLoad() const { return _lambda; }
-
-    /** Observations absorbed since construction or reset(). */
-    std::uint64_t observations() const { return _samples; }
-
   private:
     std::vector<double> _frequencies;
     ServiceScaling _scaling;

@@ -15,22 +15,6 @@ constexpr double never = std::numeric_limits<double>::infinity();
 
 } // namespace
 
-std::string
-toString(ServerLifecycle state)
-{
-    switch (state) {
-      case ServerLifecycle::Up:
-        return "up";
-      case ServerLifecycle::Draining:
-        return "draining";
-      case ServerLifecycle::Down:
-        return "down";
-      case ServerLifecycle::Recovering:
-        return "recovering";
-    }
-    panic("toString: unknown ServerLifecycle");
-}
-
 /**
  * FarmView over the servers accepting work. Positions skip the sorted
  * unavailable list, so with an empty list a position is the server
@@ -93,19 +77,9 @@ ServerFarm::ServerFarm(const PlatformModel &platform,
                        ServiceScaling scaling, const Policy &initial,
                        std::size_t size,
                        std::unique_ptr<Dispatcher> dispatcher)
-    : _dispatcher(std::move(dispatcher))
+    : ServerFarm(std::vector<const PlatformModel *>(size, &platform),
+                 scaling, initial, std::move(dispatcher))
 {
-    fatalIf(size == 0, "ServerFarm: need at least one server");
-    fatalIf(!_dispatcher, "ServerFarm: dispatcher must not be null");
-    _servers.reserve(size);
-    for (std::size_t i = 0; i < size; ++i)
-        _servers.emplace_back(platform, scaling, initial);
-    _jobsRouted.assign(size, 0);
-    _acceptFrom.assign(size, 0.0);
-    _downSeconds.assign(size, 0.0);
-    _downMark.assign(size, 0.0);
-    _nextFree.assign(size, 0.0);
-    _idleSet = IdleSet(size, /*full=*/true);
 }
 
 ServerFarm::ServerFarm(const std::vector<const PlatformModel *> &platforms,
@@ -299,21 +273,6 @@ ServerFarm::accepting(std::size_t server, double now) const
     return now >= _acceptFrom[server];
 }
 
-ServerLifecycle
-ServerFarm::lifecycle(std::size_t server, double now) const
-{
-    fatalIf(server >= _servers.size(),
-            "ServerFarm::lifecycle: server index out of range");
-    if (now >= _acceptFrom[server])
-        return ServerLifecycle::Up;
-    if (_acceptFrom[server] == never) {
-        return _servers[server].backlog(now) > 0.0
-                   ? ServerLifecycle::Draining
-                   : ServerLifecycle::Down;
-    }
-    return ServerLifecycle::Recovering;
-}
-
 double
 ServerFarm::downSeconds(std::size_t server) const
 {
@@ -393,14 +352,6 @@ ServerFarm::mergeWindows(const std::vector<SimStats> &windows)
         merged.windowEnd = std::max(merged.windowEnd, window.windowEnd);
     }
     return merged;
-}
-
-const PlatformModel &
-ServerFarm::platform(std::size_t server) const
-{
-    fatalIf(server >= _servers.size(),
-            "ServerFarm::platform: server index out of range");
-    return _servers[server].platform();
 }
 
 double

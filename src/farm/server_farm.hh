@@ -36,27 +36,13 @@ namespace sleepscale {
  * so the header stays light. */
 class ThreadPool;
 
-/**
- * Availability lifecycle of one back-end under fault injection
- * (docs/FAULTS.md). Fault-free farms stay Up forever.
- */
-enum class ServerLifecycle
-{
-    Up,         ///< Accepting and serving work.
-    Draining,   ///< Crashed: rejects new work, finishes its backlog.
-    Down,       ///< Crashed and empty: rejects work, idles dark.
-    Recovering, ///< Restored but still inside the recovery delay.
-};
-
-/** Lifecycle state name ("up", "draining", "down", "recovering"). */
-std::string toString(ServerLifecycle state);
-
 /** Fixed-size server farm (homogeneous or per-server platforms). */
 class ServerFarm
 {
   public:
     /**
-     * Homogeneous farm: every server shares one power model.
+     * Homogeneous farm: every server shares one power model (the
+     * per-server constructor with `size` copies of `platform`).
      *
      * @param platform Power model shared by all servers (not owned).
      * @param scaling Service-time scaling law.
@@ -105,16 +91,16 @@ class ServerFarm
     void advanceTo(double t);
 
     /**
-     * Crash one server at time t: it stops accepting new work
-     * (Draining while its committed backlog runs out, then Down) until
+     * Crash one server at time t: it stops accepting new work, runs
+     * out its committed backlog, then idles dark until
      * restoreServer(). Idempotent on an already-crashed server.
      */
     void failServer(std::size_t server, double t);
 
     /**
      * Restore a crashed server at time t: it re-enters service after
-     * the configured recovery delay (Recovering in between). No-op on
-     * a server that is not crashed.
+     * the configured recovery delay. No-op on a server that is not
+     * crashed.
      */
     void restoreServer(std::size_t server, double t);
 
@@ -124,9 +110,6 @@ class ServerFarm
 
     /** Whether a server accepts new work at time `now`. */
     bool accepting(std::size_t server, double now) const;
-
-    /** Lifecycle state of one server at time `now`. */
-    ServerLifecycle lifecycle(std::size_t server, double now) const;
 
     /** Cumulative seconds this server has been unavailable (crashed or
      * recovering), accrued by advanceTo(), the crash/restore calls, and
@@ -157,9 +140,6 @@ class ServerFarm
      * avgPower() reports farm watts). Needs >= 1 window.
      */
     static SimStats mergeWindows(const std::vector<SimStats> &windows);
-
-    /** Power model of one server. */
-    const PlatformModel &platform(std::size_t server) const;
 
     /** Jobs routed to each server so far. */
     const std::vector<std::uint64_t> &jobsPerServer() const

@@ -65,12 +65,9 @@ MtbfFaultSource::next(FaultEvent &out)
 // ------------------------------------------------- CorrelatedFaultSource
 
 CorrelatedFaultSource::CorrelatedFaultSource(std::size_t farm_size,
-                                             std::size_t group,
                                              double mtbf, double mttr,
                                              std::uint64_t seed)
-    : _farmSize(farm_size),
-      _group(std::clamp<std::size_t>(group, 1, farm_size)), _mtbf(mtbf),
-      _mttr(mttr), _rng(seed)
+    : _farmSize(farm_size), _mtbf(mtbf), _mttr(mttr), _rng(seed)
 {
     fatalIf(farm_size == 0,
             "CorrelatedFaultSource: farm size must be >= 1");
@@ -93,7 +90,7 @@ CorrelatedFaultSource::scheduleOutage()
     const std::size_t first = _rng.uniformInt(_farmSize);
     _queue.clear();
     _cursor = 0;
-    for (std::size_t k = 0; k < _group; ++k)
+    for (std::size_t k = 0; k < std::min(correlatedGroup, _farmSize); ++k)
         _queue.push_back({start, (first + k) % _farmSize, true});
     std::sort(_queue.begin(), _queue.end(),
               [](const FaultEvent &a, const FaultEvent &b) {
@@ -165,8 +162,7 @@ faultSourceRegistry()
         });
         r.add("correlated", [](const FaultSourceConfig &config) {
             return std::make_unique<CorrelatedFaultSource>(
-                config.farmSize, config.correlatedGroup, config.mtbf,
-                config.mttr, config.seed);
+                config.farmSize, config.mtbf, config.mttr, config.seed);
         });
         r.add("scripted", [](const FaultSourceConfig &config) {
             return std::make_unique<ScriptedFaultSource>(

@@ -108,33 +108,35 @@ class MtbfFaultSource final : public FaultSource
     std::vector<FaultEvent> _pending;
 };
 
+/** Servers per correlated outage (a one-server farm loses its one
+ * server). */
+constexpr std::size_t correlatedGroup = 2;
+
 /**
  * Correlated multi-server outages (a rack or PDU failure): one
- * exponential outage process takes down a contiguous block of servers
- * simultaneously; the whole block recovers together after Exp(MTTR).
- * The next outage is drawn from the recovery point, so outages never
- * overlap. Endless — bound consumption by a time horizon.
+ * exponential outage process takes down a contiguous block of
+ * correlatedGroup servers simultaneously; the whole block recovers
+ * together after Exp(MTTR). The block start is drawn uniformly and
+ * wraps around the farm. The next outage is drawn from the recovery
+ * point, so outages never overlap. Endless — bound consumption by a
+ * time horizon.
  */
 class CorrelatedFaultSource final : public FaultSource
 {
   public:
     /**
      * @param farm_size Number of servers (>= 1).
-     * @param group Servers taken down per outage, clamped to
-     *        [1, farm_size]; the block start is drawn uniformly and
-     *        wraps around the farm.
      * @param mtbf Mean time between outages, seconds (> 0).
      * @param mttr Mean outage duration, seconds (> 0).
      * @param seed Seed of the outage process.
      */
-    CorrelatedFaultSource(std::size_t farm_size, std::size_t group,
-                          double mtbf, double mttr, std::uint64_t seed);
+    CorrelatedFaultSource(std::size_t farm_size, double mtbf, double mttr,
+                          std::uint64_t seed);
 
     bool next(FaultEvent &out) override;
 
   private:
     std::size_t _farmSize;
-    std::size_t _group;
     double _mtbf;
     double _mttr;
     Rng _rng;
@@ -185,9 +187,6 @@ struct FaultSourceConfig
 
     /** Mean time to recovery, seconds ("mtbf"/"correlated"). */
     double mttr = 300.0;
-
-    /** Servers per correlated outage ("correlated" only). */
-    std::size_t correlatedGroup = 2;
 
     /** Scripted schedule ("scripted" only). */
     std::vector<FaultEvent> script;

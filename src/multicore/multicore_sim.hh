@@ -77,7 +77,7 @@ struct MulticoreStats
     std::uint64_t packageWakes = 0; ///< Wakes that paid the S3 latency.
     OnlineStats response;           ///< Response-time moments, seconds.
     /** Response-time distribution, seconds (percentile queries). */
-    QuantileHistogram responseHistogram{1e-7, 1e5, 400};
+    QuantileHistogram responseHistogram;
 
     /** Average package power, watts. */
     double avgPower() const

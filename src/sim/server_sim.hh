@@ -183,9 +183,6 @@ class ServerSim
     /** Policy currently in force. */
     const Policy &policy() const { return _policy; }
 
-    /** Power model this server accounts against. */
-    const PlatformModel &platform() const { return _platform; }
-
     /**
      * Return the statistics accumulated since the last harvest (or since
      * construction) and start a new window at the current accounted time.
@@ -199,9 +196,6 @@ class ServerSim
 
     /** Seconds of committed work left at time t (0 when idle). */
     double backlog(double t) const;
-
-    /** Number of departures not yet attributed to a window. */
-    std::size_t pendingDepartures() const { return _pending.size(); }
 
     /**
      * Record per-completion response samples in the percentile

@@ -53,7 +53,7 @@ struct SimStats
     OnlineStats response;
 
     /** Response-time histogram for percentiles (seconds). */
-    QuantileHistogram responseHistogram{1e-7, 1e5, 400};
+    QuantileHistogram responseHistogram;
 
     /** Wall-clock span of the window. */
     double elapsed() const { return windowEnd - windowStart; }

@@ -6,45 +6,27 @@
 
 namespace sleepscale {
 
-QuantileHistogram::QuantileHistogram(double floor, double ceiling,
-                                     unsigned buckets_per_decade)
-    : _floor(floor), _ceiling(ceiling),
-      _logFloor(std::log10(floor)),
-      _bucketsPerDecade(static_cast<double>(buckets_per_decade))
-{
-    fatalIf(floor <= 0.0, "QuantileHistogram: floor must be positive");
-    fatalIf(ceiling <= floor, "QuantileHistogram: ceiling must exceed floor");
-    fatalIf(buckets_per_decade == 0,
-            "QuantileHistogram: need at least one bucket per decade");
-    const double decades = std::log10(ceiling) - _logFloor;
-    const auto grid =
-        static_cast<std::size_t>(std::ceil(decades * _bucketsPerDecade));
-    _gridBuckets = grid + 2; // + underflow and overflow
-    // _buckets stays empty until the first add(): a histogram that
-    // never sees a sample costs O(1) memory.
-}
-
 std::size_t
-QuantileHistogram::indexOf(double x) const
+QuantileHistogram::indexOf(double x)
 {
-    if (x < _floor)
+    if (x < gridFloor)
         return 0;
-    if (x >= _ceiling)
-        return _gridBuckets - 1;
-    const double pos = (std::log10(x) - _logFloor) * _bucketsPerDecade;
+    if (x >= gridCeiling)
+        return gridBuckets - 1;
+    const double pos = (std::log10(x) - logFloor) * bucketsPerDecade;
     const auto raw = static_cast<std::size_t>(pos);
-    return std::min(raw + 1, _gridBuckets - 2);
+    return std::min(raw + 1, gridBuckets - 2);
 }
 
 double
 QuantileHistogram::upperEdge(std::size_t index) const
 {
     if (index == 0)
-        return _floor;
-    if (index >= _gridBuckets - 1)
+        return gridFloor;
+    if (index >= gridBuckets - 1)
         return _moments.max();
     const double exponent =
-        _logFloor + static_cast<double>(index) / _bucketsPerDecade;
+        logFloor + static_cast<double>(index) / bucketsPerDecade;
     return std::pow(10.0, exponent);
 }
 
@@ -57,7 +39,7 @@ QuantileHistogram::add(double x)
     fatalIf(!std::isfinite(x) || x < 0.0,
             "QuantileHistogram::add: samples must be finite and >= 0");
     if (_buckets.empty())
-        _buckets.assign(_gridBuckets, 0);
+        _buckets.assign(gridBuckets, 0);
     ++_buckets[indexOf(x)];
     _moments.add(x);
 }
@@ -113,16 +95,13 @@ QuantileHistogram::exceedance(double x) const
 void
 QuantileHistogram::merge(const QuantileHistogram &other)
 {
-    fatalIf(other._gridBuckets != _gridBuckets ||
-                other._floor != _floor || other._ceiling != _ceiling,
-            "QuantileHistogram::merge: incompatible configurations");
     // An unallocated (never-sampled) source contributes nothing; the
     // early-out is what makes merging a mostly-idle farm's windows
     // O(active servers) rather than O(farm x buckets).
     if (other._buckets.empty())
         return;
     if (_buckets.empty())
-        _buckets.assign(_gridBuckets, 0);
+        _buckets.assign(gridBuckets, 0);
     for (std::size_t i = 0; i < _buckets.size(); ++i)
         _buckets[i] += other._buckets[i];
     _moments.merge(other._moments);

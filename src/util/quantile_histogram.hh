@@ -17,23 +17,24 @@ namespace sleepscale {
  * Log-scale histogram for streaming percentile estimation.
  *
  * Day-long runtime simulations complete tens of millions of jobs, too many
- * to store individually. Buckets are spaced logarithmically between a
- * configurable floor and ceiling so the relative quantile error is bounded
- * by the per-decade resolution (default 400 buckets/decade ≈ 0.6% relative
- * error), which is far below the Monte-Carlo noise of the experiments.
+ * to store individually. Every histogram shares one grid: buckets spaced
+ * logarithmically from 1e-7 s to 1e5 s at 400 buckets per decade, so the
+ * relative quantile error (≈0.6%) is far below the Monte-Carlo noise of
+ * the experiments, and any two histograms merge.
  */
 class QuantileHistogram
 {
   public:
-    /**
-     * @param floor Smallest resolvable positive value; samples below land
-     *              in an underflow bucket.
-     * @param ceiling Largest resolvable value; samples above land in an
-     *                overflow bucket.
-     * @param buckets_per_decade Resolution of the log grid.
-     */
-    explicit QuantileHistogram(double floor = 1e-6, double ceiling = 1e4,
-                               unsigned buckets_per_decade = 400);
+    /** Smallest resolvable value, seconds; samples below land in the
+     * underflow bucket. */
+    static constexpr double gridFloor = 1e-7;
+
+    /** Largest resolvable value, seconds; samples at or above land in
+     * the overflow bucket. */
+    static constexpr double gridCeiling = 1e5;
+
+    /** Resolution of the log grid. */
+    static constexpr double bucketsPerDecade = 400.0;
 
     /** Absorb one sample (must be finite and >= 0). */
     void add(double x);
@@ -67,22 +68,20 @@ class QuantileHistogram
      */
     double exceedance(double x) const;
 
-    /** Merge another histogram configured with identical parameters. */
+    /** Merge another histogram's samples into this one. */
     void merge(const QuantileHistogram &other);
 
     /** Forget all samples. */
     void reset();
 
   private:
-    double _floor;
-    double _ceiling;
-    double _logFloor;
-    double _bucketsPerDecade;
+    /** log10(gridFloor), exactly -7. */
+    static constexpr double logFloor = -7.0;
 
-    /** Bucket count of the configured grid, including the underflow
-     * and overflow buckets. Fixed at construction; _buckets grows to
-     * this size on the first add(). */
-    std::size_t _gridBuckets;
+    /** Bucket count of the grid: ceil(12 decades x 400) interior
+     * buckets plus the underflow and overflow buckets. _buckets grows
+     * to this size on the first add(). */
+    static constexpr std::size_t gridBuckets = 12 * 400 + 2;
 
     /** Bucket array: empty until the first sample, then
      * [under, grid..., over]. Lazy allocation keeps a never-sampled
@@ -92,7 +91,7 @@ class QuantileHistogram
 
     OnlineStats _moments;
 
-    std::size_t indexOf(double x) const;
+    static std::size_t indexOf(double x);
     double upperEdge(std::size_t index) const;
 };
 

@@ -64,19 +64,6 @@ UtilizationTrace::peakUtilization() const
 }
 
 UtilizationTrace
-UtilizationTrace::slice(std::size_t first, std::size_t last) const
-{
-    fatalIf(first >= last || last > _perMinute.size(),
-            "UtilizationTrace::slice: invalid range");
-    return UtilizationTrace(
-        _name,
-        std::vector<double>(_perMinute.begin() +
-                                static_cast<std::ptrdiff_t>(first),
-                            _perMinute.begin() +
-                                static_cast<std::ptrdiff_t>(last)));
-}
-
-UtilizationTrace
 UtilizationTrace::dailyWindow(unsigned start_hour, unsigned end_hour) const
 {
     fatalIf(start_hour >= end_hour || end_hour > 24,

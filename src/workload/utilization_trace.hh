@@ -56,14 +56,6 @@ class UtilizationTrace
     double peakUtilization() const;
 
     /**
-     * Sub-trace covering minutes [first, last).
-     *
-     * @param first Inclusive start minute.
-     * @param last Exclusive end minute; must satisfy first < last <= size.
-     */
-    UtilizationTrace slice(std::size_t first, std::size_t last) const;
-
-    /**
      * Sub-trace covering one daily window across every day of the trace,
      * e.g. hours [2, 20) reproduces the paper's "2 AM to 8 PM" window.
      *

@@ -20,25 +20,11 @@ ServiceScaling::factor(double f) const
 }
 
 double
-WorkloadSpec::nativeUtilization() const
-{
-    fatalIf(interArrivalMean <= 0.0,
-            "WorkloadSpec: interArrivalMean must be positive");
-    return serviceMean / interArrivalMean;
-}
-
-double
 WorkloadSpec::interArrivalMeanAt(double utilization) const
 {
     fatalIf(!(utilization > 0.0 && utilization < 1.0),
             "WorkloadSpec: utilization must be in (0, 1)");
     return serviceMean / utilization;
-}
-
-std::unique_ptr<Distribution>
-WorkloadSpec::makeInterArrival(double utilization) const
-{
-    return fitDistribution(interArrivalMeanAt(utilization), interArrivalCv);
 }
 
 std::unique_ptr<Distribution>

@@ -52,17 +52,8 @@ struct WorkloadSpec
     /** How service time stretches as frequency drops. */
     ServiceScaling scaling = ServiceScaling::cpuBound();
 
-    /** Native utilization λ/µ = serviceMean / interArrivalMean. */
-    double nativeUtilization() const;
-
     /** Inter-arrival mean that produces a target utilization. */
     double interArrivalMeanAt(double utilization) const;
-
-    /**
-     * Moment-matched inter-arrival distribution at a target utilization.
-     */
-    std::unique_ptr<Distribution>
-    makeInterArrival(double utilization) const;
 
     /** Moment-matched service-demand distribution (sizes at f = 1). */
     std::unique_ptr<Distribution> makeService() const;

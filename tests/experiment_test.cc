@@ -371,11 +371,6 @@ TEST(ScenarioSpec, LeavesLoopKnobsToTheEngineValidator)
             s.loop.control = "distributed";
             s.loop.perServer.space.frequencies = {nan, 1.0};
         },
-        [](ScenarioSpec &s) {
-            s.engine = EngineKind::Farm;
-            s.loop.faults = "mtbf";
-            s.loop.degradedPolicy.frequency = 0.0;
-        },
         // Distributed control decides with the rate scaler alone, which
         // only moves the initial policy's frequency: the controller,
         // the pinned race-to-halt policy and the one-plan space would
@@ -461,7 +456,7 @@ TEST(ScenarioLoop, FarmConfigIsTheLoopPatchedAndSeeded)
     spec.loop.dispatcher = "JSQ";
     spec.loop.control = "per-server";
     spec.loop.shards = 2;
-    spec.loop.perServer.historyEpochs = 1;
+    spec.loop.perServer.evalLogCap = 500;
     spec.loop.dispatchSeed = 99; // Derived, so overridden.
     FarmRuntimeConfig expected = spec.loop;
     expected.perServer =
@@ -483,21 +478,15 @@ TEST(ScenarioLoop, EveryLoopKnobReachesTheEngine)
     ScenarioSpec spec;
     spec.engine = EngineKind::Farm;
     spec.loop.perServer.evalLogCap = 123;
-    spec.loop.perServer.historyEpochs = 2;
     spec.loop.perServer.initialPolicy =
         Policy{0.6, SleepPlan::immediate(LowPowerState::C3S0Idle)};
-    spec.loop.correlatedGroup = 3;
     spec.loop.recoverySeconds = 12.5;
-    spec.loop.retryBackoffCap = 30.0;
     spec.loop.faultScript = {{60.0, 1, true}, {300.0, 1, false}};
     const FarmRuntimeConfig config = farmConfigOf(spec);
     EXPECT_EQ(config.perServer.evalLogCap, 123u);
-    EXPECT_EQ(config.perServer.historyEpochs, 2u);
     EXPECT_TRUE(config.perServer.initialPolicy ==
                 spec.loop.perServer.initialPolicy);
-    EXPECT_EQ(config.correlatedGroup, 3u);
     EXPECT_EQ(config.recoverySeconds, 12.5);
-    EXPECT_EQ(config.retryBackoffCap, 30.0);
     EXPECT_TRUE(config.faultScript == spec.loop.faultScript);
 }
 

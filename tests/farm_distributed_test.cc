@@ -50,14 +50,30 @@ observing(double utilization)
     return observation;
 }
 
+/** A scaler whose decisions report its load estimate: against target
+ * 1, memory-bound work keeps the slowest grid point feasible for every
+ * estimate, and that point's predicted metric is the estimate itself. */
+DistributedRateScaler
+loadProbe()
+{
+    return makeScaler(1.0, ServiceScaling::memoryBound());
+}
+
+/** The load estimate after observing `utilization`. */
+double
+estimateAfter(DistributedRateScaler &probe, double utilization)
+{
+    return probe.decide(observing(utilization), {}).predictedMetric;
+}
+
 // The first observation lands with gain 1/1 = 1: the estimate is
-// exactly the observed load, like a running mean of one sample.
+// exactly the observed load, like a running mean of one sample. The
+// second lands with gain 1/2.
 TEST(DistributedRateScaler, FirstObservationSetsEstimateExactly)
 {
-    DistributedRateScaler scaler = makeScaler(0.8);
-    scaler.decide(observing(0.4), {});
-    EXPECT_DOUBLE_EQ(scaler.estimatedLoad(), 0.4);
-    EXPECT_EQ(scaler.observations(), 1u);
+    DistributedRateScaler probe = loadProbe();
+    EXPECT_DOUBLE_EQ(estimateAfter(probe, 0.4), 0.4);
+    EXPECT_DOUBLE_EQ(estimateAfter(probe, 0.8), 0.6);
 }
 
 // The gain floor keeps the estimator adaptive forever: after a level
@@ -65,13 +81,23 @@ TEST(DistributedRateScaler, FirstObservationSetsEstimateExactly)
 // of freezing like a pure running mean would.
 TEST(DistributedRateScaler, TracksLoadDriftThroughGainFloor)
 {
+    DistributedRateScaler probe = loadProbe();
+    double estimate = 0.0;
+    for (int k = 0; k < 100; ++k)
+        estimate = estimateAfter(probe, 0.2);
+    EXPECT_NEAR(estimate, 0.2, 1e-9);
+    for (int k = 0; k < 200; ++k)
+        estimate = estimateAfter(probe, 0.8);
+    EXPECT_NEAR(estimate, 0.8, 1e-3);
+    // The frequency follows: load 0.8 against target 0.8 needs f = 1
+    // under CPU-bound scaling.
     DistributedRateScaler scaler = makeScaler(0.8);
     for (int k = 0; k < 100; ++k)
         scaler.decide(observing(0.2), {});
-    EXPECT_NEAR(scaler.estimatedLoad(), 0.2, 1e-9);
-    for (int k = 0; k < 200; ++k)
+    for (int k = 0; k < 199; ++k)
         scaler.decide(observing(0.8), {});
-    EXPECT_NEAR(scaler.estimatedLoad(), 0.8, 1e-3);
+    EXPECT_DOUBLE_EQ(scaler.decide(observing(0.8), {}).policy.frequency,
+                     1.0);
 }
 
 // CPU-bound scaling (service time 1/f): load 0.4 against target 0.8
@@ -112,11 +138,12 @@ TEST(DistributedRateScaler, SaturatedLoadIsInfeasibleAtFullSpeed)
 
 TEST(DistributedRateScaler, ResetClearsEstimatorState)
 {
-    DistributedRateScaler scaler = makeScaler(0.8);
-    scaler.decide(observing(0.6), {});
-    scaler.reset();
-    EXPECT_DOUBLE_EQ(scaler.estimatedLoad(), 0.0);
-    EXPECT_EQ(scaler.observations(), 0u);
+    // After reset() the next observation is the first again (gain 1),
+    // so the earlier one leaves no trace.
+    DistributedRateScaler probe = loadProbe();
+    estimateAfter(probe, 0.6);
+    probe.reset();
+    EXPECT_DOUBLE_EQ(estimateAfter(probe, 0.2), 0.2);
 }
 
 TEST(DistributedRateScaler, NeverConsumesAJobLog)

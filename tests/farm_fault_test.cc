@@ -117,29 +117,28 @@ TEST(FaultSources, CorrelatedOutagesCoverGroupsWithoutOverlap)
 {
     FaultSourceConfig config;
     config.farmSize = 5;
-    config.correlatedGroup = 3;
     config.mtbf = 2000.0;
     config.mttr = 200.0;
     config.seed = 11;
+    const std::size_t group = correlatedGroup;
     const auto source = makeFaultSource("correlated", config);
     const auto events = materializeFaults(*source, 200000.0);
-    ASSERT_GE(events.size(), 2 * config.correlatedGroup);
-    ASSERT_EQ(events.size() % (2 * config.correlatedGroup), 0u);
+    ASSERT_GE(events.size(), 2 * group);
+    ASSERT_EQ(events.size() % (2 * group), 0u);
 
     // Events come as one burst of `group` crashes at a common time,
     // then `group` recoveries at a common later time, never
     // overlapping the next outage.
     double previous_up = 0.0;
-    for (std::size_t i = 0; i < events.size();
-         i += 2 * config.correlatedGroup) {
+    for (std::size_t i = 0; i < events.size(); i += 2 * group) {
         const double down_time = events[i].time;
-        const double up_time = events[i + config.correlatedGroup].time;
+        const double up_time = events[i + group].time;
         EXPECT_GE(down_time, previous_up);
         EXPECT_GT(up_time, down_time);
         std::vector<bool> hit(config.farmSize, false);
-        for (std::size_t k = 0; k < config.correlatedGroup; ++k) {
+        for (std::size_t k = 0; k < group; ++k) {
             const FaultEvent &down = events[i + k];
-            const FaultEvent &up = events[i + config.correlatedGroup + k];
+            const FaultEvent &up = events[i + group + k];
             EXPECT_TRUE(down.down);
             EXPECT_FALSE(up.down);
             EXPECT_EQ(down.time, down_time);
@@ -155,6 +154,16 @@ TEST(FaultSources, CorrelatedOutagesCoverGroupsWithoutOverlap)
     // Determinism carries over to the correlated family too.
     const auto twin = makeFaultSource("correlated", config);
     EXPECT_TRUE(sameEvents(events, materializeFaults(*twin, 200000.0)));
+
+    // A farm smaller than the group loses every server per outage.
+    config.farmSize = 1;
+    const auto single = makeFaultSource("correlated", config);
+    const auto alone = materializeFaults(*single, 200000.0);
+    ASSERT_GE(alone.size(), 2u);
+    for (std::size_t i = 0; i < alone.size(); ++i) {
+        EXPECT_EQ(alone[i].server, 0u);
+        EXPECT_EQ(alone[i].down, i % 2 == 0);
+    }
 }
 
 TEST(FaultSources, ScriptedReplaysVerbatimAndValidates)
@@ -223,22 +232,27 @@ TEST_F(FaultFarmTest, LifecycleWalksDrainDownRecoverUp)
 {
     ServerFarm farm = makeFarm(2);
     farm.setRecoverySeconds(10.0);
-    EXPECT_EQ(farm.lifecycle(0, 0.0), ServerLifecycle::Up);
+    EXPECT_TRUE(farm.accepting(0, 0.0));
 
     // Give one server 5 s of committed work, then crash it mid-job:
     // it drains the backlog, goes dark, and recovers only after the
     // configured delay.
     const std::size_t victim = farm.tryOfferJob({0.0, 5.0});
+    const std::size_t other = victim == 0 ? 1 : 0;
     farm.failServer(victim, 1.0);
-    EXPECT_EQ(farm.lifecycle(victim, 1.0), ServerLifecycle::Draining);
     EXPECT_FALSE(farm.accepting(victim, 1.0));
-    EXPECT_TRUE(farm.accepting(victim == 0 ? 1 : 0, 1.0));
-    EXPECT_EQ(farm.lifecycle(victim, 20.0), ServerLifecycle::Down);
+    EXPECT_GT(farm.backlog(victim, 1.0), 0.0); // Draining.
+    EXPECT_TRUE(farm.accepting(other, 1.0));
+
+    // The crashed server finishes the job it had committed, then sits
+    // dark with nothing left.
+    farm.advanceTo(20.0);
+    EXPECT_FALSE(farm.accepting(victim, 20.0));
+    EXPECT_DOUBLE_EQ(farm.backlog(victim, 20.0), 0.0);
+    EXPECT_EQ(farm.harvestWindows()[victim].completions, 1u);
 
     farm.restoreServer(victim, 30.0);
-    EXPECT_EQ(farm.lifecycle(victim, 35.0), ServerLifecycle::Recovering);
-    EXPECT_FALSE(farm.accepting(victim, 35.0));
-    EXPECT_EQ(farm.lifecycle(victim, 40.0), ServerLifecycle::Up);
+    EXPECT_FALSE(farm.accepting(victim, 35.0)); // Recovering.
     EXPECT_TRUE(farm.accepting(victim, 40.0));
 
     // Unavailability spans crash (t=1) through the end of the
@@ -246,16 +260,7 @@ TEST_F(FaultFarmTest, LifecycleWalksDrainDownRecoverUp)
     farm.advanceTo(50.0);
     EXPECT_NEAR(farm.downSeconds(victim), 39.0, 1e-9);
     EXPECT_NEAR(farm.totalDownSeconds(), 39.0, 1e-9);
-    const std::size_t other = victim == 0 ? 1 : 0;
     EXPECT_DOUBLE_EQ(farm.downSeconds(other), 0.0);
-}
-
-TEST_F(FaultFarmTest, LifecycleStateNames)
-{
-    EXPECT_EQ(toString(ServerLifecycle::Up), "up");
-    EXPECT_EQ(toString(ServerLifecycle::Draining), "draining");
-    EXPECT_EQ(toString(ServerLifecycle::Down), "down");
-    EXPECT_EQ(toString(ServerLifecycle::Recovering), "recovering");
 }
 
 TEST_F(FaultFarmTest, TryOfferSignalsWhenNoServerAccepts)
@@ -539,7 +544,6 @@ TEST(FarmFailover, FullOutageRetriesWithoutLosingJobs)
                               {700.0, 0, false},
                               {700.0, 1, false}};
         config.retryBackoff = 1.0;
-        config.retryBackoffCap = 30.0;
         config.dropTimeout = 600.0;
 
         const FarmRuntimeResult result = runFaultScenario(config, trace);
@@ -569,7 +573,6 @@ TEST(FarmFailover, OutagePastDeadlineDropsAsSloLoss)
                           {1200.0, 0, false},
                           {1200.0, 1, false}};
     config.retryBackoff = 1.0;
-    config.retryBackoffCap = 30.0;
     config.dropTimeout = 100.0;
 
     const FarmRuntimeResult result = runFaultScenario(config, trace);
@@ -584,33 +587,33 @@ TEST(FarmFailover, OutagePastDeadlineDropsAsSloLoss)
 
 TEST(FarmFailover, BackoffDelaySaturatesInsteadOfOverflowing)
 {
-    // Attempt k waits backoff * 2^(k-1) up to the cap — with exact
-    // binary scaling while it is below the cap...
-    EXPECT_DOUBLE_EQ(failoverBackoffDelay(1.0, 1, 60.0), 1.0);
-    EXPECT_DOUBLE_EQ(failoverBackoffDelay(1.0, 4, 60.0), 8.0);
-    EXPECT_DOUBLE_EQ(failoverBackoffDelay(1.0, 7, 60.0), 60.0);
+    // Attempt k waits backoff * 2^(k-1) up to the 60 s cap — with
+    // exact binary scaling while it is below the cap...
+    EXPECT_DOUBLE_EQ(failoverBackoffDelay(1.0, 1), 1.0);
+    EXPECT_DOUBLE_EQ(failoverBackoffDelay(1.0, 4), 8.0);
+    EXPECT_DOUBLE_EQ(failoverBackoffDelay(1.0, 7), retryBackoffCap);
     // ...and a tiny base must still climb to the cap: 2^(k-1) is
     // computed in saturating form, so neither a pre-clamp on the
     // exponent (the old 2^30 ceiling, which froze sub-nanosecond
     // backoffs at ~1 ms forever) nor double overflow can keep the
     // delay below the cap.
-    EXPECT_DOUBLE_EQ(failoverBackoffDelay(1e-12, 80, 30.0), 30.0);
-    EXPECT_DOUBLE_EQ(failoverBackoffDelay(1e-300, 2000, 30.0), 30.0);
-    EXPECT_DOUBLE_EQ(failoverBackoffDelay(1e-300, 4000000000u, 30.0),
-                     30.0);
+    EXPECT_DOUBLE_EQ(failoverBackoffDelay(1e-12, 80), retryBackoffCap);
+    EXPECT_DOUBLE_EQ(failoverBackoffDelay(1e-300, 2000), retryBackoffCap);
+    EXPECT_DOUBLE_EQ(failoverBackoffDelay(1e-300, 4000000000u),
+                     retryBackoffCap);
+    // A base above the cap is its own ceiling.
+    EXPECT_DOUBLE_EQ(failoverBackoffDelay(90.0, 3), 90.0);
     // Monotone non-decreasing and always finite across the whole
     // attempt range.
     double last = 0.0;
     for (unsigned attempts : {1u, 2u, 40u, 1000u, 1100u, 4000000000u}) {
-        const double delay =
-            failoverBackoffDelay(1e-9, attempts, 45.0);
+        const double delay = failoverBackoffDelay(1e-9, attempts);
         EXPECT_TRUE(std::isfinite(delay));
         EXPECT_GE(delay, last);
         last = delay;
     }
-    EXPECT_THROW(failoverBackoffDelay(0.0, 1, 60.0), ConfigError);
-    EXPECT_THROW(failoverBackoffDelay(1.0, 0, 60.0), ConfigError);
-    EXPECT_THROW(failoverBackoffDelay(1.0, 1, 0.5), ConfigError);
+    EXPECT_THROW(failoverBackoffDelay(0.0, 1), ConfigError);
+    EXPECT_THROW(failoverBackoffDelay(1.0, 0), ConfigError);
 }
 
 TEST(FarmFailover, AlwaysDownFarmDrainsInBoundedRetries)
@@ -627,7 +630,6 @@ TEST(FarmFailover, AlwaysDownFarmDrainsInBoundedRetries)
     config.faults = "scripted";
     config.faultScript = {{0.0, 0, true}, {0.0, 1, true}};
     config.retryBackoff = 1e-12;
-    config.retryBackoffCap = 30.0;
     config.dropTimeout = 120.0;
 
     const FarmRuntimeResult result = runFaultScenario(config, trace);
@@ -639,6 +641,42 @@ TEST(FarmFailover, AlwaysDownFarmDrainsInBoundedRetries)
     // (plus the capped tail), so the retry bill is a small per-job
     // constant — not the ~10^8 of the pre-fix spin.
     EXPECT_LE(result.faults.retries, result.faults.offered * 60);
+}
+
+TEST(FarmFailover, RunThatCompletesNoJobIsNotWithinBudget)
+{
+    // One server, down from t = 0 for the whole run: every job is
+    // dropped and none completes. The whole-run verdict must agree with
+    // the per-server one instead of reading the empty window's 0 s mean
+    // as within budget.
+    const UtilizationTrace trace("flat", std::vector<double>(30, 0.2));
+    FarmRuntimeConfig config = faultRuntimeConfig(1, "farm-wide");
+    config.dispatcher = "round-robin";
+    config.faults = "scripted";
+    config.faultScript = {{0.0, 0, true}};
+    config.dropTimeout = 10.0;
+
+    const FarmRuntimeResult result = runFaultScenario(config, trace);
+    expectConservation(result);
+    EXPECT_GT(result.faults.offered, 1000u);
+    EXPECT_EQ(result.total.completions, 0u);
+    EXPECT_EQ(result.faults.dropped, result.faults.offered);
+    ASSERT_EQ(result.servers.size(), 1u);
+    EXPECT_FALSE(result.servers[0].withinBudget);
+    EXPECT_FALSE(result.withinBudget());
+
+    // The scenario layer reports it as a QoS violation.
+    ScenarioSpec spec;
+    spec.engine = EngineKind::Farm;
+    spec.trace = {.kind = "flat", .flatLevel = 0.2, .flatMinutes = 30};
+    spec.loop.farmSize = 1;
+    spec.loop.dispatcher = "round-robin";
+    spec.loop.faults = "scripted";
+    spec.loop.faultScript = config.faultScript;
+    spec.loop.dropTimeout = 10.0;
+    const ScenarioResult scenario = ExperimentRunner::runScenario(spec);
+    EXPECT_EQ(scenario.extra("goodput"), 0.0);
+    EXPECT_FALSE(scenario.withinBudget);
 }
 
 TEST(FarmFailover, RecoveryDelayExtendsUnavailability)
@@ -686,9 +724,6 @@ TEST(DegradedMode, StarvedServerFallsBackToSafePolicy)
             strategyConfigByName(mode.strategy, config.perServer);
         config.faults = "scripted";
         config.faultScript = {{310.0, 1, true}, {1500.0, 1, false}};
-        // A fallback no decider would pick, so it is recognizable.
-        config.degradedPolicy = Policy{
-            0.95, SleepPlan::immediate(LowPowerState::C3S0Idle)};
         const std::string label =
             std::string(mode.control) + "/" + mode.strategy;
 
@@ -716,12 +751,8 @@ TEST(DegradedMode, StarvedServerFallsBackToSafePolicy)
                 EXPECT_TRUE(epoch.decided) << label;
                 EXPECT_FALSE(epoch.feasible) << label;
                 EXPECT_FALSE(epoch.boosted) << label;
-                EXPECT_EQ(epoch.policy.frequency,
-                          config.degradedPolicy.frequency)
-                    << label;
-                EXPECT_EQ(epoch.policy.plan.deepest(),
-                          config.degradedPolicy.plan.deepest())
-                    << label;
+                // The safe fixed policy: f = 1, no sleep descent.
+                EXPECT_TRUE(epoch.policy == Policy{}) << label;
                 if (mode.healthyNeverDegrades) {
                     EXPECT_EQ(server.server, 1u) << label;
                 }
@@ -765,19 +796,10 @@ TEST(DegradedMode, FinalEpochIsChargedItsActualSpan)
 // A saturated server under faults: λ̂ of the distributed rule sits
 // above ρ_b even at f = 1, so every decision is infeasible and the
 // farm loop degrades it onto the fallback.
-FarmRuntimeConfig
-saturatedDistributedConfig()
-{
-    FarmRuntimeConfig config = faultRuntimeConfig(2, "distributed");
-    config.degradedPolicy =
-        Policy{0.95, SleepPlan::immediate(LowPowerState::C3S0Idle)};
-    return config;
-}
-
 TEST(DegradedMode, InfeasibleDecisionUnderFaultsDegrades)
 {
     const UtilizationTrace trace("flat", std::vector<double>(20, 0.95));
-    FarmRuntimeConfig config = saturatedDistributedConfig();
+    FarmRuntimeConfig config = faultRuntimeConfig(2, "distributed");
     // Faults on, but no outage ever happens: infeasibility alone must
     // trigger the fallback.
     config.faults = "scripted";
@@ -793,8 +815,8 @@ TEST(DegradedMode, InfeasibleDecisionUnderFaultsDegrades)
             EXPECT_TRUE(epoch.degraded) << "server " << server.server;
             EXPECT_FALSE(epoch.feasible) << "server " << server.server;
             EXPECT_FALSE(epoch.boosted) << "server " << server.server;
-            EXPECT_EQ(epoch.policy.frequency,
-                      config.degradedPolicy.frequency);
+            EXPECT_TRUE(epoch.policy == Policy{})
+                << "server " << server.server;
         }
     }
     EXPECT_GT(degraded, 0u);
@@ -807,7 +829,7 @@ TEST(DegradedMode, InfeasibleFaultFreeDecisionKeepsTheDecidedPolicy)
     // no fallback, so the infeasible decision (full speed) stands,
     // reported infeasible but not degraded.
     const UtilizationTrace trace("flat", std::vector<double>(20, 0.95));
-    const FarmRuntimeConfig config = saturatedDistributedConfig();
+    const FarmRuntimeConfig config = faultRuntimeConfig(2, "distributed");
 
     const FarmRuntimeResult result = runFaultScenario(config, trace);
     std::size_t decided = 0;
@@ -948,7 +970,7 @@ hashEpochStream(std::uint64_t &hash, const std::vector<EpochReport> &epochs)
 FarmRuntimeResult
 runPin(const ScenarioSpec &spec)
 {
-    const WorkloadSpec workload = workloadOf(spec);
+    const WorkloadSpec workload = workloadByName(spec.workload);
     const PlatformModel platform = platformByName(spec.platform);
     const UtilizationTrace trace = spec.trace.realize();
     FarmRuntime runtime(platform, workload, farmConfigOf(spec));
@@ -1066,8 +1088,9 @@ TEST(FaultReplication, PairedComparisonQuantifiesOutageCost)
 {
     // The acceptance experiment in miniature: N replications of a
     // correlated-outage farm against its no-fault twin under common
-    // random numbers. correlatedGroup defaults to 2, so a 2-server
-    // farm sees full-farm outages and must exercise the retry path.
+    // random numbers. A correlated outage takes down correlatedGroup =
+    // 2 servers, so a 2-server farm sees full-farm outages and must
+    // exercise the retry path.
     ScenarioSpec faulty;
     faulty.label = "faults(correlated)";
     faulty.engine = EngineKind::Farm;

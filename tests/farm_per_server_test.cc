@@ -344,12 +344,17 @@ TEST(PerServerControl, ValidationGuards)
     mixed_wide.platforms = {"xeon", "atom"};
     EXPECT_THROW(FarmRuntime(xeon, dns, mixed_wide), ConfigError);
 
-    // Homogeneous platform lists are fine under either mode.
+    // Homogeneous platform lists are fine under either mode, and the
+    // listed platform replaces the constructor's.
     FarmRuntimeConfig homogeneous = baseConfig(2, "farm-wide");
     homogeneous.platforms = {"atom", "atom"};
     const FarmRuntime runtime(xeon, dns, homogeneous);
-    EXPECT_EQ(runtime.serverPlatform(1).name(),
-              PlatformModel::atom().name());
+    const UtilizationTrace trace("flat", std::vector<double>(5, 0.2));
+    TraceDrivenSource source(dns, trace, 7, 2);
+    OfflinePredictor predictor(trace.values());
+    const FarmRuntimeResult result = runtime.run(source, trace, predictor);
+    ASSERT_EQ(result.servers.size(), 2u);
+    EXPECT_EQ(result.servers[1].platform, PlatformModel::atom().name());
     EXPECT_THROW(runtime.serverManager(0), ConfigError);
 }
 

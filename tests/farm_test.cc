@@ -396,10 +396,6 @@ TEST(FarmRuntime, ValidationGuards)
     FarmRuntimeConfig tiny_log;
     tiny_log.perServer.evalLogCap = 1;
     EXPECT_THROW(FarmRuntime(xeon, dnsWorkload(), tiny_log), ConfigError);
-    FarmRuntimeConfig no_history;
-    no_history.perServer.historyEpochs = 0;
-    EXPECT_THROW(FarmRuntime(xeon, dnsWorkload(), no_history),
-                 ConfigError);
 }
 
 TEST(FarmRuntime, EpochReportsCarryTheMeasuredLoad)

@@ -52,8 +52,8 @@ goldenScenario(const std::string &workload)
     ScenarioSpec spec;
     spec.label = "golden " + workload;
     spec.workload = workload;
-    spec.trace = {.kind = "es", .days = 1, .seed = 20140614,
-                  .windowStartHour = 2, .windowEndHour = 8};
+    spec.trace = {
+        .kind = "es", .days = 1, .windowStartHour = 2, .windowEndHour = 8};
     spec.strategy = "SS";
     spec.loop.perServer.epochMinutes = 5;
     spec.loop.perServer.overProvision = 0.35;

@@ -114,7 +114,7 @@ TEST(HotPathAllocations, ServerSimOfferJobAllocatesNothingWhenWarm)
 // The buckets are allocated by the first sample and never again.
 TEST(HotPathAllocations, HistogramAddAllocatesOnlyOnFirstSample)
 {
-    QuantileHistogram histogram(1e-7, 1e5, 400);
+    QuantileHistogram histogram;
     EXPECT_EQ(allocationsOf([&] { histogram.add(0.5); }), 1u);
     EXPECT_EQ(allocationsOf([&] {
                   for (int i = 1; i <= 10000; ++i)

@@ -269,8 +269,8 @@ TEST_P(OfflineOptRegret, SimulatedEnergyNeverBeatsTheOracle)
     ScenarioSpec spec;
     spec.label = std::string("regret ") + c.workload + " " + c.strategy;
     spec.workload = c.workload;
-    spec.trace = {.kind = "es", .days = 1, .seed = 20140614,
-                  .windowStartHour = 2, .windowEndHour = 4};
+    spec.trace = {
+        .kind = "es", .days = 1, .windowStartHour = 2, .windowEndHour = 4};
     spec.sourceRateScale = c.rate_scale;
     spec.strategy = c.strategy;
     spec.predictor = "LC";

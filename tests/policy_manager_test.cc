@@ -39,14 +39,6 @@ TEST(PolicySpace, StandardCrossesFiveStates)
               space.plans.size() * space.frequencies.size());
 }
 
-TEST(PolicySpace, SinglePlanRestriction)
-{
-    const PolicySpace space = PolicySpace::singlePlan(
-        SleepPlan::immediate(LowPowerState::C3S0Idle));
-    ASSERT_EQ(space.plans.size(), 1u);
-    EXPECT_EQ(space.plans[0].deepest(), LowPowerState::C3S0Idle);
-}
-
 TEST(PolicySpace, GridValidation)
 {
     EXPECT_THROW(PolicySpace::frequencyGrid(0.0, 1.0, 0.1), ConfigError);
@@ -104,11 +96,11 @@ TEST_F(ManagerTest, PicksFeasibleMinimumPower)
 TEST_F(ManagerTest, RestrictedSpaceOnlyReturnsItsPlan)
 {
     const auto log = poissonLog(0.2, 0.194, 5000);
-    const PolicyManager manager(
-        xeon, ServiceScaling::cpuBound(),
-        PolicySpace::singlePlan(
-            SleepPlan::immediate(LowPowerState::C3S0Idle)),
-        QosConstraint::fromBaselineMean(0.8, 0.194));
+    // The space the "SS(C3)" strategy searches.
+    PolicySpace space = PolicySpace::standard();
+    space.plans = {SleepPlan::immediate(LowPowerState::C3S0Idle)};
+    const PolicyManager manager(xeon, ServiceScaling::cpuBound(), space,
+                                QosConstraint::fromBaselineMean(0.8, 0.194));
     const PolicyDecision decision = manager.selectFromLog(log);
     EXPECT_EQ(decision.policy.plan.deepest(), LowPowerState::C3S0Idle);
 }

@@ -66,8 +66,21 @@ TEST(Qos, TailSatisfactionUsesThePercentile)
         ok.responseHistogram.add(i < 96 ? 1.0 : 10.0);
         bad.responseHistogram.add(i < 90 ? 1.0 : 10.0);
     }
+    ok.completions = bad.completions = 100;
     EXPECT_TRUE(qos.satisfiedBy(ok));
     EXPECT_FALSE(qos.satisfiedBy(bad));
+}
+
+TEST(Qos, EmptyWindowNeverSatisfies)
+{
+    // A window that completed no job reads a 0 s mean and a 0 s
+    // percentile, but it has no response statistic to meet a budget
+    // with.
+    const SimStats empty;
+    EXPECT_FALSE(QosConstraint::meanBudget(2.0).satisfiedBy(empty));
+    EXPECT_FALSE(QosConstraint::tailBudget(3.0, 95.0).satisfiedBy(empty));
+    EXPECT_TRUE(
+        QosConstraint::meanBudget(2.0).satisfiedBy(statsWithResponses({1.0})));
 }
 
 TEST(Qos, MeasuredValueReportsTheRightStatistic)
@@ -105,7 +118,7 @@ TEST(Qos, AnalyticTailValueInvertsTheTail)
     const double expected = std::log(20.0) / (mu - lambda);
     EXPECT_NEAR(qos.analyticValue(model, policy, lambda, mu), expected,
                 1e-6);
-    EXPECT_EQ(qos.satisfiedByAnalytic(model, policy, lambda, mu),
+    EXPECT_EQ(qos.analyticValue(model, policy, lambda, mu) <= qos.budget(),
               expected <= 1.0);
 }
 

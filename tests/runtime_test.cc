@@ -300,10 +300,10 @@ TEST(Strategies, ConfigsEncodeTheRightRestrictions)
     for (const std::string &name : strategyRegistry().names())
         expected[name] = RuntimeConfig{};
     ASSERT_EQ(expected.size(), 6u);
-    expected["SS(C3)"].space = PolicySpace::singlePlan(
-        SleepPlan::immediate(LowPowerState::C3S0Idle));
-    expected["DVFS"].space = PolicySpace::singlePlan(
-        SleepPlan::immediate(LowPowerState::C0IdleS0Idle));
+    expected["SS(C3)"].space.plans = {
+        SleepPlan::immediate(LowPowerState::C3S0Idle)};
+    expected["DVFS"].space.plans = {
+        SleepPlan::immediate(LowPowerState::C0IdleS0Idle)};
     expected["R2H(C3)"].fixedPolicy = raceToHalt(LowPowerState::C3S0Idle);
     expected["R2H(C6)"].fixedPolicy = raceToHalt(LowPowerState::C6S0Idle);
     expected["poet"].controller = ControllerConfig{};
@@ -345,7 +345,6 @@ TEST(Strategies, PatchesKeepTheCallersKnobs)
     base.qosMetric = QosMetric::TailResponse;
     base.searchThreads = 2;
     base.evalLogCap = 500;
-    base.historyEpochs = 1;
     base.recordDecisionTime = true;
     base.initialPolicy =
         Policy{0.5, SleepPlan::immediate(LowPowerState::C1S0Idle)};
@@ -357,7 +356,6 @@ TEST(Strategies, PatchesKeepTheCallersKnobs)
         EXPECT_EQ(config.qosMetric, QosMetric::TailResponse) << name;
         EXPECT_EQ(config.searchThreads, 2u) << name;
         EXPECT_EQ(config.evalLogCap, 500u) << name;
-        EXPECT_EQ(config.historyEpochs, 1u) << name;
         EXPECT_TRUE(config.recordDecisionTime) << name;
         EXPECT_TRUE(config.initialPolicy == base.initialPolicy) << name;
     }

@@ -392,7 +392,6 @@ randomFaultConfig(Rng &rng, std::size_t farm_size, std::string *family)
     config.farmSize = farm_size;
     config.mtbf = rng.uniform(300.0, 1200.0);
     config.mttr = rng.uniform(30.0, 180.0);
-    config.correlatedGroup = 1 + rng.uniformInt(farm_size);
     config.seed = rng.next();
     switch (rng.uniformInt(3)) {
       case 0:
@@ -498,9 +497,7 @@ runFuzzFarm(Rng &rng, const std::string &faults, std::uint64_t seed,
     Rng knobs(knob_seed);
     config.mtbf = knobs.uniform(300.0, 900.0);
     config.mttr = knobs.uniform(30.0, 150.0);
-    config.correlatedGroup = 1 + knobs.uniformInt(config.farmSize);
     config.retryBackoff = knobs.uniform(0.25, 4.0);
-    config.retryBackoffCap = knobs.uniform(10.0, 60.0);
     config.dropTimeout = knobs.uniform(60.0, 300.0);
     config.recoverySeconds = knobs.uniform(0.0, 30.0);
 

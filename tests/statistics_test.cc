@@ -84,8 +84,7 @@ TEST(StudentT, IncompleteBetaKnownValues)
 
 TEST(MetricSummary, KnownSmallSample)
 {
-    const MetricSummary summary =
-        summarizeSamples("m", {1.0, 2.0, 3.0, 4.0, 5.0});
+    const MetricSummary summary{"m", {1.0, 2.0, 3.0, 4.0, 5.0}};
     EXPECT_DOUBLE_EQ(summary.mean(), 3.0);
     EXPECT_NEAR(summary.stddev(), std::sqrt(2.5), 1e-12);
     // t*(0.95, 4 dof) * s / sqrt(5).
@@ -103,11 +102,11 @@ TEST(MetricSummary, KnownSmallSample)
 
 TEST(MetricSummary, DegenerateSampleCounts)
 {
-    const MetricSummary empty = summarizeSamples("e", {});
+    const MetricSummary empty{"e", {}};
     EXPECT_DOUBLE_EQ(empty.mean(), 0.0);
     EXPECT_DOUBLE_EQ(empty.ciHalfWidth(), 0.0);
 
-    const MetricSummary one = summarizeSamples("o", {7.0});
+    const MetricSummary one{"o", {7.0}};
     EXPECT_DOUBLE_EQ(one.mean(), 7.0);
     EXPECT_DOUBLE_EQ(one.stddev(), 0.0);
     EXPECT_DOUBLE_EQ(one.ciHalfWidth(), 0.0);
@@ -118,16 +117,6 @@ TEST(MetricSummary, DegenerateSampleCounts)
     // below two samples.
     EXPECT_FALSE(one.excludesZero());
     EXPECT_FALSE(empty.excludesZero());
-}
-
-TEST(MetricSummary, ConfidenceLevelWidensInterval)
-{
-    const std::vector<double> samples{1.0, 2.0, 3.0, 4.0, 5.0};
-    const MetricSummary narrow = summarizeSamples("m", samples, 0.90);
-    const MetricSummary wide = summarizeSamples("m", samples, 0.99);
-    EXPECT_LT(narrow.ciHalfWidth(), wide.ciHalfWidth());
-    EXPECT_THROW(summarizeSamples("m", samples, 0.0), ConfigError);
-    EXPECT_THROW(summarizeSamples("m", samples, 1.0), ConfigError);
 }
 
 // --------------------------------------------------------- replications
@@ -164,11 +153,6 @@ TEST(Replication, RejectsInvalidConfiguration)
     spec.replications = 0;
     EXPECT_THROW(spec.validate(), ConfigError);
     EXPECT_THROW(ExperimentRunner::runReplicated(spec), ConfigError);
-    spec.replications = 5;
-    EXPECT_THROW(ExperimentRunner::runReplicated(spec, 1, 1.5),
-                 ConfigError);
-    EXPECT_THROW(ExperimentRunner::runReplicated(spec, 1, 0.0),
-                 ConfigError);
 }
 
 TEST(Replication, SummarizesCoreMetricsAndResidencies)
@@ -399,11 +383,10 @@ coveragePoint(const PlatformModel &platform, const MM1SleepModel &model,
 
     CoverageOutcome outcome;
     outcome.responseCovered =
-        summarizeSamples("r", std::move(responses))
-            .covers(model.meanResponse(policy, lambda, mu));
-    outcome.powerCovered =
-        summarizeSamples("p", std::move(powers))
-            .covers(model.meanPower(policy, lambda, mu));
+        MetricSummary{"r", std::move(responses)}.covers(
+            model.meanResponse(policy, lambda, mu));
+    outcome.powerCovered = MetricSummary{"p", std::move(powers)}.covers(
+        model.meanPower(policy, lambda, mu));
     return outcome;
 }
 

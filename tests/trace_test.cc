@@ -38,16 +38,6 @@ TEST(UtilizationTrace, AtValidatesIndex)
     EXPECT_THROW(trace.at(1), ConfigError);
 }
 
-TEST(UtilizationTrace, SliceExtractsRange)
-{
-    UtilizationTrace trace("t", {0.1, 0.2, 0.3, 0.4});
-    const UtilizationTrace part = trace.slice(1, 3);
-    ASSERT_EQ(part.size(), 2u);
-    EXPECT_DOUBLE_EQ(part.at(0), 0.2);
-    EXPECT_THROW(trace.slice(2, 2), ConfigError);
-    EXPECT_THROW(trace.slice(0, 9), ConfigError);
-}
-
 TEST(UtilizationTrace, DailyWindowSelectsHours)
 {
     // Two days of minutes, value encodes the hour bucket.

@@ -263,7 +263,7 @@ TEST(SampleStats, InvalidPercentileThrows)
 TEST(QuantileHistogram, PercentileTracksExactWithinResolution)
 {
     Rng rng(31);
-    QuantileHistogram hist(1e-6, 1e4, 400);
+    QuantileHistogram hist;
     SampleStats exact;
     for (int i = 0; i < 100000; ++i) {
         const double x = rng.exponential(0.2);
@@ -295,7 +295,7 @@ TEST(QuantileHistogram, ExceedanceMatchesExact)
 
 TEST(QuantileHistogram, UnderflowAndOverflowLand)
 {
-    QuantileHistogram hist(1e-3, 1e3, 100);
+    QuantileHistogram hist;
     hist.add(1e-9);
     hist.add(1e9);
     EXPECT_EQ(hist.count(), 2u);
@@ -310,13 +310,6 @@ TEST(QuantileHistogram, MergeCombinesCounts)
     a.merge(b);
     EXPECT_EQ(a.count(), 2u);
     EXPECT_NEAR(a.mean(), 1.5, 1e-12);
-}
-
-TEST(QuantileHistogram, MergeRejectsMismatchedConfig)
-{
-    QuantileHistogram a(1e-6, 1e4, 400);
-    QuantileHistogram b(1e-3, 1e4, 400);
-    EXPECT_THROW(a.merge(b), ConfigError);
 }
 
 TEST(QuantileHistogram, RejectsNegativeSamples)
@@ -334,9 +327,9 @@ TEST(QuantileHistogram, ResetForgets)
     EXPECT_DOUBLE_EQ(hist.percentile(50.0), 0.0);
 }
 
-// Boundary audit (SimStats uses floor 1e-7 / ceiling 1e5): samples
-// beyond the grid, empty queries, and non-finite inputs must never
-// silently misreport.
+// Boundary audit (the grid spans 1e-7 s to 1e5 s): samples beyond the
+// grid, empty queries, and non-finite inputs must never silently
+// misreport.
 
 TEST(QuantileHistogram, RejectsNonFiniteSamples)
 {
@@ -351,7 +344,7 @@ TEST(QuantileHistogram, RejectsNonFiniteSamples)
 
 TEST(QuantileHistogram, EmptyHistogramQueriesAreSafe)
 {
-    const QuantileHistogram hist(1e-7, 1e5, 400);
+    const QuantileHistogram hist;
     EXPECT_EQ(hist.count(), 0u);
     EXPECT_DOUBLE_EQ(hist.percentile(0.0), 0.0);
     EXPECT_DOUBLE_EQ(hist.percentile(50.0), 0.0);
@@ -363,7 +356,7 @@ TEST(QuantileHistogram, EmptyHistogramQueriesAreSafe)
 
 TEST(QuantileHistogram, AllSamplesBelowFloor)
 {
-    QuantileHistogram hist(1e-7, 1e5, 400);
+    QuantileHistogram hist;
     hist.add(1e-9);
     hist.add(5e-9);
     hist.add(2e-8);
@@ -379,7 +372,7 @@ TEST(QuantileHistogram, AllSamplesBelowFloor)
 
 TEST(QuantileHistogram, AllSamplesAboveCeiling)
 {
-    QuantileHistogram hist(1e-7, 1e5, 400);
+    QuantileHistogram hist;
     hist.add(2e5);
     hist.add(3e6);
     EXPECT_DOUBLE_EQ(hist.percentile(100.0), 3e6);
@@ -392,7 +385,7 @@ TEST(QuantileHistogram, AllSamplesAboveCeiling)
 
 TEST(QuantileHistogram, PercentileZeroReturnsExactMin)
 {
-    QuantileHistogram hist(1e-7, 1e5, 400);
+    QuantileHistogram hist;
     hist.add(3.0);
     hist.add(7.0);
     // Used to report the underflow bucket's upper edge (the floor).
@@ -403,12 +396,31 @@ TEST(QuantileHistogram, PercentileZeroReturnsExactMin)
 
 TEST(QuantileHistogram, ExactlyAtFloorAndCeilingEdges)
 {
-    QuantileHistogram hist(1e-3, 1e3, 100);
-    hist.add(1e-3); // first grid bucket, not underflow
-    hist.add(1e3);  // overflow by the ">= ceiling" convention
+    constexpr double floor = QuantileHistogram::gridFloor;
+    constexpr double ceiling = QuantileHistogram::gridCeiling;
+    QuantileHistogram hist;
+    hist.add(floor);   // first grid bucket, not underflow
+    hist.add(ceiling); // overflow by the ">= ceiling" convention
     EXPECT_EQ(hist.count(), 2u);
-    EXPECT_DOUBLE_EQ(hist.percentile(100.0), 1e3);
-    EXPECT_DOUBLE_EQ(hist.exceedance(1e3), 0.5);
+    EXPECT_DOUBLE_EQ(hist.percentile(100.0), ceiling);
+    EXPECT_DOUBLE_EQ(hist.exceedance(ceiling), 0.5);
+    // The floor sits in the first grid bucket, whose upper edge is one
+    // bucket width above it.
+    const double first_edge = std::pow(
+        10.0, std::log10(floor) + 1.0 / QuantileHistogram::bucketsPerDecade);
+    EXPECT_DOUBLE_EQ(hist.percentile(50.0), first_edge);
+}
+
+TEST(QuantileHistogram, BucketEdgesFollowTheLogGrid)
+{
+    // Bucket k's upper edge is 10^(log10(1e-7) + k / 400), computed
+    // from the run-time log10 of the floor: 1.0 lands in bucket
+    // 7 * 400 + 1. Pins the grid arithmetic to the bit.
+    QuantileHistogram hist;
+    hist.add(1.0);
+    hist.add(2.0);
+    EXPECT_EQ(hist.percentile(50.0),
+              std::pow(10.0, std::log10(1e-7) + 2801.0 / 400.0));
 }
 
 // ------------------------------------------------------------------- CSV

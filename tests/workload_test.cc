@@ -69,14 +69,6 @@ TEST(WorkloadSpec, Table5Values)
     EXPECT_DOUBLE_EQ(google.serviceMean, 4.2e-3);
 }
 
-TEST(WorkloadSpec, NativeUtilization)
-{
-    EXPECT_NEAR(dnsWorkload().nativeUtilization(), 0.194 / 1.1, 1e-12);
-    // Google's native load in Table 5 is oversubscribed (ρ > 1); the
-    // evaluation always rescales to a target utilization.
-    EXPECT_GT(googleWorkload().nativeUtilization(), 1.0);
-}
-
 TEST(WorkloadSpec, InterArrivalMeanAtUtilization)
 {
     const WorkloadSpec dns = dnsWorkload();
@@ -92,7 +84,9 @@ TEST(WorkloadSpec, DistributionsMatchSpec)
     EXPECT_DOUBLE_EQ(service->mean(), 0.092);
     EXPECT_NEAR(service->cv(), 3.6, 1e-9);
 
-    const auto arrivals = mail.makeInterArrival(0.3);
+    // The arrival side as the job sources fit it.
+    const auto arrivals =
+        fitDistribution(mail.interArrivalMeanAt(0.3), mail.interArrivalCv);
     EXPECT_NEAR(arrivals->mean(), 0.092 / 0.3, 1e-12);
     EXPECT_NEAR(arrivals->cv(), 1.9, 1e-9);
 }

@@ -54,7 +54,6 @@
  */
 
 #include <algorithm>
-#include <cmath>
 #include <iostream>
 
 #include "analytic/mm1_sleep.hh"
@@ -115,7 +114,6 @@ scenarioFromArgs(const CliArgs &args, EngineKind engine)
     spec.platform = args.get("platform", "xeon");
     spec.trace.kind = args.get("trace", "es");
     spec.trace.days = args.getUnsigned<unsigned>("days", 1);
-    spec.trace.seed = 20140614;
     // Job source: which stream feeds the engine. --replay implies the
     // replay source; otherwise --source names a registered shape.
     spec.source =
@@ -271,10 +269,8 @@ cmdSelect(const CliArgs &args)
 void
 printReplicatedSummary(const ReplicatedResult &result)
 {
-    const int level =
-        static_cast<int>(std::lround(result.confidence * 100.0));
     std::cout << "replications:  " << result.replications.size()
-              << "  (mean ± " << level << "% CI, seeds derived from "
+              << "  (mean ± 95% CI, seeds derived from "
               << result.spec.seed << ")\n"
               << "mean response: "
               << result.metric("mean_response_s").toString() << " s\n"
