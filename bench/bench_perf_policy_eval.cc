@@ -96,10 +96,11 @@ BM_PreparedReplay10k(benchmark::State &state)
     const PlatformModel xeon = PlatformModel::xeon();
     const PreparedLog log = PreparedLog::fromJobs(benchJobs(10000));
     const auto lanes = static_cast<std::size_t>(state.range(0));
-    // Lane l runs at f = 0.7 + 0.04 l, which stays in (0, 1] for
-    // every lane of a full block.
+    // Lane l runs at f = 0.7 + 0.3 l / replayWidth, which stays in
+    // (0, 1) for every lane of a full block at any block width.
     const auto frequency = [](std::size_t lane) {
-        return 0.7 + 0.04 * static_cast<double>(lane);
+        return 0.7 + 0.3 * static_cast<double>(lane) /
+                         static_cast<double>(replayWidth);
     };
     std::vector<MaterializedPlan> plans;
     std::vector<ReplayCandidate> candidates;

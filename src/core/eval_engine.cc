@@ -39,16 +39,6 @@ PolicyEvalEngine::PolicyEvalEngine(const PlatformModel &platform,
     _outcomes.resize(_space.size());
 }
 
-const MaterializedPlan &
-PolicyEvalEngine::materialized(std::size_t plan_idx,
-                               std::size_t freq_idx) const
-{
-    fatalIf(plan_idx >= _space.plans.size() ||
-                freq_idx >= _space.frequencies.size(),
-            "PolicyEvalEngine::materialized: index out of range");
-    return _materialized[plan_idx * _space.frequencies.size() + freq_idx];
-}
-
 double
 PolicyEvalEngine::minStableFrequency(double rho) const
 {

@@ -11,12 +11,15 @@
  *     policy space is static, so per-epoch selections reuse it instead
  *     of re-binding every candidate every epoch.
  *  2. Block replay: candidates are packed into blocks of replayWidth
- *     (eight) and each block is characterized by one replayBlock() call
- *     over a PreparedLog — one pass of 32-byte AVX2 vectors, or two of
- *     16-byte SSE2 vectors on hosts without AVX2 — so the candidates'
- *     independent dependency chains overlap in the pipeline. A lane's
- *     outcome does not depend on its block or lane position, nor on the
- *     body the host runs, and the kernel allocates nothing.
+ *     (sixteen) and each block is characterized by one replayBlock()
+ *     call over a PreparedLog — one pass of 32-byte AVX2 vectors, or two
+ *     of 16-byte SSE2 vectors on hosts without AVX2 — so the
+ *     candidates' independent dependency chains overlap in the
+ *     pipeline. The pass has no divide and no blend per job: a lane's
+ *     mean response is its running sum over the job count, as in
+ *     OnlineStats. A lane's outcome does not depend on its block or
+ *     lane position, nor on the body the host runs, and the kernel
+ *     allocates nothing.
  *  3. Parallel block fan-out on a shared ThreadPool with outcomes
  *     stored by candidate index and reduced in index order, so a
  *     parallel selection bit-matches the serial one.
@@ -115,11 +118,6 @@ class PolicyEvalEngine
 
     /** The QoS constraint in force. */
     const QosConstraint &qos() const { return _qos; }
-
-    /** The cached materialization of plan `plan_idx` at frequency
-     * `freq_idx` (indices into the space's plans and frequencies). */
-    const MaterializedPlan &materialized(std::size_t plan_idx,
-                                         std::size_t freq_idx) const;
 
     /** Candidates characterized by log replay over the engine's
      * lifetime (closed-form selections are not counted). */

@@ -7,18 +7,19 @@
  *
  *  - Sse2: 16-byte vectors of two lanes, plain SSE2 on x86-64 (NEON on
  *    AArch64), so it runs on every host. It replays a full block of
- *    replayWidth candidates as two passes of four.
+ *    replayWidth (sixteen) candidates as two passes of eight.
  *  - Avx2: 32-byte vectors of four lanes, compiled with
- *    target("avx2") (no FMA, no -march), replaying a full block in one
- *    pass. x86 only.
+ *    target("avx2") (no FMA, no -march), replaying a full block of
+ *    sixteen in one pass. x86 only.
  *
- * Both perform the same element-wise IEEE add, sub, mul and div per
- * lane, so they return bit-identical outcomes and tails; the choice is
- * speed only. replayBlock() probes the CPU once, at its first call, and
- * uses Avx2 where the host supports it. No configuration selects a
- * body: these hooks exist so tests can run both bodies on one host and
- * pin the bit-identity that makes the probe result-neutral
- * (docs/CONCURRENCY.md, invariant 4).
+ * Both perform the same element-wise IEEE add, sub, mul, max and masks
+ * per lane, with no divide and no blend in the per-job loop, so they
+ * return bit-identical outcomes and tails; the choice is speed only.
+ * replayBlock() probes the CPU once, at its first call, and uses Avx2
+ * where the host supports it. No configuration selects a body: these
+ * hooks exist so tests can run both bodies on one host and pin the
+ * bit-identity that makes the probe result-neutral (docs/CONCURRENCY.md,
+ * invariant 4).
  */
 
 #ifndef SLEEPSCALE_SIM_REPLAY_KERNEL_HH

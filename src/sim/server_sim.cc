@@ -63,12 +63,13 @@ namespace {
 
 /**
  * GCC/Clang generic vectors of doubles. Element-wise add, sub, mul and
- * div round exactly as the scalar operations do, and selects copy bits,
- * so every lane is bit-identical to scalar code at either width. Vec2
- * is one 16-byte register: plain SSE2 on x86-64 (NEON on AArch64), no
- * -march flag. Vec4 is one 32-byte register, touched only inside the
- * target("avx2") body; no function takes or returns a vector by value,
- * so the library's ABI does not depend on AVX.
+ * div round exactly as the scalar operations do, and selects, maxima
+ * and masks copy bits, so every lane is bit-identical to scalar code at
+ * either width. Vec2 is one 16-byte register: plain SSE2 on x86-64
+ * (NEON on AArch64), no -march flag. Vec4 is one 32-byte register,
+ * touched only inside the target("avx2") body; no function takes or
+ * returns a vector by value, so the library's ABI does not depend on
+ * AVX.
  */
 typedef double Vec2 __attribute__((vector_size(2 * sizeof(double))));
 typedef double Vec4 __attribute__((vector_size(4 * sizeof(double))));
@@ -78,12 +79,13 @@ template <typename V>
 inline constexpr std::size_t lanesPerVector = sizeof(V) / sizeof(double);
 
 /**
- * One value per lane of a replay pass, held in two independent vectors:
- * each dependency chain (the Welford mean above all) then overlaps with
- * a second one, where a single vector per chain exposes its latency.
+ * One value per lane of a replay pass, held in four independent
+ * vectors: each dependency chain (the departure time above all) then
+ * overlaps with three others, where a single vector per chain exposes
+ * its latency.
  */
 template <typename V>
-using Lanes = std::array<V, 2>;
+using Lanes = std::array<V, 4>;
 
 /** Candidates one pass of the V body replays. */
 template <typename V>
@@ -155,13 +157,25 @@ bindPass(std::span<const ReplayCandidate> lanes, PassConstants<V> &c)
  * The replay loop over one pass. Per lane and job it performs exactly
  * the scalar accounting of the streaming simulator, in the same order:
  * idle energy of the interrupted descent, then busy energy to the
- * departure, then OnlineStats::add's Welford step. Idle-only terms are
- * selected, not branched to: a busy arrival adds +0.0, which leaves the
- * energy unchanged, so the selects are exact. `Staged` is false when
- * every lane has a single stage (the arrival always interrupts stage
- * 0). That case covers the whole standard policy space, and compiling
- * the stage loop out of it is measurably faster than a runtime bound of
- * one. Non-empty `tails` are fed each lane's response times.
+ * departure, then the response added to a running sum, which ends as
+ * OnlineStats's mean, sum over count. The loop has no divide and no
+ * blend:
+ *
+ *  - service starts at max(arrival, free_at), the value the simulator's
+ *    idle/busy branch picks (the two are equal when an arrival meets
+ *    the departure before it);
+ *  - the departure is (start + wake) + work x factor, where a busy lane
+ *    adds a wake of +0.0: it starts at free_at > arrival >= 0, and
+ *    free_at + 0.0 is free_at;
+ *  - busy energy is P_active x (departure - start), wake-up included;
+ *  - idle-only terms are masked to +0.0 on busy lanes, which leaves the
+ *    energy unchanged.
+ *
+ * `Staged` is false when every lane has a single stage (the arrival
+ * always interrupts stage 0). That case covers the whole standard
+ * policy space, and compiling the stage loop out of it is measurably
+ * faster than a runtime bound of one. Non-empty `tails` are fed each
+ * lane's response times.
  */
 template <typename V, bool Staged>
 [[gnu::always_inline]] inline void
@@ -170,9 +184,11 @@ replayPass(const PreparedLog &log, const PassConstants<V> &c,
            std::span<QuantileHistogram> tails)
 {
     const V zero{};
+    // A comparison's lanes: all ones where it holds, all zeros elsewhere.
+    using Mask = decltype(zero < zero);
     Lanes<V> next_free{};
     Lanes<V> energy{};
-    Lanes<V> mean{};
+    Lanes<V> total{};
 
     const std::size_t n = log.count();
     const double *arrivals = log.arrival.data();
@@ -181,13 +197,18 @@ replayPass(const PreparedLog &log, const PassConstants<V> &c,
         // Broadcasts: x - (+0.0) is x exactly, -0.0 included.
         const V arrival = arrivals[i] - zero;
         const V work = sizes[i] - zero;
-        // OnlineStats::add divides by the sample count, as a double.
-        const V samples = static_cast<double>(i + 1) - zero;
 
         Lanes<V> response{};
         for (std::size_t h = 0; h < response.size(); ++h) {
             const V free_at = next_free[h];
-            const auto idle = free_at <= arrival;
+            // A maximum (maxpd): the value the simulator's idle/busy
+            // branch starts service at.
+            const V start = free_at > arrival ? free_at : arrival;
+            // Its own comparison: allowing for NaN, the compiler cannot
+            // take it for the maximum's negated test, so each stays as
+            // written (a maxpd, an and-mask) instead of one shared mask
+            // feeding blends.
+            const Mask idle = arrival >= free_at;
             const V gap = arrival - free_at;
 
             // The stage the arrival interrupts: the deepest one the gap
@@ -208,13 +229,13 @@ replayPass(const PreparedLog &log, const PassConstants<V> &c,
             }
 
             // MaterializedPlan::idleEnergy(gap); idleEnergy(0) is 0.
-            energy[h] += idle ? before + power * (gap - enter) : zero;
-            const V depart = (idle ? arrival + wake : free_at) +
+            // Busy lanes add +0.0: the and of the mask with the bits.
+            energy[h] += (V)(idle & (Mask)(before + power * (gap - enter)));
+            const V depart = (start + (V)(idle & (Mask)wake)) +
                              work * c.serviceFactor[h];
-            energy[h] +=
-                c.activePower[h] * (depart - (idle ? arrival : free_at));
+            energy[h] += c.activePower[h] * (depart - start);
             response[h] = depart - arrival;
-            mean[h] += (response[h] - mean[h]) / samples;
+            total[h] += response[h];
             next_free[h] = depart;
         }
         if (!tails.empty()) {
@@ -224,12 +245,14 @@ replayPass(const PreparedLog &log, const PassConstants<V> &c,
         }
     }
 
+    // OnlineStats::mean() divides by the sample count, as a double.
+    const double samples = static_cast<double>(n);
     const std::array<double, passWidth<V>> spans = unpack(next_free);
     const std::array<double, passWidth<V>> joules = unpack(energy);
-    const std::array<double, passWidth<V>> means = unpack(mean);
+    const std::array<double, passWidth<V>> sums = unpack(total);
     for (std::size_t l = 0; l < outcomes.size(); ++l) {
         outcomes[l].avgPower = spans[l] > 0.0 ? joules[l] / spans[l] : 0.0;
-        outcomes[l].meanResponse = means[l];
+        outcomes[l].meanResponse = sums[l] / samples;
     }
 }
 
@@ -260,7 +283,7 @@ replayPasses(const PreparedLog &log,
     }
 }
 
-/** The 16-byte body: two passes of four lanes per full block. */
+/** The 16-byte body: two passes of eight lanes per full block. */
 void
 replaySse2(const PreparedLog &log, std::span<const ReplayCandidate> lanes,
            std::span<ReplayOutcome> outcomes,
@@ -270,7 +293,7 @@ replaySse2(const PreparedLog &log, std::span<const ReplayCandidate> lanes,
 }
 
 #ifdef SLEEPSCALE_REPLAY_AVX2
-/** The 32-byte body: one pass of eight lanes. It enables AVX2 only,
+/** The 32-byte body: one pass of sixteen lanes. It enables AVX2 only,
  * not FMA, so GCC cannot contract a * b + c and every lane keeps the
  * separately rounded operations of the 16-byte body. */
 [[gnu::target("avx2")]] void

@@ -16,10 +16,11 @@
  * mispredicted epoch leaves a backlog that must propagate into the next
  * one). The policy search instead scores candidates with replayBlock(),
  * the same FCFS accounting reduced to what a decision reads (average
- * power, mean or tail response) and run for replayWidth candidates side
- * by side over a PreparedLog. That makes candidate-policy
- * evaluation cheap enough to run hundreds of times per epoch, which is
- * the premise of SleepScale's runtime policy manager.
+ * power, mean or tail response) and run for replayWidth (sixteen)
+ * candidates side by side over a PreparedLog, with no divide and no
+ * blend per job. That makes candidate-policy evaluation cheap enough to
+ * run hundreds of times per epoch, which is the premise of SleepScale's
+ * runtime policy manager.
  */
 
 #ifndef SLEEPSCALE_SIM_SERVER_SIM_HH
@@ -75,10 +76,10 @@ struct PreparedLog
     double offeredLoad() const;
 };
 
-/** Candidates one replayBlock() call characterizes side by side: one
- * pass of its AVX2 body, or two passes of four lanes of its SSE2 body
- * (sim/replay_kernel.hh). */
-inline constexpr std::size_t replayWidth = 8;
+/** Candidates one replayBlock() call characterizes side by side:
+ * sixteen, in one pass of its AVX2 body or two passes of eight lanes of
+ * its SSE2 body (sim/replay_kernel.hh). */
+inline constexpr std::size_t replayWidth = 16;
 
 /** One candidate policy of a replay block, bound to its frequency. */
 struct ReplayCandidate
@@ -106,7 +107,8 @@ struct ReplayOutcome
      * the span is not positive. Equals SimStats::avgPower(). */
     double avgPower = 0.0;
 
-    /** Exact streaming mean response time, seconds. */
+    /** Mean response time, seconds: the responses summed in job order
+     * over the job count. Equals SimStats::meanResponse(). */
     double meanResponse = 0.0;
 };
 
@@ -117,12 +119,14 @@ struct ReplayOutcome
  * through the last departure — evaluatePolicy()'s accounting, bit for
  * bit in mean response and tail, to rounding in power — but keeps only
  * what a policy decision reads. The lanes are independent dependency
- * chains updated with branch-free selects in SIMD vectors, so they
- * overlap in the pipeline; a lane's outcome does not depend on the
- * other lanes or on its position in the block. The vectors are 32
- * bytes (AVX2) where the CPU has AVX2 and 16 bytes (SSE2) elsewhere,
- * chosen once at the first call; both bodies give bit-identical
- * outcomes (sim/replay_kernel.hh). Short blocks are padded internally;
+ * chains in SIMD vectors, so they overlap in the pipeline; per job a
+ * lane takes a maximum for its service start, masks its idle-only
+ * terms and adds its response to a running sum (no divide, no blend).
+ * A lane's outcome does not depend on the other lanes or on its
+ * position in the block. The vectors are 32 bytes (AVX2) where the CPU
+ * has AVX2 and 16 bytes (SSE2) elsewhere, chosen once at the first
+ * call; both bodies give bit-identical outcomes
+ * (sim/replay_kernel.hh). Short blocks are padded internally;
  * padding lanes are computed but never reported. Lanes may mix plans
  * with different stage counts. Allocates nothing beyond the first
  * sample of each tail histogram.

@@ -1,6 +1,7 @@
 /**
  * @file
- * Streaming first/second-moment statistics (Welford's algorithm).
+ * Streaming first/second-moment statistics: the mean as sum over
+ * count, the variance by Welford's algorithm.
  */
 
 #ifndef SLEEPSCALE_UTIL_ONLINE_STATS_HH
@@ -13,12 +14,17 @@
 namespace sleepscale {
 
 /**
- * Numerically stable streaming mean/variance/min/max accumulator.
+ * Streaming mean/variance/min/max accumulator in O(1) space.
  *
- * Uses Welford's online update, so it can absorb millions of samples (e.g.
- * one per job in a day-long run) without catastrophic cancellation and in
- * O(1) space. Coefficient of variation is exposed directly because workload
- * characterization in the paper is phrased in terms of (mean, Cv) pairs.
+ * The mean is the running sum over the count: samples are added to the
+ * sum from +0.0 in arrival order, so the block-replay kernel, which
+ * keeps the same sum per candidate, reports bit-equal means without a
+ * divide per sample. Welford's online update runs alongside only as
+ * the centre of the variance, which then absorbs millions of samples
+ * (e.g. one per job in a day-long run) without catastrophic
+ * cancellation. Coefficient of variation is exposed directly because
+ * workload characterization in the paper is phrased in terms of (mean,
+ * Cv) pairs.
  */
 class OnlineStats
 {
@@ -38,7 +44,8 @@ class OnlineStats
         _sum += x;
     }
 
-    /** Merge another accumulator into this one (parallel Welford). */
+    /** Merge another accumulator into this one: sums add, the
+     * variance's centres combine by parallel Welford. */
     void
     merge(const OnlineStats &other)
     {
@@ -68,8 +75,12 @@ class OnlineStats
     /** Running sum of all samples. */
     double sum() const { return _sum; }
 
-    /** Sample mean; 0 when empty. */
-    double mean() const { return _count ? _mean : 0.0; }
+    /** Sample mean, sum() over count(); 0 when empty. */
+    double
+    mean() const
+    {
+        return _count ? _sum / static_cast<double>(_count) : 0.0;
+    }
 
     /** Unbiased sample variance; 0 with fewer than two samples. */
     double
@@ -85,7 +96,7 @@ class OnlineStats
     double
     cv() const
     {
-        return _mean != 0.0 && _count > 1 ? stddev() / _mean : 0.0;
+        return _count > 1 && mean() != 0.0 ? stddev() / mean() : 0.0;
     }
 
     /** Smallest sample; +inf when empty. */
@@ -99,7 +110,7 @@ class OnlineStats
 
   private:
     std::uint64_t _count = 0;
-    double _mean = 0.0;
+    double _mean = 0.0; ///< Welford's running centre for _m2 only.
     double _m2 = 0.0;
     double _sum = 0.0;
     double _min = std::numeric_limits<double>::infinity();

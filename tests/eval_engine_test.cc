@@ -1,9 +1,9 @@
 /**
  * @file
- * Tests for the batched policy-evaluation engine: plan-cache fidelity,
- * block-replay-kernel-vs-streaming equivalence, lane-position
- * independence, bit-identity of the kernel's two bodies, and
- * parallel-vs-serial bit-equality.
+ * Tests for the batched policy-evaluation engine: selection stability
+ * across epochs, block-replay-kernel-vs-streaming equivalence,
+ * lane-position independence, bit-identity of the kernel's two bodies,
+ * and parallel-vs-serial bit-equality.
  */
 
 #include <gtest/gtest.h>
@@ -56,29 +56,6 @@ class EvalEngineTest : public ::testing::Test
 };
 
 // ------------------------------------------------------- the plan cache
-
-TEST_F(EvalEngineTest, PlanCacheMatchesFreshMaterialization)
-{
-    const PolicySpace space = PolicySpace::standard();
-    PolicyEvalEngine engine(xeon, ServiceScaling::cpuBound(), space, qos);
-
-    for (std::size_t p = 0; p < space.plans.size(); ++p) {
-        for (std::size_t k = 0; k < space.frequencies.size(); ++k) {
-            const MaterializedPlan &cached = engine.materialized(p, k);
-            const MaterializedPlan fresh(space.plans[p], xeon,
-                                         space.frequencies[k]);
-            ASSERT_EQ(cached.size(), fresh.size());
-            for (std::size_t s = 0; s < fresh.size(); ++s) {
-                EXPECT_EQ(cached.power(s), fresh.power(s));
-                EXPECT_EQ(cached.enterAfter(s), fresh.enterAfter(s));
-                EXPECT_EQ(cached.wakeLatency(s), fresh.wakeLatency(s));
-                EXPECT_EQ(cached.state(s), fresh.state(s));
-                EXPECT_EQ(cached.energyBeforeStage(s),
-                          fresh.energyBeforeStage(s));
-            }
-        }
-    }
-}
 
 TEST_F(EvalEngineTest, CachePersistsAcrossSelections)
 {
@@ -141,21 +118,33 @@ struct Replayed
     double p95 = 0.0;
 };
 
-/** A hand-built log for one candidate: the second job arrives exactly
- * at the first one's departure, a zero-size job arrives while busy and
- * another one idle, and two jobs share an arrival instant. */
+/** A hand-built log for one candidate: the first job arrives at
+ * `first_arrival` (+0.0 or -0.0, which PreparedLog accepts), the second
+ * exactly at the first one's departure, a zero-size job arrives while
+ * busy and another one idle, two jobs share an arrival instant, and the
+ * last job arrives exactly at its predecessor's departure after an idle
+ * gap. Under a zero-wake plan (one that descends from C0(i)S0(i)) both
+ * exact arrivals find the server idle with nothing to wake from. */
 std::vector<Job>
-edgeLog(const MaterializedPlan &plan, ServiceScaling scaling,
-        double frequency)
+edgeLog(const Policy &policy, const PlatformModel &platform,
+        ServiceScaling scaling, double first_arrival)
 {
+    const MaterializedPlan plan(policy.plan, platform, policy.frequency);
     const double first_departure =
-        0.0 + plan.wakeLatency(0) + 0.3 * scaling.factor(frequency);
-    return {{0.0, 0.3},
-            {first_departure, 0.2},
-            {first_departure + 0.01, 0.0},
-            {5.0, 0.0},
-            {5.0, 0.1},
-            {9.0, 0.4}};
+        first_arrival + plan.wakeLatency(0) +
+        0.3 * scaling.factor(policy.frequency);
+    std::vector<Job> jobs = {{first_arrival, 0.3},
+                             {first_departure, 0.2},
+                             {first_departure + 0.01, 0.0},
+                             {5.0, 0.0},
+                             {5.0, 0.1},
+                             {9.0, 0.4}};
+    // The streaming simulator's departure of the 9.0 job.
+    ServerSim sim(platform, scaling, policy);
+    for (const Job &job : jobs)
+        sim.offerJob(job);
+    jobs.push_back({sim.nextFreeTime(), 0.2});
+    return jobs;
 }
 
 Replayed
@@ -174,24 +163,29 @@ TEST_F(EvalEngineTest, KernelMatchesStreamingEvaluation)
     const ServiceScaling scaling = ServiceScaling::cpuBound();
     const std::vector<Job> poisson = poissonLog(0.25, 0.194, 8000, 7);
 
+    std::size_t zero_wake = 0;
     for (const Policy &policy : kernelPolicies()) {
         const MaterializedPlan plan(policy.plan, xeon, policy.frequency);
         const ReplayCandidate candidate =
             ReplayCandidate::of(plan, xeon, scaling, policy.frequency);
+        zero_wake += plan.wakeLatency(0) == 0.0 ? 1 : 0;
 
-        const std::vector<Job> edges =
-            edgeLog(plan, scaling, policy.frequency);
+        const std::vector<Job> edges = edgeLog(policy, xeon, scaling, 0.0);
+        const std::vector<Job> signed_zero =
+            edgeLog(policy, xeon, scaling, -0.0);
         const std::vector<Job> single = {{2.0, 0.25}};
 
-        for (const std::vector<Job> *jobs : {&poisson, &edges, &single}) {
+        for (const std::vector<Job> *jobs :
+             {&poisson, &edges, &signed_zero, &single}) {
             const PolicyEvaluation streamed =
                 evaluatePolicy(xeon, scaling, policy, *jobs);
             const Replayed replayed =
                 replayAlone(PreparedLog::fromJobs(*jobs), candidate);
-            const std::string where = policy.plan.toString() + " f=" +
-                                      std::to_string(policy.frequency) +
-                                      " jobs=" +
-                                      std::to_string(jobs->size());
+            const std::string where =
+                policy.plan.toString() + " f=" +
+                std::to_string(policy.frequency) + " jobs=" +
+                std::to_string(jobs->size()) + " first=" +
+                std::to_string(jobs->front().arrival);
             EXPECT_EQ(replayed.outcome.meanResponse,
                       streamed.meanResponse())
                 << where;
@@ -201,6 +195,8 @@ TEST_F(EvalEngineTest, KernelMatchesStreamingEvaluation)
                 << where;
         }
     }
+    // The edge logs' exact-departure arrivals met zero-wake plans.
+    EXPECT_GT(zero_wake, 0u);
 }
 
 TEST_F(EvalEngineTest, KernelLaneOutcomeIndependentOfBlockPosition)
@@ -358,10 +354,12 @@ TEST_F(EvalEngineTest, KernelBodiesAreBitIdentical)
     expect_identical(poissonLog(0.25, 0.194, 8000, 7), "poisson");
     expect_identical({{2.0, 0.25}}, "single");
     for (const Policy &policy : kernelPolicies()) {
-        const MaterializedPlan plan(policy.plan, xeon, policy.frequency);
-        expect_identical(edgeLog(plan, scaling, policy.frequency),
-                         "edges of " + policy.plan.toString() + " f=" +
-                             std::to_string(policy.frequency));
+        for (const double first : {0.0, -0.0}) {
+            expect_identical(edgeLog(policy, xeon, scaling, first),
+                             "edges of " + policy.plan.toString() +
+                                 " f=" + std::to_string(policy.frequency) +
+                                 " first=" + std::to_string(first));
+        }
     }
 }
 

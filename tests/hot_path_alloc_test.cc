@@ -3,8 +3,9 @@
  * Heap allocations on the per-job hot paths. A passing fatalIf() check
  * must cost no allocation, and the structures a job touches stop
  * growing once warm, so after warm-up these paths allocate nothing per
- * job: a log prepared for the candidate search, an arrival at a
- * ServerSim or at a ServerFarm, a response sample in a histogram.
+ * job: a log prepared for the candidate search, a block of candidates
+ * replayed over it, an arrival at a ServerSim or at a ServerFarm, a
+ * response sample in a histogram.
  *
  * The file replaces the global operator new to count calls, which is
  * why it is a test binary of its own.
@@ -90,6 +91,34 @@ TEST(HotPathAllocations, PreparedLogAllocatesOnlyItsTwoArrays)
     EXPECT_EQ(allocationsOf([&] { log = PreparedLog::fromJobs(jobs); }),
               2u);
     EXPECT_EQ(log.count(), jobs.size());
+}
+
+// A full block of a mean-QoS search: sixteen candidates replayed side
+// by side, with no tail histograms, allocate nothing at all.
+TEST(HotPathAllocations, FullMeanQosReplayBlockAllocatesNothing)
+{
+    const PlatformModel xeon = PlatformModel::xeon();
+    const PreparedLog log = PreparedLog::fromJobs(poissonJobs(0.3, 4000, 9));
+    std::vector<MaterializedPlan> plans;
+    std::vector<ReplayCandidate> candidates;
+    plans.reserve(replayWidth);
+    for (std::size_t lane = 0; lane < replayWidth; ++lane) {
+        const double f = 0.5 + 0.5 * static_cast<double>(lane) /
+                                   static_cast<double>(replayWidth);
+        plans.emplace_back(
+            SleepPlan::immediate(allLowPowerStates[lane %
+                                                   numLowPowerStates]),
+            xeon, f);
+        candidates.push_back(ReplayCandidate::of(
+            plans.back(), xeon, ServiceScaling::cpuBound(), f));
+    }
+    std::vector<ReplayOutcome> outcomes(replayWidth);
+    EXPECT_EQ(allocationsOf([&] {
+                  replayBlock(log, candidates, outcomes);
+              }),
+              0u);
+    for (const ReplayOutcome &outcome : outcomes)
+        EXPECT_GT(outcome.meanResponse, 0.0);
 }
 
 // Once the departure queue and the response histogram are sized, an

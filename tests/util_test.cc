@@ -207,6 +207,37 @@ TEST(OnlineStats, MergeWithEmptySides)
     EXPECT_EQ(b.count(), 2u);
 }
 
+TEST(OnlineStats, MeanIsSumOverCount)
+{
+    // The mean is the running sum over the count, bit for bit, which is
+    // what the block-replay kernel reports for a candidate's responses.
+    Rng rng(31);
+    OnlineStats whole, left, right;
+    double sum = 0.0;
+    for (int i = 0; i < 1000; ++i) {
+        const double x = rng.exponential(0.2);
+        sum += x;
+        whole.add(x);
+        (i < 400 ? left : right).add(x);
+    }
+    EXPECT_EQ(whole.sum(), sum);
+    EXPECT_EQ(whole.mean(), sum / 1000.0);
+
+    // A merge adds the sums, so the merged mean is their sum over the
+    // merged count.
+    const double merged = left.sum() + right.sum();
+    left.merge(right);
+    EXPECT_EQ(left.sum(), merged);
+    EXPECT_EQ(left.mean(), merged / 1000.0);
+    OnlineStats empty;
+    empty.merge(whole);
+    EXPECT_EQ(empty.mean(), whole.mean());
+
+    EXPECT_EQ(OnlineStats{}.mean(), 0.0);
+    whole.reset();
+    EXPECT_EQ(whole.mean(), 0.0);
+}
+
 TEST(OnlineStats, CvOfConstantIsZero)
 {
     OnlineStats stats;
@@ -421,6 +452,54 @@ TEST(QuantileHistogram, BucketEdgesFollowTheLogGrid)
     hist.add(2.0);
     EXPECT_EQ(hist.percentile(50.0),
               std::pow(10.0, std::log10(1e-7) + 2801.0 / 400.0));
+}
+
+TEST(QuantileHistogram, TableIndexMatchesTheLogIndex)
+{
+    // indexOf() finds a bucket in tables bisected from logIndexOf(); the
+    // two must agree on every double, which is checked within 64 ulps
+    // of each interior bucket edge, on log-uniform samples across the
+    // grid and beyond it, and at the extremes.
+    using Q = QuantileHistogram;
+    constexpr std::size_t last = Q::gridBuckets - 2;
+    const double inf = std::numeric_limits<double>::infinity();
+    std::size_t probes = 0;
+    std::size_t mismatches = 0;
+    const auto probe = [&](double x) {
+        ++probes;
+        if (Q::indexOf(x) != Q::logIndexOf(x) && ++mismatches <= 5) {
+            ADD_FAILURE() << "x = " << std::hexfloat << x << ": table "
+                          << Q::indexOf(x) << ", log10 "
+                          << Q::logIndexOf(x);
+        }
+    };
+    for (std::size_t k = 1; k <= last; ++k) {
+        const double edge = Q::bucketStart(k);
+        ASSERT_EQ(Q::logIndexOf(edge), k);
+        ASSERT_LT(Q::logIndexOf(std::nextafter(edge, 0.0)), k);
+        double x = edge;
+        for (int i = 0; i < 64; ++i)
+            x = std::nextafter(x, 0.0);
+        for (int i = 0; i <= 128; ++i, x = std::nextafter(x, inf))
+            probe(x);
+    }
+    Rng rng(37);
+    for (int i = 0; i < 1000000; ++i)
+        probe(std::pow(10.0, rng.uniform(-8.0, 6.0)));
+    for (const double x :
+         {0.0, -0.0, std::numeric_limits<double>::denorm_min(), Q::gridFloor,
+          std::nextafter(Q::gridFloor, 0.0), Q::gridCeiling,
+          std::nextafter(Q::gridCeiling, 0.0), 1e300,
+          std::numeric_limits<double>::max()})
+        probe(x);
+    EXPECT_EQ(mismatches, 0u) << "of " << probes << " probes";
+
+    EXPECT_EQ(Q::indexOf(0.0), 0u);
+    EXPECT_EQ(Q::indexOf(Q::gridFloor), 1u);
+    EXPECT_EQ(Q::indexOf(std::nextafter(Q::gridCeiling, 0.0)), last);
+    EXPECT_EQ(Q::indexOf(Q::gridCeiling), last + 1);
+    EXPECT_THROW(Q::bucketStart(0), ConfigError);
+    EXPECT_THROW(Q::bucketStart(last + 1), ConfigError);
 }
 
 // ------------------------------------------------------------------- CSV
