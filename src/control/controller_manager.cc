@@ -64,7 +64,7 @@ ControllerManager::needsLog() const
 
 PolicyDecision
 ControllerManager::decide(const EpochObservation &observation,
-                          const std::vector<Job> &)
+                          const PreparedLog &)
 {
     PolicyDecision decision;
     if (!observation.hasMeasurement) {

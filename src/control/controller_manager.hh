@@ -60,7 +60,7 @@ class ControllerManager : public EpochDecider
     bool needsLog() const override;
 
     PolicyDecision decide(const EpochObservation &observation,
-                          const std::vector<Job> &log) override;
+                          const PreparedLog &log) override;
 
     void reset() override;
 

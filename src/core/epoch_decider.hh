@@ -8,9 +8,13 @@
  * *decision mechanism* is split from the *decision site*: the loop
  * talks to an EpochDecider, and two implementations plug in —
  *
- *  - PolicyManager (core/policy_manager.hh): simulate every candidate
- *    (plan, frequency) pair against a rescaled job log and pick the
- *    cheapest QoS-feasible one (~ms per decision; needsLog() = true).
+ *  - PolicyManager (core/policy_manager.hh): replay every candidate
+ *    (plan, frequency) pair over a rescaled job log and pick the
+ *    cheapest QoS-feasible one (~0.1 ms per decision on a mail-day
+ *    log; needsLog() = true). The log is a PreparedLog that the runtime
+ *    rescales its history into, reused from decision to decision, so
+ *    the decider reads the arrays the replay kernel streams and no
+ *    decision builds or copies a job list.
  *  - ControllerManager (control/controller_manager.hh): Kalman-filtered
  *    POET-style feedback control from scalar epoch observations
  *    (~µs per decision; needsLog() = false, so the runtimes skip log
@@ -26,11 +30,9 @@
 #ifndef SLEEPSCALE_CORE_EPOCH_DECIDER_HH
 #define SLEEPSCALE_CORE_EPOCH_DECIDER_HH
 
-#include <vector>
-
 #include "core/eval_engine.hh"
 #include "sim/policy.hh"
-#include "workload/job.hh"
+#include "sim/server_sim.hh"
 
 namespace sleepscale {
 
@@ -89,10 +91,12 @@ class EpochDecider
      * Decide the policy for the upcoming epoch.
      *
      * @param observation Scalar measurements of the closed epoch.
-     * @param log Rescaled job log (empty when needsLog() is false).
+     * @param log The history rescaled to the predicted load, at least
+     *        two jobs over a positive span (empty when needsLog() is
+     *        false).
      */
     virtual PolicyDecision decide(const EpochObservation &observation,
-                                  const std::vector<Job> &log) = 0;
+                                  const PreparedLog &log) = 0;
 
     /** Restore the freshly constructed decision state. */
     virtual void reset() = 0;

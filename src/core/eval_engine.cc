@@ -37,6 +37,7 @@ PolicyEvalEngine::PolicyEvalEngine(const PlatformModel &platform,
     const std::size_t lanes = _pool ? _pool->size() : 1;
     _tails.resize(lanes * replayWidth);
     _outcomes.resize(_space.size());
+    _candidates.reserve(_space.size());
 }
 
 double
@@ -132,7 +133,12 @@ PolicyEvalEngine::reduce() const
 PolicyDecision
 PolicyEvalEngine::selectFromLog(const std::vector<Job> &jobs)
 {
-    const PreparedLog log = PreparedLog::fromJobs(jobs);
+    return selectFromLog(PreparedLog::fromJobs(jobs));
+}
+
+PolicyDecision
+PolicyEvalEngine::selectFromLog(const PreparedLog &log)
+{
     const double f_floor = minStableFrequency(log.offeredLoad());
     const std::size_t freqs = _space.frequencies.size();
     _candidates.clear();

@@ -15,11 +15,15 @@
  *     call over a PreparedLog — one pass of 32-byte AVX2 vectors, or two
  *     of 16-byte SSE2 vectors on hosts without AVX2 — so the
  *     candidates' independent dependency chains overlap in the
- *     pipeline. The pass has no divide and no blend per job: a lane's
- *     mean response is its running sum over the job count, as in
- *     OnlineStats. A lane's outcome does not depend on its block or
- *     lane position, nor on the body the host runs, and the kernel
- *     allocates nothing.
+ *     pipeline. The pass has no divide and no blend per job, and adds
+ *     up only each lane's idle time and responses: a lane's mean
+ *     response is its running sum over the job count, as in
+ *     OnlineStats, and its joules are worked out once after the log
+ *     from its idle time, its span and its plan's powers. A lane's
+ *     outcome does not depend on its block or lane position, nor on
+ *     the body the host runs, and the kernel allocates nothing. The
+ *     runtime rescales each decision's history straight into a reused
+ *     PreparedLog, so a decision builds no job list either.
  *  3. Parallel block fan-out on a shared ThreadPool with outcomes
  *     stored by candidate index and reduced in index order, so a
  *     parallel selection bit-matches the serial one.
@@ -99,11 +103,16 @@ class PolicyEvalEngine
      * Select the best policy for an empirical job log: every stable
      * candidate is characterized by replaying the log (paper
      * Algorithm 1); unstable frequencies are skipped, mirroring the
-     * paper's f >= ρ + 0.01 floor.
+     * paper's f >= ρ + 0.01 floor. Allocates nothing for a mean-QoS
+     * constraint.
      *
-     * @param log Arrival-ordered jobs; needs at least two jobs.
+     * @param log Prepared job log; needs at least two jobs and a
+     *        positive span.
      */
-    PolicyDecision selectFromLog(const std::vector<Job> &log);
+    PolicyDecision selectFromLog(const PreparedLog &log);
+
+    /** selectFromLog() over PreparedLog::fromJobs(jobs). */
+    PolicyDecision selectFromLog(const std::vector<Job> &jobs);
 
     /**
      * Select the best policy under the idealized M/M/1 model: every
@@ -167,7 +176,8 @@ class PolicyEvalEngine
      * pool width. */
     std::vector<Outcome> _outcomes;
 
-    /** Per-call candidate list, reused across selections. */
+    /** Per-call candidate list, reused across selections (reserved
+     * for the whole space at construction). */
     std::vector<std::uint32_t> _candidates;
 
     std::uint64_t _lifetimeEvaluations = 0;

@@ -11,9 +11,15 @@ PolicyManager::PolicyManager(const PlatformModel &platform,
 }
 
 PolicyDecision
-PolicyManager::selectFromLog(const std::vector<Job> &log) const
+PolicyManager::selectFromLog(const PreparedLog &log) const
 {
     return _engine->selectFromLog(log);
+}
+
+PolicyDecision
+PolicyManager::selectFromLog(const std::vector<Job> &jobs) const
+{
+    return _engine->selectFromLog(jobs);
 }
 
 bool
@@ -23,7 +29,7 @@ PolicyManager::needsLog() const
 }
 
 PolicyDecision
-PolicyManager::decide(const EpochObservation &, const std::vector<Job> &log)
+PolicyManager::decide(const EpochObservation &, const PreparedLog &log)
 {
     return selectFromLog(log);
 }

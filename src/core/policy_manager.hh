@@ -67,9 +67,13 @@ class PolicyManager : public EpochDecider
      * caches and scratch state do mutate, so concurrent calls on one
      * manager are not safe — use one manager per concurrent controller.
      *
-     * @param log Arrival-ordered jobs; needs at least two jobs.
+     * @param log Prepared job log; needs at least two jobs and a
+     *        positive span.
      */
-    PolicyDecision selectFromLog(const std::vector<Job> &log) const;
+    PolicyDecision selectFromLog(const PreparedLog &log) const;
+
+    /** selectFromLog() over PreparedLog::fromJobs(jobs). */
+    PolicyDecision selectFromLog(const std::vector<Job> &jobs) const;
 
     /**
      * Select the best policy under the idealized model (closed forms, no
@@ -83,7 +87,7 @@ class PolicyManager : public EpochDecider
     bool needsLog() const override;
 
     PolicyDecision decide(const EpochObservation &observation,
-                          const std::vector<Job> &log) override;
+                          const PreparedLog &log) override;
 
     void reset() override;
 

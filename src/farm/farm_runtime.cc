@@ -221,44 +221,6 @@ class FaultDriver
 };
 
 /**
- * Rebuild a logged job history as an evaluation log whose offered load
- * equals the predicted per-server utilization: gaps between consecutive
- * logged arrivals keep their shape and are scaled uniformly so
- * demand / span lands on the (clamped) prediction. Returns an empty log
- * when the history is too thin or degenerate to characterize (fewer
- * than two jobs, zero span, or zero demand).
- */
-std::vector<Job>
-rescaleHistoryToPrediction(const std::vector<Job> &history,
-                           double predicted)
-{
-    std::vector<Job> log;
-    if (history.size() < 2)
-        return log;
-    const double span = history.back().arrival - history.front().arrival;
-    double demand = 0.0;
-    for (std::size_t i = 1; i < history.size(); ++i)
-        demand += history[i].size;
-    if (span <= 0.0 || demand <= 0.0)
-        return log;
-
-    const double measured = demand / span;
-    const double target = std::clamp(predicted, 0.01, 0.99);
-    const double gap_scale = measured / target;
-    log.reserve(history.size());
-    // The first job is re-anchored one mean (rescaled) gap in.
-    double clock =
-        span / static_cast<double>(history.size() - 1) * gap_scale;
-    log.push_back({clock, history.front().size});
-    for (std::size_t i = 1; i < history.size(); ++i) {
-        clock += (history[i].arrival - history[i - 1].arrival) *
-                 gap_scale;
-        log.push_back({clock, history[i].size});
-    }
-    return log;
-}
-
-/**
  * Close one epoch of a rolling decision log: the jobs logged since the
  * previous close become the newest epoch, whole epochs beyond the last
  * `epochs` are dropped, and then the oldest jobs beyond `cap` (Section
@@ -331,6 +293,35 @@ struct DecisionGroup
 };
 
 } // namespace
+
+bool
+rescaleHistoryToPrediction(const std::vector<Job> &history,
+                           double predicted, PreparedLog &log)
+{
+    log.clear();
+    if (history.size() < 2)
+        return false;
+    const double span = history.back().arrival - history.front().arrival;
+    double demand = 0.0;
+    for (std::size_t i = 1; i < history.size(); ++i)
+        demand += history[i].size;
+    if (span <= 0.0 || demand <= 0.0)
+        return false;
+
+    const double measured = demand / span;
+    const double target = std::clamp(predicted, 0.01, 0.99);
+    const double gap_scale = measured / target;
+    // The first job is re-anchored one mean (rescaled) gap in.
+    double clock =
+        span / static_cast<double>(history.size() - 1) * gap_scale;
+    log.append(clock, history.front().size);
+    for (std::size_t i = 1; i < history.size(); ++i) {
+        clock += (history[i].arrival - history[i - 1].arrival) *
+                 gap_scale;
+        log.append(clock, history[i].size);
+    }
+    return true;
+}
 
 double
 failoverBackoffDelay(double backoff, unsigned attempts)
@@ -631,12 +622,17 @@ FarmRuntime::run(JobSource &source, const UtilizationTrace &trace,
     // then hold no worker threads. A shared decider gets one lane, which
     // runs inline.
     std::unique_ptr<ThreadPool> decision_pool;
+    // Each lane rescales into its own log, reused from decision to
+    // decision (docs/CONCURRENCY.md, invariant 2), so the logs grow
+    // with the pool width, not the farm size.
+    std::vector<PreparedLog> lane_logs;
     if (!fixed) {
         const std::size_t lanes =
             _config.decisionThreads == 0
                 ? std::min(groups.size(), ThreadPool::hardwareLanes())
                 : std::min(_config.decisionThreads, groups.size());
         decision_pool = std::make_unique<ThreadPool>(lanes);
+        lane_logs.resize(decision_pool->size());
     }
 
     // A job admitted to a group's feeding server joins that group's
@@ -776,7 +772,7 @@ FarmRuntime::run(JobSource &source, const UtilizationTrace &trace,
                 const double fanout_start =
                     record_decisions ? monotonicMicros() : 0.0;
                 decision_pool->parallelFor(
-                    groups.size(), [&](std::size_t g, std::size_t) {
+                    groups.size(), [&](std::size_t g, std::size_t lane) {
                         DecisionGroup &group = groups[g];
                         group.decided = false;
                         if (group.starved)
@@ -785,11 +781,10 @@ FarmRuntime::run(JobSource &source, const UtilizationTrace &trace,
                         // epochs, trimmed at close) to the predicted
                         // per-server load. The O(1) deciders need only
                         // a closed epoch.
-                        std::vector<Job> log;
+                        PreparedLog &log = lane_logs[lane];
                         if (needs_log) {
-                            log = rescaleHistoryToPrediction(
-                                group.history, predicted);
-                            if (log.empty())
+                            if (!rescaleHistoryToPrediction(
+                                    group.history, predicted, log))
                                 return;
                         } else if (minute == 0) {
                             return;

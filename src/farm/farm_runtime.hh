@@ -460,6 +460,26 @@ class SleepScaleRuntime
     FarmRuntime _farm;
 };
 
+/**
+ * Rescale a logged job history into the evaluation log of one decision
+ * (Section 5.2.1): the gaps between consecutive logged arrivals keep
+ * their shape and are scaled uniformly so that the history's measured
+ * load (the sizes of jobs 1 to n-1 over the arrival span) lands on the
+ * prediction, clamped to [0.01, 0.99]. The first job is re-anchored one
+ * mean rescaled gap in. `log` is cleared and refilled in place, so a
+ * reused log allocates nothing once its arrays are large enough, and
+ * every job passes PreparedLog::append()'s check.
+ *
+ * @param history Arrival-ordered logged jobs.
+ * @param predicted Forecast per-server utilization.
+ * @param log Overwritten; left empty when the history is too thin or
+ *        degenerate to characterize.
+ * @return false, with `log` empty, for fewer than two jobs, a zero
+ *         span or zero demand.
+ */
+bool rescaleHistoryToPrediction(const std::vector<Job> &history,
+                                double predicted, PreparedLog &log);
+
 /** Ceiling of the exponential failover backoff, seconds. */
 constexpr double retryBackoffCap = 60.0;
 

@@ -33,7 +33,7 @@ DistributedRateScaler::DistributedRateScaler(
 
 PolicyDecision
 DistributedRateScaler::decide(const EpochObservation &observation,
-                              const std::vector<Job> &log)
+                              const PreparedLog &log)
 {
     (void)log;
 

@@ -64,7 +64,7 @@ class DistributedRateScaler final : public EpochDecider
     bool needsLog() const override { return false; }
 
     PolicyDecision decide(const EpochObservation &observation,
-                          const std::vector<Job> &log) override;
+                          const PreparedLog &log) override;
 
     void reset() override;
 

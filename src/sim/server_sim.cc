@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <cmath>
 #include <limits>
 #include <tuple>
 
@@ -23,22 +22,17 @@ PreparedLog::fromJobs(const std::vector<Job> &jobs)
     PreparedLog log;
     log.arrival.reserve(jobs.size());
     log.size.reserve(jobs.size());
-    double last_arrival = 0.0;
-    for (const Job &job : jobs) {
-        // Every comparison below is false for NaN, so finiteness is
-        // checked first and explicitly.
-        fatalIf(!std::isfinite(job.arrival) || !std::isfinite(job.size),
-                "PreparedLog: arrival times and job sizes must be finite");
-        fatalIf(job.arrival < last_arrival,
-                "PreparedLog: arrivals must be non-decreasing");
-        fatalIf(job.arrival < 0.0, "PreparedLog: negative arrival time");
-        fatalIf(job.size < 0.0, "PreparedLog: negative job size");
-        last_arrival = job.arrival;
-        log.demand += job.size;
-        log.arrival.push_back(job.arrival);
-        log.size.push_back(job.size);
-    }
+    for (const Job &job : jobs)
+        log.append(job.arrival, job.size);
     return log;
+}
+
+void
+PreparedLog::clear()
+{
+    arrival.clear();
+    size.clear();
+    demand = 0.0;
 }
 
 double
@@ -119,6 +113,8 @@ template <typename V>
 struct PassConstants
 {
     std::size_t stages = 1; ///< Largest stage count in the pass.
+    /** Whether each lane's own plan has more than one stage. */
+    std::array<bool, passWidth<V>> multiStage{};
     Lanes<V> serviceFactor{};
     Lanes<V> activePower{};
     std::array<Lanes<V>, MaterializedPlan::maxStages> enterAfter{};
@@ -138,6 +134,7 @@ bindPass(std::span<const ReplayCandidate> lanes, PassConstants<V> &c)
         const ReplayCandidate &lane = lanes[l < lanes.size() ? l : 0];
         const MaterializedPlan &plan = *lane.plan;
         c.stages = std::max(c.stages, plan.size());
+        c.multiStage[l] = plan.size() > 1;
         c.serviceFactor[l / w][l % w] = lane.serviceFactor;
         c.activePower[l / w][l % w] = lane.activePower;
         for (std::size_t k = 0; k < MaterializedPlan::maxStages; ++k) {
@@ -154,22 +151,31 @@ bindPass(std::span<const ReplayCandidate> lanes, PassConstants<V> &c)
 }
 
 /**
- * The replay loop over one pass. Per lane and job it performs exactly
- * the scalar accounting of the streaming simulator, in the same order:
- * idle energy of the interrupted descent, then busy energy to the
- * departure, then the response added to a running sum, which ends as
+ * The replay loop over one pass. Per lane and job it follows the
+ * streaming simulator's FCFS recursion in the same order, but adds up
+ * only two sums: the idle time before each service start and the
+ * responses, the latter from +0.0 in job order so that it ends as
  * OnlineStats's mean, sum over count. The loop has no divide and no
  * blend:
  *
  *  - service starts at max(arrival, free_at), the value the simulator's
  *    idle/busy branch picks (the two are equal when an arrival meets
  *    the departure before it);
+ *  - the idle time grows by start - free_at: the gap on an idle lane,
+ *    and +0.0 on a busy one, whose start is free_at (a -0.0 first
+ *    arrival adds -0.0, which leaves +0.0);
  *  - the departure is (start + wake) + work x factor, where a busy lane
  *    adds a wake of +0.0: it starts at free_at > arrival >= 0, and
- *    free_at + 0.0 is free_at;
- *  - busy energy is P_active x (departure - start), wake-up included;
- *  - idle-only terms are masked to +0.0 on busy lanes, which leaves the
- *    energy unchanged.
+ *    free_at + 0.0 is free_at.
+ *
+ * After the log a lane's busy time, wake-ups included, is its span (the
+ * last departure) minus its idle time, and its joules are P_active x
+ * busy time plus its idle energy: P_idle x idle time when its plan has
+ * one stage, which it occupies for every gap. A multi-stage plan
+ * instead adds, per gap, MaterializedPlan::idleEnergy(gap) of the
+ * stage the arrival interrupts (masked to +0.0 on busy lanes). Which
+ * formula applies is the lane's own plan's choice, not the pass's, so
+ * a one-stage lane keeps its bits beside multi-stage neighbours.
  *
  * `Staged` is false when every lane has a single stage (the arrival
  * always interrupts stage 0). That case covers the whole standard
@@ -187,7 +193,8 @@ replayPass(const PreparedLog &log, const PassConstants<V> &c,
     // A comparison's lanes: all ones where it holds, all zeros elsewhere.
     using Mask = decltype(zero < zero);
     Lanes<V> next_free{};
-    Lanes<V> energy{};
+    Lanes<V> idle_time{};
+    Lanes<V> staged_energy{};
     Lanes<V> total{};
 
     const std::size_t n = log.count();
@@ -209,16 +216,17 @@ replayPass(const PreparedLog &log, const PassConstants<V> &c,
             // written (a maxpd, an and-mask) instead of one shared mask
             // feeding blends.
             const Mask idle = arrival >= free_at;
-            const V gap = arrival - free_at;
+            idle_time[h] += start - free_at;
 
-            // The stage the arrival interrupts: the deepest one the gap
-            // has entered, i.e. MaterializedPlan::stageAt(gap). Busy
-            // lanes have a negative gap and keep stage 0.
-            V before = c.energyBefore[0][h];
-            V power = c.power[0][h];
-            V enter = c.enterAfter[0][h];
             V wake = c.wake[0][h];
             if constexpr (Staged) {
+                // The stage the arrival interrupts: the deepest one the
+                // gap has entered, i.e. MaterializedPlan::stageAt(gap).
+                // Busy lanes have a negative gap and keep stage 0.
+                const V gap = arrival - free_at;
+                V before = c.energyBefore[0][h];
+                V power = c.power[0][h];
+                V enter = c.enterAfter[0][h];
                 for (std::size_t k = 1; k < c.stages; ++k) {
                     const auto deeper = c.enterAfter[k][h] <= gap;
                     before = deeper ? c.energyBefore[k][h] : before;
@@ -226,14 +234,14 @@ replayPass(const PreparedLog &log, const PassConstants<V> &c,
                     enter = deeper ? c.enterAfter[k][h] : enter;
                     wake = deeper ? c.wake[k][h] : wake;
                 }
+                // MaterializedPlan::idleEnergy(gap); busy lanes add
+                // +0.0, the and of the mask with the bits.
+                staged_energy[h] +=
+                    (V)(idle & (Mask)(before + power * (gap - enter)));
             }
 
-            // MaterializedPlan::idleEnergy(gap); idleEnergy(0) is 0.
-            // Busy lanes add +0.0: the and of the mask with the bits.
-            energy[h] += (V)(idle & (Mask)(before + power * (gap - enter)));
             const V depart = (start + (V)(idle & (Mask)wake)) +
                              work * c.serviceFactor[h];
-            energy[h] += c.activePower[h] * (depart - start);
             response[h] = depart - arrival;
             total[h] += response[h];
             next_free[h] = depart;
@@ -248,10 +256,18 @@ replayPass(const PreparedLog &log, const PassConstants<V> &c,
     // OnlineStats::mean() divides by the sample count, as a double.
     const double samples = static_cast<double>(n);
     const std::array<double, passWidth<V>> spans = unpack(next_free);
-    const std::array<double, passWidth<V>> joules = unpack(energy);
+    const std::array<double, passWidth<V>> idles = unpack(idle_time);
+    const std::array<double, passWidth<V>> staged = unpack(staged_energy);
     const std::array<double, passWidth<V>> sums = unpack(total);
+    const std::array<double, passWidth<V>> busy_power =
+        unpack(c.activePower);
+    const std::array<double, passWidth<V>> idle_power = unpack(c.power[0]);
     for (std::size_t l = 0; l < outcomes.size(); ++l) {
-        outcomes[l].avgPower = spans[l] > 0.0 ? joules[l] / spans[l] : 0.0;
+        const double idle_joules =
+            c.multiStage[l] ? staged[l] : idle_power[l] * idles[l];
+        const double joules =
+            busy_power[l] * (spans[l] - idles[l]) + idle_joules;
+        outcomes[l].avgPower = spans[l] > 0.0 ? joules / spans[l] : 0.0;
         outcomes[l].meanResponse = sums[l] / samples;
     }
 }

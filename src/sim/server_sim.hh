@@ -17,15 +17,18 @@
  * one). The policy search instead scores candidates with replayBlock(),
  * the same FCFS accounting reduced to what a decision reads (average
  * power, mean or tail response) and run for replayWidth (sixteen)
- * candidates side by side over a PreparedLog, with no divide and no
- * blend per job. That makes candidate-policy evaluation cheap enough to
- * run hundreds of times per epoch, which is the premise of SleepScale's
- * runtime policy manager.
+ * candidates side by side over a PreparedLog. Per job a lane adds up
+ * only its idle time and its responses, with no divide and no blend;
+ * its joules follow once, after the log, from its idle time, its span
+ * and its powers. That makes candidate-policy evaluation cheap enough
+ * to run hundreds of times per epoch, which is the premise of
+ * SleepScale's runtime policy manager.
  */
 
 #ifndef SLEEPSCALE_SIM_SERVER_SIM_HH
 #define SLEEPSCALE_SIM_SERVER_SIM_HH
 
+#include <cmath>
 #include <span>
 #include <vector>
 
@@ -34,6 +37,7 @@
 #include "sim/policy.hh"
 #include "sim/sim_stats.hh"
 #include "sim/sleep_plan.hh"
+#include "util/error.hh"
 #include "util/quantile_histogram.hh"
 #include "workload/job.hh"
 #include "workload/workload_spec.hh"
@@ -45,9 +49,11 @@ namespace sleepscale {
  *
  * Splits the jobs into structure-of-arrays form (replayBlock() streams
  * both arrays once per block of candidates) and keeps the total demand,
- * so offered load and mean size are O(1). Validated once at construction
- * — finite, non-negative, arrival-ordered — so the replay kernel runs
- * check-free.
+ * so offered load and mean size are O(1). Every job is checked as it is
+ * appended — finite, non-negative, arrival-ordered — so the replay
+ * kernel runs check-free. A log can be cleared and refilled in place:
+ * the runtime rescales each decision's history into one reused log,
+ * which then allocates nothing once its arrays have grown.
  */
 struct PreparedLog
 {
@@ -58,6 +64,32 @@ struct PreparedLog
     /** Preprocess an arrival-ordered job list (needs >= 1 job, every
      * arrival and size finite and >= 0; ConfigError otherwise). */
     static PreparedLog fromJobs(const std::vector<Job> &jobs);
+
+    /** Drop every job, keeping the arrays' capacity. */
+    void clear();
+
+    /**
+     * Append the next job: the one check of the log's invariants, which
+     * fromJobs() and every in-place writer share. ConfigError unless
+     * the arrival and the size are finite and >= 0 and the arrival is
+     * no earlier than the last one. Adds the size to the demand.
+     * Inline, so a writer's per-job loop keeps only the checks' four
+     * predictable branches next to its own arithmetic.
+     */
+    void append(double job_arrival, double job_size)
+    {
+        // Every comparison below is false for NaN, so finiteness is
+        // checked first and explicitly.
+        fatalIf(!std::isfinite(job_arrival) || !std::isfinite(job_size),
+                "PreparedLog: arrival times and job sizes must be finite");
+        fatalIf(job_arrival < (arrival.empty() ? 0.0 : arrival.back()),
+                "PreparedLog: arrivals must be non-decreasing");
+        fatalIf(job_arrival < 0.0, "PreparedLog: negative arrival time");
+        fatalIf(job_size < 0.0, "PreparedLog: negative job size");
+        demand += job_size;
+        arrival.push_back(job_arrival);
+        size.push_back(job_size);
+    }
 
     /** Number of jobs. */
     std::size_t count() const { return arrival.size(); }
@@ -104,7 +136,8 @@ struct ReplayCandidate
 struct ReplayOutcome
 {
     /** Energy over [0, last departure], divided by that span; 0 when
-     * the span is not positive. Equals SimStats::avgPower(). */
+     * the span is not positive. Equals SimStats::avgPower() to
+     * rounding. */
     double avgPower = 0.0;
 
     /** Mean response time, seconds: the responses summed in job order
@@ -120,10 +153,16 @@ struct ReplayOutcome
  * bit in mean response and tail, to rounding in power — but keeps only
  * what a policy decision reads. The lanes are independent dependency
  * chains in SIMD vectors, so they overlap in the pipeline; per job a
- * lane takes a maximum for its service start, masks its idle-only
- * terms and adds its response to a running sum (no divide, no blend).
- * A lane's outcome does not depend on the other lanes or on its
- * position in the block. The vectors are 32 bytes (AVX2) where the CPU
+ * lane takes a maximum for its service start, adds the gap before it
+ * to a running idle time, masks its wake-up latency to idle arrivals
+ * and adds its response to a running sum (no divide, no blend). After
+ * the log a lane's joules are its busy power times its busy time (span
+ * minus idle time) plus its idle energy: idle power times idle time for
+ * a one-stage plan, or the per-gap descent energies a multi-stage plan
+ * adds up in the loop. The formula follows the lane's own plan, never
+ * its neighbours', so a lane's outcome does not depend on the other
+ * lanes or on its position in the block. The vectors are 32 bytes
+ * (AVX2) where the CPU
  * has AVX2 and 16 bytes (SSE2) elsewhere, chosen once at the first
  * call; both bodies give bit-identical outcomes
  * (sim/replay_kernel.hh). Short blocks are padded internally;

@@ -7,22 +7,24 @@
 
 namespace sleepscale {
 
-SleepPlan::SleepPlan(std::vector<SleepStage> stages)
-    : _stages(std::move(stages))
+SleepPlan::SleepPlan(std::span<const SleepStage> stages)
+    : _size(stages.size())
 {
-    fatalIf(_stages.empty(), "SleepPlan: need at least one stage");
-    fatalIf(_stages.front().enterAfter != 0.0,
+    fatalIf(stages.empty(), "SleepPlan: need at least one stage");
+    fatalIf(stages.front().enterAfter != 0.0,
             "SleepPlan: the first stage must be entered immediately "
             "(enterAfter = 0); use a C0(i)S0(i) first stage to model a "
             "delayed descent");
-    for (std::size_t i = 1; i < _stages.size(); ++i) {
+    for (std::size_t i = 1; i < stages.size(); ++i) {
         // Negated so a NaN delay fails too.
-        fatalIf(!(_stages[i].enterAfter > _stages[i - 1].enterAfter),
+        fatalIf(!(stages[i].enterAfter > stages[i - 1].enterAfter),
                 "SleepPlan: entry delays must strictly increase");
-        fatalIf(depthIndex(_stages[i].state) <=
-                    depthIndex(_stages[i - 1].state),
+        fatalIf(depthIndex(stages[i].state) <=
+                    depthIndex(stages[i - 1].state),
                 "SleepPlan: states must strictly deepen along the plan");
     }
+    // Strictly deepening states fit one stage per state.
+    std::copy(stages.begin(), stages.end(), _stages.begin());
 }
 
 SleepPlan
@@ -45,18 +47,18 @@ SleepPlan::throttleBack(const std::vector<double> &delays)
     fatalIf(delays.size() != numLowPowerStates - 1,
             "SleepPlan::throttleBack: need one delay per state after "
             "C0(i)S0(i)");
-    std::vector<SleepStage> stages;
-    stages.push_back({LowPowerState::C0IdleS0Idle, 0.0});
+    std::array<SleepStage, numLowPowerStates> stages{};
+    stages[0] = {LowPowerState::C0IdleS0Idle, 0.0};
     for (std::size_t i = 0; i < delays.size(); ++i)
-        stages.push_back({allLowPowerStates[i + 1], delays[i]});
-    return SleepPlan(std::move(stages));
+        stages[i + 1] = {allLowPowerStates[i + 1], delays[i]};
+    return SleepPlan(stages);
 }
 
 std::string
 SleepPlan::toString() const
 {
     std::ostringstream out;
-    for (std::size_t i = 0; i < _stages.size(); ++i) {
+    for (std::size_t i = 0; i < _size; ++i) {
         if (i)
             out << "->";
         out << sleepscale::toString(_stages[i].state);
@@ -69,9 +71,7 @@ SleepPlan::toString() const
 MaterializedPlan::MaterializedPlan(const SleepPlan &plan,
                                    const PlatformModel &platform, double f)
 {
-    const auto &stages = plan.stages();
-    fatalIf(stages.size() > maxStages,
-            "MaterializedPlan: plan has more stages than low-power states");
+    const std::span<const SleepStage> stages = plan.stages();
     _size = stages.size();
     for (std::size_t i = 0; i < _size; ++i) {
         _power[i] = platform.lowPower(stages[i].state, f);

@@ -16,6 +16,8 @@
 
 #include <array>
 #include <cstddef>
+#include <initializer_list>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -41,12 +43,21 @@ struct SleepStage
  * stage is entered immediately (τ_1 = 0); entry delays strictly increase;
  * states strictly deepen. These mirror the paper's
  * τ_1 < τ_2 < ... < τ_n, P_1 > P_2 > ... > P_n, w_1 < w_2 < ... < w_n.
+ * Deepening bounds a plan at one stage per low-power state, so the
+ * stages are stored inline: a plan, and so a Policy, is trivially
+ * copyable, and copying one allocates nothing.
  */
 class SleepPlan
 {
   public:
     /** @param stages The descent, shallowest first. */
-    explicit SleepPlan(std::vector<SleepStage> stages);
+    explicit SleepPlan(std::span<const SleepStage> stages);
+
+    /** @param stages The descent, shallowest first. */
+    explicit SleepPlan(std::initializer_list<SleepStage> stages)
+        : SleepPlan(std::span(stages.begin(), stages.size()))
+    {
+    }
 
     /** Enter a single state as soon as the queue empties (τ = 0). */
     static SleepPlan immediate(LowPowerState state);
@@ -70,22 +81,27 @@ class SleepPlan
     static SleepPlan throttleBack(const std::vector<double> &delays);
 
     /** The stages, shallowest first. */
-    const std::vector<SleepStage> &stages() const { return _stages; }
+    std::span<const SleepStage> stages() const
+    {
+        return {_stages.data(), _size};
+    }
 
     /** Number of stages. */
-    std::size_t size() const { return _stages.size(); }
+    std::size_t size() const { return _size; }
 
     /** Deepest state in the plan. */
-    LowPowerState deepest() const { return _stages.back().state; }
+    LowPowerState deepest() const { return _stages[_size - 1].state; }
 
     /** Human-readable form, e.g. "C0(i)S0(i)->C6S3@0.126". */
     std::string toString() const;
 
-    /** Stage-wise equality. */
+    /** Stage-wise equality (slots past size() stay value-initialized,
+     * so they compare equal). */
     bool operator==(const SleepPlan &) const = default;
 
   private:
-    std::vector<SleepStage> _stages;
+    std::size_t _size = 0;
+    std::array<SleepStage, numLowPowerStates> _stages{};
 };
 
 /**

@@ -27,6 +27,7 @@ CliArgs::CliArgs(int argc, const char *const *argv,
             ++i;
         } else {
             _values[key] = "true"; // bare flag
+            _bare.insert(key);
         }
     }
 }
@@ -42,6 +43,12 @@ CliArgs::get(const std::string &key, const std::string &fallback) const
 {
     const auto it = _values.find(key);
     return it == _values.end() ? fallback : it->second;
+}
+
+std::string
+CliArgs::getPath(const std::string &key, const std::string &fallback) const
+{
+    return _bare.count(key) != 0 ? fallback : get(key, fallback);
 }
 
 namespace {

@@ -40,9 +40,16 @@ class CliArgs
     /** Whether an option was given. */
     bool has(const std::string &key) const;
 
-    /** String option with default. */
+    /** String option with default. A bare `--key` reads "true". */
     std::string get(const std::string &key,
                     const std::string &fallback) const;
+
+    /** Output-path option: the path given, else `fallback` when the
+     * option is absent or bare (`--csv` followed by no path), so a
+     * bare flag writes the documented default, not a file named
+     * "true". */
+    std::string getPath(const std::string &key,
+                        const std::string &fallback) const;
 
     /** Double option with default; fatal() unless the whole value is
      * one finite number. */
@@ -86,6 +93,7 @@ class CliArgs
   private:
     std::string _command;
     std::map<std::string, std::string> _values;
+    std::set<std::string> _bare; ///< Options given with no value.
 
     /** `text` as an integer in [0, max]; fatal() naming --key. */
     static unsigned long parseUnsigned(const std::string &key,

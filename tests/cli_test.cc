@@ -37,6 +37,20 @@ TEST(CliArgs, ParsesCommandAndOptions)
     EXPECT_EQ(args.get("flag", ""), "true");
 }
 
+TEST(CliArgs, BareOutputPathReadsItsDefault)
+{
+    // A bare flag still reads "true" through get(), but an output path
+    // given no value is the command's default file, not "./true".
+    const CliArgs bare = parse({"grid", "--flag"});
+    EXPECT_EQ(bare.getPath("flag", "grid.csv"), "grid.csv");
+    EXPECT_EQ(bare.getPath("rho", "absent.csv"), "absent.csv");
+    const CliArgs given = parse({"grid", "--flag", "out.csv"});
+    EXPECT_EQ(given.getPath("flag", "grid.csv"), "out.csv");
+    // An explicit "true" is a path like any other.
+    EXPECT_EQ(parse({"grid", "--flag", "true"}).getPath("flag", "grid.csv"),
+              "true");
+}
+
 TEST(CliArgs, DefaultsApplyWhenAbsent)
 {
     const CliArgs args = parse({"run"});

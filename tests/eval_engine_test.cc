@@ -162,6 +162,13 @@ TEST_F(EvalEngineTest, KernelMatchesStreamingEvaluation)
 {
     const ServiceScaling scaling = ServiceScaling::cpuBound();
     const std::vector<Job> poisson = poissonLog(0.25, 0.194, 8000, 7);
+    // The extremes of the load range, where the kernel's power leans on
+    // a cancellation: at ρ = 0.005 the busy time is the span minus an
+    // idle time almost as long, and at ρ = 0.99 the idle time is a sum
+    // of slivers.
+    const std::vector<Job> nearly_idle = poissonLog(0.005, 0.194, 20000, 5);
+    const std::vector<Job> nearly_saturated =
+        poissonLog(0.99, 0.194, 20000, 11);
 
     std::size_t zero_wake = 0;
     for (const Policy &policy : kernelPolicies()) {
@@ -176,7 +183,8 @@ TEST_F(EvalEngineTest, KernelMatchesStreamingEvaluation)
         const std::vector<Job> single = {{2.0, 0.25}};
 
         for (const std::vector<Job> *jobs :
-             {&poisson, &edges, &signed_zero, &single}) {
+             {&poisson, &nearly_idle, &nearly_saturated, &edges,
+              &signed_zero, &single}) {
             const PolicyEvaluation streamed =
                 evaluatePolicy(xeon, scaling, policy, *jobs);
             const Replayed replayed =

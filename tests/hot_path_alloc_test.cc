@@ -3,9 +3,11 @@
  * Heap allocations on the per-job hot paths. A passing fatalIf() check
  * must cost no allocation, and the structures a job touches stop
  * growing once warm, so after warm-up these paths allocate nothing per
- * job: a log prepared for the candidate search, a block of candidates
- * replayed over it, an arrival at a ServerSim or at a ServerFarm, a
- * response sample in a histogram.
+ * job: a log prepared for the candidate search (or a history rescaled
+ * into a reused one), a block of candidates replayed over it, a whole
+ * mean-QoS search, an arrival at a ServerSim or at a ServerFarm, a
+ * response sample in a histogram. The rescale's arithmetic is checked
+ * here too, on a hand-worked history.
  *
  * The file replaces the global operator new to count calls, which is
  * why it is a test binary of its own.
@@ -13,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
@@ -20,7 +23,11 @@
 #include <new>
 #include <vector>
 
+#include "core/eval_engine.hh"
+#include "core/policy_space.hh"
+#include "core/qos.hh"
 #include "farm/dispatcher.hh"
+#include "farm/farm_runtime.hh"
 #include "farm/server_farm.hh"
 #include "power/platform_model.hh"
 #include "sim/server_sim.hh"
@@ -91,6 +98,79 @@ TEST(HotPathAllocations, PreparedLogAllocatesOnlyItsTwoArrays)
     EXPECT_EQ(allocationsOf([&] { log = PreparedLog::fromJobs(jobs); }),
               2u);
     EXPECT_EQ(log.count(), jobs.size());
+}
+
+// Each decision rescales its history into a log its decision lane
+// reuses: once the arrays have grown, a rescale allocates nothing.
+TEST(HotPathAllocations, RescaleIntoAGrownLogAllocatesNothing)
+{
+    const std::vector<Job> history = poissonJobs(0.3, 4000, 4);
+    PreparedLog log;
+    ASSERT_TRUE(rescaleHistoryToPrediction(history, 0.5, log));
+    EXPECT_EQ(allocationsOf([&] {
+                  EXPECT_TRUE(rescaleHistoryToPrediction(history, 0.2, log));
+              }),
+              0u);
+    EXPECT_EQ(log.count(), history.size());
+}
+
+// The rescale on a history whose arithmetic is exact in binary: span 6
+// s, measured load (jobs 1 and 2) 1.5 / 6 = 0.25, so a prediction of
+// 0.5 halves every gap and a prediction of 0 is clamped to 0.01, which
+// stretches them 25 times. The first job lands one rescaled mean gap
+// (3 s before scaling) in, and the demand sums every size, job 0
+// included.
+TEST(HotPathAllocations, RescaleMatchesAHandWorkedHistory)
+{
+    const std::vector<Job> history = {{10.0, 0.5}, {12.0, 1.0},
+                                      {16.0, 0.5}};
+    PreparedLog log;
+    const auto expect_log = [&](const std::array<double, 3> &arrivals) {
+        ASSERT_EQ(log.count(), history.size());
+        for (std::size_t j = 0; j < history.size(); ++j) {
+            EXPECT_EQ(log.arrival[j], arrivals[j]) << "job " << j;
+            EXPECT_EQ(log.size[j], history[j].size) << "job " << j;
+        }
+        EXPECT_EQ(log.demand, 2.0);
+    };
+    ASSERT_TRUE(rescaleHistoryToPrediction(history, 0.5, log));
+    expect_log({1.5, 2.5, 4.5});
+    ASSERT_TRUE(rescaleHistoryToPrediction(history, 0.0, log));
+    expect_log({75.0, 125.0, 225.0});
+}
+
+// Too thin or degenerate a history gives no log, and clears the one
+// the previous decision left.
+TEST(HotPathAllocations, DegenerateHistoriesGiveNoLog)
+{
+    const std::vector<std::vector<Job>> degenerate = {
+        {},                         // no job
+        {{3.0, 0.4}},               // one job
+        {{3.0, 0.4}, {3.0, 0.2}},   // zero span
+        {{3.0, 0.4}, {5.0, 0.0}}};  // zero demand after job 0
+    for (const std::vector<Job> &history : degenerate) {
+        PreparedLog log = PreparedLog::fromJobs({{1.0, 0.1}, {2.0, 0.1}});
+        EXPECT_FALSE(rescaleHistoryToPrediction(history, 0.3, log));
+        EXPECT_EQ(log.count(), 0u);
+        EXPECT_EQ(log.demand, 0.0);
+    }
+}
+
+// A whole mean-QoS search over a prepared log allocates nothing: the
+// engine's tables are sized at construction, and the decision's policy
+// keeps its sleep plan inline.
+TEST(HotPathAllocations, MeanQosSelectionAllocatesNothing)
+{
+    const PlatformModel xeon = PlatformModel::xeon();
+    PolicyEvalEngine engine(xeon, ServiceScaling::cpuBound(),
+                            PolicySpace::standard(),
+                            QosConstraint::fromBaselineMean(0.8, 0.194));
+    const PreparedLog log = PreparedLog::fromJobs(poissonJobs(0.3, 4000, 6));
+    PolicyDecision decision;
+    EXPECT_EQ(allocationsOf([&] { decision = engine.selectFromLog(log); }),
+              0u);
+    EXPECT_TRUE(decision.feasible);
+    EXPECT_EQ(decision.evaluated, engine.lifetimeEvaluations());
 }
 
 // A full block of a mean-QoS search: sixteen candidates replayed side

@@ -5,6 +5,7 @@ Run from anywhere inside the repository:
 
     python3 tools/ab.py <base-rev> [--workloads single-day,farm-stream]
                         [--pairs 10] [--seconds 40] [--seed 1]
+    python3 tools/ab.py <base-rev> --bm REGEX [--pairs 10]
 
 The base revision is extracted with ``git archive`` into
 build-ab/base-<sha>/ (ignored by .gitignore, like every build*/
@@ -30,6 +31,17 @@ the per-pair ratios change / base with a bootstrap 95% interval
 the same interval). A gain needs wins in at least nine of ten pairs and
 a median gap wider than the base's IQR; metrics equal on every run
 read "=".
+
+With --bm REGEX the pairs are micro-benchmark runs instead of perfbench
+runs: each side configures the whole project in Release under
+build-ab/bm-base-<sha> or build-ab/bm-change and builds only
+bench_perf_policy_eval (Google Benchmark must be installed), and each
+pair runs both binaries, alternating as above, with
+--benchmark_filter=REGEX --benchmark_format=json. Every BM_* the filter
+selects is reported by its real time per iteration (in the unit the
+benchmark prints) with the same medians, quartiles, wins and bootstrap
+ratio; lower is better. --seconds then sets --benchmark_min_time of
+each benchmark (default 0.5 s in this mode).
 
 Standard library only.
 """
@@ -108,6 +120,97 @@ def run_once(tree, target_dir, workload, seed, seconds):
     return metrics, digests
 
 
+def build_bench(tree, build_dir):
+    """Configure (once) and build bench_perf_policy_eval of `tree`."""
+    if not os.path.isfile(os.path.join(build_dir, "CMakeCache.txt")):
+        configure = ["cmake", "-S", tree, "-B", build_dir,
+                     "-DCMAKE_BUILD_TYPE=Release",
+                     "-DSLEEPSCALE_BUILD_TESTS=OFF",
+                     "-DSLEEPSCALE_BUILD_EXAMPLES=OFF"]
+        if shutil.which("ninja") is not None:
+            configure += ["-G", "Ninja"]
+        step(configure, "configure " + tree)
+    step(["cmake", "--build", build_dir, "-j", "4", "--target",
+          "bench_perf_policy_eval"], "build " + tree)
+    binary = os.path.join(build_dir, "bench_perf_policy_eval")
+    if not os.access(binary, os.X_OK):
+        fail("no bench_perf_policy_eval in %s (is Google Benchmark "
+             "installed?)" % build_dir)
+    return binary
+
+
+def step(command, what):
+    result = subprocess.run(command, stdout=subprocess.PIPE,
+                            stderr=subprocess.STDOUT, text=True)
+    if result.returncode != 0:
+        sys.stderr.write(result.stdout)
+        fail(what + " failed")
+
+
+def run_bench(binary, regex, min_time):
+    """One micro-benchmark run: {name: (real time, unit)}."""
+    command = [binary, "--benchmark_filter=" + regex,
+               "--benchmark_format=json",
+               "--benchmark_min_time=%g" % min_time]
+    result = subprocess.run(command, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, text=True)
+    if result.returncode != 0:
+        sys.stderr.write(result.stderr)
+        fail("%s exited with code %d" % (binary, result.returncode))
+    try:
+        entries = json.loads(result.stdout)["benchmarks"]
+    except (ValueError, KeyError):
+        fail("%s printed no benchmark JSON" % binary)
+    times = {entry["name"]: (entry["real_time"], entry["time_unit"])
+             for entry in entries if entry.get("run_type") != "aggregate"}
+    if not times:
+        fail("--bm '%s' selects no benchmark" % regex)
+    return times
+
+
+def bench_pairs(base, regex, pairs, min_time):
+    """--bm mode: `pairs` alternating micro-benchmark pairs, then a
+    report."""
+    sha = git("rev-parse", "--verify", base + "^{commit}")
+    base_tree = os.path.join(AB_DIR, "base-" + sha[:12])
+    builds = {"base": os.path.join(AB_DIR, "bm-base-" + sha[:12]),
+              "change": os.path.join(AB_DIR, "bm-change")}
+    shutil.rmtree(base_tree, ignore_errors=True)
+    os.makedirs(base_tree)
+    try:
+        extract(sha, base_tree)
+        print("ab: base %s, change = working tree of %s; %d pairs of "
+              "'%s' at %g s per benchmark" % (sha[:12], ROOT, pairs,
+                                               regex, min_time),
+              flush=True)
+        binaries = {}
+        for side, tree in (("base", base_tree), ("change", ROOT)):
+            print("ab: building the %s bench_perf_policy_eval" % side,
+                  flush=True)
+            binaries[side] = build_bench(tree, builds[side])
+        runs = {"base": [], "change": []}
+        for pair in range(pairs):
+            order = ["base", "change"] if pair % 2 == 0 else \
+                ["change", "base"]
+            for side in order:
+                runs[side].append(run_bench(binaries[side], regex,
+                                            min_time))
+            if set(runs["base"][-1]) != set(runs["change"][-1]):
+                fail("pair %d: the two sides ran different benchmarks"
+                     % pair)
+            print("ab: micro-benchmark pair %d/%d done" %
+                  (pair + 1, pairs), flush=True)
+    finally:
+        shutil.rmtree(base_tree, ignore_errors=True)
+
+    for name in runs["base"][0]:
+        unit = runs["base"][0][name][1]
+        metric = {"name": name, "unit": unit, "better": "lower"}
+        print(report("bm", metric, [r[name][0] for r in runs["base"]],
+                     [r[name][0] for r in runs["change"]]))
+    return 0
+
+
 def quartiles(values):
     """(q1, median, q3) of at least one value."""
     if len(values) == 1:
@@ -156,12 +259,27 @@ def main():
                         help="comma list of perfbench workloads")
     parser.add_argument("--pairs", type=int, default=10,
                         help="alternating pairs per workload (K)")
-    parser.add_argument("--seconds", type=int, default=40,
-                        help="budget of each run")
+    parser.add_argument("--seconds", type=float, default=None,
+                        help="budget of each run (default 40), or with "
+                        "--bm each benchmark's minimum time (default "
+                        "0.5)")
     parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--bm", metavar="REGEX",
+                        help="pair bench_perf_policy_eval runs of the "
+                        "BM_* matching REGEX instead of perfbench runs")
     args = parser.parse_args()
-    if args.pairs < 1 or args.seconds < 1:
-        fail("--pairs and --seconds must be >= 1")
+    if args.pairs < 1:
+        fail("--pairs must be >= 1")
+    if args.bm is not None:
+        min_time = 0.5 if args.seconds is None else args.seconds
+        if not min_time > 0:
+            fail("--seconds must be > 0")
+        return bench_pairs(args.base, args.bm, args.pairs, min_time)
+    if args.seconds is None:
+        args.seconds = 40
+    if args.seconds != int(args.seconds) or args.seconds < 1:
+        fail("--seconds must be a whole number >= 1")
+    args.seconds = int(args.seconds)
 
     with open(os.path.join(ROOT, "BENCHMARK.json"),
               encoding="utf-8") as handle:

@@ -184,7 +184,7 @@ scenarioFromArgs(const CliArgs &args, EngineKind engine)
 void
 writeEpochsCsv(const CliArgs &args, const ScenarioResult &result)
 {
-    const std::string path = args.get("epochs-csv", "epochs.csv");
+    const std::string path = args.getPath("epochs-csv", "epochs.csv");
     writeCsvFile(path, result.epochs);
     std::cout << "per-epoch CSV written to " << path << '\n';
 }
@@ -347,7 +347,7 @@ cmdTrace(const CliArgs &args)
     const UtilizationTrace trace =
         kind == "es" ? synthEmailStoreTrace(days, seed)
                      : synthFileServerTrace(days, seed);
-    const std::string out = args.get("out", kind + "_trace.csv");
+    const std::string out = args.getPath("out", kind + "_trace.csv");
     trace.save(out);
     std::cout << trace.name() << ": " << trace.size()
               << " minutes, mean " << trace.meanUtilization()
@@ -505,7 +505,7 @@ cmdGrid(const CliArgs &args)
         const auto replicated = runner.runReplicated();
         replicationTable(replicated).print(std::cout);
         if (args.has("csv")) {
-            const std::string path = args.get("csv", "grid.csv");
+            const std::string path = args.getPath("csv", "grid.csv");
             writeReplicatedCsv(path, replicated);
             std::cout << "\nreplicated results CSV written to " << path
                       << '\n';
@@ -517,7 +517,7 @@ cmdGrid(const CliArgs &args)
     resultsTable(results).print(std::cout);
 
     if (args.has("csv")) {
-        const std::string path = args.get("csv", "grid.csv");
+        const std::string path = args.getPath("csv", "grid.csv");
         writeResultsCsv(path, results);
         std::cout << "\nresults CSV written to " << path << '\n';
     }
