@@ -103,8 +103,9 @@ class PolicyEvalEngine
      * Select the best policy for an empirical job log: every stable
      * candidate is characterized by replaying the log (paper
      * Algorithm 1); unstable frequencies are skipped, mirroring the
-     * paper's f >= ρ + 0.01 floor. Allocates nothing for a mean-QoS
-     * constraint.
+     * paper's f >= ρ + 0.01 floor. A serial (one-thread) mean-QoS
+     * search allocates nothing; a pooled one hands the pool a
+     * std::function, which may allocate.
      *
      * @param log Prepared job log; needs at least two jobs and a
      *        positive span.

@@ -764,9 +764,11 @@ FarmRuntime::run(JobSource &source, const UtilizationTrace &trace,
             }
 
             // Fan the decisions out across the pool. Each lane touches
-            // only its own group (log, observation, decider), and the
-            // reduction below runs in group order, so any pool width is
-            // bit-identical to serial. A starved group is not asked.
+            // only its own group's history, observation and decider and
+            // its own lane's reused log (CONCURRENCY.md invariant 2),
+            // and the reduction below runs in group order, so any pool
+            // width is bit-identical to serial. A starved group is not
+            // asked.
             double fanout_micros = 0.0;
             if (!fixed) {
                 const double fanout_start =

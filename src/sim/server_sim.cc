@@ -379,9 +379,10 @@ replayBlock(const PreparedLog &log, std::span<const ReplayCandidate> lanes,
 
 ServerSim::ServerSim(const PlatformModel &platform, ServiceScaling scaling,
                      const Policy &initial)
-    : _platform(platform), _scaling(scaling), _policy(initial),
+    : _platform(platform), _scaling(scaling),
       _plan(initial.plan, platform, initial.frequency),
-      _activePower(platform.activePower(initial.frequency))
+      _activePower(platform.activePower(initial.frequency)),
+      _serviceFactor(scaling.factor(initial.frequency)), _policy(initial)
 {
 }
 
@@ -478,8 +479,7 @@ ServerSim::offerJob(const Job &job)
         service_start = _nextFree;
     }
 
-    const double service =
-        job.size * _scaling.factor(_policy.frequency);
+    const double service = job.size * _serviceFactor;
     const double depart = service_start + service;
     _pending.push(depart, depart - job.arrival);
     _nextFree = depart;
@@ -494,6 +494,7 @@ ServerSim::setPolicy(const Policy &policy, double t)
     _policy = policy;
     _plan = MaterializedPlan(policy.plan, _platform, policy.frequency);
     _activePower = _platform.activePower(policy.frequency);
+    _serviceFactor = _scaling.factor(policy.frequency);
 }
 
 SimStats

@@ -252,9 +252,9 @@ class ServerSim
   private:
     const PlatformModel &_platform;
     ServiceScaling _scaling;
-    Policy _policy;
     MaterializedPlan _plan;
-    double _activePower; ///< Cached activePower(policy.frequency).
+    double _activePower;   ///< Cached activePower(policy.frequency).
+    double _serviceFactor; ///< Cached _scaling.factor(policy.frequency).
 
     double _accountedUntil = 0.0; ///< Energy integrated up to here.
     double _nextFree = 0.0;       ///< Queue-empties time; idle start.
@@ -265,6 +265,11 @@ class ServerSim
     PendingQueue _pending;
 
     SimStats _window;
+
+    /** Read only by policy(): offerJob() uses the cached fields above,
+     * and a Policy holds its sleep plan inline, so keeping it last
+     * keeps the per-job fields on the same cache lines. */
+    Policy _policy;
 
     void integrateBusy(double from, double to);
     void integrateIdle(double from, double to);

@@ -24,6 +24,7 @@ CliArgs::CliArgs(int argc, const char *const *argv,
             fatal("CliArgs: unknown option '--" + key + "'");
         if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
             _values[key] = argv[i + 1];
+            _bare.erase(key); // the last occurrence decides
             ++i;
         } else {
             _values[key] = "true"; // bare flag

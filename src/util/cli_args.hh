@@ -93,7 +93,7 @@ class CliArgs
   private:
     std::string _command;
     std::map<std::string, std::string> _values;
-    std::set<std::string> _bare; ///< Options given with no value.
+    std::set<std::string> _bare; ///< Options last given with no value.
 
     /** `text` as an integer in [0, max]; fatal() naming --key. */
     static unsigned long parseUnsigned(const std::string &key,

@@ -49,6 +49,15 @@ TEST(CliArgs, BareOutputPathReadsItsDefault)
     // An explicit "true" is a path like any other.
     EXPECT_EQ(parse({"grid", "--flag", "true"}).getPath("flag", "grid.csv"),
               "true");
+    // The last occurrence decides, and get() and getPath() agree on it.
+    const CliArgs bareThenGiven =
+        parse({"grid", "--flag", "--flag", "out.csv"});
+    EXPECT_EQ(bareThenGiven.get("flag", ""), "out.csv");
+    EXPECT_EQ(bareThenGiven.getPath("flag", "grid.csv"), "out.csv");
+    const CliArgs givenThenBare =
+        parse({"grid", "--flag", "out.csv", "--flag"});
+    EXPECT_EQ(givenThenBare.get("flag", ""), "true");
+    EXPECT_EQ(givenThenBare.getPath("flag", "grid.csv"), "grid.csv");
 }
 
 TEST(CliArgs, DefaultsApplyWhenAbsent)

@@ -156,9 +156,9 @@ TEST(HotPathAllocations, DegenerateHistoriesGiveNoLog)
     }
 }
 
-// A whole mean-QoS search over a prepared log allocates nothing: the
-// engine's tables are sized at construction, and the decision's policy
-// keeps its sleep plan inline.
+// A whole serial mean-QoS search over a prepared log allocates nothing:
+// the engine's tables are sized at construction, and the decision's
+// policy keeps its sleep plan inline.
 TEST(HotPathAllocations, MeanQosSelectionAllocatesNothing)
 {
     const PlatformModel xeon = PlatformModel::xeon();

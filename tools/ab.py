@@ -40,8 +40,8 @@ pair runs both binaries, alternating as above, with
 --benchmark_filter=REGEX --benchmark_format=json. Every BM_* the filter
 selects is reported by its real time per iteration (in the unit the
 benchmark prints) with the same medians, quartiles, wins and bootstrap
-ratio; lower is better. --seconds then sets --benchmark_min_time of
-each benchmark (default 0.5 s in this mode).
+ratio; lower is better. Each benchmark sets its own run length, so
+--seconds is not allowed with --bm.
 
 Standard library only.
 """
@@ -147,11 +147,10 @@ def step(command, what):
         fail(what + " failed")
 
 
-def run_bench(binary, regex, min_time):
+def run_bench(binary, regex):
     """One micro-benchmark run: {name: (real time, unit)}."""
     command = [binary, "--benchmark_filter=" + regex,
-               "--benchmark_format=json",
-               "--benchmark_min_time=%g" % min_time]
+               "--benchmark_format=json"]
     result = subprocess.run(command, stdout=subprocess.PIPE,
                             stderr=subprocess.PIPE, text=True)
     if result.returncode != 0:
@@ -168,7 +167,7 @@ def run_bench(binary, regex, min_time):
     return times
 
 
-def bench_pairs(base, regex, pairs, min_time):
+def bench_pairs(base, regex, pairs):
     """--bm mode: `pairs` alternating micro-benchmark pairs, then a
     report."""
     sha = git("rev-parse", "--verify", base + "^{commit}")
@@ -180,9 +179,7 @@ def bench_pairs(base, regex, pairs, min_time):
     try:
         extract(sha, base_tree)
         print("ab: base %s, change = working tree of %s; %d pairs of "
-              "'%s' at %g s per benchmark" % (sha[:12], ROOT, pairs,
-                                               regex, min_time),
-              flush=True)
+              "'%s'" % (sha[:12], ROOT, pairs, regex), flush=True)
         binaries = {}
         for side, tree in (("base", base_tree), ("change", ROOT)):
             print("ab: building the %s bench_perf_policy_eval" % side,
@@ -193,8 +190,7 @@ def bench_pairs(base, regex, pairs, min_time):
             order = ["base", "change"] if pair % 2 == 0 else \
                 ["change", "base"]
             for side in order:
-                runs[side].append(run_bench(binaries[side], regex,
-                                            min_time))
+                runs[side].append(run_bench(binaries[side], regex))
             if set(runs["base"][-1]) != set(runs["change"][-1]):
                 fail("pair %d: the two sides ran different benchmarks"
                      % pair)
@@ -259,27 +255,18 @@ def main():
                         help="comma list of perfbench workloads")
     parser.add_argument("--pairs", type=int, default=10,
                         help="alternating pairs per workload (K)")
-    parser.add_argument("--seconds", type=float, default=None,
-                        help="budget of each run (default 40), or with "
-                        "--bm each benchmark's minimum time (default "
-                        "0.5)")
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument("--seconds", type=int, default=40,
+                      help="budget of each run")
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--bm", metavar="REGEX",
-                        help="pair bench_perf_policy_eval runs of the "
-                        "BM_* matching REGEX instead of perfbench runs")
+    mode.add_argument("--bm", metavar="REGEX",
+                      help="pair bench_perf_policy_eval runs of the "
+                      "BM_* matching REGEX instead of perfbench runs")
     args = parser.parse_args()
-    if args.pairs < 1:
-        fail("--pairs must be >= 1")
+    if args.pairs < 1 or args.seconds < 1:
+        fail("--pairs and --seconds must be >= 1")
     if args.bm is not None:
-        min_time = 0.5 if args.seconds is None else args.seconds
-        if not min_time > 0:
-            fail("--seconds must be > 0")
-        return bench_pairs(args.base, args.bm, args.pairs, min_time)
-    if args.seconds is None:
-        args.seconds = 40
-    if args.seconds != int(args.seconds) or args.seconds < 1:
-        fail("--seconds must be a whole number >= 1")
-    args.seconds = int(args.seconds)
+        return bench_pairs(args.base, args.bm, args.pairs)
 
     with open(os.path.join(ROOT, "BENCHMARK.json"),
               encoding="utf-8") as handle:
